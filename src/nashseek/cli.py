@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -164,12 +162,7 @@ def cmd_sweep(args) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"cannot parse sweep value {chunk!r}: {exc}") from exc
 
-    env_cap = os.environ.get("NASHSEEK_THREADS")
-    workers = max(1, min(len(values) or 1, int(env_cap) if env_cap else 4))
-    rows = []
-    if values:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda v: _sweep_cell(cfg, param, v), values))
+    rows = [_sweep_cell(cfg, param, v) for v in values]
 
     out_dir = Path(args.out or cfg.get("output_dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,12 +8,14 @@ share the auxiliary integrator y and the consensus estimate dynamics.
 This module never sees the plant drift or its hidden parameters: every
 operation takes measured states, estimates, and an externally evaluated
 gradient.  Per-player functions define the laws exactly as written; the
-``stacked_*`` variants are the vectorized equivalents used by the integrator
-and are cross-checked against the per-player forms in the test suite.
+``stacked_*`` variants are the vectorized equivalents.  The integrator's
+right-hand side is built from the ``stacked_*`` forms alone, and they are
+cross-checked against the per-player forms in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -230,32 +232,43 @@ def check_gain_ordering(gains: GainSet) -> GainOrderingReport:
     return GainOrderingReport(lower, upper, c1, c2, c3, warning)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# The weights are memoised per (frozen, hashable) gain and observer set, so the
+# stacked laws can recompute them on every right-hand-side evaluation for the
+# price of a dictionary lookup.  Cached arrays are read-only because every
+# caller receives the same objects.
+@functools.lru_cache(maxsize=256)
 def feedback_weights(gains: GainSet) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-level weights of the feedback and auxiliary sums plus the scaled alpha1.
 
     Returns (w_u, w_y, a1s) with w_u[l-1] = eps^{n-l} k_l, w_y[l-1] = eps^{1-l} k_l
-    and a1s = alpha1 / eps^{n-1}.
+    and a1s = alpha1 / eps^{n-1}.  The arrays are read-only.
     """
     n, eps = gains.order_n, gains.epsilon
     k = np.asarray(gains.k)
     levels = np.arange(1, n)
     w_u = eps ** (n - levels) * k
     w_y = eps ** (1.0 - levels) * k
-    return w_u, w_y, gains.alpha1 / eps ** (n - 1)
+    return _read_only(w_u), _read_only(w_y), gains.alpha1 / eps ** (n - 1)
 
 
+@functools.lru_cache(maxsize=256)
 def observer_weights(gains: GainSet, obs: ObserverSet) -> np.ndarray:
-    """Innovation weights eps^l beta_l / mu^l for l = 1..n."""
+    """Innovation weights eps^l beta_l / mu^l for l = 1..n (a read-only array)."""
     n, eps = gains.order_n, gains.epsilon
     beta = np.asarray(obs.beta)
     if beta.size != n:
         raise DimensionMismatch(f"observer needs {n} coefficients, got {beta.size}")
     levels = np.arange(1, n + 1)
-    return eps ** levels * beta / obs.mu ** levels
+    return _read_only(eps ** levels * beta / obs.mu ** levels)
 
 
 # ---------------------------------------------------------------------------
-# Stacked (all players at once) forms; used by the integrator.
+# Stacked (all players at once) forms; the integrator's right-hand side.
 
 
 def stacked_control_input(derivative_levels: np.ndarray, grads: np.ndarray,
@@ -283,12 +296,16 @@ def stacked_estimate_rate(x_hat: np.ndarray, x: np.ndarray, g: Digraph,
     """Estimate dynamics for the full (N, N, m) tensor of estimates.
 
     Axis 0 is the estimating player i, axis 1 the estimated player j.  The
-    consensus and anchor terms are formed from explicit differences so that a
-    consensus state (every row of x_hat equal to x) maps to an exactly zero
+    consensus term gathers x_hat[head] - x_hat[tail] over the E in-edges and
+    scatters the weighted differences to their heads with one (N, E) incidence
+    matmul, O(E N m).  Both terms are formed from explicit differences so that
+    a consensus state (every row of x_hat equal to x) maps to an exactly zero
     rate.
     """
-    diffs = x_hat[:, None, :, :] - x_hat[None, :, :, :]
-    consensus = np.einsum("ik,ikjm->ijm", g.weights, diffs)
+    edges = g.in_edges
+    n_players, _, m = x_hat.shape
+    diffs = (x_hat[edges.heads] - x_hat[edges.tails]).reshape(-1, n_players * m)
+    consensus = (edges.incidence @ diffs).reshape(x_hat.shape)
     anchor = g.weights[:, :, None] * (x_hat - x[None, :, :])
     return -alpha3 * (consensus + anchor)
 

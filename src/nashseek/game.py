@@ -29,6 +29,12 @@ class Game:
     players in index order.  profile_gradient, when present, must agree with
     the oracle: it maps an (N, N, m) tensor whose row i is the full profile as
     seen by player i to the (N, m) matrix of own-gradients.
+
+    affine declares that the gradients (the oracle and profile_gradient alike)
+    are affine in the profiles, as they are for quadratic costs.  The
+    simulator then folds a loop of drift-free plants into one linear map,
+    probed once from the right-hand side, so a wrong True gives wrong
+    trajectories without any error.
     """
 
     n_players: int
@@ -36,6 +42,7 @@ class Game:
     gradient_oracle: GradOracle
     cost_oracle: Optional[CostOracle] = None
     profile_gradient: Optional[ProfileGradient] = None
+    affine: bool = False
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ out-degree the i-th column sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,9 +19,26 @@ from .linalg import is_symmetric_positive_definite, lyapunov_solve
 WEIGHT_BALANCE_TOL = 1e-12
 
 
+class InEdges(NamedTuple):
+    """The positive-weight edges of a digraph, in row-major order of the weights.
+
+    Edge e carries information from tails[e] to heads[e]; incidence is the
+    (N, E) matrix with incidence[heads[e], e] = a_{heads[e], tails[e]} and
+    zeros elsewhere, so ``incidence @ v`` sums weighted per-edge values into
+    their receiving nodes.
+    """
+
+    heads: np.ndarray
+    tails: np.ndarray
+    incidence: np.ndarray
+
+
 @dataclass(frozen=True)
 class Digraph:
-    """Weighted directed graph on nodes 0..N-1 with no self loops."""
+    """Weighted directed graph on nodes 0..N-1 with no self loops.
+
+    The weights are read once for ``in_edges``; do not modify them in place.
+    """
 
     weights: np.ndarray
 
@@ -44,6 +63,13 @@ class Digraph:
     @property
     def out_degrees(self) -> np.ndarray:
         return self.weights.sum(axis=0)
+
+    @cached_property
+    def in_edges(self) -> InEdges:
+        heads, tails = np.nonzero(self.weights > 0)
+        incidence = np.zeros((self.n_nodes, heads.size))
+        incidence[heads, np.arange(heads.size)] = self.weights[heads, tails]
+        return InEdges(heads, tails, incidence)
 
     @classmethod
     def from_edge_list(cls, n: int, edges) -> "Digraph":

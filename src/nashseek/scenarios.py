@@ -127,15 +127,18 @@ def _vehicle_game(offsets: np.ndarray) -> Game:
         diag = profiles[np.arange(n), np.arange(n), :]
         return (2.0 * diag - 2.0 * offsets + profiles.sum(axis=1)) / n
 
-    return Game(n, 2, gradient, cost_oracle=cost, profile_gradient=profile_gradient)
+    return Game(n, 2, gradient, cost_oracle=cost, profile_gradient=profile_gradient, affine=True)
 
 
-def _vehicle_drift(c_drag: float, c_mech: float):
-    def drift(chain, w):
-        v = chain[1]
-        return -w[0] * v * np.abs(v) - w[1]
+def vehicle_drift(chain, w):
+    """Quadratic aerodynamic drag and constant mechanical drag on the velocity.
 
-    return drift, (c_drag, c_mech)
+    Per player, chain is (n, m) and w = (c_drag, c_mech); stacked over k
+    players, chain is (n, k, m) and w is (k, 2).
+    """
+    w = np.asarray(w)
+    v = chain[1]
+    return -w[..., 0, None] * v * np.abs(v) - w[..., 1, None]
 
 
 def build_vehicle_formation(table=None, rho: float = RHO_AIR, offsets=None, graph=None):
@@ -158,8 +161,7 @@ def build_vehicle_formation(table=None, rho: float = RHO_AIR, offsets=None, grap
     for params in table:
         c_drag = rho * params.frontal_area * params.drag_coeff / (2.0 * params.mass)
         c_mech = params.mech_drag / params.mass
-        drift, w = _vehicle_drift(c_drag, c_mech)
-        plants.append(Plant(order_n=2, dim_m=2, drift=drift, w=w))
+        plants.append(Plant(order_n=2, dim_m=2, drift=vehicle_drift, w=(c_drag, c_mech)))
     return game, plants, g, spec
 
 
@@ -195,7 +197,7 @@ def _turbine_game(table) -> Game:
                + PRICE_SLOPE * totals + PRICE_SLOPE * diag)
         return val[:, None]
 
-    return Game(n, 1, gradient, cost_oracle=cost, profile_gradient=profile_gradient)
+    return Game(n, 1, gradient, cost_oracle=cost, profile_gradient=profile_gradient, affine=True)
 
 
 def build_turbine_market(table=None, graph=None):

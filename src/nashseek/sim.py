@@ -6,8 +6,11 @@ The global state is one flat vector laid out as
      auxiliary y (N, m) | estimate tensor (N, N, m)]
 
 and advanced with classical RK4.  The controller side of the right-hand side
-is assembled from the stacked forms in :mod:`nashseek.control`; plant drifts
-are evaluated per player and are never visible to the controller terms.
+is the stacked laws of :mod:`nashseek.control`; plant drifts are evaluated
+once per distinct drift callable, over all players that share it, and are
+never visible to the controller terms.  A loop of drift-free plants under a
+game declared affine is an affine map of the state, so its RK4 step is folded
+once into one propagator ``s <- Phi s + c``.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ class Plant:
     (decision first, highest derivative last) and the hidden parameter w; a
     None drift means the chain is a pure integrator.  Controllers never see
     this object.
+
+    The simulator calls each distinct drift once for all the players that
+    share it, so a drift must also broadcast over a leading player axis: a
+    chain of shape (n, k, m) with w stacked by ``np.asarray`` to shape (k, ...)
+    returns the (k, m) drifts of those k players.
     """
 
     order_n: int
@@ -186,61 +194,102 @@ def _validate_setup(game: Game, plants: Sequence[Plant], g: Digraph,
     return n, n_players, m
 
 
+def _drift_groups(plants: Sequence[Plant]) -> list:
+    """(player selector, drift, stacked w) for each distinct drift callable.
+
+    The selector is a slice when one drift covers every player, so the chain
+    handed to it is a view.
+    """
+    groups = {}
+    for i, p in enumerate(plants):
+        if p.drift is not None:
+            groups.setdefault(p.drift, []).append(i)
+    out = []
+    for drift, players in groups.items():
+        sel = slice(None) if len(players) == len(plants) else np.asarray(players)
+        out.append((sel, drift, np.asarray([plants[i].w for i in players])))
+    return out
+
+
+def _add_drifts(groups: list, chain: np.ndarray, acc: np.ndarray) -> None:
+    """Add every player's drift at the (n, N, m) chain into the (N, m) acc."""
+    for sel, drift, w in groups:
+        acc[sel] += drift(chain[:, sel, :], w)
+
+
 def _make_rhs(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
               obs: Optional[ObserverSet], layout: _Layout):
     """Closed-loop right-hand side over the flat state vector."""
-    n, m = layout.n, layout.m
-    n_players = layout.N
-    idx = np.arange(n_players)
-    drift_entries = [(i, p.drift, p.w) for i, p in enumerate(plants) if p.drift is not None]
-    w_u, w_y, a1s = control.feedback_weights(gains)
-    a1, a2, a3 = gains.alpha1, gains.alpha2, gains.alpha3
-    w_z = control.observer_weights(gains, obs) if layout.output_mode else None
-    weights = g.weights
+    idx = np.arange(layout.N)
+    drift_groups = _drift_groups(plants)
 
     def rhs(s, t):
         out = np.empty_like(s)
         chain = layout.chain(s)
-        y = layout.y(s)
         x_hat = layout.x_hat(s)
         x = chain[0]
+        z = layout.z(s)
 
         profiles = x_hat.copy()
         profiles[idx, idx, :] = x
         grads = gradient_matrix(game, profiles)
+        levels = chain[1:] if z is None else z[1:]
 
-        levels = layout.z(s)[1:] if layout.output_mode else chain[1:]
-        u = -a1 * grads - a2 * y
-        if w_u.size:
-            u = u - np.tensordot(w_u, levels, axes=1)
-        dy = a1s * grads
-        if w_y.size:
-            dy = dy + np.tensordot(w_y, levels, axes=1)
-
-        dchain = out[layout.chain_sl].reshape(n, n_players, m)
-        if n > 1:
-            dchain[:-1] = chain[1:]
-        dchain[-1] = u
-        for i, drift, w in drift_entries:
-            dchain[-1, i] += drift(chain[:, i, :], w)
-
-        if layout.output_mode:
-            z = layout.z(s)
-            innovation = x - z[0]
-            dz = out[layout.z_sl].reshape(n, n_players, m)
-            if n > 1:
-                dz[:-1] = z[1:] + w_z[:-1, None, None] * innovation[None, :, :]
-            dz[-1] = w_z[-1] * innovation
-
-        out[layout.y_sl] = dy.ravel()
-
-        diffs = x_hat[:, None, :, :] - x_hat[None, :, :, :]
-        consensus = np.einsum("ik,ikjm->ijm", weights, diffs)
-        anchor = weights[:, :, None] * (x_hat - x[None, :, :])
-        out[layout.hat_sl] = (-a3 * (consensus + anchor)).ravel()
+        dchain = layout.chain(out)
+        dchain[:-1] = chain[1:]
+        dchain[-1] = control.stacked_control_input(levels, grads, layout.y(s), gains)
+        _add_drifts(drift_groups, chain, dchain[-1])
+        if z is not None:
+            layout.z(out)[:] = control.stacked_observer_rate(z, x, gains, obs)
+        layout.y(out)[:] = control.stacked_aux_rate(levels, grads, gains)
+        layout.x_hat(out)[:] = control.stacked_estimate_rate(x_hat, x, g, gains.alpha3)
         return out
 
     return rhs
+
+
+def _folded_rk4(rhs, layout: _Layout, dt: float):
+    """step(s, t): one classical RK4 step of an affine rhs, folded into Phi s + c.
+
+    The map s' = A s + b is probed from the right-hand side itself (b = rhs(0),
+    A e_j = rhs(e_j) - b).  With M = dt A, RK4 gives
+    Phi = I + M + M^2/2 + M^3/6 + M^4/24 and c = dt (I + M/2 + M^2/6 + M^3/24) b.
+    Building it costs size + 1 rhs evaluations and O(size^3); a step costs
+    one O(size^2) matvec.
+
+    In output mode the matrix reads the innovation x - z_0 in place of z_0,
+    as the observer law does (Phi B v with s = B v).  Multiplying x and z_0
+    by innovation weights of up to (eps/mu)^n before they cancel lost about
+    5e-11 relative per step on the turbine loop.
+    """
+    size = layout.size
+    b = rhs(np.zeros(size), 0.0)
+    eye = np.eye(size)
+    a = np.empty((size, size))
+    for j in range(size):
+        a[:, j] = rhs(eye[j], 0.0) - b
+    m = dt * a
+    taylor = eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0  # I + M/2 + M^2/6 + M^3/24
+    c = dt * (taylor @ b)
+    if not layout.output_mode:
+        phi = eye + taylor @ m
+        return lambda s, t: phi @ s + c
+
+    width = layout.N * layout.m
+    x_sl = slice(layout.chain_sl.start, layout.chain_sl.start + width)
+    z_sl = slice(layout.z_sl.start, layout.z_sl.start + width)
+    xs, zs = np.arange(size)[x_sl], np.arange(size)[z_sl]
+    basis = eye.copy()
+    basis[zs, xs] = 1.0
+    basis[zs, zs] = -1.0
+    phi_basis = basis + taylor @ (m @ basis)
+
+    def step(s, t):
+        v = s.copy()
+        v[z_sl] = s[x_sl] - s[z_sl]
+        return phi_basis @ v + c
+
+    return step
 
 
 def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
@@ -251,6 +300,11 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
 
     x_star, when supplied, must come from an independent equilibrium solver;
     it is used only to fill the recorded error norms.
+
+    When every plant is drift-free and the game is declared affine, the loop
+    is linear and each RK4 step is taken by the folded propagator of
+    ``_folded_rk4`` (O(size^3) once, O(size^2) per step); otherwise each
+    step calls ``rk4_step`` on the matrix-free right-hand side.
     """
     n, n_players, m = _validate_setup(game, plants, g, gains, obs, cfg.mode)
     if not is_strongly_connected(g):
@@ -314,11 +368,20 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
             ]
             snapshots.append(ClosedLoopState(t, c.copy(), seekers))
 
+    if game.affine and all(p.drift is None for p in plants):
+        advance = _folded_rk4(rhs, layout, cfg.dt)
+    else:
+        def advance(s, t):
+            return rk4_step(rhs, s, t, cfg.dt)
+
     steps = round(cfg.horizon / cfg.dt)
     record(0, state)
     for k in range(steps):
-        state = rk4_step(rhs, state, k * cfg.dt, cfg.dt)
-        if np.max(np.abs(state)) > STATE_MAGNITUDE_GUARD:
+        state = advance(state, k * cfg.dt)
+        peak = np.max(np.abs(state))
+        if not peak <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
+            if not np.isfinite(peak):
+                raise Diverged(f"non-finite state after step at t={k * cfg.dt:g}")
             raise Diverged(f"state magnitude exceeded {STATE_MAGNITUDE_GUARD:g} at t={(k + 1) * cfg.dt:g}")
         if (k + 1) % cfg.record_stride == 0 or k + 1 == steps:
             record(k + 1, state)
@@ -349,9 +412,7 @@ def equilibrium_residual(game: Game, plants: Sequence[Plant], g: Digraph,
     chain = layout.chain(state)
     chain[0] = x_mat
     f_star = np.zeros((n_players, m))
-    for i, p in enumerate(plants):
-        if p.drift is not None:
-            f_star[i] = p.drift(chain[:, i, :], p.w)
+    _add_drifts(_drift_groups(plants), chain, f_star)
     layout.y(state)[:] = f_star / gains.alpha2
     layout.x_hat(state)[:] = x_mat[None, :, :]
     rhs = _make_rhs(game, plants, g, gains, None, layout)

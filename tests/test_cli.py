@@ -193,14 +193,14 @@ class TestSweepCommand:
         assert "error:ConfigInvalid" in lines[1]
         assert lines[2].endswith("ok")
 
-    def test_thread_cap_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NASHSEEK_THREADS", "1")
+    def test_horizon_cells_give_rows_in_order(self, tmp_path):
         code = run_cli("sweep", "--scenario", "vehicles", "--algo", "state",
                        "--param", "horizon", "--values", "0.2,0.3", "--out", str(tmp_path),
                        "--set", "settle_tol=1e6")
         assert code == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.2", "0.3"]
 
     def test_mu_sweep_observer_error_column_decreases(self, tmp_path):
         code = run_cli("sweep", "--scenario", "vehicles", "--algo", "output",

@@ -1,5 +1,6 @@
 """Integrator, closed-loop run, and metric tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from nashseek.errors import (
 )
 from nashseek.game import Game, extended_pseudo_gradient
 from nashseek.graph import Digraph, estimation_block_matrix
+from nashseek import sim
 from nashseek.scenarios import (
     build_turbine_market,
     build_vehicle_formation,
@@ -29,6 +31,7 @@ from nashseek.sim import (
     Trajectory,
     _Layout,
     _make_rhs,
+    _folded_rk4,
     equilibrium_residual,
     fit_exponential_rate,
     mid_decay_window,
@@ -47,6 +50,10 @@ def identity_game(n=2, m=1):
 
 def two_cycle():
     return Digraph(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+TURBINE_GAINS = GainSet(4, (3.375, 6.75, 4.5), 2.0, 14.0, 10.0, 40.0)
+TURBINE_OBSERVER = ObserverSet((4.0, 6.0, 4.0, 1.0), 0.01)
 
 
 def synthetic_trajectory(times, errors):
@@ -210,15 +217,87 @@ class TestClosedLoopRuns:
         assert np.array_equal(traj.decisions[0], expected)
 
 
+class TestFoldedPropagator:
+    """A drift-free loop under an affine game is stepped by Phi s + c."""
+
+    def _loop(self, mode):
+        game, plants, g = build_turbine_market()
+        obs = TURBINE_OBSERVER if mode == "output" else None
+        layout = _Layout(4, 6, 1, output_mode=mode == "output")
+        rhs = _make_rhs(game, plants, g, TURBINE_GAINS, obs, layout)
+        state = np.zeros(layout.size)
+        x0 = np.random.default_rng(5).uniform(-10.0, 10.0, size=(6, 1))
+        layout.chain(state)[0] = x0
+        if mode == "output":
+            layout.z(state)[0] = x0
+        return rhs, layout, state
+
+    # Over 2 000 output-mode steps the observer's top derivative estimate,
+    # scaled by (eps/mu)^3 = 8e6, carries float64 noise on either path:
+    # rk4_step itself ends 2.7e-10 from an extended-precision RK4 of the same
+    # map, and the fold 1.0e-9.
+    @pytest.mark.parametrize("mode, rtol", [("state", 1e-9), ("output", 1e-8)])
+    def test_fold_matches_rk4_step(self, mode, rtol):
+        dt = 9e-4
+        rhs, layout, state = self._loop(mode)
+        step = _folded_rk4(rhs, layout, dt)
+
+        def rel(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+        assert rel(step(state, 0.0), rk4_step(rhs, state, 0.0, dt)) < 1e-12
+        folded = reference = state
+        for k in range(2000):
+            folded = step(folded, k * dt)
+            reference = rk4_step(rhs, reference, k * dt, dt)
+        assert rel(folded, reference) < rtol
+        assert rel(layout.chain(folded)[0], layout.chain(reference)[0]) < 1e-9
+
+    @staticmethod
+    def _forbid_rk4_step(monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("rk4_step called on a folded loop")
+
+        monkeypatch.setattr(sim, "rk4_step", forbidden)
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_run_takes_the_folded_path(self, mode, monkeypatch):
+        game, plants, g = build_turbine_market()
+        obs = TURBINE_OBSERVER if mode == "output" else None
+        cfg = SimConfig(dt=9e-4, horizon=0.9, mode=mode, seed=3)
+        matrix_free = run(dataclasses.replace(game, affine=False), plants, g,
+                          TURBINE_GAINS, obs, cfg)
+        self._forbid_rk4_step(monkeypatch)
+        folded = run(game, plants, g, TURBINE_GAINS, obs, cfg)
+        assert np.allclose(folded.decisions, matrix_free.decisions, rtol=1e-9, atol=0.0)
+        assert np.allclose(folded.estimate_disagreement, matrix_free.estimate_disagreement,
+                           rtol=1e-9, atol=1e-12)
+
+    def test_unstable_linear_loop_diverges(self, monkeypatch):
+        game, plants, g = build_turbine_market()
+        gains = GainSet(4, (3.375, 6.75, 4.5), 2.0, -30.0, 10.0, 40.0, check=False)
+        self._forbid_rk4_step(monkeypatch)
+        with pytest.raises(Diverged, match="magnitude"):
+            run(game, plants, g, gains, None, SimConfig(dt=9e-4, horizon=60.0))
+
+
 class TestRhsMatchesPerPlayerLaws:
     """The vectorized closed-loop right-hand side must agree with the
     per-player law functions assembled by hand."""
 
-    def _check(self, mode):
-        game, plants, g = build_turbine_market()
-        n, n_players, m = 4, 6, 1
-        gains = GainSet(4, (3.375, 6.75, 4.5), 2.0, 14.0, 10.0, 40.0)
-        obs = ObserverSet((4.0, 6.0, 4.0, 1.0), 0.01) if mode == "output" else None
+    VEHICLE_GAINS = GainSet(2, (1.0,), 2.0, 3.0, 2.2, 18.0)
+    VEHICLE_OBSERVER = ObserverSet((2.0, 1.0), 0.02)
+
+    def _check(self, mode, scenario="turbines", plants=None):
+        if scenario == "turbines":
+            game, default_plants, g = build_turbine_market()
+            gains, observer = TURBINE_GAINS, TURBINE_OBSERVER
+        else:
+            game, default_plants, g, _ = build_vehicle_formation()
+            gains, observer = self.VEHICLE_GAINS, self.VEHICLE_OBSERVER
+        plants = default_plants if plants is None else plants
+        n, m, n_players = gains.order_n, game.decision_dim, game.n_players
+        obs = observer if mode == "output" else None
         layout = _Layout(n, n_players, m, output_mode=mode == "output")
         rng = np.random.default_rng(13)
         state = rng.standard_normal(layout.size)
@@ -247,7 +326,9 @@ class TestRhsMatchesPerPlayerLaws:
                 u_i, dy_i, dz_i, dxh_i = output_feedback_rhs(
                     i, x[i], seeker, grads[i], neighbor, gains, obs, g)
                 assert np.allclose(d_z[:, i, :], dz_i, atol=1e-12)
-            assert np.allclose(d_chain[-1, i], u_i, atol=1e-12)  # zero drift
+            p = plants[i]
+            drift_i = 0.0 if p.drift is None else p.drift(chain[:, i, :], p.w)
+            assert np.allclose(d_chain[-1, i], u_i + drift_i, atol=1e-12)
             assert np.allclose(d_y[i], dy_i, atol=1e-12)
             assert np.allclose(d_hat[i], dxh_i, atol=1e-12)
             for level in range(n - 1):
@@ -258,6 +339,23 @@ class TestRhsMatchesPerPlayerLaws:
 
     def test_output_mode(self):
         self._check("output")
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_vehicles_with_drift(self, mode):
+        self._check(mode, "vehicles")
+
+    def test_two_drift_callables_mixed_with_none(self):
+        def linear_drift(chain, w):
+            return np.asarray(w)[..., None] * chain[0]
+
+        _, vehicles, _, _ = build_vehicle_formation()
+        plants = [
+            vehicles[i] if i % 3 == 0 else
+            Plant(2, 2, drift=linear_drift, w=0.1 * (i + 1)) if i % 3 == 1 else
+            Plant(2, 2)
+            for i in range(10)
+        ]
+        self._check("state", "vehicles", plants)
 
     def test_estimate_rate_matches_kronecker_form(self):
         # dual route: tensor difference form vs the stacked block matrices
