@@ -30,7 +30,6 @@ from .graph import (
     is_weight_balanced,
     laplacian,
     estimation_certificate,
-    strongly_connected_components,
 )
 from .scenarios import (
     FormationSpec,
@@ -58,9 +57,8 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Digraph", "GraphCertificate", "laplacian", "strongly_connected_components",
-    "is_strongly_connected", "is_weight_balanced", "estimation_block_matrix",
-    "estimation_certificate",
+    "Digraph", "GraphCertificate", "laplacian", "is_strongly_connected",
+    "is_weight_balanced", "estimation_block_matrix", "estimation_certificate",
     "Game", "MonotonicityReport", "pseudo_gradient", "extended_pseudo_gradient",
     "nash_solve", "probe_monotonicity", "gradient_consistency",
     "GainSet", "ObserverSet", "SeekerState", "default_hurwitz_gains",

@@ -4,12 +4,17 @@ A run config is a plain JSON object with blocks
 
     scenario: "vehicles" | "turbines"
     scenario_params: optional overrides of the baked-in scenario parameters
+        (vehicles: table, rho, offsets, star_radius, graph; turbines: table, graph)
     algo: "state" | "output"
     gains: {epsilon, alpha1, alpha2, alpha3, k: [...] | "auto"}
     observer: {beta: [...] | "auto", mu}
-    sim: {dt, horizon, record_stride, seed, snapshot_stride}
+    sim: {dt, horizon, record_stride, seed}
     init: {decisions: [[...]] | null, box: [lo, hi], derivatives: [...] | null}
     settle_tol, output_dir
+
+The pinned defaults double as the schema: ``check_keys`` rejects any key
+they do not have (and any block that is not an object), naming the nearest
+known key.  ``build_run_setup`` does not repeat that check.
 
 Graphs are specified as {"n": N, "edges": [{"to": i, "from": j, "w": a}]} with
 1-based node indices; "to" is the receiving node.
@@ -18,6 +23,7 @@ Graphs are specified as {"n": N, "edges": [{"to": i, "from": j, "w": a}]} with
 from __future__ import annotations
 
 import copy
+import difflib
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -50,7 +56,7 @@ _DEFAULTS = {
         "scenario_params": {},
         "gains": {"epsilon": 2.0, "alpha1": 3.0, "alpha2": 2.2, "alpha3": 18.0, "k": "auto"},
         "observer": {"beta": "auto", "mu": 0.02},
-        "sim": {"dt": 1e-3, "horizon": 40.0, "record_stride": 10, "seed": 42, "snapshot_stride": 0},
+        "sim": {"dt": 1e-3, "horizon": 40.0, "record_stride": 10, "seed": 42},
         "init": {"decisions": None, "box": [-10.0, 10.0], "derivatives": None},
         "settle_tol": 1e-2,
         "output_dir": "out",
@@ -65,40 +71,30 @@ _DEFAULTS = {
         "gains": {"epsilon": 2.0, "alpha1": 14.0, "alpha2": 10.0, "alpha3": 40.0,
                   "k": [3.375, 6.75, 4.5]},
         "observer": {"beta": "auto", "mu": 0.01},
-        "sim": {"dt": 9e-4, "horizon": 30.0, "record_stride": 10, "seed": 42, "snapshot_stride": 0},
+        "sim": {"dt": 9e-4, "horizon": 30.0, "record_stride": 10, "seed": 42},
         "init": {"decisions": None, "box": [0.0, 10.0], "derivatives": None},
         "settle_tol": 1e-2,
         "output_dir": "out",
     },
 }
 
-_PLANT_ORDER = {"vehicles": 2, "turbines": 4}
-
 # Bare --set keys resolve into their natural config block.
-_SET_ALIASES = {
-    "epsilon": "gains.epsilon",
-    "alpha1": "gains.alpha1",
-    "alpha2": "gains.alpha2",
-    "alpha3": "gains.alpha3",
-    "k": "gains.k",
-    "beta": "observer.beta",
-    "mu": "observer.mu",
-    "dt": "sim.dt",
-    "horizon": "sim.horizon",
-    "seed": "sim.seed",
-    "record_stride": "sim.record_stride",
-    "snapshot_stride": "sim.snapshot_stride",
-    "box": "init.box",
-    "decisions": "init.decisions",
-}
+_SET_ALIASES = {leaf: f"{block}.{leaf}" for block, body in _DEFAULTS["vehicles"].items()
+                if isinstance(body, dict) for leaf in body}
+
+
+def _scenario_name(name) -> str:
+    """The built-in scenario a config names, long-form aliases resolved."""
+    if isinstance(name, str):
+        name = _SCENARIO_ALIASES.get(name, name)
+    if name not in SCENARIO_NAMES:
+        raise ConfigInvalid(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+    return name
 
 
 def default_config(scenario: str, algo: str = MODE_STATE) -> dict:
     """Deep copy of the pinned defaults for a named scenario."""
-    scenario = _SCENARIO_ALIASES.get(scenario, scenario)
-    if scenario not in _DEFAULTS:
-        raise ConfigInvalid(f"unknown scenario {scenario!r}; expected one of {SCENARIO_NAMES}")
-    cfg = copy.deepcopy(_DEFAULTS[scenario])
+    cfg = copy.deepcopy(_DEFAULTS[_scenario_name(scenario)])
     if algo is not None:
         cfg["algo"] = algo
     return cfg
@@ -108,13 +104,16 @@ def load_config_file(path) -> dict:
     """Parse a JSON config file, reporting line/column on syntax errors."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid(f"{path}: a config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def merge_config(base: dict, override: dict) -> dict:
@@ -144,11 +143,44 @@ def apply_set_overrides(cfg: dict, assignments) -> dict:
         node = out
         parts = path.split(".")
         for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                node[part] = {}
-            node = node[part]
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigInvalid(f"cannot set {path}: {part!r} must be an object, got {node!r}")
         node[parts[-1]] = value
     return out
+
+
+def _unknown_key(prefix: str, key: str, known) -> ConfigInvalid:
+    close = difflib.get_close_matches(key, known, n=1)
+    hint = f"; did you mean {_SET_ALIASES.get(close[0], prefix + close[0])!r}?" if close else ""
+    return ConfigInvalid(f"unknown config key {prefix + key!r}{hint}")
+
+
+def _check_block(block: dict, schema: dict, scenario: str, prefix: str = "") -> None:
+    for key, value in block.items():
+        if key not in schema:
+            # at the top level a bare --set alias is the likeliest intent
+            raise _unknown_key(prefix, key, list(schema) + ([] if prefix else list(_SET_ALIASES)))
+        if not isinstance(schema[key], dict):
+            continue
+        if not isinstance(value, dict):
+            raise ConfigInvalid(f"config block {prefix + key!r} must be an object, got {value!r}")
+        if key == "scenario_params":
+            for param in value:
+                if param not in _SCENARIO_PARAMS[scenario]:
+                    raise _unknown_key(f"{key}.", param, _SCENARIO_PARAMS[scenario])
+        else:
+            _check_block(value, schema[key], scenario, f"{prefix}{key}.")
+
+
+def check_keys(cfg: dict) -> None:
+    """Reject keys the run never reads and blocks that are not JSON objects.
+
+    The pinned defaults are the schema; scenario_params is checked against the
+    keys its scenario reads.  The error names the nearest known key.
+    """
+    scenario = _scenario_name(cfg.get("scenario"))
+    _check_block(cfg, _DEFAULTS[scenario], scenario)
 
 
 def digraph_from_json(spec: dict) -> Digraph:
@@ -182,6 +214,11 @@ class RunSetup:
     dt_guidance_warning: Optional[str] = None
 
 
+# The scenario_params keys that _build_scenario reads.
+_SCENARIO_PARAMS = {"vehicles": ("table", "rho", "offsets", "star_radius", "graph"),
+                    "turbines": ("table", "graph")}
+
+
 def _build_scenario(name: str, params: dict):
     params = params or {}
     graph = digraph_from_json(params["graph"]) if "graph" in params else None
@@ -198,13 +235,11 @@ def _build_scenario(name: str, params: dict):
         game, plants, g, spec = scenarios.build_vehicle_formation(
             table=table, rho=rho, offsets=offsets, graph=graph)
         return game, plants, g, scenarios.vehicle_nash_oracle(spec)
-    if name == "turbines":
-        table = None
-        if "table" in params:
-            table = [scenarios.GeneratorParams(*row) for row in params["table"]]
-        game, plants, g = scenarios.build_turbine_market(table=table, graph=graph)
-        return game, plants, g, scenarios.turbine_nash_oracle(table)
-    raise ConfigInvalid(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+    table = None
+    if "table" in params:
+        table = [scenarios.GeneratorParams(*row) for row in params["table"]]
+    game, plants, g = scenarios.build_turbine_market(table=table, graph=graph)
+    return game, plants, g, scenarios.turbine_nash_oracle(table)
 
 
 def _parse_gains(block: dict, order_n: int) -> GainSet:
@@ -241,14 +276,15 @@ def _parse_observer(block: dict, order_n: int) -> ObserverSet:
 
 def build_run_setup(cfg: dict) -> RunSetup:
     """Validate a config dict and assemble the objects for one run."""
-    name = _SCENARIO_ALIASES.get(cfg.get("scenario"), cfg.get("scenario"))
-    if name not in SCENARIO_NAMES:
-        raise ConfigInvalid(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
+    name = _scenario_name(cfg.get("scenario"))
     algo = cfg.get("algo", MODE_STATE)
     if algo not in (MODE_STATE, MODE_OUTPUT):
         raise ConfigInvalid(f"algo must be '{MODE_STATE}' or '{MODE_OUTPUT}', got {algo!r}")
 
-    game, plants, graph, x_star = _build_scenario(name, cfg.get("scenario_params"))
+    try:
+        game, plants, graph, x_star = _build_scenario(name, cfg.get("scenario_params"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"bad scenario_params {cfg.get('scenario_params')!r}: {exc}") from exc
     order_n = plants[0].order_n
 
     gains = _parse_gains(cfg.get("gains", {}), order_n)
@@ -264,19 +300,30 @@ def build_run_setup(cfg: dict) -> RunSetup:
             mode=algo,
             record_stride=int(sim_block.get("record_stride", 10)),
             seed=int(sim_block.get("seed", 0)),
-            snapshot_stride=int(sim_block.get("snapshot_stride", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad sim block {sim_block!r}: {exc}") from exc
 
     init_block = cfg.get("init", {}) or {}
-    decisions = init_block.get("decisions")
-    derivatives = init_block.get("derivatives")
-    init = InitialConditions(
-        decisions=None if decisions is None else np.asarray(decisions, dtype=float),
-        box=tuple(init_block.get("box", (-10.0, 10.0))),
-        derivatives=None if derivatives is None else np.asarray(derivatives, dtype=float),
-    )
+    try:
+        decisions = init_block.get("decisions")
+        derivatives = init_block.get("derivatives")
+        lo, hi = (float(v) for v in init_block.get("box", (-10.0, 10.0)))
+        init = InitialConditions(
+            decisions=None if decisions is None else np.asarray(decisions, dtype=float),
+            box=(lo, hi),
+            derivatives=None if derivatives is None else np.asarray(derivatives, dtype=float),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"bad init block {init_block!r}: {exc}") from exc
+
+    output_dir = cfg.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigInvalid(f"output_dir must be a string, got {output_dir!r}")
+    try:
+        settle_tol = float(cfg.get("settle_tol", 1e-2))
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"settle_tol must be a number, got {cfg.get('settle_tol')!r}") from exc
 
     # advisory step-size guidance; output mode has the hard dt <= mu/10 gate
     dt_warning = None
@@ -301,8 +348,8 @@ def build_run_setup(cfg: dict) -> RunSetup:
         sim_config=sim_config,
         init=init,
         x_star=x_star,
-        settle_tol=float(cfg.get("settle_tol", 1e-2)),
-        output_dir=str(cfg.get("output_dir", "out")),
+        settle_tol=settle_tol,
+        output_dir=output_dir,
         ordering=check_gain_ordering(gains),
         config_echo=copy.deepcopy(cfg),
         dt_guidance_warning=dt_warning,

@@ -120,58 +120,20 @@ def laplacian(g: Digraph) -> np.ndarray:
     return np.diag(g.in_degrees) - g.weights
 
 
-def strongly_connected_components(g: Digraph) -> list[list[int]]:
-    """Tarjan's algorithm (iterative) on the positive-weight edge set."""
-    n = g.n_nodes
-    succ = [np.nonzero(g.weights[i] > 0)[0].tolist() for i in range(n)]
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    components: list[list[int]] = []
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        # work items: (node, iterator position into succ[node])
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for next_pi in range(pi, len(succ[v])):
-                u = succ[v][next_pi]
-                if index[u] == -1:
-                    work.append((v, next_pi + 1))
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return components
-
-
 def is_strongly_connected(g: Digraph) -> bool:
-    return len(strongly_connected_components(g)) == 1
+    """True when node 0 reaches every node and every node reaches node 0."""
+    adj = g.weights > 0
+
+    def reaches_all(step: np.ndarray) -> bool:
+        seen = np.zeros(g.n_nodes, dtype=bool)
+        frontier = seen.copy()
+        frontier[0] = True
+        while frontier.any():
+            seen |= frontier
+            frontier = step[frontier].any(axis=0) & ~seen
+        return bool(seen.all())
+
+    return reaches_all(adj) and reaches_all(adj.T)
 
 
 def is_weight_balanced(g: Digraph) -> bool:

@@ -16,7 +16,7 @@ once into one propagator ``s <- Phi s + c``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -61,15 +61,6 @@ class Plant:
     w: object = None
 
 
-@dataclass
-class ClosedLoopState:
-    """Materialized snapshot of the full closed loop at one instant."""
-
-    t: float
-    plant_states: np.ndarray           # (n, N, m)
-    seekers: list                      # one SeekerState per player
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Integration settings; dt and horizon in seconds."""
@@ -79,7 +70,6 @@ class SimConfig:
     mode: str = MODE_STATE
     record_stride: int = 10
     seed: int = 0
-    snapshot_stride: int = 0
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -90,8 +80,6 @@ class SimConfig:
             raise ConfigInvalid(f"mode must be '{MODE_STATE}' or '{MODE_OUTPUT}', got {self.mode!r}")
         if self.record_stride < 1:
             raise ConfigInvalid("record_stride must be >= 1")
-        if self.snapshot_stride < 0:
-            raise ConfigInvalid("snapshot_stride must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -117,8 +105,6 @@ class Trajectory:
     estimate_disagreement: np.ndarray  # (T,)
     error_norms: Optional[np.ndarray] = None
     observer_errors: Optional[np.ndarray] = None
-    raw_state_snapshots: list = field(default_factory=list)
-    diverged: bool = False
 
     @property
     def final_decisions(self) -> np.ndarray:
@@ -318,7 +304,9 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     init = init or InitialConditions()
     rng = np.random.default_rng(cfg.seed)
     if init.decisions is not None:
-        x0 = np.asarray(init.decisions, dtype=float).reshape(n_players, m)
+        x0 = np.asarray(init.decisions, dtype=float)
+        if x0.shape != (n_players, m):
+            raise ConfigInvalid(f"initial decisions must have shape {(n_players, m)}, got {x0.shape}")
     else:
         lo, hi = init.box
         x0 = rng.uniform(lo, hi, size=(n_players, m))
@@ -330,7 +318,8 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     if init.derivatives is not None:
         derivs = np.asarray(init.derivatives, dtype=float)
         if derivs.shape != (n - 1, n_players, m):
-            raise ConfigInvalid(f"derivative override must have shape {(n - 1, n_players, m)}")
+            raise ConfigInvalid(f"initial derivatives must have shape {(n - 1, n_players, m)}, "
+                                f"got {derivs.shape}")
         chain[1:] = derivs
     if output_mode:
         layout.z(state)[0] = x0  # observer position starts on the measured output
@@ -343,30 +332,17 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     disagreement = []
     errors = [] if x_star_mat is not None else None
     obs_errors = [] if output_mode else None
-    snapshots = []
 
     def record(k_step, s):
-        t = k_step * cfg.dt
         c = layout.chain(s)
         xh = layout.x_hat(s)
-        times.append(t)
+        times.append(k_step * cfg.dt)
         decisions.append(c[0].copy())
         disagreement.append(float(np.linalg.norm(xh - c[0][None, :, :])))
         if errors is not None:
             errors.append(float(np.linalg.norm(c[0] - x_star_mat)))
         if obs_errors is not None:
             obs_errors.append(float(np.max(np.abs(layout.z(s)[0] - c[0]))))
-        if cfg.snapshot_stride and k_step % cfg.snapshot_stride == 0:
-            z = layout.z(s)
-            y_now = layout.y(s)
-            seekers = [
-                control.SeekerState(
-                    y=y_now[i].copy(), x_hat=xh[i].copy(),
-                    z_chain=None if z is None else z[:, i, :].copy(),
-                )
-                for i in range(layout.N)
-            ]
-            snapshots.append(ClosedLoopState(t, c.copy(), seekers))
 
     if game.affine and all(p.drift is None for p in plants):
         advance = _folded_rk4(rhs, layout, cfg.dt)
@@ -392,7 +368,6 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
         estimate_disagreement=np.asarray(disagreement),
         error_norms=None if errors is None else np.asarray(errors),
         observer_errors=None if obs_errors is None else np.asarray(obs_errors),
-        raw_state_snapshots=snapshots,
     )
 
 

@@ -111,6 +111,42 @@ class TestRunCommand:
                        "--set", "dt=-1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, key", [
+        (["run", "--set", "alpah1=99"], "'gains.alpha1'"),
+        (["run", "--set", "sim.snapshot_stride=0"], "sim.snapshot_stride"),
+        (["run", "--set", "scenario_params.rh=1"], "'scenario_params.rho'"),
+        (["sweep", "--param", "sim.sed", "--values", "1"], "'sim.seed'"),
+        (["run", "--set", "gains=5"], "gains"),
+        (["run", "--set", "init=5"], "init"),
+        (["run", "--set", "observer=[1]"], "observer"),
+        (["run", "--set", "scenario_params=5"], "scenario_params"),
+        (["run", "--set", "scenario_params.rho=abc"], "scenario_params"),
+        (["run", "--set", "scenario_params.table=5"], "scenario_params"),
+        (["run", "--set", "box=5"], "box"),
+        (["run", "--set", "decisions=[1,2]"], "decisions"),
+        (["run", "--set", "scenario=[1]"], "scenario"),
+        (["run", "--set", "settle_tol=abc"], "settle_tol"),
+        (["run", "--set", "output_dir=[1]"], "output_dir"),
+    ])
+    def test_bad_key_or_value_exits_two_naming_it(self, tmp_path, capsys, argv, key):
+        code = run_cli(*argv, "--scenario", "vehicles", "--out", str(tmp_path),
+                       "--set", "horizon=0.01")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"scenario": "turbines", "sim": {"dt": 0.001, "sed": 3}}', "did you mean 'sim.seed'"),
+        ('{"scenario": "turbines", "sim": 5}', "'sim' must be an object"),
+        ("[1]", "must be a JSON object"),
+    ])
+    def test_bad_config_file_exits_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run_cli("run", "--config", str(path), "--scenario", "turbines",
+                       "--seed", "1", "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         blobs = []
         for tag in ("one", "two"):

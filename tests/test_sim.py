@@ -193,19 +193,6 @@ class TestClosedLoopRuns:
         assert np.array_equal(a.error_norms, b.error_norms)
         assert np.array_equal(a.estimate_disagreement, b.estimate_disagreement)
 
-    def test_snapshots_recorded_on_stride(self):
-        game = identity_game()
-        plants = [Plant(1, 1), Plant(1, 1)]
-        gains = GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
-        cfg = SimConfig(dt=1e-2, horizon=0.2, snapshot_stride=10)
-        traj = run(game, plants, two_cycle(), gains, None, cfg,
-                   InitialConditions(decisions=np.ones((2, 1))))
-        assert len(traj.raw_state_snapshots) == 3  # steps 0, 10, 20
-        snap = traj.raw_state_snapshots[0]
-        assert snap.plant_states.shape == (1, 2, 1)
-        assert len(snap.seekers) == 2
-        assert snap.seekers[0].x_hat.shape == (2, 1)
-
     def test_seeded_box_initial_conditions(self):
         game = identity_game()
         plants = [Plant(1, 1), Plant(1, 1)]
