@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration problems, 3 numerical failures
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -153,15 +154,11 @@ def cmd_sweep(args) -> int:
     param = args.param
     # only the key is checked here; each cell's value is checked when it runs
     config_mod.check_keys(config_mod.apply_set_overrides(cfg, [f"{param}=null"]))
-    values = []
-    for chunk in args.values.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            values.append(json.loads(chunk))
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"cannot parse sweep value {chunk!r}: {exc}") from exc
+    # one JSON array, so list values such as [0,5],[0,10] keep their commas
+    try:
+        values = json.loads("[" + args.values + "]")
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(f"cannot parse sweep values {args.values!r}: {exc}") from exc
 
     rows = [_sweep_cell(cfg, param, v) for v in values]
 
@@ -170,11 +167,12 @@ def cmd_sweep(args) -> int:
     columns = ["value", "settle_time", "lambda_hat", "r_squared",
                "final_residual", "observer_sup_error", "status"]
     path = out_dir / "sweep.csv"
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a list value's commas
+        writer.writerow(columns)
         for row in rows:
-            fh.write(",".join("" if row.get(c) is None else repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in columns) + "\n")
+            writer.writerow("" if row.get(c) is None else repr(row[c]) if isinstance(row[c], float)
+                            else str(row[c]) for c in columns)
     print(f"wrote {path} ({len(rows)} cells)")
     return EXIT_OK
 
@@ -214,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run one scenario across parameter values")
     common(p_sweep)
     p_sweep.add_argument("--param", required=True, help="config key to sweep")
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
+    p_sweep.add_argument("--values", required=True, help="comma-separated JSON values")
     p_sweep.add_argument("--out", help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -14,7 +14,9 @@ A run config is a plain JSON object with blocks
 
 The pinned defaults double as the schema: ``check_keys`` rejects any key
 they do not have (and any block that is not an object), naming the nearest
-known key.  ``build_run_setup`` does not repeat that check.
+known key.  ``build_run_setup`` does not repeat that check (library callers
+run ``check_keys`` first); it still raises ConfigInvalid for a block that is
+not an object.
 
 Graphs are specified as {"n": N, "edges": [{"to": i, "from": j, "w": a}]} with
 1-based node indices; "to" is the receiving node.
@@ -257,7 +259,7 @@ def _parse_gains(block: dict, order_n: int) -> GainSet:
             alpha2=float(block["alpha2"]),
             alpha3=float(block["alpha3"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad gains block {block!r}: {exc}") from exc
 
 
@@ -270,7 +272,7 @@ def _parse_observer(block: dict, order_n: int) -> ObserverSet:
             beta = default_observer_gains(order_n)
         return ObserverSet(beta=tuple(np.atleast_1d(np.asarray(beta, dtype=float))),
                            mu=float(block["mu"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad observer block {block!r}: {exc}") from exc
 
 
@@ -314,7 +316,7 @@ def build_run_setup(cfg: dict) -> RunSetup:
             box=(lo, hi),
             derivatives=None if derivatives is None else np.asarray(derivatives, dtype=float),
         )
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad init block {init_block!r}: {exc}") from exc
 
     output_dir = cfg.get("output_dir", "out")

@@ -32,9 +32,9 @@ class Game:
 
     affine declares that the gradients (the oracle and profile_gradient alike)
     are affine in the profiles, as they are for quadratic costs.  The
-    simulator then folds a loop of drift-free plants into one linear map,
-    probed once from the right-hand side, so a wrong True gives wrong
-    trajectories without any error.
+    simulator then probes the drift-free part of the loop once into one
+    sparse linear map; it checks that map against the right-hand side at one
+    fixed state and raises ConfigInvalid when a declared game is not affine.
     """
 
     n_players: int

@@ -8,9 +8,14 @@ The global state is one flat vector laid out as
 and advanced with classical RK4.  The controller side of the right-hand side
 is the stacked laws of :mod:`nashseek.control`; plant drifts are evaluated
 once per distinct drift callable, over all players that share it, and are
-never visible to the controller terms.  A loop of drift-free plants under a
-game declared affine is an affine map of the state, so its RK4 step is folded
-once into one propagator ``s <- Phi s + c``.
+never visible to the controller terms.
+
+Under a game declared affine, everything but the drift is an affine map
+``A s + b`` of the state.  ``run`` probes that map once from the stacked laws
+(:mod:`nashseek.affine`) and keeps ``A`` as its nonzeros.  A loop with drift then evaluates each RK4
+stage as one sparse matvec plus the stacked drift; a drift-free loop folds
+its whole RK4 step into one propagator ``s <- Phi s + c``.  Other games step
+the structured right-hand side.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import control
+from .affine import AffineOperator, folded_rk4, probe_affine
 from .control import GainSet, ObserverSet
 from .errors import (
     ConfigInvalid,
@@ -234,48 +240,15 @@ def _make_rhs(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     return rhs
 
 
-def _folded_rk4(rhs, layout: _Layout, dt: float):
-    """step(s, t): one classical RK4 step of an affine rhs, folded into Phi s + c.
+def _sparse_rhs(op: AffineOperator, drift_groups: list, layout: _Layout):
+    """Closed-loop rhs of a drifting loop: the probed operator plus the stacked drift."""
 
-    The map s' = A s + b is probed from the right-hand side itself (b = rhs(0),
-    A e_j = rhs(e_j) - b).  With M = dt A, RK4 gives
-    Phi = I + M + M^2/2 + M^3/6 + M^4/24 and c = dt (I + M/2 + M^2/6 + M^3/24) b.
-    Building it costs size + 1 rhs evaluations and O(size^3); a step costs
-    one O(size^2) matvec.
+    def rhs(s, t):
+        out = op.apply(s)
+        _add_drifts(drift_groups, layout.chain(s), layout.chain(out)[-1])
+        return out
 
-    In output mode the matrix reads the innovation x - z_0 in place of z_0,
-    as the observer law does (Phi B v with s = B v).  Multiplying x and z_0
-    by innovation weights of up to (eps/mu)^n before they cancel lost about
-    5e-11 relative per step on the turbine loop.
-    """
-    size = layout.size
-    b = rhs(np.zeros(size), 0.0)
-    eye = np.eye(size)
-    a = np.empty((size, size))
-    for j in range(size):
-        a[:, j] = rhs(eye[j], 0.0) - b
-    m = dt * a
-    taylor = eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0  # I + M/2 + M^2/6 + M^3/24
-    c = dt * (taylor @ b)
-    if not layout.output_mode:
-        phi = eye + taylor @ m
-        return lambda s, t: phi @ s + c
-
-    width = layout.N * layout.m
-    x_sl = slice(layout.chain_sl.start, layout.chain_sl.start + width)
-    z_sl = slice(layout.z_sl.start, layout.z_sl.start + width)
-    xs, zs = np.arange(size)[x_sl], np.arange(size)[z_sl]
-    basis = eye.copy()
-    basis[zs, xs] = 1.0
-    basis[zs, zs] = -1.0
-    phi_basis = basis + taylor @ (m @ basis)
-
-    def step(s, t):
-        v = s.copy()
-        v[z_sl] = s[x_sl] - s[z_sl]
-        return phi_basis @ v + c
-
-    return step
+    return rhs
 
 
 def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
@@ -287,10 +260,18 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     x_star, when supplied, must come from an independent equilibrium solver;
     it is used only to fill the recorded error norms.
 
-    When every plant is drift-free and the game is declared affine, the loop
-    is linear and each RK4 step is taken by the folded propagator of
-    ``_folded_rk4`` (O(size^3) once, O(size^2) per step); otherwise each
-    step calls ``rk4_step`` on the matrix-free right-hand side.
+    The step depends on the game and the drifts, with size the length of the
+    flat state:
+
+    * affine game, every plant drift-free: the folded propagator of
+      ``folded_rk4``, O(size^3) once and one dense O(size^2) matvec a step;
+    * affine game with drift: ``rk4_step`` on the probed sparse operator plus
+      the stacked drift, one O(nonzeros) matvec and one call per distinct
+      drift a stage;
+    * otherwise: ``rk4_step`` on the structured right-hand side.
+
+    Both affine cases probe the loop once (size + 2 structured evaluations)
+    and raise ConfigInvalid when the game's affine declaration fails.
     """
     n, n_players, m = _validate_setup(game, plants, g, gains, obs, cfg.mode)
     if not is_strongly_connected(g):
@@ -324,7 +305,6 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     if output_mode:
         layout.z(state)[0] = x0  # observer position starts on the measured output
 
-    rhs = _make_rhs(game, plants, g, gains, obs, layout)
     x_star_mat = None if x_star is None else np.asarray(x_star, dtype=float).reshape(n_players, m)
 
     times = []
@@ -344,9 +324,17 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
         if obs_errors is not None:
             obs_errors.append(float(np.max(np.abs(layout.z(s)[0] - c[0]))))
 
-    if game.affine and all(p.drift is None for p in plants):
-        advance = _folded_rk4(rhs, layout, cfg.dt)
+    drift_groups = _drift_groups(plants)
+    advance = None
+    if game.affine:
+        linear = _make_rhs(game, (), g, gains, obs, layout)  # no plants, so no drift
+        if drift_groups:
+            rhs = _sparse_rhs(probe_affine(linear, layout), drift_groups, layout)
+        else:
+            advance = folded_rk4(linear, layout, cfg.dt)
     else:
+        rhs = _make_rhs(game, plants, g, gains, obs, layout)
+    if advance is None:
         def advance(s, t):
             return rk4_step(rhs, s, t, cfg.dt)
 

@@ -1,10 +1,13 @@
 """CLI behavior: exit codes, file outputs, overrides, determinism."""
 
+import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from nashseek import scenarios
 from nashseek.cli import main
 from nashseek.config import (
     apply_set_overrides,
@@ -78,6 +81,15 @@ class TestConfigPlumbing:
         assert setup.graph.weights[0, 1] == 1.0
         assert setup.graph.weights[1, 0] == 2.0
 
+    @pytest.mark.parametrize("block, value", [
+        ("gains", 5), ("gains", [1]), ("observer", 5), ("init", 5), ("sim", 5), ("scenario_params", 5),
+    ])
+    def test_library_path_rejects_non_object_block(self, block, value):
+        cfg = default_config("vehicles", "output")
+        cfg[block] = value
+        with pytest.raises(ConfigInvalid, match=block):
+            build_run_setup(cfg)
+
 
 class TestRunCommand:
     def test_short_vehicle_run_writes_outputs(self, tmp_path):
@@ -146,6 +158,22 @@ class TestRunCommand:
         assert run_cli("run", "--config", str(path), "--scenario", "turbines",
                        "--seed", "1", "--out", str(tmp_path)) == 2
         assert message in capsys.readouterr().err
+
+    def test_wrong_affine_declaration_exits_two(self, tmp_path, capsys, monkeypatch):
+        turbine_game = scenarios._turbine_game
+
+        def cubic_turbine_game(table):
+            game = turbine_game(table)
+            diag = np.arange(game.n_players)
+            return dataclasses.replace(
+                game, profile_gradient=lambda p: game.profile_gradient(p) + 1e-3 * p[diag, diag, :] ** 3)
+
+        monkeypatch.setattr(scenarios, "_turbine_game", cubic_turbine_game)
+        code = run_cli("run", "--scenario", "turbines", "--out", str(tmp_path),
+                       "--set", "horizon=0.01")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "declared affine" in err and "Traceback" not in err
 
     def test_byte_identical_reruns(self, tmp_path):
         blobs = []
@@ -237,6 +265,21 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
         assert [line.split(",")[0] for line in lines[1:]] == ["0.2", "0.3"]
+
+    def test_list_values_give_rows_in_order(self, tmp_path):
+        code = run_cli("sweep", "--scenario", "vehicles", "--algo", "state",
+                       "--param", "box", "--values", "[0,5],[0,10]", "--out", str(tmp_path),
+                       "--set", "horizon=0.2", "--set", "settle_tol=1e6")
+        assert code == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["status"]) for r in rows] == [("[0, 5]", "ok"), ("[0, 10]", "ok")]
+
+    def test_malformed_values_exit_two(self, tmp_path, capsys):
+        code = run_cli("sweep", "--scenario", "vehicles", "--param", "box",
+                       "--values", "[0,5],[0", "--out", str(tmp_path))
+        assert code == 2
+        assert "cannot parse sweep values" in capsys.readouterr().err
 
     def test_mu_sweep_observer_error_column_decreases(self, tmp_path):
         code = run_cli("sweep", "--scenario", "vehicles", "--algo", "output",

@@ -18,7 +18,9 @@ from nashseek.errors import (
 from nashseek.game import Game, extended_pseudo_gradient
 from nashseek.graph import Digraph, estimation_block_matrix
 from nashseek import sim
+from nashseek.affine import folded_rk4, probe_affine
 from nashseek.scenarios import (
+    VEHICLE_TABLE,
     build_turbine_market,
     build_vehicle_formation,
     turbine_nash_oracle,
@@ -30,8 +32,9 @@ from nashseek.sim import (
     SimConfig,
     Trajectory,
     _Layout,
+    _drift_groups,
     _make_rhs,
-    _folded_rk4,
+    _sparse_rhs,
     equilibrium_residual,
     fit_exponential_rate,
     mid_decay_window,
@@ -227,7 +230,7 @@ class TestFoldedPropagator:
     def test_fold_matches_rk4_step(self, mode, rtol):
         dt = 9e-4
         rhs, layout, state = self._loop(mode)
-        step = _folded_rk4(rhs, layout, dt)
+        step = folded_rk4(rhs, layout, dt)
 
         def rel(a, b):
             return np.max(np.abs(a - b)) / np.max(np.abs(b))
@@ -268,26 +271,47 @@ class TestFoldedPropagator:
             run(game, plants, g, gains, None, SimConfig(dt=9e-4, horizon=60.0))
 
 
+VEHICLE_GAINS = GainSet(2, (1.0,), 2.0, 3.0, 2.2, 18.0)
+VEHICLE_OBSERVER = ObserverSet((2.0, 1.0), 0.02)
+
+
+def loop_inputs(mode, scenario="turbines", plants=None):
+    """(game, plants, graph, gains, observer, layout, seeded random state) of one loop."""
+    if scenario == "turbines":
+        game, default_plants, g = build_turbine_market()
+        gains, observer = TURBINE_GAINS, TURBINE_OBSERVER
+    else:
+        game, default_plants, g, _ = build_vehicle_formation()
+        gains, observer = VEHICLE_GAINS, VEHICLE_OBSERVER
+    plants = default_plants if plants is None else plants
+    obs = observer if mode == "output" else None
+    layout = _Layout(gains.order_n, game.n_players, game.decision_dim, output_mode=mode == "output")
+    state = np.random.default_rng(13).standard_normal(layout.size)
+    return game, plants, g, gains, obs, layout, state
+
+
+def linear_drift(chain, w):
+    return np.asarray(w)[..., None] * chain[0]
+
+
+def mixed_drift_plants():
+    """Ten vehicles: the vehicle drift, a second drift callable and None, interleaved."""
+    _, vehicles, _, _ = build_vehicle_formation()
+    return [
+        vehicles[i] if i % 3 == 0 else
+        Plant(2, 2, drift=linear_drift, w=0.1 * (i + 1)) if i % 3 == 1 else
+        Plant(2, 2)
+        for i in range(10)
+    ]
+
+
 class TestRhsMatchesPerPlayerLaws:
     """The vectorized closed-loop right-hand side must agree with the
     per-player law functions assembled by hand."""
 
-    VEHICLE_GAINS = GainSet(2, (1.0,), 2.0, 3.0, 2.2, 18.0)
-    VEHICLE_OBSERVER = ObserverSet((2.0, 1.0), 0.02)
-
     def _check(self, mode, scenario="turbines", plants=None):
-        if scenario == "turbines":
-            game, default_plants, g = build_turbine_market()
-            gains, observer = TURBINE_GAINS, TURBINE_OBSERVER
-        else:
-            game, default_plants, g, _ = build_vehicle_formation()
-            gains, observer = self.VEHICLE_GAINS, self.VEHICLE_OBSERVER
-        plants = default_plants if plants is None else plants
+        game, plants, g, gains, obs, layout, state = loop_inputs(mode, scenario, plants)
         n, m, n_players = gains.order_n, game.decision_dim, game.n_players
-        obs = observer if mode == "output" else None
-        layout = _Layout(n, n_players, m, output_mode=mode == "output")
-        rng = np.random.default_rng(13)
-        state = rng.standard_normal(layout.size)
         rhs = _make_rhs(game, plants, g, gains, obs, layout)
         derivative = rhs(state, 0.0)
 
@@ -332,17 +356,7 @@ class TestRhsMatchesPerPlayerLaws:
         self._check(mode, "vehicles")
 
     def test_two_drift_callables_mixed_with_none(self):
-        def linear_drift(chain, w):
-            return np.asarray(w)[..., None] * chain[0]
-
-        _, vehicles, _, _ = build_vehicle_formation()
-        plants = [
-            vehicles[i] if i % 3 == 0 else
-            Plant(2, 2, drift=linear_drift, w=0.1 * (i + 1)) if i % 3 == 1 else
-            Plant(2, 2)
-            for i in range(10)
-        ]
-        self._check("state", "vehicles", plants)
+        self._check("state", "vehicles", mixed_drift_plants())
 
     def test_estimate_rate_matches_kronecker_form(self):
         # dual route: tensor difference form vs the stacked block matrices
@@ -363,6 +377,94 @@ class TestRhsMatchesPerPlayerLaws:
             ones_x = np.tile(x, (n, 1))
             matrix_rate = -alpha3 * (l_ext @ flat_hat + mm @ (flat_hat - ones_x))
             assert np.allclose(tensor_rate.reshape(n * n, m), matrix_rate, atol=1e-12)
+
+
+def cubic_gradient_game(game):
+    """The game with a small cubic term in each own gradient, still declared affine."""
+    diag = np.arange(game.n_players)
+    return dataclasses.replace(
+        game, profile_gradient=lambda p: game.profile_gradient(p) + 1e-3 * p[diag, diag, :] ** 3)
+
+
+def count_structured_rhs_calls(monkeypatch):
+    """Patch sim._make_rhs so every call of a structured rhs is appended to the returned list."""
+    calls = []
+    make_rhs = sim._make_rhs
+
+    def counting(*args):
+        rhs = make_rhs(*args)
+
+        def counted(s, t):
+            calls.append(t)
+            return rhs(s, t)
+
+        return counted
+
+    monkeypatch.setattr(sim, "_make_rhs", counting)
+    return calls
+
+
+class TestProbedOperator:
+    """Under an affine game a drifting loop steps the probed sparse operator plus its drift."""
+
+    @pytest.mark.parametrize("mode, scenario, plants", [
+        ("state", "vehicles", None),
+        ("output", "vehicles", None),
+        ("state", "vehicles", mixed_drift_plants()),
+        ("state", "turbines", None),
+        ("output", "turbines", None),
+    ])
+    def test_operator_rhs_matches_structured_rhs(self, mode, scenario, plants):
+        game, plants, g, gains, obs, layout, state = loop_inputs(mode, scenario, plants)
+        op = probe_affine(_make_rhs(game, (), g, gains, obs, layout), layout)
+        probed = _sparse_rhs(op, _drift_groups(plants), layout)(state, 0.0)
+        structured = _make_rhs(game, plants, g, gains, obs, layout)(state, 0.0)
+        assert np.max(np.abs(probed - structured)) <= 1e-12 * np.max(np.abs(structured))
+
+    @pytest.mark.parametrize("n_players, size, nonzeros", [(10, 260, 900), (30, 1980, 7500)])
+    def test_operator_keeps_only_the_nonzeros(self, n_players, size, nonzeros):
+        offsets = np.random.default_rng(2).uniform(-10.0, 10.0, size=(n_players, 2))
+        game, _, g, _ = build_vehicle_formation(table=VEHICLE_TABLE * (n_players // 10), offsets=offsets)
+        layout = _Layout(2, n_players, 2, output_mode=False)
+        op = probe_affine(_make_rhs(game, (), g, VEHICLE_GAINS, None, layout), layout)
+        assert layout.size == size and op.vals.size == nonzeros and np.all(op.vals != 0.0)
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_run_calls_the_structured_rhs_only_to_probe(self, mode, monkeypatch):
+        game, plants, g, gains, obs, layout, _ = loop_inputs(mode, "vehicles")
+        calls = count_structured_rhs_calls(monkeypatch)
+        counts = []
+        for horizon in (0.02, 0.05):
+            calls.clear()
+            run(game, plants, g, gains, obs, SimConfig(dt=1e-3, horizon=horizon, mode=mode))
+            counts.append(len(calls))
+        assert counts == [layout.size + 2] * 2  # b, one column each, the affine check
+
+    def test_non_affine_game_takes_the_structured_path(self, monkeypatch):
+        game, plants, g, gains, obs, _, _ = loop_inputs("state", "vehicles")
+        calls = count_structured_rhs_calls(monkeypatch)
+        run(dataclasses.replace(game, affine=False), plants, g, gains, obs,
+            SimConfig(dt=1e-3, horizon=0.05))
+        assert len(calls) == 4 * 50
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    @pytest.mark.parametrize("scenario", ["vehicles", "turbines"])
+    def test_wrong_affine_declaration_raises(self, scenario, mode):
+        game, plants, g, gains, obs, _, _ = loop_inputs(mode, scenario)
+        with pytest.raises(ConfigInvalid, match="declared affine"):
+            run(cubic_gradient_game(game), plants, g, gains, obs,
+                SimConfig(dt=9e-4, horizon=0.01, mode=mode))
+
+    def test_unstable_drifting_loop_diverges(self):
+        game, _, g, gains, _, _, _ = loop_inputs("state", "vehicles")
+
+        def anti_damping(chain, w):
+            return 50.0 * chain[1]
+
+        anti_damped = [Plant(2, 2, drift=anti_damping) for _ in range(10)]
+        with pytest.raises(Diverged, match="magnitude"):
+            run(game, anti_damped, g, gains, None, SimConfig(dt=1e-3, horizon=5.0),
+                InitialConditions(decisions=np.ones((10, 2))))
 
 
 class TestEquilibriumResidual:
