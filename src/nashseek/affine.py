@@ -67,7 +67,8 @@ class AffineOperator:
         v = s if self.basis is None else self.basis(s)
         return self.vals * v[self.cols]
 
-    def apply(self, s):
+    def apply(self, s, t=0.0):
+        """A B s + b; t is ignored, so the operator can stand in for a right-hand side."""
         return np.bincount(self.rows, weights=self.terms(s), minlength=self.b.size) + self.b
 
 

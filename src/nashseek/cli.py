@@ -25,23 +25,20 @@ EXIT_NUMERIC = 3
 
 
 def _assemble_config(args) -> dict:
-    file_cfg = config_mod.load_config_file(args.config) if args.config else {}
-    scenario = args.scenario or file_cfg.get("scenario")
-    if scenario is None:
+    """The config file with the flags and --set applied; build_run_setup fills and checks it."""
+    cfg = config_mod.load_config_file(args.config) if args.config else {}
+    if args.scenario:
+        cfg["scenario"] = args.scenario
+    if "scenario" not in cfg:
         raise ConfigInvalid("no scenario given (use --scenario or a config file)")
-    algo = args.algo or file_cfg.get("algo") or config_mod.MODE_STATE
-    cfg = config_mod.default_config(scenario, algo)
-    cfg = config_mod.merge_config(cfg, file_cfg)
-    cfg["scenario"] = scenario
-    cfg["algo"] = algo
+    if args.algo:
+        cfg["algo"] = args.algo
     flags = []
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         flags.append(f"sim.seed={args.seed}")
     if getattr(args, "out", None) is not None:
         flags.append(f"output_dir={json.dumps(args.out)}")
-    cfg = config_mod.apply_set_overrides(cfg, flags + (getattr(args, "set", None) or []))
-    config_mod.check_keys(cfg)
-    return cfg
+    return config_mod.apply_set_overrides(cfg, flags + (args.set or []))
 
 
 def _execute_run(cfg: dict):
@@ -94,16 +91,9 @@ def cmd_run(args) -> int:
     return EXIT_OK if summary["settle_time"] is not None else EXIT_NUMERIC
 
 
-def _selftest_game():
-    """Quadratic smoke game J_i = ||x_i||^2 / 2 with the origin as equilibrium."""
-    from .game import Game
-
-    return Game(3, 2, lambda i, x_i, x_o: np.asarray(x_i, dtype=float)), np.zeros(6)
-
-
 def cmd_nash(args) -> int:
     if args.scenario == "selftest":
-        game, oracle = _selftest_game()
+        game, oracle = verify.identity_game(), np.zeros(6)
         solved = nash_solve(game, np.full(6, 2.0), tol=1e-10)
     else:
         cfg = _assemble_config(args)
@@ -150,10 +140,10 @@ def _sweep_cell(cfg: dict, param: str, value):
 
 
 def cmd_sweep(args) -> int:
-    cfg = _assemble_config(args)
+    cfg = config_mod.complete(_assemble_config(args))
     param = args.param
     # only the key is checked here; each cell's value is checked when it runs
-    config_mod.check_keys(config_mod.apply_set_overrides(cfg, [f"{param}=null"]))
+    config_mod.complete(config_mod.apply_set_overrides(cfg, [f"{param}=null"]))
     # one JSON array, so list values such as [0,5],[0,10] keep their commas
     try:
         values = json.loads("[" + args.values + "]")
@@ -162,7 +152,7 @@ def cmd_sweep(args) -> int:
 
     rows = [_sweep_cell(cfg, param, v) for v in values]
 
-    out_dir = Path(args.out or cfg.get("output_dir", "out"))
+    out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = ["value", "settle_time", "lambda_hat", "r_squared",
                "final_residual", "observer_sup_error", "status"]
@@ -184,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_algo=True):
-        p.add_argument("--scenario", choices=config_mod.SCENARIO_NAMES)
+    def common(p, scenario_choices=config_mod.SCENARIO_NAMES, needs_algo=True):
+        p.add_argument("--scenario", choices=scenario_choices)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted-path config override (repeatable)")
@@ -199,10 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_nash = sub.add_parser("nash", help="print the equilibrium from both solution paths")
-    p_nash.add_argument("--scenario", choices=config_mod.SCENARIO_NAMES + ("selftest",))
-    p_nash.add_argument("--config", help="JSON config file")
-    p_nash.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p_nash.add_argument("--seed", type=int)
+    common(p_nash, config_mod.SCENARIO_NAMES + ("selftest",), needs_algo=False)
     p_nash.set_defaults(func=cmd_nash, algo=None)
 
     p_verify = sub.add_parser("verify", help="run the invariant battery")

@@ -12,11 +12,12 @@ A run config is a plain JSON object with blocks
     init: {decisions: [[...]] | null, box: [lo, hi], derivatives: [...] | null}
     settle_tol, output_dir
 
-The pinned defaults double as the schema: ``check_keys`` rejects any key
-they do not have (and any block that is not an object), naming the nearest
-known key.  ``build_run_setup`` does not repeat that check (library callers
-run ``check_keys`` first); it still raises ConfigInvalid for a block that is
-not an object.
+The pinned defaults are the only definition of the defaults and double as
+the schema.  ``complete`` walks a config against them once: it resolves the
+scenario alias, rejects any key they do not have (naming the nearest known
+key), any block that is not an object and any scenario_params key the
+scenario does not read, and fills every missing key.  ``build_run_setup``
+starts with that walk, so a library caller gets the CLI's defaults and checks.
 
 Graphs are specified as {"n": N, "edges": [{"to": i, "from": j, "w": a}]} with
 1-based node indices; "to" is the receiving node.
@@ -24,7 +25,6 @@ Graphs are specified as {"n": N, "edges": [{"to": i, "from": j, "w": a}]} with
 
 from __future__ import annotations
 
-import copy
 import difflib
 import json
 from dataclasses import dataclass
@@ -85,21 +85,12 @@ _SET_ALIASES = {leaf: f"{block}.{leaf}" for block, body in _DEFAULTS["vehicles"]
                 if isinstance(body, dict) for leaf in body}
 
 
-def _scenario_name(name) -> str:
-    """The built-in scenario a config names, long-form aliases resolved."""
-    if isinstance(name, str):
-        name = _SCENARIO_ALIASES.get(name, name)
-    if name not in SCENARIO_NAMES:
-        raise ConfigInvalid(f"unknown scenario {name!r}; expected one of {SCENARIO_NAMES}")
-    return name
-
-
-def default_config(scenario: str, algo: str = MODE_STATE) -> dict:
-    """Deep copy of the pinned defaults for a named scenario."""
-    cfg = copy.deepcopy(_DEFAULTS[_scenario_name(scenario)])
+def default_config(scenario: str, algo: Optional[str] = None) -> dict:
+    """The pinned defaults for a named scenario as a fresh dict; algo None keeps the default."""
+    cfg = {"scenario": scenario}
     if algo is not None:
         cfg["algo"] = algo
-    return cfg
+    return complete(cfg)
 
 
 def load_config_file(path) -> dict:
@@ -118,20 +109,9 @@ def load_config_file(path) -> dict:
     return cfg
 
 
-def merge_config(base: dict, override: dict) -> dict:
-    """Recursively merge override on top of base (dicts merged, scalars replaced)."""
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = merge_config(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
 def apply_set_overrides(cfg: dict, assignments) -> dict:
     """Apply --set key=value pairs (dotted paths; bare keys use the aliases)."""
-    out = copy.deepcopy(cfg)
+    out = _copy(cfg)
     for item in assignments or ():
         if "=" not in item:
             raise ConfigInvalid(f"--set expects key=value, got {item!r}")
@@ -158,31 +138,58 @@ def _unknown_key(prefix: str, key: str, known) -> ConfigInvalid:
     return ConfigInvalid(f"unknown config key {prefix + key!r}{hint}")
 
 
-def _check_block(block: dict, schema: dict, scenario: str, prefix: str = "") -> None:
-    for key, value in block.items():
+def _copy(value):
+    """A fresh copy of a JSON value: lists and objects copied, scalars shared."""
+    if isinstance(value, list):
+        return [_copy(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _copy(v) for k, v in value.items()}
+    return value
+
+
+def _fill(block: dict, schema: dict, scenario: str, prefix: str = "") -> dict:
+    for key in block:
         if key not in schema:
             # at the top level a bare --set alias is the likeliest intent
             raise _unknown_key(prefix, key, list(schema) + ([] if prefix else list(_SET_ALIASES)))
-        if not isinstance(schema[key], dict):
+    out = {}
+    for key, default in schema.items():
+        if key not in block:
+            out[key] = _copy(default)
             continue
-        if not isinstance(value, dict):
+        value = block[key]
+        if not isinstance(default, dict):
+            out[key] = _copy(value)
+        elif not isinstance(value, dict):
             raise ConfigInvalid(f"config block {prefix + key!r} must be an object, got {value!r}")
-        if key == "scenario_params":
+        elif key == "scenario_params":
             for param in value:
                 if param not in _SCENARIO_PARAMS[scenario]:
                     raise _unknown_key(f"{key}.", param, _SCENARIO_PARAMS[scenario])
+            out[key] = _copy(value)
         else:
-            _check_block(value, schema[key], scenario, f"{prefix}{key}.")
+            out[key] = _fill(value, default, scenario, f"{prefix}{key}.")
+    return out
 
 
-def check_keys(cfg: dict) -> None:
-    """Reject keys the run never reads and blocks that are not JSON objects.
+def complete(cfg: dict) -> dict:
+    """A fresh copy of cfg with the scenario alias resolved and every missing key
+    taken from the pinned defaults; it is also the config a run echoes.
 
-    The pinned defaults are the schema; scenario_params is checked against the
-    keys its scenario reads.  The error names the nearest known key.
+    Raises ConfigInvalid for a key the defaults do not have (naming the
+    nearest known one), a block that is not an object and a scenario_params
+    key the scenario does not read.
     """
-    scenario = _scenario_name(cfg.get("scenario"))
-    _check_block(cfg, _DEFAULTS[scenario], scenario)
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid(f"a config must be an object, got {type(cfg).__name__}")
+    scenario = cfg.get("scenario")
+    if isinstance(scenario, str):
+        scenario = _SCENARIO_ALIASES.get(scenario, scenario)
+    if scenario not in SCENARIO_NAMES:
+        raise ConfigInvalid(f"unknown scenario {scenario!r}; expected one of {SCENARIO_NAMES}")
+    out = _fill(cfg, _DEFAULTS[scenario], scenario)
+    out["scenario"] = scenario
+    return out
 
 
 def digraph_from_json(spec: dict) -> Digraph:
@@ -205,7 +212,7 @@ class RunSetup:
     plants: list
     graph: Digraph
     gains: GainSet
-    observer: Optional[ObserverSet]
+    observer: ObserverSet
     sim_config: SimConfig
     init: InitialConditions
     x_star: np.ndarray
@@ -222,20 +229,20 @@ _SCENARIO_PARAMS = {"vehicles": ("table", "rho", "offsets", "star_radius", "grap
 
 
 def _build_scenario(name: str, params: dict):
-    params = params or {}
+    """Game, plants, graph and oracle; a parameter not given keeps the builder's own value."""
     graph = digraph_from_json(params["graph"]) if "graph" in params else None
     if name == "vehicles":
         table = None
         if "table" in params:
             table = [scenarios.VehicleParams(*row) for row in params["table"]]
-        rho = float(params.get("rho", scenarios.RHO_AIR))
+        rho = {"rho": float(params["rho"])} if "rho" in params else {}
         offsets = None
         if "offsets" in params:
             offsets = scenarios.FormationSpec(np.asarray(params["offsets"], dtype=float))
         elif "star_radius" in params:
             offsets = scenarios.five_point_star(float(params["star_radius"]))
         game, plants, g, spec = scenarios.build_vehicle_formation(
-            table=table, rho=rho, offsets=offsets, graph=graph)
+            table=table, offsets=offsets, graph=graph, **rho)
         return game, plants, g, scenarios.vehicle_nash_oracle(spec)
     table = None
     if "table" in params:
@@ -246,86 +253,84 @@ def _build_scenario(name: str, params: dict):
 
 def _parse_gains(block: dict, order_n: int) -> GainSet:
     try:
-        k = block.get("k", "auto")
+        k = block["k"]
         if isinstance(k, str):
             if k != "auto":
                 raise ConfigInvalid(f"gains.k must be a list or 'auto', got {k!r}")
             k = default_hurwitz_gains(order_n)
         return GainSet(
             order_n=order_n,
-            k=tuple(np.atleast_1d(np.asarray(k, dtype=float))),
+            k=k,
             epsilon=float(block["epsilon"]),
             alpha1=float(block["alpha1"]),
             alpha2=float(block["alpha2"]),
             alpha3=float(block["alpha3"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad gains block {block!r}: {exc}") from exc
 
 
 def _parse_observer(block: dict, order_n: int) -> ObserverSet:
     try:
-        beta = block.get("beta", "auto")
+        beta = block["beta"]
         if isinstance(beta, str):
             if beta != "auto":
                 raise ConfigInvalid(f"observer.beta must be a list or 'auto', got {beta!r}")
             beta = default_observer_gains(order_n)
-        return ObserverSet(beta=tuple(np.atleast_1d(np.asarray(beta, dtype=float))),
-                           mu=float(block["mu"]))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return ObserverSet(beta=beta, mu=float(block["mu"]))
+    except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad observer block {block!r}: {exc}") from exc
 
 
 def build_run_setup(cfg: dict) -> RunSetup:
-    """Validate a config dict and assemble the objects for one run."""
-    name = _scenario_name(cfg.get("scenario"))
-    algo = cfg.get("algo", MODE_STATE)
+    """Complete and check a config dict, then assemble the objects for one run."""
+    cfg = complete(cfg)
+    name = cfg["scenario"]
+    algo = cfg["algo"]
     if algo not in (MODE_STATE, MODE_OUTPUT):
         raise ConfigInvalid(f"algo must be '{MODE_STATE}' or '{MODE_OUTPUT}', got {algo!r}")
 
     try:
-        game, plants, graph, x_star = _build_scenario(name, cfg.get("scenario_params"))
+        game, plants, graph, x_star = _build_scenario(name, cfg["scenario_params"])
     except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad scenario_params {cfg.get('scenario_params')!r}: {exc}") from exc
+        raise ConfigInvalid(f"bad scenario_params {cfg['scenario_params']!r}: {exc}") from exc
     order_n = plants[0].order_n
 
-    gains = _parse_gains(cfg.get("gains", {}), order_n)
-    observer = None
-    if algo == MODE_OUTPUT or cfg.get("observer"):
-        observer = _parse_observer(cfg.get("observer", {}), order_n)
+    gains = _parse_gains(cfg["gains"], order_n)
+    observer = _parse_observer(cfg["observer"], order_n)
 
-    sim_block = cfg.get("sim", {})
+    sim_block = cfg["sim"]
     try:
         sim_config = SimConfig(
             dt=float(sim_block["dt"]),
             horizon=float(sim_block["horizon"]),
             mode=algo,
-            record_stride=int(sim_block.get("record_stride", 10)),
-            seed=int(sim_block.get("seed", 0)),
+            record_stride=int(sim_block["record_stride"]),
+            seed=int(sim_block["seed"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad sim block {sim_block!r}: {exc}") from exc
 
-    init_block = cfg.get("init", {}) or {}
+    init_block = cfg["init"]
     try:
-        decisions = init_block.get("decisions")
-        derivatives = init_block.get("derivatives")
-        lo, hi = (float(v) for v in init_block.get("box", (-10.0, 10.0)))
+        decisions = init_block["decisions"]
+        derivatives = init_block["derivatives"]
+        lo, hi = (float(v) for v in init_block["box"])
         init = InitialConditions(
             decisions=None if decisions is None else np.asarray(decisions, dtype=float),
             box=(lo, hi),
             derivatives=None if derivatives is None else np.asarray(derivatives, dtype=float),
         )
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad init block {init_block!r}: {exc}") from exc
 
-    output_dir = cfg.get("output_dir", "out")
+    output_dir = cfg["output_dir"]
     if not isinstance(output_dir, str):
         raise ConfigInvalid(f"output_dir must be a string, got {output_dir!r}")
     try:
-        settle_tol = float(cfg.get("settle_tol", 1e-2))
+        settle_tol = float(cfg["settle_tol"])
     except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"settle_tol must be a number, got {cfg.get('settle_tol')!r}") from exc
+        raise ConfigInvalid(f"settle_tol must be a number, got {cfg['settle_tol']!r}") from exc
 
     # advisory step-size guidance; output mode has the hard dt <= mu/10 gate
     dt_warning = None
@@ -353,6 +358,6 @@ def build_run_setup(cfg: dict) -> RunSetup:
         settle_tol=settle_tol,
         output_dir=output_dir,
         ordering=check_gain_ordering(gains),
-        config_echo=copy.deepcopy(cfg),
+        config_echo=cfg,
         dt_guidance_warning=dt_warning,
     )

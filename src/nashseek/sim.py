@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import control
-from .affine import AffineOperator, folded_rk4, probe_affine
+from .affine import folded_rk4, probe_affine
 from .control import GainSet, ObserverSet
 from .errors import (
     ConfigInvalid,
@@ -209,11 +209,9 @@ def _add_drifts(groups: list, chain: np.ndarray, acc: np.ndarray) -> None:
         acc[sel] += drift(chain[:, sel, :], w)
 
 
-def _make_rhs(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
-              obs: Optional[ObserverSet], layout: _Layout):
-    """Closed-loop right-hand side over the flat state vector."""
+def _make_rhs(game: Game, g: Digraph, gains: GainSet, obs: Optional[ObserverSet], layout: _Layout):
+    """Drift-free closed-loop right-hand side over the flat state vector."""
     idx = np.arange(layout.N)
-    drift_groups = _drift_groups(plants)
 
     def rhs(s, t):
         out = np.empty_like(s)
@@ -230,7 +228,6 @@ def _make_rhs(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
         dchain = layout.chain(out)
         dchain[:-1] = chain[1:]
         dchain[-1] = control.stacked_control_input(levels, grads, layout.y(s), gains)
-        _add_drifts(drift_groups, chain, dchain[-1])
         if z is not None:
             layout.z(out)[:] = control.stacked_observer_rate(z, x, gains, obs)
         layout.y(out)[:] = control.stacked_aux_rate(levels, grads, gains)
@@ -240,15 +237,17 @@ def _make_rhs(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     return rhs
 
 
-def _sparse_rhs(op: AffineOperator, drift_groups: list, layout: _Layout):
-    """Closed-loop rhs of a drifting loop: the probed operator plus the stacked drift."""
+def _with_drift(rhs, drift_groups: list, layout: _Layout):
+    """The drift-free rhs plus every plant's drift on the top derivative."""
+    if not drift_groups:
+        return rhs
 
-    def rhs(s, t):
-        out = op.apply(s)
+    def rhs_with_drift(s, t):
+        out = rhs(s, t)
         _add_drifts(drift_groups, layout.chain(s), layout.chain(out)[-1])
         return out
 
-    return rhs
+    return rhs_with_drift
 
 
 def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
@@ -324,17 +323,15 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
         if obs_errors is not None:
             obs_errors.append(float(np.max(np.abs(layout.z(s)[0] - c[0]))))
 
+    rhs = _make_rhs(game, g, gains, obs, layout)
     drift_groups = _drift_groups(plants)
-    advance = None
-    if game.affine:
-        linear = _make_rhs(game, (), g, gains, obs, layout)  # no plants, so no drift
-        if drift_groups:
-            rhs = _sparse_rhs(probe_affine(linear, layout), drift_groups, layout)
-        else:
-            advance = folded_rk4(linear, layout, cfg.dt)
+    if game.affine and not drift_groups:
+        advance = folded_rk4(rhs, layout, cfg.dt)
     else:
-        rhs = _make_rhs(game, plants, g, gains, obs, layout)
-    if advance is None:
+        if game.affine:
+            rhs = probe_affine(rhs, layout).apply
+        rhs = _with_drift(rhs, drift_groups, layout)
+
         def advance(s, t):
             return rk4_step(rhs, s, t, cfg.dt)
 
@@ -374,11 +371,12 @@ def equilibrium_residual(game: Game, plants: Sequence[Plant], g: Digraph,
     state = np.zeros(layout.size)
     chain = layout.chain(state)
     chain[0] = x_mat
+    drift_groups = _drift_groups(plants)
     f_star = np.zeros((n_players, m))
-    _add_drifts(_drift_groups(plants), chain, f_star)
+    _add_drifts(drift_groups, chain, f_star)
     layout.y(state)[:] = f_star / gains.alpha2
     layout.x_hat(state)[:] = x_mat[None, :, :]
-    rhs = _make_rhs(game, plants, g, gains, None, layout)
+    rhs = _with_drift(_make_rhs(game, g, gains, None, layout), drift_groups, layout)
     return float(np.max(np.abs(rhs(state, 0.0))))
 
 

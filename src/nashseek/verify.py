@@ -111,7 +111,8 @@ def _check_control() -> list[CheckResult]:
     return results
 
 
-def _identity_game(n_players: int = 3, m: int = 2) -> game_mod.Game:
+def identity_game(n_players: int = 3, m: int = 2) -> game_mod.Game:
+    """Quadratic game J_i = ||x_i||^2 / 2 with the origin as its equilibrium."""
     def gradient(i, x_i, x_others):
         return np.asarray(x_i, dtype=float)
 
@@ -146,7 +147,7 @@ def _check_game() -> list[CheckResult]:
         report_t.omega_hat >= 0.3,
         f"omega_hat={report_t.omega_hat:.4f}, theta_hat={report_t.theta_hat:.4f}",
     ))
-    ident = game_mod.probe_monotonicity(_identity_game(), np.random.default_rng(3), n_samples=200)
+    ident = game_mod.probe_monotonicity(identity_game(), np.random.default_rng(3), n_samples=200)
     results.append(CheckResult(
         "game", "identity game probe (omega = theta = 1)",
         ident.omega_hat == 1.0 and ident.theta_hat == 1.0,

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from nashseek.config import (
     default_config,
     digraph_from_json,
     load_config_file,
-    merge_config,
 )
 from nashseek.errors import ConfigInvalid
 
@@ -46,9 +47,38 @@ class TestConfigPlumbing:
         assert cfg["gains"]["alpha3"] == 25
 
     def test_merge_preserves_nested_defaults(self):
-        cfg = merge_config(default_config("vehicles"), {"gains": {"alpha1": 5.0}})
-        assert cfg["gains"]["alpha1"] == 5.0
-        assert cfg["gains"]["alpha2"] == 2.2
+        setup = build_run_setup({"scenario": "vehicles", "gains": {"alpha1": 5.0}})
+        assert setup.config_echo["gains"] == dict(default_config("vehicles")["gains"], alpha1=5.0)
+        assert setup.gains.alpha1 == 5.0
+        assert setup.gains.alpha2 == 2.2
+
+    def test_library_path_gets_the_cli_defaults(self):
+        bare = build_run_setup({"scenario": "turbines"})
+        pinned = build_run_setup(default_config("turbines"))
+        assert bare.gains == pinned.gains
+        assert bare.gains.k == (3.375, 6.75, 4.5)
+        assert bare.observer == pinned.observer
+        assert bare.sim_config == pinned.sim_config
+        assert bare.init.box == pinned.init.box == (0.0, 10.0)
+        assert bare.config_echo == pinned.config_echo
+
+    def test_library_path_rejects_unknown_key(self):
+        cfg = default_config("turbines")
+        cfg["alpah1"] = 99
+        with pytest.raises(ConfigInvalid, match="'gains.alpha1'"):
+            build_run_setup(cfg)
+
+    def test_filled_config_is_fresh(self):
+        cfg = default_config("turbines")
+        cfg["init"]["box"].append(1.0)
+        cfg["gains"]["k"][0] = 0.0
+        assert default_config("turbines")["init"]["box"] == [0.0, 10.0]
+        assert default_config("turbines")["gains"]["k"] == [3.375, 6.75, 4.5]
+
+    def test_readme_config_block_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```jsonc\n(.*?)```", readme, re.DOTALL).group(1)
+        assert json.loads(re.sub(r"//[^\n]*", "", block)) == default_config("vehicles")
 
     def test_graph_json_wire_format(self):
         g = digraph_from_json({"n": 2, "edges": [{"to": 1, "from": 2, "w": 1.5}]})

@@ -1,10 +1,14 @@
 """Case-study builders, parameter tables, and analytic oracles."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from nashseek import sim
+from nashseek.affine import probe_affine
+from nashseek.config import build_run_setup, default_config, load_config_file
 from nashseek.errors import ConfigInvalid, SingularSystem
 from nashseek.game import probe_monotonicity, pseudo_gradient
 from nashseek.graph import is_weight_balanced, estimation_certificate
@@ -197,3 +201,29 @@ class TestScenarioProbes:
         rt = probe_monotonicity(tur_game, 2025)
         assert abs(rv.omega_hat - 0.2) <= 0.01
         assert rt.omega_hat >= 0.3
+
+
+def _turbine_state_spectrum(cfg):
+    """Max real part of the eigenvalues of the exact linear turbine state loop."""
+    setup = build_run_setup(cfg)
+    layout = sim._Layout(setup.plants[0].order_n, setup.graph.n_nodes, 1, output_mode=False)
+    op = probe_affine(sim._make_rhs(setup.game, setup.graph, setup.gains, None, layout), layout)
+    a = np.zeros((layout.size, layout.size))
+    a[op.rows, op.cols] = op.vals
+    return float(np.max(np.linalg.eigvals(a).real))
+
+
+class TestTurbineSpectrum:
+    """The README's stability claims for the turbine gain sets."""
+
+    def test_auto_chain_with_desk_alphas_is_unstable(self):
+        cfg = default_config("turbines")
+        cfg["gains"]["k"] = "auto"
+        assert _turbine_state_spectrum(cfg) == pytest.approx(0.019, abs=1e-3)
+
+    def test_desk_chain_is_stable(self):
+        assert _turbine_state_spectrum(default_config("turbines")) == pytest.approx(-0.21, abs=1e-2)
+
+    def test_highgain_slowest_mode(self):
+        cfg = load_config_file(Path(__file__).resolve().parents[1] / "configs" / "turbines_highgain.json")
+        assert _turbine_state_spectrum(cfg) == pytest.approx(-0.020, abs=1e-3)

@@ -34,7 +34,7 @@ from nashseek.sim import (
     _Layout,
     _drift_groups,
     _make_rhs,
-    _sparse_rhs,
+    _with_drift,
     equilibrium_residual,
     fit_exponential_rate,
     mid_decay_window,
@@ -211,10 +211,10 @@ class TestFoldedPropagator:
     """A drift-free loop under an affine game is stepped by Phi s + c."""
 
     def _loop(self, mode):
-        game, plants, g = build_turbine_market()
+        game, _, g = build_turbine_market()
         obs = TURBINE_OBSERVER if mode == "output" else None
         layout = _Layout(4, 6, 1, output_mode=mode == "output")
-        rhs = _make_rhs(game, plants, g, TURBINE_GAINS, obs, layout)
+        rhs = _make_rhs(game, g, TURBINE_GAINS, obs, layout)
         state = np.zeros(layout.size)
         x0 = np.random.default_rng(5).uniform(-10.0, 10.0, size=(6, 1))
         layout.chain(state)[0] = x0
@@ -312,7 +312,7 @@ class TestRhsMatchesPerPlayerLaws:
     def _check(self, mode, scenario="turbines", plants=None):
         game, plants, g, gains, obs, layout, state = loop_inputs(mode, scenario, plants)
         n, m, n_players = gains.order_n, game.decision_dim, game.n_players
-        rhs = _make_rhs(game, plants, g, gains, obs, layout)
+        rhs = _with_drift(_make_rhs(game, g, gains, obs, layout), _drift_groups(plants), layout)
         derivative = rhs(state, 0.0)
 
         chain = layout.chain(state)
@@ -416,9 +416,10 @@ class TestProbedOperator:
     ])
     def test_operator_rhs_matches_structured_rhs(self, mode, scenario, plants):
         game, plants, g, gains, obs, layout, state = loop_inputs(mode, scenario, plants)
-        op = probe_affine(_make_rhs(game, (), g, gains, obs, layout), layout)
-        probed = _sparse_rhs(op, _drift_groups(plants), layout)(state, 0.0)
-        structured = _make_rhs(game, plants, g, gains, obs, layout)(state, 0.0)
+        rhs = _make_rhs(game, g, gains, obs, layout)
+        groups = _drift_groups(plants)
+        probed = _with_drift(probe_affine(rhs, layout).apply, groups, layout)(state, 0.0)
+        structured = _with_drift(rhs, groups, layout)(state, 0.0)
         assert np.max(np.abs(probed - structured)) <= 1e-12 * np.max(np.abs(structured))
 
     @pytest.mark.parametrize("n_players, size, nonzeros", [(10, 260, 900), (30, 1980, 7500)])
@@ -426,7 +427,7 @@ class TestProbedOperator:
         offsets = np.random.default_rng(2).uniform(-10.0, 10.0, size=(n_players, 2))
         game, _, g, _ = build_vehicle_formation(table=VEHICLE_TABLE * (n_players // 10), offsets=offsets)
         layout = _Layout(2, n_players, 2, output_mode=False)
-        op = probe_affine(_make_rhs(game, (), g, VEHICLE_GAINS, None, layout), layout)
+        op = probe_affine(_make_rhs(game, g, VEHICLE_GAINS, None, layout), layout)
         assert layout.size == size and op.vals.size == nonzeros and np.all(op.vals != 0.0)
 
     @pytest.mark.parametrize("mode", ["state", "output"])
