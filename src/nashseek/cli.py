@@ -144,6 +144,9 @@ def cmd_sweep(args) -> int:
     param = args.param
     # only the key is checked here; each cell's value is checked when it runs
     config_mod.complete(config_mod.apply_set_overrides(cfg, [f"{param}=null"]))
+    # sweep.csv goes to the base output_dir, so check it before any cell runs
+    if not isinstance(cfg["output_dir"], str):
+        raise ConfigInvalid(f"output_dir must be a string, got {cfg['output_dir']!r}")
     # one JSON array, so list values such as [0,5],[0,10] keep their commas
     try:
         values = json.loads("[" + args.values + "]")

@@ -21,7 +21,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, EmptyGains, NotHurwitz
+from .errors import ConfigInvalid, DimensionMismatch, EmptyGains, NotHurwitz, SingularLyapunov
 from .graph import Digraph
 from .linalg import is_symmetric_positive_definite, lyapunov_solve
 
@@ -105,18 +105,18 @@ def routh_hurwitz_stable(coeffs) -> bool:
 def lyapunov_P(a: np.ndarray) -> np.ndarray:
     """Solve P A + A^T P = -I for the symmetric positive definite P.
 
-    Raises NotHurwitz when the vectorized system is singular, the residual
-    exceeds 1e-10, or P fails the Cholesky test (all symptoms of a matrix with
-    closed-left-half-plane spectrum violations).
+    Uses the sign-function solver of ``linalg.lyapunov_solve``.  Raises
+    NotHurwitz when that solve fails (a singular iterate, or an iteration that
+    does not reach sign(A) = -I), the residual exceeds 1e-10, or P fails the
+    Cholesky test (all symptoms of a matrix with closed-right-half-plane
+    eigenvalues).
     """
     a = np.asarray(a, dtype=float)
-    eye = np.eye(a.shape[0])
     try:
-        p = lyapunov_solve(a, -eye)
-    except Exception as exc:
+        p = lyapunov_solve(a)
+    except SingularLyapunov as exc:
         raise NotHurwitz(f"Lyapunov solve failed: {exc}") from exc
-    p = 0.5 * (p + p.T)
-    residual = float(np.linalg.norm(p @ a + a.T @ p + eye))
+    residual = float(np.linalg.norm(p @ a + a.T @ p + np.eye(a.shape[0])))
     if not np.isfinite(residual) or residual >= LYAPUNOV_P_TOL:
         raise NotHurwitz(f"Lyapunov residual {residual:.3e} exceeds {LYAPUNOV_P_TOL}")
     if not is_symmetric_positive_definite(p):

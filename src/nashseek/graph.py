@@ -97,6 +97,11 @@ class GraphCertificate:
     weight-skewed directed cycles can have a negative symmetric-part
     eigenvalue while Q exists with a tiny residual, so ``passed`` gates on the
     Lyapunov certificate and reports the eigenvalue as a diagnostic.
+
+    Both are computed block by block (see ``estimation_certificate``), but
+    lyapunov_Q is the assembled N^2 x N^2 solution of Q S + S^T Q = I in the
+    stacking of ``estimation_block_matrix``, and lyapunov_residual is the
+    Frobenius norm of that equation's residual.
     """
 
     laplacian: np.ndarray
@@ -142,10 +147,12 @@ def is_weight_balanced(g: Digraph) -> bool:
 
 
 def estimation_block_matrix(g: Digraph) -> tuple[np.ndarray, np.ndarray]:
-    """Return (L kron I_N, M) driving the stacked estimate dynamics.
+    """Return (L kron I_N, M), the assembled N^2 x N^2 form of the stacked estimate dynamics.
 
     Stacking is row-major over (estimating player i, estimated player j), so
-    M is diagonal with blocks M_i = diag(a_i1, ..., a_iN).
+    M is diagonal with blocks M_i = diag(a_i1, ..., a_iN).  The certificate
+    works on ``estimation_blocks`` instead; this form is the reference the
+    tests compare against.
     """
     n = g.n_nodes
     l_ext = np.kron(laplacian(g), np.eye(n))
@@ -153,41 +160,57 @@ def estimation_block_matrix(g: Digraph) -> tuple[np.ndarray, np.ndarray]:
     return l_ext, m
 
 
+def estimation_blocks(g: Digraph) -> np.ndarray:
+    """The (N, N, N) stack of blocks B_j = L + diag(a_1j, ..., a_Nj).
+
+    S = L_ext + M maps row (i, j) to column (k, j) only, with entry B_j[i, k],
+    so S is a permutation of blockdiag_j(B_j): the estimates of player j
+    evolve under B_j alone.
+    """
+    n = g.n_nodes
+    blocks = np.repeat(laplacian(g)[None], n, axis=0)
+    idx = np.arange(n)
+    blocks[:, idx, idx] += g.weights.T
+    return blocks
+
+
 def estimation_certificate(g: Digraph) -> GraphCertificate:
     """Certify the matrix S = L_ext + M that drives the stacked estimate dynamics.
 
-    Reports the smallest eigenvalue of (S + S^T)/2 (the bilinear-form
-    positive-definiteness diagnostic) and solves the Lyapunov equation
-    Q S + S^T Q = I by dense vectorization; S block-decouples over the
-    estimated-player index (block j is L + diag of column j of A), which keeps
-    the vectorized solves at N^2 unknowns each.  The residual is evaluated
-    against the full assembled equation.
+    S block-decouples over the estimated-player index j into the N x N blocks
+    B_j of ``estimation_blocks``, so every quantity is computed per block:
+    the smallest eigenvalue of (S + S^T)/2 (the bilinear-form
+    positive-definiteness diagnostic) is the minimum over one batched
+    ``eigvalsh`` of the blocks' symmetric parts; Q_j solves
+    Q_j B_j + B_j^T Q_j = I through one batched sign-function solve
+    (``linalg.lyapunov_solve`` on -B_j); the residual of Q S + S^T Q = I is
+    the Frobenius norm over the per-block residuals; and one batched Cholesky
+    tests Q.  The cost is O(N^4).  Q is scattered into the N^2 x N^2
+    ``lyapunov_Q`` at the end.
 
-    Raises SingularLyapunov when the solve is singular despite strong
-    connectivity (possible only for degenerate graphs, e.g. a single node).
+    Raises SingularLyapunov when the solve fails despite strong connectivity
+    (possible only for degenerate graphs, e.g. a single node).
     """
     lap = laplacian(g)
     connected = is_strongly_connected(g)
     balanced = is_weight_balanced(g)
-    l_ext, m = estimation_block_matrix(g)
-    s = l_ext + m
-    min_eig = float(np.linalg.eigvalsh(0.5 * (s + s.T)).min())
+    blocks = estimation_blocks(g)
+    sym = 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
+    min_eig = float(np.linalg.eigvalsh(sym).min())
 
     if not connected:
         return GraphCertificate(lap, False, balanced, min_eig)
 
     n = g.n_nodes
-    q = np.zeros_like(s)
-    eye_n = np.eye(n)
-    for j in range(n):
-        block = lap + np.diag(g.weights[:, j])
-        q_block = lyapunov_solve(block, eye_n)
-        idx = j + n * np.arange(n)
-        q[np.ix_(idx, idx)] = q_block
-    residual = float(np.linalg.norm(q @ s + s.T @ q - np.eye(n * n)))
+    q_blocks = lyapunov_solve(-blocks)
+    block_residuals = q_blocks @ blocks + np.swapaxes(blocks, 1, 2) @ q_blocks - np.eye(n)
+    residual = float(np.linalg.norm(block_residuals))
     if not np.isfinite(residual):
         raise SingularLyapunov("Lyapunov residual is non-finite")
-    q = 0.5 * (q + q.T)
-    if not is_symmetric_positive_definite(q):
+    if not is_symmetric_positive_definite(q_blocks):
         raise SingularLyapunov("Lyapunov solution is not positive definite")
-    return GraphCertificate(lap, True, balanced, min_eig, q, residual)
+    # entry (i*N + j, k*N + j) of Q is Q_j[i, k]
+    q = np.zeros((n, n, n, n))
+    idx = np.arange(n)
+    q[:, idx, :, idx] = q_blocks
+    return GraphCertificate(lap, True, balanced, min_eig, q.reshape(n * n, n * n), residual)

@@ -83,6 +83,12 @@ def _check_graph() -> list[CheckResult]:
             f"connected={cert.strongly_connected}, balanced={cert.weight_balanced}, "
             f"min eig {cert.min_sym_eigenvalue:.3e}, residual {cert.lyapunov_residual:.3e}",
         ))
+    certs = {n: graph_mod.estimation_certificate(scenarios.default_cycle_digraph(n)) for n in (30, 50)}
+    results.append(CheckResult(
+        "graph", "default weighted cycle at N = 30 and 50 (block certificate)",
+        all(c.passed for c in certs.values()),
+        ", ".join(f"N={n} residual {c.lyapunov_residual:.3e}" for n, c in certs.items()),
+    ))
     return results
 
 

@@ -311,6 +311,28 @@ class TestSweepCommand:
         assert code == 2
         assert "cannot parse sweep values" in capsys.readouterr().err
 
+    def test_non_string_output_dir_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        cells = []
+        monkeypatch.setattr("nashseek.cli._sweep_cell", lambda *a: cells.append(a) or {})
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("sweep", "--scenario", "vehicles", "--param", "seed",
+                       "--values", "1,2", "--set", "output_dir=[1]")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "output_dir" in err and "Traceback" not in err
+        assert cells == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_dir_sweep_runs_one_cell_per_value(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        code = run_cli("sweep", "--scenario", "turbines", "--algo", "state",
+                       "--param", "output_dir", "--values", json.dumps([str(a), str(b)])[1:-1],
+                       "--out", str(tmp_path), "--set", "horizon=0.2", "--set", "settle_tol=1e6")
+        assert code == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["value"], r["status"]) for r in rows] == [(str(a), "ok"), (str(b), "ok")]
+
     def test_mu_sweep_observer_error_column_decreases(self, tmp_path):
         code = run_cli("sweep", "--scenario", "vehicles", "--algo", "output",
                        "--param", "mu", "--values", "0.04,0.02,0.01",

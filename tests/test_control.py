@@ -130,6 +130,17 @@ class TestLyapunovP:
             p = lyapunov_P(a)
             assert np.linalg.norm(p @ a + a.T @ p + np.eye(n - 1)) < 1e-10
 
+    @pytest.mark.parametrize("a", [
+        -companion_matrix(default_hurwitz_gains(5)),  # every eigenvalue at +1
+        np.diag([-1.0, 2.0]),
+        np.array([[0.1, 5.0], [-5.0, 0.1]]),
+    ])
+    def test_unstable_matrix_raises_instead_of_returning_p(self, a):
+        # P A + A^T P = -I is solvable here (P indefinite or negative definite),
+        # but the sign iteration converges to sign(A) != -I and must not return it
+        with pytest.raises(NotHurwitz):
+            lyapunov_P(a)
+
 
 class TestGainSetValidation:
     def test_valid_set(self):

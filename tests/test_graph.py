@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from nashseek.control import companion_matrix, lyapunov_P
 from nashseek.errors import ConfigInvalid, SingularLyapunov
 from nashseek.graph import (
     Digraph,
     estimation_block_matrix,
+    estimation_blocks,
     is_strongly_connected,
     is_weight_balanced,
     laplacian,
     estimation_certificate,
 )
+from nashseek.linalg import lyapunov_solve
+from nashseek.scenarios import default_cycle_digraph
 from nashseek.verify import random_strongly_connected_digraph
 
 
@@ -168,12 +172,58 @@ class TestEstimationCertificate:
         assert np.linalg.eigvalsh(q).min() > 0
 
     def test_q_solves_full_lyapunov_equation(self):
-        g = random_strongly_connected_digraph(np.random.default_rng(31), 5)
-        cert = estimation_certificate(g)
-        l_ext, m = estimation_block_matrix(g)
-        s = l_ext + m
-        residual = np.linalg.norm(cert.lyapunov_Q @ s + s.T @ cert.lyapunov_Q - np.eye(25))
-        assert residual < 1e-8
+        # the block certificate against the fully assembled N^2 x N^2 equation;
+        # every other graph loses all in-edges of one node, so both verdicts occur
+        rng = np.random.default_rng(31)
+        verdicts = set()
+        for trial in range(30):
+            n = int(rng.integers(2, 11))
+            w = random_strongly_connected_digraph(rng, n).weights.copy()
+            if trial % 2:
+                w[rng.integers(n)] = 0.0
+            g = Digraph(w)
+            cert = estimation_certificate(g)
+            l_ext, m = estimation_block_matrix(g)
+            s = l_ext + m
+            assert abs(cert.min_sym_eigenvalue - np.linalg.eigvalsh(0.5 * (s + s.T)).min()) < 1e-12
+            reach = np.linalg.matrix_power(np.eye(n) + (w > 0), n - 1)
+            assert cert.strongly_connected == bool(np.all(reach > 0))
+            assert cert.weight_balanced == bool(np.max(np.abs(l_ext.sum(axis=0))) <= 1e-12)
+            if cert.strongly_connected:
+                q = cert.lyapunov_Q
+                residual = np.linalg.norm(q @ s + s.T @ q - np.eye(n * n))
+                assert residual < 1e-8
+                assert abs(residual - cert.lyapunov_residual) < 1e-12
+                assert cert.passed == bool(np.linalg.eigvalsh(q).min() > 0)
+            else:
+                assert not cert.passed and cert.lyapunov_Q is None
+            verdicts.add(cert.passed)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [30, 50])
+    def test_default_cycle_certificate_at_scale(self, n):
+        cert = estimation_certificate(default_cycle_digraph(n))
+        assert cert.passed and not cert.weight_balanced
+        assert cert.lyapunov_residual < 1e-8
+        assert cert.lyapunov_Q.shape == (n * n, n * n)
+
+    def test_certificate_and_lyapunov_p_assemble_no_kronecker_product(self, monkeypatch):
+        def no_kron(*args):
+            raise AssertionError("np.kron called")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        assert estimation_certificate(default_cycle_digraph(10)).passed
+        lyapunov_P(companion_matrix([1.0, 2.0]))
+
+    def test_n100_block_needs_log_determinant_scaling(self):
+        # plain det overflows on this block, so the scaling must come from slogdet
+        g = Digraph(1e3 * default_cycle_digraph(100).weights)
+        block = estimation_blocks(g)[0]
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.det(block))
+        q = lyapunov_solve(-block)
+        assert np.linalg.norm(q @ block + block.T @ q - np.eye(100)) < 1e-8
+        assert np.linalg.eigvalsh(q).min() > 0
 
     def test_random_family_all_pass(self):
         rng = np.random.default_rng(7)

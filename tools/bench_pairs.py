@@ -1,0 +1,106 @@
+"""Paired benchmark of this tree against a parent checkout, written to BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --parent DIR --label NAME \\
+        --workload vehicles-n30:10 --workload turbines-state:2 [--seed 101]
+
+DIR is a checkout of the parent commit (``git clone`` or ``git archive``).
+For each ``--workload NAME:PAIRS`` the script runs PAIRS pairs of
+
+    python3 perfbench/run.py --workload NAME --seed S --seconds RUN_SECONDS --trace 0
+
+once in each tree, pair k on seed ``--seed + k``, alternating which tree runs
+first; RUN_SECONDS is ``run_seconds`` in BENCHMARK.json, so both trees run
+for the length the benchmark declares.  It keeps both result lines of every
+pair, the environment record perfbench prints, and per metric each side's
+quartiles and the number of pairs the change won.  The JSON goes to the root
+of this tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"perfbench printed nothing in {tree}: {proc.stderr[-2000:]}")
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
+    return {"result": json.loads(lines[-1]), "env": env, "exit_code": proc.returncode}
+
+
+def quartiles(values) -> list:
+    if len(values) < 2:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4)
+
+
+def summarize(pairs) -> dict:
+    """Per metric: each side's [q1, median, q3] and the pairs the change won."""
+    out = {}
+    for entry in SPEC["end_to_end"]:
+        name, lower = entry["name"], entry["better"] == "lower"
+        parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
+        change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(parent, change))
+        out[name] = {"unit": entry["unit"], "bound": entry["bound"],
+                     "parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change),
+                     "change_wins": wins, "pairs": len(pairs)}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
+    parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    if not (parent / "perfbench" / "run.py").is_file():
+        parser.error(f"{parent} holds no perfbench/run.py")
+
+    parent_sha = subprocess.run(["git", "-C", str(parent), "rev-parse", "HEAD"],
+                                capture_output=True, text=True, check=False).stdout.strip()
+    record = {"command": " ".join(["python3 tools/bench_pairs.py", f"--parent <checkout of {parent_sha}>",
+                                   f"--label {args.label}", *(f"--workload {w}" for w in args.workload),
+                                   f"--seed {args.seed}"]),
+              "perfbench_command": "python3 perfbench/run.py --workload W --seed S "
+                                   f"--seconds {SPEC['run_seconds']} --trace 0",
+              "parent_git_sha": parent_sha,
+              "workloads": {}}
+    for item in args.workload:
+        workload, _, count = item.partition(":")
+        pairs = []
+        for k in range(int(count or 1)):
+            seed = args.seed + k
+            order = [("parent", parent), ("change", ROOT)]
+            if k % 2:
+                order.reverse()
+            pair = {"seed": seed, "first": order[0][0]}
+            for side, tree in order:
+                pair[side] = run_perfbench(tree, workload, seed)
+                print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['result'])}", flush=True)
+            pairs.append(pair)
+        record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
+        record.setdefault("environment", pairs[0]["change"]["env"])
+
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
