@@ -42,6 +42,7 @@ from .scenarios import (
 )
 from .sim import (
     InitialConditions,
+    Lane,
     Plant,
     SimConfig,
     Trajectory,
@@ -50,6 +51,7 @@ from .sim import (
     mid_decay_window,
     rk4_step,
     run,
+    run_lanes,
     settle_time,
     write_trajectory_csv,
 )
@@ -65,6 +67,7 @@ __all__ = [
     "default_observer_gains", "companion_matrix", "routh_hurwitz_stable",
     "lyapunov_P", "state_feedback_rhs", "output_feedback_rhs", "check_gain_ordering",
     "Plant", "SimConfig", "InitialConditions", "Trajectory", "rk4_step", "run",
+    "Lane", "run_lanes",
     "equilibrium_residual", "settle_time", "fit_exponential_rate", "mid_decay_window",
     "write_trajectory_csv",
     "VehicleParams", "FormationSpec", "GeneratorParams", "build_vehicle_formation",

@@ -2,10 +2,12 @@
 
 Under a game declared affine everything in the loop but the plant drift is an
 affine map ``s' = A s + b`` of the flat state.  ``probe_affine`` evaluates the
-structured right-hand side column by column and keeps ``A`` as its nonzeros,
-so a drifting loop costs one sparse matvec per RK4 stage; ``folded_rk4``
-turns a drift-free loop into one dense propagator ``s <- Phi s + c``.  The
-layout argument is ``sim._Layout``.
+structured right-hand side on unit columns, a chunk of them at a time as the
+lanes of one batched call, and keeps ``A`` as its nonzeros, so a drifting loop
+costs one sparse matvec per RK4 stage.  ``stack_lanes`` puts the operators of
+a batch of loops side by side over a ``(lanes, size)`` state, each lane with
+its own nonzeros.  ``folded_rk4`` turns a drift-free loop into one dense
+propagator ``s <- Phi s + c``.  The layout argument is ``sim._Layout``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ def innovation_basis(layout):
     (eps/mu)^n = 1.6e9 on the turbine loop, so a matrix that multiplied x and
     z_0 separately before they cancel lost about 5e-11 relative per step.  B
     is its own inverse, so the same map also takes a probe vector v back to
-    the state B v it stands for.  It acts on the leading axis, so applied to
-    the identity it gives the matrix B.
+    the state B v it stands for.  It acts on the last axis, so it maps a
+    (lanes, size) batch row by row, and applied to the identity it gives the
+    matrix B^T.
     """
     if not layout.output_mode:
         return None
@@ -36,7 +39,7 @@ def innovation_basis(layout):
 
     def basis(s):
         v = s.copy()
-        v[z_sl] = s[x_sl] - s[z_sl]
+        v[..., z_sl] = s[..., x_sl] - s[..., z_sl]
         return v
 
     return basis
@@ -49,12 +52,24 @@ def innovation_basis(layout):
 # a cubic term 1e-6 x_i^3 added to either game's gradient exceeds it.
 AFFINE_CHECK_RTOL = 1e-10
 
+# The probe evaluates its unit columns as the lanes of one structured call,
+# as many lanes as keep that (lanes, size) array within this many bytes.  The
+# arrays inside the call reach about ten times it.  At N = 10 (size 260, 9
+# calls) the probe takes 2 ms where one call per column took 28 ms, and 256
+# KB chunks took as long with 2 MB more peak memory.  At N = 30 and 50 the
+# probe's arithmetic dominates, and chunks from 32 KB to 2 MB probe equally
+# fast while 2 MB chunks add 15 MB of peak memory.
+PROBE_CHUNK_BYTES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class AffineOperator:
     """The drift-free closed loop s' = A B s + b, with A B kept as its nonzeros.
 
-    B is the innovation basis in output mode and the identity otherwise.
+    b has the shape of the state it maps: (size,) for one loop, or
+    (lanes, size) for a batch from ``stack_lanes``.  rows and cols index the
+    flattened state, so lane k's entries sit at k * size onwards.  B is the
+    innovation basis in output mode and the identity otherwise.
     """
 
     rows: np.ndarray
@@ -65,43 +80,68 @@ class AffineOperator:
 
     def terms(self, s):
         v = s if self.basis is None else self.basis(s)
-        return self.vals * v[self.cols]
+        return self.vals * v.ravel()[self.cols]
 
     def apply(self, s, t=0.0):
         """A B s + b; t is ignored, so the operator can stand in for a right-hand side."""
-        return np.bincount(self.rows, weights=self.terms(s), minlength=self.b.size) + self.b
+        flat = np.bincount(self.rows, weights=self.terms(s), minlength=self.b.size)
+        return (flat if self.b.ndim == 1 else flat.reshape(self.b.shape)) + self.b
+
+
+def stack_lanes(ops) -> AffineOperator:
+    """One operator over a (len(ops), size) batch whose lane k steps ops[k].
+
+    Lane k's nonzeros are offset by k * size, so the lanes may differ (a gain
+    sweep) and nothing of size^2 is formed.  All ops come from one layout.
+    """
+    size = ops[0].b.size
+    return AffineOperator(
+        np.concatenate([op.rows + k * size for k, op in enumerate(ops)]),
+        np.concatenate([op.cols + k * size for k, op in enumerate(ops)]),
+        np.concatenate([op.vals for op in ops]),
+        np.stack([op.b for op in ops]),
+        ops[0].basis,
+    )
 
 
 def probe_affine(rhs, layout) -> AffineOperator:
-    """Probe the affine drift-free rhs column by column into its nonzeros.
+    """Probe the affine drift-free rhs, which takes a (lanes, size) batch, into its nonzeros.
 
-    b = rhs(0) and column j of A B is rhs(B e_j) - b, with one reused unit
-    vector e_j, so nothing of size^2 is formed.  This costs size + 1 rhs
-    evaluations, and one more at a fixed non-basis state checks the game's
-    affine declaration (ConfigInvalid when it fails).
+    The probe vectors are 0, giving b, then B e_j for every column j, giving
+    column j of A B as rhs(B e_j) - b, then a fixed non-basis state that
+    checks the game's affine declaration (ConfigInvalid when it fails).  They
+    are evaluated PROBE_CHUNK_BYTES at a time as the lanes of one rhs call, so
+    nothing of size^2 is formed.
     """
     size = layout.size
     basis = innovation_basis(layout)
-
-    def at(v):
-        return rhs(v if basis is None else basis(v), 0.0)
-
-    b = at(np.zeros(size))
+    check = np.random.default_rng(0).uniform(-1.0, 1.0, size)
+    n_probes = size + 2  # 0, e_0 .. e_{size-1}, the check state
+    per_call = max(1, PROBE_CHUNK_BYTES // (8 * size))
     rows, cols, vals = [], [], []
-    unit = np.zeros(size)
-    for j in range(size):
-        unit[j] = 1.0
-        column = at(unit) - b
-        unit[j] = 0.0
-        nz = np.flatnonzero(column)
-        rows.append(nz)
-        cols.append(np.full(nz.size, j))
-        vals.append(column[nz])
+    b = None
+    for start in range(0, n_probes, per_call):
+        stop = min(start + per_call, n_probes)
+        # probe p is e_{p-1} for 1 <= p <= size; the slice skips the 0 and check lanes
+        lanes = np.zeros((stop - start, size))
+        units = np.arange(max(start, 1), min(stop, size + 1))
+        lanes[units - start, units - 1] = 1.0
+        if basis is not None:
+            lanes = basis(lanes)
+        if stop == n_probes:
+            lanes[-1] = check
+        out = rhs(lanes, 0.0)
+        if b is None:
+            b = out[0].copy()
+        columns = out[units - start] - b
+        lane, row = np.nonzero(columns)
+        rows.append(row)
+        cols.append(units[lane] - 1)
+        vals.append(columns[lane, row])
     op = AffineOperator(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), b, basis)
 
-    s = np.random.default_rng(0).uniform(-1.0, 1.0, size)
-    terms = op.terms(s)
-    mismatch = np.abs(rhs(s, 0.0) - op.apply(s))
+    terms = op.terms(check)
+    mismatch = np.abs(out[-1] - op.apply(check))
     scale = np.bincount(op.rows, weights=np.abs(terms), minlength=size) + np.abs(b)
     failed = np.flatnonzero(~(mismatch <= AFFINE_CHECK_RTOL * scale))  # NaN fails too
     if failed.size:
@@ -114,29 +154,28 @@ def probe_affine(rhs, layout) -> AffineOperator:
     return op
 
 
-def folded_rk4(rhs, layout, dt: float):
-    """step(s, t): one classical RK4 step of an affine rhs, folded into Phi s + c.
+def folded_rk4(op: AffineOperator, dt: float):
+    """step(s, t): one classical RK4 step of the probed s' = A s + b, folded into Phi s + c.
 
-    The map s' = A s + b comes from ``probe_affine``.  With M = dt A, RK4
-    gives Phi = I + M + M^2/2 + M^3/6 + M^4/24 and
-    c = dt (I + M/2 + M^2/6 + M^3/24) b.  Building it costs size + 2 rhs
-    evaluations and O(size^3); a step costs one O(size^2) matvec.  In output
-    mode the step reads the innovation basis, Phi B v with v = B s.
+    With M = dt A, RK4 gives Phi = I + M + M^2/2 + M^3/6 + M^4/24 and
+    c = dt (I + M/2 + M^2/6 + M^3/24) b.  Building it costs O(size^3); a step
+    costs one O(size^2) product, s @ Phi^T, so s may be one state or a
+    (lanes, size) batch of loops that share the operator.  In output mode the
+    step reads the innovation basis, Phi B v with v = B s.
     """
-    op = probe_affine(rhs, layout)
-    eye = np.eye(layout.size)
+    eye = np.eye(op.b.size)
     a_basis = np.zeros_like(eye)  # A B
     a_basis[op.rows, op.cols] = op.vals
     if op.basis is None:
         basis, a = eye, a_basis
     else:
-        basis = op.basis(eye)
+        basis = op.basis(eye).T
         a = a_basis @ basis  # B is its own inverse
     m = dt * a
     taylor = eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0  # I + M/2 + M^2/6 + M^3/24
     c = dt * (taylor @ op.b)
     if op.basis is None:
-        phi = eye + taylor @ m
-        return lambda s, t: phi @ s + c
-    phi_basis = basis + taylor @ (dt * a_basis)
-    return lambda s, t: phi_basis @ op.basis(s) + c
+        phi_t = (eye + taylor @ m).T
+        return lambda s, t: s @ phi_t + c
+    phi_basis_t = (basis + taylor @ (dt * a_basis)).T
+    return lambda s, t: op.basis(s) @ phi_basis_t + c

@@ -44,11 +44,16 @@ def _assemble_config(args) -> dict:
 def _execute_run(cfg: dict):
     """Run one configured simulation; returns (setup, trajectory, summary dict)."""
     setup = config_mod.build_run_setup(cfg)
-    warnings = [] if setup.ordering.warning is None else [setup.ordering.warning]
     trajectory = sim.run(
         setup.game, setup.plants, setup.graph, setup.gains, setup.observer,
         setup.sim_config, setup.init, x_star=setup.x_star,
     )
+    return setup, trajectory, _summarize(setup, trajectory)
+
+
+def _summarize(setup, trajectory) -> dict:
+    """The summary.json fields of one finished run."""
+    warnings = [] if setup.ordering.warning is None else [setup.ordering.warning]
     settle = sim.settle_time(trajectory, setup.x_star, setup.settle_tol)
     lambda_hat = r_squared = None
     try:
@@ -68,7 +73,7 @@ def _execute_run(cfg: dict):
     }
     if trajectory.observer_errors is not None:
         summary["observer_sup_error"] = sim.post_transient_observer_error(trajectory)
-    return setup, trajectory, summary
+    return summary
 
 
 def cmd_run(args) -> int:
@@ -121,13 +126,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
 
 
-def _sweep_cell(cfg: dict, param: str, value):
-    cell = config_mod.apply_set_overrides(cfg, [f"{param}={json.dumps(value)}"])
-    try:
-        _, trajectory, summary = _execute_run(cell)
-    except NashseekError as exc:
-        return {"value": value, "status": f"error:{type(exc).__name__}"}
-    row = {
+def _sweep_cell(value, setup, outcome) -> dict:
+    """The sweep.csv row of one cell: its run's statistics, or the error it raised."""
+    if isinstance(outcome, NashseekError):
+        return {"value": value, "status": f"error:{type(outcome).__name__}"}
+    summary = _summarize(setup, outcome)
+    return {
         "value": value,
         "settle_time": summary["settle_time"],
         "lambda_hat": summary["lambda_hat"],
@@ -136,7 +140,29 @@ def _sweep_cell(cfg: dict, param: str, value):
         "observer_sup_error": summary.get("observer_sup_error"),
         "status": "ok",
     }
-    return row
+
+
+def _sweep_lanes(cfg: dict, param: str, values: list) -> list:
+    """Build every cell and run them all through ``sim.run_lanes``; one row per value.
+
+    Cells whose configs build the same loop get the same model objects, so
+    ``run_lanes`` steps them as lanes of one batch and probes them once.
+    """
+    setups, lanes, outcomes = {}, [], {}
+    models = {}
+    for i, value in enumerate(values):
+        cell = config_mod.apply_set_overrides(cfg, [f"{param}={json.dumps(value)}"])
+        try:
+            setup = config_mod.build_run_setup(cell)
+        except NashseekError as exc:
+            outcomes[i] = exc
+            continue
+        setups[i] = setup
+        model = models.setdefault(config_mod.model_key(setup.config_echo), setup)
+        lanes.append(sim.Lane(model.game, model.plants, model.graph, model.gains, model.observer,
+                              setup.sim_config, setup.init, setup.x_star))
+    outcomes.update(zip(setups, sim.run_lanes(lanes)))
+    return [_sweep_cell(value, setups.get(i), outcomes[i]) for i, value in enumerate(values)]
 
 
 def cmd_sweep(args) -> int:
@@ -153,7 +179,7 @@ def cmd_sweep(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"cannot parse sweep values {args.values!r}: {exc}") from exc
 
-    rows = [_sweep_cell(cfg, param, v) for v in values]
+    rows = _sweep_lanes(cfg, param, values)
 
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

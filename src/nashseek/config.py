@@ -192,6 +192,18 @@ def complete(cfg: dict) -> dict:
     return out
 
 
+def model_key(cfg: dict) -> str:
+    """A string equal for two completed configs exactly when they build the same loop.
+
+    It drops what sets only one run's start or its judging: init, sim.seed,
+    settle_tol and output_dir.  Configs with equal keys build equal game,
+    plants, graph, gains and observer.
+    """
+    model = {k: v for k, v in cfg.items() if k not in ("init", "settle_tol", "output_dir")}
+    model["sim"] = {k: v for k, v in cfg["sim"].items() if k != "seed"}
+    return json.dumps(model, sort_keys=True)
+
+
 def digraph_from_json(spec: dict) -> Digraph:
     """Build a digraph from the documented {"n", "edges"} wire format."""
     try:

@@ -11,6 +11,10 @@ gradient.  Per-player functions define the laws exactly as written; the
 ``stacked_*`` variants are the vectorized equivalents.  The integrator's
 right-hand side is built from the ``stacked_*`` forms alone, and they are
 cross-checked against the per-player forms in the test suite.
+
+The stacked forms also broadcast over leading lane axes, so one call serves a
+batch of loops: a chain of levels is (n, ..., N, m) with the level axis
+first, and every other argument is (..., N, m) or (..., N, N, m).
 """
 
 from __future__ import annotations
@@ -293,31 +297,31 @@ def stacked_aux_rate(derivative_levels: np.ndarray, grads: np.ndarray,
 
 def stacked_estimate_rate(x_hat: np.ndarray, x: np.ndarray, g: Digraph,
                           alpha3: float) -> np.ndarray:
-    """Estimate dynamics for the full (N, N, m) tensor of estimates.
+    """Estimate dynamics for the full (..., N, N, m) tensor of estimates.
 
-    Axis 0 is the estimating player i, axis 1 the estimated player j.  The
-    consensus term gathers x_hat[head] - x_hat[tail] over the E in-edges and
-    scatters the weighted differences to their heads with one (N, E) incidence
-    matmul, O(E N m).  Both terms are formed from explicit differences so that
-    a consensus state (every row of x_hat equal to x) maps to an exactly zero
-    rate.
+    Axis -3 is the estimating player i, axis -2 the estimated player j, and
+    x is (..., N, m).  The consensus term gathers x_hat[head] - x_hat[tail]
+    over the E in-edges and scatters the weighted differences to their heads
+    with one (N, E) incidence matmul per lane, O(E N m).  Both terms are formed
+    from explicit differences so that a consensus state (every row of x_hat
+    equal to x) maps to an exactly zero rate.
     """
     edges = g.in_edges
-    n_players, _, m = x_hat.shape
-    diffs = (x_hat[edges.heads] - x_hat[edges.tails]).reshape(-1, n_players * m)
-    consensus = (edges.incidence @ diffs).reshape(x_hat.shape)
-    anchor = g.weights[:, :, None] * (x_hat - x[None, :, :])
-    return -alpha3 * (consensus + anchor)
+    n_players, m = x_hat.shape[-2:]
+    diffs = x_hat[..., edges.heads, :, :] - x_hat[..., edges.tails, :, :]
+    consensus = edges.incidence @ diffs.reshape(diffs.shape[:-2] + (n_players * m,))
+    anchor = g.weights[:, :, None] * (x_hat - x[..., None, :, :])
+    return -alpha3 * (consensus.reshape(x_hat.shape) + anchor)
 
 
 def stacked_observer_rate(z_chain: np.ndarray, outputs: np.ndarray,
                           gains: GainSet, obs: ObserverSet) -> np.ndarray:
-    """Observer chain derivatives for the (n, N, m) stacked chain."""
+    """Observer chain derivatives for the (n, ..., N, m) stacked chain."""
     w_z = observer_weights(gains, obs)
     innovation = outputs - z_chain[0]
     dz = np.empty_like(z_chain)
     if z_chain.shape[0] > 1:
-        dz[:-1] = z_chain[1:] + w_z[:-1, None, None] * innovation[None, :, :]
+        dz[:-1] = z_chain[1:] + np.multiply.outer(w_z[:-1], innovation)
     dz[-1] = w_z[-1] * innovation
     return dz
 

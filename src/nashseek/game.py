@@ -28,7 +28,9 @@ class Game:
     in its own decision, with x_others the stacked decisions of the other
     players in index order.  profile_gradient, when present, must agree with
     the oracle: it maps an (N, N, m) tensor whose row i is the full profile as
-    seen by player i to the (N, m) matrix of own-gradients.
+    seen by player i to the (N, m) matrix of own-gradients.  It must also
+    broadcast over leading axes, (..., N, N, m) -> (..., N, m), because the
+    simulator evaluates a batch of loops in one call.
 
     affine declares that the gradients (the oracle and profile_gradient alike)
     are affine in the profiles, as they are for quadratic costs.  The
@@ -66,16 +68,20 @@ def _check_profile_dim(game: Game, x: np.ndarray) -> np.ndarray:
 def gradient_matrix(game: Game, profiles: np.ndarray) -> np.ndarray:
     """Own-gradients of all players, row i evaluated at profile row profiles[i].
 
-    profiles has shape (N, N, m): profiles[i, j] is what player i uses as
-    player j's decision.  Uses the vectorized fast path when the game has one.
+    profiles has shape (..., N, N, m): profiles[..., i, j, :] is what player i
+    uses as player j's decision, and the result is (..., N, m).  Uses the
+    vectorized fast path when the game has one; the per-player oracle is
+    called once per player and leading index.
     """
     n, m = game.n_players, game.decision_dim
     if game.profile_gradient is not None:
         return game.profile_gradient(profiles)
-    out = np.empty((n, m))
-    for i in range(n):
-        others = np.delete(profiles[i], i, axis=0).reshape(-1)
-        out[i] = game.gradient_oracle(i, profiles[i, i], others)
+    out = np.empty(profiles.shape[:-2] + (m,))
+    for lead in np.ndindex(profiles.shape[:-3]):
+        p = profiles[lead]
+        for i in range(n):
+            others = np.delete(p[i], i, axis=0).reshape(-1)
+            out[lead + (i,)] = game.gradient_oracle(i, p[i, i], others)
     return out
 
 

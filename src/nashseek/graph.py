@@ -98,24 +98,26 @@ class GraphCertificate:
     eigenvalue while Q exists with a tiny residual, so ``passed`` gates on the
     Lyapunov certificate and reports the eigenvalue as a diagnostic.
 
-    Both are computed block by block (see ``estimation_certificate``), but
-    lyapunov_Q is the assembled N^2 x N^2 solution of Q S + S^T Q = I in the
-    stacking of ``estimation_block_matrix``, and lyapunov_residual is the
-    Frobenius norm of that equation's residual.
+    Both are computed block by block (see ``estimation_certificate``).
+    q_blocks is the (N, N, N) stack of the blocks Q_j of the N^2 x N^2
+    solution Q of Q S + S^T Q = I: in the stacking of
+    ``estimation_block_matrix``, entry (i*N + j, k*N + j) of Q is
+    q_blocks[j, i, k] and every other entry is zero.  lyapunov_residual is
+    the Frobenius norm of that equation's residual.
     """
 
     laplacian: np.ndarray
     strongly_connected: bool
     weight_balanced: bool
     min_sym_eigenvalue: float
-    lyapunov_Q: np.ndarray | None = None
+    q_blocks: np.ndarray | None = None
     lyapunov_residual: float = field(default=float("inf"))
 
     @property
     def passed(self) -> bool:
         return (
             self.strongly_connected
-            and self.lyapunov_Q is not None
+            and self.q_blocks is not None
             and self.lyapunov_residual < 1e-8
         )
 
@@ -185,8 +187,7 @@ def estimation_certificate(g: Digraph) -> GraphCertificate:
     Q_j B_j + B_j^T Q_j = I through one batched sign-function solve
     (``linalg.lyapunov_solve`` on -B_j); the residual of Q S + S^T Q = I is
     the Frobenius norm over the per-block residuals; and one batched Cholesky
-    tests Q.  The cost is O(N^4).  Q is scattered into the N^2 x N^2
-    ``lyapunov_Q`` at the end.
+    tests Q.  The cost is O(N^4), and Q is kept as its (N, N, N) blocks.
 
     Raises SingularLyapunov when the solve fails despite strong connectivity
     (possible only for degenerate graphs, e.g. a single node).
@@ -209,8 +210,4 @@ def estimation_certificate(g: Digraph) -> GraphCertificate:
         raise SingularLyapunov("Lyapunov residual is non-finite")
     if not is_symmetric_positive_definite(q_blocks):
         raise SingularLyapunov("Lyapunov solution is not positive definite")
-    # entry (i*N + j, k*N + j) of Q is Q_j[i, k]
-    q = np.zeros((n, n, n, n))
-    idx = np.arange(n)
-    q[:, idx, :, idx] = q_blocks
-    return GraphCertificate(lap, True, balanced, min_eig, q.reshape(n * n, n * n), residual)
+    return GraphCertificate(lap, True, balanced, min_eig, q_blocks, residual)

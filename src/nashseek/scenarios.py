@@ -124,8 +124,8 @@ def _vehicle_game(offsets: np.ndarray) -> Game:
         return (quad + float(own @ p.sum(axis=0))) / n
 
     def profile_gradient(profiles):
-        diag = profiles[np.arange(n), np.arange(n), :]
-        return (2.0 * diag - 2.0 * offsets + profiles.sum(axis=1)) / n
+        diag = profiles[..., np.arange(n), np.arange(n), :]
+        return (2.0 * diag - 2.0 * offsets + profiles.sum(axis=-2)) / n
 
     return Game(n, 2, gradient, cost_oracle=cost, profile_gradient=profile_gradient, affine=True)
 
@@ -191,11 +191,11 @@ def _turbine_game(table) -> Game:
         return float(gamma1[i] + gamma2[i] * own + gamma3[i] * own ** 2 - price * own)
 
     def profile_gradient(profiles):
-        diag = profiles[np.arange(n), np.arange(n), 0]
-        totals = profiles.sum(axis=1)[:, 0]
+        diag = profiles[..., np.arange(n), np.arange(n), 0]
+        totals = profiles.sum(axis=-2)[..., 0]
         val = (gamma2 + 2.0 * gamma3 * diag - PRICE_INTERCEPT
                + PRICE_SLOPE * totals + PRICE_SLOPE * diag)
-        return val[:, None]
+        return val[..., None]
 
     return Game(n, 1, gradient, cost_oracle=cost, profile_gradient=profile_gradient, affine=True)
 

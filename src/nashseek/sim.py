@@ -11,29 +11,38 @@ once per distinct drift callable, over all players that share it, and are
 never visible to the controller terms.
 
 Under a game declared affine, everything but the drift is an affine map
-``A s + b`` of the state.  ``run`` probes that map once from the stacked laws
-(:mod:`nashseek.affine`) and keeps ``A`` as its nonzeros.  A loop with drift then evaluates each RK4
-stage as one sparse matvec plus the stacked drift; a drift-free loop folds
-its whole RK4 step into one propagator ``s <- Phi s + c``.  Other games step
-the structured right-hand side.
+``A s + b`` of the state.  The loop probes that map once from the stacked laws
+(:mod:`nashseek.affine`) and keeps ``A`` as its nonzeros.  A loop with drift
+then evaluates each RK4 stage as one sparse matvec plus the stacked drift; a
+drift-free loop folds its whole RK4 step into one propagator ``s <- Phi s + c``.
+Other games step the structured right-hand side.
+
+``run_lanes`` integrates many loops at once.  Loops that share the layout,
+the step grid and the drift callables (and, unless the game is affine with
+drift, the model objects) step as the lanes of one ``(lanes, size)`` state:
+one sparse product with per-lane nonzeros, one drift call over every lane's
+players, one ``S @ Phi^T`` or one structured call per stage.  A lane that
+diverges is masked and the others go on.  ``run`` is the one-lane case, where
+the state keeps no lane axis.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import control
-from .affine import folded_rk4, probe_affine
+from .affine import AffineOperator, folded_rk4, probe_affine, stack_lanes
 from .control import GainSet, ObserverSet
 from .errors import (
     ConfigInvalid,
     Diverged,
     DimensionMismatch,
     EmptyWindow,
+    NashseekError,
     NonPositiveError,
     NotStronglyConnected,
 )
@@ -41,6 +50,11 @@ from .game import Game, gradient_matrix
 from .graph import Digraph, is_strongly_connected
 
 STATE_MAGNITUDE_GUARD = 1e12
+
+# Lanes per batch in run_lanes.  A batch keeps every lane's recorded samples
+# until it ends, so this bounds a sweep's memory at this many trajectories;
+# the step cost per lane stops falling well before it.
+MAX_LANES = 64
 
 MODE_STATE = "state"
 MODE_OUTPUT = "output"
@@ -118,19 +132,24 @@ class Trajectory:
 
 
 def rk4_step(rhs, state: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta 4 update; raises Diverged on non-finite output."""
+    """One classical Runge-Kutta 4 update of a state or a (lanes, size) batch.
+
+    It checks nothing: the run's guard masks a lane whose state is not finite.
+    """
     k1 = rhs(state, t)
     k2 = rhs(state + 0.5 * dt * k1, t + 0.5 * dt)
     k3 = rhs(state + 0.5 * dt * k2, t + 0.5 * dt)
     k4 = rhs(state + dt * k3, t + dt)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise Diverged(f"non-finite state after step at t={t:g}")
-    return out
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class _Layout:
-    """Offsets of the flat closed-loop state vector."""
+    """Offsets of the flat closed-loop state vector.
+
+    A state is one loop's (size,) vector or a (lanes, size) batch.  The
+    accessors return views with any lane axis after a chain's level axis:
+    chain and z are (n, ..., N, m), y is (..., N, m) and x_hat (..., N, N, m).
+    """
 
     def __init__(self, n: int, n_players: int, m: int, output_mode: bool):
         self.n = n
@@ -151,17 +170,26 @@ class _Layout:
         pos += n_players * n_players * m
         self.size = pos
 
+    def _lanes(self, s, sl):
+        return s[:, sl].reshape(len(s), self.n, self.N, self.m).swapaxes(0, 1)
+
     def chain(self, s):
-        return s[self.chain_sl].reshape(self.n, self.N, self.m)
+        if s.ndim == 1:
+            return s[self.chain_sl].reshape(self.n, self.N, self.m)
+        return self._lanes(s, self.chain_sl)
 
     def z(self, s):
-        return s[self.z_sl].reshape(self.n, self.N, self.m) if self.output_mode else None
+        if not self.output_mode:
+            return None
+        if s.ndim == 1:
+            return s[self.z_sl].reshape(self.n, self.N, self.m)
+        return self._lanes(s, self.z_sl)
 
     def y(self, s):
-        return s[self.y_sl].reshape(self.N, self.m)
+        return s[..., self.y_sl].reshape(s.shape[:-1] + (self.N, self.m))
 
     def x_hat(self, s):
-        return s[self.hat_sl].reshape(self.N, self.N, self.m)
+        return s[..., self.hat_sl].reshape(s.shape[:-1] + (self.N, self.N, self.m))
 
 
 def _validate_setup(game: Game, plants: Sequence[Plant], g: Digraph,
@@ -203,14 +231,33 @@ def _drift_groups(plants: Sequence[Plant]) -> list:
     return out
 
 
+def _stack_drift_groups(per_lane: list) -> list:
+    """The drift groups of a batch from each lane's ``_drift_groups``.
+
+    The lanes share their drift callables player by player, so lane 0's
+    selectors and callables serve all; each group's w is stacked lane-major.
+    """
+    return [(sel, drift, np.concatenate([lane[k][2] for lane in per_lane]))
+            for k, (sel, drift, _) in enumerate(per_lane[0])]
+
+
 def _add_drifts(groups: list, chain: np.ndarray, acc: np.ndarray) -> None:
-    """Add every player's drift at the (n, N, m) chain into the (N, m) acc."""
+    """Add every player's drift at the (n, ..., N, m) chain into the (..., N, m) acc.
+
+    One call per group covers its players in every lane, lane-major, the
+    order of the group's stacked w.
+    """
+    if chain.ndim == 3:
+        for sel, drift, w in groups:
+            acc[sel] += drift(chain[:, sel, :], w)
+        return
+    n, lanes, _, m = chain.shape
     for sel, drift, w in groups:
-        acc[sel] += drift(chain[:, sel, :], w)
+        acc[:, sel, :] += drift(chain[:, :, sel, :].reshape(n, -1, m), w).reshape(lanes, -1, m)
 
 
 def _make_rhs(game: Game, g: Digraph, gains: GainSet, obs: Optional[ObserverSet], layout: _Layout):
-    """Drift-free closed-loop right-hand side over the flat state vector."""
+    """Drift-free closed-loop right-hand side over a flat state or a batch of lanes."""
     idx = np.arange(layout.N)
 
     def rhs(s, t):
@@ -221,7 +268,7 @@ def _make_rhs(game: Game, g: Digraph, gains: GainSet, obs: Optional[ObserverSet]
         z = layout.z(s)
 
         profiles = x_hat.copy()
-        profiles[idx, idx, :] = x
+        profiles[..., idx, idx, :] = x
         grads = gradient_matrix(game, profiles)
         levels = chain[1:] if z is None else z[1:]
 
@@ -259,8 +306,8 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     x_star, when supplied, must come from an independent equilibrium solver;
     it is used only to fill the recorded error norms.
 
-    The step depends on the game and the drifts, with size the length of the
-    flat state:
+    This is ``run_lanes`` on one lane.  The step depends on the game and the
+    drifts, with size the length of the flat state:
 
     * affine game, every plant drift-free: the folded propagator of
       ``folded_rk4``, O(size^3) once and one dense O(size^2) matvec a step;
@@ -269,9 +316,77 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
       drift a stage;
     * otherwise: ``rk4_step`` on the structured right-hand side.
 
-    Both affine cases probe the loop once (size + 2 structured evaluations)
-    and raise ConfigInvalid when the game's affine declaration fails.
+    Both affine cases probe the loop once (``probe_affine``) and raise
+    ConfigInvalid when the game's affine declaration fails.  Raises Diverged
+    when the state leaves the magnitude guard or stops being finite.
     """
+    result, = run_lanes([Lane(game, plants, g, gains, obs, cfg, init, x_star)])
+    if isinstance(result, NashseekError):
+        raise result
+    return result
+
+
+@dataclass(frozen=True, eq=False)
+class Lane:
+    """The arguments of one ``run``: a closed loop, its settings and its start."""
+
+    game: Game
+    plants: Sequence[Plant]
+    g: Digraph
+    gains: GainSet
+    obs: Optional[ObserverSet]
+    cfg: SimConfig
+    init: Optional[InitialConditions] = None
+    x_star: Optional[np.ndarray] = None
+
+
+class _Start(NamedTuple):
+    """A checked lane: its layout, initial state, probed operator and oracle."""
+
+    lane: Lane
+    layout: _Layout
+    state: np.ndarray
+    op: Optional[AffineOperator]
+    x_star: Optional[np.ndarray]
+
+
+def run_lanes(lanes: Sequence[Lane]) -> list:
+    """Integrate many closed loops, stepping together those that can share a batch.
+
+    Returns, for each lane in order, its Trajectory or the NashseekError that
+    ``run`` raises for it, so one failing lane leaves the others running.
+
+    Lanes share a batch when they have the same layout, mode, dt, step count,
+    record_stride and drift callable per player.  Under a game that is
+    affine with drift each lane keeps its own probed operator, so the lanes
+    may differ in game, graph, gains and observer; otherwise they must share
+    those objects.  A batch steps up to MAX_LANES lanes as one (lanes, size)
+    state, and a lane that leaves the magnitude guard is masked with its own
+    Diverged while the others go on.  Loops that share their model objects
+    are probed once.
+    """
+    results = [None] * len(lanes)
+    probes = {}
+    batches = {}
+    for i, lane in enumerate(lanes):
+        try:
+            start = _start(lane, probes)
+        except NashseekError as exc:
+            results[i] = exc
+            continue
+        batches.setdefault(_batch_key(start), []).append((i, start))
+    for members in batches.values():
+        for first in range(0, len(members), MAX_LANES):
+            chunk = members[first:first + MAX_LANES]
+            outcomes = _integrate([start for _, start in chunk])
+            for (i, _), outcome in zip(chunk, outcomes):
+                results[i] = outcome
+    return results
+
+
+def _start(lane: Lane, probes: dict) -> _Start:
+    """Check one lane and build its start; probes caches operators per model."""
+    game, plants, g, gains, obs, cfg = lane.game, lane.plants, lane.g, lane.gains, lane.obs, lane.cfg
     n, n_players, m = _validate_setup(game, plants, g, gains, obs, cfg.mode)
     if not is_strongly_connected(g):
         raise NotStronglyConnected("communication digraph must be strongly connected")
@@ -281,7 +396,7 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
             f"output mode requires dt <= mu/10 = {obs.mu / 10.0:g}, got dt={cfg.dt:g}"
         )
 
-    init = init or InitialConditions()
+    init = lane.init or InitialConditions()
     rng = np.random.default_rng(cfg.seed)
     if init.decisions is not None:
         x0 = np.asarray(init.decisions, dtype=float)
@@ -304,56 +419,124 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     if output_mode:
         layout.z(state)[0] = x0  # observer position starts on the measured output
 
-    x_star_mat = None if x_star is None else np.asarray(x_star, dtype=float).reshape(n_players, m)
+    x_star_mat = None if lane.x_star is None else np.asarray(lane.x_star, dtype=float).reshape(n_players, m)
 
-    times = []
-    decisions = []
-    disagreement = []
-    errors = [] if x_star_mat is not None else None
-    obs_errors = [] if output_mode else None
+    op = None
+    if game.affine:
+        model = (id(game), id(g), id(gains), id(obs), output_mode)
+        if model not in probes:
+            probes[model] = probe_affine(_make_rhs(game, g, gains, obs, layout), layout)
+        op = probes[model]
+    return _Start(lane, layout, state, op, x_star_mat)
 
-    def record(k_step, s):
-        c = layout.chain(s)
-        xh = layout.x_hat(s)
-        times.append(k_step * cfg.dt)
-        decisions.append(c[0].copy())
-        disagreement.append(float(np.linalg.norm(xh - c[0][None, :, :])))
-        if errors is not None:
-            errors.append(float(np.linalg.norm(c[0] - x_star_mat)))
-        if obs_errors is not None:
-            obs_errors.append(float(np.max(np.abs(layout.z(s)[0] - c[0]))))
 
-    rhs = _make_rhs(game, g, gains, obs, layout)
-    drift_groups = _drift_groups(plants)
-    if game.affine and not drift_groups:
-        advance = folded_rk4(rhs, layout, cfg.dt)
+def _batch_key(start: _Start) -> tuple:
+    """Equal for the starts that ``run_lanes`` may step as one batch."""
+    lane, layout = start.lane, start.layout
+    drifts = tuple(p.drift for p in lane.plants)
+    key = (layout.n, layout.N, layout.m, layout.output_mode, lane.cfg.dt,
+           round(lane.cfg.horizon / lane.cfg.dt), lane.cfg.record_stride, drifts)
+    if not (lane.game.affine and any(d is not None for d in drifts)):
+        key += (id(lane.game), id(lane.g), id(lane.gains), id(lane.obs))
+    return key
+
+
+class _Recorder:
+    """The recorded samples of one lane."""
+
+    def __init__(self, layout: _Layout, x_star: Optional[np.ndarray]):
+        self.layout = layout
+        self.x_star = x_star
+        self.decisions = []
+        self.disagreement = []
+        self.errors = [] if x_star is not None else None
+        self.obs_errors = [] if layout.output_mode else None
+
+    def add(self, s):
+        c = self.layout.chain(s)
+        xh = self.layout.x_hat(s)
+        self.decisions.append(c[0].copy())
+        self.disagreement.append(float(np.linalg.norm(xh - c[0][None, :, :])))
+        if self.errors is not None:
+            self.errors.append(float(np.linalg.norm(c[0] - self.x_star)))
+        if self.obs_errors is not None:
+            self.obs_errors.append(float(np.max(np.abs(self.layout.z(s)[0] - c[0]))))
+
+    def trajectory(self, times: list) -> Trajectory:
+        return Trajectory(
+            times=np.asarray(times),
+            decisions=np.asarray(self.decisions),
+            estimate_disagreement=np.asarray(self.disagreement),
+            error_norms=None if self.errors is None else np.asarray(self.errors),
+            observer_errors=None if self.obs_errors is None else np.asarray(self.obs_errors),
+        )
+
+
+def _integrate(batch: list) -> list:
+    """Step the starts of one batch key together; a Trajectory or Diverged per lane.
+
+    One lane steps its (size,) state; more step one (lanes, size) state.
+    """
+    lane, layout = batch[0].lane, batch[0].layout
+    cfg = lane.cfg
+    lanes = len(batch)
+    groups = _stack_drift_groups([_drift_groups(start.lane.plants) for start in batch])
+    if lane.game.affine and not groups:
+        advance = folded_rk4(batch[0].op, cfg.dt)
     else:
-        if game.affine:
-            rhs = probe_affine(rhs, layout).apply
-        rhs = _with_drift(rhs, drift_groups, layout)
+        if not lane.game.affine:
+            rhs = _make_rhs(lane.game, lane.g, lane.gains, lane.obs, layout)
+        elif lanes == 1:
+            rhs = batch[0].op.apply
+        else:
+            rhs = stack_lanes([start.op for start in batch]).apply
+        rhs = _with_drift(rhs, groups, layout)
 
         def advance(s, t):
             return rk4_step(rhs, s, t, cfg.dt)
 
+    state = batch[0].state if lanes == 1 else np.stack([start.state for start in batch])
+    recorders = [_Recorder(layout, start.x_star) for start in batch]
+    failures = [None] * lanes
+    times = []
+
+    def record(k_step, s):
+        times.append(k_step * cfg.dt)
+        for recorder, lane_state, failure in zip(recorders, s.reshape(lanes, -1), failures):
+            if failure is None:
+                recorder.add(lane_state)
+
     steps = round(cfg.horizon / cfg.dt)
     record(0, state)
-    for k in range(steps):
-        state = advance(state, k * cfg.dt)
-        peak = np.max(np.abs(state))
-        if not peak <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
-            if not np.isfinite(peak):
-                raise Diverged(f"non-finite state after step at t={k * cfg.dt:g}")
-            raise Diverged(f"state magnitude exceeded {STATE_MAGNITUDE_GUARD:g} at t={(k + 1) * cfg.dt:g}")
-        if (k + 1) % cfg.record_stride == 0 or k + 1 == steps:
-            record(k + 1, state)
+    # a masked lane may overflow on its way out; the guard below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            state = advance(state, k * cfg.dt)
+            peak = np.max(np.abs(state))
+            if not peak <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
+                _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
+                if all(failures):
+                    break
+            if (k + 1) % cfg.record_stride == 0 or k + 1 == steps:
+                record(k + 1, state)
+    return [failure or recorder.trajectory(times) for recorder, failure in zip(recorders, failures)]
 
-    return Trajectory(
-        times=np.asarray(times),
-        decisions=np.asarray(decisions),
-        estimate_disagreement=np.asarray(disagreement),
-        error_norms=None if errors is None else np.asarray(errors),
-        observer_errors=None if obs_errors is None else np.asarray(obs_errors),
-    )
+
+def _mask_diverged(lanes: np.ndarray, failures: list, k: int, dt: float) -> None:
+    """Give each lane that just left the guard its Diverged and zero every masked lane.
+
+    A masked lane keeps stepping with the batch, from zero, so it stays
+    finite; nothing of it is recorded any more.
+    """
+    peaks = np.max(np.abs(lanes), axis=1)
+    for b in np.flatnonzero(~(peaks <= STATE_MAGNITUDE_GUARD)):
+        if failures[b] is None:
+            failures[b] = Diverged(
+                f"non-finite state after step at t={k * dt:g}" if not np.isfinite(peaks[b]) else
+                f"state magnitude exceeded {STATE_MAGNITUDE_GUARD:g} at t={(k + 1) * dt:g}")
+    for b, failure in enumerate(failures):
+        if failure is not None:
+            lanes[b] = 0.0
 
 
 def equilibrium_residual(game: Game, plants: Sequence[Plant], g: Digraph,

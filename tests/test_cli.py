@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nashseek import scenarios
+from nashseek import cli, scenarios, sim
 from nashseek.cli import main
 from nashseek.config import (
     apply_set_overrides,
@@ -196,7 +196,7 @@ class TestRunCommand:
             game = turbine_game(table)
             diag = np.arange(game.n_players)
             return dataclasses.replace(
-                game, profile_gradient=lambda p: game.profile_gradient(p) + 1e-3 * p[diag, diag, :] ** 3)
+                game, profile_gradient=lambda p: game.profile_gradient(p) + 1e-3 * p[..., diag, diag, :] ** 3)
 
         monkeypatch.setattr(scenarios, "_turbine_game", cubic_turbine_game)
         code = run_cli("run", "--scenario", "turbines", "--out", str(tmp_path),
@@ -359,3 +359,60 @@ class TestSweepCommand:
             cells = line.split(",")
             assert cells[-1] == "ok"
             assert cells[settle_col] not in ("", "None")
+
+
+class TestSweepLanes:
+    """Sweep cells that share the step grid run as the lanes of one batch."""
+
+    @staticmethod
+    def _capture(monkeypatch):
+        """Record each cell's outcome and the size of every batch the sweep steps."""
+        outcomes, batches = [], []
+        sweep_cell, integrate = cli._sweep_cell, sim._integrate
+
+        def capture_cell(value, setup, outcome):
+            outcomes.append((value, outcome))
+            return sweep_cell(value, setup, outcome)
+
+        def capture_batch(batch):
+            batches.append(len(batch))
+            return integrate(batch)
+
+        monkeypatch.setattr(cli, "_sweep_cell", capture_cell)
+        monkeypatch.setattr(sim, "_integrate", capture_batch)
+        return outcomes, batches
+
+    @pytest.mark.parametrize("scenario, param, values", [
+        ("vehicles", "seed", "1,2,3"),
+        ("vehicles", "box", "[0,5],[-3,10],[2,4]"),
+        ("vehicles", "alpha3", "5,18,40"),
+        ("turbines", "seed", "1,2,3"),  # the folded path
+    ])
+    def test_each_lane_matches_its_single_run(self, tmp_path, monkeypatch, scenario, param, values):
+        outcomes, batches = self._capture(monkeypatch)
+        overrides = ["--set", "horizon=2.0", "--set", "settle_tol=1e6"]
+        assert run_cli("sweep", "--scenario", scenario, "--algo", "state", "--param", param,
+                       "--values", values, "--out", str(tmp_path), *overrides) == 0
+        assert batches == [3]
+        base = apply_set_overrides(default_config(scenario, "state"),
+                                   ["horizon=2.0", "settle_tol=1e6"])
+        for value, lane in outcomes:
+            _, single, _ = cli._execute_run(apply_set_overrides(base, [f"{param}={json.dumps(value)}"]))
+            assert np.array_equal(lane.times, single.times)
+            gap = np.max(np.abs(lane.decisions - single.decisions), axis=(1, 2))
+            assert np.all(gap <= 1e-12 * np.max(np.abs(single.decisions), axis=(1, 2)))
+
+    def test_diverging_gain_cell_is_masked_and_rows_match_a_sequential_sweep(self, tmp_path, monkeypatch):
+        argv = ["sweep", "--scenario", "vehicles", "--algo", "state", "--param", "alpha3",
+                "--values", "5,1000,18", "--set", "dt=0.01", "--set", "horizon=3.0",
+                "--set", "settle_tol=1e6"]
+        outcomes, batches = self._capture(monkeypatch)
+        assert run_cli(*argv, "--out", str(tmp_path / "lanes")) == 0
+        assert batches == [3]
+        monkeypatch.setattr(sim, "MAX_LANES", 1)
+        assert run_cli(*argv, "--out", str(tmp_path / "one")) == 0
+        assert batches == [3, 1, 1, 1]
+        lanes = (tmp_path / "lanes" / "sweep.csv").read_text()
+        assert lanes == (tmp_path / "one" / "sweep.csv").read_text()
+        assert [row.rsplit(",", 1)[-1] for row in lanes.splitlines()[1:]] == ["ok", "error:Diverged", "ok"]
+

@@ -19,6 +19,15 @@ from nashseek.scenarios import default_cycle_digraph
 from nashseek.verify import random_strongly_connected_digraph
 
 
+def assembled_q(cert):
+    """The N^2 x N^2 Q of a certificate: entry (i*N + j, k*N + j) is q_blocks[j, i, k]."""
+    n = cert.q_blocks.shape[0]
+    q = np.zeros((n, n, n, n))
+    idx = np.arange(n)
+    q[:, idx, :, idx] = cert.q_blocks
+    return q.reshape(n * n, n * n)
+
+
 def two_node(a12=1.0, a21=2.0):
     return Digraph(np.array([[0.0, a12], [a21, 0.0]]))
 
@@ -162,12 +171,12 @@ class TestEstimationCertificate:
     def test_one_way_pair_flags_connectivity(self):
         cert = estimation_certificate(Digraph(np.array([[0.0, 1.0], [0.0, 0.0]])))
         assert not cert.strongly_connected
-        assert cert.lyapunov_Q is None
+        assert cert.q_blocks is None
         assert not cert.passed
 
     def test_q_is_symmetric_positive_definite(self):
         cert = estimation_certificate(two_node())
-        q = cert.lyapunov_Q
+        q = assembled_q(cert)
         assert np.array_equal(q, q.T)
         assert np.linalg.eigvalsh(q).min() > 0
 
@@ -190,13 +199,13 @@ class TestEstimationCertificate:
             assert cert.strongly_connected == bool(np.all(reach > 0))
             assert cert.weight_balanced == bool(np.max(np.abs(l_ext.sum(axis=0))) <= 1e-12)
             if cert.strongly_connected:
-                q = cert.lyapunov_Q
+                q = assembled_q(cert)
                 residual = np.linalg.norm(q @ s + s.T @ q - np.eye(n * n))
                 assert residual < 1e-8
                 assert abs(residual - cert.lyapunov_residual) < 1e-12
                 assert cert.passed == bool(np.linalg.eigvalsh(q).min() > 0)
             else:
-                assert not cert.passed and cert.lyapunov_Q is None
+                assert not cert.passed and cert.q_blocks is None
             verdicts.add(cert.passed)
         assert verdicts == {True, False}
 
@@ -205,7 +214,7 @@ class TestEstimationCertificate:
         cert = estimation_certificate(default_cycle_digraph(n))
         assert cert.passed and not cert.weight_balanced
         assert cert.lyapunov_residual < 1e-8
-        assert cert.lyapunov_Q.shape == (n * n, n * n)
+        assert cert.q_blocks.shape == (n, n, n)
 
     def test_certificate_and_lyapunov_p_assemble_no_kronecker_product(self, monkeypatch):
         def no_kron(*args):
@@ -241,7 +250,7 @@ class TestEstimationCertificate:
         assert cert.strongly_connected
         assert cert.min_sym_eigenvalue < 0
         assert cert.lyapunov_residual < 1e-8
-        assert np.linalg.eigvalsh(cert.lyapunov_Q).min() > 0
+        assert np.linalg.eigvalsh(assembled_q(cert)).min() > 0
         assert cert.passed
 
     def test_single_node_is_degenerate(self):

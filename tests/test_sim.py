@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from nashseek.errors import (
 from nashseek.game import Game, extended_pseudo_gradient
 from nashseek.graph import Digraph, estimation_block_matrix
 from nashseek import sim
-from nashseek.affine import folded_rk4, probe_affine
+from nashseek.affine import PROBE_CHUNK_BYTES, folded_rk4, innovation_basis, probe_affine
 from nashseek.scenarios import (
     VEHICLE_TABLE,
     build_turbine_market,
@@ -82,8 +83,24 @@ class TestRK4:
         assert all(12.0 <= f <= 20.0 for f in factors)
 
     def test_divergence_detected(self):
-        with np.errstate(over="ignore"), pytest.raises(Diverged):
-            rk4_step(lambda s, t: s * 1e308, np.array([1.0]), 0.0, 1.0)
+        # the run masks a lane whose step overflows; the other lane goes on,
+        # and no floating-point warning escapes from the masked lane
+        def scaled(chain, w):
+            return np.asarray(w)[:, None] * chain[0]
+
+        game, gains, g = identity_game(), GainSet(1, (), 2.0, 1.8, 1.5, 5.0), two_cycle()
+        cfg = SimConfig(dt=1e-2, horizon=0.5)
+        init = InitialConditions(decisions=np.ones((2, 1)))
+        lanes = [sim.Lane(game, [Plant(1, 1, drift=scaled, w=w)] * 2, g, gains, None, cfg, init)
+                 for w in (0.0, 1e308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calm, blown = sim.run_lanes(lanes)
+        assert isinstance(calm, Trajectory) and np.all(np.isfinite(calm.decisions))
+        assert isinstance(blown, Diverged) and "non-finite state" in str(blown)
+        with warnings.catch_warnings(), pytest.raises(Diverged, match="non-finite state"):
+            warnings.simplefilter("error")
+            run(game, lanes[1].plants, g, gains, None, cfg, init)
 
 
 class TestSimConfigValidation:
@@ -230,7 +247,7 @@ class TestFoldedPropagator:
     def test_fold_matches_rk4_step(self, mode, rtol):
         dt = 9e-4
         rhs, layout, state = self._loop(mode)
-        step = folded_rk4(rhs, layout, dt)
+        step = folded_rk4(probe_affine(rhs, layout), dt)
 
         def rel(a, b):
             return np.max(np.abs(a - b)) / np.max(np.abs(b))
@@ -383,7 +400,7 @@ def cubic_gradient_game(game):
     """The game with a small cubic term in each own gradient, still declared affine."""
     diag = np.arange(game.n_players)
     return dataclasses.replace(
-        game, profile_gradient=lambda p: game.profile_gradient(p) + 1e-3 * p[diag, diag, :] ** 3)
+        game, profile_gradient=lambda p: game.profile_gradient(p) + 1e-3 * p[..., diag, diag, :] ** 3)
 
 
 def count_structured_rhs_calls(monkeypatch):
@@ -422,6 +439,39 @@ class TestProbedOperator:
         structured = _with_drift(rhs, groups, layout)(state, 0.0)
         assert np.max(np.abs(probed - structured)) <= 1e-12 * np.max(np.abs(structured))
 
+    @pytest.mark.parametrize("mode, scenario, n_players", [
+        ("state", "vehicles", 10),
+        ("output", "vehicles", 10),
+        ("state", "turbines", 6),
+        ("output", "turbines", 6),
+        ("state", "vehicles", 30),
+    ])
+    def test_chunked_probe_matches_column_oracle(self, mode, scenario, n_players):
+        game, plants, g, gains, obs, layout, _ = loop_inputs(mode, scenario)
+        if n_players != game.n_players:
+            offsets = np.random.default_rng(2).uniform(-10.0, 10.0, size=(n_players, 2))
+            game, _, g, _ = build_vehicle_formation(table=VEHICLE_TABLE * (n_players // 10), offsets=offsets)
+            layout = _Layout(2, n_players, 2, output_mode=False)
+        rhs = _make_rhs(game, g, gains, obs, layout)
+        op = probe_affine(rhs, layout)
+
+        # the oracle: one structured call per column, rhs(B e_j) - rhs(0)
+        basis = innovation_basis(layout) or (lambda v: v)
+        b = rhs(np.zeros(layout.size), 0.0)
+        rows, cols, vals = [], [], []
+        for j in range(layout.size):
+            unit = np.zeros(layout.size)
+            unit[j] = 1.0
+            column = rhs(basis(unit), 0.0) - b
+            nz = np.flatnonzero(column)
+            rows.append(nz)
+            cols.append(np.full(nz.size, j))
+            vals.append(column[nz])
+        assert np.array_equal(op.rows, np.concatenate(rows))
+        assert np.array_equal(op.cols, np.concatenate(cols))
+        assert np.allclose(op.vals, np.concatenate(vals), rtol=1e-15, atol=0.0)
+        assert np.allclose(op.b, b, rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("n_players, size, nonzeros", [(10, 260, 900), (30, 1980, 7500)])
     def test_operator_keeps_only_the_nonzeros(self, n_players, size, nonzeros):
         offsets = np.random.default_rng(2).uniform(-10.0, 10.0, size=(n_players, 2))
@@ -439,7 +489,9 @@ class TestProbedOperator:
             calls.clear()
             run(game, plants, g, gains, obs, SimConfig(dt=1e-3, horizon=horizon, mode=mode))
             counts.append(len(calls))
-        assert counts == [layout.size + 2] * 2  # b, one column each, the affine check
+        # b, every column and the affine check, PROBE_CHUNK_BYTES of lanes a call
+        per_call = PROBE_CHUNK_BYTES // (8 * layout.size)
+        assert counts == [math.ceil((layout.size + 2) / per_call)] * 2
 
     def test_non_affine_game_takes_the_structured_path(self, monkeypatch):
         game, plants, g, gains, obs, _, _ = loop_inputs("state", "vehicles")
