@@ -93,7 +93,10 @@ def stack_lanes(ops) -> AffineOperator:
 
     Lane k's nonzeros are offset by k * size, so the lanes may differ (a gain
     sweep) and nothing of size^2 is formed.  All ops come from one layout.
+    One operator is returned as it is, to step one loop's (size,) state.
     """
+    if len(ops) == 1:
+        return ops[0]
     size = ops[0].b.size
     return AffineOperator(
         np.concatenate([op.rows + k * size for k, op in enumerate(ops)]),
@@ -159,23 +162,18 @@ def folded_rk4(op: AffineOperator, dt: float):
 
     With M = dt A, RK4 gives Phi = I + M + M^2/2 + M^3/6 + M^4/24 and
     c = dt (I + M/2 + M^2/6 + M^3/24) b.  Building it costs O(size^3); a step
-    costs one O(size^2) product, s @ Phi^T, so s may be one state or a
-    (lanes, size) batch of loops that share the operator.  In output mode the
-    step reads the innovation basis, Phi B v with v = B s.
+    costs one O(size^2) product, v @ (Phi B)^T with v = B s, so s may be one
+    state or a (lanes, size) batch of loops that share the operator.  B is the
+    innovation basis in output mode and I in state mode, where v = s.
     """
     eye = np.eye(op.b.size)
     a_basis = np.zeros_like(eye)  # A B
     a_basis[op.rows, op.cols] = op.vals
-    if op.basis is None:
-        basis, a = eye, a_basis
-    else:
-        basis = op.basis(eye).T
-        a = a_basis @ basis  # B is its own inverse
-    m = dt * a
+    basis = eye if op.basis is None else op.basis(eye).T
+    m = dt * (a_basis @ basis)  # dt A, as B is its own inverse
     taylor = eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0  # I + M/2 + M^2/6 + M^3/24
     c = dt * (taylor @ op.b)
+    phi_basis_t = (basis + taylor @ (dt * a_basis)).T  # (Phi B)^T = (B + (Phi - I) B)^T
     if op.basis is None:
-        phi_t = (eye + taylor @ m).T
-        return lambda s, t: s @ phi_t + c
-    phi_basis_t = (basis + taylor @ (dt * a_basis)).T
+        return lambda s, t: s @ phi_basis_t + c
     return lambda s, t: op.basis(s) @ phi_basis_t + c

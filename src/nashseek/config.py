@@ -317,8 +317,8 @@ def build_run_setup(cfg: dict) -> RunSetup:
             dt=float(sim_block["dt"]),
             horizon=float(sim_block["horizon"]),
             mode=algo,
-            record_stride=int(sim_block["record_stride"]),
-            seed=int(sim_block["seed"]),
+            record_stride=sim_block["record_stride"],
+            seed=sim_block["seed"],
         )
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad sim block {sim_block!r}: {exc}") from exc
@@ -328,6 +328,8 @@ def build_run_setup(cfg: dict) -> RunSetup:
         decisions = init_block["decisions"]
         derivatives = init_block["derivatives"]
         lo, hi = (float(v) for v in init_block["box"])
+        if not -np.inf < lo <= hi < np.inf:  # false for NaN too
+            raise ConfigInvalid(f"init.box must be finite with low <= high, got {init_block['box']!r}")
         init = InitialConditions(
             decisions=None if decisions is None else np.asarray(decisions, dtype=float),
             box=(lo, hi),
@@ -343,6 +345,8 @@ def build_run_setup(cfg: dict) -> RunSetup:
         settle_tol = float(cfg["settle_tol"])
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"settle_tol must be a number, got {cfg['settle_tol']!r}") from exc
+    if not 0 < settle_tol < np.inf:  # false for NaN too
+        raise ConfigInvalid(f"settle_tol must be finite and positive, got {settle_tol}")
 
     # advisory step-size guidance; output mode has the hard dt <= mu/10 gate
     dt_warning = None

@@ -75,8 +75,8 @@ def _monic_from_gains(k) -> np.ndarray:
 def routh_hurwitz_stable(coeffs) -> bool:
     """True iff the polynomial (leading coefficient first) has all roots in the open LHP.
 
-    Boundary cases are rejected: any zero coefficient, zero first-column entry
-    or zero pivot in the Routh array reports not stable.
+    Boundary cases are rejected: a zero or non-finite coefficient, or a zero
+    first-column entry or pivot in the Routh array, reports not stable.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.ndim != 1 or c.size == 0:
@@ -85,10 +85,10 @@ def routh_hurwitz_stable(coeffs) -> bool:
         raise ValueError("leading coefficient must be nonzero")
     if c[0] < 0:
         c = -c
+    if not 0 < c.min() <= c.max() < np.inf:  # false for NaN too
+        return False  # necessary condition for a Hurwitz polynomial
     if c.size == 1:
         return True  # constant polynomial, no roots
-    if np.any(c <= 0):
-        return False  # necessary condition for a Hurwitz polynomial
     width = (c.size + 1) // 2
     row_prev = np.zeros(width + 1)
     row_cur = np.zeros(width + 1)
@@ -151,8 +151,8 @@ class GainSet:
                 f"expected {self.order_n - 1} chain coefficients for order {self.order_n}, got {len(self.k)}"
             )
         for name in ("epsilon", "alpha1", "alpha2", "alpha3"):
-            if getattr(self, name) <= 0:
-                raise ConfigInvalid(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # false for NaN too
+                raise ConfigInvalid(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.order_n >= 2 and not routh_hurwitz_stable(_monic_from_gains(self.k)):
             raise ConfigInvalid(f"chain polynomial with k={self.k} is not Hurwitz")
 
@@ -166,8 +166,8 @@ class ObserverSet:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", tuple(float(v) for v in np.atleast_1d(np.asarray(self.beta, dtype=float)).ravel()))
-        if self.mu <= 0:
-            raise ConfigInvalid("mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ConfigInvalid(f"mu must be finite and positive, got {self.mu}")
         if len(self.beta) < 1:
             raise ConfigInvalid("observer needs at least one coefficient")
         coeffs = np.concatenate([[1.0], np.asarray(self.beta)])

@@ -9,12 +9,12 @@ class ConfigInvalid(NashseekError):
     """A configuration value or combination of values is unusable."""
 
 
-class DimensionMismatch(NashseekError):
-    """An array argument has the wrong shape for the operation."""
+class DimensionMismatch(ConfigInvalid):
+    """An array argument has the wrong shape for the operation (a configuration fault)."""
 
 
-class NotStronglyConnected(NashseekError):
-    """The communication digraph is not strongly connected."""
+class NotStronglyConnected(ConfigInvalid):
+    """The communication digraph is not strongly connected (a configuration fault)."""
 
 
 class SingularLyapunov(NashseekError):

@@ -90,13 +90,17 @@ def default_cycle_digraph(n: int, extra_edges=()) -> Digraph:
     """Directed cycle where node i receives from (i mod n)+1 with weight 1 + 0.1(i-1).
 
     Strongly connected and weight-unbalanced; extra_edges are 1-based
-    (to, from, weight) triples layered on top.
+    (to, from, weight) triples layered on top, and one outside 1..n raises
+    ConfigInvalid.
     """
     w = np.zeros((n, n))
     for i in range(1, n + 1):
         j = (i % n) + 1
         w[i - 1, j - 1] = 1.0 + 0.1 * (i - 1)
     for (i, j, a) in extra_edges:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ConfigInvalid(f"the default graph's edge ({i},{j}) lies outside 1..{n}; "
+                                f"give scenario_params.graph for {n} players")
         w[i - 1, j - 1] = a
     return Digraph(w)
 
@@ -134,7 +138,7 @@ def vehicle_drift(chain, w):
     """Quadratic aerodynamic drag and constant mechanical drag on the velocity.
 
     Per player, chain is (n, m) and w = (c_drag, c_mech); stacked over k
-    players, chain is (n, k, m) and w is (k, 2).
+    players and any lanes, chain is (n, ..., k, m) and w is (..., k, 2).
     """
     w = np.asarray(w)
     v = chain[1]

@@ -20,10 +20,10 @@ Other games step the structured right-hand side.
 ``run_lanes`` integrates many loops at once.  Loops that share the layout,
 the step grid and the drift callables (and, unless the game is affine with
 drift, the model objects) step as the lanes of one ``(lanes, size)`` state:
-one sparse product with per-lane nonzeros, one drift call over every lane's
-players, one ``S @ Phi^T`` or one structured call per stage.  A lane that
-diverges is masked and the others go on.  ``run`` is the one-lane case, where
-the state keeps no lane axis.
+one sparse product with per-lane nonzeros, one call per distinct drift, one
+``S @ Phi^T`` or one structured call per stage, and one record of every lane.
+A lane that diverges is masked and the others go on.  ``run`` is the one-lane
+case, where the state keeps no lane axis; the same loop serves both shapes.
 """
 
 from __future__ import annotations
@@ -69,10 +69,11 @@ class Plant:
     None drift means the chain is a pure integrator.  Controllers never see
     this object.
 
-    The simulator calls each distinct drift once for all the players that
-    share it, so a drift must also broadcast over a leading player axis: a
-    chain of shape (n, k, m) with w stacked by ``np.asarray`` to shape (k, ...)
-    returns the (k, m) drifts of those k players.
+    The simulator calls each distinct drift once for every player and lane
+    that share it, so a drift broadcasts as ``Game.profile_gradient`` does: a
+    chain (n, ..., k, m) with w stacked by ``np.asarray`` to (..., k, ...)
+    returns the (..., k, m) drifts.  Index levels from the front, the rest
+    from the end.
     """
 
     order_n: int
@@ -92,14 +93,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigInvalid(f"dt must be positive, got {self.dt}")
-        if self.horizon < self.dt:
-            raise ConfigInvalid(f"horizon {self.horizon} shorter than one step {self.dt}")
+        if not 0 < self.dt < np.inf:  # these comparisons are false for NaN
+            raise ConfigInvalid(f"dt must be finite and positive, got {self.dt}")
+        if not self.dt <= self.horizon < np.inf:
+            raise ConfigInvalid(f"horizon {self.horizon} must be finite and at least one step {self.dt}")
         if self.mode not in (MODE_STATE, MODE_OUTPUT):
             raise ConfigInvalid(f"mode must be '{MODE_STATE}' or '{MODE_OUTPUT}', got {self.mode!r}")
-        if self.record_stride < 1:
-            raise ConfigInvalid("record_stride must be >= 1")
+        for name, least in (("record_stride", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ConfigInvalid(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -214,12 +217,15 @@ def _validate_setup(game: Game, plants: Sequence[Plant], g: Digraph,
     return n, n_players, m
 
 
-def _drift_groups(plants: Sequence[Plant]) -> list:
-    """(player selector, drift, stacked w) for each distinct drift callable.
+def _drift_groups(lane_plants: Sequence[Sequence[Plant]], lanes: tuple = ()) -> list:
+    """(player selector, drift, w) for each distinct drift callable of a batch.
 
+    The lanes share their drift callables player by player, so lane 0's
+    selectors serve all; w has the state's lane shape in front: lanes + (k, ...).
     The selector is a slice when one drift covers every player, so the chain
     handed to it is a view.
     """
+    plants = lane_plants[0]
     groups = {}
     for i, p in enumerate(plants):
         if p.drift is not None:
@@ -227,33 +233,15 @@ def _drift_groups(plants: Sequence[Plant]) -> list:
     out = []
     for drift, players in groups.items():
         sel = slice(None) if len(players) == len(plants) else np.asarray(players)
-        out.append((sel, drift, np.asarray([plants[i].w for i in players])))
+        w = np.asarray([[lane[i].w for i in players] for lane in lane_plants])
+        out.append((sel, drift, w.reshape(lanes + w.shape[1:])))
     return out
 
 
-def _stack_drift_groups(per_lane: list) -> list:
-    """The drift groups of a batch from each lane's ``_drift_groups``.
-
-    The lanes share their drift callables player by player, so lane 0's
-    selectors and callables serve all; each group's w is stacked lane-major.
-    """
-    return [(sel, drift, np.concatenate([lane[k][2] for lane in per_lane]))
-            for k, (sel, drift, _) in enumerate(per_lane[0])]
-
-
 def _add_drifts(groups: list, chain: np.ndarray, acc: np.ndarray) -> None:
-    """Add every player's drift at the (n, ..., N, m) chain into the (..., N, m) acc.
-
-    One call per group covers its players in every lane, lane-major, the
-    order of the group's stacked w.
-    """
-    if chain.ndim == 3:
-        for sel, drift, w in groups:
-            acc[sel] += drift(chain[:, sel, :], w)
-        return
-    n, lanes, _, m = chain.shape
+    """Add every player's drift at the (n, ..., N, m) chain into the (..., N, m) acc."""
     for sel, drift, w in groups:
-        acc[:, sel, :] += drift(chain[:, :, sel, :].reshape(n, -1, m), w).reshape(lanes, -1, m)
+        acc[..., sel, :] += drift(chain[..., sel, :], w)
 
 
 def _make_rhs(game: Game, g: Digraph, gains: GainSet, obs: Optional[ObserverSet], layout: _Layout):
@@ -441,35 +429,51 @@ def _batch_key(start: _Start) -> tuple:
     return key
 
 
+def _lane_squares(d: np.ndarray, out: np.ndarray) -> None:
+    """Write each lane's squared 2-norm into out, (lanes, 1, 1), as the dot product np.linalg.norm takes.
+
+    Its square root therefore matches np.linalg.norm bit for bit; an einsum
+    or (d * d).sum() would sum in another order.
+    """
+    d = d.reshape(len(d), 1, -1)
+    np.matmul(d, d.swapaxes(1, 2), out=out)
+
+
 class _Recorder:
-    """The recorded samples of one lane."""
+    """Every lane's samples, written from the (lanes, size) batch at once into rows sized up front.
 
-    def __init__(self, layout: _Layout, x_star: Optional[np.ndarray]):
+    A masked lane, and the error norm of a lane without x_star, are recorded
+    too; ``split`` drops them.
+    """
+
+    def __init__(self, layout: _Layout, x_stars: list, rows: int):
+        lanes = len(x_stars)
         self.layout = layout
-        self.x_star = x_star
-        self.decisions = []
-        self.disagreement = []
-        self.errors = [] if x_star is not None else None
-        self.obs_errors = [] if layout.output_mode else None
+        self.x_stars = x_stars
+        self.x_star = np.stack([np.zeros((layout.N, layout.m)) if x is None else x for x in x_stars])
+        self.times = []
+        self.decisions = np.empty((rows, lanes, layout.N, layout.m))
+        self.squares = np.empty((2, rows, lanes, 1, 1))  # estimate disagreement, error
+        self.obs_errors = np.empty((rows, lanes))
 
-    def add(self, s):
-        c = self.layout.chain(s)
-        xh = self.layout.x_hat(s)
-        self.decisions.append(c[0].copy())
-        self.disagreement.append(float(np.linalg.norm(xh - c[0][None, :, :])))
-        if self.errors is not None:
-            self.errors.append(float(np.linalg.norm(c[0] - self.x_star)))
-        if self.obs_errors is not None:
-            self.obs_errors.append(float(np.max(np.abs(self.layout.z(s)[0] - c[0]))))
+    def add(self, t: float, s: np.ndarray) -> None:
+        row = len(self.times)
+        self.times.append(t)
+        x = self.decisions[row] = self.layout.chain(s)[0]
+        _lane_squares(self.layout.x_hat(s) - x[:, None], self.squares[0, row])
+        _lane_squares(x - self.x_star, self.squares[1, row])
+        if self.layout.output_mode:
+            np.max(np.abs(self.layout.z(s)[0] - x), axis=(1, 2), out=self.obs_errors[row])
 
-    def trajectory(self, times: list) -> Trajectory:
-        return Trajectory(
-            times=np.asarray(times),
-            decisions=np.asarray(self.decisions),
-            estimate_disagreement=np.asarray(self.disagreement),
-            error_norms=None if self.errors is None else np.asarray(self.errors),
-            observer_errors=None if self.obs_errors is None else np.asarray(self.obs_errors),
-        )
+    def split(self, failures: list) -> list:
+        """Each lane's Trajectory, or its failure in its place."""
+        n = len(self.times)
+        times = np.asarray(self.times)
+        disagreement, errors = np.sqrt(self.squares[:, :n]).reshape(2, n, -1)
+        return [failure or Trajectory(times, self.decisions[:n, k], disagreement[:, k],
+                                      None if x_star is None else errors[:, k],
+                                      self.obs_errors[:n, k] if self.layout.output_mode else None)
+                for k, (x_star, failure) in enumerate(zip(self.x_stars, failures))]
 
 
 def _integrate(batch: list) -> list:
@@ -480,34 +484,23 @@ def _integrate(batch: list) -> list:
     lane, layout = batch[0].lane, batch[0].layout
     cfg = lane.cfg
     lanes = len(batch)
-    groups = _stack_drift_groups([_drift_groups(start.lane.plants) for start in batch])
+    state = batch[0].state if lanes == 1 else np.stack([start.state for start in batch])
+    groups = _drift_groups([start.lane.plants for start in batch], state.shape[:-1])
     if lane.game.affine and not groups:
         advance = folded_rk4(batch[0].op, cfg.dt)
     else:
-        if not lane.game.affine:
-            rhs = _make_rhs(lane.game, lane.g, lane.gains, lane.obs, layout)
-        elif lanes == 1:
-            rhs = batch[0].op.apply
-        else:
-            rhs = stack_lanes([start.op for start in batch]).apply
+        rhs = (stack_lanes([start.op for start in batch]).apply if lane.game.affine
+               else _make_rhs(lane.game, lane.g, lane.gains, lane.obs, layout))
         rhs = _with_drift(rhs, groups, layout)
 
         def advance(s, t):
             return rk4_step(rhs, s, t, cfg.dt)
 
-    state = batch[0].state if lanes == 1 else np.stack([start.state for start in batch])
-    recorders = [_Recorder(layout, start.x_star) for start in batch]
-    failures = [None] * lanes
-    times = []
-
-    def record(k_step, s):
-        times.append(k_step * cfg.dt)
-        for recorder, lane_state, failure in zip(recorders, s.reshape(lanes, -1), failures):
-            if failure is None:
-                recorder.add(lane_state)
-
     steps = round(cfg.horizon / cfg.dt)
-    record(0, state)
+    # rows for step 0, every record_stride-th step and the last step
+    recorder = _Recorder(layout, [start.x_star for start in batch], steps // cfg.record_stride + 2)
+    failures = [None] * lanes
+    recorder.add(0.0, state.reshape(lanes, -1))
     # a masked lane may overflow on its way out; the guard below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
@@ -518,15 +511,15 @@ def _integrate(batch: list) -> list:
                 if all(failures):
                     break
             if (k + 1) % cfg.record_stride == 0 or k + 1 == steps:
-                record(k + 1, state)
-    return [failure or recorder.trajectory(times) for recorder, failure in zip(recorders, failures)]
+                recorder.add((k + 1) * cfg.dt, state.reshape(lanes, -1))
+    return recorder.split(failures)
 
 
 def _mask_diverged(lanes: np.ndarray, failures: list, k: int, dt: float) -> None:
     """Give each lane that just left the guard its Diverged and zero every masked lane.
 
     A masked lane keeps stepping with the batch, from zero, so it stays
-    finite; nothing of it is recorded any more.
+    finite; ``_Recorder.split`` drops what it records.
     """
     peaks = np.max(np.abs(lanes), axis=1)
     for b in np.flatnonzero(~(peaks <= STATE_MAGNITUDE_GUARD)):
@@ -554,7 +547,7 @@ def equilibrium_residual(game: Game, plants: Sequence[Plant], g: Digraph,
     state = np.zeros(layout.size)
     chain = layout.chain(state)
     chain[0] = x_mat
-    drift_groups = _drift_groups(plants)
+    drift_groups = _drift_groups([plants])
     f_star = np.zeros((n_players, m))
     _add_drifts(drift_groups, chain, f_star)
     layout.y(state)[:] = f_star / gains.alpha2

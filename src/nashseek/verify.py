@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import control, game as game_mod, graph as graph_mod, scenarios, sim
+from . import config, control, game as game_mod, graph as graph_mod, scenarios, sim
 
 GROUPS = ("graph", "control", "game", "sim")
 
@@ -73,8 +73,8 @@ def _check_graph() -> list[CheckResult]:
         all_pass and worst_eig > 0 and worst_residual < 1e-8 and exact_rows,
         f"min eig {worst_eig:.3e}, max residual {worst_residual:.3e}, exact row sums: {exact_rows}",
     ))
-    for name, g in (("vehicles", scenarios.default_cycle_digraph(10)),
-                    ("turbines", scenarios.default_cycle_digraph(6, extra_edges=((1, 4, 0.5),)))):
+    for name, g in (("vehicles", scenarios.build_vehicle_formation()[2]),
+                    ("turbines", scenarios.build_turbine_market()[2])):
         cert = graph_mod.estimation_certificate(g)
         ok = cert.passed and not cert.weight_balanced
         results.append(CheckResult(
@@ -193,14 +193,8 @@ def _check_sim() -> list[CheckResult]:
         f"factors {[round(f, 2) for f in factors]}",
     ))
 
-    veh_game, veh_plants, veh_graph, spec = scenarios.build_vehicle_formation()
-    gains_v = control.GainSet(2, control.default_hurwitz_gains(2), 2.0, 3.0, 2.2, 18.0)
-    res_v = sim.equilibrium_residual(veh_game, veh_plants, veh_graph, gains_v,
-                                     scenarios.vehicle_nash_oracle(spec))
-    tur_game, tur_plants, tur_graph = scenarios.build_turbine_market()
-    gains_t = control.GainSet(4, (3.375, 6.75, 4.5), 2.0, 14.0, 10.0, 40.0)
-    res_t = sim.equilibrium_residual(tur_game, tur_plants, tur_graph, gains_t,
-                                     scenarios.turbine_nash_oracle())
+    setups = (config.build_run_setup(config.default_config(name)) for name in ("vehicles", "turbines"))
+    res_v, res_t = (sim.equilibrium_residual(s.game, s.plants, s.graph, s.gains, s.x_star) for s in setups)
     results.append(CheckResult(
         "sim", "equilibrium tuple annihilates the closed loop (both scenarios)",
         res_v < 1e-9 and res_t < 1e-9,

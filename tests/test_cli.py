@@ -169,13 +169,49 @@ class TestRunCommand:
         (["run", "--set", "scenario=[1]"], "scenario"),
         (["run", "--set", "settle_tol=abc"], "settle_tol"),
         (["run", "--set", "output_dir=[1]"], "output_dir"),
+        (["run", "--set", "settle_tol=NaN"], "settle_tol"),
+        (["run", "--set", "settle_tol=0"], "settle_tol"),
+        (["run", "--set", "dt=NaN"], "dt"),
+        (["run", "--set", "dt=Infinity"], "dt"),
+        (["run", "--set", "box=[0,NaN]"], "box"),
+        (["run", "--set", "box=[5,0]"], "box"),
+        (["run", "--set", "seed=-1"], "seed"),
+        (["run", "--set", "record_stride=1.5"], "record_stride"),
+        (["run", "--set", "k=[NaN]"], "k="),
+        (["run", "--set", "beta=[NaN,1]"], "beta="),
+        (["run", "--set", "epsilon=NaN"], "epsilon"),
+        (["run", "--set", "alpha3=NaN"], "alpha3"),
+        (["run", "--algo", "output", "--set", "mu=NaN"], "mu"),
     ])
     def test_bad_key_or_value_exits_two_naming_it(self, tmp_path, capsys, argv, key):
         code = run_cli(*argv, "--scenario", "vehicles", "--out", str(tmp_path),
                        "--set", "horizon=0.01")
         err = capsys.readouterr().err
         assert code == 2
-        assert key in err and "Traceback" not in err
+        assert err.startswith("config error:") and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("scenario, graph, message", [
+        ("vehicles", {"n": 3, "edges": [{"to": 1, "from": 2, "w": 1}, {"to": 2, "from": 3, "w": 1},
+                                        {"to": 3, "from": 1, "w": 1}]}, "graph has 3 nodes"),
+        ("turbines", {"n": 6, "edges": [{"to": i, "from": i + 1, "w": 1} for i in range(1, 6)]},
+         "strongly connected"),
+    ])
+    def test_graph_fault_exits_two(self, tmp_path, capsys, scenario, graph, message):
+        code = run_cli("run", "--scenario", scenario, "--out", str(tmp_path),
+                       "--set", "horizon=0.01", "--set", f"scenario_params.graph={json.dumps(graph)}")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("command", ["run", "nash"])
+    @pytest.mark.parametrize("generators", [1, 2, 3])
+    def test_short_turbine_table_exits_two_naming_the_graph(self, tmp_path, capsys, command, generators):
+        table = [list(dataclasses.astuple(row)) for row in scenarios.GENERATOR_TABLE[:generators]]
+        code = run_cli(command, "--scenario", "turbines", "--set", "horizon=0.01",
+                       "--set", f"scenario_params.table={json.dumps(table)}")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "scenario_params.graph" in err
 
     @pytest.mark.parametrize("text, message", [
         ('{"scenario": "turbines", "sim": {"dt": 0.001, "sed": 3}}', "did you mean 'sim.seed'"),
@@ -286,6 +322,14 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert "error:ConfigInvalid" in lines[1]
         assert lines[2].endswith("ok")
+
+    def test_graph_fault_cell_keeps_its_error_name(self, tmp_path):
+        broken = {"n": 6, "edges": [{"to": i, "from": i + 1, "w": 1} for i in range(1, 6)]}
+        code = run_cli("sweep", "--scenario", "turbines", "--param", "scenario_params.graph",
+                       "--values", json.dumps(broken), "--out", str(tmp_path), "--set", "horizon=0.01")
+        assert code == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1].endswith("error:NotStronglyConnected")
 
     def test_horizon_cells_give_rows_in_order(self, tmp_path):
         code = run_cli("sweep", "--scenario", "vehicles", "--algo", "state",

@@ -90,6 +90,11 @@ class TestRouthHurwitz:
         with pytest.raises(ValueError):
             routh_hurwitz_stable([0.0, 1.0])
 
+    @pytest.mark.parametrize("coeffs", [
+        [1.0, np.nan], [np.nan, 1.0], [1.0, np.inf, 1.0], [1.0, 3.0, -np.inf], [np.nan], [np.inf]])
+    def test_non_finite_coefficient_not_stable(self, coeffs):
+        assert not routh_hurwitz_stable(coeffs)
+
     def test_against_root_oracle(self):
         rng = np.random.default_rng(17)
         checked = 0
@@ -158,6 +163,17 @@ class TestGainSetValidation:
         with pytest.raises(ConfigInvalid):
             GainSet(2, (1.0,), 2.0, -3.0, 2.2, 18.0)
 
+    @pytest.mark.parametrize("name", ["epsilon", "alpha1", "alpha2", "alpha3"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    def test_scalar_must_be_finite_positive(self, name, value):
+        values = {"epsilon": 2.0, "alpha1": 3.0, "alpha2": 2.2, "alpha3": 18.0, name: value}
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be finite and positive"):
+            GainSet(2, (1.0,), **values)
+
+    def test_nan_k_rejected(self):
+        with pytest.raises(ConfigInvalid, match="not Hurwitz"):
+            GainSet(2, (np.nan,), 2.0, 3.0, 2.2, 18.0)
+
     def test_order_one_empty_k(self):
         GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
 
@@ -171,6 +187,10 @@ class TestGainSetValidation:
             ObserverSet((2.0, 1.0), -0.1)
         with pytest.raises(ConfigInvalid):
             ObserverSet((-1.0, 1.0), 0.02)
+        with pytest.raises(ConfigInvalid, match="^mu must be finite and positive"):
+            ObserverSet((2.0, 1.0), np.nan)
+        with pytest.raises(ConfigInvalid, match="not Hurwitz"):
+            ObserverSet((np.nan, 1.0), 0.02)
 
 
 class TestGainOrdering:

@@ -186,6 +186,18 @@ class TestScenarioGraphs:
             assert cert.passed
             assert not is_weight_balanced(g)
 
+    @pytest.mark.parametrize("edge", [(1, 4, 0.5), (4, 1, 0.5), (0, 2, 0.5)])
+    def test_extra_edge_outside_the_nodes_rejected(self, edge):
+        with pytest.raises(ConfigInvalid, match="scenario_params.graph"):
+            default_cycle_digraph(3, extra_edges=(edge,))
+
+    def test_short_turbine_table_needs_a_graph(self):
+        with pytest.raises(ConfigInvalid, match="scenario_params.graph"):
+            build_turbine_market(table=GENERATOR_TABLE[:3])
+        ring = default_cycle_digraph(3)
+        game, plants, g = build_turbine_market(table=GENERATOR_TABLE[:3], graph=ring)
+        assert g is ring and game.n_players == len(plants) == 3
+
     def test_cycle_weights(self):
         g = default_cycle_digraph(10)
         assert g.weights[0, 1] == 1.0

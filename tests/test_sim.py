@@ -19,7 +19,7 @@ from nashseek.errors import (
 from nashseek.game import Game, extended_pseudo_gradient
 from nashseek.graph import Digraph, estimation_block_matrix
 from nashseek import sim
-from nashseek.affine import PROBE_CHUNK_BYTES, folded_rk4, innovation_basis, probe_affine
+from nashseek.affine import PROBE_CHUNK_BYTES, folded_rk4, innovation_basis, probe_affine, stack_lanes
 from nashseek.scenarios import (
     VEHICLE_TABLE,
     build_turbine_market,
@@ -86,7 +86,7 @@ class TestRK4:
         # the run masks a lane whose step overflows; the other lane goes on,
         # and no floating-point warning escapes from the masked lane
         def scaled(chain, w):
-            return np.asarray(w)[:, None] * chain[0]
+            return np.asarray(w)[..., None] * chain[0]
 
         game, gains, g = identity_game(), GainSet(1, (), 2.0, 1.8, 1.5, 5.0), two_cycle()
         cfg = SimConfig(dt=1e-2, horizon=0.5)
@@ -115,6 +115,19 @@ class TestSimConfigValidation:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigInvalid):
             SimConfig(dt=0.1, horizon=1.0, mode="hybrid")
+
+    @pytest.mark.parametrize("dt, horizon", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (0.1, float("nan")), (0.1, float("inf"))])
+    def test_rejects_non_finite_step_or_horizon(self, dt, horizon):
+        with pytest.raises(ConfigInvalid, match="finite"):
+            SimConfig(dt=dt, horizon=horizon)
+
+    @pytest.mark.parametrize("field, value", [
+        ("record_stride", 1.5), ("record_stride", 0), ("record_stride", "10"),
+        ("record_stride", True), ("seed", -1), ("seed", 1.0), ("seed", True)])
+    def test_rejects_non_integer_or_negative_count(self, field, value):
+        with pytest.raises(ConfigInvalid, match=field):
+            SimConfig(dt=0.1, horizon=1.0, **{field: value})
 
 
 class TestRunValidation:
@@ -322,6 +335,49 @@ def mixed_drift_plants():
     ]
 
 
+class TestLaneBatch:
+    """Every loop piece serves one lane's (size,) state and a (lanes, size) batch alike."""
+
+    def test_lane_squares_sum_as_linalg_norm(self):
+        rng = np.random.default_rng(5)
+        for shape in [(1, 3), (4, 10, 10, 2), (7, 6, 6, 1), (3, 20, 2)]:
+            d = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+            expected = [np.linalg.norm(lane) for lane in d]
+            squares = np.empty((len(d), 1, 1))
+            sim._lane_squares(d, squares)
+            assert np.array_equal(np.sqrt(squares).ravel(), expected)
+
+    def test_drift_groups_broadcast_over_lanes(self):
+        lanes = [mixed_drift_plants(), [dataclasses.replace(p, w=None if p.w is None else
+                                        2.0 * np.asarray(p.w)) for p in mixed_drift_plants()]]
+        chain = np.random.default_rng(3).standard_normal((2, 2, 10, 2))
+        acc = np.zeros((2, 10, 2))
+        sim._add_drifts(_drift_groups(lanes, (2,)), chain, acc)
+        for k, plants in enumerate(lanes):
+            for i, p in enumerate(plants):
+                one = np.zeros(2) if p.drift is None else p.drift(chain[:, k, i, :], p.w)
+                assert np.array_equal(acc[k, i], one)
+
+    def test_one_operator_stacks_to_itself(self):
+        game, plants, g, gains, obs, layout, _ = loop_inputs("state", "vehicles")
+        op = probe_affine(_make_rhs(game, g, gains, obs, layout), layout)
+        assert stack_lanes([op]) is op
+
+    def test_batch_records_each_lane_as_its_single_run(self):
+        game, plants, g, _ = build_vehicle_formation()
+        x_star = vehicle_nash_oracle(build_vehicle_formation()[3])
+        cfg = SimConfig(dt=1e-3, horizon=0.3, mode="output", record_stride=7)
+        lanes = [sim.Lane(game, plants, g, VEHICLE_GAINS, VEHICLE_OBSERVER,
+                          dataclasses.replace(cfg, seed=seed), None, star)
+                 for seed, star in ((1, x_star), (2, None), (3, x_star))]
+        for lane, batched in zip(lanes, sim.run_lanes(lanes)):
+            single = run(lane.game, lane.plants, lane.g, lane.gains, lane.obs, lane.cfg, x_star=lane.x_star)
+            for field in ("times", "decisions", "estimate_disagreement", "error_norms", "observer_errors"):
+                a, b = getattr(batched, field), getattr(single, field)
+                assert (a is None) == (b is None) == (field == "error_norms" and lane.x_star is None)
+                assert a is None or np.array_equal(a, b)
+
+
 class TestRhsMatchesPerPlayerLaws:
     """The vectorized closed-loop right-hand side must agree with the
     per-player law functions assembled by hand."""
@@ -329,7 +385,7 @@ class TestRhsMatchesPerPlayerLaws:
     def _check(self, mode, scenario="turbines", plants=None):
         game, plants, g, gains, obs, layout, state = loop_inputs(mode, scenario, plants)
         n, m, n_players = gains.order_n, game.decision_dim, game.n_players
-        rhs = _with_drift(_make_rhs(game, g, gains, obs, layout), _drift_groups(plants), layout)
+        rhs = _with_drift(_make_rhs(game, g, gains, obs, layout), _drift_groups([plants]), layout)
         derivative = rhs(state, 0.0)
 
         chain = layout.chain(state)
@@ -434,7 +490,7 @@ class TestProbedOperator:
     def test_operator_rhs_matches_structured_rhs(self, mode, scenario, plants):
         game, plants, g, gains, obs, layout, state = loop_inputs(mode, scenario, plants)
         rhs = _make_rhs(game, g, gains, obs, layout)
-        groups = _drift_groups(plants)
+        groups = _drift_groups([plants])
         probed = _with_drift(probe_affine(rhs, layout).apply, groups, layout)(state, 0.0)
         structured = _with_drift(rhs, groups, layout)(state, 0.0)
         assert np.max(np.abs(probed - structured)) <= 1e-12 * np.max(np.abs(structured))
