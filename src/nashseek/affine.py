@@ -2,16 +2,20 @@
 
 Under a game declared affine everything in the loop but the plant drift is an
 affine map ``s' = A s + b`` of the flat state.  ``probe_affine`` evaluates the
-structured right-hand side on unit columns, a chunk of them at a time as the
-lanes of one batched call, and keeps ``A`` as its nonzeros, so a drifting loop
-costs one sparse matvec per RK4 stage.  ``stack_lanes`` puts the operators of
-a batch of loops side by side over a ``(lanes, size)`` state, each lane with
-its own nonzeros.  ``folded_rk4`` turns a drift-free loop into one dense
-propagator ``s <- Phi s + c``.  The layout argument is ``sim._Layout``.
+structured right-hand side on groups of columns whose rows cannot overlap, a
+chunk of groups at a time as the lanes of one batched call, and keeps ``A`` as
+its nonzeros, so a drifting loop costs one sparse matvec per RK4 stage.  At
+N = 30 that is 215 lanes and about 25 ms in place of one lane per column
+(1 982 lanes, 0.15-0.23 s); at N = 10, 75 lanes and 2.4 ms (262, 4 ms).
+``stack_lanes`` puts the operators of a batch of loops side by side over a
+``(lanes, size)`` state, each lane with its own nonzeros.  ``folded_rk4``
+turns a drift-free loop into one dense propagator ``s <- Phi s + c``.  The
+layout argument is ``sim._Layout``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,13 +56,14 @@ def innovation_basis(layout):
 # a cubic term 1e-6 x_i^3 added to either game's gradient exceeds it.
 AFFINE_CHECK_RTOL = 1e-10
 
-# The probe evaluates its unit columns as the lanes of one structured call,
-# as many lanes as keep that (lanes, size) array within this many bytes.  The
-# arrays inside the call reach about ten times it.  At N = 10 (size 260, 9
-# calls) the probe takes 2 ms where one call per column took 28 ms, and 256
-# KB chunks took as long with 2 MB more peak memory.  At N = 30 and 50 the
-# probe's arithmetic dominates, and chunks from 32 KB to 2 MB probe equally
-# fast while 2 MB chunks add 15 MB of peak memory.
+# The probe evaluates its vectors as the lanes of one structured call, as
+# many lanes as keep that (lanes, size) array within this many bytes; the
+# arrays inside the call reach about ten times it.  With grouped columns the
+# probe takes 75 lanes in 4 calls and 2.4 ms at N = 10 (size 260), and 215
+# lanes in 55 calls and 25 ms at N = 30 (size 1 980), where one lane per
+# column took 4 ms and 0.15-0.23 s.  At N = 30, 16 and 32 KB chunks were
+# 30-75% slower, and 128 and 256 KB chunks no faster with 0.6 and 1.6 MB
+# more peak.
 PROBE_CHUNK_BYTES = 2 ** 16
 
 
@@ -110,38 +115,71 @@ def stack_lanes(ops) -> AffineOperator:
 def probe_affine(rhs, layout) -> AffineOperator:
     """Probe the affine drift-free rhs, which takes a (lanes, size) batch, into its nonzeros.
 
-    The probe vectors are 0, giving b, then B e_j for every column j, giving
-    column j of A B as rhs(B e_j) - b, then a fixed non-basis state that
-    checks the game's affine declaration (ConfigInvalid when it fails).  They
-    are evaluated PROBE_CHUNK_BYTES at a time as the lanes of one rhs call, so
-    nothing of size^2 is formed.
+    Column j of A B is rhs(B v) - b for v = e_j, with b = rhs(0).  Columns
+    whose rows cannot overlap share one probe vector v (the column grouping
+    of Curtis, Powell & Reid 1974), found in three steps that use only the
+    map's linearity:
+
+    1. Every column sits in two partitions of the flat index, its block
+       j // (N m) and its residue j % (N m).  One vector per block and one
+       per residue, with random weights in [1, 2) on their columns, move the
+       rows their columns reach.  The rows moved by both of column j's
+       vectors hold its nonzeros: its candidate rows.
+    2. A first-fit colouring puts in one colour only columns with no
+       candidate row in common.
+    3. One vector per colour, 1 on its columns, gives each column's values
+       in its candidate rows.  The nonzeros keep the column-major order of
+       one probe per column, and equal its values bit for bit on the
+       built-in loops.
+
+    At N = 30 (size 1 980) that is 215 vectors where one per column took
+    1 982.  A last vector, a fixed non-basis state, checks the game's affine
+    declaration and raises ConfigInvalid when it fails; b or a step-1 output
+    that is not finite raises it at once.  The vectors are evaluated
+    PROBE_CHUNK_BYTES at a time as the lanes of one rhs call, and no
+    (size, size) array is formed.
     """
     size = layout.size
+    width = layout.N * layout.m
+    n_blocks = size // width
     basis = innovation_basis(layout)
-    check = np.random.default_rng(0).uniform(-1.0, 1.0, size)
-    n_probes = size + 2  # 0, e_0 .. e_{size-1}, the check state
+    rng = np.random.default_rng(0)
+    check = rng.uniform(-1.0, 1.0, size)
+    weights = rng.uniform(1.0, 2.0, size)
     per_call = max(1, PROBE_CHUNK_BYTES // (8 * size))
-    rows, cols, vals = [], [], []
-    b = None
-    for start in range(0, n_probes, per_call):
-        stop = min(start + per_call, n_probes)
-        # probe p is e_{p-1} for 1 <= p <= size; the slice skips the 0 and check lanes
-        lanes = np.zeros((stop - start, size))
-        units = np.arange(max(start, 1), min(stop, size + 1))
-        lanes[units - start, units - 1] = 1.0
-        if basis is not None:
-            lanes = basis(lanes)
-        if stop == n_probes:
-            lanes[-1] = check
-        out = rhs(lanes, 0.0)
-        if b is None:
+    column = np.arange(size)
+
+    # step 1: lane 0 is the zero vector, then one lane per block and per residue
+    members = np.concatenate((column, column.reshape(n_blocks, width).T.ravel()))
+    starts = np.cumsum([0, 0] + [width] * n_blocks + [n_blocks] * width)
+    moved = np.empty((len(starts) - 1, size), dtype=bool)
+    filled = 0
+    for _, _, out in _probe_calls(rhs, basis, members, starts, weights, per_call):
+        if not filled:
             b = out[0].copy()
-        columns = out[units - start] - b
-        lane, row = np.nonzero(columns)
-        rows.append(row)
-        cols.append(units[lane] - 1)
-        vals.append(columns[lane, row])
-    op = AffineOperator(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), b, basis)
+        if not np.isfinite(out).all():
+            row = int(np.flatnonzero(~np.isfinite(out).all(axis=0))[0])
+            raise ConfigInvalid(f"the closed loop is not finite at a probe state (state row {row}): "
+                                "a game, graph or gain parameter is NaN or infinite")
+        moved[filled:filled + len(out)] = out != b
+        filled += len(out)
+    rows, bounds = _candidates(moved[1:1 + n_blocks], moved[1 + n_blocks:])
+
+    # step 2: first-fit colours, no two columns of a colour sharing a candidate row
+    members, starts = _greedy_colours(rows, bounds)
+
+    # step 3: one lane per colour and an empty last lane for the check state;
+    # each column reads its candidate rows from its colour's lane
+    vals = np.empty(rows.size)
+    for here, lane, out in _probe_calls(rhs, basis, members, np.append(starts, size), np.ones(size),
+                                        per_call, last=check):
+        first, count = bounds[here], bounds[here + 1] - bounds[here]
+        picked = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
+        at = rows[picked]
+        vals[picked] = out[np.repeat(lane, count), at] - b[at]
+    nonzero = vals != 0.0
+    cols = np.repeat(column, np.diff(bounds))[nonzero]
+    op = AffineOperator(rows[nonzero], cols, vals[nonzero], b, basis)
 
     terms = op.terms(check)
     mismatch = np.abs(out[-1] - op.apply(check))
@@ -155,6 +193,75 @@ def probe_affine(rhs, layout) -> AffineOperator:
             f"(allowed {AFFINE_CHECK_RTOL:g} x {scale[row]:.3e})"
         )
     return op
+
+
+def _probe_calls(rhs, basis, members, starts, values, per_call, last=None):
+    """Yield (columns, their lanes, rhs output) for the probe lanes, per_call lanes a call.
+
+    Lane k holds values[j] in the columns j = members[starts[k]:starts[k + 1]]
+    and 0 elsewhere; last, when given, replaces the final lane after the
+    basis is applied.
+    """
+    n_lanes = len(starts) - 1
+    lane_of = np.repeat(np.arange(n_lanes), np.diff(starts))
+    for start in range(0, n_lanes, per_call):
+        stop = min(start + per_call, n_lanes)
+        cols = members[starts[start]:starts[stop]]
+        lane = lane_of[starts[start]:starts[stop]] - start
+        lanes = np.zeros((stop - start, len(values)))
+        lanes[lane, cols] = values[cols]
+        if basis is not None:
+            lanes = basis(lanes)
+        if last is not None and stop == n_lanes:
+            lanes[-1] = last
+        yield cols, lane, rhs(lanes, 0.0)
+
+
+def _candidates(block_moved, residue_moved):
+    """The candidate rows of every column, as rows and column bounds.
+
+    Column j = b * width + r, of block b and residue r (width =
+    len(residue_moved)), has the rows that both lanes moved,
+    rows[bounds[j]:bounds[j + 1]] in increasing order.  Each block is read
+    only on the rows it moved, so no (size, size) array is formed.
+    """
+    rows, counts = [], []
+    for moved in block_moved:
+        hit = np.flatnonzero(moved)
+        residue, at = np.nonzero(residue_moved[:, hit])
+        rows.append(hit[at])
+        counts.append(np.bincount(residue, minlength=len(residue_moved)))
+    bounds = np.zeros(block_moved.shape[1] + 1, dtype=np.intp)
+    np.cumsum(np.concatenate(counts), out=bounds[1:])
+    return np.concatenate(rows), bounds
+
+
+def _greedy_colours(rows, bounds):
+    """First-fit colours such that no two columns of a colour share a row, as (members, starts).
+
+    Column j's rows are rows[bounds[j]:bounds[j + 1]]; each row keeps the
+    colours already taken in it as the bits of one int.  Colour k holds
+    columns members[starts[k]:starts[k + 1]].
+    """
+    size = len(bounds) - 1
+    taken = [0] * size
+    rows = memoryview(rows)
+    ends = bounds.tolist()
+    colours = []
+    for j in range(size):
+        seg = rows[ends[j]:ends[j + 1]]
+        used = 0
+        for r in seg:
+            used |= taken[r]
+        bit = ~used & (used + 1)
+        for r in seg:
+            taken[r] |= bit
+        colour = bit.bit_length() - 1
+        if colour == len(colours):
+            colours.append([])
+        colours[colour].append(j)
+    members = np.fromiter(itertools.chain.from_iterable(colours), dtype=np.intp, count=size)
+    return members, np.cumsum([0] + [len(c) for c in colours])
 
 
 def folded_rk4(op: AffineOperator, dt: float):

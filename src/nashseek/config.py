@@ -240,19 +240,32 @@ _SCENARIO_PARAMS = {"vehicles": ("table", "rho", "offsets", "star_radius", "grap
                     "turbines": ("table", "graph")}
 
 
+def _finite(value, key: str, positive: bool = False) -> np.ndarray:
+    """value as a float array; ConfigInvalid naming key when an entry is NaN or infinite (or <= 0)."""
+    array = np.asarray(value, dtype=float)
+    if not (np.isfinite(array).all() and (not positive or (array > 0).all())):
+        raise ConfigInvalid(f"{key} must be finite{' and positive' if positive else ''}, got {value!r}")
+    return array
+
+
 def _build_scenario(name: str, params: dict):
     """Game, plants, graph and oracle; a parameter not given keeps the builder's own value."""
     graph = digraph_from_json(params["graph"]) if "graph" in params else None
+    if "table" in params:
+        _finite(params["table"], "scenario_params.table")
     if name == "vehicles":
         table = None
         if "table" in params:
             table = [scenarios.VehicleParams(*row) for row in params["table"]]
-        rho = {"rho": float(params["rho"])} if "rho" in params else {}
+        rho = {}
+        if "rho" in params:
+            rho["rho"] = float(_finite(params["rho"], "scenario_params.rho", positive=True))
         offsets = None
         if "offsets" in params:
-            offsets = scenarios.FormationSpec(np.asarray(params["offsets"], dtype=float))
+            offsets = scenarios.FormationSpec(_finite(params["offsets"], "scenario_params.offsets"))
         elif "star_radius" in params:
-            offsets = scenarios.five_point_star(float(params["star_radius"]))
+            radius = _finite(params["star_radius"], "scenario_params.star_radius")
+            offsets = scenarios.five_point_star(float(radius))
         game, plants, g, spec = scenarios.build_vehicle_formation(
             table=table, offsets=offsets, graph=graph, **rho)
         return game, plants, g, scenarios.vehicle_nash_oracle(spec)

@@ -182,6 +182,14 @@ class TestRunCommand:
         (["run", "--set", "epsilon=NaN"], "epsilon"),
         (["run", "--set", "alpha3=NaN"], "alpha3"),
         (["run", "--algo", "output", "--set", "mu=NaN"], "mu"),
+        (["run", "--set", "scenario_params.rho=NaN"], "scenario_params.rho"),
+        (["run", "--set", "scenario_params.rho=-1"], "scenario_params.rho"),
+        (["run", "--set", "scenario_params.star_radius=NaN"], "scenario_params.star_radius"),
+        (["run", "--set", "decisions=[" + ",".join(["[1,2]"] * 9 + ["[0,NaN]"]) + "]"], "init.decisions"),
+        (["run", "--set", "scenario_params.offsets=[[0,0],[1,Infinity]]"], "scenario_params.offsets"),
+        (["run", "--set", "scenario_params.table=[[1800,2.18,1.53,NaN]]"], "scenario_params.table"),
+        (["run", "--set", "derivatives=[[" + ",".join(["[0,0]"] * 9 + ["[-Infinity,0]"]) + "]]"],
+         "init.derivatives"),
     ])
     def test_bad_key_or_value_exits_two_naming_it(self, tmp_path, capsys, argv, key):
         code = run_cli(*argv, "--scenario", "vehicles", "--out", str(tmp_path),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from nashseek.scenarios import (
     VEHICLE_TABLE,
     build_turbine_market,
     build_vehicle_formation,
+    default_cycle_digraph,
     turbine_nash_oracle,
     vehicle_nash_oracle,
 )
@@ -477,6 +479,55 @@ def count_structured_rhs_calls(monkeypatch):
     return calls
 
 
+def column_oracle(rhs, layout):
+    """(rows, cols, vals, b) of A B from one structured call per column, rhs(B e_j) - rhs(0)."""
+    basis = innovation_basis(layout) or (lambda v: v)
+    b = rhs(np.zeros(layout.size), 0.0)
+    rows, cols, vals = [], [], []
+    for j in range(layout.size):
+        unit = np.zeros(layout.size)
+        unit[j] = 1.0
+        column = rhs(basis(unit), 0.0) - b
+        nz = np.flatnonzero(column)
+        rows.append(nz)
+        cols.append(np.full(nz.size, j))
+        vals.append(column[nz])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), b
+
+
+def assert_matches_column_oracle(rhs, layout):
+    op = probe_affine(rhs, layout)
+    rows, cols, vals, b = column_oracle(rhs, layout)
+    assert np.array_equal(op.rows, rows)
+    assert np.array_equal(op.cols, cols)
+    assert np.allclose(op.vals, vals, rtol=1e-15, atol=0.0)
+    assert np.allclose(op.b, b, rtol=1e-15, atol=0.0)
+
+
+def dense_coupling_game(n_players, m=2):
+    """An affine game in which every own-gradient reads every coordinate of every player."""
+    rng = np.random.default_rng(n_players)
+    coupling = rng.standard_normal((n_players, m, n_players, m))
+    shift = rng.standard_normal((n_players, m))
+
+    def gradient(i, x_i, x_others):
+        profile = np.insert(np.reshape(x_others, (n_players - 1, m)), i, x_i, axis=0)
+        return coupling[i].reshape(m, -1) @ profile.ravel() + shift[i]
+
+    def profile_gradient(profiles):
+        return np.einsum("icjd,...ijd->...ic", coupling, profiles) + shift
+
+    return Game(n_players, m, gradient, profile_gradient=profile_gradient, affine=True)
+
+
+def vehicle_loop(n_players, offsets=None):
+    """(game, plants, graph) of the vehicle formation with n_players, anchors seeded unless given."""
+    if offsets is None:
+        offsets = np.random.default_rng(2).uniform(-10.0, 10.0, size=(n_players, 2))
+    game, plants, g, _ = build_vehicle_formation(table=VEHICLE_TABLE * (n_players // 10), offsets=offsets)
+    return game, plants, g
+
+
 class TestProbedOperator:
     """Under an affine game a drifting loop steps the probed sparse operator plus its drift."""
 
@@ -505,33 +556,25 @@ class TestProbedOperator:
     def test_chunked_probe_matches_column_oracle(self, mode, scenario, n_players):
         game, plants, g, gains, obs, layout, _ = loop_inputs(mode, scenario)
         if n_players != game.n_players:
-            offsets = np.random.default_rng(2).uniform(-10.0, 10.0, size=(n_players, 2))
-            game, _, g, _ = build_vehicle_formation(table=VEHICLE_TABLE * (n_players // 10), offsets=offsets)
+            game, _, g = vehicle_loop(n_players)
             layout = _Layout(2, n_players, 2, output_mode=False)
-        rhs = _make_rhs(game, g, gains, obs, layout)
-        op = probe_affine(rhs, layout)
+        assert_matches_column_oracle(_make_rhs(game, g, gains, obs, layout), layout)
 
-        # the oracle: one structured call per column, rhs(B e_j) - rhs(0)
-        basis = innovation_basis(layout) or (lambda v: v)
-        b = rhs(np.zeros(layout.size), 0.0)
-        rows, cols, vals = [], [], []
-        for j in range(layout.size):
-            unit = np.zeros(layout.size)
-            unit[j] = 1.0
-            column = rhs(basis(unit), 0.0) - b
-            nz = np.flatnonzero(column)
-            rows.append(nz)
-            cols.append(np.full(nz.size, j))
-            vals.append(column[nz])
-        assert np.array_equal(op.rows, np.concatenate(rows))
-        assert np.array_equal(op.cols, np.concatenate(cols))
-        assert np.allclose(op.vals, np.concatenate(vals), rtol=1e-15, atol=0.0)
-        assert np.allclose(op.b, b, rtol=1e-15, atol=0.0)
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    @pytest.mark.parametrize("n_players", [10, 30])
+    def test_dense_coupling_probe_matches_column_oracle(self, mode, n_players):
+        # every gradient row reads every estimate, and the extra edges give
+        # nodes several in- and out-neighbours, so columns crowd their rows
+        g = default_cycle_digraph(n_players, extra_edges=((1, 4, 0.5), (3, 7, 2.0), (n_players, 2, 1.5),
+                                                          (6, 1, 0.7), (2, 9, 1.2)))
+        layout = _Layout(2, n_players, 2, output_mode=mode == "output")
+        obs = VEHICLE_OBSERVER if mode == "output" else None
+        assert_matches_column_oracle(
+            _make_rhs(dense_coupling_game(n_players), g, VEHICLE_GAINS, obs, layout), layout)
 
     @pytest.mark.parametrize("n_players, size, nonzeros", [(10, 260, 900), (30, 1980, 7500)])
     def test_operator_keeps_only_the_nonzeros(self, n_players, size, nonzeros):
-        offsets = np.random.default_rng(2).uniform(-10.0, 10.0, size=(n_players, 2))
-        game, _, g, _ = build_vehicle_formation(table=VEHICLE_TABLE * (n_players // 10), offsets=offsets)
+        game, _, g = vehicle_loop(n_players)
         layout = _Layout(2, n_players, 2, output_mode=False)
         op = probe_affine(_make_rhs(game, g, VEHICLE_GAINS, None, layout), layout)
         assert layout.size == size and op.vals.size == nonzeros and np.all(op.vals != 0.0)
@@ -545,9 +588,46 @@ class TestProbedOperator:
             calls.clear()
             run(game, plants, g, gains, obs, SimConfig(dt=1e-3, horizon=horizon, mode=mode))
             counts.append(len(calls))
-        # b, every column and the affine check, PROBE_CHUNK_BYTES of lanes a call
+        # PROBE_CHUNK_BYTES of lanes a call: b, one lane per block of N m
+        # columns and per residue, then 40 colours (the most candidate
+        # columns of any row, in either mode) and the affine check
         per_call = PROBE_CHUNK_BYTES // (8 * layout.size)
-        assert counts == [math.ceil((layout.size + 2) / per_call)] * 2
+        width = layout.N * layout.m
+        step_one = 1 + layout.size // width + width
+        assert counts == [math.ceil(step_one / per_call) + math.ceil((40 + 1) / per_call)] * 2
+
+    def test_probe_at_n30_makes_under_a_fifth_of_the_column_calls(self):
+        game, _, g = vehicle_loop(30)
+        layout = _Layout(2, 30, 2, output_mode=False)
+        lanes = []
+        rhs = _make_rhs(game, g, VEHICLE_GAINS, None, layout)
+
+        def counted(s, t):
+            lanes.append(len(s))
+            return rhs(s, t)
+
+        probe_affine(counted, layout)
+        per_call = PROBE_CHUNK_BYTES // (8 * layout.size)
+        assert len(lanes) < math.ceil((layout.size + 2) / per_call) / 5
+        assert sum(lanes) < (layout.size + 2) / 5
+
+    def test_non_finite_loop_raises_at_the_first_call(self, monkeypatch):
+        # a NaN offset makes b NaN; read as moved, it would make every row a
+        # candidate of every column: size^2 entries to colour
+        offsets = np.random.default_rng(2).uniform(-10.0, 10.0, size=(30, 2))
+        offsets[4, 1] = np.nan
+        game, plants, g = vehicle_loop(30, offsets)
+        calls = count_structured_rhs_calls(monkeypatch)
+        size = _Layout(2, 30, 2, output_mode=False).size
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigInvalid, match="not finite"):
+                run(game, plants, g, VEHICLE_GAINS, None, SimConfig(dt=1e-3, horizon=0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 1
+        assert peak < size * size
 
     def test_non_affine_game_takes_the_structured_path(self, monkeypatch):
         game, plants, g, gains, obs, _, _ = loop_inputs("state", "vehicles")
