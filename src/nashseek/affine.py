@@ -9,7 +9,9 @@ N = 30 that is 215 lanes and about 25 ms in place of one lane per column
 (1 982 lanes, 0.15-0.23 s); at N = 10, 75 lanes and 2.4 ms (262, 4 ms).
 ``stack_lanes`` puts the operators of a batch of loops side by side over a
 ``(lanes, size)`` state, each lane with its own nonzeros.  ``folded_rk4``
-turns a drift-free loop into one dense propagator ``s <- Phi s + c``.  The
+turns a drift-free loop into one dense ``Propagator``, ``s <- Phi s + c``,
+and ``Propagator.repeated`` folds a record interval of r such steps into one
+product, with a bound on every state the skipped steps pass through.  The
 layout argument is ``sim._Layout``.
 """
 
@@ -149,30 +151,37 @@ def probe_affine(rhs, layout) -> AffineOperator:
     per_call = max(1, PROBE_CHUNK_BYTES // (8 * size))
     column = np.arange(size)
 
-    # step 1: lane 0 is the zero vector, then one lane per block and per residue
-    members = np.concatenate((column, column.reshape(n_blocks, width).T.ravel()))
-    starts = np.cumsum([0, 0] + [width] * n_blocks + [n_blocks] * width)
-    moved = np.empty((len(starts) - 1, size), dtype=bool)
-    filled = 0
-    for _, _, out in _probe_calls(rhs, basis, members, starts, weights, per_call):
-        if not filled:
-            b = out[0].copy()
-        if not np.isfinite(out).all():
-            row = int(np.flatnonzero(~np.isfinite(out).all(axis=0))[0])
-            raise ConfigInvalid(f"the closed loop is not finite at a probe state (state row {row}): "
-                                "a game, graph or gain parameter is NaN or infinite")
-        moved[filled:filled + len(out)] = out != b
-        filled += len(out)
-    rows, bounds = _candidates(moved[1:1 + n_blocks], moved[1 + n_blocks:])
+    b = None
+    if size + 2 <= per_call:
+        # the zero vector, a vector per column and the check state fit one
+        # call: each column is its own colour, with every row a candidate
+        rows, bounds = np.tile(column, size), np.arange(0, size * size + 1, size)
+        members, starts = column, np.concatenate(([0], np.arange(size + 1)))  # lane 0: the zero vector
+    else:
+        # step 1: lane 0 is the zero vector, then one lane per block and per residue
+        members = np.concatenate((column, column.reshape(n_blocks, width).T.ravel()))
+        starts = np.cumsum([0, 0] + [width] * n_blocks + [n_blocks] * width)
+        moved = np.empty((len(starts) - 1, size), dtype=bool)
+        filled = 0
+        for _, _, out in _probe_calls(rhs, basis, members, starts, weights, per_call):
+            if b is None:
+                b = out[0].copy()
+            _require_finite(out)
+            moved[filled:filled + len(out)] = out != b
+            filled += len(out)
+        rows, bounds = _candidates(moved[1:1 + n_blocks], moved[1 + n_blocks:])
 
-    # step 2: first-fit colours, no two columns of a colour sharing a candidate row
-    members, starts = _greedy_colours(rows, bounds)
+        # step 2: first-fit colours, no two columns of a colour sharing a candidate row
+        members, starts = _greedy_colours(rows, bounds)
 
     # step 3: one lane per colour and an empty last lane for the check state;
     # each column reads its candidate rows from its colour's lane
     vals = np.empty(rows.size)
     for here, lane, out in _probe_calls(rhs, basis, members, np.append(starts, size), np.ones(size),
                                         per_call, last=check):
+        if b is None:
+            b = out[0].copy()
+            _require_finite(out[:-1])
         first, count = bounds[here], bounds[here + 1] - bounds[here]
         picked = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
         at = rows[picked]
@@ -193,6 +202,14 @@ def probe_affine(rhs, layout) -> AffineOperator:
             f"(allowed {AFFINE_CHECK_RTOL:g} x {scale[row]:.3e})"
         )
     return op
+
+
+def _require_finite(out) -> None:
+    """Raise ConfigInvalid when a probe output is not finite."""
+    if not np.isfinite(out).all():
+        row = int(np.flatnonzero(~np.isfinite(out).all(axis=0))[0])
+        raise ConfigInvalid(f"the closed loop is not finite at a probe state (state row {row}): "
+                            "a game, graph or gain parameter is NaN or infinite")
 
 
 def _probe_calls(rhs, basis, members, starts, values, per_call, last=None):
@@ -264,14 +281,70 @@ def _greedy_colours(rows, bounds):
     return members, np.cumsum([0] + [len(c) for c in colours])
 
 
-def folded_rk4(op: AffineOperator, dt: float):
-    """step(s, t): one classical RK4 step of the probed s' = A s + b, folded into Phi s + c.
+@dataclass(frozen=True)
+class Propagator:
+    """s <- (B s) Y + c: a folded RK4 step, or several, of a (size,) state or a (lanes, size) batch.
+
+    B is the innovation basis in output mode and the identity in state mode.
+    Every state the steps pass through lies within kappa |B s|_inf + c_peak
+    in every entry: kappa bounds the induced inf-norm of each j-step map and
+    c_peak the inf-norm of its offset c_j.
+    """
+
+    y: np.ndarray
+    c: np.ndarray
+    kappa: float
+    c_peak: float
+    basis: Optional[Callable[[np.ndarray], np.ndarray]]
+
+    def _v(self, s):
+        return s if self.basis is None else self.basis(s)
+
+    def __call__(self, s, t=0.0):
+        """The propagated state; t is ignored, so a one-step propagator is a step(s, t)."""
+        return self._v(s) @ self.y + self.c
+
+    def within(self, s, guard: float):
+        """The propagated state, or None unless every state on the way is bounded by guard.
+
+        The bound is exact arithmetic's: kappa |B s|_inf + c_peak <= guard.  A
+        state that is not finite never clears it.
+        """
+        v = self._v(s)
+        if not self.kappa * np.max(np.abs(v)) + self.c_peak <= guard:  # also true for NaN
+            return None
+        return v @ self.y + self.c
+
+    def repeated(self, r: int) -> "Propagator":
+        """r steps of this one-step propagator as one product, kappa and c_peak over every j <= r.
+
+        With Y_1 = (Phi B)^T and c_1 = c, Y_{j+1} = B(Y_j) (Phi B)^T and
+        c_{j+1} = B(c_j) (Phi B)^T + c, B acting on each row.  It costs r
+        products of size^3 and keeps no size^2 array per j.
+        """
+        y, c = self.y, self.c
+        kappa, c_peak = self.kappa, self.c_peak
+        for _ in range(r - 1):
+            y, c = self._v(y) @ self.y, self._v(c) @ self.y + self.c
+            kappa = max(kappa, _inf_norm(y))
+            c_peak = max(c_peak, float(np.max(np.abs(c))))
+        return Propagator(y, c, kappa, c_peak, self.basis)
+
+
+def _inf_norm(y) -> float:
+    """Induced inf-norm of the row-vector map v -> v @ y: the largest column sum of |y|."""
+    return float(np.max(np.abs(y).sum(axis=0)))
+
+
+def folded_rk4(op: AffineOperator, dt: float) -> Propagator:
+    """One classical RK4 step of the probed s' = A s + b, folded into s <- Phi s + c.
 
     With M = dt A, RK4 gives Phi = I + M + M^2/2 + M^3/6 + M^4/24 and
     c = dt (I + M/2 + M^2/6 + M^3/24) b.  Building it costs O(size^3); a step
     costs one O(size^2) product, v @ (Phi B)^T with v = B s, so s may be one
     state or a (lanes, size) batch of loops that share the operator.  B is the
     innovation basis in output mode and I in state mode, where v = s.
+    ``Propagator.repeated`` folds several such steps into one product.
     """
     eye = np.eye(op.b.size)
     a_basis = np.zeros_like(eye)  # A B
@@ -281,6 +354,4 @@ def folded_rk4(op: AffineOperator, dt: float):
     taylor = eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0  # I + M/2 + M^2/6 + M^3/24
     c = dt * (taylor @ op.b)
     phi_basis_t = (basis + taylor @ (dt * a_basis)).T  # (Phi B)^T = (B + (Phi - I) B)^T
-    if op.basis is None:
-        return lambda s, t: s @ phi_basis_t + c
-    return lambda s, t: op.basis(s) @ phi_basis_t + c
+    return Propagator(phi_basis_t, c, _inf_norm(phi_basis_t), float(np.max(np.abs(c))), op.basis)

@@ -17,14 +17,17 @@ columns whose rows cannot overlap into one lane: 75 lanes and about 2 ms at
 N = 10, 215 lanes and about 25 ms at N = 30, where a lane per column took
 262 and 1 982 lanes, 4 ms and 0.15-0.23 s.  A loop with drift then evaluates
 each RK4 stage as one sparse matvec plus the stacked drift; a drift-free loop
-folds its whole RK4 step into one propagator ``s <- Phi s + c``.  Other games
-step the structured right-hand side.
+folds its whole RK4 step into one propagator ``s <- Phi s + c``, and a record
+interval of record_stride steps into one product of the same kind, taken
+whenever a bound shows that none of the steps it skips can leave the
+magnitude guard.  Other games step the structured right-hand side.
 
 ``run_lanes`` integrates many loops at once.  Loops that share the layout,
 the step grid and the drift callables (and, unless the game is affine with
 drift, the model objects) step as the lanes of one ``(lanes, size)`` state:
 one sparse product with per-lane nonzeros, one call per distinct drift, one
-``S @ Phi^T`` or one structured call per stage, and one record of every lane.
+``S @ Phi^T`` (or one product per record interval) or one structured call per
+stage, and one record of every lane.
 A lane that diverges is masked and the others go on.  ``run`` is the one-lane
 case, where the state keeps no lane axis; the same loop serves both shapes.
 """
@@ -301,7 +304,13 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     drifts, with size the length of the flat state:
 
     * affine game, every plant drift-free: the folded propagator of
-      ``folded_rk4``, O(size^3) once and one dense O(size^2) matvec a step;
+      ``folded_rk4``, O(size^3) once.  A full record interval of r =
+      record_stride steps is one dense O(size^2) product with the r-step
+      propagator (r more O(size^3) products to build, so only when r size
+      <= steps lanes), taken when kappa |B s|_inf + max_j |c_j|_inf stays
+      within STATE_MAGNITUDE_GUARD at the interval's start; otherwise, and
+      in the remainder interval, one O(size^2) matvec a step with the
+      per-step guard;
     * affine game with drift: ``rk4_step`` on the probed sparse operator plus
       the stacked drift, one O(nonzeros) matvec and one call per distinct
       drift a stage;
@@ -486,15 +495,26 @@ class _Recorder:
 def _integrate(batch: list) -> list:
     """Step the starts of one batch key together; a Trajectory or Diverged per lane.
 
-    One lane steps its (size,) state; more step one (lanes, size) state.
+    One lane steps its (size,) state; more step one (lanes, size) state.  The
+    loop runs over record intervals.  A drift-free affine batch takes a full
+    interval as one product when its bound shows that no step inside can
+    leave the guard; any other interval goes step by step with the guard
+    after each, so a Diverged names the step the one-step path would.
     """
     lane, layout = batch[0].lane, batch[0].layout
     cfg = lane.cfg
     lanes = len(batch)
+    steps = round(cfg.horizon / cfg.dt)
+    stride = cfg.record_stride
     state = batch[0].state if lanes == 1 else np.stack([start.state for start in batch])
     groups = _drift_groups([start.lane.plants for start in batch], state.shape[:-1])
+    interval = None
     if lane.game.affine and not groups:
         advance = folded_rk4(batch[0].op, cfg.dt)
+        # building the interval propagator costs stride products of size^3,
+        # stepping costs lanes size^2 a step: build it when that is cheaper
+        if stride > 1 and stride * layout.size <= steps * lanes:
+            interval = advance.repeated(stride)
     else:
         rhs = (stack_lanes([start.op for start in batch]).apply if lane.game.affine
                else _make_rhs(lane.game, lane.g, lane.gains, lane.obs, layout))
@@ -503,22 +523,29 @@ def _integrate(batch: list) -> list:
         def advance(s, t):
             return rk4_step(rhs, s, t, cfg.dt)
 
-    steps = round(cfg.horizon / cfg.dt)
     # rows for step 0, every record_stride-th step and the last step
-    recorder = _Recorder(layout, [start.x_star for start in batch], steps // cfg.record_stride + 2)
+    recorder = _Recorder(layout, [start.x_star for start in batch], steps // stride + 2)
     failures = [None] * lanes
     recorder.add(0.0, state.reshape(lanes, -1))
     # a masked lane may overflow on its way out; the guard below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            state = advance(state, k * cfg.dt)
-            peak = np.max(np.abs(state))
-            if not peak <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
-                _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
+        for first in range(0, steps, stride):
+            last = min(first + stride, steps)
+            jumped = (interval.within(state, STATE_MAGNITUDE_GUARD)
+                      if interval is not None and last - first == stride else None)
+            if jumped is not None:
+                state = jumped
+            else:
+                for k in range(first, last):
+                    state = advance(state, k * cfg.dt)
+                    peak = np.max(np.abs(state))
+                    if not peak <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
+                        _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
+                        if all(failures):
+                            break
                 if all(failures):
                     break
-            if (k + 1) % cfg.record_stride == 0 or k + 1 == steps:
-                recorder.add((k + 1) * cfg.dt, state.reshape(lanes, -1))
+            recorder.add(last * cfg.dt, state.reshape(lanes, -1))
     return recorder.split(failures)
 
 

@@ -4,6 +4,8 @@ The closed-loop target values come from the analytic equilibrium oracles, never
 from the simulations being judged.
 """
 
+import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -73,21 +75,28 @@ def test_03_turbine_convergence_both_algorithms(turbines_state_run, turbines_out
            f"worst componentwise relative error {worst:.2e}")
 
 
-def test_03b_highgain_reproduction_ships():
-    # documented best-effort configuration: stable but very slow, runs with
-    # its gain-ordering warning and stays finite over a short smoke horizon
-    cfg = load_config_file(CONFIG_DIR / "turbines_highgain.json")
+def test_03b_highgain_reproduction_ships(tmp_path):
+    # the documented high-gain set over its shipped 400 s horizon: it runs
+    # with its gain-ordering warning, settles, and ends within settle_tol of
+    # the oracle; the slowest mode decays at ~0.02/s
+    path = CONFIG_DIR / "turbines_highgain.json"
+    cfg = load_config_file(path)
     setup = build_run_setup(cfg)
     assert setup.gains.epsilon == 20.0 and setup.gains.alpha1 == 500.0
-    warning_present = setup.ordering.warning is not None
-    smoke_cfg = dict(cfg, sim=dict(cfg["sim"], horizon=0.2))
-    smoke = build_run_setup(smoke_cfg)
-    traj = sim.run(smoke.game, smoke.plants, smoke.graph, smoke.gains,
-                   smoke.observer, smoke.sim_config, smoke.init, x_star=smoke.x_star)
-    finite = bool(np.all(np.isfinite(traj.decisions)))
-    ok = warning_present and finite
-    report(3, "high-gain reference set reproduction (smoke)", ok,
-           f"ordering warning present: {warning_present}, finite: {finite}")
+    assert setup.sim_config.horizon == 400.0
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path)])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    with open(tmp_path / "trajectory.csv", newline="") as fh:
+        *_, last = csv.reader(fh)
+    final = np.array([float(v) for v in last[1:1 + setup.game.n_players]])
+    p_star = turbine_nash_oracle()
+    worst = float(np.max(np.abs(final - p_star) / np.abs(p_star)))
+    warning_present = bool(summary["gain_ordering_warnings"])
+    settle = summary["settle_time"]
+    ok = code == 0 and warning_present and settle is not None and worst <= cfg["settle_tol"]
+    report(3, "high-gain reference set reproduction, full horizon", ok,
+           f"ordering warning present: {warning_present}, settle_time {settle}, "
+           f"worst componentwise relative error {worst:.2e} (tol {cfg['settle_tol']})")
 
 
 def test_04_equilibrium_tuple_annihilates_closed_loop():

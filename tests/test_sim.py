@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nashseek.config import build_run_setup, default_config
 from nashseek.control import GainSet, ObserverSet, SeekerState, output_feedback_rhs, state_feedback_rhs
 from nashseek.errors import (
     ConfigInvalid,
@@ -19,7 +20,7 @@ from nashseek.errors import (
 )
 from nashseek.game import Game, extended_pseudo_gradient
 from nashseek.graph import Digraph, estimation_block_matrix
-from nashseek import sim
+from nashseek import affine, sim
 from nashseek.affine import PROBE_CHUNK_BYTES, folded_rk4, innovation_basis, probe_affine, stack_lanes
 from nashseek.scenarios import (
     VEHICLE_TABLE,
@@ -295,12 +296,103 @@ class TestFoldedPropagator:
         assert np.allclose(folded.estimate_disagreement, matrix_free.estimate_disagreement,
                            rtol=1e-9, atol=1e-12)
 
+    UNSTABLE_GAINS = GainSet(4, (3.375, 6.75, 4.5), 2.0, -30.0, 10.0, 40.0, check=False)
+
     def test_unstable_linear_loop_diverges(self, monkeypatch):
         game, plants, g = build_turbine_market()
-        gains = GainSet(4, (3.375, 6.75, 4.5), 2.0, -30.0, 10.0, 40.0, check=False)
         self._forbid_rk4_step(monkeypatch)
         with pytest.raises(Diverged, match="magnitude"):
-            run(game, plants, g, gains, None, SimConfig(dt=9e-4, horizon=60.0))
+            run(game, plants, g, self.UNSTABLE_GAINS, None, SimConfig(dt=9e-4, horizon=60.0))
+
+    @staticmethod
+    def _diverged_message(*args):
+        with pytest.raises(Diverged) as caught:
+            run(*args)
+        return str(caught.value)
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_record_interval_product_matches_one_step_stepping(self, mode):
+        # 1 000 steps leave a remainder interval of 6 steps at stride 7
+        game, plants, g = build_turbine_market()
+        obs = TURBINE_OBSERVER if mode == "output" else None
+        cfg = SimConfig(dt=9e-4, horizon=0.9, mode=mode, record_stride=7, seed=3)
+        strided = run(game, plants, g, TURBINE_GAINS, obs, cfg)
+        stepped = run(game, plants, g, TURBINE_GAINS, obs, dataclasses.replace(cfg, record_stride=1))
+        rows = np.append(np.arange(0, 1000, 7), 1000)
+        assert np.array_equal(strided.times, stepped.times[rows])
+        # the two paths round differently; on the default turbine runs the
+        # gap reads below 1e-12 of the largest decision
+        gap = np.max(np.abs(strided.decisions - stepped.decisions[rows]), axis=(1, 2))
+        assert np.all(gap <= 1e-11 * np.max(np.abs(stepped.decisions[rows]), axis=(1, 2)))
+
+    def test_interval_bounds_every_step_it_replaces(self):
+        rhs, layout, state = self._loop("output")
+        step = folded_rk4(probe_affine(rhs, layout), 9e-4)
+        interval = step.repeated(10)
+        # the j-step maps one step at a time: the rows of the innovation
+        # basis are the states whose B s is a unit vector, and the zero state
+        # steps through the offsets c_j; in output mode the map's norm peaks
+        # at j = 2, not at j = 10
+        maps, offsets = innovation_basis(layout)(np.eye(layout.size)), np.zeros(layout.size)
+        linear = dataclasses.replace(step, c=np.zeros(layout.size))
+        norms, peaks = [], []
+        for _ in range(10):
+            maps, offsets = linear(maps), step(offsets)
+            norms.append(np.max(np.abs(maps).sum(axis=0)))
+            peaks.append(np.max(np.abs(offsets)))
+        assert np.argmax(norms) < 9
+        assert interval.kappa == pytest.approx(max(norms), rel=1e-12)
+        assert interval.c_peak == pytest.approx(max(peaks), rel=1e-12)
+        v = innovation_basis(layout)(state)
+        bound = interval.kappa * np.max(np.abs(v)) + interval.c_peak
+        s = state
+        for _ in range(10):
+            s = step(s)
+            assert np.max(np.abs(s)) <= bound
+        # the observer's top derivative carries (eps/mu)^3 = 8e6 times the
+        # rounding of either path, as in test_fold_matches_rk4_step
+        assert np.max(np.abs(interval(state) - s)) <= 1e-9 * np.max(np.abs(s))
+        assert interval.within(state, bound) is not None
+        assert interval.within(state, 0.999 * bound) is None
+        assert interval.within(np.full_like(state, np.nan), np.inf) is None
+
+    def test_interval_divergence_matches_one_step_divergence(self, monkeypatch):
+        game, plants, g = build_turbine_market()
+        self._forbid_rk4_step(monkeypatch)
+        messages = [self._diverged_message(game, plants, g, self.UNSTABLE_GAINS, None,
+                                           SimConfig(dt=9e-4, horizon=60.0, record_stride=stride))
+                    for stride in (10, 1)]
+        assert messages[0] == messages[1]
+        assert "magnitude" in messages[0]
+
+    def test_batch_lanes_diverge_at_their_single_run_steps(self):
+        game, plants, g = build_turbine_market()
+        cfg = SimConfig(dt=9e-4, horizon=40.0)
+        inits = [InitialConditions(decisions=scale * np.arange(1.0, 7.0)[:, None]) for scale in (1.0, 1e4, 1e8)]
+        lanes = [sim.Lane(game, plants, g, self.UNSTABLE_GAINS, None, cfg, init) for init in inits]
+        outcomes = sim.run_lanes(lanes)
+        messages = [str(outcome) for outcome in outcomes]
+        assert all(isinstance(outcome, Diverged) for outcome in outcomes)
+        assert len(set(messages)) == 3
+        for init, message in zip(inits, messages):
+            for stride in (10, 1):
+                assert message == self._diverged_message(game, plants, g, self.UNSTABLE_GAINS, None,
+                                                         dataclasses.replace(cfg, record_stride=stride), init)
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_default_run_steps_one_at_a_time_only_in_its_remainder(self, mode, monkeypatch):
+        setup = build_run_setup(default_config("turbines", mode))
+        cfg = setup.sim_config
+        one_step = []
+        call = affine.Propagator.__call__
+
+        def counted(self, s, t=0.0):
+            one_step.append(t)
+            return call(self, s, t)
+
+        monkeypatch.setattr(affine.Propagator, "__call__", counted)
+        run(setup.game, setup.plants, setup.graph, setup.gains, setup.observer, cfg, setup.init)
+        assert len(one_step) == round(cfg.horizon / cfg.dt) % cfg.record_stride == 3
 
 
 VEHICLE_GAINS = GainSet(2, (1.0,), 2.0, 3.0, 2.2, 18.0)
@@ -595,6 +687,21 @@ class TestProbedOperator:
         width = layout.N * layout.m
         step_one = 1 + layout.size // width + width
         assert counts == [math.ceil(step_one / per_call) + math.ceil((40 + 1) / per_call)] * 2
+
+    def test_small_loop_probes_a_lane_per_column_in_one_call(self):
+        # turbines in state mode (size 66): the zero vector, the 66 columns
+        # and the check state fit one PROBE_CHUNK_BYTES call
+        game, _, g, gains, obs, layout, _ = loop_inputs("state", "turbines")
+        assert layout.size + 2 <= PROBE_CHUNK_BYTES // (8 * layout.size)
+        lanes = []
+        rhs = _make_rhs(game, g, gains, obs, layout)
+
+        def counted(s, t):
+            lanes.append(len(s))
+            return rhs(s, t)
+
+        probe_affine(counted, layout)
+        assert lanes == [layout.size + 2]
 
     def test_probe_at_n30_makes_under_a_fifth_of_the_column_calls(self):
         game, _, g = vehicle_loop(30)
