@@ -3,15 +3,12 @@
 from .control import (
     GainSet,
     ObserverSet,
-    SeekerState,
     check_gain_ordering,
     companion_matrix,
     default_hurwitz_gains,
     default_observer_gains,
     lyapunov_P,
-    output_feedback_rhs,
     routh_hurwitz_stable,
-    state_feedback_rhs,
 )
 from .game import (
     Game,
@@ -25,7 +22,6 @@ from .game import (
 from .graph import (
     Digraph,
     GraphCertificate,
-    estimation_block_matrix,
     is_strongly_connected,
     is_weight_balanced,
     laplacian,
@@ -60,12 +56,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Digraph", "GraphCertificate", "laplacian", "is_strongly_connected",
-    "is_weight_balanced", "estimation_block_matrix", "estimation_certificate",
+    "is_weight_balanced", "estimation_certificate",
     "Game", "MonotonicityReport", "pseudo_gradient", "extended_pseudo_gradient",
     "nash_solve", "probe_monotonicity", "gradient_consistency",
-    "GainSet", "ObserverSet", "SeekerState", "default_hurwitz_gains",
+    "GainSet", "ObserverSet", "default_hurwitz_gains",
     "default_observer_gains", "companion_matrix", "routh_hurwitz_stable",
-    "lyapunov_P", "state_feedback_rhs", "output_feedback_rhs", "check_gain_ordering",
+    "lyapunov_P", "check_gain_ordering",
     "Plant", "SimConfig", "InitialConditions", "Trajectory", "rk4_step", "run",
     "Lane", "run_lanes",
     "equilibrium_residual", "settle_time", "fit_exponential_rate", "mid_decay_window",

@@ -341,8 +341,6 @@ def build_run_setup(cfg: dict) -> RunSetup:
         decisions = init_block["decisions"]
         derivatives = init_block["derivatives"]
         lo, hi = (float(v) for v in init_block["box"])
-        if not -np.inf < lo <= hi < np.inf:  # false for NaN too
-            raise ConfigInvalid(f"init.box must be finite with low <= high, got {init_block['box']!r}")
         init = InitialConditions(
             decisions=None if decisions is None else np.asarray(decisions, dtype=float),
             box=(lo, hi),

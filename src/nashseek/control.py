@@ -7,10 +7,8 @@ share the auxiliary integrator y and the consensus estimate dynamics.
 
 This module never sees the plant drift or its hidden parameters: every
 operation takes measured states, estimates, and an externally evaluated
-gradient.  Per-player functions define the laws exactly as written; the
-``stacked_*`` variants are the vectorized equivalents.  The integrator's
-right-hand side is built from the ``stacked_*`` forms alone, and they are
-cross-checked against the per-player forms in the test suite.
+gradient.  The ``stacked_*`` functions are each law's one definition, for
+all players at once; the integrator's right-hand side is built from them.
 
 The stacked forms also broadcast over leading lane axes, so one call serves a
 batch of loops: a chain of levels is (n, ..., N, m) with the level axis
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,12 +136,9 @@ class GainSet:
     alpha1: float
     alpha2: float
     alpha3: float
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check):
+    def __post_init__(self):
         object.__setattr__(self, "k", tuple(float(v) for v in np.atleast_1d(np.asarray(self.k, dtype=float)).ravel()))
-        if not check:
-            return
         if self.order_n < 1:
             raise ConfigInvalid(f"plant order must be >= 1, got {self.order_n}")
         if len(self.k) != self.order_n - 1:
@@ -173,27 +168,6 @@ class ObserverSet:
         coeffs = np.concatenate([[1.0], np.asarray(self.beta)])
         if not routh_hurwitz_stable(coeffs):
             raise ConfigInvalid(f"observer polynomial with beta={self.beta} is not Hurwitz")
-
-
-@dataclass
-class SeekerState:
-    """Per-player controller state: auxiliary y, estimate matrix, observer chain."""
-
-    y: np.ndarray
-    x_hat: np.ndarray
-    z_chain: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float)
-        self.x_hat = np.asarray(self.x_hat, dtype=float)
-        if self.x_hat.ndim != 2 or self.x_hat.shape[1] != self.y.shape[0]:
-            raise DimensionMismatch(
-                f"estimate matrix shape {self.x_hat.shape} inconsistent with y of dim {self.y.shape}"
-            )
-        if self.z_chain is not None:
-            self.z_chain = np.asarray(self.z_chain, dtype=float)
-            if self.z_chain.ndim != 2 or self.z_chain.shape[1] != self.y.shape[0]:
-                raise DimensionMismatch(f"observer chain shape {self.z_chain.shape} inconsistent")
 
 
 @dataclass(frozen=True)
@@ -324,80 +298,3 @@ def stacked_observer_rate(z_chain: np.ndarray, outputs: np.ndarray,
         dz[:-1] = z_chain[1:] + np.multiply.outer(w_z[:-1], innovation)
     dz[-1] = w_z[-1] * innovation
     return dz
-
-
-# ---------------------------------------------------------------------------
-# Per-player forms.
-
-
-def _estimate_rate_single(i: int, x_hat_i: np.ndarray, neighbor_data,
-                          g: Digraph, alpha3: float) -> np.ndarray:
-    row = g.weights[i]
-    rate = np.zeros_like(x_hat_i)
-    for k in np.nonzero(row > 0)[0]:
-        try:
-            est_k, x_k = neighbor_data[k]
-        except KeyError as exc:
-            raise DimensionMismatch(f"missing in-neighbor {k} of player {i}") from exc
-        est_k = np.asarray(est_k, dtype=float)
-        x_k = np.asarray(x_k, dtype=float)
-        if est_k.shape != x_hat_i.shape:
-            raise DimensionMismatch(
-                f"neighbor {k} estimate shape {est_k.shape} != {x_hat_i.shape}"
-            )
-        rate += row[k] * (x_hat_i - est_k)
-        rate[k] += row[k] * (x_hat_i[k] - x_k)
-    return -alpha3 * rate
-
-
-def state_feedback_rhs(i: int, plant_state: np.ndarray, seeker: SeekerState,
-                       grad_i: np.ndarray, neighbor_data, gains: GainSet,
-                       g: Digraph):
-    """State-feedback law for player i.
-
-    plant_state rows are (x_i, x_i^(1), ..., x_i^(n-1)); grad_i is the player's
-    own cost gradient evaluated at (x_i, current estimates).  Returns
-    (u_i, dy_i, dx_hat_i).
-    """
-    plant_state = np.asarray(plant_state, dtype=float)
-    if plant_state.shape != (gains.order_n, seeker.y.shape[0]):
-        raise DimensionMismatch(
-            f"plant state shape {plant_state.shape} != ({gains.order_n}, {seeker.y.shape[0]})"
-        )
-    grad_i = np.asarray(grad_i, dtype=float)
-    w_u, w_y, a1s = feedback_weights(gains)
-    derivs = plant_state[1:]
-    u = -w_u @ derivs - gains.alpha1 * grad_i - gains.alpha2 * seeker.y
-    dy = w_y @ derivs + a1s * grad_i
-    dx_hat = _estimate_rate_single(i, seeker.x_hat, neighbor_data, g, gains.alpha3)
-    return u, dy, dx_hat
-
-
-def output_feedback_rhs(i: int, output_x_i: np.ndarray, seeker: SeekerState,
-                        grad_i: np.ndarray, neighbor_data, gains: GainSet,
-                        obs: ObserverSet, g: Digraph):
-    """Output-feedback law for player i; sees only the decision x_i, never its derivatives.
-
-    Returns (u_i, dy_i, dz_chain_i, dx_hat_i).
-    """
-    if seeker.z_chain is None:
-        raise DimensionMismatch("output feedback requires an observer chain in the seeker state")
-    output_x_i = np.asarray(output_x_i, dtype=float)
-    z = seeker.z_chain
-    if z.shape != (gains.order_n, output_x_i.shape[0]):
-        raise DimensionMismatch(
-            f"observer chain shape {z.shape} != ({gains.order_n}, {output_x_i.shape[0]})"
-        )
-    grad_i = np.asarray(grad_i, dtype=float)
-    w_u, w_y, a1s = feedback_weights(gains)
-    w_z = observer_weights(gains, obs)
-    derivs = z[1:]
-    u = -w_u @ derivs - gains.alpha1 * grad_i - gains.alpha2 * seeker.y
-    dy = w_y @ derivs + a1s * grad_i
-    innovation = output_x_i - z[0]
-    dz = np.empty_like(z)
-    if z.shape[0] > 1:
-        dz[:-1] = z[1:] + w_z[:-1, None] * innovation[None, :]
-    dz[-1] = w_z[-1] * innovation
-    dx_hat = _estimate_rate_single(i, seeker.x_hat, neighbor_data, g, gains.alpha3)
-    return u, dy, dz, dx_hat

@@ -90,8 +90,12 @@ class Digraph:
 class GraphCertificate:
     """Result of the positive-definiteness / Lyapunov check on a digraph.
 
-    min_sym_eigenvalue is the smallest eigenvalue of the symmetric part of
-    L_ext + M, i.e. the bilinear-form notion of positive definiteness.  That
+    Stack the N^2 estimates row-major over (estimating player i, estimated
+    player j), so estimate (i, j) is entry i*N + j.  The estimate dynamics
+    are then driven by S = L_ext + M with L_ext = L kron I_N and M the
+    diagonal matrix of the weights in the same order, M[i*N + j, i*N + j] =
+    a_ij.  min_sym_eigenvalue is the smallest eigenvalue of the symmetric
+    part of S, i.e. the bilinear-form notion of positive definiteness.  That
     is strictly stronger than what the estimate dynamics need: convergence
     rests on positive stability, certified by the Lyapunov solution Q.  Long
     weight-skewed directed cycles can have a negative symmetric-part
@@ -100,8 +104,7 @@ class GraphCertificate:
 
     Both are computed block by block (see ``estimation_certificate``).
     q_blocks is the (N, N, N) stack of the blocks Q_j of the N^2 x N^2
-    solution Q of Q S + S^T Q = I: in the stacking of
-    ``estimation_block_matrix``, entry (i*N + j, k*N + j) of Q is
+    solution Q of Q S + S^T Q = I: entry (i*N + j, k*N + j) of Q is
     q_blocks[j, i, k] and every other entry is zero.  lyapunov_residual is
     the Frobenius norm of that equation's residual.
     """
@@ -146,20 +149,6 @@ def is_strongly_connected(g: Digraph) -> bool:
 def is_weight_balanced(g: Digraph) -> bool:
     """True when every node's weighted in-degree equals its out-degree."""
     return bool(np.max(np.abs(g.in_degrees - g.out_degrees)) <= WEIGHT_BALANCE_TOL)
-
-
-def estimation_block_matrix(g: Digraph) -> tuple[np.ndarray, np.ndarray]:
-    """Return (L kron I_N, M), the assembled N^2 x N^2 form of the stacked estimate dynamics.
-
-    Stacking is row-major over (estimating player i, estimated player j), so
-    M is diagonal with blocks M_i = diag(a_i1, ..., a_iN).  The certificate
-    works on ``estimation_blocks`` instead; this form is the reference the
-    tests compare against.
-    """
-    n = g.n_nodes
-    l_ext = np.kron(laplacian(g), np.eye(n))
-    m = np.diag(g.weights.ravel())
-    return l_ext, m
 
 
 def estimation_blocks(g: Digraph) -> np.ndarray:

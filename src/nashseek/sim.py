@@ -103,6 +103,8 @@ class SimConfig:
             raise ConfigInvalid(f"dt must be finite and positive, got {self.dt}")
         if not self.dt <= self.horizon < np.inf:
             raise ConfigInvalid(f"horizon {self.horizon} must be finite and at least one step {self.dt}")
+        if not self.horizon / self.dt < np.inf:
+            raise ConfigInvalid(f"horizon {self.horizon} over dt {self.dt} is not a finite step count")
         if self.mode not in (MODE_STATE, MODE_OUTPUT):
             raise ConfigInvalid(f"mode must be '{MODE_STATE}' or '{MODE_OUTPUT}', got {self.mode!r}")
         for name, least in (("record_stride", 1), ("seed", 0)):
@@ -397,6 +399,9 @@ def _start(lane: Lane, probes: dict) -> _Start:
         )
 
     init = lane.init or InitialConditions()
+    lo, hi = init.box
+    if not -np.inf < lo <= hi < np.inf:  # false for NaN too
+        raise ConfigInvalid(f"init.box must be finite with low <= high, got {init.box!r}")
     rng = np.random.default_rng(cfg.seed)
     if init.decisions is not None:
         x0 = np.asarray(init.decisions, dtype=float)
@@ -405,7 +410,6 @@ def _start(lane: Lane, probes: dict) -> _Start:
         if not np.isfinite(x0).all():
             raise ConfigInvalid(f"init.decisions must be finite, got {x0.tolist()}")
     else:
-        lo, hi = init.box
         x0 = rng.uniform(lo, hi, size=(n_players, m))
 
     layout = _Layout(n, n_players, m, output_mode)
@@ -524,7 +528,13 @@ def _integrate(batch: list) -> list:
             return rk4_step(rhs, s, t, cfg.dt)
 
     # rows for step 0, every record_stride-th step and the last step
-    recorder = _Recorder(layout, [start.x_star for start in batch], steps // stride + 2)
+    rows = steps // stride + 2
+    try:
+        recorder = _Recorder(layout, [start.x_star for start in batch], rows)
+    except (ValueError, MemoryError) as exc:  # too many rows for numpy or for memory
+        return [ConfigInvalid(f"sim.horizon={cfg.horizon:g} over sim.dt={cfg.dt:g} at "
+                              f"sim.record_stride={stride} needs {rows:.3g} records, "
+                              f"which cannot be allocated: {exc}") for _ in batch]
     failures = [None] * lanes
     recorder.add(0.0, state.reshape(lanes, -1))
     # a masked lane may overflow on its way out; the guard below reports it

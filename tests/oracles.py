@@ -1,0 +1,54 @@
+"""Independent references for the seeking laws, written term by term.
+
+``control.stacked_*`` is each law's one definition and the integrator runs
+it.  The tests check it against these: the per-player law as the paper
+writes it, one sum per term, and the assembled Kronecker form of the
+estimate dynamics.
+"""
+
+import numpy as np
+
+from nashseek.graph import laplacian
+
+
+def player_law(i, chain, y, x_hat, grads, gains, g, obs=None, z=None):
+    """Player i's (u_i, dy_i, dx_hat_i, dz_i) under the seeking law.
+
+    chain and z are (n, N, m), y and grads (N, m), x_hat (N, N, m).  With
+    obs and the observer chain z this is the output-feedback law: u_i and
+    dy_i feed back z's derivative levels, and dz_i is the observer rate,
+    driven by the decision chain[0, i] alone.  Otherwise it is the
+    state-feedback law and dz_i is None.
+    """
+    n, eps, k = gains.order_n, gains.epsilon, gains.k
+    levels = chain[:, i] if obs is None else z[:, i]
+    u = -gains.alpha1 * grads[i] - gains.alpha2 * y[i]
+    dy = gains.alpha1 / eps ** (n - 1) * grads[i]
+    for l in range(1, n):
+        u = u - eps ** (n - l) * k[l - 1] * levels[l]
+        dy = dy + eps ** (1 - l) * k[l - 1] * levels[l]
+
+    dx_hat = np.zeros_like(x_hat[i])
+    for j in range(g.n_nodes):
+        a = g.weights[i, j]
+        dx_hat -= gains.alpha3 * a * (x_hat[i] - x_hat[j])
+        dx_hat[j] -= gains.alpha3 * a * (x_hat[i, j] - chain[0, j])
+
+    dz = None
+    if obs is not None:
+        innovation = chain[0, i] - z[0, i]
+        dz = np.empty_like(z[:, i])
+        for l in range(1, n + 1):
+            above = z[l, i] if l < n else 0.0
+            dz[l - 1] = above + eps ** l * obs.beta[l - 1] / obs.mu ** l * innovation
+    return u, dy, dx_hat, dz
+
+
+def kronecker_estimate_form(g):
+    """(L kron I_N, M): the N^2 x N^2 matrices of the stacked estimate dynamics.
+
+    The estimates are stacked row-major over (estimating player i, estimated
+    player j), so M is diagonal with M[i*N + j, i*N + j] = a_ij.
+    """
+    n = g.n_nodes
+    return np.kron(laplacian(g), np.eye(n)), np.diag(g.weights.ravel())

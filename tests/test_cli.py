@@ -190,6 +190,8 @@ class TestRunCommand:
         (["run", "--set", "scenario_params.table=[[1800,2.18,1.53,NaN]]"], "scenario_params.table"),
         (["run", "--set", "derivatives=[[" + ",".join(["[0,0]"] * 9 + ["[-Infinity,0]"]) + "]]"],
          "init.derivatives"),
+        (["run", "--set", "dt=1e-300"], "sim.dt=1e-300"),
+        (["run", "--set", "dt=1e-320"], "dt 1e-320"),
     ])
     def test_bad_key_or_value_exits_two_naming_it(self, tmp_path, capsys, argv, key):
         code = run_cli(*argv, "--scenario", "vehicles", "--out", str(tmp_path),
@@ -330,6 +332,16 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert "error:ConfigInvalid" in lines[1]
         assert lines[2].endswith("ok")
+
+    def test_cell_whose_records_cannot_be_allocated_is_recorded(self, tmp_path):
+        code = run_cli("sweep", "--scenario", "turbines", "--algo", "state",
+                       "--param", "sim.dt", "--values", "1e-300,0.01", "--out", str(tmp_path),
+                       "--set", "horizon=1", "--set", "settle_tol=1e6")
+        assert code == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("1e-300,") and lines[1].endswith(",error:ConfigInvalid")
+        assert lines[2].startswith("0.01,") and lines[2].endswith(",ok")
 
     def test_graph_fault_cell_keeps_its_error_name(self, tmp_path):
         broken = {"n": 6, "edges": [{"to": i, "from": i + 1, "w": 1} for i in range(1, 6)]}

