@@ -5,8 +5,7 @@ affine map ``s' = A s + b`` of the flat state.  ``probe_affine`` evaluates the
 structured right-hand side on groups of columns whose rows cannot overlap, a
 chunk of groups at a time as the lanes of one batched call, and keeps ``A`` as
 its nonzeros, so a drifting loop costs one sparse matvec per RK4 stage.  At
-N = 30 that is 215 lanes and about 25 ms in place of one lane per column
-(1 982 lanes, 0.15-0.23 s); at N = 10, 75 lanes and 2.4 ms (262, 4 ms).
+N = 30 that is 215 lanes and about 25 ms; at N = 10, 75 lanes and 2.4 ms.
 ``stack_lanes`` puts the operators of a batch of loops side by side over a
 ``(lanes, size)`` state, each lane with its own nonzeros.  ``folded_rk4``
 turns a drift-free loop into one dense ``Propagator``, ``s <- Phi s + c``,
@@ -60,12 +59,10 @@ AFFINE_CHECK_RTOL = 1e-10
 
 # The probe evaluates its vectors as the lanes of one structured call, as
 # many lanes as keep that (lanes, size) array within this many bytes; the
-# arrays inside the call reach about ten times it.  With grouped columns the
-# probe takes 75 lanes in 4 calls and 2.4 ms at N = 10 (size 260), and 215
-# lanes in 55 calls and 25 ms at N = 30 (size 1 980), where one lane per
-# column took 4 ms and 0.15-0.23 s.  At N = 30, 16 and 32 KB chunks were
-# 30-75% slower, and 128 and 256 KB chunks no faster with 0.6 and 1.6 MB
-# more peak.
+# arrays inside the call reach about ten times it.  The probe takes 75 lanes
+# in 4 calls and 2.4 ms at N = 10 (size 260), and 215 lanes in 55 calls and
+# 25 ms at N = 30 (size 1 980).  At N = 30, 16 and 32 KB chunks were 30-75%
+# slower, and 128 and 256 KB chunks no faster with 0.6 and 1.6 MB more peak.
 PROBE_CHUNK_BYTES = 2 ** 16
 
 
@@ -130,12 +127,9 @@ def probe_affine(rhs, layout) -> AffineOperator:
     2. A first-fit colouring puts in one colour only columns with no
        candidate row in common.
     3. One vector per colour, 1 on its columns, gives each column's values
-       in its candidate rows.  The nonzeros keep the column-major order of
-       one probe per column, and equal its values bit for bit on the
-       built-in loops.
+       in its candidate rows.  The nonzeros are in column-major order.
 
-    At N = 30 (size 1 980) that is 215 vectors where one per column took
-    1 982.  A last vector, a fixed non-basis state, checks the game's affine
+    A last vector, a fixed non-basis state, checks the game's affine
     declaration and raises ConfigInvalid when it fails; b or a step-1 output
     that is not finite raises it at once.  The vectors are evaluated
     PROBE_CHUNK_BYTES at a time as the lanes of one rhs call, and no
@@ -151,37 +145,27 @@ def probe_affine(rhs, layout) -> AffineOperator:
     per_call = max(1, PROBE_CHUNK_BYTES // (8 * size))
     column = np.arange(size)
 
-    b = None
-    if size + 2 <= per_call:
-        # the zero vector, a vector per column and the check state fit one
-        # call: each column is its own colour, with every row a candidate
-        rows, bounds = np.tile(column, size), np.arange(0, size * size + 1, size)
-        members, starts = column, np.concatenate(([0], np.arange(size + 1)))  # lane 0: the zero vector
-    else:
-        # step 1: lane 0 is the zero vector, then one lane per block and per residue
-        members = np.concatenate((column, column.reshape(n_blocks, width).T.ravel()))
-        starts = np.cumsum([0, 0] + [width] * n_blocks + [n_blocks] * width)
-        moved = np.empty((len(starts) - 1, size), dtype=bool)
-        filled = 0
-        for _, _, out in _probe_calls(rhs, basis, members, starts, weights, per_call):
-            if b is None:
-                b = out[0].copy()
-            _require_finite(out)
-            moved[filled:filled + len(out)] = out != b
-            filled += len(out)
-        rows, bounds = _candidates(moved[1:1 + n_blocks], moved[1 + n_blocks:])
+    # step 1: lane 0 is the zero vector, then one lane per block and per residue
+    members = np.concatenate((column, column.reshape(n_blocks, width).T.ravel()))
+    starts = np.cumsum([0, 0] + [width] * n_blocks + [n_blocks] * width)
+    moved = np.empty((len(starts) - 1, size), dtype=bool)
+    filled = 0
+    for _, _, out in _probe_calls(rhs, basis, members, starts, weights, per_call):
+        if not filled:
+            b = out[0].copy()
+        _require_finite(out)
+        moved[filled:filled + len(out)] = out != b
+        filled += len(out)
+    rows, bounds = _candidates(moved[1:1 + n_blocks], moved[1 + n_blocks:])
 
-        # step 2: first-fit colours, no two columns of a colour sharing a candidate row
-        members, starts = _greedy_colours(rows, bounds)
+    # step 2: first-fit colours, no two columns of a colour sharing a candidate row
+    members, starts = _greedy_colours(rows, bounds)
 
     # step 3: one lane per colour and an empty last lane for the check state;
     # each column reads its candidate rows from its colour's lane
     vals = np.empty(rows.size)
     for here, lane, out in _probe_calls(rhs, basis, members, np.append(starts, size), np.ones(size),
                                         per_call, last=check):
-        if b is None:
-            b = out[0].copy()
-            _require_finite(out[:-1])
         first, count = bounds[here], bounds[here + 1] - bounds[here]
         picked = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
         at = rows[picked]

@@ -17,7 +17,6 @@ first, and every other argument is (..., N, m) or (..., N, N, m).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -210,39 +209,28 @@ def check_gain_ordering(gains: GainSet) -> GainOrderingReport:
     return GainOrderingReport(lower, upper, c1, c2, c3, warning)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-# The weights are memoised per (frozen, hashable) gain and observer set, so the
-# stacked laws can recompute them on every right-hand-side evaluation for the
-# price of a dictionary lookup.  Cached arrays are read-only because every
-# caller receives the same objects.
-@functools.lru_cache(maxsize=256)
 def feedback_weights(gains: GainSet) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-level weights of the feedback and auxiliary sums plus the scaled alpha1.
 
     Returns (w_u, w_y, a1s) with w_u[l-1] = eps^{n-l} k_l, w_y[l-1] = eps^{1-l} k_l
-    and a1s = alpha1 / eps^{n-1}.  The arrays are read-only.
+    and a1s = alpha1 / eps^{n-1}.
     """
     n, eps = gains.order_n, gains.epsilon
     k = np.asarray(gains.k)
     levels = np.arange(1, n)
     w_u = eps ** (n - levels) * k
     w_y = eps ** (1.0 - levels) * k
-    return _read_only(w_u), _read_only(w_y), gains.alpha1 / eps ** (n - 1)
+    return w_u, w_y, gains.alpha1 / eps ** (n - 1)
 
 
-@functools.lru_cache(maxsize=256)
 def observer_weights(gains: GainSet, obs: ObserverSet) -> np.ndarray:
-    """Innovation weights eps^l beta_l / mu^l for l = 1..n (a read-only array)."""
+    """Innovation weights eps^l beta_l / mu^l for l = 1..n."""
     n, eps = gains.order_n, gains.epsilon
     beta = np.asarray(obs.beta)
     if beta.size != n:
         raise DimensionMismatch(f"observer needs {n} coefficients, got {beta.size}")
     levels = np.arange(1, n + 1)
-    return _read_only(eps ** levels * beta / obs.mu ** levels)
+    return eps ** levels * beta / obs.mu ** levels
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Cost gradients, the stacked pseudo-gradient, and an independent equilibrium solver.
 
-Games are supplied as per-player gradient oracles.  A game may additionally
-carry a vectorized ``profile_gradient`` fast path (used heavily by the
-integrator) and a ``cost_oracle`` used only for finite-difference validation
-of the gradients.
+A game is supplied as one vectorized ``profile_gradient``: every player's
+own-cost gradient, each at the profile as that player sees it.  A
+``cost_oracle`` is used only for finite-difference validation of the
+gradients.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence
 
-GradOracle = Callable[[int, np.ndarray, np.ndarray], np.ndarray]
 CostOracle = Callable[[int, np.ndarray], float]
 ProfileGradient = Callable[[np.ndarray], np.ndarray]
 
@@ -24,26 +23,24 @@ ProfileGradient = Callable[[np.ndarray], np.ndarray]
 class Game:
     """N-player game over R^m decisions, described through its gradients.
 
-    gradient_oracle(i, x_i, x_others) returns the gradient of player i's cost
-    in its own decision, with x_others the stacked decisions of the other
-    players in index order.  profile_gradient, when present, must agree with
-    the oracle: it maps an (N, N, m) tensor whose row i is the full profile as
-    seen by player i to the (N, m) matrix of own-gradients.  It must also
-    broadcast over leading axes, (..., N, N, m) -> (..., N, m), because the
-    simulator evaluates a batch of loops in one call.
+    profile_gradient maps an (N, N, m) tensor whose row i is the full profile
+    as seen by player i to the (N, m) matrix of own-gradients: row i is the
+    gradient of player i's cost in its own decision, evaluated at row i of
+    the tensor alone.  It must also broadcast over leading axes,
+    (..., N, N, m) -> (..., N, m), because the simulator evaluates a batch of
+    loops in one call.
 
-    affine declares that the gradients (the oracle and profile_gradient alike)
-    are affine in the profiles, as they are for quadratic costs.  The
-    simulator then probes the drift-free part of the loop once into one
-    sparse linear map; it checks that map against the right-hand side at one
-    fixed state and raises ConfigInvalid when a declared game is not affine.
+    affine declares that profile_gradient is affine in the profiles, as it is
+    for quadratic costs.  The simulator then probes the drift-free part of
+    the loop once into one sparse linear map; it checks that map against the
+    right-hand side at one fixed state and raises ConfigInvalid when a
+    declared game is not affine.
     """
 
     n_players: int
     decision_dim: int
-    gradient_oracle: GradOracle
+    profile_gradient: ProfileGradient
     cost_oracle: Optional[CostOracle] = None
-    profile_gradient: Optional[ProfileGradient] = None
     affine: bool = False
 
 
@@ -69,20 +66,9 @@ def gradient_matrix(game: Game, profiles: np.ndarray) -> np.ndarray:
     """Own-gradients of all players, row i evaluated at profile row profiles[i].
 
     profiles has shape (..., N, N, m): profiles[..., i, j, :] is what player i
-    uses as player j's decision, and the result is (..., N, m).  Uses the
-    vectorized fast path when the game has one; the per-player oracle is
-    called once per player and leading index.
+    uses as player j's decision, and the result is (..., N, m).
     """
-    n, m = game.n_players, game.decision_dim
-    if game.profile_gradient is not None:
-        return game.profile_gradient(profiles)
-    out = np.empty(profiles.shape[:-2] + (m,))
-    for lead in np.ndindex(profiles.shape[:-3]):
-        p = profiles[lead]
-        for i in range(n):
-            others = np.delete(p[i], i, axis=0).reshape(-1)
-            out[lead + (i,)] = game.gradient_oracle(i, p[i, i], others)
-    return out
+    return game.profile_gradient(profiles)
 
 
 def pseudo_gradient(game: Game, x: np.ndarray) -> np.ndarray:
@@ -95,21 +81,21 @@ def pseudo_gradient(game: Game, x: np.ndarray) -> np.ndarray:
 
 
 def extended_pseudo_gradient(game: Game, x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    """Stacked gradients with each player using its own decision and its estimates of others.
+    """Own-gradients with each player at its own decision and its estimates of the others.
 
-    x_hat is the row-major stacking of the (N, N, m) estimate tensor, row i
-    holding player i's estimates of every player (its own row is ignored in
-    favour of the true x_i).
+    x is (..., N, m) and x_hat (..., N, N, m), row i of x_hat holding player
+    i's estimates of every player; its own entry x_hat[..., i, i, :] is
+    replaced by the true x_i.  Returns (..., N, m).
     """
-    x = _check_profile_dim(game, x)
     n, m = game.n_players, game.decision_dim
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x_hat.shape != (n * n * m,):
-        raise DimensionMismatch(f"estimate stack must have shape ({n * n * m},), got {x_hat.shape}")
-    profiles = x_hat.reshape(n, n, m).copy()
+    x, x_hat = np.asarray(x, dtype=float), np.asarray(x_hat, dtype=float)
+    if x.shape[-2:] != (n, m) or x_hat.shape[-3:] != (n, n, m):
+        raise DimensionMismatch(f"decisions and estimates must end in {(n, m)} and {(n, n, m)}, "
+                                f"got {x.shape} and {x_hat.shape}")
+    profiles = x_hat.copy()
     idx = np.arange(n)
-    profiles[idx, idx, :] = x.reshape(n, m)
-    return gradient_matrix(game, profiles).reshape(-1)
+    profiles[..., idx, idx, :] = x
+    return gradient_matrix(game, profiles)
 
 
 def _fd_jacobian(game: Game, x: np.ndarray) -> np.ndarray:
@@ -195,12 +181,13 @@ def probe_monotonicity(game: Game, rng, n_samples: int = 2000,
         df = pseudo_gradient(game, x) - pseudo_gradient(game, y)
         omega = min(omega, float(d @ df) / dd)
         theta = max(theta, float(np.linalg.norm(df)) / np.sqrt(dd))
-        ha = rng.uniform(lo, hi, n * n * m)
-        hb = rng.uniform(lo, hi, n * n * m)
+        ha = rng.uniform(lo, hi, (n, n, m))
+        hb = rng.uniform(lo, hi, (n, n, m))
         dh = ha - hb
         ndh = float(np.linalg.norm(dh))
         if ndh > 1e-12:
-            dfe = extended_pseudo_gradient(game, x, ha) - extended_pseudo_gradient(game, x, hb)
+            x_mat = x.reshape(n, m)
+            dfe = extended_pseudo_gradient(game, x_mat, ha) - extended_pseudo_gradient(game, x_mat, hb)
             theta_est = max(theta_est, float(np.linalg.norm(dfe)) / ndh)
         used += 1
     return MonotonicityReport(float(omega), float(theta), used, float(theta_est))
@@ -208,7 +195,7 @@ def probe_monotonicity(game: Game, rng, n_samples: int = 2000,
 
 def gradient_consistency(game: Game, rng, n_points: int = 50,
                          box: tuple = (-10.0, 10.0), step_scale: float = 1e-6) -> float:
-    """Worst relative gap between the gradient oracle and central differences of the cost.
+    """Worst relative gap between the profile gradient and central differences of the cost.
 
     The per-component relative error uses a unit floor so that near-zero
     gradient components do not inflate the ratio.

@@ -47,8 +47,8 @@ class Digraph:
         object.__setattr__(self, "weights", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise ConfigInvalid(f"adjacency matrix must be square, got shape {w.shape}")
-        if np.any(w < 0):
-            raise ConfigInvalid("edge weights must be nonnegative")
+        if not np.all((w >= 0) & (w < np.inf)):  # false for NaN too
+            raise ConfigInvalid("edge weights must be finite and nonnegative")
         if np.any(np.diag(w) != 0):
             raise ConfigInvalid("self loops are not allowed (diagonal must be zero)")
 
@@ -82,6 +82,8 @@ class Digraph:
                 raise ConfigInvalid(f"bad edge record {e!r}: {exc}") from exc
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ConfigInvalid(f"edge ({i},{j}) outside 1..{n}")
+            if not 0 <= a < np.inf:  # false for NaN too
+                raise ConfigInvalid(f"edge ({i},{j}) weight must be finite and nonnegative, got {a}")
             w[i - 1, j - 1] = a
         return cls(w)
 

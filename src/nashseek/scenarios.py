@@ -117,10 +117,6 @@ def five_point_star(outer_radius: float = 10.0) -> FormationSpec:
 def _vehicle_game(offsets: np.ndarray) -> Game:
     n = offsets.shape[0]
 
-    def gradient(i, x_i, x_others):
-        others_sum = np.asarray(x_others, dtype=float).reshape(n - 1, 2).sum(axis=0)
-        return (3.0 * x_i - 2.0 * offsets[i] + others_sum) / n
-
     def cost(i, profile):
         p = np.asarray(profile, dtype=float).reshape(n, 2)
         own = p[i]
@@ -131,7 +127,7 @@ def _vehicle_game(offsets: np.ndarray) -> Game:
         diag = profiles[..., np.arange(n), np.arange(n), :]
         return (2.0 * diag - 2.0 * offsets + profiles.sum(axis=-2)) / n
 
-    return Game(n, 2, gradient, cost_oracle=cost, profile_gradient=profile_gradient, affine=True)
+    return Game(n, 2, profile_gradient, cost_oracle=cost, affine=True)
 
 
 def vehicle_drift(chain, w):
@@ -182,12 +178,6 @@ def _turbine_game(table) -> Game:
     gamma3 = np.array([gp.gamma3 for gp in table])
     gamma1 = np.array([gp.gamma1 for gp in table])
 
-    def gradient(i, x_i, x_others):
-        total = float(x_i[0]) + float(np.sum(x_others))
-        val = (gamma2[i] + 2.0 * gamma3[i] * x_i[0] - PRICE_INTERCEPT
-               + PRICE_SLOPE * total + PRICE_SLOPE * x_i[0])
-        return np.array([val])
-
     def cost(i, profile):
         p = np.asarray(profile, dtype=float)
         price = PRICE_INTERCEPT - PRICE_SLOPE * float(p.sum())
@@ -201,7 +191,7 @@ def _turbine_game(table) -> Game:
                + PRICE_SLOPE * totals + PRICE_SLOPE * diag)
         return val[..., None]
 
-    return Game(n, 1, gradient, cost_oracle=cost, profile_gradient=profile_gradient, affine=True)
+    return Game(n, 1, profile_gradient, cost_oracle=cost, affine=True)
 
 
 def build_turbine_market(table=None, graph=None):

@@ -14,8 +14,7 @@ Under a game declared affine, everything but the drift is an affine map
 ``A s + b`` of the state.  The loop probes that map once from the stacked laws
 (:mod:`nashseek.affine`) and keeps ``A`` as its nonzeros.  The probe puts
 columns whose rows cannot overlap into one lane: 75 lanes and about 2 ms at
-N = 10, 215 lanes and about 25 ms at N = 30, where a lane per column took
-262 and 1 982 lanes, 4 ms and 0.15-0.23 s.  A loop with drift then evaluates
+N = 10, 215 lanes and about 25 ms at N = 30.  A loop with drift then evaluates
 each RK4 stage as one sparse matvec plus the stacked drift; a drift-free loop
 folds its whole RK4 step into one propagator ``s <- Phi s + c``, and a record
 interval of record_stride steps into one product of the same kind, taken
@@ -52,7 +51,7 @@ from .errors import (
     NonPositiveError,
     NotStronglyConnected,
 )
-from .game import Game, gradient_matrix
+from .game import Game, extended_pseudo_gradient
 from .graph import Digraph, is_strongly_connected
 
 STATE_MAGNITUDE_GUARD = 1e12
@@ -254,7 +253,6 @@ def _add_drifts(groups: list, chain: np.ndarray, acc: np.ndarray) -> None:
 
 def _make_rhs(game: Game, g: Digraph, gains: GainSet, obs: Optional[ObserverSet], layout: _Layout):
     """Drift-free closed-loop right-hand side over a flat state or a batch of lanes."""
-    idx = np.arange(layout.N)
 
     def rhs(s, t):
         out = np.empty_like(s)
@@ -263,9 +261,7 @@ def _make_rhs(game: Game, g: Digraph, gains: GainSet, obs: Optional[ObserverSet]
         x = chain[0]
         z = layout.z(s)
 
-        profiles = x_hat.copy()
-        profiles[..., idx, idx, :] = x
-        grads = gradient_matrix(game, profiles)
+        grads = extended_pseudo_gradient(game, x, x_hat)
         levels = chain[1:] if z is None else z[1:]
 
         dchain = layout.chain(out)
@@ -427,7 +423,12 @@ def _start(lane: Lane, probes: dict) -> _Start:
     if output_mode:
         layout.z(state)[0] = x0  # observer position starts on the measured output
 
-    x_star_mat = None if lane.x_star is None else np.asarray(lane.x_star, dtype=float).reshape(n_players, m)
+    x_star_mat = None
+    if lane.x_star is not None:
+        x_star_mat = np.asarray(lane.x_star, dtype=float)
+        if x_star_mat.size != n_players * m:
+            raise DimensionMismatch(f"x_star must hold {n_players * m} numbers, got {x_star_mat.size}")
+        x_star_mat = x_star_mat.reshape(n_players, m)
 
     op = None
     if game.affine:

@@ -119,14 +119,16 @@ def _check_control() -> list[CheckResult]:
 
 def identity_game(n_players: int = 3, m: int = 2) -> game_mod.Game:
     """Quadratic game J_i = ||x_i||^2 / 2 with the origin as its equilibrium."""
-    def gradient(i, x_i, x_others):
-        return np.asarray(x_i, dtype=float)
+    idx = np.arange(n_players)
+
+    def profile_gradient(profiles):
+        return profiles[..., idx, idx, :]
 
     def cost(i, profile):
         x = np.asarray(profile, dtype=float).reshape(n_players, m)[i]
         return 0.5 * float(x @ x)
 
-    return game_mod.Game(n_players, m, gradient, cost_oracle=cost)
+    return game_mod.Game(n_players, m, profile_gradient, cost_oracle=cost)
 
 
 def _check_game() -> list[CheckResult]:

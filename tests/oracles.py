@@ -1,14 +1,52 @@
-"""Independent references for the seeking laws, written term by term.
+"""Independent references for the seeking laws and the games, written term by term.
 
 ``control.stacked_*`` is each law's one definition and the integrator runs
 it.  The tests check it against these: the per-player law as the paper
 writes it, one sum per term, and the assembled Kronecker form of the
-estimate dynamics.
+estimate dynamics.  A game's one gradient is its vectorized
+``profile_gradient``; the built-in games are checked against the per-player
+gradients below, gradient(i, x_i, x_others) with x_others the other
+players' decisions stacked in index order.
 """
 
 import numpy as np
 
 from nashseek.graph import laplacian
+from nashseek.scenarios import PRICE_INTERCEPT, PRICE_SLOPE
+
+
+def vehicle_gradient(offsets):
+    """Player i's own-gradient in the vehicle formation game with anchors offsets (N, 2)."""
+    n = len(offsets)
+
+    def gradient(i, x_i, x_others):
+        others_sum = np.asarray(x_others, dtype=float).reshape(n - 1, 2).sum(axis=0)
+        return (3.0 * x_i - 2.0 * offsets[i] + others_sum) / n
+
+    return gradient
+
+
+def turbine_gradient(table):
+    """Player i's own-gradient in the turbine market game with generator table rows."""
+
+    def gradient(i, x_i, x_others):
+        total = float(x_i[0]) + float(np.sum(x_others))
+        val = (table[i].gamma2 + 2.0 * table[i].gamma3 * x_i[0] - PRICE_INTERCEPT
+               + PRICE_SLOPE * total + PRICE_SLOPE * x_i[0])
+        return np.array([val])
+
+    return gradient
+
+
+def per_player_gradient_matrix(gradient, profiles):
+    """gradient called once per player and leading index of the (..., N, N, m) profiles."""
+    n = profiles.shape[-3]
+    out = np.empty(profiles.shape[:-2] + profiles.shape[-1:])
+    for lead in np.ndindex(profiles.shape[:-3]):
+        p = profiles[lead]
+        for i in range(n):
+            out[lead + (i,)] = gradient(i, p[i, i], np.delete(p[i], i, axis=0).reshape(-1))
+    return out
 
 
 def player_law(i, chain, y, x_hat, grads, gains, g, obs=None, z=None):

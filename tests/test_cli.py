@@ -205,13 +205,18 @@ class TestRunCommand:
                                         {"to": 3, "from": 1, "w": 1}]}, "graph has 3 nodes"),
         ("turbines", {"n": 6, "edges": [{"to": i, "from": i + 1, "w": 1} for i in range(1, 6)]},
          "strongly connected"),
+        ("turbines", {"n": 6, "edges": [{"to": i, "from": i % 6 + 1, "w": 1 if i > 1 else float("nan")}
+                                        for i in range(1, 7)]}, "edge (1,2) weight must be finite"),
+        ("turbines", {"n": 6, "edges": [{"to": i, "from": i % 6 + 1, "w": 1 if i > 1 else float("inf")}
+                                        for i in range(1, 7)]}, "edge (1,2) weight must be finite"),
     ])
-    def test_graph_fault_exits_two(self, tmp_path, capsys, scenario, graph, message):
+    def test_graph_fault_exits_two(self, tmp_path, capsys, recwarn, scenario, graph, message):
         code = run_cli("run", "--scenario", scenario, "--out", str(tmp_path),
                        "--set", "horizon=0.01", "--set", f"scenario_params.graph={json.dumps(graph)}")
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and message in err
+        assert "RuntimeWarning" not in err and not [w for w in recwarn if w.category is RuntimeWarning]
 
     @pytest.mark.parametrize("command", ["run", "nash"])
     @pytest.mark.parametrize("generators", [1, 2, 3])

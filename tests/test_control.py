@@ -24,10 +24,9 @@ from nashseek.control import (
     stacked_observer_rate,
 )
 from nashseek.errors import ConfigInvalid, EmptyGains, NotHurwitz
-from nashseek.game import Game
 from nashseek.graph import Digraph
 from nashseek.sim import _Layout, _make_rhs
-from nashseek.verify import random_strongly_connected_digraph
+from nashseek.verify import identity_game, random_strongly_connected_digraph
 from oracles import player_law
 
 
@@ -269,7 +268,7 @@ class TestOutputFeedbackLaw:
         # true chain gives the state-mode u, dy and estimate rates
         gains = vehicle_like_gains()
         obs = ObserverSet((2.0, 1.0), 0.02)
-        game = Game(3, 2, lambda i, x_i, x_others: np.asarray(x_i, dtype=float))
+        game = identity_game(3, 2)
         g = Digraph(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.5, 0.0, 0.0]]))
         state_layout, output_layout = _Layout(2, 3, 2, False), _Layout(2, 3, 2, True)
         s = np.random.default_rng(2).standard_normal(state_layout.size)

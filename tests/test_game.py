@@ -10,35 +10,25 @@ from nashseek.game import (
     Game,
     extended_pseudo_gradient,
     gradient_consistency,
+    gradient_matrix,
     nash_solve,
     probe_monotonicity,
     pseudo_gradient,
 )
 from nashseek.scenarios import (
+    GENERATOR_TABLE,
     build_turbine_market,
     build_vehicle_formation,
     turbine_nash_oracle,
     vehicle_nash_oracle,
 )
-
-
-def identity_game(n=3, m=2):
-    def gradient(i, x_i, x_others):
-        return np.asarray(x_i, dtype=float)
-
-    def cost(i, profile):
-        x = np.asarray(profile, dtype=float).reshape(n, m)[i]
-        return 0.5 * float(x @ x)
-
-    return Game(n, m, gradient, cost_oracle=cost)
+from nashseek.verify import identity_game
+from oracles import per_player_gradient_matrix, turbine_gradient, vehicle_gradient
 
 
 def coupled_pair_game():
-    # J_i = x_i^2 / 2 + x_i * x_other, scalar decisions
-    def gradient(i, x_i, x_others):
-        return np.array([x_i[0] + x_others[0]])
-
-    return Game(2, 1, gradient)
+    # J_i = x_i^2 / 2 + x_i * x_other, scalar decisions: row i's sum
+    return Game(2, 1, lambda profiles: profiles.sum(axis=-2))
 
 
 class TestPseudoGradient:
@@ -65,42 +55,53 @@ class TestPseudoGradient:
             pseudo_gradient(identity_game(), np.zeros(5))
 
     def test_batch_path_matches_per_player_oracle(self):
-        for game_builder in (lambda: build_turbine_market()[0],
-                             lambda: build_vehicle_formation()[0]):
-            game = game_builder()
-            stripped = Game(game.n_players, game.decision_dim, game.gradient_oracle)
+        # consensus profiles through pseudo_gradient, then profiles whose rows
+        # differ, so row i must read player i's view alone, with one and two
+        # leading lane axes
+        veh_game, _, _, spec = build_vehicle_formation()
+        for game, reference in ((build_turbine_market()[0], turbine_gradient(GENERATOR_TABLE)),
+                                (veh_game, vehicle_gradient(spec.offsets))):
+            n, m = game.n_players, game.decision_dim
             rng = np.random.default_rng(8)
             for _ in range(5):
-                x = rng.uniform(-5, 5, game.n_players * game.decision_dim)
+                x = rng.uniform(-5, 5, n * m)
+                consensus = np.broadcast_to(x.reshape(n, m), (n, n, m))
                 assert np.allclose(pseudo_gradient(game, x),
-                                   pseudo_gradient(stripped, x), atol=1e-12)
+                                   per_player_gradient_matrix(reference, consensus).ravel(),
+                                   rtol=1e-12, atol=1e-12)
+            for lanes in ((4,), (2, 3)):
+                profiles = rng.uniform(-5, 5, lanes + (n, n, m))
+                grads = gradient_matrix(game, profiles)
+                assert grads.shape == lanes + (n, m)
+                assert np.allclose(grads, per_player_gradient_matrix(reference, profiles),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestExtendedPseudoGradient:
     def test_consistent_estimates_collapse(self):
         game, _, _ = build_turbine_market()
         rng = np.random.default_rng(9)
-        x = rng.uniform(-5, 5, 6)
-        x_hat = np.tile(x, 6)  # every player estimates the truth
-        assert np.array_equal(extended_pseudo_gradient(game, x, x_hat),
-                              pseudo_gradient(game, x))
+        x = rng.uniform(-5, 5, (6, 1))
+        x_hat = np.tile(x, (6, 1, 1))  # every player estimates the truth
+        assert np.array_equal(extended_pseudo_gradient(game, x, x_hat).ravel(),
+                              pseudo_gradient(game, x.ravel()))
 
     def test_two_player_hand_case(self):
         game = coupled_pair_game()
-        x = np.array([1.0, 1.0])
-        x_hat = np.zeros(4)  # player 1 estimates player 2 at 0
+        x = np.ones((2, 1))
+        x_hat = np.zeros((2, 2, 1))  # player 1 estimates player 2 at 0
         grads = extended_pseudo_gradient(game, x, x_hat)
-        assert grads[0] == 1.0
+        assert grads[0, 0] == 1.0
 
     def test_zero_profile_zero_estimates(self):
         game, _, _ = build_turbine_market()
-        assert np.array_equal(extended_pseudo_gradient(game, np.zeros(6), np.zeros(36)),
-                              pseudo_gradient(game, np.zeros(6)))
+        grads = extended_pseudo_gradient(game, np.zeros((6, 1)), np.zeros((6, 6, 1)))
+        assert np.array_equal(grads.ravel(), pseudo_gradient(game, np.zeros(6)))
 
     def test_estimate_stack_dimension(self):
         game = coupled_pair_game()
         with pytest.raises(DimensionMismatch):
-            extended_pseudo_gradient(game, np.zeros(2), np.zeros(3))
+            extended_pseudo_gradient(game, np.zeros((2, 1)), np.zeros(3))
 
 
 class TestNashSolve:
@@ -125,7 +126,7 @@ class TestNashSolve:
 
     def test_no_zero_raises(self):
         # F(x) = 1 + x^2 has no zero; both step families stall
-        game = Game(1, 1, lambda i, x_i, x_o: np.array([1.0 + x_i[0] ** 2]))
+        game = Game(1, 1, lambda profiles: 1.0 + profiles[..., 0, :, :] ** 2)
         with pytest.raises(NoConvergence):
             nash_solve(game, np.array([1.0]), tol=1e-8, max_iters=20)
 
@@ -176,14 +177,7 @@ class TestGradientConsistency:
             gradient_consistency(coupled_pair_game(), 1)
 
     def test_detects_wrong_gradient(self):
-        n, m = 3, 2
-
-        def bad_gradient(i, x_i, x_others):
-            return 2.0 * np.asarray(x_i)  # off by a factor of two
-
-        def cost(i, profile):
-            x = np.asarray(profile).reshape(n, m)[i]
-            return 0.5 * float(x @ x)
-
-        game = Game(n, m, bad_gradient, cost_oracle=cost)
+        ident = identity_game()
+        game = Game(3, 2, lambda p: 2.0 * ident.profile_gradient(p),  # off by a factor of two
+                    cost_oracle=ident.cost_oracle)
         assert gradient_consistency(game, 5, n_points=10) > 1e-2

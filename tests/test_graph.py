@@ -39,8 +39,9 @@ def three_cycle():
 
 class TestDigraphValidation:
     def test_rejects_negative_weights(self):
-        with pytest.raises(ConfigInvalid):
-            Digraph(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        for bad in (-1.0, np.nan, np.inf):  # and the non-finite ones
+            with pytest.raises(ConfigInvalid):
+                Digraph(np.array([[0.0, bad], [1.0, 0.0]]))
 
     def test_rejects_self_loops(self):
         with pytest.raises(ConfigInvalid):

@@ -20,7 +20,7 @@ from nashseek.errors import (
 )
 from nashseek.game import Game, extended_pseudo_gradient
 from nashseek.graph import Digraph
-from nashseek import affine, sim
+from nashseek import affine, sim, verify
 from nashseek.affine import PROBE_CHUNK_BYTES, folded_rk4, innovation_basis, probe_affine, stack_lanes
 from nashseek.scenarios import (
     VEHICLE_TABLE,
@@ -53,7 +53,7 @@ from oracles import kronecker_estimate_form, player_law
 
 
 def identity_game(n=2, m=1):
-    return Game(n, m, lambda i, x_i, x_o: np.asarray(x_i, dtype=float))
+    return verify.identity_game(n, m)
 
 
 def two_cycle():
@@ -193,6 +193,15 @@ class TestRunValidation:
         first, bad, last = sim.run_lanes(lanes)
         assert isinstance(first, Trajectory) and isinstance(last, Trajectory)
         assert isinstance(bad, ConfigInvalid) and "init.box must be finite with low <= high" in str(bad)
+
+    def test_wrongly_sized_x_star_fails_its_lane_alone(self):
+        game, gains = identity_game(), GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
+        cfg = SimConfig(dt=1e-2, horizon=0.1)
+        lanes = [sim.Lane(game, [Plant(1, 1)] * 2, two_cycle(), gains, None, cfg, x_star=x)
+                 for x in (np.zeros(2), np.zeros(3), None)]
+        first, bad, last = sim.run_lanes(lanes)
+        assert isinstance(first, Trajectory) and isinstance(last, Trajectory)
+        assert isinstance(bad, DimensionMismatch) and "x_star must hold 2 numbers, got 3" in str(bad)
 
     def test_unallocatable_records_fail_their_batch_alone(self):
         # 1e-300 asks numpy for more rows than an array may have, so nothing is allocated
@@ -523,7 +532,7 @@ class TestRhsMatchesPerPlayerLaws:
         d_hat = layout.x_hat(derivative)
         d_z = layout.z(derivative)
 
-        grads = extended_pseudo_gradient(game, x.reshape(-1), x_hat.reshape(-1)).reshape(n_players, m)
+        grads = extended_pseudo_gradient(game, x, x_hat)
         for i in range(n_players):
             u_i, dy_i, dxh_i, dz_i = player_law(i, chain, y, x_hat, grads, gains, g, obs, z)
             if mode == "output":
@@ -626,14 +635,10 @@ def dense_coupling_game(n_players, m=2):
     coupling = rng.standard_normal((n_players, m, n_players, m))
     shift = rng.standard_normal((n_players, m))
 
-    def gradient(i, x_i, x_others):
-        profile = np.insert(np.reshape(x_others, (n_players - 1, m)), i, x_i, axis=0)
-        return coupling[i].reshape(m, -1) @ profile.ravel() + shift[i]
-
     def profile_gradient(profiles):
         return np.einsum("icjd,...ijd->...ic", coupling, profiles) + shift
 
-    return Game(n_players, m, gradient, profile_gradient=profile_gradient, affine=True)
+    return Game(n_players, m, profile_gradient, affine=True)
 
 
 def vehicle_loop(n_players, offsets=None):
@@ -711,21 +716,6 @@ class TestProbedOperator:
         width = layout.N * layout.m
         step_one = 1 + layout.size // width + width
         assert counts == [math.ceil(step_one / per_call) + math.ceil((40 + 1) / per_call)] * 2
-
-    def test_small_loop_probes_a_lane_per_column_in_one_call(self):
-        # turbines in state mode (size 66): the zero vector, the 66 columns
-        # and the check state fit one PROBE_CHUNK_BYTES call
-        game, _, g, gains, obs, layout, _ = loop_inputs("state", "turbines")
-        assert layout.size + 2 <= PROBE_CHUNK_BYTES // (8 * layout.size)
-        lanes = []
-        rhs = _make_rhs(game, g, gains, obs, layout)
-
-        def counted(s, t):
-            lanes.append(len(s))
-            return rhs(s, t)
-
-        probe_affine(counted, layout)
-        assert lanes == [layout.size + 2]
 
     def test_probe_at_n30_makes_under_a_fifth_of_the_column_calls(self):
         game, _, g = vehicle_loop(30)

@@ -11,9 +11,12 @@ For each ``--workload NAME:PAIRS`` the script runs PAIRS pairs of
 
 once in each tree, pair k on seed ``--seed + k``, alternating which tree runs
 first; RUN_SECONDS is ``run_seconds`` in BENCHMARK.json, so both trees run
-for the length the benchmark declares.  It keeps both result lines of every
-pair, the environment record perfbench prints, and per metric each side's
-quartiles and the number of pairs the change won.  The JSON goes to the root
+for the length the benchmark declares.  Before the first pair it writes the
+bytecode of ``src`` and ``perfbench`` in both trees (``python -m compileall``):
+perfbench children do not write bytecode, so a tree without it would compile
+every module in each child, which moves ``peak_rss_mb``.  It keeps both
+result lines of every pair, the environment record perfbench prints, and per
+metric each side's quartiles and the number of pairs the change won.  The JSON goes to the root
 of this tree.
 """
 
@@ -77,12 +80,16 @@ def main(argv=None) -> int:
     if rev.returncode != 0:
         parser.error(f"{parent} is not a git checkout: {rev.stderr.strip()}")
     parent_sha = rev.stdout.strip()
+    compile_cmd = [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
+    for tree in (parent, ROOT):
+        subprocess.run(compile_cmd, cwd=tree, check=True)
     record = {"command": " ".join(["python3 tools/bench_pairs.py", f"--parent <checkout of {parent_sha}>",
                                    f"--label {args.label}", *(f"--workload {w}" for w in args.workload),
                                    f"--seed {args.seed}"]),
               "perfbench_command": "python3 perfbench/run.py --workload W --seed S "
                                    f"--seconds {SPEC['run_seconds']} --trace 0",
               "parent_git_sha": parent_sha,
+              "compiled_first": "python3 -m compileall -q src perfbench, in both trees",
               "workloads": {}}
     for item in args.workload:
         workload, _, count = item.partition(":")
