@@ -18,36 +18,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigInvalid
-
-
-def innovation_basis(layout):
-    """v = B s, the state with z_0 replaced by the innovation x - z_0; None in state mode.
-
-    The observer law reads only that innovation, and its weights reach
-    (eps/mu)^n = 1.6e9 on the turbine loop, so a matrix that multiplied x and
-    z_0 separately before they cancel lost about 5e-11 relative per step.  B
-    is its own inverse, so the same map also takes a probe vector v back to
-    the state B v it stands for.  It acts on the last axis, so it maps a
-    (lanes, size) batch row by row, and applied to the identity it gives the
-    matrix B^T.
-    """
-    if not layout.output_mode:
-        return None
-    width = layout.N * layout.m
-    x_sl = slice(layout.chain_sl.start, layout.chain_sl.start + width)
-    z_sl = slice(layout.z_sl.start, layout.z_sl.start + width)
-
-    def basis(s):
-        v = s.copy()
-        v[..., z_sl] = s[..., x_sl] - s[..., z_sl]
-        return v
-
-    return basis
 
 
 # The affine declaration is checked at one fixed state: the structured
@@ -68,26 +42,23 @@ PROBE_CHUNK_BYTES = 2 ** 16
 
 @dataclass(frozen=True)
 class AffineOperator:
-    """The drift-free closed loop s' = A B s + b, with A B kept as its nonzeros.
+    """The drift-free closed loop s' = A s + b, with A kept as its nonzeros.
 
     b has the shape of the state it maps: (size,) for one loop, or
     (lanes, size) for a batch from ``stack_lanes``.  rows and cols index the
-    flattened state, so lane k's entries sit at k * size onwards.  B is the
-    innovation basis in output mode and the identity otherwise.
+    flattened state, so lane k's entries sit at k * size onwards.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     b: np.ndarray
-    basis: Optional[Callable[[np.ndarray], np.ndarray]]
 
     def terms(self, s):
-        v = s if self.basis is None else self.basis(s)
-        return self.vals * v.ravel()[self.cols]
+        return self.vals * s.ravel()[self.cols]
 
     def apply(self, s, t=0.0):
-        """A B s + b; t is ignored, so the operator can stand in for a right-hand side."""
+        """A s + b; t is ignored, so the operator can stand in for a right-hand side."""
         flat = np.bincount(self.rows, weights=self.terms(s), minlength=self.b.size)
         return (flat if self.b.ndim == 1 else flat.reshape(self.b.shape)) + self.b
 
@@ -107,17 +78,16 @@ def stack_lanes(ops) -> AffineOperator:
         np.concatenate([op.cols + k * size for k, op in enumerate(ops)]),
         np.concatenate([op.vals for op in ops]),
         np.stack([op.b for op in ops]),
-        ops[0].basis,
     )
 
 
 def probe_affine(rhs, layout) -> AffineOperator:
     """Probe the affine drift-free rhs, which takes a (lanes, size) batch, into its nonzeros.
 
-    Column j of A B is rhs(B v) - b for v = e_j, with b = rhs(0).  Columns
-    whose rows cannot overlap share one probe vector v (the column grouping
-    of Curtis, Powell & Reid 1974), found in three steps that use only the
-    map's linearity:
+    Column j of A is rhs(e_j) - b, with b = rhs(0).  Columns whose rows
+    cannot overlap share one probe vector (the column grouping of Curtis,
+    Powell & Reid 1974), found in three steps that use only the map's
+    linearity:
 
     1. Every column sits in two partitions of the flat index, its block
        j // (N m) and its residue j % (N m).  One vector per block and one
@@ -129,7 +99,7 @@ def probe_affine(rhs, layout) -> AffineOperator:
     3. One vector per colour, 1 on its columns, gives each column's values
        in its candidate rows.  The nonzeros are in column-major order.
 
-    A last vector, a fixed non-basis state, checks the game's affine
+    A last vector, a fixed random state, checks the game's affine
     declaration and raises ConfigInvalid when it fails; b or a step-1 output
     that is not finite raises it at once.  The vectors are evaluated
     PROBE_CHUNK_BYTES at a time as the lanes of one rhs call, and no
@@ -138,7 +108,6 @@ def probe_affine(rhs, layout) -> AffineOperator:
     size = layout.size
     width = layout.N * layout.m
     n_blocks = size // width
-    basis = innovation_basis(layout)
     rng = np.random.default_rng(0)
     check = rng.uniform(-1.0, 1.0, size)
     weights = rng.uniform(1.0, 2.0, size)
@@ -150,7 +119,7 @@ def probe_affine(rhs, layout) -> AffineOperator:
     starts = np.cumsum([0, 0] + [width] * n_blocks + [n_blocks] * width)
     moved = np.empty((len(starts) - 1, size), dtype=bool)
     filled = 0
-    for _, _, out in _probe_calls(rhs, basis, members, starts, weights, per_call):
+    for _, _, out in _probe_calls(rhs, members, starts, weights, per_call):
         if not filled:
             b = out[0].copy()
         _require_finite(out)
@@ -164,15 +133,15 @@ def probe_affine(rhs, layout) -> AffineOperator:
     # step 3: one lane per colour and an empty last lane for the check state;
     # each column reads its candidate rows from its colour's lane
     vals = np.empty(rows.size)
-    for here, lane, out in _probe_calls(rhs, basis, members, np.append(starts, size), np.ones(size),
-                                        per_call, last=check):
+    for here, lane, out in _probe_calls(rhs, members, np.append(starts, size), np.ones(size), per_call,
+                                        last=check):
         first, count = bounds[here], bounds[here + 1] - bounds[here]
         picked = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
         at = rows[picked]
         vals[picked] = out[np.repeat(lane, count), at] - b[at]
     nonzero = vals != 0.0
     cols = np.repeat(column, np.diff(bounds))[nonzero]
-    op = AffineOperator(rows[nonzero], cols, vals[nonzero], b, basis)
+    op = AffineOperator(rows[nonzero], cols, vals[nonzero], b)
 
     terms = op.terms(check)
     mismatch = np.abs(out[-1] - op.apply(check))
@@ -196,12 +165,11 @@ def _require_finite(out) -> None:
                             "a game, graph or gain parameter is NaN or infinite")
 
 
-def _probe_calls(rhs, basis, members, starts, values, per_call, last=None):
+def _probe_calls(rhs, members, starts, values, per_call, last=None):
     """Yield (columns, their lanes, rhs output) for the probe lanes, per_call lanes a call.
 
     Lane k holds values[j] in the columns j = members[starts[k]:starts[k + 1]]
-    and 0 elsewhere; last, when given, replaces the final lane after the
-    basis is applied.
+    and 0 elsewhere; last, when given, replaces the final lane.
     """
     n_lanes = len(starts) - 1
     lane_of = np.repeat(np.arange(n_lanes), np.diff(starts))
@@ -211,8 +179,6 @@ def _probe_calls(rhs, basis, members, starts, values, per_call, last=None):
         lane = lane_of[starts[start]:starts[stop]] - start
         lanes = np.zeros((stop - start, len(values)))
         lanes[lane, cols] = values[cols]
-        if basis is not None:
-            lanes = basis(lanes)
         if last is not None and stop == n_lanes:
             lanes[-1] = last
         yield cols, lane, rhs(lanes, 0.0)
@@ -267,11 +233,10 @@ def _greedy_colours(rows, bounds):
 
 @dataclass(frozen=True)
 class Propagator:
-    """s <- (B s) Y + c: a folded RK4 step, or several, of a (size,) state or a (lanes, size) batch.
+    """s <- s Y + c: a folded RK4 step, or several, of a (size,) state or a (lanes, size) batch.
 
-    B is the innovation basis in output mode and the identity in state mode.
-    Every state the steps pass through lies within kappa |B s|_inf + c_peak
-    in every entry: kappa bounds the induced inf-norm of each j-step map and
+    Every state the steps pass through lies within kappa |s|_inf + c_peak in
+    every entry: kappa bounds the induced inf-norm of each j-step map and
     c_peak the inf-norm of its offset c_j.
     """
 
@@ -279,40 +244,35 @@ class Propagator:
     c: np.ndarray
     kappa: float
     c_peak: float
-    basis: Optional[Callable[[np.ndarray], np.ndarray]]
-
-    def _v(self, s):
-        return s if self.basis is None else self.basis(s)
 
     def __call__(self, s, t=0.0):
         """The propagated state; t is ignored, so a one-step propagator is a step(s, t)."""
-        return self._v(s) @ self.y + self.c
+        return s @ self.y + self.c
 
     def within(self, s, guard: float):
         """The propagated state, or None unless every state on the way is bounded by guard.
 
-        The bound is exact arithmetic's: kappa |B s|_inf + c_peak <= guard.  A
+        The bound is exact arithmetic's: kappa |s|_inf + c_peak <= guard.  A
         state that is not finite never clears it.
         """
-        v = self._v(s)
-        if not self.kappa * np.max(np.abs(v)) + self.c_peak <= guard:  # also true for NaN
+        if not self.kappa * np.max(np.abs(s)) + self.c_peak <= guard:  # also true for NaN
             return None
-        return v @ self.y + self.c
+        return s @ self.y + self.c
 
     def repeated(self, r: int) -> "Propagator":
         """r steps of this one-step propagator as one product, kappa and c_peak over every j <= r.
 
-        With Y_1 = (Phi B)^T and c_1 = c, Y_{j+1} = B(Y_j) (Phi B)^T and
-        c_{j+1} = B(c_j) (Phi B)^T + c, B acting on each row.  It costs r
-        products of size^3 and keeps no size^2 array per j.
+        With Y_1 = Phi^T and c_1 = c, Y_{j+1} = Y_j Phi^T and c_{j+1} =
+        c_j Phi^T + c.  It costs r products of size^3 and keeps no size^2
+        array per j.
         """
         y, c = self.y, self.c
         kappa, c_peak = self.kappa, self.c_peak
         for _ in range(r - 1):
-            y, c = self._v(y) @ self.y, self._v(c) @ self.y + self.c
+            y, c = y @ self.y, c @ self.y + self.c
             kappa = max(kappa, _inf_norm(y))
             c_peak = max(c_peak, float(np.max(np.abs(c))))
-        return Propagator(y, c, kappa, c_peak, self.basis)
+        return Propagator(y, c, kappa, c_peak)
 
 
 def _inf_norm(y) -> float:
@@ -325,17 +285,14 @@ def folded_rk4(op: AffineOperator, dt: float) -> Propagator:
 
     With M = dt A, RK4 gives Phi = I + M + M^2/2 + M^3/6 + M^4/24 and
     c = dt (I + M/2 + M^2/6 + M^3/24) b.  Building it costs O(size^3); a step
-    costs one O(size^2) product, v @ (Phi B)^T with v = B s, so s may be one
-    state or a (lanes, size) batch of loops that share the operator.  B is the
-    innovation basis in output mode and I in state mode, where v = s.
+    costs one O(size^2) product, s @ Phi^T, so s may be one state or a
+    (lanes, size) batch of loops that share the operator.
     ``Propagator.repeated`` folds several such steps into one product.
     """
     eye = np.eye(op.b.size)
-    a_basis = np.zeros_like(eye)  # A B
-    a_basis[op.rows, op.cols] = op.vals
-    basis = eye if op.basis is None else op.basis(eye).T
-    m = dt * (a_basis @ basis)  # dt A, as B is its own inverse
+    m = np.zeros_like(eye)
+    m[op.rows, op.cols] = dt * op.vals
     taylor = eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0  # I + M/2 + M^2/6 + M^3/24
     c = dt * (taylor @ op.b)
-    phi_basis_t = (basis + taylor @ (dt * a_basis)).T  # (Phi B)^T = (B + (Phi - I) B)^T
-    return Propagator(phi_basis_t, c, _inf_norm(phi_basis_t), float(np.max(np.abs(c))), op.basis)
+    y = (eye + taylor @ m).T  # Phi^T = (I + (I + M/2 + M^2/6 + M^3/24) M)^T
+    return Propagator(y, c, _inf_norm(y), float(np.max(np.abs(c))))

@@ -138,12 +138,18 @@ def _unknown_key(prefix: str, key: str, known) -> ConfigInvalid:
     return ConfigInvalid(f"unknown config key {prefix + key!r}{hint}")
 
 
-def _copy(value):
-    """A fresh copy of a JSON value: lists and objects copied, scalars shared."""
+def _copy(value, key: str = ""):
+    """A fresh copy of a JSON value: lists and objects copied, scalars shared.
+
+    Given the value's config key, it also rejects a boolean anywhere in it:
+    no config key takes one, and float() would read true and false as 1 and 0.
+    """
     if isinstance(value, list):
-        return [_copy(v) for v in value]
+        return [_copy(v, key) for v in value]
     if isinstance(value, dict):
-        return {k: _copy(v) for k, v in value.items()}
+        return {k: _copy(v, key and f"{key}.{k}") for k, v in value.items()}
+    if key and isinstance(value, bool):
+        raise ConfigInvalid(f"{key} got the boolean {json.dumps(value)}; no config key takes true or false")
     return value
 
 
@@ -159,14 +165,14 @@ def _fill(block: dict, schema: dict, scenario: str, prefix: str = "") -> dict:
             continue
         value = block[key]
         if not isinstance(default, dict):
-            out[key] = _copy(value)
+            out[key] = _copy(value, prefix + key)
         elif not isinstance(value, dict):
             raise ConfigInvalid(f"config block {prefix + key!r} must be an object, got {value!r}")
         elif key == "scenario_params":
             for param in value:
                 if param not in _SCENARIO_PARAMS[scenario]:
                     raise _unknown_key(f"{key}.", param, _SCENARIO_PARAMS[scenario])
-            out[key] = _copy(value)
+            out[key] = _copy(value, prefix + key)
         else:
             out[key] = _fill(value, default, scenario, f"{prefix}{key}.")
     return out

@@ -37,13 +37,15 @@ class InEdges(NamedTuple):
 class Digraph:
     """Weighted directed graph on nodes 0..N-1 with no self loops.
 
-    The weights are read once for ``in_edges``; do not modify them in place.
+    weights is a read-only float copy of the array given, so ``in_edges``
+    and every other reading of it stay in step.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
+        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] < 1:
             raise ConfigInvalid(f"adjacency matrix must be square, got shape {w.shape}")

@@ -2,13 +2,17 @@
 
 The global state is one flat vector laid out as
 
-    [plant chains (n, N, m) | observer chains (n, N, m), output mode only |
+    [plant chains (n, N, m) |
+     observer chains (e_0, z_1, ..., z_{n-1}) (n, N, m), output mode only |
      auxiliary y (N, m) | estimate tensor (N, N, m)]
 
-and advanced with classical RK4.  The controller side of the right-hand side
-is the stacked laws of :mod:`nashseek.control`; plant drifts are evaluated
-once per distinct drift callable, over all players that share it, and are
-never visible to the controller terms.
+and advanced with classical RK4.  e_0 = x - z_0 is the innovation, all the
+observer law reads of z_0; its weights reach (eps/mu)^n = 1.6e9 on the
+turbine loop, where an operator on x and z_0 lost 5e-11 relative a step.
+The controller side of the right-hand side is the stacked laws of
+:mod:`nashseek.control`; plant drifts are evaluated once per distinct drift
+callable, over all players that share it, and are never visible to the
+controller terms.
 
 Under a game declared affine, everything but the drift is an affine map
 ``A s + b`` of the state.  The loop probes that map once from the stacked laws
@@ -98,9 +102,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:  # these comparisons are false for NaN
+        if isinstance(self.dt, (bool, np.bool_)) or not 0 < self.dt < np.inf:  # false for NaN too
             raise ConfigInvalid(f"dt must be finite and positive, got {self.dt}")
-        if not self.dt <= self.horizon < np.inf:
+        if isinstance(self.horizon, (bool, np.bool_)) or not self.dt <= self.horizon < np.inf:
             raise ConfigInvalid(f"horizon {self.horizon} must be finite and at least one step {self.dt}")
         if not self.horizon / self.dt < np.inf:
             raise ConfigInvalid(f"horizon {self.horizon} over dt {self.dt} is not a finite step count")
@@ -159,6 +163,7 @@ class _Layout:
     A state is one loop's (size,) vector or a (lanes, size) batch.  The
     accessors return views with any lane axis after a chain's level axis:
     chain and z are (n, ..., N, m), y is (..., N, m) and x_hat (..., N, N, m).
+    z is the observer block [e_0, z_1, ..., z_{n-1}], e_0 = x - z_0.
     """
 
     def __init__(self, n: int, n_players: int, m: int, output_mode: bool):
@@ -168,32 +173,24 @@ class _Layout:
         self.output_mode = output_mode
         block = n * n_players * m
         self.chain_sl = slice(0, block)
-        pos = block
-        if output_mode:
-            self.z_sl = slice(pos, pos + block)
-            pos += block
-        else:
-            self.z_sl = None
+        self.z_sl = slice(block, 2 * block) if output_mode else None
+        pos = 2 * block if output_mode else block
         self.y_sl = slice(pos, pos + n_players * m)
         pos += n_players * m
         self.hat_sl = slice(pos, pos + n_players * n_players * m)
         pos += n_players * n_players * m
         self.size = pos
 
-    def _lanes(self, s, sl):
+    def _levels(self, s, sl):
+        if s.ndim == 1:
+            return s[sl].reshape(self.n, self.N, self.m)
         return s[:, sl].reshape(len(s), self.n, self.N, self.m).swapaxes(0, 1)
 
     def chain(self, s):
-        if s.ndim == 1:
-            return s[self.chain_sl].reshape(self.n, self.N, self.m)
-        return self._lanes(s, self.chain_sl)
+        return self._levels(s, self.chain_sl)
 
     def z(self, s):
-        if not self.output_mode:
-            return None
-        if s.ndim == 1:
-            return s[self.z_sl].reshape(self.n, self.N, self.m)
-        return self._lanes(s, self.z_sl)
+        return None if self.z_sl is None else self._levels(s, self.z_sl)
 
     def y(self, s):
         return s[..., self.y_sl].reshape(s.shape[:-1] + (self.N, self.m))
@@ -245,10 +242,12 @@ def _drift_groups(lane_plants: Sequence[Sequence[Plant]], lanes: tuple = ()) -> 
     return out
 
 
-def _add_drifts(groups: list, chain: np.ndarray, acc: np.ndarray) -> None:
-    """Add every player's drift at the (n, ..., N, m) chain into the (..., N, m) acc."""
+def _add_drifts(groups: list, chain: np.ndarray, *accs: np.ndarray) -> None:
+    """Add every player's drift at the (n, ..., N, m) chain into each (..., N, m) acc."""
     for sel, drift, w in groups:
-        acc[..., sel, :] += drift(chain[..., sel, :], w)
+        d = drift(chain[..., sel, :], w)
+        for acc in accs:
+            acc[..., sel, :] += d
 
 
 def _make_rhs(game: Game, g: Digraph, gains: GainSet, obs: Optional[ObserverSet], layout: _Layout):
@@ -259,16 +258,19 @@ def _make_rhs(game: Game, g: Digraph, gains: GainSet, obs: Optional[ObserverSet]
         chain = layout.chain(s)
         x_hat = layout.x_hat(s)
         x = chain[0]
-        z = layout.z(s)
+        e = layout.z(s)
 
         grads = extended_pseudo_gradient(game, x, x_hat)
-        levels = chain[1:] if z is None else z[1:]
+        levels = chain[1:] if e is None else e[1:]
 
         dchain = layout.chain(out)
         dchain[:-1] = chain[1:]
         dchain[-1] = control.stacked_control_input(levels, grads, layout.y(s), gains)
-        if z is not None:
-            layout.z(out)[:] = control.stacked_observer_rate(z, x, gains, obs)
+        if e is not None:
+            z = np.concatenate([(x - e[0])[None], e[1:]])
+            de = layout.z(out)
+            de[:] = control.stacked_observer_rate(z, x, gains, obs)
+            de[0] = dchain[0] - de[0]
         layout.y(out)[:] = control.stacked_aux_rate(levels, grads, gains)
         layout.x_hat(out)[:] = control.stacked_estimate_rate(x_hat, x, g, gains.alpha3)
         return out
@@ -277,13 +279,15 @@ def _make_rhs(game: Game, g: Digraph, gains: GainSet, obs: Optional[ObserverSet]
 
 
 def _with_drift(rhs, drift_groups: list, layout: _Layout):
-    """The drift-free rhs plus every plant's drift on the top derivative."""
+    """The drift-free rhs plus every plant's drift on the top derivative, and at n = 1 on e_0' too."""
     if not drift_groups:
         return rhs
+    innovation_too = layout.output_mode and layout.n == 1
 
     def rhs_with_drift(s, t):
         out = rhs(s, t)
-        _add_drifts(drift_groups, layout.chain(s), layout.chain(out)[-1])
+        tops = (layout.chain(out)[-1],) + ((layout.z(out)[0],) if innovation_too else ())
+        _add_drifts(drift_groups, layout.chain(s), *tops)
         return out
 
     return rhs_with_drift
@@ -305,7 +309,7 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
       ``folded_rk4``, O(size^3) once.  A full record interval of r =
       record_stride steps is one dense O(size^2) product with the r-step
       propagator (r more O(size^3) products to build, so only when r size
-      <= steps lanes), taken when kappa |B s|_inf + max_j |c_j|_inf stays
+      <= steps lanes), taken when kappa |s|_inf + max_j |c_j|_inf stays
       within STATE_MAGNITUDE_GUARD at the interval's start; otherwise, and
       in the remainder interval, one O(size^2) matvec a step with the
       per-step guard;
@@ -420,8 +424,6 @@ def _start(lane: Lane, probes: dict) -> _Start:
         if not np.isfinite(derivs).all():
             raise ConfigInvalid(f"init.derivatives must be finite, got {derivs.tolist()}")
         chain[1:] = derivs
-    if output_mode:
-        layout.z(state)[0] = x0  # observer position starts on the measured output
 
     x_star_mat = None
     if lane.x_star is not None:
@@ -484,7 +486,7 @@ class _Recorder:
         _lane_squares(self.layout.x_hat(s) - x[:, None], self.squares[0, row])
         _lane_squares(x - self.x_star, self.squares[1, row])
         if self.layout.output_mode:
-            np.max(np.abs(self.layout.z(s)[0] - x), axis=(1, 2), out=self.obs_errors[row])
+            np.max(np.abs(self.layout.z(s)[0]), axis=(1, 2), out=self.obs_errors[row])
 
     def split(self, failures: list) -> list:
         """Each lane's Trajectory, or its failure in its place."""
@@ -642,7 +644,7 @@ def fit_exponential_rate(traj: Trajectory, window: tuple) -> tuple[float, float]
 
 
 def mid_decay_window(traj: Trajectory) -> tuple[float, float]:
-    """Window between 10% and 90% of the total error drop (transients excluded)."""
+    """Window between 10% and 90% of the total error drop; EmptyWindow if the trace ends above the 10% level."""
     if traj.error_norms is None:
         raise NonPositiveError("trajectory has no recorded error norms")
     e = traj.error_norms
@@ -652,8 +654,8 @@ def mid_decay_window(traj: Trajectory) -> tuple[float, float]:
     lo_level = e0 - 0.9 * (e0 - e_min)
     below_hi = np.nonzero(e <= hi_level)[0]
     below_lo = np.nonzero(e <= lo_level)[0]
-    if below_hi.size == 0 or below_lo.size == 0:
-        raise EmptyWindow("error trace never decays; no mid-decay window")
+    if below_hi.size == 0 or below_lo.size == 0 or e[-1] > hi_level:
+        raise EmptyWindow("error trace does not decay through the horizon; no mid-decay window")
     return float(traj.times[below_hi[0]]), float(traj.times[below_lo[0]])
 
 

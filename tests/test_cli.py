@@ -192,6 +192,26 @@ class TestRunCommand:
          "init.derivatives"),
         (["run", "--set", "dt=1e-300"], "sim.dt=1e-300"),
         (["run", "--set", "dt=1e-320"], "dt 1e-320"),
+        # float() reads JSON true and false as 1 and 0; no key takes them
+        (["run", "--set", "dt=true"], "sim.dt"),
+        (["run", "--set", "settle_tol=true"], "settle_tol"),
+        (["run", "--set", "epsilon=true"], "gains.epsilon"),
+        (["run", "--set", "alpha2=false"], "gains.alpha2"),
+        (["run", "--set", "k=[true]"], "gains.k"),
+        (["run", "--set", "beta=[2,true]"], "observer.beta"),
+        (["run", "--set", "mu=true"], "observer.mu"),
+        (["run", "--set", "box=[false,10]"], "init.box"),
+        (["run", "--set", "decisions=[" + ",".join(["[1,2]"] * 9 + ["[0,true]"]) + "]"], "init.decisions"),
+        (["run", "--set", "derivatives=[[" + ",".join(["[0,0]"] * 9 + ["[false,0]"]) + "]]"],
+         "init.derivatives"),
+        (["run", "--set", "scenario_params.table=[[1800,2.18,1.53,true]]"], "scenario_params.table"),
+        (["run", "--set", "scenario_params.rho=true"], "scenario_params.rho"),
+        (["run", "--set", "scenario_params.offsets=[[0,0],[1,true]]"], "scenario_params.offsets"),
+        (["run", "--set", "scenario_params.star_radius=true"], "scenario_params.star_radius"),
+        (["run", "--set", 'scenario_params.graph={"n":true,"edges":[]}'], "scenario_params.graph.n"),
+        (["run", "--set", 'scenario_params.graph={"n":10,"edges":[{"to":1,"from":2,"w":true}]}'],
+         "scenario_params.graph.edges.w"),
+        (["run", "--set", "output_dir=false"], "output_dir got the boolean false"),
     ])
     def test_bad_key_or_value_exits_two_naming_it(self, tmp_path, capsys, argv, key):
         code = run_cli(*argv, "--scenario", "vehicles", "--out", str(tmp_path),

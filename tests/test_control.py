@@ -265,7 +265,8 @@ class TestOutputFeedbackLaw:
 
     def test_structural_identity_with_state_law(self):
         # the integrator's output-mode rhs on an observer chain equal to the
-        # true chain gives the state-mode u, dy and estimate rates
+        # true chain (innovation x - z_0 = 0, z_1 = x') gives the state-mode
+        # u, dy and estimate rates, and the observer stays on the chain
         gains = vehicle_like_gains()
         obs = ObserverSet((2.0, 1.0), 0.02)
         game = identity_game(3, 2)
@@ -275,11 +276,12 @@ class TestOutputFeedbackLaw:
         o = np.zeros(output_layout.size)
         for part in ("chain", "y", "x_hat"):
             getattr(output_layout, part)(o)[:] = getattr(state_layout, part)(s)
-        output_layout.z(o)[:] = state_layout.chain(s)
+        output_layout.z(o)[1:] = state_layout.chain(s)[1:]
         ds = _make_rhs(game, g, gains, None, state_layout)(s, 0.0)
         do = _make_rhs(game, g, gains, obs, output_layout)(o, 0.0)
         for part in ("chain", "y", "x_hat"):
             assert np.array_equal(getattr(output_layout, part)(do), getattr(state_layout, part)(ds))
+        assert not output_layout.z(do).any()
 
 
 class TestStackedForms:

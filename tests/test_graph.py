@@ -51,6 +51,22 @@ class TestDigraphValidation:
         with pytest.raises(ConfigInvalid):
             Digraph(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_keeps_a_read_only_copy_of_the_weights(self, cached):
+        # an edit to the caller's array, before or after in_edges is cached,
+        # must not reach the graph, so the consensus incidence, the anchor
+        # weights and the Laplacian stay in step
+        w = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.5, 0.0, 0.0]])
+        g = Digraph(w)
+        if cached:
+            g.in_edges
+        w[0, 1] = 5.0
+        assert g.weights[0, 1] == 1.0
+        assert np.array_equal(g.in_edges.incidence.sum(axis=1), g.in_degrees)
+        assert np.array_equal(laplacian(g), [[1.0, -1.0, 0.0], [0.0, 2.0, -2.0], [-1.5, 0.0, 1.5]])
+        with pytest.raises(ValueError):
+            g.weights[0, 1] = 5.0
+
     def test_from_edge_list_one_based(self):
         g = Digraph.from_edge_list(2, [{"to": 1, "from": 2, "w": 1.0},
                                        {"to": 2, "from": 1, "w": 2.0}])

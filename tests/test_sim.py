@@ -21,7 +21,7 @@ from nashseek.errors import (
 from nashseek.game import Game, extended_pseudo_gradient
 from nashseek.graph import Digraph
 from nashseek import affine, sim, verify
-from nashseek.affine import PROBE_CHUNK_BYTES, folded_rk4, innovation_basis, probe_affine, stack_lanes
+from nashseek.affine import PROBE_CHUNK_BYTES, folded_rk4, probe_affine, stack_lanes
 from nashseek.scenarios import (
     VEHICLE_TABLE,
     build_turbine_market,
@@ -132,6 +132,11 @@ class TestSimConfigValidation:
     def test_rejects_non_finite_step_or_horizon(self, dt, horizon):
         with pytest.raises(ConfigInvalid, match="finite"):
             SimConfig(dt=dt, horizon=horizon)
+
+    @pytest.mark.parametrize("field, value", [("dt", True), ("dt", np.True_), ("horizon", True)])
+    def test_rejects_boolean_step_or_horizon(self, field, value):
+        with pytest.raises(ConfigInvalid, match=f"{field}.*True"):
+            SimConfig(**{"dt": 0.1, "horizon": 1.0, field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("record_stride", 1.5), ("record_stride", 0), ("record_stride", "10"),
@@ -289,10 +294,8 @@ class TestFoldedPropagator:
         layout = _Layout(4, 6, 1, output_mode=mode == "output")
         rhs = _make_rhs(game, g, TURBINE_GAINS, obs, layout)
         state = np.zeros(layout.size)
-        x0 = np.random.default_rng(5).uniform(-10.0, 10.0, size=(6, 1))
-        layout.chain(state)[0] = x0
-        if mode == "output":
-            layout.z(state)[0] = x0
+        # the observer starts on x0: its innovation x - z_0 stays 0
+        layout.chain(state)[0] = np.random.default_rng(5).uniform(-10.0, 10.0, size=(6, 1))
         return rhs, layout, state
 
     # Over 2 000 output-mode steps the observer's top derivative estimate,
@@ -369,11 +372,10 @@ class TestFoldedPropagator:
         rhs, layout, state = self._loop("output")
         step = folded_rk4(probe_affine(rhs, layout), 9e-4)
         interval = step.repeated(10)
-        # the j-step maps one step at a time: the rows of the innovation
-        # basis are the states whose B s is a unit vector, and the zero state
-        # steps through the offsets c_j; in output mode the map's norm peaks
-        # at j = 2, not at j = 10
-        maps, offsets = innovation_basis(layout)(np.eye(layout.size)), np.zeros(layout.size)
+        # the j-step maps one step at a time: the unit vectors step through
+        # the rows of the maps and the zero state through the offsets c_j; in
+        # output mode the map's norm peaks at j = 2, not at j = 10
+        maps, offsets = np.eye(layout.size), np.zeros(layout.size)
         linear = dataclasses.replace(step, c=np.zeros(layout.size))
         norms, peaks = [], []
         for _ in range(10):
@@ -383,8 +385,7 @@ class TestFoldedPropagator:
         assert np.argmax(norms) < 9
         assert interval.kappa == pytest.approx(max(norms), rel=1e-12)
         assert interval.c_peak == pytest.approx(max(peaks), rel=1e-12)
-        v = innovation_basis(layout)(state)
-        bound = interval.kappa * np.max(np.abs(v)) + interval.c_peak
+        bound = interval.kappa * np.max(np.abs(state)) + interval.c_peak
         s = state
         for _ in range(10):
             s = step(s)
@@ -399,11 +400,12 @@ class TestFoldedPropagator:
     def test_interval_divergence_matches_one_step_divergence(self, monkeypatch):
         game, plants, g = build_turbine_market()
         self._forbid_rk4_step(monkeypatch)
-        messages = [self._diverged_message(game, plants, g, self.UNSTABLE_GAINS, None,
-                                           SimConfig(dt=9e-4, horizon=60.0, record_stride=stride))
-                    for stride in (10, 1)]
-        assert messages[0] == messages[1]
-        assert "magnitude" in messages[0]
+        for mode, obs in (("state", None), ("output", TURBINE_OBSERVER)):
+            messages = [self._diverged_message(game, plants, g, self.UNSTABLE_GAINS, obs,
+                                               SimConfig(dt=9e-4, horizon=60.0, mode=mode, record_stride=stride))
+                        for stride in (10, 1)]
+            assert messages[0] == messages[1]
+            assert "magnitude" in messages[0]
 
     def test_batch_lanes_diverge_at_their_single_run_steps(self):
         game, plants, g = build_turbine_market()
@@ -514,11 +516,12 @@ class TestLaneBatch:
 
 class TestRhsMatchesPerPlayerLaws:
     """The vectorized closed-loop right-hand side must agree with the
-    per-player law written term by term (``oracles.player_law``)."""
+    per-player law written term by term (``oracles.player_law``).  The
+    state holds the observer innovation e_0 = x - z_0 in place of z_0, so the
+    check translates it to z_0 for the law and back for the rates."""
 
-    def _check(self, mode, scenario="turbines", plants=None):
-        game, plants, g, gains, obs, layout, state = loop_inputs(mode, scenario, plants)
-        n, m, n_players = gains.order_n, game.decision_dim, game.n_players
+    def _check(self, game, plants, g, gains, obs, layout, state):
+        n, n_players = gains.order_n, game.n_players
         rhs = _with_drift(_make_rhs(game, g, gains, obs, layout), _drift_groups([plants]), layout)
         derivative = rhs(state, 0.0)
 
@@ -526,19 +529,22 @@ class TestRhsMatchesPerPlayerLaws:
         x_hat = layout.x_hat(state)
         y = layout.y(state)
         x = chain[0]
-        z = layout.z(state)
+        e = layout.z(state)
+        z = None if e is None else np.concatenate([(x - e[0])[None], e[1:]])
         d_chain = layout.chain(derivative)
         d_y = layout.y(derivative)
         d_hat = layout.x_hat(derivative)
-        d_z = layout.z(derivative)
+        d_e = layout.z(derivative)
 
         grads = extended_pseudo_gradient(game, x, x_hat)
         for i in range(n_players):
             u_i, dy_i, dxh_i, dz_i = player_law(i, chain, y, x_hat, grads, gains, g, obs, z)
-            if mode == "output":
-                assert np.allclose(d_z[:, i, :], dz_i, atol=1e-12)
             p = plants[i]
             drift_i = 0.0 if p.drift is None else p.drift(chain[:, i, :], p.w)
+            if obs is not None:
+                dx_i = chain[1, i] if n > 1 else u_i + drift_i
+                assert np.allclose(d_e[0, i], dx_i - dz_i[0], atol=1e-12)
+                assert np.allclose(d_e[1:, i], dz_i[1:], atol=1e-12)
             assert np.allclose(d_chain[-1, i], u_i + drift_i, atol=1e-12)
             assert np.allclose(d_y[i], dy_i, atol=1e-12)
             assert np.allclose(d_hat[i], dxh_i, atol=1e-12)
@@ -546,17 +552,26 @@ class TestRhsMatchesPerPlayerLaws:
                 assert np.array_equal(d_chain[level, i], chain[level + 1, i])
 
     def test_state_mode(self):
-        self._check("state")
+        self._check(*loop_inputs("state"))
 
     def test_output_mode(self):
-        self._check("output")
+        self._check(*loop_inputs("output"))
 
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_vehicles_with_drift(self, mode):
-        self._check(mode, "vehicles")
+        self._check(*loop_inputs(mode, "vehicles"))
 
     def test_two_drift_callables_mixed_with_none(self):
-        self._check("state", "vehicles", mixed_drift_plants())
+        self._check(*loop_inputs("state", "vehicles", mixed_drift_plants()))
+
+    def test_first_order_output_mode_with_drift(self):
+        # at n = 1 the drift moves x' itself, so it moves e_0' = x' - z_0' too
+        plants = [Plant(1, 2, drift=linear_drift, w=0.5 * (i + 1)) for i in range(3)]
+        g = Digraph(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.5, 0.0, 0.0]]))
+        layout = _Layout(1, 3, 2, output_mode=True)
+        state = np.random.default_rng(13).standard_normal(layout.size)
+        self._check(identity_game(3, 2), plants, g, GainSet(1, (), 2.0, 1.8, 1.5, 5.0),
+                    ObserverSet((1.0,), 0.05), layout, state)
 
     def test_estimate_rate_matches_kronecker_form(self):
         # dual route: tensor difference form vs the stacked block matrices
@@ -605,14 +620,13 @@ def count_structured_rhs_calls(monkeypatch):
 
 
 def column_oracle(rhs, layout):
-    """(rows, cols, vals, b) of A B from one structured call per column, rhs(B e_j) - rhs(0)."""
-    basis = innovation_basis(layout) or (lambda v: v)
+    """(rows, cols, vals, b) of A from one structured call per column, rhs(e_j) - rhs(0)."""
     b = rhs(np.zeros(layout.size), 0.0)
     rows, cols, vals = [], [], []
     for j in range(layout.size):
         unit = np.zeros(layout.size)
         unit[j] = 1.0
-        column = rhs(basis(unit), 0.0) - b
+        column = rhs(unit, 0.0) - b
         nz = np.flatnonzero(column)
         rows.append(nz)
         cols.append(np.full(nz.size, j))
@@ -693,11 +707,17 @@ class TestProbedOperator:
         assert_matches_column_oracle(
             _make_rhs(dense_coupling_game(n_players), g, VEHICLE_GAINS, obs, layout), layout)
 
-    @pytest.mark.parametrize("n_players, size, nonzeros", [(10, 260, 900), (30, 1980, 7500)])
-    def test_operator_keeps_only_the_nonzeros(self, n_players, size, nonzeros):
+    @pytest.mark.parametrize("mode, n_players, size, nonzeros", [
+        pytest.param("state", 10, 260, 900, id="10-260-900"),
+        pytest.param("output", 10, 300, 980, id="output-10-300-980"),
+        pytest.param("state", 30, 1980, 7500, id="30-1980-7500"),
+        pytest.param("output", 30, 2100, 7740, id="output-30-2100-7740"),
+    ])
+    def test_operator_keeps_only_the_nonzeros(self, mode, n_players, size, nonzeros):
         game, _, g = vehicle_loop(n_players)
-        layout = _Layout(2, n_players, 2, output_mode=False)
-        op = probe_affine(_make_rhs(game, g, VEHICLE_GAINS, None, layout), layout)
+        obs = VEHICLE_OBSERVER if mode == "output" else None
+        layout = _Layout(2, n_players, 2, output_mode=mode == "output")
+        op = probe_affine(_make_rhs(game, g, VEHICLE_GAINS, obs, layout), layout)
         assert layout.size == size and op.vals.size == nonzeros and np.all(op.vals != 0.0)
 
     @pytest.mark.parametrize("mode", ["state", "output"])
@@ -847,6 +867,15 @@ class TestExponentialFit:
         traj = synthetic_trajectory([0.0, 1.0, 2.0], [1.0, 0.0, 0.5])
         with pytest.raises(NonPositiveError):
             fit_exponential_rate(traj, (0.0, 2.0))
+
+    def test_mid_decay_window_rejects_a_trace_that_grows_back(self):
+        # decays to e^-5 by t = 5, then grows to 1.5 x its start by t = 10
+        times = np.arange(0.0, 10.0, 0.01)
+        errors = np.where(times < 5.0, np.exp(-times), np.exp(times - 10.0 + np.log(1.5)))
+        with pytest.raises(EmptyWindow):
+            mid_decay_window(synthetic_trajectory(times, errors))
+        # the same trace cut before it climbs back over its 10%-drop level keeps a window
+        assert mid_decay_window(synthetic_trajectory(times[:700], errors[:700]))[0] > 0.0
 
     def test_mid_decay_window_on_exponential(self):
         times = np.arange(0.0, 10.0, 0.001)
