@@ -87,8 +87,6 @@ def cmd_run(args) -> int:
         fh.write("\n")
     for warning in summary["gain_ordering_warnings"]:
         print(f"warning: {warning}")
-    if setup.dt_guidance_warning:
-        print(f"warning: {setup.dt_guidance_warning}")
     print(f"scenario {setup.scenario_name} ({setup.algo}): "
           f"settle_time={summary['settle_time']}, lambda_hat={summary['lambda_hat']}, "
           f"final_residual={summary['final_residual']:.3e}")

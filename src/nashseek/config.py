@@ -213,9 +213,8 @@ def model_key(cfg: dict) -> str:
 def digraph_from_json(spec: dict) -> Digraph:
     """Build a digraph from the documented {"n", "edges"} wire format."""
     try:
-        n = int(spec["n"])
-        edges = spec["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, edges = spec["n"], spec["edges"]
+    except (KeyError, TypeError) as exc:
         raise ConfigInvalid(f"graph spec needs integer 'n' and a list 'edges': {exc}") from exc
     return Digraph.from_edge_list(n, edges)
 
@@ -230,7 +229,7 @@ class RunSetup:
     plants: list
     graph: Digraph
     gains: GainSet
-    observer: ObserverSet
+    observer: Optional[ObserverSet]  # None in state mode
     sim_config: SimConfig
     init: InitialConditions
     x_star: np.ndarray
@@ -238,7 +237,6 @@ class RunSetup:
     output_dir: str
     ordering: GainOrderingReport
     config_echo: dict
-    dt_guidance_warning: Optional[str] = None
 
 
 # The scenario_params keys that _build_scenario reads.
@@ -328,6 +326,7 @@ def build_run_setup(cfg: dict) -> RunSetup:
     order_n = plants[0].order_n
 
     gains = _parse_gains(cfg["gains"], order_n)
+    # parsed and checked in either mode; only output feedback runs it
     observer = _parse_observer(cfg["observer"], order_n)
 
     sim_block = cfg["sim"]
@@ -335,7 +334,6 @@ def build_run_setup(cfg: dict) -> RunSetup:
         sim_config = SimConfig(
             dt=float(sim_block["dt"]),
             horizon=float(sim_block["horizon"]),
-            mode=algo,
             record_stride=sim_block["record_stride"],
             seed=sim_block["seed"],
         )
@@ -365,18 +363,6 @@ def build_run_setup(cfg: dict) -> RunSetup:
     if not 0 < settle_tol < np.inf:  # false for NaN too
         raise ConfigInvalid(f"settle_tol must be finite and positive, got {settle_tol}")
 
-    # advisory step-size guidance; output mode has the hard dt <= mu/10 gate
-    dt_warning = None
-    if algo == MODE_STATE:
-        k_max = max(gains.k) if gains.k else 1.0
-        bound = 1.0 / (10.0 * gains.epsilon ** order_n * max(k_max, 1.0))
-        if sim_config.dt > bound:
-            dt_warning = (
-                f"dt={sim_config.dt:g} exceeds the stiffness guidance "
-                f"1/(10 eps^n max(k,1)) = {bound:.3g}; the guidance is conservative "
-                "but large steps can destabilize the integration"
-            )
-
     return RunSetup(
         scenario_name=name,
         algo=algo,
@@ -384,7 +370,7 @@ def build_run_setup(cfg: dict) -> RunSetup:
         plants=list(plants),
         graph=graph,
         gains=gains,
-        observer=observer,
+        observer=observer if algo == MODE_OUTPUT else None,
         sim_config=sim_config,
         init=init,
         x_star=x_star,
@@ -392,5 +378,4 @@ def build_run_setup(cfg: dict) -> RunSetup:
         output_dir=output_dir,
         ordering=check_gain_ordering(gains),
         config_echo=cfg,
-        dt_guidance_warning=dt_warning,
     )

@@ -75,11 +75,17 @@ class Digraph:
 
     @classmethod
     def from_edge_list(cls, n: int, edges) -> "Digraph":
-        """Build from 1-based edge records {"to": i, "from": j, "w": a_ij}."""
+        """Build from 1-based edge records {"to": i, "from": j, "w": a_ij}.
+
+        n, to and from must be integers (a float only without a fraction).
+        """
+        n = _integer(n, "graph n")
         w = np.zeros((n, n))
         for e in edges:
             try:
-                i, j, a = int(e["to"]), int(e["from"]), float(e["w"])
+                i = _integer(e["to"], f"edge {e!r}: 'to'")
+                j = _integer(e["from"], f"edge {e!r}: 'from'")
+                a = float(e["w"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigInvalid(f"bad edge record {e!r}: {exc}") from exc
             if not (1 <= i <= n and 1 <= j <= n):
@@ -88,6 +94,14 @@ class Digraph:
                 raise ConfigInvalid(f"edge ({i},{j}) weight must be finite and nonnegative, got {a}")
             w[i - 1, j - 1] = a
         return cls(w)
+
+
+def _integer(value, key: str) -> int:
+    """value as an int; ConfigInvalid naming key for a fraction, a string, a bool or anything else."""
+    if (isinstance(value, (int, np.integer, float, np.floating)) and not isinstance(value, bool)
+            and float(value).is_integer()):
+        return int(value)
+    raise ConfigInvalid(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass

@@ -30,8 +30,8 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("mass", "frontal_area", "drag_coeff", "mech_drag"):
-            if getattr(self, name) <= 0:
-                raise ConfigInvalid(f"vehicle {name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:  # false for NaN too
+                raise ConfigInvalid(f"vehicle {name} must be finite and positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class GeneratorParams:
     gamma3: float
 
     def __post_init__(self):
-        if self.gamma3 <= 0:
-            raise ConfigInvalid("gamma3 must be positive (strictly convex generation cost)")
+        if not 0 < self.gamma3 < np.inf:  # false for NaN too
+            raise ConfigInvalid(f"gamma3 must be finite and positive (strictly convex cost), got {self.gamma3}")
 
 
 VEHICLE_TABLE = (

@@ -65,6 +65,7 @@ STATE_MAGNITUDE_GUARD = 1e12
 # the step cost per lane stops falling well before it.
 MAX_LANES = 64
 
+# The two seeking algorithms: a run is output feedback exactly when it is given an ObserverSet.
 MODE_STATE = "state"
 MODE_OUTPUT = "output"
 
@@ -97,7 +98,6 @@ class SimConfig:
 
     dt: float
     horizon: float
-    mode: str = MODE_STATE
     record_stride: int = 10
     seed: int = 0
 
@@ -108,8 +108,6 @@ class SimConfig:
             raise ConfigInvalid(f"horizon {self.horizon} must be finite and at least one step {self.dt}")
         if not self.horizon / self.dt < np.inf:
             raise ConfigInvalid(f"horizon {self.horizon} over dt {self.dt} is not a finite step count")
-        if self.mode not in (MODE_STATE, MODE_OUTPUT):
-            raise ConfigInvalid(f"mode must be '{MODE_STATE}' or '{MODE_OUTPUT}', got {self.mode!r}")
         for name, least in (("record_stride", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
@@ -199,8 +197,7 @@ class _Layout:
         return s[..., self.hat_sl].reshape(s.shape[:-1] + (self.N, self.N, self.m))
 
 
-def _validate_setup(game: Game, plants: Sequence[Plant], g: Digraph,
-                    gains: GainSet, obs: Optional[ObserverSet], mode: str):
+def _validate_setup(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet):
     n_players = g.n_nodes
     if game.n_players != n_players or len(plants) != n_players:
         raise DimensionMismatch(
@@ -216,8 +213,6 @@ def _validate_setup(game: Game, plants: Sequence[Plant], g: Digraph,
         raise DimensionMismatch(f"plant dimension {m} != game decision dimension {game.decision_dim}")
     if gains.order_n != n:
         raise DimensionMismatch(f"gain set is for order {gains.order_n}, plants have order {n}")
-    if mode == MODE_OUTPUT and obs is None:
-        raise ConfigInvalid("output mode requires an observer parameter set")
     return n, n_players, m
 
 
@@ -299,6 +294,8 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
         x_star: Optional[np.ndarray] = None) -> Trajectory:
     """Integrate the full closed loop and record the trajectory.
 
+    obs None runs the state-feedback law; an ObserverSet runs the
+    output-feedback law, the same law on the high-gain observer's estimates.
     x_star, when supplied, must come from an independent equilibrium solver;
     it is used only to fill the recorded error norms.
 
@@ -358,7 +355,7 @@ def run_lanes(lanes: Sequence[Lane]) -> list:
     Returns, for each lane in order, its Trajectory or the NashseekError that
     ``run`` raises for it, so one failing lane leaves the others running.
 
-    Lanes share a batch when they have the same layout, mode, dt, step count,
+    Lanes share a batch when they have the same layout, dt, step count,
     record_stride and drift callable per player.  Under a game that is
     affine with drift each lane keeps its own probed operator, so the lanes
     may differ in game, graph, gains and observer; otherwise they must share
@@ -389,19 +386,23 @@ def run_lanes(lanes: Sequence[Lane]) -> list:
 def _start(lane: Lane, probes: dict) -> _Start:
     """Check one lane and build its start; probes caches operators per model."""
     game, plants, g, gains, obs, cfg = lane.game, lane.plants, lane.g, lane.gains, lane.obs, lane.cfg
-    n, n_players, m = _validate_setup(game, plants, g, gains, obs, cfg.mode)
+    n, n_players, m = _validate_setup(game, plants, g, gains)
     if not is_strongly_connected(g):
         raise NotStronglyConnected("communication digraph must be strongly connected")
-    output_mode = cfg.mode == MODE_OUTPUT
+    output_mode = obs is not None
     if output_mode and cfg.dt > obs.mu / 10.0 + 1e-15:
         raise ConfigInvalid(
             f"output mode requires dt <= mu/10 = {obs.mu / 10.0:g}, got dt={cfg.dt:g}"
         )
 
     init = lane.init or InitialConditions()
-    lo, hi = init.box
-    if not -np.inf < lo <= hi < np.inf:  # false for NaN too
-        raise ConfigInvalid(f"init.box must be finite with low <= high, got {init.box!r}")
+    try:
+        lo, hi = init.box
+        valid = -np.inf < lo <= hi < np.inf  # false for NaN too
+    except (TypeError, ValueError):  # not a pair of numbers
+        valid = False
+    if not valid:
+        raise ConfigInvalid(f"init.box must be finite with low <= high, as (low, high); got {init.box!r}")
     rng = np.random.default_rng(cfg.seed)
     if init.decisions is not None:
         x0 = np.asarray(init.decisions, dtype=float)
@@ -434,7 +435,7 @@ def _start(lane: Lane, probes: dict) -> _Start:
 
     op = None
     if game.affine:
-        model = (id(game), id(g), id(gains), id(obs), output_mode)
+        model = (id(game), id(g), id(gains), id(obs))
         if model not in probes:
             probes[model] = probe_affine(_make_rhs(game, g, gains, obs, layout), layout)
         op = probes[model]
@@ -588,7 +589,7 @@ def equilibrium_residual(game: Game, plants: Sequence[Plant], g: Digraph,
     should annihilate the state-feedback closed loop when x_star is the
     equilibrium profile.
     """
-    n, n_players, m = _validate_setup(game, plants, g, gains, None, MODE_STATE)
+    n, n_players, m = _validate_setup(game, plants, g, gains)
     layout = _Layout(n, n_players, m, output_mode=False)
     x_mat = np.asarray(x_star, dtype=float).reshape(n_players, m)
     state = np.zeros(layout.size)

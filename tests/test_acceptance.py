@@ -4,7 +4,9 @@ The closed-loop target values come from the analytic equilibrium oracles, never
 from the simulations being judged.
 """
 
+import contextlib
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -77,14 +79,17 @@ def test_03_turbine_convergence_both_algorithms(turbines_state_run, turbines_out
 
 def test_03b_highgain_reproduction_ships(tmp_path):
     # the documented high-gain set over its shipped 400 s horizon: it runs
-    # with its gain-ordering warning, settles, and ends within settle_tol of
-    # the oracle; the slowest mode decays at ~0.02/s
+    # with its gain-ordering warning and no step-size advisory, settles, and
+    # ends within settle_tol of the oracle; the slowest mode decays at ~0.02/s
     path = CONFIG_DIR / "turbines_highgain.json"
     cfg = load_config_file(path)
     setup = build_run_setup(cfg)
     assert setup.gains.epsilon == 20.0 and setup.gains.alpha1 == 500.0
     assert setup.sim_config.horizon == 400.0
-    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path)])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(["run", "--config", str(path), "--out", str(tmp_path)])
+    stiffness_line = "stiffness" in stdout.getvalue()
     summary = json.loads((tmp_path / "summary.json").read_text())
     with open(tmp_path / "trajectory.csv", newline="") as fh:
         *_, last = csv.reader(fh)
@@ -93,9 +98,11 @@ def test_03b_highgain_reproduction_ships(tmp_path):
     worst = float(np.max(np.abs(final - p_star) / np.abs(p_star)))
     warning_present = bool(summary["gain_ordering_warnings"])
     settle = summary["settle_time"]
-    ok = code == 0 and warning_present and settle is not None and worst <= cfg["settle_tol"]
+    ok = (code == 0 and warning_present and not stiffness_line and settle is not None
+          and worst <= cfg["settle_tol"])
     report(3, "high-gain reference set reproduction, full horizon", ok,
-           f"ordering warning present: {warning_present}, settle_time {settle}, "
+           f"ordering warning present: {warning_present}, stiffness line: {stiffness_line}, "
+           f"settle_time {settle}, "
            f"worst componentwise relative error {worst:.2e} (tol {cfg['settle_tol']})")
 
 

@@ -18,6 +18,7 @@ from nashseek.config import (
     digraph_from_json,
     load_config_file,
 )
+from nashseek.control import ObserverSet
 from nashseek.errors import ConfigInvalid
 
 
@@ -38,6 +39,17 @@ class TestConfigPlumbing:
         assert setup.gains.k == (3.375, 6.75, 4.5)
         assert setup.observer.mu == 0.01
         assert setup.ordering.passed
+
+    @pytest.mark.parametrize("scenario", ["vehicles", "turbines"])
+    def test_only_output_mode_gets_an_observer(self, scenario):
+        # the observer is what selects output feedback in sim.run
+        assert build_run_setup(default_config(scenario, "state")).observer is None
+        observer = build_run_setup(default_config(scenario, "output")).observer
+        assert isinstance(observer, ObserverSet)
+        assert observer.mu == default_config(scenario)["observer"]["mu"]
+        # state mode still checks the observer block it does not run
+        with pytest.raises(ConfigInvalid, match="mu must be finite and positive"):
+            build_run_setup(apply_set_overrides(default_config(scenario, "state"), ["mu=-1"]))
 
     def test_set_override_aliases(self):
         cfg = default_config("vehicles", "output")
@@ -212,6 +224,14 @@ class TestRunCommand:
         (["run", "--set", 'scenario_params.graph={"n":10,"edges":[{"to":1,"from":2,"w":true}]}'],
          "scenario_params.graph.edges.w"),
         (["run", "--set", "output_dir=false"], "output_dir got the boolean false"),
+        # int() would truncate 10.9 and 2.7 and parse "10"
+        (["run", "--set", 'scenario_params.graph={"n":10.9,"edges":[]}'],
+         "graph n must be an integer, got 10.9"),
+        (["run", "--set", 'scenario_params.graph={"n":"10","edges":[]}'], "graph n must be an integer"),
+        (["run", "--set", 'scenario_params.graph={"n":10,"edges":[{"to":1,"from":2.7,"w":1}]}'],
+         "'from' must be an integer, got 2.7"),
+        (["run", "--set", 'scenario_params.graph={"n":10,"edges":[{"to":"1","from":2,"w":1}]}'],
+         "'to' must be an integer"),
     ])
     def test_bad_key_or_value_exits_two_naming_it(self, tmp_path, capsys, argv, key):
         code = run_cli(*argv, "--scenario", "vehicles", "--out", str(tmp_path),

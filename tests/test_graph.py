@@ -75,6 +75,14 @@ class TestDigraphValidation:
     def test_from_edge_list_bad_index(self):
         with pytest.raises(ConfigInvalid):
             Digraph.from_edge_list(2, [{"to": 3, "from": 1, "w": 1.0}])
+        # a fraction, a string or a bool is no index; int() would truncate or parse it
+        for n, to, tail, key in [(2.9, 1, 2, "graph n"), ("2", 1, 2, "graph n"), (True, 1, 2, "graph n"),
+                                 (2, 1.5, 2, "'to'"), (2, 1, 2.7, "'from'"), (2, 1, "2", "'from'")]:
+            with pytest.raises(ConfigInvalid, match=f"{key} must be an integer"):
+                Digraph.from_edge_list(n, [{"to": to, "from": tail, "w": 1.0}])
+        assert np.array_equal(Digraph.from_edge_list(2.0, [{"to": 1.0, "from": np.int64(2), "w": 1.0},
+                                                           {"to": 2, "from": 1, "w": 2.0}]).weights,
+                              two_node().weights)
 
     def test_from_edge_list_bad_record(self):
         with pytest.raises(ConfigInvalid):

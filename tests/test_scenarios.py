@@ -53,6 +53,11 @@ class TestParameterTables:
             VehicleParams(-1, 2.0, 1.5, 6.0)
         with pytest.raises(ConfigInvalid):
             GeneratorParams(7, 36.8, -0.1)
+        for value in (float("nan"), float("inf")):  # "<= 0" is false for both
+            with pytest.raises(ConfigInvalid, match="mass must be finite"):
+                VehicleParams(value, 2.0, 1.5, 6.0)
+            with pytest.raises(ConfigInvalid, match="gamma3 must be finite"):
+                GeneratorParams(7, 36.8, value)
 
 
 class TestFormationGeometry:

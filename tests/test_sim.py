@@ -123,10 +123,6 @@ class TestSimConfigValidation:
         with pytest.raises(ConfigInvalid):
             SimConfig(dt=0.1, horizon=0.01)
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ConfigInvalid):
-            SimConfig(dt=0.1, horizon=1.0, mode="hybrid")
-
     @pytest.mark.parametrize("dt, horizon", [
         (float("nan"), 1.0), (float("inf"), 1.0), (0.1, float("nan")), (0.1, float("inf")), (1e-320, 30.0)])
     def test_rejects_non_finite_step_or_horizon(self, dt, horizon):
@@ -147,20 +143,12 @@ class TestSimConfigValidation:
 
 
 class TestRunValidation:
-    def test_output_mode_requires_observer(self):
-        game = identity_game()
-        plants = [Plant(1, 1), Plant(1, 1)]
-        gains = GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
-        cfg = SimConfig(dt=1e-3, horizon=0.1, mode="output")
-        with pytest.raises(ConfigInvalid):
-            run(game, plants, two_cycle(), gains, None, cfg)
-
     def test_output_mode_enforces_dt_bound(self):
         game = identity_game()
         plants = [Plant(1, 1), Plant(1, 1)]
         gains = GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
         obs = ObserverSet((1.0,), 0.02)
-        cfg = SimConfig(dt=3e-3, horizon=0.1, mode="output")
+        cfg = SimConfig(dt=3e-3, horizon=0.1)
         with pytest.raises(ConfigInvalid):
             run(game, plants, two_cycle(), gains, obs, cfg)
 
@@ -189,7 +177,7 @@ class TestRunValidation:
         with pytest.raises(DimensionMismatch):
             run(game, plants, two_cycle(), gains, None, cfg)
 
-    @pytest.mark.parametrize("box", [(0.0, np.nan), (-np.inf, 1.0), (5.0, 0.0)])
+    @pytest.mark.parametrize("box", [(0.0, np.nan), (-np.inf, 1.0), (5.0, 0.0), (1.0, 2.0, 3.0), None])
     def test_bad_box_fails_its_lane_alone(self, box):
         game, gains = identity_game(), GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
         cfg = SimConfig(dt=1e-2, horizon=0.1)
@@ -248,7 +236,7 @@ class TestClosedLoopRuns:
         plants = [Plant(1, 1), Plant(1, 1)]
         gains = GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
         obs = ObserverSet((1.0,), 0.05)
-        cfg = SimConfig(dt=1e-3, horizon=10.0, mode="output")
+        cfg = SimConfig(dt=1e-3, horizon=10.0)
         traj = run(game, plants, two_cycle(), gains, obs, cfg,
                    InitialConditions(decisions=np.array([[4.0], [-2.0]])),
                    x_star=np.zeros(2))
@@ -330,7 +318,7 @@ class TestFoldedPropagator:
     def test_run_takes_the_folded_path(self, mode, monkeypatch):
         game, plants, g = build_turbine_market()
         obs = TURBINE_OBSERVER if mode == "output" else None
-        cfg = SimConfig(dt=9e-4, horizon=0.9, mode=mode, seed=3)
+        cfg = SimConfig(dt=9e-4, horizon=0.9, seed=3)
         matrix_free = run(dataclasses.replace(game, affine=False), plants, g,
                           TURBINE_GAINS, obs, cfg)
         self._forbid_rk4_step(monkeypatch)
@@ -358,7 +346,7 @@ class TestFoldedPropagator:
         # 1 000 steps leave a remainder interval of 6 steps at stride 7
         game, plants, g = build_turbine_market()
         obs = TURBINE_OBSERVER if mode == "output" else None
-        cfg = SimConfig(dt=9e-4, horizon=0.9, mode=mode, record_stride=7, seed=3)
+        cfg = SimConfig(dt=9e-4, horizon=0.9, record_stride=7, seed=3)
         strided = run(game, plants, g, TURBINE_GAINS, obs, cfg)
         stepped = run(game, plants, g, TURBINE_GAINS, obs, dataclasses.replace(cfg, record_stride=1))
         rows = np.append(np.arange(0, 1000, 7), 1000)
@@ -400,9 +388,9 @@ class TestFoldedPropagator:
     def test_interval_divergence_matches_one_step_divergence(self, monkeypatch):
         game, plants, g = build_turbine_market()
         self._forbid_rk4_step(monkeypatch)
-        for mode, obs in (("state", None), ("output", TURBINE_OBSERVER)):
+        for obs in (None, TURBINE_OBSERVER):
             messages = [self._diverged_message(game, plants, g, self.UNSTABLE_GAINS, obs,
-                                               SimConfig(dt=9e-4, horizon=60.0, mode=mode, record_stride=stride))
+                                               SimConfig(dt=9e-4, horizon=60.0, record_stride=stride))
                         for stride in (10, 1)]
             assert messages[0] == messages[1]
             assert "magnitude" in messages[0]
@@ -502,7 +490,7 @@ class TestLaneBatch:
     def test_batch_records_each_lane_as_its_single_run(self):
         game, plants, g, _ = build_vehicle_formation()
         x_star = vehicle_nash_oracle(build_vehicle_formation()[3])
-        cfg = SimConfig(dt=1e-3, horizon=0.3, mode="output", record_stride=7)
+        cfg = SimConfig(dt=1e-3, horizon=0.3, record_stride=7)
         lanes = [sim.Lane(game, plants, g, VEHICLE_GAINS, VEHICLE_OBSERVER,
                           dataclasses.replace(cfg, seed=seed), None, star)
                  for seed, star in ((1, x_star), (2, None), (3, x_star))]
@@ -727,7 +715,7 @@ class TestProbedOperator:
         counts = []
         for horizon in (0.02, 0.05):
             calls.clear()
-            run(game, plants, g, gains, obs, SimConfig(dt=1e-3, horizon=horizon, mode=mode))
+            run(game, plants, g, gains, obs, SimConfig(dt=1e-3, horizon=horizon))
             counts.append(len(calls))
         # PROBE_CHUNK_BYTES of lanes a call: b, one lane per block of N m
         # columns and per residue, then 40 colours (the most candidate
@@ -783,7 +771,7 @@ class TestProbedOperator:
         game, plants, g, gains, obs, _, _ = loop_inputs(mode, scenario)
         with pytest.raises(ConfigInvalid, match="declared affine"):
             run(cubic_gradient_game(game), plants, g, gains, obs,
-                SimConfig(dt=9e-4, horizon=0.01, mode=mode))
+                SimConfig(dt=9e-4, horizon=0.01))
 
     def test_unstable_drifting_loop_diverges(self):
         game, _, g, gains, _, _, _ = loop_inputs("state", "vehicles")
