@@ -53,7 +53,7 @@ def _execute_run(cfg: dict):
 
 def _summarize(setup, trajectory) -> dict:
     """The summary.json fields of one finished run."""
-    warnings = [] if setup.ordering.warning is None else [setup.ordering.warning]
+    warnings = [] if setup.ordering_warning is None else [setup.ordering_warning]
     settle = sim.settle_time(trajectory, setup.x_star, setup.settle_tol)
     lambda_hat = r_squared = None
     try:

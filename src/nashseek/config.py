@@ -34,14 +34,13 @@ import numpy as np
 
 from . import scenarios
 from .control import (
-    GainOrderingReport,
     GainSet,
     ObserverSet,
     check_gain_ordering,
     default_hurwitz_gains,
     default_observer_gains,
 )
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, finite
 from .game import Game
 from .graph import Digraph
 from .sim import MODE_OUTPUT, MODE_STATE, InitialConditions, SimConfig
@@ -235,7 +234,7 @@ class RunSetup:
     x_star: np.ndarray
     settle_tol: float
     output_dir: str
-    ordering: GainOrderingReport
+    ordering_warning: Optional[str]  # check_gain_ordering's advisory
     config_echo: dict
 
 
@@ -244,124 +243,72 @@ _SCENARIO_PARAMS = {"vehicles": ("table", "rho", "offsets", "star_radius", "grap
                     "turbines": ("table", "graph")}
 
 
-def _finite(value, key: str, positive: bool = False) -> np.ndarray:
-    """value as a float array; ConfigInvalid naming key when an entry is NaN or infinite (or <= 0)."""
-    array = np.asarray(value, dtype=float)
-    if not (np.isfinite(array).all() and (not positive or (array > 0).all())):
-        raise ConfigInvalid(f"{key} must be finite{' and positive' if positive else ''}, got {value!r}")
-    return array
+def _named(key: str, build, *args, **kwargs):
+    """build(*args, **kwargs); a ConfigInvalid, TypeError or ValueError it raises comes back naming key."""
+    try:
+        return build(*args, **kwargs)
+    except (ConfigInvalid, TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"{key}: {exc}") from exc
 
 
 def _build_scenario(name: str, params: dict):
     """Game, plants, graph and oracle; a parameter not given keeps the builder's own value."""
-    graph = digraph_from_json(params["graph"]) if "graph" in params else None
-    if "table" in params:
-        _finite(params["table"], "scenario_params.table")
-    if name == "vehicles":
-        table = None
-        if "table" in params:
-            table = [scenarios.VehicleParams(*row) for row in params["table"]]
-        rho = {}
-        if "rho" in params:
-            rho["rho"] = float(_finite(params["rho"], "scenario_params.rho", positive=True))
-        offsets = None
-        if "offsets" in params:
-            offsets = scenarios.FormationSpec(_finite(params["offsets"], "scenario_params.offsets"))
-        elif "star_radius" in params:
-            radius = _finite(params["star_radius"], "scenario_params.star_radius")
-            offsets = scenarios.five_point_star(float(radius))
-        game, plants, g, spec = scenarios.build_vehicle_formation(
-            table=table, offsets=offsets, graph=graph, **rho)
-        return game, plants, g, scenarios.vehicle_nash_oracle(spec)
+    graph = None
+    if "graph" in params:
+        graph = _named("scenario_params.graph", digraph_from_json, params["graph"])
     table = None
     if "table" in params:
-        table = [scenarios.GeneratorParams(*row) for row in params["table"]]
-    game, plants, g = scenarios.build_turbine_market(table=table, graph=graph)
-    return game, plants, g, scenarios.turbine_nash_oracle(table)
+        row_type = scenarios.VehicleParams if name == "vehicles" else scenarios.GeneratorParams
+        table = _named("scenario_params.table", lambda rows: [row_type(*r) for r in rows], params["table"])
+    if name == "turbines":
+        game, plants, g = scenarios.build_turbine_market(table=table, graph=graph)
+        return game, plants, g, scenarios.turbine_nash_oracle(table)
+    if "offsets" in params and "star_radius" in params:
+        raise ConfigInvalid("scenario_params.offsets and scenario_params.star_radius both place "
+                            "the formation; give one")
+    offsets = scenarios.five_point_star(params["star_radius"]) if "star_radius" in params else None
+    if "offsets" in params:
+        # FormationSpec takes NaN anchors (the probe's guard catches them); a config may not
+        offsets = _named("scenario_params.offsets", lambda rows: scenarios.FormationSpec(
+            [[finite(v, "offset") for v in r] for r in rows]), params["offsets"])
+    game, plants, g, spec = scenarios.build_vehicle_formation(
+        table=table, offsets=offsets, graph=graph, rho=params.get("rho", scenarios.RHO_AIR))
+    return game, plants, g, scenarios.vehicle_nash_oracle(spec)
 
 
-def _parse_gains(block: dict, order_n: int) -> GainSet:
-    try:
-        k = block["k"]
-        if isinstance(k, str):
-            if k != "auto":
-                raise ConfigInvalid(f"gains.k must be a list or 'auto', got {k!r}")
-            k = default_hurwitz_gains(order_n)
-        return GainSet(
-            order_n=order_n,
-            k=k,
-            epsilon=float(block["epsilon"]),
-            alpha1=float(block["alpha1"]),
-            alpha2=float(block["alpha2"]),
-            alpha3=float(block["alpha3"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad gains block {block!r}: {exc}") from exc
-
-
-def _parse_observer(block: dict, order_n: int) -> ObserverSet:
-    try:
-        beta = block["beta"]
-        if isinstance(beta, str):
-            if beta != "auto":
-                raise ConfigInvalid(f"observer.beta must be a list or 'auto', got {beta!r}")
-            beta = default_observer_gains(order_n)
-        return ObserverSet(beta=beta, mu=float(block["mu"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad observer block {block!r}: {exc}") from exc
+def _coefficients(value, key: str, default, order_n: int):
+    """A gains.k or observer.beta value: default(order_n) for "auto", and
+    ConfigInvalid naming key for any other string."""
+    if isinstance(value, str) and value != "auto":
+        raise ConfigInvalid(f"{key} must be a list or 'auto', got {value!r}")
+    return default(order_n) if isinstance(value, str) else value
 
 
 def build_run_setup(cfg: dict) -> RunSetup:
-    """Complete and check a config dict, then assemble the objects for one run."""
+    """Complete and check a config dict, then assemble the objects for one run.
+
+    Each value is checked by the object it builds; a fault names its key.
+    """
     cfg = complete(cfg)
     name = cfg["scenario"]
     algo = cfg["algo"]
     if algo not in (MODE_STATE, MODE_OUTPUT):
         raise ConfigInvalid(f"algo must be '{MODE_STATE}' or '{MODE_OUTPUT}', got {algo!r}")
 
-    try:
-        game, plants, graph, x_star = _build_scenario(name, cfg["scenario_params"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad scenario_params {cfg['scenario_params']!r}: {exc}") from exc
+    game, plants, graph, x_star = _build_scenario(name, cfg["scenario_params"])
     order_n = plants[0].order_n
-
-    gains = _parse_gains(cfg["gains"], order_n)
-    # parsed and checked in either mode; only output feedback runs it
-    observer = _parse_observer(cfg["observer"], order_n)
-
-    sim_block = cfg["sim"]
-    try:
-        sim_config = SimConfig(
-            dt=float(sim_block["dt"]),
-            horizon=float(sim_block["horizon"]),
-            record_stride=sim_block["record_stride"],
-            seed=sim_block["seed"],
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad sim block {sim_block!r}: {exc}") from exc
-
-    init_block = cfg["init"]
-    try:
-        decisions = init_block["decisions"]
-        derivatives = init_block["derivatives"]
-        lo, hi = (float(v) for v in init_block["box"])
-        init = InitialConditions(
-            decisions=None if decisions is None else np.asarray(decisions, dtype=float),
-            box=(lo, hi),
-            derivatives=None if derivatives is None else np.asarray(derivatives, dtype=float),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad init block {init_block!r}: {exc}") from exc
+    k = _coefficients(cfg["gains"]["k"], "gains.k", default_hurwitz_gains, order_n)
+    gains = _named("gains", GainSet, order_n=order_n, **dict(cfg["gains"], k=k))
+    # built and checked in either mode; only output feedback runs it
+    beta = _coefficients(cfg["observer"]["beta"], "observer.beta", default_observer_gains, order_n)
+    observer = _named("observer", ObserverSet, **dict(cfg["observer"], beta=beta))
+    sim_config = _named("sim", SimConfig, **cfg["sim"])
+    # sim.run checks the box and converts the decisions and derivatives
+    init = InitialConditions(**dict(cfg["init"], box=_named("init.box", tuple, cfg["init"]["box"])))
 
     output_dir = cfg["output_dir"]
     if not isinstance(output_dir, str):
         raise ConfigInvalid(f"output_dir must be a string, got {output_dir!r}")
-    try:
-        settle_tol = float(cfg["settle_tol"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"settle_tol must be a number, got {cfg['settle_tol']!r}") from exc
-    if not 0 < settle_tol < np.inf:  # false for NaN too
-        raise ConfigInvalid(f"settle_tol must be finite and positive, got {settle_tol}")
 
     return RunSetup(
         scenario_name=name,
@@ -374,8 +321,8 @@ def build_run_setup(cfg: dict) -> RunSetup:
         sim_config=sim_config,
         init=init,
         x_star=x_star,
-        settle_tol=settle_tol,
+        settle_tol=finite(cfg["settle_tol"], "settle_tol", positive=True),
         output_dir=output_dir,
-        ordering=check_gain_ordering(gains),
+        ordering_warning=check_gain_ordering(gains),
         config_echo=cfg,
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionMismatch, EmptyGains, NotHurwitz, SingularLyapunov
+from .errors import ConfigInvalid, DimensionMismatch, EmptyGains, NotHurwitz, SingularLyapunov, finite
 from .graph import Digraph
 from .linalg import is_symmetric_positive_definite, lyapunov_solve
 
@@ -145,8 +145,7 @@ class GainSet:
                 f"expected {self.order_n - 1} chain coefficients for order {self.order_n}, got {len(self.k)}"
             )
         for name in ("epsilon", "alpha1", "alpha2", "alpha3"):
-            if not 0 < getattr(self, name) < math.inf:  # false for NaN too
-                raise ConfigInvalid(f"{name} must be finite and positive, got {getattr(self, name)}")
+            object.__setattr__(self, name, finite(getattr(self, name), name, positive=True))
         if self.order_n >= 2 and not routh_hurwitz_stable(_monic_from_gains(self.k)):
             raise ConfigInvalid(f"chain polynomial with k={self.k} is not Hurwitz")
 
@@ -160,8 +159,7 @@ class ObserverSet:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", tuple(float(v) for v in np.atleast_1d(np.asarray(self.beta, dtype=float)).ravel()))
-        if not 0 < self.mu < math.inf:
-            raise ConfigInvalid(f"mu must be finite and positive, got {self.mu}")
+        object.__setattr__(self, "mu", finite(self.mu, "mu", positive=True))
         if len(self.beta) < 1:
             raise ConfigInvalid("observer needs at least one coefficient")
         coeffs = np.concatenate([[1.0], np.asarray(self.beta)])
@@ -169,44 +167,22 @@ class ObserverSet:
             raise ConfigInvalid(f"observer polynomial with beta={self.beta} is not Hurwitz")
 
 
-@dataclass(frozen=True)
-class GainOrderingReport:
-    """Advisory check of the strict ordering eps^{n-1} < alpha2 < alpha1 < eps^n."""
-
-    lower: float
-    upper: float
-    lower_lt_alpha2: bool
-    alpha2_lt_alpha1: bool
-    alpha1_lt_upper: bool
-    warning: str | None
-
-    @property
-    def passed(self) -> bool:
-        return self.lower_lt_alpha2 and self.alpha2_lt_alpha1 and self.alpha1_lt_upper
-
-
-def check_gain_ordering(gains: GainSet) -> GainOrderingReport:
-    """Evaluate the sufficient-ordering inequalities; never blocks a run."""
+def check_gain_ordering(gains: GainSet) -> str | None:
+    """The warning when the sufficient ordering eps^{n-1} < alpha2 < alpha1 < eps^n
+    fails, else None; never blocks a run."""
     lower = gains.epsilon ** (gains.order_n - 1)
     upper = gains.epsilon ** gains.order_n
-    c1 = lower < gains.alpha2
-    c2 = gains.alpha2 < gains.alpha1
-    c3 = gains.alpha1 < upper
-    warning = None
-    if not (c1 and c2 and c3):
-        parts = []
-        if not c1:
-            parts.append(f"eps^(n-1)={lower:g} >= alpha2={gains.alpha2:g}")
-        if not c2:
-            parts.append(f"alpha2={gains.alpha2:g} >= alpha1={gains.alpha1:g}")
-        if not c3:
-            parts.append(f"alpha1={gains.alpha1:g} >= eps^n={upper:g}")
-        warning = (
-            "gain ordering eps^(n-1) < alpha2 < alpha1 < eps^n violated ("
-            + "; ".join(parts)
-            + "); the condition is sufficient only, proceeding"
-        )
-    return GainOrderingReport(lower, upper, c1, c2, c3, warning)
+    parts = []
+    if not lower < gains.alpha2:
+        parts.append(f"eps^(n-1)={lower:g} >= alpha2={gains.alpha2:g}")
+    if not gains.alpha2 < gains.alpha1:
+        parts.append(f"alpha2={gains.alpha2:g} >= alpha1={gains.alpha1:g}")
+    if not gains.alpha1 < upper:
+        parts.append(f"alpha1={gains.alpha1:g} >= eps^n={upper:g}")
+    if not parts:
+        return None
+    return (f"gain ordering eps^(n-1) < alpha2 < alpha1 < eps^n violated ({'; '.join(parts)}); "
+            "the condition is sufficient only, proceeding")
 
 
 def feedback_weights(gains: GainSet) -> tuple[np.ndarray, np.ndarray, float]:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one real-number input check."""
+
+import math
+
+import numpy as np
 
 
 class NashseekError(Exception):
@@ -7,6 +11,22 @@ class NashseekError(Exception):
 
 class ConfigInvalid(NashseekError):
     """A configuration value or combination of values is unusable."""
+
+
+_REAL = (float, int, np.floating, np.integer)  # bool is an int and is rejected apart
+
+
+def finite(value, key: str, positive: bool = False) -> float:
+    """value as a float; ConfigInvalid naming key for a bool, a non-number,
+    NaN, +-inf, or (when positive) a value <= 0."""
+    if isinstance(value, _REAL) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number) and (number > 0 or not positive):
+            return number
+    raise ConfigInvalid(f"{key} must be finite{' and positive' if positive else ''}, got {value!r}")
 
 
 class DimensionMismatch(ConfigInvalid):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigInvalid, SingularLyapunov
+from .errors import ConfigInvalid, SingularLyapunov, finite
 from .linalg import is_symmetric_positive_definite, lyapunov_solve
 
 WEIGHT_BALANCE_TOL = 1e-12
@@ -80,18 +80,20 @@ class Digraph:
         n, to and from must be integers (a float only without a fraction).
         """
         n = _integer(n, "graph n")
+        if n < 1:
+            raise ConfigInvalid(f"graph n must be at least 1, got {n}")
         w = np.zeros((n, n))
         for e in edges:
             try:
                 i = _integer(e["to"], f"edge {e!r}: 'to'")
                 j = _integer(e["from"], f"edge {e!r}: 'from'")
-                a = float(e["w"])
-            except (KeyError, TypeError, ValueError) as exc:
+                a = e["w"]
+            except (KeyError, TypeError) as exc:
                 raise ConfigInvalid(f"bad edge record {e!r}: {exc}") from exc
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ConfigInvalid(f"edge ({i},{j}) outside 1..{n}")
-            if not 0 <= a < np.inf:  # false for NaN too
-                raise ConfigInvalid(f"edge ({i},{j}) weight must be finite and nonnegative, got {a}")
+            if finite(a, f"edge ({i},{j}) weight") < 0:
+                raise ConfigInvalid(f"edge ({i},{j}) weight must be nonnegative, got {a}")
             w[i - 1, j - 1] = a
         return cls(w)
 

@@ -2,7 +2,8 @@
 
 All baked-in parameters (vehicle table, generator table, air density, star
 geometry, default digraphs) can be overridden through the builder arguments;
-the CLI exposes them through the scenario config block.
+the CLI exposes them through the scenario config block, and the builders'
+errors name its keys.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, SingularSystem
+from .errors import ConfigInvalid, SingularSystem, finite
 from .game import Game
 from .graph import Digraph
 from .sim import Plant
@@ -30,8 +31,7 @@ class VehicleParams:
 
     def __post_init__(self):
         for name in ("mass", "frontal_area", "drag_coeff", "mech_drag"):
-            if not 0 < getattr(self, name) < np.inf:  # false for NaN too
-                raise ConfigInvalid(f"vehicle {name} must be finite and positive, got {getattr(self, name)}")
+            object.__setattr__(self, name, finite(getattr(self, name), f"vehicle {name}", positive=True))
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,9 @@ class GeneratorParams:
     gamma3: float
 
     def __post_init__(self):
-        if not 0 < self.gamma3 < np.inf:  # false for NaN too
-            raise ConfigInvalid(f"gamma3 must be finite and positive (strictly convex cost), got {self.gamma3}")
+        for name in ("gamma1", "gamma2", "gamma3"):
+            # gamma3 > 0 makes each cost strictly convex
+            object.__setattr__(self, name, finite(getattr(self, name), name, positive=name == "gamma3"))
 
 
 VEHICLE_TABLE = (
@@ -107,6 +108,7 @@ def default_cycle_digraph(n: int, extra_edges=()) -> Digraph:
 
 def five_point_star(outer_radius: float = 10.0) -> FormationSpec:
     """Ten anchors alternating between the outer and inner rings of a five-pointed star."""
+    outer_radius = finite(outer_radius, "scenario_params.star_radius", positive=True)
     k = np.arange(10)
     angles = np.pi / 2 + k * (2 * np.pi / 10)
     inner = outer_radius * np.sin(np.pi / 10) / np.sin(3 * np.pi / 10)
@@ -148,13 +150,15 @@ def build_vehicle_formation(table=None, rho: float = RHO_AIR, offsets=None, grap
     elementwise with the sign of the velocity component, keeping the drift
     Lipschitz-like on bounded sets.
     """
+    rho = finite(rho, "scenario_params.rho", positive=True)
     table = tuple(table) if table is not None else VEHICLE_TABLE
     spec = offsets if isinstance(offsets, FormationSpec) else (
         FormationSpec(offsets) if offsets is not None else five_point_star()
     )
     n = len(table)
     if spec.offsets.shape[0] != n:
-        raise ConfigInvalid(f"{n} vehicles but {spec.offsets.shape[0]} formation anchors")
+        raise ConfigInvalid(f"{n} vehicles but {spec.offsets.shape[0]} formation anchors; "
+                            "give scenario_params.table and scenario_params.offsets one row per vehicle")
     g = graph if graph is not None else default_cycle_digraph(n)
     game = _vehicle_game(spec.offsets)
     plants = []
@@ -202,6 +206,8 @@ def build_turbine_market(table=None, graph=None):
     """
     table = tuple(table) if table is not None else GENERATOR_TABLE
     n = len(table)
+    if n < 1:
+        raise ConfigInvalid("scenario_params.table lists no generator")
     g = graph if graph is not None else default_cycle_digraph(n, extra_edges=((1, 4, 0.5),))
     game = _turbine_game(table)
     plants = [Plant(order_n=4, dim_m=1, drift=None, w=None) for _ in range(n)]

@@ -54,6 +54,7 @@ from .errors import (
     NashseekError,
     NonPositiveError,
     NotStronglyConnected,
+    finite,
 )
 from .game import Game, extended_pseudo_gradient
 from .graph import Digraph, is_strongly_connected
@@ -102,10 +103,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.dt, (bool, np.bool_)) or not 0 < self.dt < np.inf:  # false for NaN too
-            raise ConfigInvalid(f"dt must be finite and positive, got {self.dt}")
-        if isinstance(self.horizon, (bool, np.bool_)) or not self.dt <= self.horizon < np.inf:
-            raise ConfigInvalid(f"horizon {self.horizon} must be finite and at least one step {self.dt}")
+        object.__setattr__(self, "dt", finite(self.dt, "dt", positive=True))
+        object.__setattr__(self, "horizon", finite(self.horizon, "horizon"))
+        if not self.dt <= self.horizon:
+            raise ConfigInvalid(f"horizon {self.horizon} must be at least one step {self.dt}")
         if not self.horizon / self.dt < np.inf:
             raise ConfigInvalid(f"horizon {self.horizon} over dt {self.dt} is not a finite step count")
         for name, least in (("record_stride", 1), ("seed", 0)):
@@ -383,6 +384,17 @@ def run_lanes(lanes: Sequence[Lane]) -> list:
     return results
 
 
+def _finite_array(value, key: str) -> np.ndarray:
+    """value as a float array; ConfigInvalid naming key unless every entry is a finite number."""
+    try:
+        array = np.asarray(value, dtype=float)
+        if np.isfinite(array).all():
+            return array
+    except (TypeError, ValueError):
+        pass
+    raise ConfigInvalid(f"{key} must be finite numbers, got {value!r}")
+
+
 def _start(lane: Lane, probes: dict) -> _Start:
     """Check one lane and build its start; probes caches operators per model."""
     game, plants, g, gains, obs, cfg = lane.game, lane.plants, lane.g, lane.gains, lane.obs, lane.cfg
@@ -397,19 +409,17 @@ def _start(lane: Lane, probes: dict) -> _Start:
 
     init = lane.init or InitialConditions()
     try:
-        lo, hi = init.box
-        valid = -np.inf < lo <= hi < np.inf  # false for NaN too
-    except (TypeError, ValueError):  # not a pair of numbers
+        lo, hi = (finite(v, "init.box") for v in init.box)
+        valid = lo <= hi
+    except (ConfigInvalid, TypeError, ValueError):  # not a pair of finite numbers
         valid = False
     if not valid:
         raise ConfigInvalid(f"init.box must be finite with low <= high, as (low, high); got {init.box!r}")
     rng = np.random.default_rng(cfg.seed)
     if init.decisions is not None:
-        x0 = np.asarray(init.decisions, dtype=float)
+        x0 = _finite_array(init.decisions, "init.decisions")
         if x0.shape != (n_players, m):
             raise ConfigInvalid(f"initial decisions must have shape {(n_players, m)}, got {x0.shape}")
-        if not np.isfinite(x0).all():
-            raise ConfigInvalid(f"init.decisions must be finite, got {x0.tolist()}")
     else:
         x0 = rng.uniform(lo, hi, size=(n_players, m))
 
@@ -418,12 +428,10 @@ def _start(lane: Lane, probes: dict) -> _Start:
     chain = layout.chain(state)
     chain[0] = x0
     if init.derivatives is not None:
-        derivs = np.asarray(init.derivatives, dtype=float)
+        derivs = _finite_array(init.derivatives, "init.derivatives")
         if derivs.shape != (n - 1, n_players, m):
             raise ConfigInvalid(f"initial derivatives must have shape {(n - 1, n_players, m)}, "
                                 f"got {derivs.shape}")
-        if not np.isfinite(derivs).all():
-            raise ConfigInvalid(f"init.derivatives must be finite, got {derivs.tolist()}")
         chain[1:] = derivs
 
     x_star_mat = None

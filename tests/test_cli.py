@@ -38,7 +38,7 @@ class TestConfigPlumbing:
         setup = build_run_setup(default_config("turbines", "output"))
         assert setup.gains.k == (3.375, 6.75, 4.5)
         assert setup.observer.mu == 0.01
-        assert setup.ordering.passed
+        assert setup.ordering_warning is None
 
     @pytest.mark.parametrize("scenario", ["vehicles", "turbines"])
     def test_only_output_mode_gets_an_observer(self, scenario):
@@ -232,6 +232,10 @@ class TestRunCommand:
          "'from' must be an integer, got 2.7"),
         (["run", "--set", 'scenario_params.graph={"n":10,"edges":[{"to":"1","from":2,"w":1}]}'],
          "'to' must be an integer"),
+        # one formation: a star_radius next to offsets would be ignored
+        (["run", "--set", "scenario_params.offsets=" + json.dumps(scenarios.five_point_star(4.0).offsets.tolist()),
+          "--set", "scenario_params.star_radius=5"],
+         "scenario_params.offsets and scenario_params.star_radius"),
     ])
     def test_bad_key_or_value_exits_two_naming_it(self, tmp_path, capsys, argv, key):
         code = run_cli(*argv, "--scenario", "vehicles", "--out", str(tmp_path),
@@ -267,6 +271,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and "scenario_params.graph" in err
+
+    def test_empty_turbine_table_exits_two(self, tmp_path, capsys):
+        code = run_cli("run", "--scenario", "turbines", "--out", str(tmp_path), "--set", "horizon=0.01",
+                       "--set", "scenario_params.table=[]", "--set", 'scenario_params.graph={"n":1,"edges":[]}')
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "scenario_params.table" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text, message", [
         ('{"scenario": "turbines", "sim": {"dt": 0.001, "sed": 3}}', "did you mean 'sim.seed'"),

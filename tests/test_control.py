@@ -163,7 +163,7 @@ class TestGainSetValidation:
             GainSet(2, (1.0,), 2.0, -3.0, 2.2, 18.0)
 
     @pytest.mark.parametrize("name", ["epsilon", "alpha1", "alpha2", "alpha3"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, True, np.True_])
     def test_scalar_must_be_finite_positive(self, name, value):
         values = {"epsilon": 2.0, "alpha1": 3.0, "alpha2": 2.2, "alpha3": 18.0, name: value}
         with pytest.raises(ConfigInvalid, match=f"^{name} must be finite and positive"):
@@ -182,28 +182,30 @@ class TestGainSetValidation:
             ObserverSet((2.0, 1.0), -0.1)
         with pytest.raises(ConfigInvalid):
             ObserverSet((-1.0, 1.0), 0.02)
-        with pytest.raises(ConfigInvalid, match="^mu must be finite and positive"):
-            ObserverSet((2.0, 1.0), np.nan)
+        for mu in (np.nan, True):
+            with pytest.raises(ConfigInvalid, match="^mu must be finite and positive"):
+                ObserverSet((2.0, 1.0), mu)
         with pytest.raises(ConfigInvalid, match="not Hurwitz"):
             ObserverSet((np.nan, 1.0), 0.02)
 
 
 class TestGainOrdering:
     def test_passing_window(self):
-        report = check_gain_ordering(GainSet(4, (1.0, 3.0, 3.0), 2.0, 14.0, 10.0, 1.0))
-        assert report.passed and report.warning is None
-        assert report.lower == 8.0 and report.upper == 16.0
+        assert check_gain_ordering(GainSet(4, (1.0, 3.0, 3.0), 2.0, 14.0, 10.0, 1.0)) is None
+        # the window's ends are eps^3 = 8 and eps^4 = 16; touching either warns
+        warning = check_gain_ordering(GainSet(4, (1.0, 3.0, 3.0), 2.0, 16.0, 8.0, 1.0))
+        assert "eps^(n-1)=8 >= alpha2=8" in warning and "alpha1=16 >= eps^n=16" in warning
+        assert "alpha2=8 >= alpha1" not in warning
 
     def test_large_epsilon_violates(self):
-        report = check_gain_ordering(GainSet(4, (1.0, 3.0, 3.0), 20.0, 500.0, 400.0, 400.0))
-        assert not report.passed
-        assert not report.lower_lt_alpha2  # eps^3 = 8000 > alpha2 = 400
-        assert "violated" in report.warning
+        warning = check_gain_ordering(GainSet(4, (1.0, 3.0, 3.0), 20.0, 500.0, 400.0, 400.0))
+        assert "violated" in warning
+        assert "eps^(n-1)=8000 >= alpha2=400" in warning
 
     def test_order_one_bounds(self):
-        report = check_gain_ordering(GainSet(1, (), 2.0, 1.8, 1.5, 5.0))
-        assert report.lower == 1.0 and report.upper == 2.0
-        assert report.passed
+        assert check_gain_ordering(GainSet(1, (), 2.0, 1.8, 1.5, 5.0)) is None
+        warning = check_gain_ordering(GainSet(1, (), 2.0, 2.0, 1.0, 5.0))
+        assert "eps^(n-1)=1 >= alpha2=1" in warning and "alpha1=2 >= eps^n=2" in warning
 
 
 def vehicle_like_gains():

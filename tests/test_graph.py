@@ -80,6 +80,8 @@ class TestDigraphValidation:
                                  (2, 1.5, 2, "'to'"), (2, 1, 2.7, "'from'"), (2, 1, "2", "'from'")]:
             with pytest.raises(ConfigInvalid, match=f"{key} must be an integer"):
                 Digraph.from_edge_list(n, [{"to": to, "from": tail, "w": 1.0}])
+        with pytest.raises(ConfigInvalid, match="graph n must be at least 1"):
+            Digraph.from_edge_list(-1, [])
         assert np.array_equal(Digraph.from_edge_list(2.0, [{"to": 1.0, "from": np.int64(2), "w": 1.0},
                                                            {"to": 2, "from": 1, "w": 2.0}]).weights,
                               two_node().weights)

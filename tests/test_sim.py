@@ -187,6 +187,17 @@ class TestRunValidation:
         assert isinstance(first, Trajectory) and isinstance(last, Trajectory)
         assert isinstance(bad, ConfigInvalid) and "init.box must be finite with low <= high" in str(bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("decisions", [["a"], [1.0]]), ("decisions", [[1.0], [1.0, 2.0]]), ("derivatives", [[[None], [0.0]]])])
+    def test_non_numeric_start_fails_its_lane_alone(self, field, value):
+        game, gains = identity_game(), GainSet(2, (1.0,), 2.0, 1.8, 1.5, 5.0)
+        cfg = SimConfig(dt=1e-2, horizon=0.1)
+        lanes = [sim.Lane(game, [Plant(2, 1)] * 2, two_cycle(), gains, None, cfg, init)
+                 for init in (None, InitialConditions(**{field: value}), None)]
+        first, bad, last = sim.run_lanes(lanes)
+        assert isinstance(first, Trajectory) and isinstance(last, Trajectory)
+        assert isinstance(bad, ConfigInvalid) and f"init.{field} must be finite numbers" in str(bad)
+
     def test_wrongly_sized_x_star_fails_its_lane_alone(self):
         game, gains = identity_game(), GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
         cfg = SimConfig(dt=1e-2, horizon=0.1)

@@ -16,8 +16,18 @@ bytecode of ``src`` and ``perfbench`` in both trees (``python -m compileall``):
 perfbench children do not write bytecode, so a tree without it would compile
 every module in each child, which moves ``peak_rss_mb``.  It keeps both
 result lines of every pair, the environment record perfbench prints, and per
-metric each side's quartiles and the number of pairs the change won.  The JSON goes to the root
-of this tree.
+metric each side's quartiles, the number of pairs the change won and a verdict,
+which it also prints:
+
+    better / worse   the change median beats / trails the parent median by more
+                     than the metric's BENCHMARK.json bound, read as a fraction
+                     of the parent median
+    within bound     neither
+    unresolved       the parent's IQR exceeds that same fraction of its median,
+                     so its runs are too spread to tell, unless every change
+                     run beats every parent run
+
+The JSON goes to the root of this tree.
 """
 
 from __future__ import annotations
@@ -50,8 +60,19 @@ def quartiles(values) -> list:
     return statistics.quantiles(values, n=4)
 
 
+def verdict(parent: list, change: list, bound: float, lower: bool) -> str:
+    """better, within bound, worse or unresolved, as the module docstring defines them."""
+    q1, median, q3 = quartiles(parent)
+    band = bound * abs(median)
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > band and not beats_all:
+        return "unresolved"
+    gain = (median - statistics.median(change)) * (1 if lower else -1)
+    return "better" if gain > band else "worse" if -gain > band else "within bound"
+
+
 def summarize(pairs) -> dict:
-    """Per metric: each side's [q1, median, q3] and the pairs the change won."""
+    """Per metric: each side's [q1, median, q3], the pairs the change won and the verdict."""
     out = {}
     for entry in SPEC["end_to_end"]:
         name, lower = entry["name"], entry["better"] == "lower"
@@ -60,7 +81,8 @@ def summarize(pairs) -> dict:
         wins = sum((c < b) if lower else (c > b) for b, c in zip(parent, change))
         out[name] = {"unit": entry["unit"], "bound": entry["bound"],
                      "parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change),
-                     "change_wins": wins, "pairs": len(pairs)}
+                     "change_wins": wins, "pairs": len(pairs),
+                     "verdict": verdict(parent, change, entry["bound"], lower)}
     return out
 
 
@@ -104,7 +126,12 @@ def main(argv=None) -> int:
                 pair[side] = run_perfbench(tree, workload, seed)
                 print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['result'])}", flush=True)
             pairs.append(pair)
-        record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
+        summary = summarize(pairs)
+        record["workloads"][workload] = {"pairs": pairs, "summary": summary}
+        for name, entry in summary.items():
+            print(f"{workload} {name}: {entry['verdict']} (median {entry['parent_quartiles'][1]:.6g} -> "
+                  f"{entry['change_quartiles'][1]:.6g} {entry['unit']}, bound {entry['bound']:.0%} of the "
+                  f"parent median, change won {entry['change_wins']}/{entry['pairs']})", flush=True)
         record.setdefault("environment", pairs[0]["change"]["env"])
 
     path = ROOT / f"BENCH_{args.label}.json"
