@@ -244,11 +244,12 @@ _SCENARIO_PARAMS = {"vehicles": ("table", "rho", "offsets", "star_radius", "grap
 
 
 def _named(key: str, build, *args, **kwargs):
-    """build(*args, **kwargs); a ConfigInvalid, TypeError or ValueError it raises comes back naming key."""
+    """build(*args, **kwargs); a ConfigInvalid, TypeError or ValueError it raises comes back
+    naming key, unless its message starts with a key under key."""
     try:
         return build(*args, **kwargs)
     except (ConfigInvalid, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"{key}: {exc}") from exc
+        raise ConfigInvalid(str(exc) if str(exc).startswith(f"{key}.") else f"{key}: {exc}") from exc
 
 
 def _build_scenario(name: str, params: dict):

@@ -125,6 +125,13 @@ def lyapunov_P(a: np.ndarray) -> np.ndarray:
     return p
 
 
+def _real_entries(values, key: str) -> tuple:
+    """values as a flat tuple of floats; ConfigInvalid naming key[i] for an entry
+    that is not a real number.  A NaN or infinite float passes: the Hurwitz test rejects it."""
+    entries = np.atleast_1d(np.asarray(values, dtype=object)).ravel()
+    return tuple(float(v) if isinstance(v, float) else finite(v, f"{key}[{i}]") for i, v in enumerate(entries))
+
+
 @dataclass(frozen=True)
 class GainSet:
     """Feedback gains: chain coefficients k, time-scale epsilon, loop gains alpha."""
@@ -137,7 +144,7 @@ class GainSet:
     alpha3: float
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(float(v) for v in np.atleast_1d(np.asarray(self.k, dtype=float)).ravel()))
+        object.__setattr__(self, "k", _real_entries(self.k, "gains.k"))
         if self.order_n < 1:
             raise ConfigInvalid(f"plant order must be >= 1, got {self.order_n}")
         if len(self.k) != self.order_n - 1:
@@ -158,7 +165,7 @@ class ObserverSet:
     mu: float
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(float(v) for v in np.atleast_1d(np.asarray(self.beta, dtype=float)).ravel()))
+        object.__setattr__(self, "beta", _real_entries(self.beta, "observer.beta"))
         object.__setattr__(self, "mu", finite(self.mu, "mu", positive=True))
         if len(self.beta) < 1:
             raise ConfigInvalid("observer needs at least one coefficient")

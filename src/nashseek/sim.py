@@ -30,15 +30,17 @@ the step grid and the drift callables (and, unless the game is affine with
 drift, the model objects) step as the lanes of one ``(lanes, size)`` state:
 one sparse product with per-lane nonzeros, one call per distinct drift, one
 ``S @ Phi^T`` (or one product per record interval) or one structured call per
-stage, and one record of every lane.
+stage, and one record of every lane.  A record is a copy of the full state
+into a block of at most RECORD_BLOCK_BYTES, reduced to the recorded series
+one block at a time.
 A lane that diverges is masked and the others go on.  ``run`` is the one-lane
 case, where the state keeps no lane axis; the same loop serves both shapes.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -65,6 +67,16 @@ STATE_MAGNITUDE_GUARD = 1e12
 # until it ends, so this bounds a sweep's memory at this many trajectories;
 # the step cost per lane stops falling well before it.
 MAX_LANES = 64
+
+# Bytes of full (lanes, size) states a run holds before it reduces them to
+# the recorded series: 496 records of the turbine loop, one of a 64-lane
+# vehicle batch.  Reducing one record at a time cost more than the turbine
+# loop's own arithmetic; a few hundred records a pass cost little.
+RECORD_BLOCK_BYTES = 2 ** 18
+
+# Rows the CSV writer formats per write.  Formatting a whole vehicle run at
+# once took 9 MB more peak memory; 256 rows take under 1 MB and no more time.
+CSV_CHUNK_ROWS = 256
 
 # The two seeking algorithms: a run is output feedback exactly when it is given an ObserverSet.
 MODE_STATE = "state"
@@ -419,7 +431,7 @@ def _start(lane: Lane, probes: dict) -> _Start:
     if init.decisions is not None:
         x0 = _finite_array(init.decisions, "init.decisions")
         if x0.shape != (n_players, m):
-            raise ConfigInvalid(f"initial decisions must have shape {(n_players, m)}, got {x0.shape}")
+            raise ConfigInvalid(f"init.decisions must have shape {(n_players, m)}, got {x0.shape}")
     else:
         x0 = rng.uniform(lo, hi, size=(n_players, m))
 
@@ -430,8 +442,7 @@ def _start(lane: Lane, probes: dict) -> _Start:
     if init.derivatives is not None:
         derivs = _finite_array(init.derivatives, "init.derivatives")
         if derivs.shape != (n - 1, n_players, m):
-            raise ConfigInvalid(f"initial derivatives must have shape {(n - 1, n_players, m)}, "
-                                f"got {derivs.shape}")
+            raise ConfigInvalid(f"init.derivatives must have shape {(n - 1, n_players, m)}, got {derivs.shape}")
         chain[1:] = derivs
 
     x_star_mat = None
@@ -474,8 +485,10 @@ def _lane_squares(d: np.ndarray, out: np.ndarray) -> None:
 class _Recorder:
     """Every lane's samples, written from the (lanes, size) batch at once into rows sized up front.
 
-    A masked lane, and the error norm of a lane without x_star, are recorded
-    too; ``split`` drops them.
+    ``add`` only copies the batch into a block of full states; a full block,
+    and the last one in ``split``, is reduced to the recorded series in one
+    pass over its records and lanes.  A masked lane, and the error norm of a
+    lane without x_star, are recorded too; ``split`` drops them.
     """
 
     def __init__(self, layout: _Layout, x_stars: list, rows: int):
@@ -487,19 +500,34 @@ class _Recorder:
         self.decisions = np.empty((rows, lanes, layout.N, layout.m))
         self.squares = np.empty((2, rows, lanes, 1, 1))  # estimate disagreement, error
         self.obs_errors = np.empty((rows, lanes))
+        block = max(1, RECORD_BLOCK_BYTES // (8 * lanes * layout.size))
+        self.block = np.empty((min(rows, block), lanes, layout.size))
+        self.reduced = 0  # records already reduced out of the block
 
     def add(self, t: float, s: np.ndarray) -> None:
-        row = len(self.times)
+        row = len(self.times) - self.reduced
+        self.block[row] = s
         self.times.append(t)
-        x = self.decisions[row] = self.layout.chain(s)[0]
-        _lane_squares(self.layout.x_hat(s) - x[:, None], self.squares[0, row])
-        _lane_squares(x - self.x_star, self.squares[1, row])
+        if row + 1 == len(self.block):
+            self._reduce()
+
+    def _reduce(self) -> None:
+        first, last = self.reduced, len(self.times)
+        s = self.block[:last - first].reshape(-1, self.layout.size)
+        x = self.layout.chain(s)[0]
+        decisions = self.decisions[first:last]
+        decisions[:] = x.reshape(decisions.shape)
+        _lane_squares(self.layout.x_hat(s) - x[:, None], self.squares[0, first:last].reshape(-1, 1, 1))
+        _lane_squares((decisions - self.x_star).reshape(x.shape), self.squares[1, first:last].reshape(-1, 1, 1))
         if self.layout.output_mode:
-            np.max(np.abs(self.layout.z(s)[0]), axis=(1, 2), out=self.obs_errors[row])
+            np.max(np.abs(self.layout.z(s)[0]), axis=(1, 2), out=self.obs_errors[first:last].reshape(-1))
+        self.reduced = last
 
     def split(self, failures: list) -> list:
         """Each lane's Trajectory, or its failure in its place."""
         n = len(self.times)
+        if n > self.reduced:
+            self._reduce()
         times = np.asarray(self.times)
         disagreement, errors = np.sqrt(self.squares[:, :n]).reshape(2, n, -1)
         return [failure or Trajectory(times, self.decisions[:n, k], disagreement[:, k],
@@ -677,17 +705,22 @@ def post_transient_observer_error(traj: Trajectory, fraction: float = 0.2):
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write the documented CSV: t, x_1_1, ..., x_N_m, err_norm, est_disagreement."""
+    """Write the documented CSV: t, x_1_1, ..., x_N_m, err_norm, est_disagreement.
+
+    Each cell is the repr of its float, err_norm is empty without x_star, and
+    each line ends in CRLF as csv.writer ends it; no cell needs quoting.  The
+    rows are formatted and written CSV_CHUNK_ROWS at a time.
+    """
     n_samples, n_players, m = traj.decisions.shape
     header = ["t"]
     header += [f"x_{i + 1}_{c + 1}" for i in range(n_players) for c in range(m)]
     header += ["err_norm", "est_disagreement"]
+    columns = [traj.times, *np.reshape(traj.decisions, (n_samples, -1)).T, traj.error_norms,
+               traj.estimate_disagreement]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for s in range(n_samples):
-            row = [repr(float(traj.times[s]))]
-            row += [repr(float(v)) for v in traj.decisions[s].ravel()]
-            row.append("" if traj.error_norms is None else repr(float(traj.error_norms[s])))
-            row.append(repr(float(traj.estimate_disagreement[s])))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for first in range(0, n_samples, CSV_CHUNK_ROWS):
+            cells = [repeat("") if c is None else
+                     map(repr, np.asarray(c[first:first + CSV_CHUNK_ROWS], dtype=float).tolist())
+                     for c in columns]
+            fh.writelines([",".join(row) + "\r\n" for row in zip(*cells)])

@@ -7,7 +7,13 @@ estimate dynamics.  A game's one gradient is its vectorized
 ``profile_gradient``; the built-in games are checked against the per-player
 gradients below, gradient(i, x_i, x_others) with x_others the other
 players' decisions stacked in index order.
+
+The simulator reduces its recorded states a block at a time and formats
+its CSV a chunk of rows at a time; ``recorded_series`` takes one record at a
+time and ``csv_writer_trajectory`` writes through ``csv.writer`` row by row.
 """
+
+import csv
 
 import numpy as np
 
@@ -90,3 +96,39 @@ def kronecker_estimate_form(g):
     """
     n = g.n_nodes
     return np.kron(laplacian(g), np.eye(n)), np.diag(g.weights.ravel())
+
+
+def recorded_series(layout, states, x_star):
+    """One lane's recorded series from its (size,) state at each record, one record at a time.
+
+    Returns (decisions (T, N, m), estimate disagreement, error norm, and in
+    output mode the largest |e_0|, else None), each norm as np.linalg.norm
+    takes it.
+    """
+    decisions, disagreement, errors, observer = [], [], [], []
+    for s in states:
+        x = layout.chain(s)[0]
+        decisions.append(x)
+        disagreement.append(np.linalg.norm(layout.x_hat(s) - x[None]))
+        errors.append(np.linalg.norm(x - x_star))
+        if layout.output_mode:
+            observer.append(np.max(np.abs(layout.z(s)[0])))
+    return (np.array(decisions), np.array(disagreement), np.array(errors),
+            np.array(observer) if layout.output_mode else None)
+
+
+def csv_writer_trajectory(traj, path):
+    """The trajectory CSV as csv.writer writes it, one row of float reprs at a time."""
+    n_samples, n_players, m = traj.decisions.shape
+    header = ["t"]
+    header += [f"x_{i + 1}_{c + 1}" for i in range(n_players) for c in range(m)]
+    header += ["err_norm", "est_disagreement"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for s in range(n_samples):
+            row = [repr(float(traj.times[s]))]
+            row += [repr(float(v)) for v in traj.decisions[s].ravel()]
+            row.append("" if traj.error_norms is None else repr(float(traj.error_norms[s])))
+            row.append(repr(float(traj.estimate_disagreement[s])))
+            writer.writerow(row)

@@ -49,7 +49,7 @@ from nashseek.sim import (
     write_trajectory_csv,
 )
 from nashseek.verify import rk4_halving_factors
-from oracles import kronecker_estimate_form, player_law
+from oracles import csv_writer_trajectory, kronecker_estimate_form, player_law, recorded_series
 
 
 def identity_game(n=2, m=1):
@@ -512,6 +512,47 @@ class TestLaneBatch:
                 assert (a is None) == (b is None) == (field == "error_norms" and lane.x_star is None)
                 assert a is None or np.array_equal(a, b)
 
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_block_records_match_the_per_record_reference(self, mode, monkeypatch):
+        # x'' = 1e4 x + u grows as e^(100 t), so the lane with w = 1e4 leaves
+        # the guard inside the horizon while the w = 0 lanes stay bounded
+        game, _, g, spec = build_vehicle_formation()
+        obs = VEHICLE_OBSERVER if mode == "output" else None
+        cfg = SimConfig(dt=1e-3, horizon=0.4, record_stride=7)
+        lanes = [sim.Lane(game, [Plant(2, 2, drift=linear_drift, w=w)] * 10, g, VEHICLE_GAINS, obs,
+                          dataclasses.replace(cfg, seed=seed), None, x_star)
+                 for seed, w, x_star in ((1, 0.0, vehicle_nash_oracle(spec)), (2, 1e4, None), (3, 0.0, None))]
+        with pytest.raises(Diverged) as alone:
+            run(*(getattr(lanes[1], f.name) for f in dataclasses.fields(sim.Lane)))
+        layout = _Layout(2, 10, 2, output_mode=obs is not None)
+        block = 5
+        monkeypatch.setattr(sim, "RECORD_BLOCK_BYTES", block * 8 * len(lanes) * layout.size)
+        added, add = [], sim._Recorder.add
+
+        def spy(recorder, t, s):
+            added.append((len(recorder.block), s.copy()))
+            add(recorder, t, s)
+
+        monkeypatch.setattr(sim._Recorder, "add", spy)
+        outcomes = sim.run_lanes(lanes)
+        assert {length for length, _ in added} == {block} and len(added) % block
+        states = np.array([s for _, s in added])
+        assert isinstance(outcomes[1], Diverged) and str(outcomes[1]) == str(alone.value)
+        # the first record after the lane was masked falls inside a block
+        masked_from = math.ceil(round(float(str(alone.value).rsplit("t=", 1)[1]) / cfg.dt) / cfg.record_stride)
+        assert masked_from % block
+        for k in (0, 2):
+            x_star = lanes[k].x_star
+            decisions, disagreement, errors, observer = recorded_series(
+                layout, states[:, k], np.zeros((10, 2)) if x_star is None else np.reshape(x_star, (10, 2)))
+            traj = outcomes[k]
+            assert np.array_equal(traj.decisions, decisions)
+            assert np.array_equal(traj.estimate_disagreement, disagreement)
+            assert (traj.error_norms is None) == (x_star is None)
+            assert x_star is None or np.array_equal(traj.error_norms, errors)
+            assert (traj.observer_errors is None) == (obs is None)
+            assert obs is None or np.array_equal(traj.observer_errors, observer)
+
 
 class TestRhsMatchesPerPlayerLaws:
     """The vectorized closed-loop right-hand side must agree with the
@@ -913,6 +954,21 @@ class TestTrajectoryExport:
             write_trajectory_csv(traj, p)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
+
+    @pytest.mark.parametrize("with_x_star", [True, False])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, with_x_star):
+        awkward = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, -1.25e-300, 123456789.125, np.pi])
+        traj = Trajectory(times=np.resize(awkward, 5), decisions=np.resize(awkward, (5, 3, 2)),
+                          estimate_disagreement=np.resize(awkward[::-1], 5),
+                          error_norms=np.resize(awkward[1:], 5) if with_x_star else None)
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        write_trajectory_csv(traj, ours)
+        csv_writer_trajectory(traj, reference)
+        assert ours.read_bytes() == reference.read_bytes()
+        rows = ours.read_bytes().split(b"\r\n")
+        assert rows[0] == b"t,x_1_1,x_1_2,x_2_1,x_2_2,x_3_1,x_3_2,err_norm,est_disagreement"
+        assert rows[1].startswith(b"-0.0,-0.0,5e-324,1e+16,0.30000000000000004,")
+        assert (rows[1].split(b",")[-2] == b"") == (not with_x_star)
 
 
 class TestObserverErrorSeries:
