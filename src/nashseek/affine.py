@@ -8,10 +8,12 @@ its nonzeros, so a drifting loop costs one sparse matvec per RK4 stage.  At
 N = 30 that is 215 lanes and about 25 ms; at N = 10, 75 lanes and 2.4 ms.
 ``stack_lanes`` puts the operators of a batch of loops side by side over a
 ``(lanes, size)`` state, each lane with its own nonzeros.  ``folded_rk4``
-turns a drift-free loop into one dense ``Propagator``, ``s <- Phi s + c``,
-and ``Propagator.repeated`` folds a record interval of r such steps into one
-product, with a bound on every state the skipped steps pass through.  The
-layout argument is ``sim._Layout``.
+turns a drift-free loop into one dense ``Propagator``, ``s <- Phi s + c``;
+``Propagator.repeated`` folds a record interval of r such steps into one
+product, with a bound on every state the skipped steps pass through, and
+``Propagator.grouped`` puts the maps of several such intervals side by side,
+so one product gives the ends of all of them.  The layout argument is
+``sim._Layout``.
 """
 
 from __future__ import annotations
@@ -237,7 +239,8 @@ class Propagator:
 
     Every state the steps pass through lies within kappa |s|_inf + c_peak in
     every entry: kappa bounds the induced inf-norm of each j-step map and
-    c_peak the inf-norm of its offset c_j.
+    c_peak the inf-norm of its offset c_j.  A ``grouped`` propagator holds
+    several such maps side by side and bounds the steps to its first end.
     """
 
     y: np.ndarray
@@ -253,9 +256,10 @@ class Propagator:
         """The propagated state, or None unless every state on the way is bounded by guard.
 
         The bound is exact arithmetic's: kappa |s|_inf + c_peak <= guard.  A
-        state that is not finite never clears it.
+        state that is not finite never clears it.  For a ``grouped``
+        propagator the way is that to its first end.
         """
-        if not self.kappa * np.max(np.abs(s)) + self.c_peak <= guard:  # also true for NaN
+        if not self.kappa * np.abs(s).max() + self.c_peak <= guard:  # also true for NaN
             return None
         return s @ self.y + self.c
 
@@ -273,6 +277,20 @@ class Propagator:
             kappa = max(kappa, _inf_norm(y))
             c_peak = max(c_peak, float(np.max(np.abs(c))))
         return Propagator(y, c, kappa, c_peak)
+
+    def grouped(self, count: int) -> "Propagator":
+        """count applications of this propagator side by side, its kappa and c_peak kept.
+
+        y = [Y, Y^2, ..., Y^count] and c = [c_1, c_2, ..., c_count], so
+        s @ y + c holds the count successive ends of s, one size-block each,
+        in one product.  It costs count - 1 products of size^3 and keeps
+        count size^2 arrays.
+        """
+        ys, cs = [self.y], [self.c]
+        for _ in range(count - 1):
+            ys.append(ys[-1] @ self.y)
+            cs.append(cs[-1] @ self.y + self.c)
+        return Propagator(np.hstack(ys), np.concatenate(cs), self.kappa, self.c_peak)
 
 
 def _inf_norm(y) -> float:

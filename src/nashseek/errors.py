@@ -17,15 +17,17 @@ _REAL = (float, int, np.floating, np.integer)  # bool is an int and is rejected 
 
 
 def finite(value, key: str, positive: bool = False) -> float:
-    """value as a float; ConfigInvalid naming key for a bool, a non-number,
-    NaN, +-inf, or (when positive) a value <= 0."""
-    if isinstance(value, _REAL) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an int beyond the float range
-            number = math.inf
-        if math.isfinite(number) and (number > 0 or not positive):
-            return number
+    """value as a float; ConfigInvalid naming key: "must be a number" for a
+    bool or a non-number, "must be finite" for NaN, +-inf, or (when
+    positive) a value <= 0."""
+    if not isinstance(value, _REAL) or isinstance(value, bool):
+        raise ConfigInvalid(f"{key} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if math.isfinite(number) and (number > 0 or not positive):
+        return number
     raise ConfigInvalid(f"{key} must be finite{' and positive' if positive else ''}, got {value!r}")
 
 

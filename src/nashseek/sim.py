@@ -20,19 +20,22 @@ Under a game declared affine, everything but the drift is an affine map
 columns whose rows cannot overlap into one lane: 75 lanes and about 2 ms at
 N = 10, 215 lanes and about 25 ms at N = 30.  A loop with drift then evaluates
 each RK4 stage as one sparse matvec plus the stacked drift; a drift-free loop
-folds its whole RK4 step into one propagator ``s <- Phi s + c``, and a record
-interval of record_stride steps into one product of the same kind, taken
-whenever a bound shows that none of the steps it skips can leave the
-magnitude guard.  Other games step the structured right-hand side.
+folds its whole RK4 step into one propagator ``s <- Phi s + c``, and a group
+of record intervals of record_stride steps each into one product of the same
+kind, whose ends are the next records.  It keeps the ends up to the first
+interval at whose start a bound cannot show that none of the steps it skips
+can leave the magnitude guard.  Other games step the structured right-hand
+side.
 
 ``run_lanes`` integrates many loops at once.  Loops that share the layout,
 the step grid and the drift callables (and, unless the game is affine with
 drift, the model objects) step as the lanes of one ``(lanes, size)`` state:
 one sparse product with per-lane nonzeros, one call per distinct drift, one
-``S @ Phi^T`` (or one product per record interval) or one structured call per
-stage, and one record of every lane.  A record is a copy of the full state
-into a block of at most RECORD_BLOCK_BYTES, reduced to the recorded series
-one block at a time.
+``S @ Phi^T`` (or one product per group of record intervals) or one
+structured call per stage, and one record of every lane.  A record is a copy
+of the full state into a block of at most RECORD_BLOCK_BYTES, reduced to the
+recorded series one block at a time; a group's records are copied as one
+slab.
 A lane that diverges is masked and the others go on.  ``run`` is the one-lane
 case, where the state keeps no lane axis; the same loop serves both shapes.
 """
@@ -71,7 +74,9 @@ MAX_LANES = 64
 # Bytes of full (lanes, size) states a run holds before it reduces them to
 # the recorded series: 496 records of the turbine loop, one of a 64-lane
 # vehicle batch.  Reducing one record at a time cost more than the turbine
-# loop's own arithmetic; a few hundred records a pass cost little.
+# loop's own arithmetic; a few hundred records a pass cost little.  The
+# record-interval maps a drift-free loop steps side by side take at most
+# this many bytes too: 7 maps of the turbine loop, 4 in output mode.
 RECORD_BLOCK_BYTES = 2 ** 18
 
 # Rows the CSV writer formats per write.  Formatting a whole vehicle run at
@@ -316,13 +321,17 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     drifts, with size the length of the flat state:
 
     * affine game, every plant drift-free: the folded propagator of
-      ``folded_rk4``, O(size^3) once.  A full record interval of r =
-      record_stride steps is one dense O(size^2) product with the r-step
-      propagator (r more O(size^3) products to build, so only when r size
-      <= steps lanes), taken when kappa |s|_inf + max_j |c_j|_inf stays
-      within STATE_MAGNITUDE_GUARD at the interval's start; otherwise, and
-      in the remainder interval, one O(size^2) matvec a step with the
-      per-step guard;
+      ``folded_rk4``, O(size^3) once.  G full record intervals of r =
+      record_stride steps are one dense O(G size^2) product with the r-,
+      2r-, ..., G r-step propagators side by side.  They take r + G - 1
+      more O(size^3) products to build, so G is the largest count with
+      (r + G - 1) size <= steps lanes, at most RECORD_BLOCK_BYTES //
+      (8 size^2) (or 1) and at most the full intervals; with no such G >= 1
+      the run steps one at a time.  An interval's end is kept when
+      kappa |s|_inf + max_j |c_j|_inf stays within STATE_MAGNITUDE_GUARD at
+      its start, and every interval of the group before it was kept;
+      otherwise, and in the remainder interval, one O(size^2) matvec a step
+      with the per-step guard;
     * affine game with drift: ``rk4_step`` on the probed sparse operator plus
       the stacked drift, one O(nonzeros) matvec and one call per distinct
       drift a stage;
@@ -485,7 +494,8 @@ def _lane_squares(d: np.ndarray, out: np.ndarray) -> None:
 class _Recorder:
     """Every lane's samples, written from the (lanes, size) batch at once into rows sized up front.
 
-    ``add`` only copies the batch into a block of full states; a full block,
+    ``add`` only copies the batch into a block of full states, and
+    ``extend`` a slab of such records, split at block ends; a full block,
     and the last one in ``split``, is reduced to the recorded series in one
     pass over its records and lanes.  A masked lane, and the error norm of a
     lane without x_star, are recorded too; ``split`` drops them.
@@ -510,6 +520,18 @@ class _Recorder:
         self.times.append(t)
         if row + 1 == len(self.block):
             self._reduce()
+
+    def extend(self, times: list, slab: np.ndarray) -> None:
+        """``add`` of each (lanes, size) record of the (records, lanes, size) slab in turn."""
+        done = 0
+        while done < len(slab):
+            row = len(self.times) - self.reduced
+            take = min(len(slab) - done, len(self.block) - row)
+            self.block[row:row + take] = slab[done:done + take]
+            self.times += times[done:done + take]
+            done += take
+            if row + take == len(self.block):
+                self._reduce()
 
     def _reduce(self) -> None:
         first, last = self.reduced, len(self.times)
@@ -540,10 +562,11 @@ def _integrate(batch: list) -> list:
     """Step the starts of one batch key together; a Trajectory or Diverged per lane.
 
     One lane steps its (size,) state; more step one (lanes, size) state.  The
-    loop runs over record intervals.  A drift-free affine batch takes a full
-    interval as one product when its bound shows that no step inside can
-    leave the guard; any other interval goes step by step with the guard
-    after each, so a Diverged names the step the one-step path would.
+    loop runs over record intervals.  A drift-free affine batch takes up to
+    a group of full intervals as one product and keeps the ends up to the
+    first interval whose start fails the bound that no step inside can leave
+    the guard; any other interval goes step by step with the guard after
+    each, so a Diverged names the step the one-step path would.
     """
     lane, layout = batch[0].lane, batch[0].layout
     cfg = lane.cfg
@@ -552,13 +575,16 @@ def _integrate(batch: list) -> list:
     stride = cfg.record_stride
     state = batch[0].state if lanes == 1 else np.stack([start.state for start in batch])
     groups = _drift_groups([start.lane.plants for start in batch], state.shape[:-1])
-    interval = None
+    group = None
     if lane.game.affine and not groups:
         advance = folded_rk4(batch[0].op, cfg.dt)
-        # building the interval propagator costs stride products of size^3,
-        # stepping costs lanes size^2 a step: build it when that is cheaper
-        if stride > 1 and stride * layout.size <= steps * lanes:
-            interval = advance.repeated(stride)
+        # the group's maps take at most RECORD_BLOCK_BYTES (one at least);
+        # building them costs stride + count - 1 products of size^3, stepping
+        # costs lanes size^2 a step: build as many as keep that cheaper
+        count = min(max(1, RECORD_BLOCK_BYTES // (8 * layout.size ** 2)), steps // stride,
+                    steps * lanes // layout.size - stride + 1)
+        if stride > 1 and count >= 1:
+            group = advance.repeated(stride).grouped(count)
     else:
         rhs = (stack_lanes([start.op for start in batch]).apply if lane.game.affine
                else _make_rhs(lane.game, lane.g, lane.gains, lane.obs, layout))
@@ -577,25 +603,37 @@ def _integrate(batch: list) -> list:
                               f"which cannot be allocated: {exc}") for _ in batch]
     failures = [None] * lanes
     recorder.add(0.0, state.reshape(lanes, -1))
+    first = 0
     # a masked lane may overflow on its way out; the guard below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, steps, stride):
+        while first < steps:
+            full = (steps - first) // stride
+            ends = group.within(state, STATE_MAGNITUDE_GUARD) if group is not None and full else None
+            if ends is not None:
+                # (lanes, intervals, size); interval j > 0 starts at end j - 1,
+                # kept while the bound holds at every start (False for NaN)
+                ends = ends.reshape(lanes, -1, layout.size)[:, :full]
+                peaks = np.abs(ends).max(axis=(0, 2)).tolist()
+                taken = 1
+                while taken < len(peaks) and (group.kappa * peaks[taken - 1] + group.c_peak
+                                              <= STATE_MAGNITUDE_GUARD):
+                    taken += 1
+                recorder.extend([(first + j * stride) * cfg.dt for j in range(1, taken + 1)],
+                                ends[:, :taken].swapaxes(0, 1))
+                state = ends[:, taken - 1].reshape(state.shape)
+                first += taken * stride
+                continue
             last = min(first + stride, steps)
-            jumped = (interval.within(state, STATE_MAGNITUDE_GUARD)
-                      if interval is not None and last - first == stride else None)
-            if jumped is not None:
-                state = jumped
-            else:
-                for k in range(first, last):
-                    state = advance(state, k * cfg.dt)
-                    peak = np.max(np.abs(state))
-                    if not peak <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
-                        _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
-                        if all(failures):
-                            break
-                if all(failures):
-                    break
+            for k in range(first, last):
+                state = advance(state, k * cfg.dt)
+                if not np.abs(state).max() <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
+                    _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
+                    if all(failures):
+                        break
+            if all(failures):
+                break
             recorder.add(last * cfg.dt, state.reshape(lanes, -1))
+            first = last
     return recorder.split(failures)
 
 
@@ -723,4 +761,4 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
             cells = [repeat("") if c is None else
                      map(repr, np.asarray(c[first:first + CSV_CHUNK_ROWS], dtype=float).tolist())
                      for c in columns]
-            fh.writelines([",".join(row) + "\r\n" for row in zip(*cells)])
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")

@@ -237,10 +237,11 @@ class TestRunCommand:
           "--set", "scenario_params.star_radius=5"],
          "scenario_params.offsets and scenario_params.star_radius"),
         # a quoted number is not a number
-        (["run", "--set", 'k=["1.5"]'], "gains.k[0] must be finite, got '1.5'"),
-        (["run", "--algo", "output", "--set", 'beta=["2","1"]'], "observer.beta[0] must be finite, got '2'"),
+        (["run", "--set", 'k=["1.5"]'], "gains.k[0] must be a number, got '1.5'"),
+        (["run", "--algo", "output", "--set", 'beta=["2","1"]'], "observer.beta[0] must be a number, got '2'"),
         (["run", "--set", "decisions=[[1,2,3]]"], "init.decisions must have shape (10, 2), got (1, 3)"),
         (["run", "--set", "derivatives=[1,2]"], "init.derivatives must have shape (1, 10, 2), got (2,)"),
+        (["run", "--set", 'dt="0.01"'], "sim: dt must be a number, got '0.01'"),
     ])
     def test_bad_key_or_value_exits_two_naming_it(self, tmp_path, capsys, argv, key):
         code = run_cli(*argv, "--scenario", "vehicles", "--out", str(tmp_path),

@@ -166,7 +166,8 @@ class TestGainSetValidation:
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, True, np.True_])
     def test_scalar_must_be_finite_positive(self, name, value):
         values = {"epsilon": 2.0, "alpha1": 3.0, "alpha2": 2.2, "alpha3": 18.0, name: value}
-        with pytest.raises(ConfigInvalid, match=f"^{name} must be finite and positive"):
+        fault = "a number" if isinstance(value, (bool, np.bool_)) else "finite and positive"
+        with pytest.raises(ConfigInvalid, match=f"^{name} must be {fault}"):
             GainSet(2, (1.0,), **values)
 
     def test_nan_k_rejected(self):
@@ -182,8 +183,8 @@ class TestGainSetValidation:
             ObserverSet((2.0, 1.0), -0.1)
         with pytest.raises(ConfigInvalid):
             ObserverSet((-1.0, 1.0), 0.02)
-        for mu in (np.nan, True):
-            with pytest.raises(ConfigInvalid, match="^mu must be finite and positive"):
+        for mu, fault in ((np.nan, "finite and positive"), (True, "a number")):
+            with pytest.raises(ConfigInvalid, match=f"^mu must be {fault}"):
                 ObserverSet((2.0, 1.0), mu)
         with pytest.raises(ConfigInvalid, match="not Hurwitz"):
             ObserverSet((np.nan, 1.0), 0.02)

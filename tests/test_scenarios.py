@@ -59,13 +59,13 @@ class TestParameterTables:
             with pytest.raises(ConfigInvalid, match="gamma3 must be finite"):
                 GeneratorParams(7, 36.8, value)
         # a bool is no constant, though 0 < True < inf; every gamma must be finite
-        for build, match in [(lambda: VehicleParams(True, 2.0, 1.5, 6.0), "mass must be finite"),
-                             (lambda: VehicleParams(1800, 2.0, np.True_, 6.0), "drag_coeff must be finite"),
+        for build, match in [(lambda: VehicleParams(True, 2.0, 1.5, 6.0), "mass must be a number"),
+                             (lambda: VehicleParams(1800, 2.0, np.True_, 6.0), "drag_coeff must be a number"),
                              (lambda: GeneratorParams(float("nan"), 36.8, 0.27), "gamma1 must be finite"),
                              (lambda: GeneratorParams(7, float("nan"), 0.27), "gamma2 must be finite"),
                              (lambda: build_vehicle_formation(rho=float("nan")), "rho must be finite"),
                              (lambda: build_vehicle_formation(rho=-1.0), "rho must be finite"),
-                             (lambda: build_vehicle_formation(rho=True), "rho must be finite"),
+                             (lambda: build_vehicle_formation(rho=True), "rho must be a number"),
                              (lambda: five_point_star(float("nan")), "star_radius must be finite"),
                              (lambda: five_point_star(0.0), "star_radius must be finite")]:
             with pytest.raises(ConfigInvalid, match=match):

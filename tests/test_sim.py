@@ -363,7 +363,8 @@ class TestFoldedPropagator:
         rows = np.append(np.arange(0, 1000, 7), 1000)
         assert np.array_equal(strided.times, stepped.times[rows])
         # the two paths round differently; on the default turbine runs the
-        # gap reads below 1e-12 of the largest decision
+        # gap reads at most 6.4e-13 (state) and 2.1e-12 (output) of the
+        # largest decision
         gap = np.max(np.abs(strided.decisions - stepped.decisions[rows]), axis=(1, 2))
         assert np.all(gap <= 1e-11 * np.max(np.abs(stepped.decisions[rows]), axis=(1, 2)))
 
@@ -419,6 +420,65 @@ class TestFoldedPropagator:
             for stride in (10, 1):
                 assert message == self._diverged_message(game, plants, g, self.UNSTABLE_GAINS, None,
                                                          dataclasses.replace(cfg, record_stride=stride), init)
+
+    @staticmethod
+    def _spy_groups(monkeypatch):
+        """The count of every grouped propagator built from here on."""
+        counts, grouped = [], affine.Propagator.grouped
+
+        def spy(self, count):
+            counts.append(count)
+            return grouped(self, count)
+
+        monkeypatch.setattr(affine.Propagator, "grouped", spy)
+        return counts
+
+    @pytest.mark.parametrize("mode, count", [("state", 7), ("output", 4)])
+    def test_grouped_intervals_match_one_interval_per_product(self, mode, count, monkeypatch):
+        # 1 000 steps at stride 7: 142 full intervals, not a multiple of
+        # either count, and a remainder interval of 6 steps
+        game, plants, g = build_turbine_market()
+        obs = TURBINE_OBSERVER if mode == "output" else None
+        cfg = SimConfig(dt=9e-4, horizon=0.9, record_stride=7, seed=3)
+        counts = self._spy_groups(monkeypatch)
+        grouped = run(game, plants, g, TURBINE_GAINS, obs, cfg)
+        size = _Layout(4, 6, 1, output_mode=obs is not None).size
+        monkeypatch.setattr(sim, "RECORD_BLOCK_BYTES", 8 * size ** 2)  # room for one map
+        single = run(game, plants, g, TURBINE_GAINS, obs, cfg)
+        assert counts == [count, 1] and (1000 // 7) % count and 1000 % 7
+        assert np.array_equal(grouped.times, single.times)
+        gap = np.max(np.abs(grouped.decisions - single.decisions), axis=(1, 2))
+        assert np.all(gap <= 1e-11 * np.max(np.abs(single.decisions), axis=(1, 2)))
+
+    @pytest.mark.parametrize("steps, lanes, count", [(700, 1, 1), (1000, 1, 6), (400, 2, 3), (659, 1, None)])
+    def test_group_counts_its_build_products_against_the_steps(self, steps, lanes, count, monkeypatch):
+        # turbines/state, size 66, stride 10: (10 + count - 1) 66 <= steps lanes
+        game, plants, g = build_turbine_market()
+        cfg = SimConfig(dt=9e-4, horizon=steps * 9e-4)
+        counts = self._spy_groups(monkeypatch)
+        sim.run_lanes([sim.Lane(game, plants, g, TURBINE_GAINS, None, dataclasses.replace(cfg, seed=seed))
+                       for seed in range(lanes)])
+        assert counts == ([] if count is None else [count])
+
+    def test_group_cut_by_the_bound_diverges_as_stride_one(self, monkeypatch):
+        # the loop leaves the guard near t = 34 s, long before its last group,
+        # so a group that records fewer ends than its count was cut by the bound
+        game, plants, g = build_turbine_market()
+        counts = self._spy_groups(monkeypatch)
+        lengths, extend = [], sim._Recorder.extend
+
+        def spy(recorder, times, slab):
+            lengths.append(len(slab))
+            extend(recorder, times, slab)
+
+        monkeypatch.setattr(sim._Recorder, "extend", spy)
+        for obs in (None, TURBINE_OBSERVER):
+            lengths.clear()
+            messages = [self._diverged_message(game, plants, g, self.UNSTABLE_GAINS, obs,
+                                               SimConfig(dt=9e-4, horizon=60.0, record_stride=stride))
+                        for stride in (10, 1)]
+            assert min(lengths) < counts[-1] == max(lengths)
+            assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_default_run_steps_one_at_a_time_only_in_its_remainder(self, mode, monkeypatch):
@@ -511,6 +571,24 @@ class TestLaneBatch:
                 a, b = getattr(batched, field), getattr(single, field)
                 assert (a is None) == (b is None) == (field == "error_norms" and lane.x_star is None)
                 assert a is None or np.array_equal(a, b)
+
+    def test_extend_across_blocks_matches_adding_each_record(self, monkeypatch):
+        layout = _Layout(2, 10, 2, output_mode=True)
+        x_stars = [np.random.default_rng(1).standard_normal((10, 2)), None]
+        monkeypatch.setattr(sim, "RECORD_BLOCK_BYTES", 5 * 8 * len(x_stars) * layout.size)
+        states = np.random.default_rng(2).standard_normal((16, len(x_stars), layout.size))
+        times = (0.5 * np.arange(16)).tolist()
+        bulk, single = (sim._Recorder(layout, x_stars, len(states)) for _ in range(2))
+        assert len(bulk.block) == 5
+        # slabs that end inside a block, cross a boundary and outgrow a block
+        for first, last in ((0, 3), (3, 10), (10, 11), (11, 16)):
+            bulk.extend(times[first:last], states[first:last])
+        for t, s in zip(times, states):
+            single.add(t, s)
+        for a, b in zip(bulk.split([None, None]), single.split([None, None])):
+            for field in ("times", "decisions", "estimate_disagreement", "error_norms", "observer_errors"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert (x is None) == (y is None) and (x is None or np.array_equal(x, y))
 
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_block_records_match_the_per_record_reference(self, mode, monkeypatch):

@@ -7,11 +7,15 @@ Runs ``sim.run`` on the turbines default config of the given algorithm
 PYTHONPATH at a parent checkout's ``src`` times the parent), with BLAS pinned
 to one thread as perfbench pins it, and writes its trajectory with
 ``sim.write_trajectory_csv`` into a temporary directory.  Recording is timed
-as the time spent inside ``sim._Recorder.add`` and ``sim._Recorder.split``
-(which reduces any records still held).  The run is warmed once and then
-repeated for at least one second and three runs.  One JSON object goes to
-stdout: the records, the CSV bytes, the repeat count and the median seconds
-of the whole run, of recording and of the CSV write.
+as the time spent inside ``sim._Recorder.add``, ``sim._Recorder.extend``
+(which records a group of intervals at once) and ``sim._Recorder.split``
+(which reduces any records still held); a tree without ``extend`` is timed
+on the other two.  The run is warmed once and then repeated for at least one
+second and three runs.  One JSON object goes to stdout: the records, the
+record intervals per product ("group", the count the run passed to
+``affine.Propagator.grouped``; null when it built no group), the CSV bytes,
+the repeat count and the median seconds of the whole run, of recording and
+of the CSV write.
 """
 
 import os
@@ -26,7 +30,7 @@ import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from nashseek import config, sim  # noqa: E402
+from nashseek import affine, config, sim  # noqa: E402
 
 SPAN_S = 1.0
 
@@ -47,8 +51,18 @@ def timed(spent: list, method):
 def main(algo: str) -> dict:
     setup = config.build_run_setup(config.default_config("turbines", algo))
     recording = [0.0]
-    for name in ("add", "split"):
-        setattr(sim._Recorder, name, timed(recording, getattr(sim._Recorder, name)))
+    for name in ("add", "extend", "split"):
+        if hasattr(sim._Recorder, name):
+            setattr(sim._Recorder, name, timed(recording, getattr(sim._Recorder, name)))
+    counts = []
+    if hasattr(affine.Propagator, "grouped"):
+        grouped = affine.Propagator.grouped
+
+        def spy(self, count):
+            counts.append(count)
+            return grouped(self, count)
+
+        affine.Propagator.grouped = spy
     runs, records, writes = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trajectory.csv"
@@ -68,7 +82,8 @@ def main(algo: str) -> dict:
             records.append(recording[0])
             writes.append(written - ran)
         csv_bytes = path.stat().st_size
-    return {"algo": algo, "records": len(traj.times), "csv_bytes": csv_bytes, "repeats": len(runs),
+    return {"algo": algo, "records": len(traj.times), "group": counts[-1] if counts else None,
+            "csv_bytes": csv_bytes, "repeats": len(runs),
             "run_s": statistics.median(runs), "record_s": statistics.median(records),
             "csv_write_s": statistics.median(writes)}
 
