@@ -9,11 +9,10 @@ N = 30 that is 215 lanes and about 25 ms; at N = 10, 75 lanes and 2.4 ms.
 ``stack_lanes`` puts the operators of a batch of loops side by side over a
 ``(lanes, size)`` state, each lane with its own nonzeros.  ``folded_rk4``
 turns a drift-free loop into one dense ``Propagator``, ``s <- Phi s + c``;
-``Propagator.repeated`` folds a record interval of r such steps into one
-product, with a bound on every state the skipped steps pass through, and
-``Propagator.grouped`` puts the maps of several such intervals side by side,
-so one product gives the ends of all of them.  The layout argument is
-``sim._Layout``.
+``Propagator.intervals`` folds record intervals of r such steps each and puts
+their maps side by side, so one product gives the ends of all of them, with a
+bound on every state the steps pass through on the way to the first end.  The
+layout argument is ``sim._Layout``.
 """
 
 from __future__ import annotations
@@ -239,8 +238,9 @@ class Propagator:
 
     Every state the steps pass through lies within kappa |s|_inf + c_peak in
     every entry: kappa bounds the induced inf-norm of each j-step map and
-    c_peak the inf-norm of its offset c_j.  A ``grouped`` propagator holds
-    several such maps side by side and bounds the steps to its first end.
+    c_peak the inf-norm of its offset c_j.  An ``intervals`` propagator holds
+    several record-interval maps side by side and bounds the steps to its
+    first end.
     """
 
     y: np.ndarray
@@ -252,45 +252,28 @@ class Propagator:
         """The propagated state; t is ignored, so a one-step propagator is a step(s, t)."""
         return s @ self.y + self.c
 
-    def within(self, s, guard: float):
-        """The propagated state, or None unless every state on the way is bounded by guard.
+    def intervals(self, r: int, count: int) -> "Propagator":
+        """count record intervals of r steps of this one-step propagator side by side, as one product.
 
-        The bound is exact arithmetic's: kappa |s|_inf + c_peak <= guard.  A
-        state that is not finite never clears it.  For a ``grouped``
-        propagator the way is that to its first end.
+        y = [Y_r, Y_r^2, ..., Y_r^count] and c = [c_r, ..., c_{count r}], so
+        s @ y + c holds the count successive interval ends of s, one
+        size-block each.  kappa and c_peak are taken over every j-step map
+        and offset with j <= r, so they bound the steps to the first end.  It
+        costs r + count - 2 products of size^3 and keeps count size^2 arrays.
         """
-        if not self.kappa * np.abs(s).max() + self.c_peak <= guard:  # also true for NaN
-            return None
-        return s @ self.y + self.c
+        kappa = c_peak = 0.0
+        for y, c in itertools.islice(_powers(self.y, self.c), r):
+            kappa, c_peak = max(kappa, _inf_norm(y)), max(c_peak, float(np.max(np.abs(c))))
+        ys, cs = zip(*itertools.islice(_powers(y, c), count))
+        return Propagator(np.hstack(ys), np.concatenate(cs), kappa, c_peak)
 
-    def repeated(self, r: int) -> "Propagator":
-        """r steps of this one-step propagator as one product, kappa and c_peak over every j <= r.
 
-        With Y_1 = Phi^T and c_1 = c, Y_{j+1} = Y_j Phi^T and c_{j+1} =
-        c_j Phi^T + c.  It costs r products of size^3 and keeps no size^2
-        array per j.
-        """
-        y, c = self.y, self.c
-        kappa, c_peak = self.kappa, self.c_peak
-        for _ in range(r - 1):
-            y, c = y @ self.y, c @ self.y + self.c
-            kappa = max(kappa, _inf_norm(y))
-            c_peak = max(c_peak, float(np.max(np.abs(c))))
-        return Propagator(y, c, kappa, c_peak)
-
-    def grouped(self, count: int) -> "Propagator":
-        """count applications of this propagator side by side, its kappa and c_peak kept.
-
-        y = [Y, Y^2, ..., Y^count] and c = [c_1, c_2, ..., c_count], so
-        s @ y + c holds the count successive ends of s, one size-block each,
-        in one product.  It costs count - 1 products of size^3 and keeps
-        count size^2 arrays.
-        """
-        ys, cs = [self.y], [self.c]
-        for _ in range(count - 1):
-            ys.append(ys[-1] @ self.y)
-            cs.append(cs[-1] @ self.y + self.c)
-        return Propagator(np.hstack(ys), np.concatenate(cs), self.kappa, self.c_peak)
+def _powers(y, c):
+    """The j-step maps (Y_j, c_j), j = 1, 2, ..., of s <- s y + c: Y_{j+1} = Y_j y, c_{j+1} = c_j y + c."""
+    y_j, c_j = y, c
+    while True:
+        yield y_j, c_j
+        y_j, c_j = y_j @ y, c_j @ y + c
 
 
 def _inf_norm(y) -> float:
@@ -305,7 +288,7 @@ def folded_rk4(op: AffineOperator, dt: float) -> Propagator:
     c = dt (I + M/2 + M^2/6 + M^3/24) b.  Building it costs O(size^3); a step
     costs one O(size^2) product, s @ Phi^T, so s may be one state or a
     (lanes, size) batch of loops that share the operator.
-    ``Propagator.repeated`` folds several such steps into one product.
+    ``Propagator.intervals`` folds several such steps into one product.
     """
     eye = np.eye(op.b.size)
     m = np.zeros_like(eye)

@@ -166,8 +166,10 @@ def _sweep_lanes(cfg: dict, param: str, values: list) -> list:
 def cmd_sweep(args) -> int:
     cfg = config_mod.complete(_assemble_config(args))
     param = args.param
-    # only the key is checked here; each cell's value is checked when it runs
-    config_mod.complete(config_mod.apply_set_overrides(cfg, [f"{param}=null"]))
+    # only the key is checked here, with an empty object, which every key but
+    # scenario takes (a block fills it, a leaf keeps it unchecked); each
+    # cell's value is checked when it runs
+    config_mod.complete(config_mod.apply_set_overrides(cfg, [f"{param}={{}}"]))
     # sweep.csv goes to the base output_dir, so check it before any cell runs
     if not isinstance(cfg["output_dir"], str):
         raise ConfigInvalid(f"output_dir must be a string, got {cfg['output_dir']!r}")
@@ -176,6 +178,8 @@ def cmd_sweep(args) -> int:
         values = json.loads("[" + args.values + "]")
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"cannot parse sweep values {args.values!r}: {exc}") from exc
+    if not values:
+        raise ConfigInvalid(f"--values {args.values!r} lists no value to sweep")
 
     rows = _sweep_lanes(cfg, param, values)
 

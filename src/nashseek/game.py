@@ -50,8 +50,6 @@ class MonotonicityReport:
 
     omega_hat: float
     theta_hat: float
-    samples: int
-    estimate_theta_hat: float
 
 
 def _check_profile_dim(game: Game, x: np.ndarray) -> np.ndarray:
@@ -158,19 +156,15 @@ def probe_monotonicity(game: Game, rng, n_samples: int = 2000,
     """Sample point pairs to bound the monotonicity and Lipschitz moduli.
 
     omega_hat is the smallest observed (x-y)^T (F(x)-F(y)) / ||x-y||^2 and
-    theta_hat the largest observed ||F(x)-F(y)|| / ||x-y||; a companion
-    estimate bounds the Lipschitz modulus of the extended pseudo-gradient in
-    the estimate argument.  Coincident pairs are skipped.
+    theta_hat the largest observed ||F(x)-F(y)|| / ||x-y||.  Coincident pairs
+    are skipped.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    n, m = game.n_players, game.decision_dim
-    dim = n * m
+    dim = game.n_players * game.decision_dim
     lo, hi = box
     omega = np.inf
     theta = 0.0
-    theta_est = 0.0
-    used = 0
     for _ in range(n_samples):
         x = rng.uniform(lo, hi, dim)
         y = rng.uniform(lo, hi, dim)
@@ -181,16 +175,7 @@ def probe_monotonicity(game: Game, rng, n_samples: int = 2000,
         df = pseudo_gradient(game, x) - pseudo_gradient(game, y)
         omega = min(omega, float(d @ df) / dd)
         theta = max(theta, float(np.linalg.norm(df)) / np.sqrt(dd))
-        ha = rng.uniform(lo, hi, (n, n, m))
-        hb = rng.uniform(lo, hi, (n, n, m))
-        dh = ha - hb
-        ndh = float(np.linalg.norm(dh))
-        if ndh > 1e-12:
-            x_mat = x.reshape(n, m)
-            dfe = extended_pseudo_gradient(game, x_mat, ha) - extended_pseudo_gradient(game, x_mat, hb)
-            theta_est = max(theta_est, float(np.linalg.norm(dfe)) / ndh)
-        used += 1
-    return MonotonicityReport(float(omega), float(theta), used, float(theta_est))
+    return MonotonicityReport(float(omega), float(theta))
 
 
 def gradient_consistency(game: Game, rng, n_points: int = 50,

@@ -22,20 +22,21 @@ N = 10, 215 lanes and about 25 ms at N = 30.  A loop with drift then evaluates
 each RK4 stage as one sparse matvec plus the stacked drift; a drift-free loop
 folds its whole RK4 step into one propagator ``s <- Phi s + c``, and a group
 of record intervals of record_stride steps each into one product of the same
-kind, whose ends are the next records.  It keeps the ends up to the first
-interval at whose start a bound cannot show that none of the steps it skips
-can leave the magnitude guard.  Other games step the structured right-hand
-side.
+kind (``Propagator.intervals``), whose ends are the next records.  It keeps
+the ends up to the first interval at whose start a bound cannot show that
+none of the steps it skips can leave the magnitude guard.  Other games step
+the structured right-hand side.
 
 ``run_lanes`` integrates many loops at once.  Loops that share the layout,
 the step grid and the drift callables (and, unless the game is affine with
 drift, the model objects) step as the lanes of one ``(lanes, size)`` state:
 one sparse product with per-lane nonzeros, one call per distinct drift, one
 ``S @ Phi^T`` (or one product per group of record intervals) or one
-structured call per stage, and one record of every lane.  A record is a copy
-of the full state into a block of at most RECORD_BLOCK_BYTES, reduced to the
-recorded series one block at a time; a group's records are copied as one
-slab.
+structured call per stage, and one record of every lane.  ``_Recorder.extend``
+is the one way to record: it copies a slab of full states, one record or a
+group's ends, into a block of at most RECORD_BLOCK_BYTES, reduced to the
+recorded series one block at a time.  Record i is the state at step
+min(i record_stride, steps), and its time comes from that grid.
 A lane that diverges is masked and the others go on.  ``run`` is the one-lane
 case, where the state keeps no lane axis; the same loop serves both shapes.
 """
@@ -323,15 +324,16 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     * affine game, every plant drift-free: the folded propagator of
       ``folded_rk4``, O(size^3) once.  G full record intervals of r =
       record_stride steps are one dense O(G size^2) product with the r-,
-      2r-, ..., G r-step propagators side by side.  They take r + G - 1
-      more O(size^3) products to build, so G is the largest count with
-      (r + G - 1) size <= steps lanes, at most RECORD_BLOCK_BYTES //
-      (8 size^2) (or 1) and at most the full intervals; with no such G >= 1
-      the run steps one at a time.  An interval's end is kept when
-      kappa |s|_inf + max_j |c_j|_inf stays within STATE_MAGNITUDE_GUARD at
-      its start, and every interval of the group before it was kept;
-      otherwise, and in the remainder interval, one O(size^2) matvec a step
-      with the per-step guard;
+      2r-, ..., G r-step propagators side by side
+      (``Propagator.intervals``).  They take r + G - 1 more O(size^3)
+      products to build, so G is the largest count with (r + G - 1) size <=
+      steps lanes, at most RECORD_BLOCK_BYTES // (8 size^2) (or 1) and at
+      most the full intervals; with no such G >= 1 the run steps one at a
+      time.  An interval's end is kept when kappa |s|_inf + max_j |c_j|_inf
+      stays within STATE_MAGNITUDE_GUARD at its start, and every interval of
+      the group before it was kept; the first interval not kept, and the
+      remainder interval, take one O(size^2) matvec a step with the
+      per-step guard;
     * affine game with drift: ``rk4_step`` on the probed sparse operator plus
       the stacked drift, one O(nonzeros) matvec and one call per distinct
       drift a stage;
@@ -492,49 +494,43 @@ def _lane_squares(d: np.ndarray, out: np.ndarray) -> None:
 
 
 class _Recorder:
-    """Every lane's samples, written from the (lanes, size) batch at once into rows sized up front.
+    """Every lane's samples, written from (records, lanes, size) slabs into rows sized up front.
 
-    ``add`` only copies the batch into a block of full states, and
-    ``extend`` a slab of such records, split at block ends; a full block,
-    and the last one in ``split``, is reduced to the recorded series in one
-    pass over its records and lanes.  A masked lane, and the error norm of a
-    lane without x_star, are recorded too; ``split`` drops them.
+    ``extend`` only copies a slab of full states into a block, split at
+    block ends; a full block, and the last one in ``split``, is reduced to
+    the recorded series in one pass over its records and lanes.  times holds
+    the time of every row.  A masked lane, and the error norm of a lane
+    without x_star, are recorded too; ``split`` drops them.
     """
 
-    def __init__(self, layout: _Layout, x_stars: list, rows: int):
-        lanes = len(x_stars)
+    def __init__(self, layout: _Layout, x_stars: list, times: np.ndarray):
+        rows, lanes = len(times), len(x_stars)
         self.layout = layout
         self.x_stars = x_stars
         self.x_star = np.stack([np.zeros((layout.N, layout.m)) if x is None else x for x in x_stars])
-        self.times = []
+        self.times = times
         self.decisions = np.empty((rows, lanes, layout.N, layout.m))
         self.squares = np.empty((2, rows, lanes, 1, 1))  # estimate disagreement, error
         self.obs_errors = np.empty((rows, lanes))
         block = max(1, RECORD_BLOCK_BYTES // (8 * lanes * layout.size))
         self.block = np.empty((min(rows, block), lanes, layout.size))
+        self.recorded = 0
         self.reduced = 0  # records already reduced out of the block
 
-    def add(self, t: float, s: np.ndarray) -> None:
-        row = len(self.times) - self.reduced
-        self.block[row] = s
-        self.times.append(t)
-        if row + 1 == len(self.block):
-            self._reduce()
-
-    def extend(self, times: list, slab: np.ndarray) -> None:
-        """``add`` of each (lanes, size) record of the (records, lanes, size) slab in turn."""
+    def extend(self, slab: np.ndarray) -> None:
+        """Record each (lanes, size) state of the (records, lanes, size) slab in turn."""
         done = 0
         while done < len(slab):
-            row = len(self.times) - self.reduced
+            row = self.recorded - self.reduced
             take = min(len(slab) - done, len(self.block) - row)
             self.block[row:row + take] = slab[done:done + take]
-            self.times += times[done:done + take]
+            self.recorded += take
             done += take
             if row + take == len(self.block):
                 self._reduce()
 
     def _reduce(self) -> None:
-        first, last = self.reduced, len(self.times)
+        first, last = self.reduced, self.recorded
         s = self.block[:last - first].reshape(-1, self.layout.size)
         x = self.layout.chain(s)[0]
         decisions = self.decisions[first:last]
@@ -547,12 +543,11 @@ class _Recorder:
 
     def split(self, failures: list) -> list:
         """Each lane's Trajectory, or its failure in its place."""
-        n = len(self.times)
+        n = self.recorded
         if n > self.reduced:
             self._reduce()
-        times = np.asarray(self.times)
         disagreement, errors = np.sqrt(self.squares[:, :n]).reshape(2, n, -1)
-        return [failure or Trajectory(times, self.decisions[:n, k], disagreement[:, k],
+        return [failure or Trajectory(self.times[:n], self.decisions[:n, k], disagreement[:, k],
                                       None if x_star is None else errors[:, k],
                                       self.obs_errors[:n, k] if self.layout.output_mode else None)
                 for k, (x_star, failure) in enumerate(zip(self.x_stars, failures))]
@@ -584,7 +579,7 @@ def _integrate(batch: list) -> list:
         count = min(max(1, RECORD_BLOCK_BYTES // (8 * layout.size ** 2)), steps // stride,
                     steps * lanes // layout.size - stride + 1)
         if stride > 1 and count >= 1:
-            group = advance.repeated(stride).grouped(count)
+            group = advance.intervals(stride, count)
     else:
         rhs = (stack_lanes([start.op for start in batch]).apply if lane.game.affine
                else _make_rhs(lane.game, lane.g, lane.gains, lane.obs, layout))
@@ -596,33 +591,34 @@ def _integrate(batch: list) -> list:
     # rows for step 0, every record_stride-th step and the last step
     rows = steps // stride + 2
     try:
-        recorder = _Recorder(layout, [start.x_star for start in batch], rows)
+        # row i holds step min(i stride, steps); in floats, which no stride overflows
+        times = np.minimum(np.arange(rows) * float(stride), steps) * cfg.dt
+        recorder = _Recorder(layout, [start.x_star for start in batch], times)
     except (ValueError, MemoryError) as exc:  # too many rows for numpy or for memory
         return [ConfigInvalid(f"sim.horizon={cfg.horizon:g} over sim.dt={cfg.dt:g} at "
                               f"sim.record_stride={stride} needs {rows:.3g} records, "
                               f"which cannot be allocated: {exc}") for _ in batch]
     failures = [None] * lanes
-    recorder.add(0.0, state.reshape(lanes, -1))
+    recorder.extend(state.reshape(1, lanes, -1))
     first = 0
     # a masked lane may overflow on its way out; the guard below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         while first < steps:
             full = (steps - first) // stride
-            ends = group.within(state, STATE_MAGNITUDE_GUARD) if group is not None and full else None
-            if ends is not None:
+            if group is not None and full:
                 # (lanes, intervals, size); interval j > 0 starts at end j - 1,
                 # kept while the bound holds at every start (False for NaN)
-                ends = ends.reshape(lanes, -1, layout.size)[:, :full]
-                peaks = np.abs(ends).max(axis=(0, 2)).tolist()
-                taken = 1
-                while taken < len(peaks) and (group.kappa * peaks[taken - 1] + group.c_peak
+                ends = group(state).reshape(lanes, -1, layout.size)[:, :full]
+                peaks = [np.abs(state).max()] + np.abs(ends[:, :-1]).max(axis=(0, 2)).tolist()
+                taken = 0
+                while taken < len(peaks) and (group.kappa * peaks[taken] + group.c_peak
                                               <= STATE_MAGNITUDE_GUARD):
                     taken += 1
-                recorder.extend([(first + j * stride) * cfg.dt for j in range(1, taken + 1)],
-                                ends[:, :taken].swapaxes(0, 1))
-                state = ends[:, taken - 1].reshape(state.shape)
-                first += taken * stride
-                continue
+                if taken:
+                    recorder.extend(ends[:, :taken].swapaxes(0, 1))
+                    state = ends[:, taken - 1].reshape(state.shape)
+                    first += taken * stride
+                    continue
             last = min(first + stride, steps)
             for k in range(first, last):
                 state = advance(state, k * cfg.dt)
@@ -632,7 +628,7 @@ def _integrate(batch: list) -> list:
                         break
             if all(failures):
                 break
-            recorder.add(last * cfg.dt, state.reshape(lanes, -1))
+            recorder.extend(state.reshape(1, lanes, -1))
             first = last
     return recorder.split(failures)
 

@@ -371,18 +371,33 @@ class TestVerifyCommand:
 
 
 class TestSweepCommand:
-    def test_empty_values_writes_header_only(self, tmp_path):
-        code = run_cli("sweep", "--scenario", "vehicles", "--algo", "state",
-                       "--param", "alpha3", "--values", "", "--out", str(tmp_path))
-        assert code == 0
-        lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("value,settle_time")
+    def test_empty_values_exit_two_naming_the_flag(self, tmp_path, capsys):
+        for values in ("", " "):
+            code = run_cli("sweep", "--scenario", "vehicles", "--algo", "state",
+                           "--param", "alpha3", "--values", values, "--out", str(tmp_path))
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("config error: --values") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_unknown_param_rejected(self, tmp_path):
+    def test_unknown_param_rejected(self, tmp_path, capsys):
         code = run_cli("sweep", "--scenario", "vehicles", "--param", "warp",
                        "--values", "1,2", "--out", str(tmp_path))
         assert code == 2
+        assert "unknown config key 'warp'" in capsys.readouterr().err
+
+    def test_whole_block_sweep_runs_as_run_set_does(self, tmp_path):
+        block = '{"alpha3": 20}'
+        assert run_cli("run", "--scenario", "vehicles", "--algo", "state", "--out", str(tmp_path / "run"),
+                       "--set", f"gains={block}", "--set", "horizon=0.2", "--set", "settle_tol=1e6") == 0
+        # a bad value in a block fails its own cell only
+        code = run_cli("sweep", "--scenario", "vehicles", "--algo", "state", "--param", "gains",
+                       "--values", block + ',{"alpha1": null}', "--out", str(tmp_path),
+                       "--set", "horizon=0.2", "--set", "settle_tol=1e6")
+        assert code == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["ok", "error:ConfigInvalid"]
 
     def test_failed_cells_recorded_and_sweep_continues(self, tmp_path):
         # dt=-1 is invalid per cell; the sweep itself still exits 0

@@ -136,7 +136,6 @@ class TestMonotonicityProbe:
         report = probe_monotonicity(identity_game(), 12, n_samples=100)
         assert report.omega_hat == 1.0
         assert report.theta_hat == 1.0
-        assert report.samples == 100
 
     def test_vehicles_matches_analytic_minimum(self):
         game, _, _, _ = build_vehicle_formation()
@@ -149,11 +148,6 @@ class TestMonotonicityProbe:
         report = probe_monotonicity(game, 2025)
         assert report.omega_hat >= 0.3
         assert report.omega_hat <= report.theta_hat
-
-    def test_estimate_lipschitz_companion_reported(self):
-        game, _, _ = build_turbine_market()
-        report = probe_monotonicity(game, 7, n_samples=200)
-        assert report.estimate_theta_hat > 0
 
     def test_corrupted_convexity_fails_loudly(self):
         # gamma3 < 0 breaks strong monotonicity; the probe must expose it

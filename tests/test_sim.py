@@ -220,6 +220,14 @@ class TestRunValidation:
                 assert key in str(outcome)
         assert huge is not other
 
+    @pytest.mark.parametrize("stride", [11, 2 ** 70])
+    def test_stride_past_the_horizon_records_start_and_end(self, stride):
+        # 2**70 is past int64, which the record time grid must not overflow
+        game, gains = identity_game(), GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
+        cfg = SimConfig(dt=1e-2, horizon=0.1, record_stride=stride)
+        traj = run(game, [Plant(1, 1)] * 2, two_cycle(), gains, None, cfg)
+        assert traj.times.tolist() == [0.0, 10 * 1e-2]
+
 
 class TestClosedLoopRuns:
     def test_zero_gains_freeze_the_plant(self):
@@ -371,7 +379,7 @@ class TestFoldedPropagator:
     def test_interval_bounds_every_step_it_replaces(self):
         rhs, layout, state = self._loop("output")
         step = folded_rk4(probe_affine(rhs, layout), 9e-4)
-        interval = step.repeated(10)
+        interval = step.intervals(10, 1)
         # the j-step maps one step at a time: the unit vectors step through
         # the rows of the maps and the zero state through the offsets c_j; in
         # output mode the map's norm peaks at j = 2, not at j = 10
@@ -393,9 +401,6 @@ class TestFoldedPropagator:
         # the observer's top derivative carries (eps/mu)^3 = 8e6 times the
         # rounding of either path, as in test_fold_matches_rk4_step
         assert np.max(np.abs(interval(state) - s)) <= 1e-9 * np.max(np.abs(s))
-        assert interval.within(state, bound) is not None
-        assert interval.within(state, 0.999 * bound) is None
-        assert interval.within(np.full_like(state, np.nan), np.inf) is None
 
     def test_interval_divergence_matches_one_step_divergence(self, monkeypatch):
         game, plants, g = build_turbine_market()
@@ -423,14 +428,14 @@ class TestFoldedPropagator:
 
     @staticmethod
     def _spy_groups(monkeypatch):
-        """The count of every grouped propagator built from here on."""
-        counts, grouped = [], affine.Propagator.grouped
+        """The count of every group of record intervals built from here on."""
+        counts, intervals = [], affine.Propagator.intervals
 
-        def spy(self, count):
+        def spy(self, r, count):
             counts.append(count)
-            return grouped(self, count)
+            return intervals(self, r, count)
 
-        monkeypatch.setattr(affine.Propagator, "grouped", spy)
+        monkeypatch.setattr(affine.Propagator, "intervals", spy)
         return counts
 
     @pytest.mark.parametrize("mode, count", [("state", 7), ("output", 4)])
@@ -460,40 +465,80 @@ class TestFoldedPropagator:
                        for seed in range(lanes)])
         assert counts == ([] if count is None else [count])
 
+    @staticmethod
+    def _spy_steps(monkeypatch):
+        """Log, in order, each propagator product ("group" for a group of more
+        than one interval, "step" otherwise) and the length of each recorded slab."""
+        log, call, extend = [], affine.Propagator.__call__, sim._Recorder.extend
+
+        def called(self, s, t=0.0):
+            log.append("group" if self.y.shape[1] > self.y.shape[0] else "step")
+            return call(self, s, t)
+
+        def recorded(recorder, slab):
+            log.append(len(slab))
+            extend(recorder, slab)
+
+        monkeypatch.setattr(affine.Propagator, "__call__", called)
+        monkeypatch.setattr(sim._Recorder, "extend", recorded)
+        return log
+
     def test_group_cut_by_the_bound_diverges_as_stride_one(self, monkeypatch):
         # the loop leaves the guard near t = 34 s, long before its last group,
         # so a group that records fewer ends than its count was cut by the bound
         game, plants, g = build_turbine_market()
         counts = self._spy_groups(monkeypatch)
-        lengths, extend = [], sim._Recorder.extend
-
-        def spy(recorder, times, slab):
-            lengths.append(len(slab))
-            extend(recorder, times, slab)
-
-        monkeypatch.setattr(sim._Recorder, "extend", spy)
+        log = self._spy_steps(monkeypatch)
         for obs in (None, TURBINE_OBSERVER):
-            lengths.clear()
+            log.clear()
             messages = [self._diverged_message(game, plants, g, self.UNSTABLE_GAINS, obs,
                                                SimConfig(dt=9e-4, horizon=60.0, record_stride=stride))
                         for stride in (10, 1)]
+            # a slab straight after a group's product holds that group's ends
+            lengths = [n for product, n in zip(log, log[1:]) if product == "group" and isinstance(n, int)]
             assert min(lengths) < counts[-1] == max(lengths)
             assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("mode, scale, diverges", [
+        ("state", 6.5e11, False), ("state", 9e11, True), ("output", 1e7, False)])
+    def test_group_whose_first_start_fails_the_bound_matches_stride_one(self, mode, scale, diverges,
+                                                                        monkeypatch):
+        game, plants, g = build_turbine_market()
+        obs = TURBINE_OBSERVER if mode == "output" else None
+        cfg = SimConfig(dt=9e-4, horizon=0.9)
+        layout = _Layout(4, 6, 1, output_mode=obs is not None)
+        bound = folded_rk4(probe_affine(_make_rhs(game, g, TURBINE_GAINS, obs, layout), layout),
+                           cfg.dt).intervals(cfg.record_stride, 1)
+        # the start's largest entry is scale: |s_0|_inf <= guard < kappa |s_0|_inf + c_peak
+        assert scale <= sim.STATE_MAGNITUDE_GUARD < bound.kappa * scale + bound.c_peak
+        init = InitialConditions(decisions=scale * np.linspace(0.5, 1.0, 6)[:, None])
+        log = self._spy_steps(monkeypatch)
+        outcomes = []
+        for stride in (10, 1):
+            try:
+                outcomes.append(run(game, plants, g, TURBINE_GAINS, obs,
+                                    dataclasses.replace(cfg, record_stride=stride), init))
+            except Diverged as exc:
+                outcomes.append(str(exc))
+            if stride == 10:
+                # the first group records nothing, and its first interval steps one at a time
+                assert log[:3] == [1, "group", "step"]
+        strided, stepped = outcomes
+        if diverges:
+            assert strided == stepped and "magnitude" in strided
+        else:
+            rows = np.arange(0, 1001, 10)
+            assert np.array_equal(strided.times, stepped.times[rows])
+            gap = np.max(np.abs(strided.decisions - stepped.decisions[rows]), axis=(1, 2))
+            assert np.all(gap <= 1e-11 * np.max(np.abs(stepped.decisions[rows]), axis=(1, 2)))
 
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_default_run_steps_one_at_a_time_only_in_its_remainder(self, mode, monkeypatch):
         setup = build_run_setup(default_config("turbines", mode))
         cfg = setup.sim_config
-        one_step = []
-        call = affine.Propagator.__call__
-
-        def counted(self, s, t=0.0):
-            one_step.append(t)
-            return call(self, s, t)
-
-        monkeypatch.setattr(affine.Propagator, "__call__", counted)
+        log = self._spy_steps(monkeypatch)
         run(setup.game, setup.plants, setup.graph, setup.gains, setup.observer, cfg, setup.init)
-        assert len(one_step) == round(cfg.horizon / cfg.dt) % cfg.record_stride == 3
+        assert log.count("step") == round(cfg.horizon / cfg.dt) % cfg.record_stride == 3
 
 
 VEHICLE_GAINS = GainSet(2, (1.0,), 2.0, 3.0, 2.2, 18.0)
@@ -577,14 +622,13 @@ class TestLaneBatch:
         x_stars = [np.random.default_rng(1).standard_normal((10, 2)), None]
         monkeypatch.setattr(sim, "RECORD_BLOCK_BYTES", 5 * 8 * len(x_stars) * layout.size)
         states = np.random.default_rng(2).standard_normal((16, len(x_stars), layout.size))
-        times = (0.5 * np.arange(16)).tolist()
-        bulk, single = (sim._Recorder(layout, x_stars, len(states)) for _ in range(2))
+        bulk, single = (sim._Recorder(layout, x_stars, 0.5 * np.arange(16)) for _ in range(2))
         assert len(bulk.block) == 5
         # slabs that end inside a block, cross a boundary and outgrow a block
         for first, last in ((0, 3), (3, 10), (10, 11), (11, 16)):
-            bulk.extend(times[first:last], states[first:last])
-        for t, s in zip(times, states):
-            single.add(t, s)
+            bulk.extend(states[first:last])
+        for k in range(len(states)):
+            single.extend(states[k:k + 1])
         for a, b in zip(bulk.split([None, None]), single.split([None, None])):
             for field in ("times", "decisions", "estimate_disagreement", "error_norms", "observer_errors"):
                 x, y = getattr(a, field), getattr(b, field)
@@ -605,13 +649,13 @@ class TestLaneBatch:
         layout = _Layout(2, 10, 2, output_mode=obs is not None)
         block = 5
         monkeypatch.setattr(sim, "RECORD_BLOCK_BYTES", block * 8 * len(lanes) * layout.size)
-        added, add = [], sim._Recorder.add
+        added, extend = [], sim._Recorder.extend
 
-        def spy(recorder, t, s):
-            added.append((len(recorder.block), s.copy()))
-            add(recorder, t, s)
+        def spy(recorder, slab):
+            added.extend((len(recorder.block), s.copy()) for s in slab)
+            extend(recorder, slab)
 
-        monkeypatch.setattr(sim._Recorder, "add", spy)
+        monkeypatch.setattr(sim._Recorder, "extend", spy)
         outcomes = sim.run_lanes(lanes)
         assert {length for length, _ in added} == {block} and len(added) % block
         states = np.array([s for _, s in added])

@@ -7,12 +7,13 @@ Runs ``sim.run`` on the turbines default config of the given algorithm
 PYTHONPATH at a parent checkout's ``src`` times the parent), with BLAS pinned
 to one thread as perfbench pins it, and writes its trajectory with
 ``sim.write_trajectory_csv`` into a temporary directory.  Recording is timed
-as the time spent inside ``sim._Recorder.add``, ``sim._Recorder.extend``
-(which records a group of intervals at once) and ``sim._Recorder.split``
-(which reduces any records still held); a tree without ``extend`` is timed
-on the other two.  The run is warmed once and then repeated for at least one
-second and three runs.  One JSON object goes to stdout: the records, the
-record intervals per product ("group", the count the run passed to
+as the time spent inside ``sim._Recorder.extend`` (which copies a slab of
+records) and ``sim._Recorder.split`` (which reduces any records still held);
+an older tree's ``sim._Recorder.add`` is timed too where it has one.  The run
+is warmed once and then repeated for at least one second and three runs.
+One JSON object goes to stdout: the records, the record intervals per
+product ("group", the count the run passed to
+``affine.Propagator.intervals``, or to an older tree's
 ``affine.Propagator.grouped``; null when it built no group), the CSV bytes,
 the repeat count and the median seconds of the whole run, of recording and
 of the CSV write.
@@ -55,14 +56,15 @@ def main(algo: str) -> dict:
         if hasattr(sim._Recorder, name):
             setattr(sim._Recorder, name, timed(recording, getattr(sim._Recorder, name)))
     counts = []
-    if hasattr(affine.Propagator, "grouped"):
-        grouped = affine.Propagator.grouped
+    name = "intervals" if hasattr(affine.Propagator, "intervals") else "grouped"
+    if hasattr(affine.Propagator, name):
+        build = getattr(affine.Propagator, name)
 
-        def spy(self, count):
-            counts.append(count)
-            return grouped(self, count)
+        def spy(self, *args):  # intervals(r, count) or grouped(count)
+            counts.append(args[-1])
+            return build(self, *args)
 
-        affine.Propagator.grouped = spy
+        setattr(affine.Propagator, name, spy)
     runs, records, writes = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trajectory.csv"
