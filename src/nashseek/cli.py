@@ -23,6 +23,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# the run statistics of a sweep cell: its fields, and sweep.csv's columns between value and status
+SWEEP_STATISTICS = ("settle_time", "lambda_hat", "r_squared", "final_residual", "observer_sup_error")
+
 
 def _assemble_config(args) -> dict:
     """The config file with the flags and --set applied; build_run_setup fills and checks it."""
@@ -129,15 +132,7 @@ def _sweep_cell(value, setup, outcome) -> dict:
     if isinstance(outcome, NashseekError):
         return {"value": value, "status": f"error:{type(outcome).__name__}"}
     summary = _summarize(setup, outcome)
-    return {
-        "value": value,
-        "settle_time": summary["settle_time"],
-        "lambda_hat": summary["lambda_hat"],
-        "r_squared": summary["r_squared"],
-        "final_residual": summary["final_residual"],
-        "observer_sup_error": summary.get("observer_sup_error"),
-        "status": "ok",
-    }
+    return {"value": value, **{name: summary.get(name) for name in SWEEP_STATISTICS}, "status": "ok"}
 
 
 def _sweep_lanes(cfg: dict, param: str, values: list) -> list:
@@ -166,6 +161,9 @@ def _sweep_lanes(cfg: dict, param: str, values: list) -> list:
 def cmd_sweep(args) -> int:
     cfg = config_mod.complete(_assemble_config(args))
     param = args.param
+    if param == "scenario":
+        raise ConfigInvalid("a sweep cannot vary the scenario: one scenario's defaults complete "
+                            "the base config, so sweep each scenario on its own")
     # only the key is checked here, with an empty object, which every key but
     # scenario takes (a block fills it, a leaf keeps it unchecked); each
     # cell's value is checked when it runs
@@ -185,8 +183,7 @@ def cmd_sweep(args) -> int:
 
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = ["value", "settle_time", "lambda_hat", "r_squared",
-               "final_residual", "observer_sup_error", "status"]
+    columns = ("value", *SWEEP_STATISTICS, "status")
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes a list value's commas

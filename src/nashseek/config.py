@@ -40,7 +40,7 @@ from .control import (
     default_hurwitz_gains,
     default_observer_gains,
 )
-from .errors import ConfigInvalid, finite
+from .errors import ConfigInvalid, finite, finite_array
 from .game import Game
 from .graph import Digraph
 from .sim import MODE_OUTPUT, MODE_STATE, InitialConditions, SimConfig
@@ -271,7 +271,7 @@ def _build_scenario(name: str, params: dict):
     if "offsets" in params:
         # FormationSpec takes NaN anchors (the probe's guard catches them); a config may not
         offsets = _named("scenario_params.offsets", lambda rows: scenarios.FormationSpec(
-            [[finite(v, "offset") for v in r] for r in rows]), params["offsets"])
+            finite_array(rows, "offsets")), params["offsets"])
     game, plants, g, spec = scenarios.build_vehicle_formation(
         table=table, offsets=offsets, graph=graph, rho=params.get("rho", scenarios.RHO_AIR))
     return game, plants, g, scenarios.vehicle_nash_oracle(spec)

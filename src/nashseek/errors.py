@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and the one real-number input check."""
+"""Exception types shared across the package, and the one real-number input check.
+
+``finite`` checks one number a config or a library caller gives, and
+``finite_array`` an array of them, entry by entry through ``finite``.
+"""
 
 import math
 
@@ -29,6 +33,16 @@ def finite(value, key: str, positive: bool = False) -> float:
     if math.isfinite(number) and (number > 0 or not positive):
         return number
     raise ConfigInvalid(f"{key} must be finite{' and positive' if positive else ''}, got {value!r}")
+
+
+def finite_array(values, key: str) -> np.ndarray:
+    """values as a float array; ConfigInvalid naming key ("must be finite
+    numbers") unless it is a regular nest whose every entry passes ``finite``."""
+    try:
+        entries = np.asarray(values, dtype=object)
+        return np.array([finite(v, key) for v in entries.flat], dtype=float).reshape(entries.shape)
+    except (ConfigInvalid, ValueError):  # ValueError: a nest numpy cannot make an array of
+        raise ConfigInvalid(f"{key} must be finite numbers, got {values!r}") from None
 
 
 class DimensionMismatch(ConfigInvalid):

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigInvalid, SingularLyapunov, finite
-from .linalg import is_symmetric_positive_definite, lyapunov_solve
+from .errors import ConfigInvalid, finite
+from .linalg import lyapunov_solve
 
 WEIGHT_BALANCE_TOL = 1e-12
 
@@ -194,9 +194,10 @@ def estimation_certificate(g: Digraph) -> GraphCertificate:
     positive-definiteness diagnostic) is the minimum over one batched
     ``eigvalsh`` of the blocks' symmetric parts; Q_j solves
     Q_j B_j + B_j^T Q_j = I through one batched sign-function solve
-    (``linalg.lyapunov_solve`` on -B_j); the residual of Q S + S^T Q = I is
-    the Frobenius norm over the per-block residuals; and one batched Cholesky
-    tests Q.  The cost is O(N^4), and Q is kept as its (N, N, N) blocks.
+    (``linalg.lyapunov_solve`` on -B_j), which also certifies every Q_j
+    (finite, positive definite) and returns the Frobenius norm of the
+    residual of Q S + S^T Q = I over the blocks.  This function only keeps
+    the books.  The cost is O(N^4), and Q is kept as its (N, N, N) blocks.
 
     Raises SingularLyapunov when the solve fails despite strong connectivity
     (possible only for degenerate graphs, e.g. a single node).
@@ -210,13 +211,5 @@ def estimation_certificate(g: Digraph) -> GraphCertificate:
 
     if not connected:
         return GraphCertificate(lap, False, balanced, min_eig)
-
-    n = g.n_nodes
-    q_blocks = lyapunov_solve(-blocks)
-    block_residuals = q_blocks @ blocks + np.swapaxes(blocks, 1, 2) @ q_blocks - np.eye(n)
-    residual = float(np.linalg.norm(block_residuals))
-    if not np.isfinite(residual):
-        raise SingularLyapunov("Lyapunov residual is non-finite")
-    if not is_symmetric_positive_definite(q_blocks):
-        raise SingularLyapunov("Lyapunov solution is not positive definite")
+    q_blocks, residual = lyapunov_solve(-blocks)
     return GraphCertificate(lap, True, balanced, min_eig, q_blocks, residual)

@@ -19,7 +19,7 @@ LYAPUNOV_MAX_ITER = 50
 _SIGN_BASIN = 0.1
 
 
-def lyapunov_solve(a: np.ndarray) -> np.ndarray:
+def lyapunov_solve(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve X A + A^T X = -I for each Hurwitz matrix A of a stack (..., n, n).
 
     The iteration A <- (A/c + c A^-1)/2, X <- (X/c + c A^-T X A^-1)/2 from
@@ -28,16 +28,22 @@ def lyapunov_solve(a: np.ndarray) -> np.ndarray:
     blocks (n = 100 with weights near 1e3).  It stops when the largest
     ||A + I||_F reaches round-off.
 
+    This is the one certificate of a solution: it returns the symmetric
+    stack X with the Frobenius norm of X A + A^T X + I over the whole stack,
+    having checked that the norm is finite and every X positive definite
+    (one batched Cholesky).  A caller only bounds the residual.
+
     Raises SingularLyapunov when an iterate is singular or non-finite, when the
-    error stops falling above round-off, or when the iteration cap is reached
-    (A has an eigenvalue off the open left half-plane, so sign(A) != -I).
+    error stops falling above round-off, when the iteration cap is reached
+    (A has an eigenvalue off the open left half-plane, so sign(A) != -I), or
+    when the solution fails either check.
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[-1]
-    if a.ndim < 2 or a.shape[-2] != n:
-        raise ValueError(f"lyapunov_solve expects a stack of square matrices, got {a.shape}")
+    a0 = np.array(a, dtype=float)
+    n = a0.shape[-1]
+    if a0.ndim < 2 or a0.shape[-2] != n:
+        raise ValueError(f"lyapunov_solve expects a stack of square matrices, got {a0.shape}")
     eye = np.eye(n)
-    x = np.broadcast_to(eye, a.shape).copy()
+    a, x = a0, np.broadcast_to(eye, a0.shape).copy()
     tol = 100.0 * n * np.finfo(float).eps
     err_prev = np.inf
     for _ in range(LYAPUNOV_MAX_ITER):
@@ -56,22 +62,18 @@ def lyapunov_solve(a: np.ndarray) -> np.ndarray:
             raise SingularLyapunov("sign iteration produced non-finite entries")
         if err <= tol:
             x = 0.25 * (x + np.swapaxes(x, -1, -2))
-            if not np.all(np.isfinite(x)):
+            # a non-finite entry of x makes the residual non-finite too
+            residual = float(np.linalg.norm(x @ a0 + np.swapaxes(a0, -1, -2) @ x + eye))
+            if not np.isfinite(residual):
                 raise SingularLyapunov("sign iteration produced non-finite entries")
-            return x
+            try:
+                np.linalg.cholesky(x)
+            except np.linalg.LinAlgError as exc:
+                raise SingularLyapunov("Lyapunov solution is not positive definite") from exc
+            return x, residual
         if err_prev < _SIGN_BASIN and err >= err_prev:
             raise SingularLyapunov(f"sign iteration stalled at ||A + I|| = {err:.3e}")
         err_prev = err
     raise SingularLyapunov(
         f"sign iteration did not reach -I in {LYAPUNOV_MAX_ITER} steps "
         f"(||A + I|| = {err:.3e}): the matrix is not Hurwitz")
-
-
-def is_symmetric_positive_definite(m: np.ndarray) -> bool:
-    """Cholesky test on the symmetrized matrix, or on every matrix of a stack."""
-    sym = 0.5 * (m + np.swapaxes(m, -1, -2))
-    try:
-        np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        return False
-    return True

@@ -61,6 +61,7 @@ from .errors import (
     NonPositiveError,
     NotStronglyConnected,
     finite,
+    finite_array,
 )
 from .game import Game, extended_pseudo_gradient
 from .graph import Digraph, is_strongly_connected
@@ -316,7 +317,8 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     obs None runs the state-feedback law; an ObserverSet runs the
     output-feedback law, the same law on the high-gain observer's estimates.
     x_star, when supplied, must come from an independent equilibrium solver;
-    it is used only to fill the recorded error norms.
+    it is used only to fill the recorded error norms.  Like init.decisions
+    and init.derivatives it must be finite numbers (``errors.finite_array``).
 
     This is ``run_lanes`` on one lane.  The step depends on the game and the
     drifts, with size the length of the flat state:
@@ -407,17 +409,6 @@ def run_lanes(lanes: Sequence[Lane]) -> list:
     return results
 
 
-def _finite_array(value, key: str) -> np.ndarray:
-    """value as a float array; ConfigInvalid naming key unless every entry is a finite number."""
-    try:
-        array = np.asarray(value, dtype=float)
-        if np.isfinite(array).all():
-            return array
-    except (TypeError, ValueError):
-        pass
-    raise ConfigInvalid(f"{key} must be finite numbers, got {value!r}")
-
-
 def _start(lane: Lane, probes: dict) -> _Start:
     """Check one lane and build its start; probes caches operators per model."""
     game, plants, g, gains, obs, cfg = lane.game, lane.plants, lane.g, lane.gains, lane.obs, lane.cfg
@@ -440,7 +431,7 @@ def _start(lane: Lane, probes: dict) -> _Start:
         raise ConfigInvalid(f"init.box must be finite with low <= high, as (low, high); got {init.box!r}")
     rng = np.random.default_rng(cfg.seed)
     if init.decisions is not None:
-        x0 = _finite_array(init.decisions, "init.decisions")
+        x0 = finite_array(init.decisions, "init.decisions")
         if x0.shape != (n_players, m):
             raise ConfigInvalid(f"init.decisions must have shape {(n_players, m)}, got {x0.shape}")
     else:
@@ -451,14 +442,14 @@ def _start(lane: Lane, probes: dict) -> _Start:
     chain = layout.chain(state)
     chain[0] = x0
     if init.derivatives is not None:
-        derivs = _finite_array(init.derivatives, "init.derivatives")
+        derivs = finite_array(init.derivatives, "init.derivatives")
         if derivs.shape != (n - 1, n_players, m):
             raise ConfigInvalid(f"init.derivatives must have shape {(n - 1, n_players, m)}, got {derivs.shape}")
         chain[1:] = derivs
 
     x_star_mat = None
     if lane.x_star is not None:
-        x_star_mat = np.asarray(lane.x_star, dtype=float)
+        x_star_mat = finite_array(lane.x_star, "x_star")
         if x_star_mat.size != n_players * m:
             raise DimensionMismatch(f"x_star must hold {n_players * m} numbers, got {x_star_mat.size}")
         x_star_mat = x_star_mat.reshape(n_players, m)

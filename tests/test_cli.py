@@ -242,6 +242,10 @@ class TestRunCommand:
         (["run", "--set", "decisions=[[1,2,3]]"], "init.decisions must have shape (10, 2), got (1, 3)"),
         (["run", "--set", "derivatives=[1,2]"], "init.derivatives must have shape (1, 10, 2), got (2,)"),
         (["run", "--set", 'dt="0.01"'], "sim: dt must be a number, got '0.01'"),
+        (["run", "--set", "decisions=[" + ",".join(['["1","2"]'] * 10) + "]"],
+         "init.decisions must be finite numbers"),
+        (["run", "--set", "derivatives=[[" + ",".join(['["0","0"]'] + ["[0,0]"] * 9) + "]]"],
+         "init.derivatives must be finite numbers"),
     ])
     def test_bad_key_or_value_exits_two_naming_it(self, tmp_path, capsys, argv, key):
         code = run_cli(*argv, "--scenario", "vehicles", "--out", str(tmp_path),
@@ -385,6 +389,13 @@ class TestSweepCommand:
                        "--values", "1,2", "--out", str(tmp_path))
         assert code == 2
         assert "unknown config key 'warp'" in capsys.readouterr().err
+
+    def test_scenario_cannot_be_swept(self, tmp_path, capsys):
+        code = run_cli("sweep", "--scenario", "vehicles", "--param", "scenario",
+                       "--values", '"turbines"', "--out", str(tmp_path))
+        assert code == 2
+        assert "a sweep cannot vary the scenario" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_whole_block_sweep_runs_as_run_set_does(self, tmp_path):
         block = '{"alpha3": 20}'

@@ -243,6 +243,14 @@ class TestEstimationCertificate:
         assert cert.lyapunov_residual < 1e-8
         assert cert.q_blocks.shape == (n, n, n)
 
+    def test_residual_is_the_one_the_blocks_give(self):
+        # the solver owns the residual that verify prints; it must be the
+        # Frobenius norm of Q_j B_j + B_j^T Q_j - I over the blocks, bit for bit
+        g = default_cycle_digraph(10)
+        cert = estimation_certificate(g)
+        q, b = cert.q_blocks, estimation_blocks(g)
+        assert cert.lyapunov_residual == float(np.linalg.norm(q @ b + np.swapaxes(b, 1, 2) @ q - np.eye(10)))
+
     def test_certificate_and_lyapunov_p_assemble_no_kronecker_product(self, monkeypatch):
         def no_kron(*args):
             raise AssertionError("np.kron called")
@@ -257,7 +265,7 @@ class TestEstimationCertificate:
         block = estimation_blocks(g)[0]
         with np.errstate(over="ignore"):
             assert np.isinf(np.linalg.det(block))
-        q = lyapunov_solve(-block)
+        q, _ = lyapunov_solve(-block)
         assert np.linalg.norm(q @ block + block.T @ q - np.eye(100)) < 1e-8
         assert np.linalg.eigvalsh(q).min() > 0
 

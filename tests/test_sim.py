@@ -188,7 +188,8 @@ class TestRunValidation:
         assert isinstance(bad, ConfigInvalid) and "init.box must be finite with low <= high" in str(bad)
 
     @pytest.mark.parametrize("field, value", [
-        ("decisions", [["a"], [1.0]]), ("decisions", [[1.0], [1.0, 2.0]]), ("derivatives", [[[None], [0.0]]])])
+        ("decisions", [["a"], [1.0]]), ("decisions", [[1.0], [1.0, 2.0]]), ("derivatives", [[[None], [0.0]]]),
+        ("decisions", [["1"], ["2"]]), ("decisions", [[True], [1.0]])])
     def test_non_numeric_start_fails_its_lane_alone(self, field, value):
         game, gains = identity_game(), GainSet(2, (1.0,), 2.0, 1.8, 1.5, 5.0)
         cfg = SimConfig(dt=1e-2, horizon=0.1)
@@ -206,6 +207,16 @@ class TestRunValidation:
         first, bad, last = sim.run_lanes(lanes)
         assert isinstance(first, Trajectory) and isinstance(last, Trajectory)
         assert isinstance(bad, DimensionMismatch) and "x_star must hold 2 numbers, got 3" in str(bad)
+
+    @pytest.mark.parametrize("x_star", [np.array([0.0, np.nan]), ["1", 0.0]])
+    def test_non_numeric_x_star_fails_its_lane_alone(self, x_star):
+        game, gains = identity_game(), GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
+        cfg = SimConfig(dt=1e-2, horizon=0.1)
+        lanes = [sim.Lane(game, [Plant(1, 1)] * 2, two_cycle(), gains, None, cfg, x_star=x)
+                 for x in (np.zeros(2), x_star, None)]
+        first, bad, last = sim.run_lanes(lanes)
+        assert isinstance(first, Trajectory) and isinstance(last, Trajectory)
+        assert isinstance(bad, ConfigInvalid) and "x_star must be finite numbers" in str(bad)
 
     def test_unallocatable_records_fail_their_batch_alone(self):
         # 1e-300 asks numpy for more rows than an array may have, so nothing is allocated

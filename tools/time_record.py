@@ -8,13 +8,11 @@ PYTHONPATH at a parent checkout's ``src`` times the parent), with BLAS pinned
 to one thread as perfbench pins it, and writes its trajectory with
 ``sim.write_trajectory_csv`` into a temporary directory.  Recording is timed
 as the time spent inside ``sim._Recorder.extend`` (which copies a slab of
-records) and ``sim._Recorder.split`` (which reduces any records still held);
-an older tree's ``sim._Recorder.add`` is timed too where it has one.  The run
-is warmed once and then repeated for at least one second and three runs.
-One JSON object goes to stdout: the records, the record intervals per
+records) and ``sim._Recorder.split`` (which reduces any records still held).
+The run is warmed once and then repeated for at least one second and three
+runs.  One JSON object goes to stdout: the records, the record intervals per
 product ("group", the count the run passed to
-``affine.Propagator.intervals``, or to an older tree's
-``affine.Propagator.grouped``; null when it built no group), the CSV bytes,
+``affine.Propagator.intervals``; null when it built no group), the CSV bytes,
 the repeat count and the median seconds of the whole run, of recording and
 of the CSV write.
 """
@@ -52,19 +50,16 @@ def timed(spent: list, method):
 def main(algo: str) -> dict:
     setup = config.build_run_setup(config.default_config("turbines", algo))
     recording = [0.0]
-    for name in ("add", "extend", "split"):
-        if hasattr(sim._Recorder, name):
-            setattr(sim._Recorder, name, timed(recording, getattr(sim._Recorder, name)))
+    for name in ("extend", "split"):
+        setattr(sim._Recorder, name, timed(recording, getattr(sim._Recorder, name)))
     counts = []
-    name = "intervals" if hasattr(affine.Propagator, "intervals") else "grouped"
-    if hasattr(affine.Propagator, name):
-        build = getattr(affine.Propagator, name)
+    intervals = affine.Propagator.intervals
 
-        def spy(self, *args):  # intervals(r, count) or grouped(count)
-            counts.append(args[-1])
-            return build(self, *args)
+    def spy(self, r, count):
+        counts.append(count)
+        return intervals(self, r, count)
 
-        setattr(affine.Propagator, name, spy)
+    affine.Propagator.intervals = spy
     runs, records, writes = [], [], []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trajectory.csv"
