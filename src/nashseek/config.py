@@ -200,12 +200,11 @@ def complete(cfg: dict) -> dict:
 def model_key(cfg: dict) -> str:
     """A string equal for two completed configs exactly when they build the same loop.
 
-    It drops what sets only one run's start or its judging: init, sim.seed,
+    It drops what sets only how a run steps, starts or is judged: sim, init,
     settle_tol and output_dir.  Configs with equal keys build equal game,
     plants, graph, gains and observer.
     """
-    model = {k: v for k, v in cfg.items() if k not in ("init", "settle_tol", "output_dir")}
-    model["sim"] = {k: v for k, v in cfg["sim"].items() if k != "seed"}
+    model = {k: v for k, v in cfg.items() if k not in ("sim", "init", "settle_tol", "output_dir")}
     return json.dumps(model, sort_keys=True)
 
 

@@ -282,9 +282,11 @@ def _make_rhs(game: Game, g: Digraph, gains: GainSet, obs: Optional[ObserverSet]
         dchain[:-1] = chain[1:]
         dchain[-1] = control.stacked_control_input(levels, grads, layout.y(s), gains)
         if e is not None:
-            z = np.concatenate([(x - e[0])[None], e[1:]])
+            # level 0 zeroed and e_0 as the output make the law's innovation
+            # outputs - z_0 exactly e_0, where x - (x - e_0) loses its low bits
+            z = np.concatenate([np.zeros_like(e[:1]), e[1:]])
             de = layout.z(out)
-            de[:] = control.stacked_observer_rate(z, x, gains, obs)
+            de[:] = control.stacked_observer_rate(z, e[0], gains, obs)
             de[0] = dchain[0] - de[0]
         layout.y(out)[:] = control.stacked_aux_rate(levels, grads, gains)
         layout.x_hat(out)[:] = control.stacked_estimate_rate(x_hat, x, g, gains.alpha3)

@@ -554,6 +554,21 @@ class TestSweepLanes:
             gap = np.max(np.abs(lane.decisions - single.decisions), axis=(1, 2))
             assert np.all(gap <= 1e-12 * np.max(np.abs(single.decisions), axis=(1, 2)))
 
+    def test_step_size_sweep_probes_once(self, tmp_path, monkeypatch):
+        # no model object reads the sim block, so cells that differ only in dt
+        # share one probed operator; they still step as batches of their own
+        probes, probe = [], sim.probe_affine
+        monkeypatch.setattr(sim, "probe_affine", lambda rhs, layout: probes.append(layout) or probe(rhs, layout))
+        outcomes, batches = self._capture(monkeypatch)
+        overrides = ["--set", "horizon=2.0", "--set", "settle_tol=1e6"]
+        assert run_cli("sweep", "--scenario", "vehicles", "--algo", "state", "--param", "dt",
+                       "--values", "0.004,0.005,0.01", "--out", str(tmp_path), *overrides) == 0
+        assert len(probes) == 1 and batches == [1, 1, 1]
+        base = apply_set_overrides(default_config("vehicles", "state"), ["horizon=2.0", "settle_tol=1e6"])
+        for value, lane in outcomes:
+            _, single, _ = cli._execute_run(apply_set_overrides(base, [f"dt={value}"]))
+            assert np.array_equal(lane.decisions, single.decisions)
+
     def test_diverging_gain_cell_is_masked_and_rows_match_a_sequential_sweep(self, tmp_path, monkeypatch):
         argv = ["sweep", "--scenario", "vehicles", "--algo", "state", "--param", "alpha3",
                 "--values", "5,1000,18", "--set", "dt=0.01", "--set", "horizon=3.0",

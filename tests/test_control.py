@@ -23,8 +23,9 @@ from nashseek.control import (
     stacked_estimate_rate,
     stacked_observer_rate,
 )
-from nashseek.errors import ConfigInvalid, EmptyGains, NotHurwitz
+from nashseek.errors import ConfigInvalid, EmptyGains, NotHurwitz, SingularLyapunov
 from nashseek.graph import Digraph
+from nashseek.linalg import lyapunov_solve
 from nashseek.sim import _Layout, _make_rhs
 from nashseek.verify import identity_game, random_strongly_connected_digraph
 from oracles import player_law
@@ -133,6 +134,17 @@ class TestLyapunovP:
             a = companion_matrix(default_hurwitz_gains(n))
             p = lyapunov_P(a)
             assert np.linalg.norm(p @ a + a.T @ p + np.eye(n - 1)) < 1e-10
+
+    def test_non_definite_solution_rejected(self, monkeypatch):
+        # a Hurwitz A always has a positive definite solution, so the check is
+        # reached by handing the real Cholesky the negated, negative definite X
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda x: cholesky(-x))
+        a = companion_matrix([2.0, 3.0])
+        with pytest.raises(SingularLyapunov, match="not positive definite"):
+            lyapunov_solve(a)
+        with pytest.raises(NotHurwitz, match="not positive definite"):
+            lyapunov_P(a)
 
     @pytest.mark.parametrize("a", [
         -companion_matrix(default_hurwitz_gains(5)),  # every eigenvalue at +1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nashseek.config import build_run_setup, default_config
-from nashseek.control import GainSet, ObserverSet
+from nashseek.control import GainSet, ObserverSet, observer_weights
 from nashseek.errors import (
     ConfigInvalid,
     Diverged,
@@ -745,6 +745,25 @@ class TestRhsMatchesPerPlayerLaws:
         state = np.random.default_rng(13).standard_normal(layout.size)
         self._check(identity_game(3, 2), plants, g, GainSet(1, (), 2.0, 1.8, 1.5, 5.0),
                     ObserverSet((1.0,), 0.05), layout, state)
+
+    def test_observer_rows_read_the_innovation_exactly(self):
+        # at |x| ~ 300 and |e_0| ~ 1e-7, rebuilding z_0 = x - e_0 and taking
+        # x - z_0 again loses the low bits of e_0, and the observer weights (up
+        # to 1.6e9) scale that loss; the rows must read e_0 as the state holds it
+        game, _, g = build_turbine_market()
+        layout = _Layout(4, 6, 1, output_mode=True)
+        rng = np.random.default_rng(21)
+        state = rng.uniform(-1.0, 1.0, layout.size)
+        layout.chain(state)[0] = rng.uniform(250.0, 350.0, size=(6, 1))
+        e = layout.z(state)
+        e[0] = rng.uniform(-1e-7, 1e-7, size=(6, 1))
+        derivative = _make_rhs(game, g, TURBINE_GAINS, TURBINE_OBSERVER, layout)(state, 0.0)
+        w = observer_weights(TURBINE_GAINS, TURBINE_OBSERVER)
+        expected = np.empty_like(e)
+        expected[:-1] = e[1:] + np.multiply.outer(w[:-1], e[0])
+        expected[-1] = w[-1] * e[0]
+        expected[0] = layout.chain(state)[1] - expected[0]
+        assert np.array_equal(layout.z(derivative), expected)
 
     def test_estimate_rate_matches_kronecker_form(self):
         # dual route: tensor difference form vs the stacked block matrices

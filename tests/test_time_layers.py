@@ -1,0 +1,46 @@
+"""Smoke test of tools/time_layers.py: each layer runs, gives its keys and undoes its patches."""
+
+import importlib.util
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from nashseek import affine, sim
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "time_layers.py"
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    # the tool pins BLAS through os.environ at import; the fixture undoes that
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    spec = importlib.util.spec_from_file_location("time_layers", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.SPAN_S = 0
+    return module
+
+
+def test_each_layer_gives_its_keys_and_restores_what_it_patches(tool):
+    patched = [(sim._Recorder, "extend"), (sim._Recorder, "split"), (affine.Propagator, "intervals")]
+    originals = [getattr(owner, name) for owner, name in patched]
+
+    probe = tool.LAYERS["probe"]("2")
+    assert list(probe) == [2]
+    assert list(probe[2]) == ["size", "median_s", "repeats", "nonzeros", "lanes", "calls"]
+    assert probe[2]["size"] == 20 and probe[2]["repeats"] == 3 and probe[2]["calls"] >= 1
+
+    cert = tool.LAYERS["certificate"]("3")
+    assert list(cert[3]) == ["median_s", "repeats", "passed", "residual"]
+    assert cert[3]["passed"] is True
+
+    record = tool.LAYERS["record"]("state")
+    assert list(record) == ["algo", "records", "group", "csv_bytes", "repeats",
+                            "run_s", "record_s", "csv_write_s"]
+    assert record["records"] > 0 and record["csv_bytes"] > 0 and 0 < record["record_s"] < record["run_s"]
+    json.dumps([probe, cert, record])
+
+    assert [getattr(owner, name) for owner, name in patched] == originals

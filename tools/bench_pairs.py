@@ -16,8 +16,9 @@ bytecode of ``src`` and ``perfbench`` in both trees (``python -m compileall``):
 perfbench children do not write bytecode, so a tree without it would compile
 every module in each child, which moves ``peak_rss_mb``.  It keeps both
 result lines of every pair, the environment record perfbench prints, and per
-metric each side's quartiles, the number of pairs the change won and a verdict,
-which it also prints:
+workload each side's pooled ``failed``/``attempted`` operations (from perfbench's
+result lines), and per metric each side's quartiles, the number of pairs the
+change won and a verdict, which it also prints:
 
     better / worse   the change median beats / trails the parent median by more
                      than the metric's BENCHMARK.json bound, read as a fraction
@@ -127,7 +128,10 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['result'])}", flush=True)
             pairs.append(pair)
         summary = summarize(pairs)
-        record["workloads"][workload] = {"pairs": pairs, "summary": summary}
+        failed = {side: [sum(p[side]["result"][key] for p in pairs) for key in ("failed", "attempted")]
+                  for side in ("parent", "change")}
+        record["workloads"][workload] = {"pairs": pairs, "failed_of_attempted": failed, "summary": summary}
+        print(f"{workload} failed/attempted: " + ", ".join(f"{side} {f}/{a}" for side, (f, a) in failed.items()))
         for name, entry in summary.items():
             print(f"{workload} {name}: {entry['verdict']} (median {entry['parent_quartiles'][1]:.6g} -> "
                   f"{entry['change_quartiles'][1]:.6g} {entry['unit']}, bound {entry['bound']:.0%} of the "
