@@ -150,6 +150,12 @@ class GainSet:
             )
         for name in ("epsilon", "alpha1", "alpha2", "alpha3"):
             object.__setattr__(self, name, finite(getattr(self, name), name, positive=True))
+        try:  # the laws take every power of eps from 1 - n to n; float ** raises past the float range
+            smallest = min(self.epsilon ** (1 - self.order_n), self.epsilon ** self.order_n)
+        except OverflowError:
+            smallest = 0.0
+        if not smallest > 0:
+            raise ConfigInvalid(f"gains.epsilon={self.epsilon:g} takes a power eps^(1-n) .. eps^n to 0 or inf")
         if self.order_n >= 2 and not routh_hurwitz_stable(_monic_from_gains(self.k)):
             raise ConfigInvalid(f"chain polynomial with k={self.k} is not Hurwitz")
 

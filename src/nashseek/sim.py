@@ -43,6 +43,7 @@ case, where the state keeps no lane axis; the same loop serves both shapes.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -148,6 +149,16 @@ class InitialConditions:
     derivatives: Optional[np.ndarray] = None
 
 
+class Stepping(NamedTuple):
+    """How ``_integrate`` stepped a batch of lanes; each lane's Trajectory carries it."""
+
+    kind: str             # "interval", "folded", "sparse+drift" or "structured", as ``run`` lists them
+    group: Optional[int]  # record-interval maps per product, None without groups
+    products: int         # group products
+    one_step: int         # steps taken one at a time
+    record_s: float       # seconds inside ``_Recorder.extend`` and ``split``
+
+
 @dataclass
 class Trajectory:
     """Recorded samples of one run plus derived convergence series."""
@@ -157,6 +168,7 @@ class Trajectory:
     estimate_disagreement: np.ndarray  # (T,)
     error_norms: Optional[np.ndarray] = None
     observer_errors: Optional[np.ndarray] = None
+    stepping: Optional[Stepping] = None  # set by run and run_lanes, shared by a batch's lanes
 
     @property
     def final_decisions(self) -> np.ndarray:
@@ -323,7 +335,7 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     and init.derivatives it must be finite numbers (``errors.finite_array``).
 
     This is ``run_lanes`` on one lane.  The step depends on the game and the
-    drifts, with size the length of the flat state:
+    drifts (``Trajectory.stepping`` names it), with size the flat state's length:
 
     * affine game, every plant drift-free: the folded propagator of
       ``folded_rk4``, O(size^3) once.  G full record intervals of r =
@@ -332,16 +344,16 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
       (``Propagator.intervals``).  They take r + G - 1 more O(size^3)
       products to build, so G is the largest count with (r + G - 1) size <=
       steps lanes, at most RECORD_BLOCK_BYTES // (8 size^2) (or 1) and at
-      most the full intervals; with no such G >= 1 the run steps one at a
-      time.  An interval's end is kept when kappa |s|_inf + max_j |c_j|_inf
-      stays within STATE_MAGNITUDE_GUARD at its start, and every interval of
-      the group before it was kept; the first interval not kept, and the
-      remainder interval, take one O(size^2) matvec a step with the
-      per-step guard;
-    * affine game with drift: ``rk4_step`` on the probed sparse operator plus
-      the stacked drift, one O(nonzeros) matvec and one call per distinct
-      drift a stage;
-    * otherwise: ``rk4_step`` on the structured right-hand side.
+      most the full intervals ("interval"); with no such G >= 1 the run
+      steps one at a time ("folded").  An interval's end is kept when kappa
+      |s|_inf + max_j |c_j|_inf stays within STATE_MAGNITUDE_GUARD at its
+      start, and every interval of the group before it was kept; the first
+      interval not kept, and the remainder interval, take one O(size^2)
+      matvec a step with the per-step guard;
+    * affine game with drift ("sparse+drift"): ``rk4_step`` on the probed
+      sparse operator plus the stacked drift, one O(nonzeros) matvec and one
+      call per distinct drift a stage;
+    * otherwise ("structured"): ``rk4_step`` on the structured right-hand side.
 
     Both affine cases probe the loop once (``probe_affine``) and raise
     ConfigInvalid when the game's affine declaration fails.  Raises Diverged
@@ -395,19 +407,20 @@ def run_lanes(lanes: Sequence[Lane]) -> list:
     results = [None] * len(lanes)
     probes = {}
     batches = {}
-    for i, lane in enumerate(lanes):
-        try:
-            start = _start(lane, probes)
-        except NashseekError as exc:
-            results[i] = exc
-            continue
-        batches.setdefault(_batch_key(start), []).append((i, start))
-    for members in batches.values():
-        for first in range(0, len(members), MAX_LANES):
-            chunk = members[first:first + MAX_LANES]
-            outcomes = _integrate([start for _, start in chunk])
-            for (i, _), outcome in zip(chunk, outcomes):
-                results[i] = outcome
+    with np.errstate(all="ignore"):  # an overflow in a probe, fold or masked lane: the finite checks report it
+        for i, lane in enumerate(lanes):
+            try:
+                start = _start(lane, probes)
+            except NashseekError as exc:
+                results[i] = exc
+                continue
+            batches.setdefault(_batch_key(start), []).append((i, start))
+        for members in batches.values():
+            for first in range(0, len(members), MAX_LANES):
+                chunk = members[first:first + MAX_LANES]
+                outcomes = _integrate([start for _, start in chunk])
+                for (i, _), outcome in zip(chunk, outcomes):
+                    results[i] = outcome
     return results
 
 
@@ -426,11 +439,10 @@ def _start(lane: Lane, probes: dict) -> _Start:
     init = lane.init or InitialConditions()
     try:
         lo, hi = (finite(v, "init.box") for v in init.box)
-        valid = lo <= hi
     except (ConfigInvalid, TypeError, ValueError):  # not a pair of finite numbers
-        valid = False
-    if not valid:
-        raise ConfigInvalid(f"init.box must be finite with low <= high, as (low, high); got {init.box!r}")
+        lo = hi = np.nan
+    if not 0 <= hi - lo < np.inf:  # also false for NaN; rng.uniform takes no infinite width
+        raise ConfigInvalid(f"init.box must be finite with low <= high and high - low finite; got {init.box!r}")
     rng = np.random.default_rng(cfg.seed)
     if init.decisions is not None:
         x0 = finite_array(init.decisions, "init.decisions")
@@ -509,10 +521,11 @@ class _Recorder:
         self.block = np.empty((min(rows, block), lanes, layout.size))
         self.recorded = 0
         self.reduced = 0  # records already reduced out of the block
+        self.seconds = 0.0  # spent inside extend
 
     def extend(self, slab: np.ndarray) -> None:
         """Record each (lanes, size) state of the (records, lanes, size) slab in turn."""
-        done = 0
+        began, done = time.perf_counter(), 0
         while done < len(slab):
             row = self.recorded - self.reduced
             take = min(len(slab) - done, len(self.block) - row)
@@ -521,6 +534,7 @@ class _Recorder:
             done += take
             if row + take == len(self.block):
                 self._reduce()
+        self.seconds += time.perf_counter() - began
 
     def _reduce(self) -> None:
         first, last = self.reduced, self.recorded
@@ -534,15 +548,16 @@ class _Recorder:
             np.max(np.abs(self.layout.z(s)[0]), axis=(1, 2), out=self.obs_errors[first:last].reshape(-1))
         self.reduced = last
 
-    def split(self, failures: list) -> list:
-        """Each lane's Trajectory, or its failure in its place."""
-        n = self.recorded
+    def split(self, failures: list, kind: str, group: Optional[int], products: int, one_step: int) -> list:
+        """Each lane's Trajectory, with the batch's Stepping, or its failure in its place."""
+        began, n = time.perf_counter(), self.recorded
         if n > self.reduced:
             self._reduce()
         disagreement, errors = np.sqrt(self.squares[:, :n]).reshape(2, n, -1)
+        stepping = Stepping(kind, group, products, one_step, self.seconds + time.perf_counter() - began)
         return [failure or Trajectory(self.times[:n], self.decisions[:n, k], disagreement[:, k],
                                       None if x_star is None else errors[:, k],
-                                      self.obs_errors[:n, k] if self.layout.output_mode else None)
+                                      self.obs_errors[:n, k] if self.layout.output_mode else None, stepping)
                 for k, (x_star, failure) in enumerate(zip(self.x_stars, failures))]
 
 
@@ -573,7 +588,9 @@ def _integrate(batch: list) -> list:
                     steps * lanes // layout.size - stride + 1)
         if stride > 1 and count >= 1:
             group = advance.intervals(stride, count)
+        kind = "folded" if group is None else "interval"
     else:
+        kind = "sparse+drift" if lane.game.affine else "structured"
         rhs = (stack_lanes([start.op for start in batch]).apply if lane.game.affine
                else _make_rhs(lane.game, lane.g, lane.gains, lane.obs, layout))
         rhs = _with_drift(rhs, groups, layout)
@@ -593,37 +610,35 @@ def _integrate(batch: list) -> list:
                               f"which cannot be allocated: {exc}") for _ in batch]
     failures = [None] * lanes
     recorder.extend(state.reshape(1, lanes, -1))
-    first = 0
-    # a masked lane may overflow on its way out; the guard below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        while first < steps:
-            full = (steps - first) // stride
-            if group is not None and full:
-                # (lanes, intervals, size); interval j > 0 starts at end j - 1,
-                # kept while the bound holds at every start (False for NaN)
-                ends = group(state).reshape(lanes, -1, layout.size)[:, :full]
-                peaks = [np.abs(state).max()] + np.abs(ends[:, :-1]).max(axis=(0, 2)).tolist()
-                taken = 0
-                while taken < len(peaks) and (group.kappa * peaks[taken] + group.c_peak
-                                              <= STATE_MAGNITUDE_GUARD):
-                    taken += 1
-                if taken:
-                    recorder.extend(ends[:, :taken].swapaxes(0, 1))
-                    state = ends[:, taken - 1].reshape(state.shape)
-                    first += taken * stride
-                    continue
-            last = min(first + stride, steps)
-            for k in range(first, last):
-                state = advance(state, k * cfg.dt)
-                if not np.abs(state).max() <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
-                    _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
-                    if all(failures):
-                        break
-            if all(failures):
-                break
-            recorder.extend(state.reshape(1, lanes, -1))
-            first = last
-    return recorder.split(failures)
+    first = products = one_step = 0
+    while first < steps:
+        full = (steps - first) // stride
+        if group is not None and full:
+            # (lanes, intervals, size); interval j > 0 starts at end j - 1,
+            # kept while the bound holds at every start (False for NaN)
+            ends = group(state).reshape(lanes, -1, layout.size)[:, :full]
+            products += 1
+            peaks = [np.abs(state).max()] + np.abs(ends[:, :-1]).max(axis=(0, 2)).tolist()
+            taken = 0
+            while taken < len(peaks) and (group.kappa * peaks[taken] + group.c_peak
+                                          <= STATE_MAGNITUDE_GUARD):
+                taken += 1
+            if taken:
+                recorder.extend(ends[:, :taken].swapaxes(0, 1))
+                state = ends[:, taken - 1].reshape(state.shape)
+                first += taken * stride
+                continue
+        last = min(first + stride, steps)
+        one_step += last - first
+        for k in range(first, last):
+            state = advance(state, k * cfg.dt)
+            if not np.abs(state).max() <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
+                _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
+                if all(failures):
+                    return failures
+        recorder.extend(state.reshape(1, lanes, -1))
+        first = last
+    return recorder.split(failures, kind, None if group is None else count, products, one_step)
 
 
 def _mask_diverged(lanes: np.ndarray, failures: list, k: int, dt: float) -> None:

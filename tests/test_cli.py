@@ -246,6 +246,9 @@ class TestRunCommand:
          "init.decisions must be finite numbers"),
         (["run", "--set", "derivatives=[[" + ",".join(['["0","0"]'] + ["[0,0]"] * 9) + "]]"],
          "init.derivatives must be finite numbers"),
+        # eps^2 overflows or comes to 0: the laws could not be formed
+        (["run", "--set", "epsilon=1e200"], "gains.epsilon"),
+        (["run", "--set", "epsilon=1e-200"], "gains.epsilon"),
     ])
     def test_bad_key_or_value_exits_two_naming_it(self, tmp_path, capsys, argv, key):
         code = run_cli(*argv, "--scenario", "vehicles", "--out", str(tmp_path),

@@ -182,6 +182,14 @@ class TestGainSetValidation:
         with pytest.raises(ConfigInvalid, match=f"^{name} must be {fault}"):
             GainSet(2, (1.0,), **values)
 
+    @pytest.mark.parametrize("order, epsilon", [(2, 1e200), (2, 1e-200), (4, 1e100), (4, 1e-110)])
+    def test_epsilon_powers_must_stay_finite_and_nonzero(self, order, epsilon):
+        # the laws take eps^(1-n) .. eps^n; 1e-200 ** 2 is 0, and eps^n with n = 4 overflows at 1e100
+        k = tuple(default_hurwitz_gains(order))
+        GainSet(order, k, 1e70 if order == 4 else 1e150, 3.0, 2.2, 18.0)
+        with pytest.raises(ConfigInvalid, match="^gains.epsilon="):
+            GainSet(order, k, epsilon, 3.0, 2.2, 18.0)
+
     def test_nan_k_rejected(self):
         with pytest.raises(ConfigInvalid, match="not Hurwitz"):
             GainSet(2, (np.nan,), 2.0, 3.0, 2.2, 18.0)

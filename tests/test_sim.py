@@ -177,7 +177,9 @@ class TestRunValidation:
         with pytest.raises(DimensionMismatch):
             run(game, plants, two_cycle(), gains, None, cfg)
 
-    @pytest.mark.parametrize("box", [(0.0, np.nan), (-np.inf, 1.0), (5.0, 0.0), (1.0, 2.0, 3.0), None])
+    # a finite box whose width overflows would make rng.uniform raise OverflowError
+    @pytest.mark.parametrize("box", [(0.0, np.nan), (-np.inf, 1.0), (5.0, 0.0), (1.0, 2.0, 3.0), None,
+                                     (-1e308, 1e308)])
     def test_bad_box_fails_its_lane_alone(self, box):
         game, gains = identity_game(), GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
         cfg = SimConfig(dt=1e-2, horizon=0.1)
@@ -640,7 +642,8 @@ class TestLaneBatch:
             bulk.extend(states[first:last])
         for k in range(len(states)):
             single.extend(states[k:k + 1])
-        for a, b in zip(bulk.split([None, None]), single.split([None, None])):
+        stepping = ("folded", None, 0, 15)  # the counts split puts on each Trajectory
+        for a, b in zip(bulk.split([None, None], *stepping), single.split([None, None], *stepping)):
             for field in ("times", "decisions", "estimate_disagreement", "error_norms", "observer_errors"):
                 x, y = getattr(a, field), getattr(b, field)
                 assert (x is None) == (y is None) and (x is None or np.array_equal(x, y))
@@ -962,6 +965,20 @@ class TestProbedOperator:
         assert len(calls) == 1
         assert peak < size * size
 
+    @pytest.mark.parametrize("scenario, mode, change, error", [
+        ("vehicles", "state", {"alpha3": 1e308}, ConfigInvalid),
+        ("vehicles", "output", {"k": (1e308,)}, ConfigInvalid),
+        # the probe is finite, the folded step is not: the first step's guard reports it
+        ("turbines", "output", {"epsilon": 1e70}, Diverged),
+    ])
+    def test_overflowing_loop_fails_without_a_warning(self, scenario, mode, change, error):
+        game, plants, g, gains, obs, _, _ = loop_inputs(mode, scenario)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="finite"):
+                run(game, plants, g, dataclasses.replace(gains, **change), obs,
+                    SimConfig(dt=9e-4, horizon=0.01))
+
     def test_non_affine_game_takes_the_structured_path(self, monkeypatch):
         game, plants, g, gains, obs, _, _ = loop_inputs("state", "vehicles")
         calls = count_structured_rhs_calls(monkeypatch)
@@ -987,6 +1004,41 @@ class TestProbedOperator:
         with pytest.raises(Diverged, match="magnitude"):
             run(game, anti_damped, g, gains, None, SimConfig(dt=1e-3, horizon=5.0),
                 InitialConditions(decisions=np.ones((10, 2))))
+
+
+class TestStepping:
+    """Trajectory.stepping reports what the spies on the step kinds see."""
+
+    @pytest.mark.parametrize("kind, lanes", [("interval", 3), ("folded", 1), ("sparse+drift", 3),
+                                             ("structured", 1)])
+    def test_record_matches_the_spies(self, kind, lanes, monkeypatch):
+        spies = TestFoldedPropagator
+        if kind in ("interval", "folded"):
+            # 1 000 steps: at stride 7, 142 full intervals and a remainder of 6 steps
+            game, plants, g = build_turbine_market()
+            gains = TURBINE_GAINS
+            cfg = SimConfig(dt=9e-4, horizon=0.9, record_stride=7 if kind == "interval" else 1)
+            spies._forbid_rk4_step(monkeypatch)
+        else:
+            game, plants, g, _ = build_vehicle_formation()
+            game = dataclasses.replace(game, affine=kind == "sparse+drift")
+            gains, cfg = VEHICLE_GAINS, SimConfig(dt=1e-3, horizon=0.05)
+        rk4 = []
+        monkeypatch.setattr(sim, "rk4_step", lambda *args: rk4.append(args[2]) or rk4_step(*args))
+        groups, log = spies._spy_groups(monkeypatch), spies._spy_steps(monkeypatch)
+        calls = count_structured_rhs_calls(monkeypatch)
+        outcomes = sim.run_lanes([sim.Lane(game, plants, g, gains, None, dataclasses.replace(cfg, seed=seed))
+                                  for seed in range(lanes)])
+        stepping = outcomes[0].stepping
+        assert all(traj.stepping is stepping for traj in outcomes)
+        assert stepping.kind == kind and stepping.record_s > 0
+        assert stepping.group == (groups[0] if groups else None) and len(groups) <= 1
+        assert stepping.products == log.count("group")
+        assert stepping.one_step == log.count("step") + len(rk4)
+        # only the structured kind evaluates the structured rhs as it steps, four times a step
+        assert (len(calls) == 4 * stepping.one_step) == (kind == "structured")
+        if kind == "interval":
+            assert stepping[:4] == ("interval", 7, math.ceil(142 / 7), 6)
 
 
 class TestEquilibriumResidual:

@@ -1,4 +1,4 @@
-"""Smoke test of tools/time_layers.py: each layer runs, gives its keys and undoes its patches."""
+"""Smoke test of tools/time_layers.py: each layer runs, gives its keys and patches nothing."""
 
 import importlib.util
 import json
@@ -24,7 +24,8 @@ def tool(monkeypatch):
     return module
 
 
-def test_each_layer_gives_its_keys_and_restores_what_it_patches(tool):
+def test_each_layer_gives_its_keys_and_patches_nothing(tool):
+    # the record layer reads the run's Trajectory.stepping, so none of these may change
     patched = [(sim._Recorder, "extend"), (sim._Recorder, "split"), (affine.Propagator, "intervals")]
     originals = [getattr(owner, name) for owner, name in patched]
 
@@ -40,7 +41,8 @@ def test_each_layer_gives_its_keys_and_restores_what_it_patches(tool):
     record = tool.LAYERS["record"]("state")
     assert list(record) == ["algo", "records", "group", "csv_bytes", "repeats",
                             "run_s", "record_s", "csv_write_s"]
-    assert record["records"] > 0 and record["csv_bytes"] > 0 and 0 < record["record_s"] < record["run_s"]
+    assert (record["records"], record["group"]) == (3335, 7)
+    assert record["csv_bytes"] > 0 and 0 < record["record_s"] < record["run_s"]
     json.dumps([probe, cert, record])
 
     assert [getattr(owner, name) for owner, name in patched] == originals

@@ -28,6 +28,10 @@ change won and a verdict, which it also prints:
                      so its runs are too spread to tell, unless every change
                      run beats every parent run
 
+A metric also gets "rerun": true when its medians differ by under RERUN_GAP
+of the parent's and one side won nine tenths of the pairs; such gaps have
+failed to repeat, so the printed line asks for a second run of pairs.
+
 The JSON goes to the root of this tree.
 """
 
@@ -42,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+RERUN_GAP = 0.03
 
 
 def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
@@ -80,10 +85,13 @@ def summarize(pairs) -> dict:
         parent = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
         wins = sum((c < b) if lower else (c > b) for b, c in zip(parent, change))
+        gap = abs(statistics.median(change) - statistics.median(parent))
         out[name] = {"unit": entry["unit"], "bound": entry["bound"],
                      "parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change),
                      "change_wins": wins, "pairs": len(pairs),
-                     "verdict": verdict(parent, change, entry["bound"], lower)}
+                     "verdict": verdict(parent, change, entry["bound"], lower),
+                     "rerun": 0 < gap < RERUN_GAP * abs(statistics.median(parent))
+                     and not 0.1 * len(pairs) < wins < 0.9 * len(pairs)}
     return out
 
 
@@ -135,7 +143,9 @@ def main(argv=None) -> int:
         for name, entry in summary.items():
             print(f"{workload} {name}: {entry['verdict']} (median {entry['parent_quartiles'][1]:.6g} -> "
                   f"{entry['change_quartiles'][1]:.6g} {entry['unit']}, bound {entry['bound']:.0%} of the "
-                  f"parent median, change won {entry['change_wins']}/{entry['pairs']})", flush=True)
+                  f"parent median, change won {entry['change_wins']}/{entry['pairs']})"
+                  + (f"; rerun: a gap under {RERUN_GAP:.0%} this one-sided needs a second run of pairs"
+                     if entry["rerun"] else ""), flush=True)
         record.setdefault("environment", pairs[0]["change"]["env"])
 
     path = ROOT / f"BENCH_{args.label}.json"

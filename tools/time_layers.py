@@ -8,9 +8,9 @@ probe: N -> size, median_s, repeats, nonzeros, lanes, calls of ``affine.probe_af
 certificate: N -> median_s, repeats, passed, residual of ``graph.estimation_certificate`` of
   ``scenarios.default_cycle_digraph(N)``.
 record: algo, records, group, csv_bytes, repeats, run_s, record_s, csv_write_s of ``sim.run`` on
-  the turbines default (state unless named) and ``sim.write_trajectory_csv``; record_s is the
-  time inside ``sim._Recorder.extend`` and ``split``, group the last count passed to
-  ``affine.Propagator.intervals`` (null if none), and every patch is undone on return.
+  the turbines default (state unless named) and ``sim.write_trajectory_csv``; record_s (the time
+  inside ``sim._Recorder.extend`` and ``split``) and group (the record-interval maps per product,
+  null if none) are read from the run's own record, ``Trajectory.stepping``.
 
 It times the nashseek on the path (a parent checkout's ``src`` times the parent), BLAS pinned to
 one thread as perfbench pins it; after one warm-up, a timed field is the median of runs that
@@ -22,7 +22,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import contextlib  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -55,17 +54,6 @@ def timed(fn, *args) -> tuple:
     return {"median_s": time.perf_counter() - start}, result
 
 
-@contextlib.contextmanager
-def patched(owner, name: str, wrap):
-    """owner.name replaced by wrap(owner.name) inside the block, and restored after it."""
-    method = getattr(owner, name)
-    setattr(owner, name, wrap(method))
-    try:
-        yield
-    finally:
-        setattr(owner, name, method)
-
-
 def probe(*sizes) -> dict:
     out = {}
     for n in map(int, sizes):
@@ -94,35 +82,21 @@ def certificate(*sizes) -> dict:
 
 def record(algo: str = "state") -> dict:
     setup = config.build_run_setup(config.default_config("turbines", algo))
-    recording, counts = [0.0], []
-
-    def timing(method):
-        def wrapper(*args):
-            start = time.perf_counter()
-            try:
-                return method(*args)
-            finally:
-                recording[0] += time.perf_counter() - start
-        return wrapper
-
-    def counting(intervals):
-        return lambda self, r, count: counts.append(count) or intervals(self, r, count)
 
     def call():
-        recording[0] = 0.0
         start = time.perf_counter()
         traj = sim.run(setup.game, setup.plants, setup.graph, setup.gains, setup.observer,
                        setup.sim_config, setup.init, x_star=setup.x_star)
         ran = time.perf_counter()
         sim.write_trajectory_csv(traj, path)
-        return {"run_s": ran - start, "record_s": recording[0], "csv_write_s": time.perf_counter() - ran}, traj
+        return {"run_s": ran - start, "record_s": traj.stepping.record_s,
+                "csv_write_s": time.perf_counter() - ran}, traj
 
-    with tempfile.TemporaryDirectory() as tmp, patched(sim._Recorder, "extend", timing), \
-            patched(sim._Recorder, "split", timing), patched(affine.Propagator, "intervals", counting):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trajectory.csv"
         fields, runs, traj = repeat(call)
         csv_bytes = path.stat().st_size
-    return {"algo": algo, "records": len(traj.times), "group": counts[-1] if counts else None,
+    return {"algo": algo, "records": len(traj.times), "group": traj.stepping.group,
             "csv_bytes": csv_bytes, "repeats": runs, **fields}
 
 
