@@ -44,9 +44,18 @@ def _assemble_config(args) -> dict:
     return config_mod.apply_set_overrides(cfg, flags + (args.set or []))
 
 
+def _check_output_dir(value) -> None:
+    """Reject, before anything runs, an output_dir that is not a string or names a non-directory."""
+    if not isinstance(value, str):
+        raise ConfigInvalid(f"output_dir must be a string, got {value!r}")
+    if Path(value).exists() and not Path(value).is_dir():
+        raise ConfigInvalid(f"output_dir {value!r} exists and is not a directory")
+
+
 def _execute_run(cfg: dict):
     """Run one configured simulation; returns (setup, trajectory, summary dict)."""
     setup = config_mod.build_run_setup(cfg)
+    _check_output_dir(setup.output_dir)
     trajectory = sim.run(
         setup.game, setup.plants, setup.graph, setup.gains, setup.observer,
         setup.sim_config, setup.init, x_star=setup.x_star,
@@ -99,6 +108,8 @@ def cmd_run(args) -> int:
 
 def cmd_nash(args) -> int:
     if args.scenario == "selftest":
+        if args.config or args.set or args.seed is not None:
+            raise ConfigInvalid("nash --scenario selftest takes no config: drop --config, --set and --seed")
         game, oracle = verify.identity_game(), np.zeros(6)
         solved = nash_solve(game, np.full(6, 2.0), tol=1e-10)
     else:
@@ -169,8 +180,7 @@ def cmd_sweep(args) -> int:
     # cell's value is checked when it runs
     config_mod.complete(config_mod.apply_set_overrides(cfg, [f"{param}={{}}"]))
     # sweep.csv goes to the base output_dir, so check it before any cell runs
-    if not isinstance(cfg["output_dir"], str):
-        raise ConfigInvalid(f"output_dir must be a string, got {cfg['output_dir']!r}")
+    _check_output_dir(cfg["output_dir"])
     # one JSON array, so list values such as [0,5],[0,10] keep their commas
     try:
         values = json.loads("[" + args.values + "]")
@@ -246,6 +256,9 @@ def main(argv=None) -> int:
     except NashseekError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # past the config load, only writing the outputs opens files
+        print(f"config error: cannot write to output_dir: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

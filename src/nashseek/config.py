@@ -253,13 +253,20 @@ def _named(key: str, build, *args, **kwargs):
 
 def _build_scenario(name: str, params: dict):
     """Game, plants, graph and oracle; a parameter not given keeps the builder's own value."""
-    graph = None
-    if "graph" in params:
-        graph = _named("scenario_params.graph", digraph_from_json, params["graph"])
     table = None
     if "table" in params:
         row_type = scenarios.VehicleParams if name == "vehicles" else scenarios.GeneratorParams
         table = _named("scenario_params.table", lambda rows: [row_type(*r) for r in rows], params["table"])
+    graph = None
+    if "graph" in params:
+        # checked before Digraph allocates n x n weights
+        n = params["graph"].get("n") if isinstance(params["graph"], dict) else None
+        default = scenarios.VEHICLE_TABLE if name == "vehicles" else scenarios.GENERATOR_TABLE
+        players = len(default if table is None else table)
+        if isinstance(n, (int, float)) and n % 1 == 0 and n != players:  # Digraph takes 1e7 as 10**7
+            raise ConfigInvalid(f"scenario_params.graph has {n} nodes but the scenario has {players} "
+                                "players (one per row of scenario_params.table)")
+        graph = _named("scenario_params.graph", digraph_from_json, params["graph"])
     if name == "turbines":
         game, plants, g = scenarios.build_turbine_market(table=table, graph=graph)
         return game, plants, g, scenarios.turbine_nash_oracle(table)

@@ -1,7 +1,8 @@
 """Acceptance suite: every criterion prints one pass/fail line at its stated tolerance.
 
 The closed-loop target values come from the analytic equilibrium oracles, never
-from the simulations being judged.
+from the simulations being judged.  Criteria 04, 06-09 and 11 are checks of
+`nashseek verify`, run once and read here, so each has one definition.
 """
 
 import contextlib
@@ -11,27 +12,54 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from nashseek import sim
 from nashseek.cli import main as cli_main
-from nashseek.config import build_run_setup, default_config, load_config_file
-from nashseek.control import GainSet, companion_matrix, default_hurwitz_gains, lyapunov_P
-from nashseek.game import gradient_consistency, probe_monotonicity
-from nashseek.graph import is_weight_balanced, estimation_certificate
-from nashseek.scenarios import (
-    build_turbine_market,
-    build_vehicle_formation,
-    turbine_nash_oracle,
-    vehicle_nash_oracle,
-)
-from nashseek.verify import random_strongly_connected_digraph, rk4_halving_factors
+from nashseek.config import build_run_setup, load_config_file
+from nashseek.scenarios import build_vehicle_formation, turbine_nash_oracle
+from nashseek.verify import run_checks
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
+# Every check of `nashseek verify`, by name, and the criterion it stands for;
+# a check with None prints under its own name.
+VERIFY_CRITERIA = {
+    "random certificates (100 digraphs, N<=8)": 6,
+    "default vehicles graph (Lyapunov certificate, unbalanced)": 6,
+    "default turbines graph (Lyapunov certificate, unbalanced)": 6,
+    "default weighted cycle at N = 30 and 50 (block certificate)": None,
+    "default companions Hurwitz with certified P (n=2..8)": 7,
+    "vehicles gradient vs central differences (50 points)": 8,
+    "turbines gradient vs central differences (50 points)": 8,
+    "vehicles monotonicity probe (analytic omega = 0.2, theta <= 1.2)": 9,
+    "turbines monotonicity probe (analytic omega >= 0.3, omega <= theta)": 9,
+    "identity game probe (omega = theta = 1)": None,
+    "nash_solve matches closed forms (both scenarios)": None,
+    "RK4 order study (error factor per halving in [12, 20])": 11,
+    "equilibrium tuple annihilates the closed loop (both scenarios)": 4,
+    "zero-drift equilibrium residual below 1e-12": 4,
+}
+
 
 def report(num, name, ok, detail=""):
-    print(f"[{'PASS' if ok else 'FAIL'}] criterion {num:02d} {name}: {detail}")
-    assert ok, f"criterion {num:02d} {name}: {detail}"
+    """One [PASS]/[FAIL] line under criterion num, or under `verify` when num is None."""
+    label = "verify" if num is None else f"criterion {num:02d}"
+    print(f"[{'PASS' if ok else 'FAIL'}] {label} {name}: {detail}")
+    assert ok, f"{label} {name}: {detail}"
+
+
+@pytest.fixture(scope="module")
+def verify_results():
+    results = {res.name: res for res in run_checks()}
+    assert list(results) == list(VERIFY_CRITERIA), "verify's checks and VERIFY_CRITERIA differ"
+    return results
+
+
+@pytest.mark.parametrize("name", VERIFY_CRITERIA)
+def test_verify_check(verify_results, name):
+    res = verify_results[name]
+    report(VERIFY_CRITERIA[name], f"{res.group}: {name}", res.passed, res.detail)
 
 
 def test_01_vehicle_state_based_convergence(vehicles_state_run):
@@ -106,20 +134,6 @@ def test_03b_highgain_reproduction_ships(tmp_path):
            f"worst componentwise relative error {worst:.2e} (tol {cfg['settle_tol']})")
 
 
-def test_04_equilibrium_tuple_annihilates_closed_loop():
-    veh_game, veh_plants, veh_graph, spec = build_vehicle_formation()
-    veh_gains = GainSet(2, (1.0,), 2.0, 3.0, 2.2, 18.0)
-    res_v = sim.equilibrium_residual(veh_game, veh_plants, veh_graph, veh_gains,
-                                     vehicle_nash_oracle(spec))
-    tur_game, tur_plants, tur_graph = build_turbine_market()
-    tur_gains = GainSet(4, (3.375, 6.75, 4.5), 2.0, 14.0, 10.0, 40.0)
-    res_t = sim.equilibrium_residual(tur_game, tur_plants, tur_graph, tur_gains,
-                                     turbine_nash_oracle())
-    ok = res_v < 1e-9 and res_t < 1e-9
-    report(4, "equilibrium residual below 1e-9 (both scenarios)", ok,
-           f"vehicles {res_v:.2e}, turbines {res_t:.2e}")
-
-
 def test_05_exponential_convergence_fit(vehicles_state_run, vehicles_output_run):
     details = []
     ok = True
@@ -130,64 +144,6 @@ def test_05_exponential_convergence_fit(vehicles_state_run, vehicles_output_run)
         details.append(f"{label}: lambda {lam:.3f}, R^2 {r2:.4f}")
         ok = ok and lam > 0 and r2 >= 0.95
     report(5, "log-error linear fit on the mid-decay window", ok, "; ".join(details))
-
-
-def test_06_estimation_certificates():
-    rng = np.random.default_rng(12345)
-    worst_eig = np.inf
-    worst_res = 0.0
-    all_ok = True
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        cert = estimation_certificate(random_strongly_connected_digraph(rng, n))
-        worst_eig = min(worst_eig, cert.min_sym_eigenvalue)
-        worst_res = max(worst_res, cert.lyapunov_residual)
-        all_ok &= cert.passed and cert.min_sym_eigenvalue > 0 and cert.lyapunov_residual < 1e-8
-    _, _, veh_graph, _ = build_vehicle_formation()
-    _, _, tur_graph = build_turbine_market()
-    scen_ok = all(
-        estimation_certificate(g).strongly_connected and not is_weight_balanced(g)
-        for g in (veh_graph, tur_graph)
-    )
-    ok = all_ok and scen_ok
-    report(6, "graph certificates (100 random digraphs + scenario defaults)", ok,
-           f"min eig {worst_eig:.2e}, max residual {worst_res:.2e}, "
-           f"scenario graphs connected and unbalanced: {scen_ok}")
-
-
-def test_07_companion_lyapunov_certificates():
-    worst = 0.0
-    ok = True
-    for n in range(2, 9):
-        a = companion_matrix(default_hurwitz_gains(n))
-        p = lyapunov_P(a)
-        residual = float(np.linalg.norm(p @ a + a.T @ p + np.eye(n - 1)))
-        worst = max(worst, residual)
-        ok = ok and np.array_equal(p, p.T) and np.linalg.eigvalsh(p).min() > 0
-        ok = ok and residual < 1e-10
-    report(7, "companion Lyapunov certificates (n = 2..8)", ok,
-           f"max residual {worst:.2e}")
-
-
-def test_08_gradient_correctness():
-    veh_game, _, _, _ = build_vehicle_formation()
-    tur_game, _, _ = build_turbine_market()
-    worst_v = gradient_consistency(veh_game, np.random.default_rng(777), n_points=50)
-    worst_t = gradient_consistency(tur_game, np.random.default_rng(778), n_points=50)
-    ok = worst_v <= 1e-6 and worst_t <= 1e-6
-    report(8, "gradients match central finite differences (50 points)", ok,
-           f"vehicles {worst_v:.2e}, turbines {worst_t:.2e}")
-
-
-def test_09_monotonicity_probes():
-    veh_game, _, _, _ = build_vehicle_formation()
-    tur_game, _, _ = build_turbine_market()
-    r_v = probe_monotonicity(veh_game, np.random.default_rng(2024))
-    r_t = probe_monotonicity(tur_game, np.random.default_rng(2025))
-    ok = abs(r_v.omega_hat - 0.2) <= 0.01 and r_t.omega_hat >= 0.3
-    report(9, "monotonicity probes against analytic bounds", ok,
-           f"vehicles omega {r_v.omega_hat:.4f} (target 0.2 +- 5%), "
-           f"turbines omega {r_t.omega_hat:.4f} (bound 0.3)")
 
 
 def test_10_observer_refinement(mu_refinement_runs):
@@ -217,13 +173,6 @@ def test_terminal_estimate_consensus(vehicles_state_run, vehicles_output_run,
     for setup, traj, _ in (vehicles_state_run, vehicles_output_run,
                            turbines_state_run, turbines_output_run):
         assert traj.estimate_disagreement[-1] < 10.0 * setup.settle_tol
-
-
-def test_11_integrator_order():
-    factors = rk4_halving_factors()
-    ok = all(12.0 <= f <= 20.0 for f in factors)
-    report(11, "RK4 halving factors within [12, 20]", ok,
-           f"factors {[round(f, 2) for f in factors]}")
 
 
 def test_12_byte_identical_reruns(tmp_path):

@@ -266,6 +266,9 @@ class TestRunCommand:
                                         for i in range(1, 7)]}, "edge (1,2) weight must be finite"),
         ("turbines", {"n": 6, "edges": [{"to": i, "from": i % 6 + 1, "w": 1 if i > 1 else float("inf")}
                                         for i in range(1, 7)]}, "edge (1,2) weight must be finite"),
+        # rejected before Digraph allocates the n x n weights (728 TiB here)
+        ("vehicles", {"n": 10**7, "edges": []}, "scenario_params.graph has 10000000 nodes"),
+        ("vehicles", {"n": 1e7, "edges": []}, "scenario_params.graph has 10000000.0 nodes"),
     ])
     def test_graph_fault_exits_two(self, tmp_path, capsys, recwarn, scenario, graph, message):
         code = run_cli("run", "--scenario", scenario, "--out", str(tmp_path),
@@ -320,6 +323,22 @@ class TestRunCommand:
         assert code == 2
         assert "declared affine" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "seed", "--values", "1,2"]],
+                             ids=["run", "sweep"])
+    @pytest.mark.parametrize("below, message", [
+        ("", "exists and is not a directory"),  # rejected before anything runs
+        ("sub", "cannot write to output_dir"),
+    ], ids=["file", "under-file"])
+    def test_output_dir_on_a_file_exits_two(self, tmp_path, capsys, command, below, message):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        code = run_cli(*command, "--scenario", "turbines", "--out", str(blocker / below),
+                       "--set", "horizon=0.01", "--set", "settle_tol=1e6")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and message in err and str(blocker) in err
+        assert "Traceback" not in err and blocker.read_text() == "kept"
+
     def test_byte_identical_reruns(self, tmp_path):
         blobs = []
         for tag in ("one", "two"):
@@ -353,6 +372,13 @@ class TestNashCommand:
         assert run_cli("nash", "--scenario", "vehicles") == 0
         out = capsys.readouterr().out
         assert "pseudo-gradient sup norm" in out
+
+    @pytest.mark.parametrize("flags", [["--set", "nonsense=1"], ["--seed", "3"], ["--config", "none.json"]],
+                             ids=["set", "seed", "config"])
+    def test_selftest_takes_no_config(self, capsys, flags):
+        assert run_cli("nash", "--scenario", "selftest", *flags) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: nash --scenario selftest takes no config: drop --config, --set and --seed\n"
 
     def test_quadratic_selftest_finds_origin(self, capsys):
         assert run_cli("nash", "--scenario", "selftest") == 0

