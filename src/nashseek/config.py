@@ -40,7 +40,7 @@ from .control import (
     default_hurwitz_gains,
     default_observer_gains,
 )
-from .errors import ConfigInvalid, finite, finite_array
+from .errors import ConfigInvalid, finite, finite_array, integer
 from .game import Game
 from .graph import Digraph
 from .sim import MODE_OUTPUT, MODE_STATE, InitialConditions, SimConfig
@@ -263,7 +263,7 @@ def _build_scenario(name: str, params: dict):
         n = params["graph"].get("n") if isinstance(params["graph"], dict) else None
         default = scenarios.VEHICLE_TABLE if name == "vehicles" else scenarios.GENERATOR_TABLE
         players = len(default if table is None else table)
-        if isinstance(n, (int, float)) and n % 1 == 0 and n != players:  # Digraph takes 1e7 as 10**7
+        if n is not None and players != _named("scenario_params.graph", integer, n, "graph n", 1):
             raise ConfigInvalid(f"scenario_params.graph has {n} nodes but the scenario has {players} "
                                 "players (one per row of scenario_params.table)")
         graph = _named("scenario_params.graph", digraph_from_json, params["graph"])

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the one real-number input check.
+"""Exception types shared across the package, and the input checks.
 
-``finite`` checks one number a config or a library caller gives, and
-``finite_array`` an array of them, entry by entry through ``finite``.
+``finite`` checks one number a config or a library caller gives,
+``finite_array`` an array of them, entry by entry through ``finite``, and
+``integer`` a count or an index.
 """
 
 import math
@@ -43,6 +44,17 @@ def finite_array(values, key: str) -> np.ndarray:
         return np.array([finite(v, key) for v in entries.flat], dtype=float).reshape(entries.shape)
     except (ConfigInvalid, ValueError):  # ValueError: a nest numpy cannot make an array of
         raise ConfigInvalid(f"{key} must be finite numbers, got {values!r}") from None
+
+
+def integer(value, key: str, least: int) -> int:
+    """value as an int; ConfigInvalid naming key unless it is an int or a float without a
+    fraction (no bool), at least least.  No float() of an int, which 10**400 would overflow."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) or (
+            isinstance(value, (float, np.floating)) and value.is_integer())):
+        raise ConfigInvalid(f"{key} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigInvalid(f"{key} must be at least {least}, got {value!r}")
+    return int(value)
 
 
 class DimensionMismatch(ConfigInvalid):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigInvalid, finite
+from .errors import ConfigInvalid, finite, integer
 from .linalg import lyapunov_solve
 
 WEIGHT_BALANCE_TOL = 1e-12
@@ -79,31 +79,21 @@ class Digraph:
 
         n, to and from must be integers (a float only without a fraction).
         """
-        n = _integer(n, "graph n")
-        if n < 1:
-            raise ConfigInvalid(f"graph n must be at least 1, got {n}")
+        n = integer(n, "graph n", 1)
         w = np.zeros((n, n))
         for e in edges:
             try:
-                i = _integer(e["to"], f"edge {e!r}: 'to'")
-                j = _integer(e["from"], f"edge {e!r}: 'from'")
+                i = integer(e["to"], f"edge {e!r}: 'to'", 1)
+                j = integer(e["from"], f"edge {e!r}: 'from'", 1)
                 a = e["w"]
             except (KeyError, TypeError) as exc:
                 raise ConfigInvalid(f"bad edge record {e!r}: {exc}") from exc
-            if not (1 <= i <= n and 1 <= j <= n):
+            if not (i <= n and j <= n):
                 raise ConfigInvalid(f"edge ({i},{j}) outside 1..{n}")
             if finite(a, f"edge ({i},{j}) weight") < 0:
                 raise ConfigInvalid(f"edge ({i},{j}) weight must be nonnegative, got {a}")
             w[i - 1, j - 1] = a
         return cls(w)
-
-
-def _integer(value, key: str) -> int:
-    """value as an int; ConfigInvalid naming key for a fraction, a string, a bool or anything else."""
-    if (isinstance(value, (int, np.integer, float, np.floating)) and not isinstance(value, bool)
-            and float(value).is_integer()):
-        return int(value)
-    raise ConfigInvalid(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass

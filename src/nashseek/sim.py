@@ -63,15 +63,16 @@ from .errors import (
     NotStronglyConnected,
     finite,
     finite_array,
+    integer,
 )
 from .game import Game, extended_pseudo_gradient
 from .graph import Digraph, is_strongly_connected
 
 STATE_MAGNITUDE_GUARD = 1e12
 
-# Lanes per batch in run_lanes.  A batch keeps every lane's recorded samples
-# until it ends, so this bounds a sweep's memory at this many trajectories;
-# the step cost per lane stops falling well before it.
+# Lanes per batch in run_lanes.  It bounds a batch's stepping arrays, above all stack_lanes'
+# nonzeros at 24 bytes each, 21.6 KB a lane at N = 10 and 180 KB at N = 30, but not a sweep's
+# memory, as run_lanes returns every Trajectory.  The step cost per lane stops falling well before it.
 MAX_LANES = 64
 
 # Bytes of full (lanes, size) states a run holds before it reduces them to
@@ -129,10 +130,8 @@ class SimConfig:
             raise ConfigInvalid(f"horizon {self.horizon} must be at least one step {self.dt}")
         if not self.horizon / self.dt < np.inf:
             raise ConfigInvalid(f"horizon {self.horizon} over dt {self.dt} is not a finite step count")
-        for name, least in (("record_stride", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
-                raise ConfigInvalid(f"{name} must be an integer >= {least}, got {value!r}")
+        object.__setattr__(self, "record_stride", integer(self.record_stride, "record_stride", 1))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -601,8 +600,8 @@ def _integrate(batch: list) -> list:
     # rows for step 0, every record_stride-th step and the last step
     rows = steps // stride + 2
     try:
-        # row i holds step min(i stride, steps); in floats, which no stride overflows
-        times = np.minimum(np.arange(rows) * float(stride), steps) * cfg.dt
+        # row i holds step min(i stride, steps); in floats, as i stride can pass int64
+        times = np.minimum(np.arange(rows) * float(min(stride, steps)), steps) * cfg.dt
         recorder = _Recorder(layout, [start.x_star for start in batch], times)
     except (ValueError, MemoryError) as exc:  # too many rows for numpy or for memory
         return [ConfigInvalid(f"sim.horizon={cfg.horizon:g} over sim.dt={cfg.dt:g} at "

@@ -38,7 +38,6 @@ VERIFY_CRITERIA = {
     "nash_solve matches closed forms (both scenarios)": None,
     "RK4 order study (error factor per halving in [12, 20])": 11,
     "equilibrium tuple annihilates the closed loop (both scenarios)": 4,
-    "zero-drift equilibrium residual below 1e-12": 4,
 }
 
 

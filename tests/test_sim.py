@@ -131,7 +131,7 @@ class TestSimConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("record_stride", 1.5), ("record_stride", 0), ("record_stride", "10"),
-        ("record_stride", True), ("seed", -1), ("seed", 1.0), ("seed", True)])
+        ("record_stride", True), ("seed", -1), ("seed", 2.5), ("seed", True)])
     def test_rejects_non_integer_or_negative_count(self, field, value):
         with pytest.raises(ConfigInvalid, match=field):
             SimConfig(dt=0.1, horizon=1.0, **{field: value})
@@ -228,9 +228,9 @@ class TestRunValidation:
                 assert key in str(outcome)
         assert huge is not other
 
-    @pytest.mark.parametrize("stride", [11, 2 ** 70])
+    @pytest.mark.parametrize("stride", [11, 2 ** 70, 10 ** 400])
     def test_stride_past_the_horizon_records_start_and_end(self, stride):
-        # 2**70 is past int64, which the record time grid must not overflow
+        # the record time grid takes 2**70, past int64, and 10**400, past the float range
         game, gains = identity_game(), GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
         cfg = SimConfig(dt=1e-2, horizon=0.1, record_stride=stride)
         traj = run(game, [Plant(1, 1)] * 2, two_cycle(), gains, None, cfg)
@@ -1125,19 +1125,6 @@ class TestTrajectoryExport:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[1]) == 1.0 and float(first[2]) == 2.0
-
-    def test_csv_bytes_deterministic(self, tmp_path):
-        game = identity_game()
-        plants = [Plant(1, 1), Plant(1, 1)]
-        gains = GainSet(1, (), 2.0, 1.8, 1.5, 5.0)
-        cfg = SimConfig(dt=1e-2, horizon=0.2, seed=3)
-        paths = []
-        for tag in ("a", "b"):
-            traj = run(game, plants, two_cycle(), gains, None, cfg, x_star=np.zeros(2))
-            p = tmp_path / f"{tag}.csv"
-            write_trajectory_csv(traj, p)
-            paths.append(p.read_bytes())
-        assert paths[0] == paths[1]
 
     @pytest.mark.parametrize("with_x_star", [True, False])
     def test_csv_bytes_match_csv_writer(self, tmp_path, with_x_star):

@@ -1,4 +1,5 @@
-"""Smoke test of tools/time_layers.py: each layer runs, gives its keys and patches nothing."""
+"""Tests of the tools: each layer of time_layers.py runs, gives its keys and patches nothing,
+and bench_pairs.py records the state of each checkout it compares."""
 
 import importlib.util
 import json
@@ -9,7 +10,14 @@ import pytest
 
 from nashseek import affine, sim
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "time_layers.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
@@ -17,9 +25,7 @@ def tool(monkeypatch):
     # the tool pins BLAS through os.environ at import; the fixture undoes that
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
-    spec = importlib.util.spec_from_file_location("time_layers", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load("time_layers")
     module.SPAN_S = 0
     return module
 
@@ -46,3 +52,13 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     json.dumps([probe, cert, record])
 
     assert [getattr(owner, name) for owner, name in patched] == originals
+
+
+def test_tree_state_counts_old_results_and_the_git_directory(tmp_path):
+    tree_state = load("bench_pairs").tree_state
+    assert tree_state(tmp_path) == {"perfbench_out_bytes": 0, "perfbench_out_files": 0, "git_is_dir": False}
+    (tmp_path / "perfbench" / "out" / "run").mkdir(parents=True)
+    (tmp_path / "perfbench" / "out" / "a.json").write_text("abc")
+    (tmp_path / "perfbench" / "out" / "run" / "b.json").write_text("hello")
+    (tmp_path / ".git").mkdir()
+    assert tree_state(tmp_path) == {"perfbench_out_bytes": 8, "perfbench_out_files": 2, "git_is_dir": True}

@@ -14,7 +14,10 @@ first; RUN_SECONDS is ``run_seconds`` in BENCHMARK.json, so both trees run
 for the length the benchmark declares.  Before the first pair it writes the
 bytecode of ``src`` and ``perfbench`` in both trees (``python -m compileall``):
 perfbench children do not write bytecode, so a tree without it would compile
-every module in each child, which moves ``peak_rss_mb``.  It keeps both
+every module in each child, which moves ``peak_rss_mb``.  It also prints
+and records the state of each checkout (``tree_state``): old results under
+perfbench/out and a .git directory have gone with gaps in ``peak_rss_mb``
+and ``run_s`` that the code did not explain.  It keeps both
 result lines of every pair, the environment record perfbench prints, and per
 workload each side's pooled ``failed``/``attempted`` operations (from perfbench's
 result lines), and per metric each side's quartiles, the number of pairs the
@@ -58,6 +61,13 @@ def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
         raise SystemExit(f"perfbench printed nothing in {tree}: {proc.stderr[-2000:]}")
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     return {"result": json.loads(lines[-1]), "env": env, "exit_code": proc.returncode}
+
+
+def tree_state(tree: Path) -> dict:
+    """The bytes and files under tree's perfbench/out, and whether its .git is a directory."""
+    files = [path for path in (tree / "perfbench" / "out").rglob("*") if path.is_file()]
+    return {"perfbench_out_bytes": sum(path.stat().st_size for path in files),
+            "perfbench_out_files": len(files), "git_is_dir": (tree / ".git").is_dir()}
 
 
 def quartiles(values) -> list:
@@ -121,7 +131,10 @@ def main(argv=None) -> int:
                                    f"--seconds {SPEC['run_seconds']} --trace 0",
               "parent_git_sha": parent_sha,
               "compiled_first": "python3 -m compileall -q src perfbench, in both trees",
+              "tree_state": {"parent": tree_state(parent), "change": tree_state(ROOT)},
               "workloads": {}}
+    for side, state in record["tree_state"].items():
+        print(f"{side} tree: {json.dumps(state)}", flush=True)
     for item in args.workload:
         workload, _, count = item.partition(":")
         pairs = []
