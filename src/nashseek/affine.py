@@ -11,8 +11,14 @@ N = 30 that is 215 lanes and about 25 ms; at N = 10, 75 lanes and 2.4 ms.
 turns a drift-free loop into one dense ``Propagator``, ``s <- Phi s + c``;
 ``Propagator.intervals`` folds record intervals of r such steps each and puts
 their maps side by side, so one product gives the ends of all of them, with a
-bound on every state the steps pass through on the way to the first end.  The
-layout argument is ``sim._Layout``.
+bound on every state the steps pass through on the way to the first end.
+``fold_drift_rk4`` folds an RK4 step of a drifting loop around its drift: the
+drift reads only the chain rows and adds only to the top level (and at n = 1
+in output mode to e_0'), so each stage input is affine in the state and the
+earlier stage drifts, and one product ``[s, 1, d_1, ..., d_4] @ y``
+(``DriftFold``) gives the next state and its drift-free stage inputs.  It is
+probed by running the sparse RK4 stages on unit vectors, about 10 ms at
+N = 10.  The layout argument is ``sim._Layout``.
 """
 
 from __future__ import annotations
@@ -279,6 +285,89 @@ def _powers(y, c):
 def _inf_norm(y) -> float:
     """Induced inf-norm of the row-vector map v -> v @ y: the largest column sum of |y|."""
     return float(np.max(np.abs(y).sum(axis=0)))
+
+
+@dataclass(frozen=True)
+class DriftFold:
+    """One RK4 step of s' = A s + b + E d(P s) as products over the four stage drifts.
+
+    P reads the chain rows a drift sees and E adds the drift where it acts.
+    Every stage input u_j is affine in the state s and the earlier stage
+    drifts d_i = d(P u_i), so with z = [s, 1, d_1, d_2, d_3, d_4]:
+
+    * ``z @ y`` = [s+, w_2, w_3, w_4], the next state and its drift-free
+      stage inputs w_j = P u_j(s+) at zero drift;
+    * P u_j = w_j + [d_1 ... d_{j-1}] @ couplings[j - 2], so the stage
+      inputs of a step come from its own drifts and the previous product;
+    * ``[s, 1] @ start`` = [w_2, w_3, w_4] of s, to begin from any state.
+
+    z, y and the stage inputs may carry a lane axis in front.
+    """
+
+    y: np.ndarray          # (size + 1 + 4 q, size + 3 p)
+    couplings: tuple       # ((j - 1) q, p) for j = 2, 3, 4
+    start: np.ndarray      # (size + 1, 3 p)
+
+
+def fold_drift_rk4(op: AffineOperator, dt: float, reads: slice, writes: tuple, q: int) -> DriftFold:
+    """Probe one classical RK4 step of s' = A s + b + E d(P s) into a ``DriftFold``.
+
+    reads is the slice of the p rows that P selects; each slice in writes
+    holds q rows and E adds d there.  The step's stages are the ones
+    ``rk4_step`` takes on the sparse operator plus the drift, with the
+    drifts as extra inputs, so they are linear in z = [s, 1, d_1, ..., d_4].
+    They run on the unit vectors of z, PROBE_CHUNK_BYTES at a time as lanes,
+    which gives y's next states, start and the couplings; y's stage inputs
+    are then [s+, 1] @ start.  No (size, size) array is formed but y's own
+    block.
+    """
+    size = op.b.size
+    p = reads.stop - reads.start
+    width = size + 1 + 4 * q
+    y = np.empty((width, size + 3 * p))
+    inputs = np.empty((width, 3 * p))
+    unit = np.arange(width)
+    per_call = max(1, PROBE_CHUNK_BYTES // (8 * width))
+    for cols, _, out in _probe_calls(lambda z, t: np.hstack(_rk4_stages(op, dt, reads, writes, z)),
+                                     unit, np.append(unit, width), np.ones(width), per_call):
+        y[cols, :size], inputs[cols] = out[:, :size], out[:, size:]
+    start, couplings = inputs[:size + 1], inputs[size + 1:]
+    y[:, size:] = y[:, :size] @ start[:size]
+    y[size, size:] += start[size]  # the constant's row: its next state keeps the 1
+    # stage j + 1 reads the drifts of the j stages before it
+    return DriftFold(y, tuple(np.ascontiguousarray(couplings[:j * q, (j - 1) * p:j * p]) for j in (1, 2, 3)),
+                     start)
+
+
+def _rk4_stages(op: AffineOperator, dt: float, reads: slice, writes: tuple, z: np.ndarray):
+    """The next states of the (lanes, size + 1 + 4 q) inputs z, and their stage inputs [P u_2, P u_3, P u_4].
+
+    Stage j adds z's constant times b and E d_j to A u_j; the arithmetic is
+    ``rk4_step``'s.
+    """
+    size = op.b.size
+    lanes = len(z)
+    s, one = z[:, :size], z[:, size, None]
+    drifts = z[:, size + 1:].reshape(lanes, 4, -1)
+    offsets = (size * np.arange(lanes))[:, None]
+    rows, cols = (op.rows + offsets).ravel(), (op.cols + offsets).ravel()
+    vals = np.tile(op.vals, lanes)
+
+    def rhs(u, j):
+        k = np.bincount(rows, weights=vals * u.take(cols), minlength=u.size).reshape(u.shape)
+        k += one * op.b
+        for at in writes:
+            k[:, at] += drifts[:, j]
+        return k
+
+    k1 = rhs(s, 0)
+    u2 = s + 0.5 * dt * k1
+    k2 = rhs(u2, 1)
+    u3 = s + 0.5 * dt * k2
+    k3 = rhs(u3, 2)
+    u4 = s + dt * k3
+    k4 = rhs(u4, 3)
+    return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), np.hstack([u[:, reads] for u in (u2, u3, u4)])
 
 
 def folded_rk4(op: AffineOperator, dt: float) -> Propagator:

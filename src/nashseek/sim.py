@@ -18,8 +18,14 @@ Under a game declared affine, everything but the drift is an affine map
 ``A s + b`` of the state.  The loop probes that map once from the stacked laws
 (:mod:`nashseek.affine`) and keeps ``A`` as its nonzeros.  The probe puts
 columns whose rows cannot overlap into one lane: 75 lanes and about 2 ms at
-N = 10, 215 lanes and about 25 ms at N = 30.  A loop with drift then evaluates
-each RK4 stage as one sparse matvec plus the stacked drift; a drift-free loop
+N = 10, 215 lanes and about 25 ms at N = 30.  A loop with drift folds its RK4
+step around the drift ("folded+drift") when every lane of its batch steps one
+operator and the map fits FOLD_DRIFT_BYTES: the stage inputs are affine in the
+state and the earlier stage drifts, so with z = [s, 1, d_1, ..., d_4] one
+product ``z @ Y`` gives the next state and the next step's drift-free stage
+inputs, and each stage adds one small product and one call per distinct
+drift (``affine.fold_drift_rk4``).  Otherwise it evaluates each RK4 stage as
+one sparse matvec plus the stacked drift.  A drift-free loop
 folds its whole RK4 step into one propagator ``s <- Phi s + c``, and a group
 of record intervals of record_stride steps each into one product of the same
 kind (``Propagator.intervals``), whose ends are the next records.  It keeps
@@ -30,9 +36,10 @@ the structured right-hand side.
 ``run_lanes`` integrates many loops at once.  Loops that share the layout,
 the step grid and the drift callables (and, unless the game is affine with
 drift, the model objects) step as the lanes of one ``(lanes, size)`` state:
-one sparse product with per-lane nonzeros, one call per distinct drift, one
+one ``Z @ Y`` a step, one sparse product with per-lane nonzeros a stage, one
 ``S @ Phi^T`` (or one product per group of record intervals) or one
-structured call per stage, and one record of every lane.  ``_Recorder.extend``
+structured call per stage, one call per distinct drift a stage, and one
+record of every lane.  ``_Recorder.extend``
 is the one way to record: it copies a slab of full states, one record or a
 group's ends, into a block of at most RECORD_BLOCK_BYTES, reduced to the
 recorded series one block at a time.  Record i is the state at step
@@ -51,7 +58,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import control
-from .affine import AffineOperator, folded_rk4, probe_affine, stack_lanes
+from .affine import AffineOperator, fold_drift_rk4, folded_rk4, probe_affine, stack_lanes
 from .control import GainSet, ObserverSet
 from .errors import (
     ConfigInvalid,
@@ -82,6 +89,17 @@ MAX_LANES = 64
 # record-interval maps a drift-free loop steps side by side take at most
 # this many bytes too: 7 maps of the turbine loop, 4 in output mode.
 RECORD_BLOCK_BYTES = 2 ** 18
+
+# Bytes of the map a "folded+drift" step multiplies by, (size + 1 + 4 N m) x
+# (size + 3 n N m) floats.  The step reads all of it, so its size, not a flop
+# count, sets the cost: at N = 10 the map holds about 130k numbers a lane
+# against 4k multiply-adds for the sparse stages, yet the fold is faster.
+# One lane of the state-mode vehicle loop, dt = 5e-3, BLAS on one thread
+# (``tools/time_layers.py step``), us per step folded against sparse, in two
+# runs: N = 10 (1.04 MB) 50 and 67 against 64 and 85; N = 11 (1.40 MB) 65
+# and 113 against 67 and 120; N = 12 (1.84 MB) 85 and 137 against 73 and 118;
+# N = 13 (2.38 MB) 130 against 82.  The output-mode default takes 1.28 MB.
+FOLD_DRIFT_BYTES = 3 * 2 ** 19
 
 # Rows the CSV writer formats per write.  Formatting a whole vehicle run at
 # once took 9 MB more peak memory; 256 rows take under 1 MB and no more time.
@@ -151,7 +169,7 @@ class InitialConditions:
 class Stepping(NamedTuple):
     """How ``_integrate`` stepped a batch of lanes; each lane's Trajectory carries it."""
 
-    kind: str             # "interval", "folded", "sparse+drift" or "structured", as ``run`` lists them
+    kind: str             # the step kind, one of the five ``run`` lists
     group: Optional[int]  # record-interval maps per product, None without groups
     products: int         # group products
     one_step: int         # steps taken one at a time
@@ -209,6 +227,9 @@ class _Layout:
         self.hat_sl = slice(pos, pos + n_players * n_players * m)
         pos += n_players * n_players * m
         self.size = pos
+        # the rows a drift is added to: the top level, and at n = 1 in output mode e_0' too
+        top = slice(block - n_players * m, block)
+        self.drift_sl = (top, slice(block, block + n_players * m)) if output_mode and n == 1 else (top,)
 
     def _levels(self, s, sl):
         if s.ndim == 1:
@@ -221,8 +242,12 @@ class _Layout:
     def z(self, s):
         return None if self.z_sl is None else self._levels(s, self.z_sl)
 
+    def players(self, v):
+        """A (..., N m) block as its (..., N, m) view."""
+        return v.reshape(v.shape[:-1] + (self.N, self.m))
+
     def y(self, s):
-        return s[..., self.y_sl].reshape(s.shape[:-1] + (self.N, self.m))
+        return self.players(s[..., self.y_sl])
 
     def x_hat(self, s):
         return s[..., self.hat_sl].reshape(s.shape[:-1] + (self.N, self.N, self.m))
@@ -310,12 +335,10 @@ def _with_drift(rhs, drift_groups: list, layout: _Layout):
     """The drift-free rhs plus every plant's drift on the top derivative, and at n = 1 on e_0' too."""
     if not drift_groups:
         return rhs
-    innovation_too = layout.output_mode and layout.n == 1
 
     def rhs_with_drift(s, t):
         out = rhs(s, t)
-        tops = (layout.chain(out)[-1],) + ((layout.z(out)[0],) if innovation_too else ())
-        _add_drifts(drift_groups, layout.chain(s), *tops)
+        _add_drifts(drift_groups, layout.chain(s), *(layout.players(out[..., at]) for at in layout.drift_sl))
         return out
 
     return rhs_with_drift
@@ -349,9 +372,16 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
       start, and every interval of the group before it was kept; the first
       interval not kept, and the remainder interval, take one O(size^2)
       matvec a step with the per-step guard;
-    * affine game with drift ("sparse+drift"): ``rk4_step`` on the probed
-      sparse operator plus the stacked drift, one O(nonzeros) matvec and one
-      call per distinct drift a stage;
+    * affine game with drift, and every lane of the batch on one probed
+      operator ("folded+drift"): one dense product a step of z = [s, 1, d_1,
+      ..., d_4] with a map of (size + 1 + 4 N m) x (size + 3 n N m) floats,
+      and a small product and one call per distinct drift a stage
+      (``affine.fold_drift_rk4``).  It is taken when the map takes at most
+      FOLD_DRIFT_BYTES and its size + 1 + 4 N m input vectors, each probed
+      once through the sparse stages, are at most steps lanes;
+    * any other affine game with drift ("sparse+drift"): ``rk4_step`` on the
+      probed sparse operator plus the stacked drift, one O(nonzeros) matvec
+      and one call per distinct drift a stage;
     * otherwise ("structured"): ``rk4_step`` on the structured right-hand side.
 
     Both affine cases probe the loop once (``probe_affine``) and raise
@@ -401,7 +431,9 @@ def run_lanes(lanes: Sequence[Lane]) -> list:
     those objects.  A batch steps up to MAX_LANES lanes as one (lanes, size)
     state, and a lane that leaves the magnitude guard is masked with its own
     Diverged while the others go on.  Loops that share their model objects
-    are probed once.
+    are probed once, and a batch of them may fold its drift step where one
+    of its lanes alone would not; a lane of such a batch agrees with its own
+    run to rounding, not bit for bit (README).
     """
     results = [None] * len(lanes)
     probes = {}
@@ -577,7 +609,7 @@ def _integrate(batch: list) -> list:
     stride = cfg.record_stride
     state = batch[0].state if lanes == 1 else np.stack([start.state for start in batch])
     groups = _drift_groups([start.lane.plants for start in batch], state.shape[:-1])
-    group = None
+    group = restart = None
     if lane.game.affine and not groups:
         advance = folded_rk4(batch[0].op, cfg.dt)
         # the group's maps take at most RECORD_BLOCK_BYTES (one at least);
@@ -588,6 +620,9 @@ def _integrate(batch: list) -> list:
         if stride > 1 and count >= 1:
             group = advance.intervals(stride, count)
         kind = "folded" if group is None else "interval"
+    elif lane.game.affine and _folds(batch, steps):
+        kind = "folded+drift"
+        advance, restart = _fold_stepper(batch[0].op, cfg.dt, groups, layout, state)
     else:
         kind = "sparse+drift" if lane.game.affine else "structured"
         rhs = (stack_lanes([start.op for start in batch]).apply if lane.game.affine
@@ -635,9 +670,69 @@ def _integrate(batch: list) -> list:
                 _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
                 if all(failures):
                     return failures
+                if restart is not None:
+                    restart(failures)
         recorder.extend(state.reshape(1, lanes, -1))
         first = last
     return recorder.split(failures, kind, None if group is None else count, products, one_step)
+
+
+def _folds(batch: list, steps: int) -> bool:
+    """Whether a drifting affine batch steps "folded+drift".
+
+    Every lane must step the same probed operator, so that one product
+    serves them all, and the map must take at most FOLD_DRIFT_BYTES.  The
+    build steps each of the map's width input vectors once through the
+    sparse stages, so it is counted as width lane-steps, as the interval
+    rule counts a size^3 product as size of them: the steps of all lanes
+    must be at least that many.
+    """
+    layout = batch[0].layout
+    q = layout.N * layout.m
+    width, out = layout.size + 1 + 4 * q, layout.size + 3 * layout.chain_sl.stop
+    return (all(start.op is batch[0].op for start in batch) and 8 * width * out <= FOLD_DRIFT_BYTES
+            and width <= steps * len(batch))
+
+
+def _fold_stepper(op: AffineOperator, dt: float, groups: list, layout: _Layout, state: np.ndarray):
+    """advance(s, t) and restart(failures) of the "folded+drift" step of a batch that shares op.
+
+    z = [s, 1, d_1, ..., d_4] is one buffer with the batch's lane shape in
+    front, and so is the product [s+, w_2, w_3, w_4] (``affine.DriftFold``).
+    A step puts s into z, each stage's drift into its slot of z (stage j + 1
+    reads w_{j+1} plus one small product of the drifts before it) and takes
+    one product, whose state part it returns.  restart gives every masked
+    lane, which ``_mask_diverged`` zeroed, the stage inputs of the zero state.
+    """
+    q, p, size = layout.N * layout.m, layout.chain_sl.stop, layout.size
+    fold = fold_drift_rk4(op, dt, layout.chain_sl, layout.drift_sl, q)
+    lanes = state.shape[:-1]
+    z = np.zeros(lanes + (size + 1 + 4 * q,))
+    z[..., :size], z[..., size] = state, 1.0
+    out = np.empty(lanes + (fold.y.shape[1],))
+    out[..., size:] = z[..., :size + 1] @ fold.start
+    inputs = [out[..., size + j * p:size + (j + 1) * p] for j in range(3)]
+    slots = [layout.players(z[..., size + 1 + j * q:size + 1 + (j + 1) * q]) for j in range(4)]
+    stage = np.empty(lanes + (p,))
+
+    def put(chain, slot):
+        for sel, drift, w in groups:
+            slot[..., sel, :] = drift(chain[..., sel, :], w)
+
+    def advance(s, t):
+        z[..., :size] = s
+        put(layout.chain(s), slots[0])
+        for j in range(3):
+            np.matmul(z[..., size + 1:size + 1 + (j + 1) * q], fold.couplings[j], out=stage)
+            np.add(stage, inputs[j], out=stage)
+            put(layout.chain(stage), slots[j + 1])
+        np.matmul(z, fold.y, out=out)
+        return out[..., :size]
+
+    def restart(failures):
+        out[[b for b, failure in enumerate(failures) if failure], size:] = fold.start[size]
+
+    return advance, restart
 
 
 def _mask_diverged(lanes: np.ndarray, failures: list, k: int, dt: float) -> None:

@@ -38,6 +38,7 @@ VERIFY_CRITERIA = {
     "nash_solve matches closed forms (both scenarios)": None,
     "RK4 order study (error factor per halving in [12, 20])": 11,
     "equilibrium tuple annihilates the closed loop (both scenarios)": 4,
+    "folded drift step matches the sparse RK4 step (vehicles, both modes)": None,
 }
 
 
@@ -186,3 +187,13 @@ def test_12_byte_identical_reruns(tmp_path):
     ok = blobs[0] == blobs[1]
     report(12, "identical config and seed give byte-identical CSV", ok,
            f"{len(blobs[0])} bytes compared")
+
+
+def test_default_runs_step_as_documented(vehicles_state_run, vehicles_output_run,
+                                         turbines_state_run, turbines_output_run):
+    # README: both vehicle defaults fold the drift step into one product a
+    # step, and the turbine defaults step groups of record intervals
+    steppings = [traj.stepping[:4] for _, traj, _ in (vehicles_state_run, vehicles_output_run,
+                                                      turbines_state_run, turbines_output_run)]
+    assert steppings == [("folded+drift", None, 0, 40000)] * 2 + [("interval", 7, 477, 3),
+                                                                    ("interval", 4, 834, 3)]

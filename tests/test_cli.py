@@ -580,6 +580,9 @@ class TestSweepLanes:
         ("turbines", "seed", "1,2,3"),  # the folded path
     ])
     def test_each_lane_matches_its_single_run(self, tmp_path, monkeypatch, scenario, param, values):
+        # cells that share one probed operator fold the drift step; a gain
+        # sweep gives each cell an operator of its own, and those step sparse
+        kind = "interval" if scenario == "turbines" else "sparse+drift" if param == "alpha3" else "folded+drift"
         outcomes, batches = self._capture(monkeypatch)
         overrides = ["--set", "horizon=2.0", "--set", "settle_tol=1e6"]
         assert run_cli("sweep", "--scenario", scenario, "--algo", "state", "--param", param,
@@ -588,6 +591,7 @@ class TestSweepLanes:
         base = apply_set_overrides(default_config(scenario, "state"),
                                    ["horizon=2.0", "settle_tol=1e6"])
         for value, lane in outcomes:
+            assert lane.stepping.kind == kind
             _, single, _ = cli._execute_run(apply_set_overrides(base, [f"{param}={json.dumps(value)}"]))
             assert np.array_equal(lane.times, single.times)
             gap = np.max(np.abs(lane.decisions - single.decisions), axis=(1, 2))

@@ -550,6 +550,9 @@ class TestFoldedPropagator:
 
 
 VEHICLE_GAINS = GainSet(2, (1.0,), 2.0, 3.0, 2.2, 18.0)
+# A lane of a batch that shares one operator against its own run, relative
+# to the largest entry of a recorded series (README, run_lanes)
+BATCH_RTOL = 1e-12
 VEHICLE_OBSERVER = ObserverSet((2.0, 1.0), 0.02)
 
 
@@ -612,18 +615,22 @@ class TestLaneBatch:
         assert stack_lanes([op]) is op
 
     def test_batch_records_each_lane_as_its_single_run(self):
+        # the batch's one product sums in another order than each single
+        # run's, so the series agree to BATCH_RTOL of their largest entry
         game, plants, g, _ = build_vehicle_formation()
         x_star = vehicle_nash_oracle(build_vehicle_formation()[3])
-        cfg = SimConfig(dt=1e-3, horizon=0.3, record_stride=7)
+        cfg = SimConfig(dt=1e-3, horizon=0.4, record_stride=7)
         lanes = [sim.Lane(game, plants, g, VEHICLE_GAINS, VEHICLE_OBSERVER,
                           dataclasses.replace(cfg, seed=seed), None, star)
                  for seed, star in ((1, x_star), (2, None), (3, x_star))]
         for lane, batched in zip(lanes, sim.run_lanes(lanes)):
             single = run(lane.game, lane.plants, lane.g, lane.gains, lane.obs, lane.cfg, x_star=lane.x_star)
-            for field in ("times", "decisions", "estimate_disagreement", "error_norms", "observer_errors"):
+            assert batched.stepping.kind == single.stepping.kind == "folded+drift"
+            assert np.array_equal(batched.times, single.times)
+            for field in ("decisions", "estimate_disagreement", "error_norms", "observer_errors"):
                 a, b = getattr(batched, field), getattr(single, field)
                 assert (a is None) == (b is None) == (field == "error_norms" and lane.x_star is None)
-                assert a is None or np.array_equal(a, b)
+                assert a is None or np.max(np.abs(a - b)) <= BATCH_RTOL * np.max(np.abs(b))
 
     def test_extend_across_blocks_matches_adding_each_record(self, monkeypatch):
         layout = _Layout(2, 10, 2, output_mode=True)
@@ -1001,11 +1008,109 @@ class TestProbedOperator:
                 InitialConditions(decisions=np.ones((10, 2))))
 
 
+def first_order_output_loop():
+    """Three first-order players with drift in output mode: the drift also moves e_0'."""
+    plants = [Plant(1, 2, drift=linear_drift, w=0.5 * (i + 1)) for i in range(3)]
+    g = Digraph(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.5, 0.0, 0.0]]))
+    return identity_game(3, 2), plants, g, GainSet(1, (), 2.0, 1.8, 1.5, 5.0), ObserverSet((1.0,), 0.05)
+
+
+class TestDriftFold:
+    """The "folded+drift" step: one product of z = [s, 1, d_1, ..., d_4] per RK4 step."""
+
+    LOOPS = {
+        "vehicles-state": lambda: loop_inputs("state", "vehicles")[:5],
+        "vehicles-output": lambda: loop_inputs("output", "vehicles")[:5],
+        "mixed-drifts": lambda: loop_inputs("state", "vehicles", mixed_drift_plants())[:5],
+        "first-order-output": first_order_output_loop,
+    }
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_steps_match_the_sparse_rk4_steps(self, loop, lanes):
+        # two drift callables mixed with None, and at n = 1 in output mode the
+        # drift on the e_0 rows too; the product sums in another order than
+        # the sparse stages, so the two agree to rounding, not bit for bit
+        game, plants, g, gains, obs = self.LOOPS[loop]()
+        layout = _Layout(gains.order_n, game.n_players, game.decision_dim, output_mode=obs is not None)
+        op = probe_affine(_make_rhs(game, g, gains, obs, layout), layout)
+        shape = (layout.size,) if lanes == 1 else (lanes, layout.size)
+        state = np.random.default_rng(4).uniform(-5.0, 5.0, shape)
+        groups = _drift_groups([plants] * lanes, state.shape[:-1])
+        advance, _ = sim._fold_stepper(op, 1e-3, groups, layout, state)
+        rhs = _with_drift(stack_lanes([op] * lanes).apply, groups, layout)
+        folded = sparse = state
+        for k in range(50):
+            folded = advance(folded, k * 1e-3).copy()
+            sparse = rk4_step(rhs, sparse, k * 1e-3, 1e-3)
+            assert np.max(np.abs(folded - sparse)) <= 1e-13 * np.max(np.abs(sparse))
+
+    @pytest.mark.parametrize("n_players, mode, folds", [
+        (10, "state", True), (10, "output", True), (11, "state", True),
+        (11, "output", False), (12, "state", False), (30, "state", False)])
+    def test_the_map_must_fit_the_byte_bound(self, n_players, mode, folds):
+        # (size + 1 + 4 N m) (size + 3 n N m) floats: 1.04 MB at N = 10, 1.28 MB
+        # in output mode, 1.40 MB at N = 11 against 1.71 MB in output mode,
+        # 1.84 MB at N = 12 and 40 MB at N = 30
+        table = [VEHICLE_TABLE[i % 10] for i in range(n_players)]
+        anchors = np.random.default_rng(0).uniform(-15.0, 15.0, size=(n_players, 2))
+        game, plants, g, _ = build_vehicle_formation(table=table, offsets=anchors)
+        lane = sim.Lane(game, plants, g, VEHICLE_GAINS, VEHICLE_OBSERVER if mode == "output" else None,
+                        SimConfig(dt=1e-3, horizon=1.0))
+        assert sim._folds([sim._start(lane, {})], steps=10 ** 6) == folds
+
+    @pytest.mark.parametrize("steps, lanes, folds", [(341, 1, True), (340, 1, False), (114, 3, True),
+                                                      (113, 3, False)])
+    def test_the_build_is_paid_back_by_steps_and_lanes(self, steps, lanes, folds):
+        # vehicles/state: the map's 341 input vectors count as 341 lane-steps
+        game, plants, g, _ = build_vehicle_formation()
+        cfg = SimConfig(dt=1e-3, horizon=steps * 1e-3, record_stride=50)
+        outcomes = sim.run_lanes([sim.Lane(game, plants, g, VEHICLE_GAINS, None, dataclasses.replace(cfg, seed=seed))
+                                  for seed in range(lanes)])
+        assert outcomes[0].stepping.kind == ("folded+drift" if folds else "sparse+drift")
+
+    def test_lanes_with_their_own_operators_stay_sparse(self):
+        game, plants, g, _ = build_vehicle_formation()
+        cfg = SimConfig(dt=1e-3, horizon=0.4)
+        shared = [sim.Lane(game, plants, g, VEHICLE_GAINS, None, dataclasses.replace(cfg, seed=seed))
+                  for seed in range(2)]
+        own = [dataclasses.replace(lane, gains=dataclasses.replace(VEHICLE_GAINS)) for lane in shared]
+        assert [traj.stepping.kind for traj in sim.run_lanes(shared)] == ["folded+drift"] * 2
+        assert [traj.stepping.kind for traj in sim.run_lanes(own)] == ["sparse+drift"] * 2
+
+    def test_masked_lane_diverges_as_its_single_run_and_restarts_finite(self, monkeypatch):
+        # x'' = 1e4 x + u grows as e^(100 t): lane 1 leaves the guard, lanes 0 and 2 stay bounded
+        game, _, g, spec = build_vehicle_formation()
+        cfg = SimConfig(dt=1e-3, horizon=0.4, record_stride=7)
+        lanes = [sim.Lane(game, [Plant(2, 2, drift=linear_drift, w=w)] * 10, g, VEHICLE_GAINS, None,
+                          dataclasses.replace(cfg, seed=seed)) for seed, w in ((1, 0.0), (2, 1e4), (3, 0.0))]
+        singles = []
+        for lane in lanes:
+            try:
+                singles.append(run(lane.game, lane.plants, lane.g, lane.gains, lane.obs, lane.cfg))
+            except Diverged as exc:
+                singles.append(exc)
+        masks, mask = [], sim._mask_diverged
+        monkeypatch.setattr(sim, "_mask_diverged", lambda *args: masks.append(args[2]) or mask(*args))
+        outcomes = sim.run_lanes(lanes)
+        assert outcomes[0].stepping.kind == "folded+drift"
+        assert isinstance(outcomes[1], Diverged) and str(outcomes[1]) == str(singles[1])
+        assert "magnitude" in str(outcomes[1])
+        # the masked lane restarts its stage inputs from its zeroed state, so
+        # it steps on finite and the guard trips once, not at every later step
+        assert len(masks) == 1
+        for k in (0, 2):
+            assert outcomes[k].stepping.kind == singles[k].stepping.kind == "folded+drift"
+            assert np.array_equal(outcomes[k].times, singles[k].times)
+            gap = np.max(np.abs(outcomes[k].decisions - singles[k].decisions), axis=(1, 2))
+            assert np.all(gap <= BATCH_RTOL * np.max(np.abs(singles[k].decisions), axis=(1, 2)))
+
+
 class TestStepping:
     """Trajectory.stepping reports what the spies on the step kinds see."""
 
-    @pytest.mark.parametrize("kind, lanes", [("interval", 3), ("folded", 1), ("sparse+drift", 3),
-                                             ("structured", 1)])
+    @pytest.mark.parametrize("kind, lanes", [("interval", 3), ("folded", 1), ("folded+drift", 3),
+                                             ("sparse+drift", 3), ("structured", 1)])
     def test_record_matches_the_spies(self, kind, lanes, monkeypatch):
         spies = TestFoldedPropagator
         if kind in ("interval", "folded"):
@@ -1016,20 +1121,30 @@ class TestStepping:
             spies._forbid_rk4_step(monkeypatch)
         else:
             game, plants, g, _ = build_vehicle_formation()
-            game = dataclasses.replace(game, affine=kind == "sparse+drift")
-            gains, cfg = VEHICLE_GAINS, SimConfig(dt=1e-3, horizon=0.05)
-        rk4 = []
+            game = dataclasses.replace(game, affine=kind != "structured")
+            gains, cfg = VEHICLE_GAINS, SimConfig(dt=1e-3, horizon=0.05 if kind == "structured" else 0.2)
+        rk4, folded = [], []
         monkeypatch.setattr(sim, "rk4_step", lambda *args: rk4.append(args[2]) or rk4_step(*args))
+        fold_stepper = sim._fold_stepper
+
+        def counted_fold(*args):
+            advance, restart = fold_stepper(*args)
+            return (lambda s, t: folded.append(t) or advance(s, t)), restart
+
+        monkeypatch.setattr(sim, "_fold_stepper", counted_fold)
         groups, log = spies._spy_groups(monkeypatch), spies._spy_steps(monkeypatch)
         calls = count_structured_rhs_calls(monkeypatch)
-        outcomes = sim.run_lanes([sim.Lane(game, plants, g, gains, None, dataclasses.replace(cfg, seed=seed))
+        # lanes with gain objects of their own have operators of their own, which do not fold
+        outcomes = sim.run_lanes([sim.Lane(game, plants, g, dataclasses.replace(gains) if kind == "sparse+drift"
+                                           else gains, None, dataclasses.replace(cfg, seed=seed))
                                   for seed in range(lanes)])
         stepping = outcomes[0].stepping
         assert all(traj.stepping is stepping for traj in outcomes)
         assert stepping.kind == kind and stepping.record_s > 0
         assert stepping.group == (groups[0] if groups else None) and len(groups) <= 1
         assert stepping.products == log.count("group")
-        assert stepping.one_step == log.count("step") + len(rk4)
+        assert stepping.one_step == log.count("step") + len(rk4) + len(folded)
+        assert (len(folded) == stepping.one_step == 200) == (kind == "folded+drift")
         # only the structured kind evaluates the structured rhs as it steps, four times a step
         assert (len(calls) == 4 * stepping.one_step) == (kind == "structured")
         if kind == "interval":

@@ -1,5 +1,6 @@
 """Tests of the tools: each layer of time_layers.py runs, gives its keys and patches nothing,
-and bench_pairs.py records the state of each checkout it compares."""
+and bench_pairs.py records the state of each checkout it compares and warns when their paths
+differ in length."""
 
 import importlib.util
 import json
@@ -31,8 +32,9 @@ def tool(monkeypatch):
 
 
 def test_each_layer_gives_its_keys_and_patches_nothing(tool):
-    # the record layer reads the run's Trajectory.stepping, so none of these may change
-    patched = [(sim._Recorder, "extend"), (sim._Recorder, "split"), (affine.Propagator, "intervals")]
+    # the record and step layers read the run's Trajectory.stepping, so none of these may change
+    patched = [(sim._Recorder, "extend"), (sim._Recorder, "split"), (affine.Propagator, "intervals"),
+               (sim, "_fold_stepper"), (sim, "_folds"), (sim, "rk4_step")]
     originals = [getattr(owner, name) for owner, name in patched]
 
     probe = tool.LAYERS["probe"]("2")
@@ -49,16 +51,41 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
                             "run_s", "record_s", "csv_write_s"]
     assert (record["records"], record["group"]) == (3335, 7)
     assert record["csv_bytes"] > 0 and 0 < record["record_s"] < record["run_s"]
-    json.dumps([probe, cert, record])
+
+    step = tool.LAYERS["step"]("2", "lanes=2")
+    assert list(step) == [2]
+    assert list(step[2]) == ["size", "lanes", "kind", "fold_bytes", "build_s", "folded_us", "sparse_us",
+                             "repeats"]
+    # two vehicles: size 20 and a 37 x 44 map, which 400 steps of two lanes pay back
+    assert (step[2]["size"], step[2]["lanes"], step[2]["kind"]) == (20, 2, "folded+drift")
+    assert step[2]["fold_bytes"] == 8 * 37 * 44 and step[2]["repeats"] == 3
+    assert 0 < step[2]["build_s"] and 0 < step[2]["folded_us"] and 0 < step[2]["sparse_us"]
+    json.dumps([probe, cert, record, step])
 
     assert [getattr(owner, name) for owner, name in patched] == originals
 
 
 def test_tree_state_counts_old_results_and_the_git_directory(tmp_path):
     tree_state = load("bench_pairs").tree_state
-    assert tree_state(tmp_path) == {"perfbench_out_bytes": 0, "perfbench_out_files": 0, "git_is_dir": False}
+    length = len(str(tmp_path.resolve()))
+    assert tree_state(tmp_path) == {"perfbench_out_bytes": 0, "perfbench_out_files": 0, "git_is_dir": False,
+                                    "path_length": length}
     (tmp_path / "perfbench" / "out" / "run").mkdir(parents=True)
     (tmp_path / "perfbench" / "out" / "a.json").write_text("abc")
     (tmp_path / "perfbench" / "out" / "run" / "b.json").write_text("hello")
     (tmp_path / ".git").mkdir()
-    assert tree_state(tmp_path) == {"perfbench_out_bytes": 8, "perfbench_out_files": 2, "git_is_dir": True}
+    assert tree_state(tmp_path) == {"perfbench_out_bytes": 8, "perfbench_out_files": 2, "git_is_dir": True,
+                                    "path_length": length}
+
+
+def test_trees_at_paths_of_different_lengths_get_a_warning(tmp_path):
+    bench_pairs = load("bench_pairs")
+    trees = {name: tmp_path / name for name in ("parent", "change", "change2")}
+    for tree in trees.values():
+        tree.mkdir()
+    state = {name: bench_pairs.tree_state(tree) for name, tree in trees.items()}
+    assert state["change2"]["path_length"] == state["parent"]["path_length"] + 1
+    assert bench_pairs.path_warning(state["parent"], state["change"]) is None
+    warning = bench_pairs.path_warning(state["parent"], state["change2"])
+    n = state["parent"]["path_length"]
+    assert warning.startswith(f"warning: the parent's path has {n} characters and the change's {n + 1};")

@@ -17,7 +17,9 @@ perfbench children do not write bytecode, so a tree without it would compile
 every module in each child, which moves ``peak_rss_mb``.  It also prints
 and records the state of each checkout (``tree_state``): old results under
 perfbench/out and a .git directory have gone with gaps in ``peak_rss_mb``
-and ``run_s`` that the code did not explain.  It keeps both
+and ``run_s`` that the code did not explain, and so has the length of the
+checkout's absolute path, which it also records and warns about when the
+two trees' lengths differ.  It keeps both
 result lines of every pair, the environment record perfbench prints, and per
 workload each side's pooled ``failed``/``attempted`` operations (from perfbench's
 result lines), and per metric each side's quartiles, the number of pairs the
@@ -64,10 +66,21 @@ def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
 
 
 def tree_state(tree: Path) -> dict:
-    """The bytes and files under tree's perfbench/out, and whether its .git is a directory."""
+    """The bytes and files under tree's perfbench/out, whether its .git is a directory,
+    and the length of its absolute path."""
     files = [path for path in (tree / "perfbench" / "out").rglob("*") if path.is_file()]
     return {"perfbench_out_bytes": sum(path.stat().st_size for path in files),
-            "perfbench_out_files": len(files), "git_is_dir": (tree / ".git").is_dir()}
+            "perfbench_out_files": len(files), "git_is_dir": (tree / ".git").is_dir(),
+            "path_length": len(str(tree.resolve()))}
+
+
+def path_warning(parent: dict, change: dict):
+    """A warning when the two trees' absolute paths differ in length (their tree_state), else None."""
+    if parent["path_length"] == change["path_length"]:
+        return None
+    return (f"warning: the parent's path has {parent['path_length']} characters and the change's "
+            f"{change['path_length']}; vehicles-n30 run_s has moved 6% between directory names of 12 "
+            "and 13 characters, so put both trees at paths of one length")
 
 
 def quartiles(values) -> list:
@@ -135,6 +148,9 @@ def main(argv=None) -> int:
               "workloads": {}}
     for side, state in record["tree_state"].items():
         print(f"{side} tree: {json.dumps(state)}", flush=True)
+    warning = path_warning(**record["tree_state"])
+    if warning:
+        print(warning, flush=True)
     for item in args.workload:
         workload, _, count = item.partition(":")
         pairs = []

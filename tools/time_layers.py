@@ -1,10 +1,18 @@
 """Time one layer of nashseek; one JSON object goes to stdout.
 
     PYTHONPATH=TREE/src python3 tools/time_layers.py probe N... | certificate N... | record [state|output]
+        | step N... [lanes=L]
 
 probe: N -> size, median_s, repeats, nonzeros, lanes, calls of ``affine.probe_affine`` on the
   drift-free state-mode loop of N vehicles (the table repeated, anchors uniform in [-15, 15]^2
   with seed 0, default cycle digraph and gains), with one probe's rhs lanes and calls.
+step: N -> size, lanes, kind, fold_bytes, build_s, folded_us, sparse_us, repeats for L lanes
+  (default 1) of that state-mode loop of N vehicles with its drift, seeds 0..L-1, at dt = STEP_DT:
+  kind is the step kind a run of STEPS steps takes, read from its ``Trajectory.stepping``;
+  fold_bytes and build_s are the size and build time of the "folded+drift" map
+  (``affine.fold_drift_rk4``); folded_us and sparse_us are the microseconds per RK4 step of the
+  batch, "folded+drift" (``sim._fold_stepper``) and "sparse+drift" (``sim.rk4_step`` on the
+  stacked probed operator plus the drift), STEPS steps of each in turn from the run's start.
 certificate: N -> median_s, repeats, passed, residual of ``graph.estimation_certificate`` of
   ``scenarios.default_cycle_digraph(N)``.
 record: algo, records, group, csv_bytes, repeats, run_s, record_s, csv_write_s of ``sim.run`` on
@@ -22,6 +30,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import dataclasses  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -34,6 +43,8 @@ import numpy as np  # noqa: E402
 from nashseek import affine, config, graph, scenarios, sim  # noqa: E402
 
 SPAN_S = 1.0
+STEP_DT = 5e-3
+STEPS = 400
 
 
 def repeat(call) -> tuple:
@@ -54,13 +65,18 @@ def timed(fn, *args) -> tuple:
     return {"median_s": time.perf_counter() - start}, result
 
 
+def vehicles(n: int) -> tuple:
+    """(game, plants, digraph, gains) of the state-mode loop of n vehicles."""
+    table = [scenarios.VEHICLE_TABLE[i % len(scenarios.VEHICLE_TABLE)] for i in range(n)]
+    anchors = np.random.default_rng(0).uniform(-15.0, 15.0, size=(n, 2))
+    game, plants, g, _ = scenarios.build_vehicle_formation(table=table, offsets=anchors)
+    return game, plants, g, config.build_run_setup({"scenario": "vehicles"}).gains
+
+
 def probe(*sizes) -> dict:
     out = {}
     for n in map(int, sizes):
-        table = [scenarios.VEHICLE_TABLE[i % len(scenarios.VEHICLE_TABLE)] for i in range(n)]
-        anchors = np.random.default_rng(0).uniform(-15.0, 15.0, size=(n, 2))
-        game, _, g, _ = scenarios.build_vehicle_formation(table=table, offsets=anchors)
-        gains = config.build_run_setup({"scenario": "vehicles"}).gains
+        game, _, g, gains = vehicles(n)
         layout = sim._Layout(gains.order_n, n, 2, output_mode=False)
         rhs, lanes = sim._make_rhs(game, g, gains, None, layout), []
         op = affine.probe_affine(lambda s, t: lanes.append(len(s)) or rhs(s, t), layout)
@@ -100,7 +116,42 @@ def record(algo: str = "state") -> dict:
             "csv_bytes": csv_bytes, "repeats": runs, **fields}
 
 
-LAYERS = {"probe": probe, "certificate": certificate, "record": record}
+def step(*args) -> dict:
+    lanes = int(next((arg[6:] for arg in args if arg.startswith("lanes=")), 1))
+    out = {}
+    for n in (int(arg) for arg in args if not arg.startswith("lanes=")):
+        game, plants, g, gains = vehicles(n)
+        cfg = sim.SimConfig(dt=STEP_DT, horizon=STEPS * STEP_DT)
+        batch = [sim.Lane(game, plants, g, gains, None, dataclasses.replace(cfg, seed=seed)) for seed in range(lanes)]
+        kind = sim.run_lanes(batch)[0].stepping.kind
+        probes = {}
+        starts = [sim._start(lane, probes) for lane in batch]
+        layout, op = starts[0].layout, starts[0].op
+        state = starts[0].state if lanes == 1 else np.stack([start.state for start in starts])
+        groups = sim._drift_groups([plants] * lanes, state.shape[:-1])
+        rhs = sim._with_drift(affine.stack_lanes([op] * lanes).apply, groups, layout)
+        fold = affine.fold_drift_rk4(op, STEP_DT, layout.chain_sl, layout.drift_sl, n * 2)
+
+        def call():
+            # a fold stepper carries its stage inputs, so each call builds a fresh one, untimed
+            began = time.perf_counter()
+            advances = {"folded_us": sim._fold_stepper(op, STEP_DT, groups, layout, state)[0],
+                        "sparse_us": lambda s, t: sim.rk4_step(rhs, s, t, STEP_DT)}
+            fields = {"build_s": time.perf_counter() - began}
+            for name, advance in advances.items():
+                s, began = state, time.perf_counter()
+                for k in range(STEPS):
+                    s = advance(s, k * STEP_DT)
+                fields[name] = (time.perf_counter() - began) / STEPS * 1e6
+            return fields, None
+
+        fields, runs, _ = repeat(call)
+        out[n] = {"size": layout.size, "lanes": lanes, "kind": kind, "fold_bytes": fold.y.nbytes,
+                  **fields, "repeats": runs}
+    return out
+
+
+LAYERS = {"probe": probe, "certificate": certificate, "record": record, "step": step}
 
 if __name__ == "__main__":
     if len(sys.argv) < 2 or sys.argv[1] not in LAYERS:
