@@ -227,7 +227,8 @@ class _Layout:
         self.hat_sl = slice(pos, pos + n_players * n_players * m)
         pos += n_players * n_players * m
         self.size = pos
-        # the rows a drift is added to: the top level, and at n = 1 in output mode e_0' too
+        # the rows _with_drift adds a drift to, for the fold: the top level, and
+        # at n = 1 in output mode e_0' too
         top = slice(block - n_players * m, block)
         self.drift_sl = (top, slice(block, block + n_players * m)) if output_mode and n == 1 else (top,)
 
@@ -335,10 +336,12 @@ def _with_drift(rhs, drift_groups: list, layout: _Layout):
     """The drift-free rhs plus every plant's drift on the top derivative, and at n = 1 on e_0' too."""
     if not drift_groups:
         return rhs
+    innovation_too = layout.output_mode and layout.n == 1
 
     def rhs_with_drift(s, t):
         out = rhs(s, t)
-        _add_drifts(drift_groups, layout.chain(s), *(layout.players(out[..., at]) for at in layout.drift_sl))
+        tops = (layout.chain(out)[-1],) + ((layout.z(out)[0],) if innovation_too else ())
+        _add_drifts(drift_groups, layout.chain(s), *tops)
         return out
 
     return rhs_with_drift
@@ -384,7 +387,7 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
       and one call per distinct drift a stage;
     * otherwise ("structured"): ``rk4_step`` on the structured right-hand side.
 
-    Both affine cases probe the loop once (``probe_affine``) and raise
+    Every affine kind probes the loop once (``probe_affine``) and raises
     ConfigInvalid when the game's affine declaration fails.  Raises Diverged
     when the state leaves the magnitude guard or stops being finite.
     """

@@ -586,6 +586,13 @@ def mixed_drift_plants():
     ]
 
 
+def first_order_output_loop():
+    """Three first-order players with drift in output mode: the drift also moves e_0'."""
+    plants = [Plant(1, 2, drift=linear_drift, w=0.5 * (i + 1)) for i in range(3)]
+    g = Digraph(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.5, 0.0, 0.0]]))
+    return identity_game(3, 2), plants, g, GainSet(1, (), 2.0, 1.8, 1.5, 5.0), ObserverSet((1.0,), 0.05)
+
+
 class TestLaneBatch:
     """Every loop piece serves one lane's (size,) state and a (lanes, size) batch alike."""
 
@@ -744,12 +751,9 @@ class TestRhsMatchesPerPlayerLaws:
 
     def test_first_order_output_mode_with_drift(self):
         # at n = 1 the drift moves x' itself, so it moves e_0' = x' - z_0' too
-        plants = [Plant(1, 2, drift=linear_drift, w=0.5 * (i + 1)) for i in range(3)]
-        g = Digraph(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.5, 0.0, 0.0]]))
         layout = _Layout(1, 3, 2, output_mode=True)
         state = np.random.default_rng(13).standard_normal(layout.size)
-        self._check(identity_game(3, 2), plants, g, GainSet(1, (), 2.0, 1.8, 1.5, 5.0),
-                    ObserverSet((1.0,), 0.05), layout, state)
+        self._check(*first_order_output_loop(), layout, state)
 
     def test_observer_rows_read_the_innovation_exactly(self):
         # at |x| ~ 300 and |e_0| ~ 1e-7, rebuilding z_0 = x - e_0 and taking
@@ -1008,13 +1012,6 @@ class TestProbedOperator:
                 InitialConditions(decisions=np.ones((10, 2))))
 
 
-def first_order_output_loop():
-    """Three first-order players with drift in output mode: the drift also moves e_0'."""
-    plants = [Plant(1, 2, drift=linear_drift, w=0.5 * (i + 1)) for i in range(3)]
-    g = Digraph(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [1.5, 0.0, 0.0]]))
-    return identity_game(3, 2), plants, g, GainSet(1, (), 2.0, 1.8, 1.5, 5.0), ObserverSet((1.0,), 0.05)
-
-
 class TestDriftFold:
     """The "folded+drift" step: one product of z = [s, 1, d_1, ..., d_4] per RK4 step."""
 
@@ -1068,15 +1065,6 @@ class TestDriftFold:
         outcomes = sim.run_lanes([sim.Lane(game, plants, g, VEHICLE_GAINS, None, dataclasses.replace(cfg, seed=seed))
                                   for seed in range(lanes)])
         assert outcomes[0].stepping.kind == ("folded+drift" if folds else "sparse+drift")
-
-    def test_lanes_with_their_own_operators_stay_sparse(self):
-        game, plants, g, _ = build_vehicle_formation()
-        cfg = SimConfig(dt=1e-3, horizon=0.4)
-        shared = [sim.Lane(game, plants, g, VEHICLE_GAINS, None, dataclasses.replace(cfg, seed=seed))
-                  for seed in range(2)]
-        own = [dataclasses.replace(lane, gains=dataclasses.replace(VEHICLE_GAINS)) for lane in shared]
-        assert [traj.stepping.kind for traj in sim.run_lanes(shared)] == ["folded+drift"] * 2
-        assert [traj.stepping.kind for traj in sim.run_lanes(own)] == ["sparse+drift"] * 2
 
     def test_masked_lane_diverges_as_its_single_run_and_restarts_finite(self, monkeypatch):
         # x'' = 1e4 x + u grows as e^(100 t): lane 1 leaves the guard, lanes 0 and 2 stay bounded

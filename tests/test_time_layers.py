@@ -56,7 +56,7 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     assert list(step) == [2]
     assert list(step[2]) == ["size", "lanes", "kind", "fold_bytes", "build_s", "folded_us", "sparse_us",
                              "repeats"]
-    # two vehicles: size 20 and a 37 x 44 map, which 400 steps of two lanes pay back
+    # two vehicles: size 20 and a 37 x 44 map, which 2 400 steps of two lanes pay back
     assert (step[2]["size"], step[2]["lanes"], step[2]["kind"]) == (20, 2, "folded+drift")
     assert step[2]["fold_bytes"] == 8 * 37 * 44 and step[2]["repeats"] == 3
     assert 0 < step[2]["build_s"] and 0 < step[2]["folded_us"] and 0 < step[2]["sparse_us"]

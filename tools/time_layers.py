@@ -44,7 +44,7 @@ from nashseek import affine, config, graph, scenarios, sim  # noqa: E402
 
 SPAN_S = 1.0
 STEP_DT = 5e-3
-STEPS = 400
+STEPS = 2400
 
 
 def repeat(call) -> tuple:
