@@ -94,11 +94,11 @@ RECORD_BLOCK_BYTES = 2 ** 18
 # (size + 3 n N m) floats.  The step reads all of it, so its size, not a flop
 # count, sets the cost: at N = 10 the map holds about 130k numbers a lane
 # against 4k multiply-adds for the sparse stages, yet the fold is faster.
-# One lane of the state-mode vehicle loop, dt = 5e-3, BLAS on one thread
-# (``tools/time_layers.py step``), us per step folded against sparse, in two
-# runs: N = 10 (1.04 MB) 50 and 67 against 64 and 85; N = 11 (1.40 MB) 65
-# and 113 against 67 and 120; N = 12 (1.84 MB) 85 and 137 against 73 and 118;
-# N = 13 (2.38 MB) 130 against 82.  The output-mode default takes 1.28 MB.
+# A folded step over a sparse one, one lane of the state-mode vehicle loop,
+# dt = 5e-3, BLAS on one thread, five runs of ``tools/time_layers.py step``:
+# 0.78-0.88 at N = 10 (1.04 MB), 0.94-1.10 at N = 11 (1.40 MB), 1.11-1.18 at
+# N = 12 (1.84 MB), 1.25-1.62 at N = 13 (2.38 MB).  The output-mode default
+# takes 1.28 MB.
 FOLD_DRIFT_BYTES = 3 * 2 ** 19
 
 # Rows the CSV writer formats per write.  Formatting a whole vehicle run at
