@@ -15,16 +15,21 @@ bound on every state the steps pass through on the way to the first end.
 ``fold_drift_rk4`` folds an RK4 step of a drifting loop around its drift: the
 drift reads only the chain rows and adds only to the top level (and at n = 1
 in output mode to e_0'), so each stage input is affine in the state and the
-earlier stage drifts, and one product ``[s, 1, d_1, ..., d_4] @ y``
-(``DriftFold``) gives the next state and its drift-free stage inputs.  It is
-probed by running the sparse RK4 stages on unit vectors, about 10 ms at
-N = 10.  The layout argument is ``sim._Layout``.
+earlier stage drifts, and one map of z = [s, 1, d_1, ..., d_4] (``DriftFold``)
+gives the next state and its drift-free stage inputs.  The map is kept as one
+block per connected component of A (``fold_blocks``), stacked so that one
+batched product steps them all: the vehicle loops split by coordinate into
+two blocks, which hold half the numbers of the whole map, and the whole map is
+never formed.  It is probed by running the sparse RK4 stages on lanes that
+carry one input of every block at once, about 5 ms at N = 10.  The layout
+argument is ``sim._Layout``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -287,74 +292,174 @@ def _inf_norm(y) -> float:
     return float(np.max(np.abs(y).sum(axis=0)))
 
 
+class FoldBlocks(NamedTuple):
+    """The blocks a ``DriftFold`` map splits into, as the entries each one reads and writes.
+
+    Block g maps z[rows[g]] to the product's columns cols[g].  z and the
+    product each end in a spare entry: a padding row reads z's, a zero, and a
+    padding column writes the product's.  Probe lane r of the build carries
+    row r of every block.
+    """
+
+    rows: np.ndarray  # (G, R) indices into z = [s, 1, d_1, ..., d_4, 0]
+    cols: np.ndarray  # (G, C) indices into the product [s+, w_2, w_3, w_4, spare]
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the (G, R, C) block stack, all of which a step reads."""
+        return 8 * self.rows.size * self.cols.shape[1]
+
+
+def _components(op: AffineOperator) -> np.ndarray:
+    """Each state's connected component in the undirected graph of A's nonzeros, named by its smallest state.
+
+    Label propagation with pointer jumping: every nonzero gives both its ends
+    the smaller of their labels, then every label is replaced by its own
+    label until none changes.
+    """
+    label = np.arange(op.b.size)
+    while True:
+        low = np.minimum(label[op.rows], label[op.cols])
+        hooked = label.copy()
+        np.minimum.at(hooked, op.rows, low)
+        np.minimum.at(hooked, op.cols, low)
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
+
+
+def fold_blocks(op: AffineOperator, reads: slice, writes: tuple, q: int) -> FoldBlocks:
+    """The blocks of op's ``fold_drift_rk4`` map: one per connected component of A (``_components``).
+
+    A state belongs to its own component, drift slot (j, i) to the
+    components of its E rows (writes), stage-input column (j, i) to the
+    component of its P row (reads), and the constant to every block.  The
+    stages multiply exact zeros between components, so the map's entries
+    there are exact zeros and the blocks leave out no term.  A block's rows
+    are the inputs that reach it alone, padded to the most any block has,
+    then the inputs that reach more than one block, each in every block it
+    reaches; its columns are padded to the most any block has.  The stack is
+    taken when it holds fewer numbers than the whole map, else one block
+    holds the whole map.
+    """
+    size = op.b.size
+    p = reads.stop - reads.start
+    width, columns = size + 1 + 4 * q, size + 3 * p
+    _, comp = np.unique(_components(op), return_inverse=True)
+    count = comp.max() + 1
+    slots = np.zeros((count, q), dtype=bool)
+    for at in writes:
+        slots[comp[at], np.arange(q)] = True
+    reach = np.hstack([comp == np.arange(count)[:, None], np.ones((count, 1), dtype=bool), np.tile(slots, 4)])
+    alone = reach.sum(axis=0) == 1
+    shared = np.flatnonzero(~alone)
+    rows = np.hstack([_stacked([np.flatnonzero(r & alone) for r in reach], width),
+                      np.where(reach[:, shared], shared, width)])
+    col_comp = np.concatenate([comp, np.tile(comp[reads], 3)])
+    cols = _stacked([np.flatnonzero(col_comp == g) for g in range(count)], columns)
+    if rows.size * cols.shape[1] >= width * columns:
+        return FoldBlocks(np.arange(width)[None], np.arange(columns)[None])
+    return FoldBlocks(rows, cols)
+
+
+def _stacked(parts: list, fill: int) -> np.ndarray:
+    """The index arrays parts as the rows of one array, each padded with fill to the longest."""
+    out = np.full((len(parts), max(map(len, parts))), fill)
+    for g, part in enumerate(parts):
+        out[g, :len(part)] = part
+    return out
+
+
 @dataclass(frozen=True)
 class DriftFold:
     """One RK4 step of s' = A s + b + E d(P s) as products over the four stage drifts.
 
     P reads the chain rows a drift sees and E adds the drift where it acts.
     Every stage input u_j is affine in the state s and the earlier stage
-    drifts d_i = d(P u_i), so with z = [s, 1, d_1, d_2, d_3, d_4]:
+    drifts d_i = d(P u_i), so with z = [s, 1, d_1, d_2, d_3, d_4, 0]:
 
-    * ``z @ y`` = [s+, w_2, w_3, w_4], the next state and its drift-free
-      stage inputs w_j = P u_j(s+) at zero drift;
+    * the map z -> [s+, w_2, w_3, w_4] gives the next state and its
+      drift-free stage inputs w_j = P u_j(s+) at zero drift.  It is kept as
+      the blocks of ``fold_blocks``: block g takes z[rows[g]] @ y[g] into
+      the columns cols[g] of the product, which ends in a spare column;
     * P u_j = w_j + [d_1 ... d_{j-1}] @ couplings[j - 2], so the stage
       inputs of a step come from its own drifts and the previous product;
     * ``[s, 1] @ start`` = [w_2, w_3, w_4] of s, to begin from any state.
 
-    z, y and the stage inputs may carry a lane axis in front.
+    z, the product and the stage inputs may carry a lane axis in front.
     """
 
-    y: np.ndarray          # (size + 1 + 4 q, size + 3 p)
+    y: np.ndarray          # (G, R, C) block stack
+    rows: np.ndarray       # (G, R) indices into z
+    cols: np.ndarray       # (G, C) indices into the product [s+, w_2, w_3, w_4, spare]
     couplings: tuple       # ((j - 1) q, p) for j = 2, 3, 4
     start: np.ndarray      # (size + 1, 3 p)
 
 
-def fold_drift_rk4(op: AffineOperator, dt: float, reads: slice, writes: tuple, q: int) -> DriftFold:
-    """Probe one classical RK4 step of s' = A s + b + E d(P s) into a ``DriftFold``.
+def fold_drift_rk4(op: AffineOperator, dt: float, reads: slice, writes: tuple, q: int,
+                   blocks: FoldBlocks) -> DriftFold:
+    """Probe one classical RK4 step of s' = A s + b + E d(P s) into a ``DriftFold`` on blocks.
 
     reads is the slice of the p rows that P selects; each slice in writes
-    holds q rows and E adds d there.  The step's stages are the ones
-    ``rk4_step`` takes on the sparse operator plus the drift, with the
-    drifts as extra inputs, so they are linear in z = [s, 1, d_1, ..., d_4].
-    They run on the unit vectors of z, PROBE_CHUNK_BYTES at a time as lanes,
-    which gives y's next states, start and the couplings; y's stage inputs
-    are then [s+, 1] @ start.  No (size, size) array is formed but y's own
-    block.
+    holds q rows and E adds d there; blocks is ``fold_blocks`` of the same
+    arguments.  The step's stages are the ones ``rk4_step`` takes on the
+    sparse operator plus the drift, with the drifts as extra inputs, so they
+    are linear in z = [s, 1, d_1, ..., d_4].  They run on probe lanes,
+    PROBE_CHUNK_BYTES at a time: lane r is 1 in row r of every block and 0
+    elsewhere, as an input moves no block it does not reach.  That gives the
+    blocks' next states, and each input's stage inputs, which are start and
+    the couplings; the blocks' stage inputs are then [s+, 1] @ start within
+    each block.  No map but the blocks is formed, and no (size, size) array.
     """
     size = op.b.size
     p = reads.stop - reads.start
-    width = size + 1 + 4 * q
-    y = np.empty((width, size + 3 * p))
-    inputs = np.empty((width, 3 * p))
-    unit = np.arange(width)
-    per_call = max(1, PROBE_CHUNK_BYTES // (8 * width))
-    for cols, _, out in _probe_calls(lambda z, t: np.hstack(_rk4_stages(op, dt, reads, writes, z)),
-                                     unit, np.append(unit, width), np.ones(width), per_call):
-        y[cols, :size], inputs[cols] = out[:, :size], out[:, size:]
-    start, couplings = inputs[:size + 1], inputs[size + 1:]
-    y[:, size:] = y[:, :size] @ start[:size]
-    y[size, size:] += start[size]  # the constant's row: its next state keeps the 1
+    width, columns = size + 1 + 4 * q, size + 3 * p
+    rows, cols = blocks
+    y = np.empty((len(rows), rows.shape[1], cols.shape[1]))
+
+    lane_ops = {}  # the operator of each chunk's lanes, by lane count
+
+    def stages(z, t):  # [s+, P u_2, P u_3, P u_4] of z without its spare entry, then a spare zero column
+        if len(z) not in lane_ops:
+            lane_ops[len(z)] = stack_lanes([op] * len(z))
+        after, inputs = _rk4_stages(lane_ops[len(z)], dt, reads, writes, z[:, :width])
+        return np.hstack([after, inputs, np.zeros((len(z), 1))])
+
+    done = 0
+    for _, _, out in _probe_calls(stages, rows.T.ravel(), np.arange(0, rows.size + 1, len(rows)),
+                                  np.ones(width + 1), max(1, PROBE_CHUNK_BYTES // (8 * (width + 1)))):
+        y[:, done:done + len(out)] = out[:, cols].swapaxes(0, 1)
+        done += len(out)
+    # each input's stage inputs, read from every block it reaches (padding goes to a spare last row);
+    # start is their first size + 1 rows.  A block's columns are its n states, then its stage inputs
+    inputs = np.zeros((width + 1, 3 * p))
+    for block, r, c in zip(y, rows, cols):
+        n, stage = np.count_nonzero(c < size), c[(c >= size) & (c < columns)] - size
+        inputs[r[:, None], stage] = block[:, n:n + len(stage)]
+        block[:, n:n + len(stage)] = block[:, :n] @ inputs[np.ix_(c[:n], stage)]
+        block[r == size, n:n + len(stage)] += inputs[size, stage]  # the constant's next state keeps the 1
+    start, couplings = inputs[:size + 1].copy(), inputs[size + 1:width]
     # stage j + 1 reads the drifts of the j stages before it
-    return DriftFold(y, tuple(np.ascontiguousarray(couplings[:j * q, (j - 1) * p:j * p]) for j in (1, 2, 3)),
-                     start)
+    couplings = tuple(np.ascontiguousarray(couplings[:j * q, (j - 1) * p:j * p]) for j in (1, 2, 3))
+    return DriftFold(y, rows, cols, couplings, start)
 
 
 def _rk4_stages(op: AffineOperator, dt: float, reads: slice, writes: tuple, z: np.ndarray):
     """The next states of the (lanes, size + 1 + 4 q) inputs z, and their stage inputs [P u_2, P u_3, P u_4].
 
-    Stage j adds z's constant times b and E d_j to A u_j; the arithmetic is
+    op steps z's lanes (``stack_lanes`` of one loop's operator).  Stage j
+    adds z's constant times b and E d_j to A u_j; the arithmetic is
     ``rk4_step``'s.
     """
-    size = op.b.size
-    lanes = len(z)
+    size = op.b.shape[-1]
     s, one = z[:, :size], z[:, size, None]
-    drifts = z[:, size + 1:].reshape(lanes, 4, -1)
-    offsets = (size * np.arange(lanes))[:, None]
-    rows, cols = (op.rows + offsets).ravel(), (op.cols + offsets).ravel()
-    vals = np.tile(op.vals, lanes)
+    drifts = z[:, size + 1:].reshape(len(z), 4, -1)
 
     def rhs(u, j):
-        k = np.bincount(rows, weights=vals * u.take(cols), minlength=u.size).reshape(u.shape)
+        k = np.bincount(op.rows, weights=op.terms(u), minlength=u.size).reshape(u.shape)
         k += one * op.b
         for at in writes:
             k[:, at] += drifts[:, j]

@@ -20,27 +20,28 @@ Under a game declared affine, everything but the drift is an affine map
 columns whose rows cannot overlap into one lane: 75 lanes and about 2 ms at
 N = 10, 215 lanes and about 25 ms at N = 30.  A loop with drift folds its RK4
 step around the drift ("folded+drift") when every lane of its batch steps one
-operator and the map fits FOLD_DRIFT_BYTES: the stage inputs are affine in the
-state and the earlier stage drifts, so with z = [s, 1, d_1, ..., d_4] one
-product ``z @ Y`` gives the next state and the next step's drift-free stage
+operator and the map's blocks fit FOLD_DRIFT_BYTES: the stage inputs are
+affine in the state and the earlier stage drifts, so with z = [s, 1, d_1,
+..., d_4] one map gives the next state and the next step's drift-free stage
 inputs, and each stage adds one small product and one call per distinct
-drift (``affine.fold_drift_rk4``).  Otherwise it evaluates each RK4 stage as
-one sparse matvec plus the stacked drift.  A drift-free loop
-folds its whole RK4 step into one propagator ``s <- Phi s + c``, and a group
-of record intervals of record_stride steps each into one product of the same
-kind (``Propagator.intervals``), whose ends are the next records.  It keeps
-the ends up to the first interval at whose start a bound cannot show that
-none of the steps it skips can leave the magnitude guard.  Other games step
-the structured right-hand side.
+drift (``affine.fold_drift_rk4``).  The map is kept as one block per
+connected component of the operator, and a step gathers z into the blocks'
+rows, takes one batched product and scatters it back in layout order.
+Otherwise it evaluates each RK4 stage as one sparse matvec plus the stacked
+drift.  A drift-free loop folds its whole RK4 step into one propagator
+``s <- Phi s + c``, and a group of record intervals of record_stride steps
+each into one product of the same kind (``Propagator.intervals``), whose ends
+are the next records.  It keeps the ends up to the first interval at whose
+start a bound cannot show that none of the steps it skips can leave the
+magnitude guard.  Other games step the structured right-hand side.
 
 ``run_lanes`` integrates many loops at once.  Loops that share the layout,
 the step grid and the drift callables (and, unless the game is affine with
 drift, the model objects) step as the lanes of one ``(lanes, size)`` state:
-one ``Z @ Y`` a step, one sparse product with per-lane nonzeros a stage, one
-``S @ Phi^T`` (or one product per group of record intervals) or one
-structured call per stage, one call per distinct drift a stage, and one
-record of every lane.  ``_Recorder.extend``
-is the one way to record: it copies a slab of full states, one record or a
+one batched block product a step, one sparse product with per-lane nonzeros
+a stage, one ``S @ Phi^T`` (or one product per group of record intervals) or
+one structured call per stage, one call per distinct drift a stage, and one
+record of every lane.  ``_Recorder.extend`` is the one way to record: it copies a slab of full states, one record or a
 group's ends, into a block of at most RECORD_BLOCK_BYTES, reduced to the
 recorded series one block at a time.  Record i is the state at step
 min(i record_stride, steps), and its time comes from that grid.
@@ -58,7 +59,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import control
-from .affine import AffineOperator, fold_drift_rk4, folded_rk4, probe_affine, stack_lanes
+from .affine import (AffineOperator, FoldBlocks, fold_blocks, fold_drift_rk4, folded_rk4, probe_affine,
+                     stack_lanes)
 from .control import GainSet, ObserverSet
 from .errors import (
     ConfigInvalid,
@@ -90,15 +92,19 @@ MAX_LANES = 64
 # this many bytes too: 7 maps of the turbine loop, 4 in output mode.
 RECORD_BLOCK_BYTES = 2 ** 18
 
-# Bytes of the map a "folded+drift" step multiplies by, (size + 1 + 4 N m) x
-# (size + 3 n N m) floats.  The step reads all of it, so its size, not a flop
-# count, sets the cost: at N = 10 the map holds about 130k numbers a lane
-# against 4k multiply-adds for the sparse stages, yet the fold is faster.
-# A folded step over a sparse one, one lane of the state-mode vehicle loop,
-# dt = 5e-3, BLAS on one thread, five runs of ``tools/time_layers.py step``:
-# 0.78-0.88 at N = 10 (1.04 MB), 0.94-1.10 at N = 11 (1.40 MB), 1.11-1.18 at
-# N = 12 (1.84 MB), 1.25-1.62 at N = 13 (2.38 MB).  The output-mode default
-# takes 1.28 MB.
+# Bytes of the block stack a "folded+drift" step multiplies by
+# (``affine.fold_blocks``): two blocks of (size / 2 + 1 + 2 N m) x
+# (size / 2 + 3 n N m / 2) floats on the vehicle loops, one per coordinate.
+# The step reads all of it, so its size, not a flop count, sets the cost: at
+# N = 10 the stack holds about 65k numbers a lane against 4k multiply-adds for
+# the sparse stages, yet the fold is faster.  A folded step over a sparse one,
+# one lane of the state-mode vehicle loop, dt = 5e-3, BLAS on one thread,
+# three runs of ``tools/time_layers.py step``: 0.73-0.75 at N = 10 (0.52 MB),
+# 0.71-0.76 at N = 11 (0.70 MB), 0.77-0.81 at N = 12 (0.92 MB), 0.85-0.93 at
+# N = 13 (1.19 MB), 0.99-1.20 at N = 14 (1.52 MB) and 1.23-1.26 at N = 15
+# (1.91 MB); four lanes, 0.71 at N = 14 and 1.10 at N = 16 (2.36 MB).  So
+# the bound, 1.57 MB, takes N = 14, about even on one lane and faster on four,
+# and leaves N = 15 sparse.  The output-mode default takes 0.64 MB.
 FOLD_DRIFT_BYTES = 3 * 2 ** 19
 
 # Rows the CSV writer formats per write.  Formatting a whole vehicle run at
@@ -376,12 +382,13 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
       interval not kept, and the remainder interval, take one O(size^2)
       matvec a step with the per-step guard;
     * affine game with drift, and every lane of the batch on one probed
-      operator ("folded+drift"): one dense product a step of z = [s, 1, d_1,
-      ..., d_4] with a map of (size + 1 + 4 N m) x (size + 3 n N m) floats,
-      and a small product and one call per distinct drift a stage
-      (``affine.fold_drift_rk4``).  It is taken when the map takes at most
-      FOLD_DRIFT_BYTES and its size + 1 + 4 N m input vectors, each probed
-      once through the sparse stages, are at most steps lanes;
+      operator ("folded+drift"): one batched product a step of z = [s, 1,
+      d_1, ..., d_4] with the blocks of a map of (size + 1 + 4 N m) x
+      (size + 3 n N m) floats, one block per connected component of the
+      operator (``affine.fold_blocks``), and a small product and one call
+      per distinct drift a stage (``affine.fold_drift_rk4``).  It is taken
+      when the block stack takes at most FOLD_DRIFT_BYTES and the
+      size + 1 + 4 N m input vectors of z are at most steps lanes;
     * any other affine game with drift ("sparse+drift"): ``rk4_step`` on the
       probed sparse operator plus the stacked drift, one O(nonzeros) matvec
       and one call per distinct drift a stage;
@@ -623,9 +630,9 @@ def _integrate(batch: list) -> list:
         if stride > 1 and count >= 1:
             group = advance.intervals(stride, count)
         kind = "folded" if group is None else "interval"
-    elif lane.game.affine and _folds(batch, steps):
+    elif lane.game.affine and (blocks := _folds(batch, steps)) is not None:
         kind = "folded+drift"
-        advance, restart = _fold_stepper(batch[0].op, cfg.dt, groups, layout, state)
+        advance, restart = _fold_stepper(batch[0].op, cfg.dt, groups, layout, state, blocks)
     else:
         kind = "sparse+drift" if lane.game.affine else "structured"
         rhs = (stack_lanes([start.op for start in batch]).apply if lane.game.affine
@@ -680,43 +687,53 @@ def _integrate(batch: list) -> list:
     return recorder.split(failures, kind, None if group is None else count, products, one_step)
 
 
-def _folds(batch: list, steps: int) -> bool:
-    """Whether a drifting affine batch steps "folded+drift".
+def _folds(batch: list, steps: int) -> Optional[FoldBlocks]:
+    """The blocks of the "folded+drift" map when a drifting affine batch steps that kind, else None.
 
     Every lane must step the same probed operator, so that one product
-    serves them all, and the map must take at most FOLD_DRIFT_BYTES.  The
-    build steps each of the map's width input vectors once through the
-    sparse stages, so it is counted as width lane-steps, as the interval
-    rule counts a size^3 product as size of them: the steps of all lanes
-    must be at least that many.
+    serves them all, and the block stack (``affine.fold_blocks``) must take
+    at most FOLD_DRIFT_BYTES.  The build steps each of the width input
+    vectors of z once through the sparse stages, so it is counted as width
+    lane-steps, as the interval rule counts a size^3 product as size of
+    them: the steps of all lanes must be at least that many.
     """
-    layout = batch[0].layout
+    layout, op = batch[0].layout, batch[0].op
     q = layout.N * layout.m
-    width, out = layout.size + 1 + 4 * q, layout.size + 3 * layout.chain_sl.stop
-    return (all(start.op is batch[0].op for start in batch) and 8 * width * out <= FOLD_DRIFT_BYTES
-            and width <= steps * len(batch))
+    if not (all(start.op is op for start in batch) and layout.size + 1 + 4 * q <= steps * len(batch)):
+        return None
+    blocks = fold_blocks(op, layout.chain_sl, layout.drift_sl, q)
+    return blocks if blocks.nbytes <= FOLD_DRIFT_BYTES else None
 
 
-def _fold_stepper(op: AffineOperator, dt: float, groups: list, layout: _Layout, state: np.ndarray):
+def _fold_stepper(op: AffineOperator, dt: float, groups: list, layout: _Layout, state: np.ndarray,
+                  blocks: FoldBlocks):
     """advance(s, t) and restart(failures) of the "folded+drift" step of a batch that shares op.
 
-    z = [s, 1, d_1, ..., d_4] is one buffer with the batch's lane shape in
-    front, and so is the product [s+, w_2, w_3, w_4] (``affine.DriftFold``).
-    A step puts s into z, each stage's drift into its slot of z (stage j + 1
-    reads w_{j+1} plus one small product of the drifts before it) and takes
-    one product, whose state part it returns.  restart gives every masked
+    z = [s, 1, d_1, ..., d_4, 0] is one buffer with the batch's lane shape
+    in front, and so is the product [s+, w_2, w_3, w_4, spare]
+    (``affine.DriftFold``).  A step puts s into z, each stage's drift into
+    its slot of z (stage j + 1 reads w_{j+1} plus one small product of the
+    drifts before it), gathers z into the blocks' rows, takes one batched
+    product with the block stack, scatters it into the product in layout
+    order and returns the product's state part.  restart gives every masked
     lane, which ``_mask_diverged`` zeroed, the stage inputs of the zero state.
     """
     q, p, size = layout.N * layout.m, layout.chain_sl.stop, layout.size
-    fold = fold_drift_rk4(op, dt, layout.chain_sl, layout.drift_sl, q)
+    fold = fold_drift_rk4(op, dt, layout.chain_sl, layout.drift_sl, q, blocks)
     lanes = state.shape[:-1]
-    z = np.zeros(lanes + (size + 1 + 4 * q,))
+    z = np.zeros(lanes + (size + 2 + 4 * q,))
     z[..., :size], z[..., size] = state, 1.0
-    out = np.empty(lanes + (fold.y.shape[1],))
-    out[..., size:] = z[..., :size + 1] @ fold.start
+    out = np.empty(lanes + (size + 3 * p + 1,))
+    out[..., size:-1] = z[..., :size + 1] @ fold.start
     inputs = [out[..., size + j * p:size + (j + 1) * p] for j in range(3)]
     slots = [layout.players(z[..., size + 1 + j * q:size + 1 + (j + 1) * q]) for j in range(4)]
     stage = np.empty(lanes + (p,))
+    # each lane's block rows and columns as flat indices into z and out; the
+    # stacks hold them lane by lane, and the product takes them block by block
+    first = np.arange(z.size // z.shape[-1])[:, None, None]
+    gather, scatter = first * z.shape[-1] + fold.rows, first * out.shape[-1] + fold.cols
+    rows, products = np.empty(gather.shape), np.empty(scatter.shape)
+    flat = out.reshape(-1)
 
     def put(chain, slot):
         for sel, drift, w in groups:
@@ -729,11 +746,13 @@ def _fold_stepper(op: AffineOperator, dt: float, groups: list, layout: _Layout, 
             np.matmul(z[..., size + 1:size + 1 + (j + 1) * q], fold.couplings[j], out=stage)
             np.add(stage, inputs[j], out=stage)
             put(layout.chain(stage), slots[j + 1])
-        np.matmul(z, fold.y, out=out)
+        np.take(z, gather, out=rows, mode="clip")  # in range; "clip" writes into rows unbuffered
+        np.matmul(rows.swapaxes(0, 1), fold.y, out=products.swapaxes(0, 1))
+        flat[scatter] = products
         return out[..., :size]
 
     def restart(failures):
-        out[[b for b, failure in enumerate(failures) if failure], size:] = fold.start[size]
+        out[[b for b, failure in enumerate(failures) if failure], size:-1] = fold.start[size]
 
     return advance, restart
 

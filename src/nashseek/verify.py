@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config, control, game as game_mod, graph as graph_mod, scenarios, sim
+from . import affine, config, control, game as game_mod, graph as graph_mod, scenarios, sim
 from .errors import NashseekError
 
 GROUPS = ("graph", "control", "game", "sim")
@@ -21,7 +21,7 @@ GROUPS = ("graph", "control", "game", "sim")
 # The folded drift step against the sparse RK4 step: steps of two lanes of
 # each default vehicle run, enough for the batch to fold, and the decision gap
 # allowed at any record, relative to the largest decision there.  Over the
-# 40 s default runs the gap reads 3.8e-13 (state) and 8.5e-13 (output).
+# 40 s default runs the gap reads 4.0e-13 (state) and 7.0e-13 (output).
 FOLD_CHECK_STEPS = 200
 FOLD_CHECK_RTOL = 1e-12
 
@@ -213,7 +213,7 @@ def _check_sim() -> list[CheckResult]:
 
     # two seeds of each default as one batch; with a gain object of its own
     # the second lane has an operator of its own, so that pair steps sparse
-    gaps, kinds = [], []
+    gaps, kinds, stacks = [], [], []
     for algo in ("state", "output"):
         s = config.build_run_setup(config.default_config("vehicles", algo))
         cfg = dataclasses.replace(s.sim_config, horizon=FOLD_CHECK_STEPS * s.sim_config.dt)
@@ -225,11 +225,17 @@ def _check_sim() -> list[CheckResult]:
         for a, b in zip(folded, sparse):
             gap = np.max(np.abs(a.decisions - b.decisions), axis=(1, 2))
             gaps.append(float(np.max(gap / np.max(np.abs(b.decisions), axis=(1, 2)))))
+        start = sim._start(lane, {})
+        layout = start.layout
+        blocks = affine.fold_blocks(start.op, layout.chain_sl, layout.drift_sl, layout.N * layout.m)
+        stacks.append(f"{algo} {len(blocks.rows)} x {blocks.rows.shape[1]} x {blocks.cols.shape[1]} "
+                      f"({blocks.nbytes / 1e6:.2f} MB)")
     results.append(CheckResult(
         "sim", "folded drift step matches the sparse RK4 step (vehicles, both modes)",
         all(k == ("folded+drift", "sparse+drift") for k in kinds) and max(gaps) <= FOLD_CHECK_RTOL,
         f"2 lanes x {FOLD_CHECK_STEPS} steps, largest decision gap relative to the largest decision: "
-        f"state {max(gaps[:2]):.2e}, output {max(gaps[2:]):.2e} (bound {FOLD_CHECK_RTOL:g})",
+        f"state {max(gaps[:2]):.2e}, output {max(gaps[2:]):.2e} (bound {FOLD_CHECK_RTOL:g}); "
+        f"blocks the step reads: {', '.join(stacks)}",
     ))
     return results
 

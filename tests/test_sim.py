@@ -21,7 +21,7 @@ from nashseek.errors import (
 from nashseek.game import Game, extended_pseudo_gradient
 from nashseek.graph import Digraph
 from nashseek import affine, sim, verify
-from nashseek.affine import PROBE_CHUNK_BYTES, folded_rk4, probe_affine, stack_lanes
+from nashseek.affine import PROBE_CHUNK_BYTES, AffineOperator, fold_blocks, folded_rk4, probe_affine, stack_lanes
 from nashseek.scenarios import (
     VEHICLE_TABLE,
     build_turbine_market,
@@ -1013,14 +1013,26 @@ class TestProbedOperator:
 
 
 class TestDriftFold:
-    """The "folded+drift" step: one product of z = [s, 1, d_1, ..., d_4] per RK4 step."""
+    """The "folded+drift" step: one batched product of z = [s, 1, d_1, ..., d_4] per RK4 step."""
 
     LOOPS = {
         "vehicles-state": lambda: loop_inputs("state", "vehicles")[:5],
         "vehicles-output": lambda: loop_inputs("output", "vehicles")[:5],
         "mixed-drifts": lambda: loop_inputs("state", "vehicles", mixed_drift_plants())[:5],
         "first-order-output": first_order_output_loop,
+        "turbines-drift": lambda: loop_inputs(
+            "output", "turbines", [Plant(4, 1, drift=linear_drift, w=0.1 * (i + 1)) for i in range(6)])[:5],
     }
+    # blocks of each loop: the vehicle loops split by coordinate, the
+    # first-order loop's identity game by player too, the turbine loop not at all
+    BLOCKS = {"vehicles-state": 2, "vehicles-output": 2, "mixed-drifts": 2, "first-order-output": 6,
+              "turbines-drift": 1}
+
+    @staticmethod
+    def probed(game, plants, g, gains, obs):
+        layout = _Layout(gains.order_n, game.n_players, game.decision_dim, output_mode=obs is not None)
+        op = probe_affine(_make_rhs(game, g, gains, obs, layout), layout)
+        return layout, op, fold_blocks(op, layout.chain_sl, layout.drift_sl, layout.N * layout.m)
 
     @pytest.mark.parametrize("lanes", [1, 3])
     @pytest.mark.parametrize("loop", LOOPS)
@@ -1029,12 +1041,12 @@ class TestDriftFold:
         # drift on the e_0 rows too; the product sums in another order than
         # the sparse stages, so the two agree to rounding, not bit for bit
         game, plants, g, gains, obs = self.LOOPS[loop]()
-        layout = _Layout(gains.order_n, game.n_players, game.decision_dim, output_mode=obs is not None)
-        op = probe_affine(_make_rhs(game, g, gains, obs, layout), layout)
+        layout, op, blocks = self.probed(game, plants, g, gains, obs)
+        assert len(blocks.rows) == len(blocks.cols) == self.BLOCKS[loop]
         shape = (layout.size,) if lanes == 1 else (lanes, layout.size)
         state = np.random.default_rng(4).uniform(-5.0, 5.0, shape)
         groups = _drift_groups([plants] * lanes, state.shape[:-1])
-        advance, _ = sim._fold_stepper(op, 1e-3, groups, layout, state)
+        advance, _ = sim._fold_stepper(op, 1e-3, groups, layout, state, blocks)
         rhs = _with_drift(stack_lanes([op] * lanes).apply, groups, layout)
         folded = sparse = state
         for k in range(50):
@@ -1042,19 +1054,72 @@ class TestDriftFold:
             sparse = rk4_step(rhs, sparse, k * 1e-3, 1e-3)
             assert np.max(np.abs(folded - sparse)) <= 1e-13 * np.max(np.abs(sparse))
 
+    @pytest.mark.parametrize("mode, rows, cols", [("state", 171, 190), ("output", 191, 210)])
+    def test_vehicle_loops_split_into_one_block_per_coordinate(self, mode, rows, cols):
+        # a block holds one coordinate's states, the constant and that
+        # coordinate's 4 x 10 drift slots, with no padding: 0.52 MB of block
+        # stack in state mode and 0.64 MB in output mode
+        game, plants, g, gains, obs, _, _ = loop_inputs(mode, "vehicles")
+        layout, op, blocks = self.probed(game, plants, g, gains, obs)
+        q, size = layout.N * layout.m, layout.size
+        assert blocks.rows.shape == (2, rows) and blocks.cols.shape == (2, cols)
+        assert blocks.nbytes == 8 * 2 * rows * cols
+        assert np.all(blocks.rows <= size + 4 * q) and np.all(blocks.cols < size + 3 * layout.chain_sl.stop)
+        for coordinate, (r, c) in enumerate(zip(blocks.rows, blocks.cols)):
+            assert np.all(r[r < size] % 2 == coordinate) and np.all(c[c < size] % 2 == coordinate)
+            assert np.all((r[r > size] - size - 1) % q % 2 == coordinate)
+        assert np.array_equal(np.sort(blocks.rows.ravel()),
+                              np.sort(np.concatenate([np.arange(size + 1 + 4 * q), [size]])))
+
+    @pytest.mark.parametrize("edges, size, writes, shape", [
+        # components {0, 1, 2, 3} and {4, 5}: the smaller block is padded to the larger
+        ([(0, 1), (1, 2), (2, 3), (4, 5)], 6, (slice(0, 6),), (2, 21, 16)),
+        # {0, ..., 4} and {5}: padded, the stack would hold more than the map, so one block holds it
+        ([(0, 1), (1, 2), (2, 3), (3, 4)], 6, (slice(0, 6),), (1, 31, 24)),
+        # {0, 1} and {2, 3}, each drift slot adding to one row of each: every
+        # slot, like the constant, is gathered into both blocks
+        ([(0, 1), (2, 3)], 4, (slice(0, 2), slice(2, 4)), (2, 11, 8)),
+    ])
+    def test_blocks_pad_to_the_largest_or_fall_back_to_one(self, edges, size, writes, shape):
+        # against the stages themselves: z's next state, and the drift-free
+        # stage inputs of that state, on P = every state
+        pairs = np.array(edges + [(j, i) for i, j in edges] + [(i, i) for i in range(size)])
+        rng = np.random.default_rng(2)
+        op = AffineOperator(pairs[:, 0], pairs[:, 1], rng.uniform(-2.0, 2.0, len(pairs)),
+                            rng.uniform(-1.0, 1.0, size))
+        q, reads, dt = writes[0].stop - writes[0].start, slice(0, size), 0.1
+        blocks = fold_blocks(op, reads, writes, q)
+        assert (len(blocks.rows), blocks.rows.shape[1], blocks.cols.shape[1]) == shape
+        fold = affine.fold_drift_rk4(op, dt, reads, writes, q, blocks)
+        width = size + 1 + 4 * q
+        z = rng.uniform(-1.0, 1.0, (3, width + 1))
+        z[:, size], z[:, width] = 1.0, 0.0
+        product = np.zeros((3, size + 3 * size + 1))
+        for y, rows, cols in zip(fold.y, fold.rows, fold.cols):
+            product[:, cols] = z[:, rows] @ y
+        lanes_op = stack_lanes([op] * 3)
+        after, _ = affine._rk4_stages(lanes_op, dt, reads, writes, z[:, :width])
+        _, inputs = affine._rk4_stages(lanes_op, dt, reads, writes,
+                                       np.hstack([after, np.ones((3, 1)), np.zeros((3, 4 * q))]))
+        expected = np.hstack([after, inputs])
+        assert np.max(np.abs(product[:, :-1] - expected)) <= 1e-14 * np.max(np.abs(expected))
+
     @pytest.mark.parametrize("n_players, mode, folds", [
         (10, "state", True), (10, "output", True), (11, "state", True),
-        (11, "output", False), (12, "state", False), (30, "state", False)])
+        (11, "output", True), (12, "state", True), (13, "output", True), (14, "state", True),
+        (14, "output", False), (15, "state", False), (30, "state", False)])
     def test_the_map_must_fit_the_byte_bound(self, n_players, mode, folds):
-        # (size + 1 + 4 N m) (size + 3 n N m) floats: 1.04 MB at N = 10, 1.28 MB
-        # in output mode, 1.40 MB at N = 11 against 1.71 MB in output mode,
-        # 1.84 MB at N = 12 and 40 MB at N = 30
+        # two blocks, one per coordinate, of (size / 2 + 1 + 2 N m) (size / 2 + 3 n N m / 2)
+        # floats each: 0.52 MB at N = 10 against 0.64 MB in output mode, 0.70 MB at
+        # N = 11 against 0.86 MB, 0.92 MB at N = 12, 1.43 MB at N = 13 in output
+        # mode, 1.52 MB at N = 14 against 1.81 MB, 1.91 MB at N = 15 and 20.8 MB at
+        # N = 30, all against FOLD_DRIFT_BYTES = 1.57 MB
         table = [VEHICLE_TABLE[i % 10] for i in range(n_players)]
         anchors = np.random.default_rng(0).uniform(-15.0, 15.0, size=(n_players, 2))
         game, plants, g, _ = build_vehicle_formation(table=table, offsets=anchors)
         lane = sim.Lane(game, plants, g, VEHICLE_GAINS, VEHICLE_OBSERVER if mode == "output" else None,
                         SimConfig(dt=1e-3, horizon=1.0))
-        assert sim._folds([sim._start(lane, {})], steps=10 ** 6) == folds
+        assert (sim._folds([sim._start(lane, {})], steps=10 ** 6) is not None) == folds
 
     @pytest.mark.parametrize("steps, lanes, folds", [(341, 1, True), (340, 1, False), (114, 3, True),
                                                       (113, 3, False)])

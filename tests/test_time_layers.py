@@ -54,11 +54,12 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
 
     step = tool.LAYERS["step"]("2", "lanes=2")
     assert list(step) == [2]
-    assert list(step[2]) == ["size", "lanes", "kind", "fold_bytes", "build_s", "folded_us", "sparse_us",
-                             "repeats"]
-    # two vehicles: size 20 and a 37 x 44 map, which 2 400 steps of two lanes pay back
+    assert list(step[2]) == ["size", "lanes", "kind", "fold_bytes", "blocks", "build_s", "folded_us",
+                             "sparse_us", "repeats"]
+    # two vehicles: size 20 and a 37 x 44 map, whose 37 inputs 2 400 steps of two lanes pay back,
+    # split by coordinate into two blocks of 19 x 22
     assert (step[2]["size"], step[2]["lanes"], step[2]["kind"]) == (20, 2, "folded+drift")
-    assert step[2]["fold_bytes"] == 8 * 37 * 44 and step[2]["repeats"] == 3
+    assert (step[2]["fold_bytes"], step[2]["blocks"]) == (8 * 2 * 19 * 22, 2) and step[2]["repeats"] == 3
     assert 0 < step[2]["build_s"] and 0 < step[2]["folded_us"] and 0 < step[2]["sparse_us"]
     json.dumps([probe, cert, record, step])
 

@@ -6,13 +6,15 @@
 probe: N -> size, median_s, repeats, nonzeros, lanes, calls of ``affine.probe_affine`` on the
   drift-free state-mode loop of N vehicles (the table repeated, anchors uniform in [-15, 15]^2
   with seed 0, default cycle digraph and gains), with one probe's rhs lanes and calls.
-step: N -> size, lanes, kind, fold_bytes, build_s, folded_us, sparse_us, repeats for L lanes
+step: N -> size, lanes, kind, fold_bytes, blocks, build_s, folded_us, sparse_us, repeats for L lanes
   (default 1) of that state-mode loop of N vehicles with its drift, seeds 0..L-1, at dt = STEP_DT:
   kind is the step kind a run of STEPS steps takes, read from its ``Trajectory.stepping``;
-  fold_bytes and build_s are the size and build time of the "folded+drift" map
-  (``affine.fold_drift_rk4``); folded_us and sparse_us are the microseconds per RK4 step of the
-  batch, "folded+drift" (``sim._fold_stepper``) and "sparse+drift" (``sim.rk4_step`` on the
-  stacked probed operator plus the drift), STEPS steps of each in turn from the run's start.
+  fold_bytes and blocks are the bytes of the "folded+drift" block stack, which a step reads, and
+  its block count (``affine.fold_blocks``); build_s is the time to find the blocks and build the
+  stepper on them (``affine.fold_drift_rk4``); folded_us and sparse_us are the microseconds per
+  RK4 step of the batch, "folded+drift" (``sim._fold_stepper``) and "sparse+drift"
+  (``sim.rk4_step`` on the stacked probed operator plus the drift), STEPS steps of each in turn
+  from the run's start.
 certificate: N -> median_s, repeats, passed, residual of ``graph.estimation_certificate`` of
   ``scenarios.default_cycle_digraph(N)``.
 record: algo, records, group, csv_bytes, repeats, run_s, record_s, csv_write_s of ``sim.run`` on
@@ -130,13 +132,14 @@ def step(*args) -> dict:
         state = starts[0].state if lanes == 1 else np.stack([start.state for start in starts])
         groups = sim._drift_groups([plants] * lanes, state.shape[:-1])
         rhs = sim._with_drift(affine.stack_lanes([op] * lanes).apply, groups, layout)
-        fold = affine.fold_drift_rk4(op, STEP_DT, layout.chain_sl, layout.drift_sl, n * 2)
+        blocks = affine.fold_blocks(op, layout.chain_sl, layout.drift_sl, n * 2)
 
         def call():
-            # a fold stepper carries its stage inputs, so each call builds a fresh one, untimed
+            # a fold stepper carries its stage inputs, so each call builds a fresh one
             began = time.perf_counter()
-            advances = {"folded_us": sim._fold_stepper(op, STEP_DT, groups, layout, state)[0],
-                        "sparse_us": lambda s, t: sim.rk4_step(rhs, s, t, STEP_DT)}
+            fold = sim._fold_stepper(op, STEP_DT, groups, layout, state,
+                                     affine.fold_blocks(op, layout.chain_sl, layout.drift_sl, n * 2))
+            advances = {"folded_us": fold[0], "sparse_us": lambda s, t: sim.rk4_step(rhs, s, t, STEP_DT)}
             fields = {"build_s": time.perf_counter() - began}
             for name, advance in advances.items():
                 s, began = state, time.perf_counter()
@@ -146,8 +149,8 @@ def step(*args) -> dict:
             return fields, None
 
         fields, runs, _ = repeat(call)
-        out[n] = {"size": layout.size, "lanes": lanes, "kind": kind, "fold_bytes": fold.y.nbytes,
-                  **fields, "repeats": runs}
+        out[n] = {"size": layout.size, "lanes": lanes, "kind": kind, "fold_bytes": blocks.nbytes,
+                  "blocks": len(blocks.rows), **fields, "repeats": runs}
     return out
 
 
