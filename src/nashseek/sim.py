@@ -730,9 +730,9 @@ def _fold_stepper(op: AffineOperator, dt: float, groups: list, layout: _Layout, 
     stage = np.empty(lanes + (p,))
     # each lane's block rows and columns as flat indices into z and out; the
     # stacks hold them lane by lane, and the product takes them block by block
-    first = np.arange(z.size // z.shape[-1])[:, None, None]
-    gather, scatter = first * z.shape[-1] + fold.rows, first * out.shape[-1] + fold.cols
-    rows, products = np.empty(gather.shape), np.empty(scatter.shape)
+    lane = np.arange(z.size // z.shape[-1])[:, None, None]
+    gather, scatter = lane * z.shape[-1] + fold.rows, lane * out.shape[-1] + fold.cols
+    gathered, products = np.empty(gather.shape), np.empty(scatter.shape)
     flat = out.reshape(-1)
 
     def put(chain, slot):
@@ -746,8 +746,8 @@ def _fold_stepper(op: AffineOperator, dt: float, groups: list, layout: _Layout, 
             np.matmul(z[..., size + 1:size + 1 + (j + 1) * q], fold.couplings[j], out=stage)
             np.add(stage, inputs[j], out=stage)
             put(layout.chain(stage), slots[j + 1])
-        np.take(z, gather, out=rows, mode="clip")  # in range; "clip" writes into rows unbuffered
-        np.matmul(rows.swapaxes(0, 1), fold.y, out=products.swapaxes(0, 1))
+        np.take(z, gather, out=gathered, mode="clip")  # in range; "clip" writes into out unbuffered
+        np.matmul(gathered.swapaxes(0, 1), fold.y, out=products.swapaxes(0, 1))
         flat[scatter] = products
         return out[..., :size]
 

@@ -21,7 +21,8 @@ from nashseek.errors import (
 from nashseek.game import Game, extended_pseudo_gradient
 from nashseek.graph import Digraph
 from nashseek import affine, sim, verify
-from nashseek.affine import PROBE_CHUNK_BYTES, AffineOperator, fold_blocks, folded_rk4, probe_affine, stack_lanes
+from nashseek.affine import (PROBE_CHUNK_BYTES, AffineOperator, fold_blocks, folded_rk4, probe_affine,
+                             stack_lanes)
 from nashseek.scenarios import (
     VEHICLE_TABLE,
     build_turbine_market,
