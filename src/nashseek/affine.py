@@ -7,29 +7,29 @@ chunk of groups at a time as the lanes of one batched call, and keeps ``A`` as
 its nonzeros, so a drifting loop costs one sparse matvec per RK4 stage.  At
 N = 30 that is 215 lanes and about 25 ms; at N = 10, 75 lanes and 2.4 ms.
 ``stack_lanes`` puts the operators of a batch of loops side by side over a
-``(lanes, size)`` state, each lane with its own nonzeros.  ``folded_rk4``
-turns a drift-free loop into one dense ``Propagator``, ``s <- Phi s + c``;
-``Propagator.intervals`` folds record intervals of r such steps each and puts
-their maps side by side, so one product gives the ends of all of them, with a
-bound on every state the steps pass through on the way to the first end.
-``fold_drift_rk4`` folds an RK4 step of a drifting loop around its drift: the
-drift reads only the chain rows and adds only to the top level (and at n = 1
-in output mode to e_0'), so each stage input is affine in the state and the
-earlier stage drifts, and one map of z = [s, 1, d_1, ..., d_4] (``DriftFold``)
-gives the next state and its drift-free stage inputs.  The map is kept as one
-block per connected component of A (``fold_blocks``), stacked so that one
-batched product steps them all: the vehicle loops split by coordinate into
-two blocks, which hold half the numbers of the whole map, and the whole map is
-never formed.  It is probed by running the sparse RK4 stages on lanes that
-carry one input of every block at once, about 5 ms at N = 10.  The layout
-argument is ``sim._Layout``.
+``(lanes, size)`` state, each lane with its own nonzeros.  ``rk4_step`` is the
+one RK4 step, and ``fold_drift_rk4`` folds it around the drift: the drift
+reads only the chain rows and adds only to the top level (and at n = 1 in
+output mode to e_0'), so each stage input is affine in the state and the
+earlier stage drifts, and one map of z = [s, 1, d_1, ..., d_4] (``DriftFold``;
+z = [s, 1] without drift) gives the next state and its drift-free stage
+inputs.  The map is kept as one block per connected component of A
+(``fold_blocks``), stacked so that one batched product steps them all: the
+vehicle loops split by coordinate into two blocks, which hold half the
+numbers of the whole map.  It is probed by running ``rk4_step`` on lanes
+that carry one input of every block at once, about 5 ms at N = 10.  A
+drift-free fold's blocks, put together, are one dense ``Propagator``,
+``s <- Phi s + c``; ``Propagator.intervals`` puts the maps of record
+intervals of r such steps side by side, so one product gives the ends of all
+of them, with a bound on every state the steps pass through on the way to
+the first end.  The layout argument is ``sim._Layout``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,6 +50,18 @@ AFFINE_CHECK_RTOL = 1e-10
 # 25 ms at N = 30 (size 1 980).  At N = 30, 16 and 32 KB chunks were 30-75%
 # slower, and 128 and 256 KB chunks no faster with 0.6 and 1.6 MB more peak.
 PROBE_CHUNK_BYTES = 2 ** 16
+
+
+def rk4_step(rhs, state: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta 4 update of a state or a (lanes, size) batch, its stages in order.
+
+    It checks nothing: the run's guard masks a lane whose state is not finite.
+    """
+    k1 = rhs(state, t)
+    k2 = rhs(state + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rhs(state + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(state + dt * k3, t + dt)
+    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -398,16 +410,26 @@ class DriftFold:
     couplings: tuple       # ((j - 1) q, p) for j = 2, 3, 4
     start: np.ndarray      # (size + 1, 3 p)
 
+    def propagator(self) -> Propagator:
+        """The one-step ``Propagator`` of a fold without drift slots: its blocks put together."""
+        size = len(self.start) - 1
+        whole = np.zeros((size + 2, size + 1))  # z = [s, 1, 0] by the product [s+, spare]
+        for y, rows, cols in zip(self.y, self.rows, self.cols):
+            whole[rows[:, None], cols] = y
+        y, c = whole[:size, :size].copy(), whole[size, :size].copy()
+        return Propagator(y, c, _inf_norm(y), float(np.max(np.abs(c))))
+
 
 def fold_drift_rk4(op: AffineOperator, dt: float, reads: slice, writes: tuple, q: int,
-                   blocks: FoldBlocks) -> DriftFold:
+                   blocks: Optional[FoldBlocks] = None) -> DriftFold:
     """Probe one classical RK4 step of s' = A s + b + E d(P s) into a ``DriftFold`` on blocks.
 
     reads is the slice of the p rows that P selects; each slice in writes
     holds q rows and E adds d there; blocks is ``fold_blocks`` of the same
-    arguments.  The step's stages are the ones ``rk4_step`` takes on the
-    sparse operator plus the drift, with the drifts as extra inputs, so they
-    are linear in z = [s, 1, d_1, ..., d_4].  They run on probe lanes,
+    arguments, found here when None; a drift-free loop has none of them, and
+    z = [s, 1].  The step is ``rk4_step`` on the sparse operator plus the
+    drift, with the drifts as extra inputs, so it is linear in z = [s, 1,
+    d_1, ..., d_4].  It runs on probe lanes,
     PROBE_CHUNK_BYTES at a time: lane r is 1 in row r of every block and 0
     elsewhere, as an input moves no block it does not reach.  That gives the
     blocks' next states, and each input's stage inputs, which are start and
@@ -417,7 +439,7 @@ def fold_drift_rk4(op: AffineOperator, dt: float, reads: slice, writes: tuple, q
     size = op.b.size
     p = reads.stop - reads.start
     width, columns = size + 1 + 4 * q, size + 3 * p
-    rows, cols = blocks
+    rows, cols = fold_blocks(op, reads, writes, q) if blocks is None else blocks
     y = np.empty((len(rows), rows.shape[1], cols.shape[1]))
 
     lane_ops = {}  # the operator of each chunk's lanes, by lane count
@@ -450,44 +472,24 @@ def fold_drift_rk4(op: AffineOperator, dt: float, reads: slice, writes: tuple, q
 def _rk4_stages(op: AffineOperator, dt: float, reads: slice, writes: tuple, z: np.ndarray):
     """The next states of the (lanes, size + 1 + 4 q) inputs z, and their stage inputs [P u_2, P u_3, P u_4].
 
-    op steps z's lanes (``stack_lanes`` of one loop's operator).  Stage j
-    adds z's constant times b and E d_j to A u_j; the arithmetic is
-    ``rk4_step``'s.
+    op steps z's lanes (``stack_lanes`` of one loop's operator).  The step is
+    ``rk4_step``'s, which evaluates its stages in order, so the right-hand
+    side's j-th call is stage j: it adds z's constant times b and E d_j to
+    A u_j and keeps P u_j.
     """
     size = op.b.shape[-1]
-    s, one = z[:, :size], z[:, size, None]
+    one = z[:, size, None]
     drifts = z[:, size + 1:].reshape(len(z), 4, -1)
+    inputs = []
 
-    def rhs(u, j):
+    def rhs(u, t):
+        j = len(inputs)
+        inputs.append(u[:, reads])
         k = np.bincount(op.rows, weights=op.terms(u), minlength=u.size).reshape(u.shape)
         k += one * op.b
         for at in writes:
             k[:, at] += drifts[:, j]
         return k
 
-    k1 = rhs(s, 0)
-    u2 = s + 0.5 * dt * k1
-    k2 = rhs(u2, 1)
-    u3 = s + 0.5 * dt * k2
-    k3 = rhs(u3, 2)
-    u4 = s + dt * k3
-    k4 = rhs(u4, 3)
-    return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), np.hstack([u[:, reads] for u in (u2, u3, u4)])
-
-
-def folded_rk4(op: AffineOperator, dt: float) -> Propagator:
-    """One classical RK4 step of the probed s' = A s + b, folded into s <- Phi s + c.
-
-    With M = dt A, RK4 gives Phi = I + M + M^2/2 + M^3/6 + M^4/24 and
-    c = dt (I + M/2 + M^2/6 + M^3/24) b.  Building it costs O(size^3); a step
-    costs one O(size^2) product, s @ Phi^T, so s may be one state or a
-    (lanes, size) batch of loops that share the operator.
-    ``Propagator.intervals`` folds several such steps into one product.
-    """
-    eye = np.eye(op.b.size)
-    m = np.zeros_like(eye)
-    m[op.rows, op.cols] = dt * op.vals
-    taylor = eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0  # I + M/2 + M^2/6 + M^3/24
-    c = dt * (taylor @ op.b)
-    y = (eye + taylor @ m).T  # Phi^T = (I + (I + M/2 + M^2/6 + M^3/24) M)^T
-    return Propagator(y, c, _inf_norm(y), float(np.max(np.abs(c))))
+    after = rk4_step(rhs, z[:, :size], 0.0, dt)
+    return after, np.hstack(inputs[1:])

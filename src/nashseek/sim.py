@@ -18,33 +18,35 @@ Under a game declared affine, everything but the drift is an affine map
 ``A s + b`` of the state.  The loop probes that map once from the stacked laws
 (:mod:`nashseek.affine`) and keeps ``A`` as its nonzeros.  The probe puts
 columns whose rows cannot overlap into one lane: 75 lanes and about 2 ms at
-N = 10, 215 lanes and about 25 ms at N = 30.  A loop with drift folds its RK4
-step around the drift ("folded+drift") when every lane of its batch steps one
-operator and the map's blocks fit FOLD_DRIFT_BYTES: the stage inputs are
-affine in the state and the earlier stage drifts, so with z = [s, 1, d_1,
-..., d_4] one map gives the next state and the next step's drift-free stage
-inputs, and each stage adds one small product and one call per distinct
-drift (``affine.fold_drift_rk4``).  The map is kept as one block per
-connected component of the operator, and a step gathers z into the blocks'
-rows, takes one batched product and scatters it back in layout order.
-Otherwise it evaluates each RK4 stage as one sparse matvec plus the stacked
-drift.  A drift-free loop folds its whole RK4 step into one propagator
-``s <- Phi s + c``, and a group of record intervals of record_stride steps
-each into one product of the same kind (``Propagator.intervals``), whose ends
-are the next records.  It keeps the ends up to the first interval at whose
-start a bound cannot show that none of the steps it skips can leave the
-magnitude guard.  Other games step the structured right-hand side.
+N = 10, 215 lanes and about 25 ms at N = 30.  Every step is classical RK4,
+``affine.rk4_step``, as it is or folded.  A drift-free loop whose build pays
+back folds its step into one propagator ``s <- Phi s + c``, and a group of
+record intervals of record_stride steps each into one product whose ends
+are the next records (``Propagator.intervals``, "interval"), kept up to the
+first interval at whose start a bound cannot show that none of the steps it
+skips can leave the magnitude guard.  Otherwise a batch of lanes on one
+operator whose map's blocks fit FOLD_DRIFT_BYTES folds its step around the
+drift ("folded"): the stage inputs are affine in the state and the earlier
+stage drifts, so one map of z = [s, 1, d_1, ..., d_4] (z = [s, 1] without
+drift) gives the next state and the next step's drift-free stage inputs,
+and each stage adds one small product and one call per distinct drift
+(``affine.fold_drift_rk4``).  The map is kept as one block per connected
+component of the operator; a step gathers z into the blocks' rows, takes
+one batched product and scatters it back in layout order.  Otherwise each
+RK4 stage is one sparse matvec plus the stacked drift ("sparse").  Other
+games step the structured right-hand side ("structured").
 
 ``run_lanes`` integrates many loops at once.  Loops that share the layout,
 the step grid and the drift callables (and, unless the game is affine with
 drift, the model objects) step as the lanes of one ``(lanes, size)`` state:
-one batched block product a step, one sparse product with per-lane nonzeros
-a stage, one ``S @ Phi^T`` (or one product per group of record intervals) or
-one structured call per stage, one call per distinct drift a stage, and one
-record of every lane.  ``_Recorder.extend`` is the one way to record: it copies a slab of full states, one record or a
-group's ends, into a block of at most RECORD_BLOCK_BYTES, reduced to the
-recorded series one block at a time.  Record i is the state at step
-min(i record_stride, steps), and its time comes from that grid.
+one product per group of record intervals, one batched block product a step,
+one sparse product with per-lane nonzeros a stage or one structured call per
+stage, one call per distinct drift a stage, and one record of every lane.
+``_Recorder.extend`` is the one way to record: it copies a slab of full
+states, one record or a group's ends, into a block of at most
+RECORD_BLOCK_BYTES, reduced to the recorded series one block at a time.
+Record i is the state at step min(i record_stride, steps), and its time
+comes from that grid.
 A lane that diverges is masked and the others go on.  ``run`` is the one-lane
 case, where the state keeps no lane axis; the same loop serves both shapes.
 """
@@ -59,7 +61,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import control
-from .affine import (AffineOperator, FoldBlocks, fold_blocks, fold_drift_rk4, folded_rk4, probe_affine,
+from .affine import (AffineOperator, FoldBlocks, fold_blocks, fold_drift_rk4, probe_affine, rk4_step,
                      stack_lanes)
 from .control import GainSet, ObserverSet
 from .errors import (
@@ -92,19 +94,22 @@ MAX_LANES = 64
 # this many bytes too: 7 maps of the turbine loop, 4 in output mode.
 RECORD_BLOCK_BYTES = 2 ** 18
 
-# Bytes of the block stack a "folded+drift" step multiplies by
-# (``affine.fold_blocks``): two blocks of (size / 2 + 1 + 2 N m) x
-# (size / 2 + 3 n N m / 2) floats on the vehicle loops, one per coordinate.
-# The step reads all of it, so its size, not a flop count, sets the cost: at
-# N = 10 the stack holds about 65k numbers a lane against 4k multiply-adds for
-# the sparse stages, yet the fold is faster.  A folded step over a sparse one,
-# one lane of the state-mode vehicle loop, dt = 5e-3, BLAS on one thread,
-# three runs of ``tools/time_layers.py step``: 0.73-0.75 at N = 10 (0.52 MB),
-# 0.71-0.76 at N = 11 (0.70 MB), 0.77-0.81 at N = 12 (0.92 MB), 0.85-0.93 at
-# N = 13 (1.19 MB), 0.99-1.20 at N = 14 (1.52 MB) and 1.23-1.26 at N = 15
-# (1.91 MB); four lanes, 0.71 at N = 14 and 1.10 at N = 16 (2.36 MB).  So
-# the bound, 1.57 MB, takes N = 14, about even on one lane and faster on four,
-# and leaves N = 15 sparse.  The output-mode default takes 0.64 MB.
+# Bytes of the block stack a "folded" step multiplies by (``affine.fold_blocks``):
+# two blocks of (size / 2 + 1 + 2 N m) x (size / 2 + 3 n N m / 2) floats on the
+# vehicle loops, one per coordinate, and one (size + 1) x size block without
+# drift.  The step reads all of it, so its bytes, not a flop count, set the
+# cost.  ``tools/time_layers.py step``, one lane, dt = 5e-3, BLAS on one
+# thread, three runs; a folded step over a sparse one on the state-mode
+# vehicle loop: 0.73-0.75 at N = 10 (0.52 MB), 0.77-0.81 at N = 12 (0.92 MB),
+# 0.99-1.20 at N = 14 (1.52 MB) and 1.23-1.26 at N = 15 (1.91 MB); four lanes,
+# 0.71 at N = 14 and 1.10 at N = 16 (2.36 MB).  Drift-free, on the state-mode
+# market of N generators (``step N turbines``), folded against sparse: 7.1-8.1
+# against 23-29 us at N = 10 (0.18 MB), 14.0-14.9 against 27-30 us at N = 14
+# (0.57 MB), 0.72-0.95 of a sparse step at N = 18 (1.37 MB), 0.99-1.13 at
+# N = 19 (1.67 MB), 52-65 against 43-54 us at N = 20 (2.0 MB) and 371-386
+# against 65-81 us at N = 30 (8.8 MB).  So the bound, 1.57 MB, folds vehicles
+# up to N = 14 (N = 13 in output mode; the output default takes 0.64 MB) and
+# drift-free sizes up to about 440 (N = 18), and leaves the rest sparse.
 FOLD_DRIFT_BYTES = 3 * 2 ** 19
 
 # Rows the CSV writer formats per write.  Formatting a whole vehicle run at
@@ -175,7 +180,7 @@ class InitialConditions:
 class Stepping(NamedTuple):
     """How ``_integrate`` stepped a batch of lanes; each lane's Trajectory carries it."""
 
-    kind: str             # the step kind, one of the five ``run`` lists
+    kind: str             # the step kind, one of the four ``run`` lists
     group: Optional[int]  # record-interval maps per product, None without groups
     products: int         # group products
     one_step: int         # steps taken one at a time
@@ -196,18 +201,6 @@ class Trajectory:
     @property
     def final_decisions(self) -> np.ndarray:
         return self.decisions[-1]
-
-
-def rk4_step(rhs, state: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta 4 update of a state or a (lanes, size) batch.
-
-    It checks nothing: the run's guard masks a lane whose state is not finite.
-    """
-    k1 = rhs(state, t)
-    k2 = rhs(state + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = rhs(state + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = rhs(state + dt * k3, t + dt)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class _Layout:
@@ -233,10 +226,13 @@ class _Layout:
         self.hat_sl = slice(pos, pos + n_players * n_players * m)
         pos += n_players * n_players * m
         self.size = pos
-        # the rows _with_drift adds a drift to, for the fold: the top level, and
-        # at n = 1 in output mode e_0' too
+        # the rows a drift adds to: the top level, and at n = 1 in output mode e_0' too
         top = slice(block - n_players * m, block)
         self.drift_sl = (top, slice(block, block + n_players * m)) if output_mode and n == 1 else (top,)
+
+    def fold_rows(self, drifting: bool) -> tuple:
+        """(reads, writes, q) of ``affine.fold_blocks``: the chain, drift_sl and N m; none without drift."""
+        return (self.chain_sl, self.drift_sl, self.N * self.m) if drifting else (slice(0, 0), (), 0)
 
     def _levels(self, s, sl):
         if s.ndim == 1:
@@ -339,15 +335,13 @@ def _make_rhs(game: Game, g: Digraph, gains: GainSet, obs: Optional[ObserverSet]
 
 
 def _with_drift(rhs, drift_groups: list, layout: _Layout):
-    """The drift-free rhs plus every plant's drift on the top derivative, and at n = 1 on e_0' too."""
+    """The drift-free rhs plus every plant's drift in the rows of layout.drift_sl."""
     if not drift_groups:
         return rhs
-    innovation_too = layout.output_mode and layout.n == 1
 
     def rhs_with_drift(s, t):
         out = rhs(s, t)
-        tops = (layout.chain(out)[-1],) + ((layout.z(out)[0],) if innovation_too else ())
-        _add_drifts(drift_groups, layout.chain(s), *tops)
+        _add_drifts(drift_groups, layout.chain(s), *(layout.players(out[..., at]) for at in layout.drift_sl))
         return out
 
     return rhs_with_drift
@@ -368,30 +362,29 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     This is ``run_lanes`` on one lane.  The step depends on the game and the
     drifts (``Trajectory.stepping`` names it), with size the flat state's length:
 
-    * affine game, every plant drift-free: the folded propagator of
-      ``folded_rk4``, O(size^3) once.  G full record intervals of r =
-      record_stride steps are one dense O(G size^2) product with the r-,
-      2r-, ..., G r-step propagators side by side
+    * affine game, every plant drift-free, and a group that pays back
+      ("interval"): the one-step propagator s <- Phi s + c of
+      ``fold_drift_rk4`` without drift, O(size^3) once.  G full record
+      intervals of r = record_stride steps are one dense O(G size^2) product
+      with the r-, 2r-, ..., G r-step propagators side by side
       (``Propagator.intervals``).  They take r + G - 1 more O(size^3)
-      products to build, so G is the largest count with (r + G - 1) size <=
-      steps lanes, at most RECORD_BLOCK_BYTES // (8 size^2) (or 1) and at
-      most the full intervals ("interval"); with no such G >= 1 the run
-      steps one at a time ("folded").  An interval's end is kept when kappa
+      products to build, so G >= 1 is the largest count with (r + G - 1)
+      size <= steps lanes, at most RECORD_BLOCK_BYTES // (8 size^2) (or 1)
+      and at most the full intervals.  An interval's end is kept when kappa
       |s|_inf + max_j |c_j|_inf stays within STATE_MAGNITUDE_GUARD at its
       start, and every interval of the group before it was kept; the first
       interval not kept, and the remainder interval, take one O(size^2)
       matvec a step with the per-step guard;
-    * affine game with drift, and every lane of the batch on one probed
-      operator ("folded+drift"): one batched product a step of z = [s, 1,
-      d_1, ..., d_4] with the blocks of a map of (size + 1 + 4 N m) x
-      (size + 3 n N m) floats, one block per connected component of the
-      operator (``affine.fold_blocks``), and a small product and one call
-      per distinct drift a stage (``affine.fold_drift_rk4``).  It is taken
-      when the block stack takes at most FOLD_DRIFT_BYTES and the
-      size + 1 + 4 N m input vectors of z are at most steps lanes;
-    * any other affine game with drift ("sparse+drift"): ``rk4_step`` on the
-      probed sparse operator plus the stacked drift, one O(nonzeros) matvec
-      and one call per distinct drift a stage;
+    * any other affine game, every lane of the batch on one probed operator
+      ("folded"): one batched product a step of z = [s, 1, d_1, ..., d_4]
+      (z = [s, 1] without drift) with the blocks of ``affine.fold_blocks``,
+      one per connected component of the operator, and with drift a small
+      product and one call per distinct drift a stage
+      (``affine.fold_drift_rk4``).  It is taken when the blocks take at most
+      FOLD_DRIFT_BYTES and the input vectors of z are at most steps lanes;
+    * any other affine game ("sparse"): ``rk4_step`` on the probed sparse
+      operator plus the stacked drift, one O(nonzeros) matvec and one call
+      per distinct drift a stage;
     * otherwise ("structured"): ``rk4_step`` on the structured right-hand side.
 
     Every affine kind probes the loop once (``probe_affine``) and raises
@@ -606,7 +599,7 @@ def _integrate(batch: list) -> list:
     """Step the starts of one batch key together; a Trajectory or Diverged per lane.
 
     One lane steps its (size,) state; more step one (lanes, size) state.  The
-    loop runs over record intervals.  A drift-free affine batch takes up to
+    loop runs over record intervals.  An "interval" batch takes up to
     a group of full intervals as one product and keeps the ends up to the
     first interval whose start fails the bound that no step inside can leave
     the guard; any other interval goes step by step with the guard after
@@ -620,28 +613,21 @@ def _integrate(batch: list) -> list:
     state = batch[0].state if lanes == 1 else np.stack([start.state for start in batch])
     groups = _drift_groups([start.lane.plants for start in batch], state.shape[:-1])
     group = restart = None
-    if lane.game.affine and not groups:
-        advance = folded_rk4(batch[0].op, cfg.dt)
-        # the group's maps take at most RECORD_BLOCK_BYTES (one at least);
-        # building them costs stride + count - 1 products of size^3, stepping
-        # costs lanes size^2 a step: build as many as keep that cheaper
-        count = min(max(1, RECORD_BLOCK_BYTES // (8 * layout.size ** 2)), steps // stride,
-                    steps * lanes // layout.size - stride + 1)
-        if stride > 1 and count >= 1:
-            group = advance.intervals(stride, count)
-        kind = "folded" if group is None else "interval"
-    elif lane.game.affine and (blocks := _folds(batch, steps)) is not None:
-        kind = "folded+drift"
+    # the group's maps take at most RECORD_BLOCK_BYTES (one at least);
+    # building them costs stride + count - 1 products of size^3, stepping
+    # costs lanes size^2 a step: build as many as keep that cheaper
+    count = min(max(1, RECORD_BLOCK_BYTES // (8 * layout.size ** 2)), steps // stride,
+                steps * lanes // layout.size - stride + 1)
+    if lane.game.affine and not groups and count >= 1:
+        kind = "interval"
+        advance = fold_drift_rk4(batch[0].op, cfg.dt, *layout.fold_rows(False)).propagator()
+        group = advance.intervals(stride, count)
+    elif lane.game.affine and (blocks := _folds(batch, steps, bool(groups))) is not None:
+        kind = "folded"
         advance, restart = _fold_stepper(batch[0].op, cfg.dt, groups, layout, state, blocks)
     else:
-        kind = "sparse+drift" if lane.game.affine else "structured"
-        rhs = (stack_lanes([start.op for start in batch]).apply if lane.game.affine
-               else _make_rhs(lane.game, lane.g, lane.gains, lane.obs, layout))
-        rhs = _with_drift(rhs, groups, layout)
-
-        def advance(s, t):
-            return rk4_step(rhs, s, t, cfg.dt)
-
+        kind = "sparse" if lane.game.affine else "structured"
+        advance = _rk4_stepper(batch, groups)
     # rows for step 0, every record_stride-th step and the last step
     rows = steps // stride + 2
     try:
@@ -687,46 +673,49 @@ def _integrate(batch: list) -> list:
     return recorder.split(failures, kind, None if group is None else count, products, one_step)
 
 
-def _folds(batch: list, steps: int) -> Optional[FoldBlocks]:
-    """The blocks of the "folded+drift" map when a drifting affine batch steps that kind, else None.
+def _folds(batch: list, steps: int, drifting: bool) -> Optional[FoldBlocks]:
+    """The blocks of the fold's map when an affine batch steps the "folded" kind, else None.
 
     Every lane must step the same probed operator, so that one product
-    serves them all, and the block stack (``affine.fold_blocks``) must take
-    at most FOLD_DRIFT_BYTES.  The build steps each of the width input
-    vectors of z once through the sparse stages, so it is counted as width
-    lane-steps, as the interval rule counts a size^3 product as size of
-    them: the steps of all lanes must be at least that many.
+    serves them all, and the block stack (``affine.fold_blocks`` on
+    ``_Layout.fold_rows``) must take at most FOLD_DRIFT_BYTES.  The build
+    steps each of the width input vectors of z once through the sparse
+    stages, so it is counted as width lane-steps, as the interval rule
+    counts a size^3 product as size of them: the steps of all lanes must be
+    at least that many.
     """
     layout, op = batch[0].layout, batch[0].op
-    q = layout.N * layout.m
-    if not (all(start.op is op for start in batch) and layout.size + 1 + 4 * q <= steps * len(batch)):
+    rows = layout.fold_rows(drifting)
+    if not (all(start.op is op for start in batch) and layout.size + 1 + 4 * rows[2] <= steps * len(batch)):
         return None
-    blocks = fold_blocks(op, layout.chain_sl, layout.drift_sl, q)
+    blocks = fold_blocks(op, *rows)
     return blocks if blocks.nbytes <= FOLD_DRIFT_BYTES else None
 
 
 def _fold_stepper(op: AffineOperator, dt: float, groups: list, layout: _Layout, state: np.ndarray,
                   blocks: FoldBlocks):
-    """advance(s, t) and restart(failures) of the "folded+drift" step of a batch that shares op.
+    """advance(s, t) and restart(failures) of the "folded" step of a batch that shares op.
 
     z = [s, 1, d_1, ..., d_4, 0] is one buffer with the batch's lane shape
     in front, and so is the product [s+, w_2, w_3, w_4, spare]
-    (``affine.DriftFold``).  A step puts s into z, each stage's drift into
-    its slot of z (stage j + 1 reads w_{j+1} plus one small product of the
-    drifts before it), gathers z into the blocks' rows, takes one batched
-    product with the block stack, scatters it into the product in layout
-    order and returns the product's state part.  restart gives every masked
-    lane, which ``_mask_diverged`` zeroed, the stage inputs of the zero state.
+    (``affine.DriftFold``); without drift groups they are [s, 1, 0] and
+    [s+, spare].  A step puts s into z, each stage's drift into its slot of
+    z (stage j + 1 reads w_{j+1} plus one small product of the drifts before
+    it), gathers z into the blocks' rows, takes one batched product with the
+    block stack, scatters it into the product in layout order and returns
+    the product's state part.  restart gives every masked lane, which
+    ``_mask_diverged`` zeroed, the stage inputs of the zero state.
     """
-    q, p, size = layout.N * layout.m, layout.chain_sl.stop, layout.size
-    fold = fold_drift_rk4(op, dt, layout.chain_sl, layout.drift_sl, q, blocks)
+    reads, writes, q = layout.fold_rows(bool(groups))
+    p, size = reads.stop - reads.start, layout.size
+    fold = fold_drift_rk4(op, dt, reads, writes, q, blocks)
     lanes = state.shape[:-1]
     z = np.zeros(lanes + (size + 2 + 4 * q,))
     z[..., :size], z[..., size] = state, 1.0
     out = np.empty(lanes + (size + 3 * p + 1,))
     out[..., size:-1] = z[..., :size + 1] @ fold.start
     inputs = [out[..., size + j * p:size + (j + 1) * p] for j in range(3)]
-    slots = [layout.players(z[..., size + 1 + j * q:size + 1 + (j + 1) * q]) for j in range(4)]
+    slots = [layout.players(z[..., size + 1 + j * q:size + 1 + (j + 1) * q]) for j in range(4 if q else 0)]
     stage = np.empty(lanes + (p,))
     # each lane's block rows and columns as flat indices into z and out; the
     # stacks hold them lane by lane, and the product takes them block by block
@@ -741,11 +730,12 @@ def _fold_stepper(op: AffineOperator, dt: float, groups: list, layout: _Layout, 
 
     def advance(s, t):
         z[..., :size] = s
-        put(layout.chain(s), slots[0])
-        for j in range(3):
-            np.matmul(z[..., size + 1:size + 1 + (j + 1) * q], fold.couplings[j], out=stage)
-            np.add(stage, inputs[j], out=stage)
-            put(layout.chain(stage), slots[j + 1])
+        if groups:
+            put(layout.chain(s), slots[0])
+            for j in range(3):
+                np.matmul(z[..., size + 1:size + 1 + (j + 1) * q], fold.couplings[j], out=stage)
+                np.add(stage, inputs[j], out=stage)
+                put(layout.chain(stage), slots[j + 1])
         np.take(z, gather, out=gathered, mode="clip")  # in range; "clip" writes into out unbuffered
         np.matmul(gathered.swapaxes(0, 1), fold.y, out=products.swapaxes(0, 1))
         flat[scatter] = products
@@ -755,6 +745,16 @@ def _fold_stepper(op: AffineOperator, dt: float, groups: list, layout: _Layout, 
         out[[b for b, failure in enumerate(failures) if failure], size:-1] = fold.start[size]
 
     return advance, restart
+
+
+def _rk4_stepper(batch: list, groups: list):
+    """advance(s, t) of the "sparse" step, ``rk4_step`` on the lanes' stacked probed operators, or
+    of the "structured" step under a game that is not affine; either adds the drift groups."""
+    lane, layout = batch[0].lane, batch[0].layout
+    rhs = (stack_lanes([start.op for start in batch]).apply if lane.game.affine
+           else _make_rhs(lane.game, lane.g, lane.gains, lane.obs, layout))
+    rhs, dt = _with_drift(rhs, groups, layout), lane.cfg.dt
+    return lambda s, t: rk4_step(rhs, s, t, dt)
 
 
 def _mask_diverged(lanes: np.ndarray, failures: list, k: int, dt: float) -> None:

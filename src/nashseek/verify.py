@@ -16,8 +16,6 @@ import numpy as np
 from . import affine, config, control, game as game_mod, graph as graph_mod, scenarios, sim
 from .errors import NashseekError
 
-GROUPS = ("graph", "control", "game", "sim")
-
 # The folded drift step against the sparse RK4 step: steps of two lanes of
 # each default vehicle run, enough for the batch to fold, and the decision gap
 # allowed at any record, relative to the largest decision there.  Over the
@@ -226,13 +224,12 @@ def _check_sim() -> list[CheckResult]:
             gap = np.max(np.abs(a.decisions - b.decisions), axis=(1, 2))
             gaps.append(float(np.max(gap / np.max(np.abs(b.decisions), axis=(1, 2)))))
         start = sim._start(lane, {})
-        layout = start.layout
-        blocks = affine.fold_blocks(start.op, layout.chain_sl, layout.drift_sl, layout.N * layout.m)
+        blocks = affine.fold_blocks(start.op, *start.layout.fold_rows(True))
         stacks.append(f"{algo} {len(blocks.rows)} x {blocks.rows.shape[1]} x {blocks.cols.shape[1]} "
                       f"({blocks.nbytes / 1e6:.2f} MB)")
     results.append(CheckResult(
         "sim", "folded drift step matches the sparse RK4 step (vehicles, both modes)",
-        all(k == ("folded+drift", "sparse+drift") for k in kinds) and max(gaps) <= FOLD_CHECK_RTOL,
+        all(k == ("folded", "sparse") for k in kinds) and max(gaps) <= FOLD_CHECK_RTOL,
         f"2 lanes x {FOLD_CHECK_STEPS} steps, largest decision gap relative to the largest decision: "
         f"state {max(gaps[:2]):.2e}, output {max(gaps[2:]):.2e} (bound {FOLD_CHECK_RTOL:g}); "
         f"blocks the step reads: {', '.join(stacks)}",
@@ -246,15 +243,11 @@ _CHECKS = {
     "game": _check_game,
     "sim": _check_sim,
 }
+GROUPS = tuple(_CHECKS)
 
 
 def run_checks(only: str | None = None) -> list[CheckResult]:
     """Run the verification battery, optionally restricted to one group."""
     if only is not None and only not in GROUPS:
         raise ValueError(f"unknown check group {only!r}; expected one of {GROUPS}")
-    results = []
-    for group in GROUPS:
-        if only is not None and group != only:
-            continue
-        results.extend(_CHECKS[group]())
-    return results
+    return [result for group in (GROUPS if only is None else (only,)) for result in _CHECKS[group]()]

@@ -8,6 +8,10 @@ estimate dynamics.  A game's one gradient is its vectorized
 gradients below, gradient(i, x_i, x_others) with x_others the other
 players' decisions stacked in index order.
 
+The run folds a drift-free loop's RK4 step by probing ``affine.rk4_step``
+block by block; ``taylor_rk4`` writes the same step as the dense Taylor
+polynomial of dt A.
+
 The simulator reduces its recorded states a block at a time and formats
 its CSV a chunk of rows at a time; ``recorded_series`` takes one record at a
 time and ``csv_writer_trajectory`` writes through ``csv.writer`` row by row.
@@ -132,3 +136,20 @@ def csv_writer_trajectory(traj, path):
             row.append("" if traj.error_norms is None else repr(float(traj.error_norms[s])))
             row.append(repr(float(traj.estimate_disagreement[s])))
             writer.writerow(row)
+
+
+def taylor_rk4(op, dt):
+    """(Phi, c) of one classical RK4 step of the probed s' = A s + b, s <- Phi s + c.
+
+    With M = dt A, RK4 on an affine map is Phi = I + M + M^2/2 + M^3/6 +
+    M^4/24 and c = dt (I + M/2 + M^2/6 + M^3/24) b, each term formed densely.
+    """
+    size = op.b.size
+    m = np.zeros((size, size))
+    np.add.at(m, (op.rows, op.cols), dt * op.vals)
+    eye = np.eye(size)
+    m2 = m @ m
+    m3 = m2 @ m
+    phi = eye + m + m2 / 2.0 + m3 / 6.0 + m3 @ m / 24.0
+    c = dt * ((eye + m / 2.0 + m2 / 6.0 + m3 / 24.0) @ op.b)
+    return phi, c

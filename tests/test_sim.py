@@ -21,9 +21,10 @@ from nashseek.errors import (
 from nashseek.game import Game, extended_pseudo_gradient
 from nashseek.graph import Digraph
 from nashseek import affine, sim, verify
-from nashseek.affine import (PROBE_CHUNK_BYTES, AffineOperator, fold_blocks, folded_rk4, probe_affine,
+from nashseek.affine import (PROBE_CHUNK_BYTES, AffineOperator, fold_blocks, fold_drift_rk4, probe_affine,
                              stack_lanes)
 from nashseek.scenarios import (
+    GENERATOR_TABLE,
     VEHICLE_TABLE,
     build_turbine_market,
     build_vehicle_formation,
@@ -49,7 +50,7 @@ from nashseek.sim import (
     settle_time,
     write_trajectory_csv,
 )
-from oracles import csv_writer_trajectory, kronecker_estimate_form, player_law, recorded_series
+from oracles import csv_writer_trajectory, kronecker_estimate_form, player_law, recorded_series, taylor_rk4
 
 
 def identity_game(n=2, m=1):
@@ -301,6 +302,44 @@ class TestClosedLoopRuns:
         assert np.array_equal(traj.decisions[0], expected)
 
 
+def drift_free_propagator(op, layout, dt):
+    """The run's one-step propagator of a drift-free loop: its fold without drift slots, put together."""
+    return fold_drift_rk4(op, dt, *layout.fold_rows(False)).propagator()
+
+
+def one_step_records(lane, step):
+    """(times, decisions) of lane's records, its start stepped one step at a time by step(start)(s) -> s+."""
+    start = sim._start(lane, {})
+    advance, cfg = step(start), lane.cfg
+    steps = round(cfg.horizon / cfg.dt)
+    s, rows, decisions = start.state, [0], [start.layout.chain(start.state)[0]]
+    for k in range(1, steps + 1):
+        s = advance(s)
+        if k % cfg.record_stride == 0 or k == steps:
+            rows.append(k)
+            decisions.append(start.layout.chain(s)[0])
+    return np.array(rows) * cfg.dt, np.array(decisions)
+
+
+def taylor_steps(start):
+    """One RK4 step of start's drift-free loop as the dense Taylor oracle."""
+    phi, c = taylor_rk4(start.op, start.lane.cfg.dt)
+    return lambda s: phi @ s + c
+
+
+def propagator_steps(start):
+    """One RK4 step of start's drift-free loop as the run's one-step propagator."""
+    return drift_free_propagator(start.op, start.layout, start.lane.cfg.dt)
+
+
+def assert_records_match(traj, reference, rtol):
+    """traj at reference's record times, each record's decision gap within rtol of its largest decision."""
+    times, decisions = reference
+    assert np.array_equal(traj.times, times)
+    gap = np.max(np.abs(traj.decisions - decisions), axis=(1, 2))
+    assert np.all(gap <= rtol * np.max(np.abs(decisions), axis=(1, 2)))
+
+
 class TestFoldedPropagator:
     """A drift-free loop under an affine game is stepped by Phi s + c."""
 
@@ -322,7 +361,7 @@ class TestFoldedPropagator:
     def test_fold_matches_rk4_step(self, mode, rtol):
         dt = 9e-4
         rhs, layout, state = self._loop(mode)
-        step = folded_rk4(probe_affine(rhs, layout), dt)
+        step = drift_free_propagator(probe_affine(rhs, layout), layout, dt)
 
         def rel(a, b):
             return np.max(np.abs(a - b)) / np.max(np.abs(b))
@@ -369,25 +408,67 @@ class TestFoldedPropagator:
             run(*args)
         return str(caught.value)
 
+    @staticmethod
+    def _lane(mode, **cfg):
+        game, plants, g = build_turbine_market()
+        return sim.Lane(game, plants, g, TURBINE_GAINS, TURBINE_OBSERVER if mode == "output" else None,
+                        SimConfig(dt=9e-4, seed=3, **cfg))
+
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_record_interval_product_matches_one_step_stepping(self, mode):
         # 1 000 steps leave a remainder interval of 6 steps at stride 7
-        game, plants, g = build_turbine_market()
-        obs = TURBINE_OBSERVER if mode == "output" else None
-        cfg = SimConfig(dt=9e-4, horizon=0.9, record_stride=7, seed=3)
-        strided = run(game, plants, g, TURBINE_GAINS, obs, cfg)
-        stepped = run(game, plants, g, TURBINE_GAINS, obs, dataclasses.replace(cfg, record_stride=1))
-        rows = np.append(np.arange(0, 1000, 7), 1000)
-        assert np.array_equal(strided.times, stepped.times[rows])
+        lane = self._lane(mode, horizon=0.9, record_stride=7)
+        strided, = sim.run_lanes([lane])
+        assert strided.stepping.kind == "interval"
         # the two paths round differently; on the default turbine runs the
-        # gap reads at most 6.4e-13 (state) and 2.1e-12 (output) of the
+        # gap reads at most 5.2e-13 (state) and 1.1e-12 (output) of the
         # largest decision
-        gap = np.max(np.abs(strided.decisions - stepped.decisions[rows]), axis=(1, 2))
-        assert np.all(gap <= 1e-11 * np.max(np.abs(stepped.decisions[rows]), axis=(1, 2)))
+        assert_records_match(strided, one_step_records(lane, propagator_steps), 1e-11)
+
+    @pytest.mark.parametrize("mode, count", [("state", 7), ("output", 4)])
+    def test_stride_one_run_groups_its_intervals(self, mode, count):
+        # the group's maps are Phi, Phi^2, ..., Phi^count, so every product records count steps
+        lane = self._lane(mode, horizon=0.9, record_stride=1)
+        traj, = sim.run_lanes([lane])
+        assert traj.stepping[:4] == ("interval", count, math.ceil(1000 / count), 0)
+        assert_records_match(traj, one_step_records(lane, propagator_steps), 1e-12)
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_drift_free_run_too_short_for_groups_steps_folded(self, mode, monkeypatch):
+        # 333 steps at stride 10: (10 + G - 1) size <= 333 has no G >= 1 at size 66 or 90, but the
+        # fold's size + 1 input vectors pay back; the fold stepper steps it, not a dense propagator
+        lane = self._lane(mode, horizon=0.3, record_stride=10)
+        log = self._spy_steps(monkeypatch)
+        traj, = sim.run_lanes([lane])
+        assert traj.stepping[:4] == ("folded", None, 0, 333)
+        assert "step" not in log and "group" not in log
+        assert_records_match(traj, one_step_records(lane, taylor_steps), 1e-12)
+
+    def test_large_drift_free_market_steps_sparse(self):
+        # 30 generators, size 1 050: 556 steps pay back neither a group nor the fold's 1 051 input
+        # vectors, whose 8.8 MB block would also be over FOLD_DRIFT_BYTES
+        table = [GENERATOR_TABLE[i % len(GENERATOR_TABLE)] for i in range(30)]
+        game, plants, g = build_turbine_market(table=table)
+        lane = sim.Lane(game, plants, g, TURBINE_GAINS, None, SimConfig(dt=9e-4, horizon=0.5))
+        traj, = sim.run_lanes([lane])
+        assert traj.stepping[:4] == ("sparse", None, 0, 556)
+        assert_records_match(traj, one_step_records(lane, taylor_steps), 1e-12)
+
+    @pytest.mark.parametrize("scenario, mode, blocks", [
+        ("turbines", "state", 1), ("turbines", "output", 1), ("vehicles", "state", 2)])
+    def test_drift_free_fold_matches_the_taylor_form(self, scenario, mode, blocks):
+        # the vehicle game's loop, without its drift, splits by coordinate into two blocks
+        game, _, g, gains, obs, layout, _ = loop_inputs(mode, scenario)
+        op = probe_affine(_make_rhs(game, g, gains, obs, layout), layout)
+        assert len(fold_blocks(op, *layout.fold_rows(False)).rows) == blocks
+        step = drift_free_propagator(op, layout, 9e-4)
+        phi, c = taylor_rk4(op, 9e-4)
+        assert np.max(np.abs(step.y.T - phi)) <= 1e-13 * np.max(np.abs(phi))
+        assert np.max(np.abs(step.c - c)) <= 1e-13 * np.max(np.abs(c))
 
     def test_interval_bounds_every_step_it_replaces(self):
         rhs, layout, state = self._loop("output")
-        step = folded_rk4(probe_affine(rhs, layout), 9e-4)
+        step = drift_free_propagator(probe_affine(rhs, layout), layout, 9e-4)
         interval = step.intervals(10, 1)
         # the j-step maps one step at a time: the unit vectors step through
         # the rows of the maps and the zero state through the offsets c_j; in
@@ -516,8 +597,8 @@ class TestFoldedPropagator:
         obs = TURBINE_OBSERVER if mode == "output" else None
         cfg = SimConfig(dt=9e-4, horizon=0.9)
         layout = _Layout(4, 6, 1, output_mode=obs is not None)
-        bound = folded_rk4(probe_affine(_make_rhs(game, g, TURBINE_GAINS, obs, layout), layout),
-                           cfg.dt).intervals(cfg.record_stride, 1)
+        bound = drift_free_propagator(probe_affine(_make_rhs(game, g, TURBINE_GAINS, obs, layout), layout),
+                                      layout, cfg.dt).intervals(cfg.record_stride, 1)
         # the start's largest entry is scale: |s_0|_inf <= guard < kappa |s_0|_inf + c_peak
         assert scale <= sim.STATE_MAGNITUDE_GUARD < bound.kappa * scale + bound.c_peak
         init = InitialConditions(decisions=scale * np.linspace(0.5, 1.0, 6)[:, None])
@@ -633,7 +714,7 @@ class TestLaneBatch:
                  for seed, star in ((1, x_star), (2, None), (3, x_star))]
         for lane, batched in zip(lanes, sim.run_lanes(lanes)):
             single = run(lane.game, lane.plants, lane.g, lane.gains, lane.obs, lane.cfg, x_star=lane.x_star)
-            assert batched.stepping.kind == single.stepping.kind == "folded+drift"
+            assert batched.stepping.kind == single.stepping.kind == "folded"
             assert np.array_equal(batched.times, single.times)
             for field in ("decisions", "estimate_disagreement", "error_norms", "observer_errors"):
                 a, b = getattr(batched, field), getattr(single, field)
@@ -1014,7 +1095,7 @@ class TestProbedOperator:
 
 
 class TestDriftFold:
-    """The "folded+drift" step: one batched product of z = [s, 1, d_1, ..., d_4] per RK4 step."""
+    """The "folded" step with drift: one batched product of z = [s, 1, d_1, ..., d_4] per RK4 step."""
 
     LOOPS = {
         "vehicles-state": lambda: loop_inputs("state", "vehicles")[:5],
@@ -1033,7 +1114,7 @@ class TestDriftFold:
     def probed(game, plants, g, gains, obs):
         layout = _Layout(gains.order_n, game.n_players, game.decision_dim, output_mode=obs is not None)
         op = probe_affine(_make_rhs(game, g, gains, obs, layout), layout)
-        return layout, op, fold_blocks(op, layout.chain_sl, layout.drift_sl, layout.N * layout.m)
+        return layout, op, fold_blocks(op, *layout.fold_rows(True))
 
     @pytest.mark.parametrize("lanes", [1, 3])
     @pytest.mark.parametrize("loop", LOOPS)
@@ -1120,7 +1201,16 @@ class TestDriftFold:
         game, plants, g, _ = build_vehicle_formation(table=table, offsets=anchors)
         lane = sim.Lane(game, plants, g, VEHICLE_GAINS, VEHICLE_OBSERVER if mode == "output" else None,
                         SimConfig(dt=1e-3, horizon=1.0))
-        assert (sim._folds([sim._start(lane, {})], steps=10 ** 6) is not None) == folds
+        assert (sim._folds([sim._start(lane, {})], steps=10 ** 6, drifting=True) is not None) == folds
+
+    @pytest.mark.parametrize("generators, folds", [(10, True), (14, True), (18, True), (19, False), (30, False)])
+    def test_the_drift_free_map_must_fit_the_byte_bound(self, generators, folds):
+        # one (size + 1) x size block of the state-mode market, size = N^2 + 5 N: 0.18 MB at N = 10,
+        # 0.57 MB at N = 14, 1.37 MB at N = 18, 1.67 MB at N = 19 and 8.8 MB at N = 30
+        table = [GENERATOR_TABLE[i % len(GENERATOR_TABLE)] for i in range(generators)]
+        game, plants, g = build_turbine_market(table=table)
+        lane = sim.Lane(game, plants, g, TURBINE_GAINS, None, SimConfig(dt=9e-4, horizon=1.0))
+        assert (sim._folds([sim._start(lane, {})], steps=10 ** 6, drifting=False) is not None) == folds
 
     @pytest.mark.parametrize("steps, lanes, folds", [(341, 1, True), (340, 1, False), (114, 3, True),
                                                       (113, 3, False)])
@@ -1130,7 +1220,7 @@ class TestDriftFold:
         cfg = SimConfig(dt=1e-3, horizon=steps * 1e-3, record_stride=50)
         outcomes = sim.run_lanes([sim.Lane(game, plants, g, VEHICLE_GAINS, None, dataclasses.replace(cfg, seed=seed))
                                   for seed in range(lanes)])
-        assert outcomes[0].stepping.kind == ("folded+drift" if folds else "sparse+drift")
+        assert outcomes[0].stepping.kind == ("folded" if folds else "sparse")
 
     def test_masked_lane_diverges_as_its_single_run_and_restarts_finite(self, monkeypatch):
         # x'' = 1e4 x + u grows as e^(100 t): lane 1 leaves the guard, lanes 0 and 2 stay bounded
@@ -1147,14 +1237,14 @@ class TestDriftFold:
         masks, mask = [], sim._mask_diverged
         monkeypatch.setattr(sim, "_mask_diverged", lambda *args: masks.append(args[2]) or mask(*args))
         outcomes = sim.run_lanes(lanes)
-        assert outcomes[0].stepping.kind == "folded+drift"
+        assert outcomes[0].stepping.kind == "folded"
         assert isinstance(outcomes[1], Diverged) and str(outcomes[1]) == str(singles[1])
         assert "magnitude" in str(outcomes[1])
         # the masked lane restarts its stage inputs from its zeroed state, so
         # it steps on finite and the guard trips once, not at every later step
         assert len(masks) == 1
         for k in (0, 2):
-            assert outcomes[k].stepping.kind == singles[k].stepping.kind == "folded+drift"
+            assert outcomes[k].stepping.kind == singles[k].stepping.kind == "folded"
             assert np.array_equal(outcomes[k].times, singles[k].times)
             gap = np.max(np.abs(outcomes[k].decisions - singles[k].decisions), axis=(1, 2))
             assert np.all(gap <= BATCH_RTOL * np.max(np.abs(singles[k].decisions), axis=(1, 2)))
@@ -1163,15 +1253,16 @@ class TestDriftFold:
 class TestStepping:
     """Trajectory.stepping reports what the spies on the step kinds see."""
 
-    @pytest.mark.parametrize("kind, lanes", [("interval", 3), ("folded", 1), ("folded+drift", 3),
-                                             ("sparse+drift", 3), ("structured", 1)])
+    @pytest.mark.parametrize("kind, lanes", [("interval", 3), ("folded", 1), ("folded", 3),
+                                             ("sparse", 3), ("structured", 1)])
     def test_record_matches_the_spies(self, kind, lanes, monkeypatch):
         spies = TestFoldedPropagator
-        if kind in ("interval", "folded"):
-            # 1 000 steps: at stride 7, 142 full intervals and a remainder of 6 steps
+        if (kind, lanes) in (("interval", 3), ("folded", 1)):
+            # the drift-free turbine loop at stride 7: 1 000 steps are 142 full intervals and a
+            # remainder of 6 steps; 333 steps of one lane are too few for a group
             game, plants, g = build_turbine_market()
             gains = TURBINE_GAINS
-            cfg = SimConfig(dt=9e-4, horizon=0.9, record_stride=7 if kind == "interval" else 1)
+            cfg = SimConfig(dt=9e-4, horizon=0.9 if kind == "interval" else 0.3, record_stride=7)
             spies._forbid_rk4_step(monkeypatch)
         else:
             game, plants, g, _ = build_vehicle_formation()
@@ -1189,7 +1280,7 @@ class TestStepping:
         groups, log = spies._spy_groups(monkeypatch), spies._spy_steps(monkeypatch)
         calls = count_structured_rhs_calls(monkeypatch)
         # lanes with gain objects of their own have operators of their own, which do not fold
-        outcomes = sim.run_lanes([sim.Lane(game, plants, g, dataclasses.replace(gains) if kind == "sparse+drift"
+        outcomes = sim.run_lanes([sim.Lane(game, plants, g, dataclasses.replace(gains) if kind == "sparse"
                                            else gains, None, dataclasses.replace(cfg, seed=seed))
                                   for seed in range(lanes)])
         stepping = outcomes[0].stepping
@@ -1198,7 +1289,7 @@ class TestStepping:
         assert stepping.group == (groups[0] if groups else None) and len(groups) <= 1
         assert stepping.products == log.count("group")
         assert stepping.one_step == log.count("step") + len(rk4) + len(folded)
-        assert (len(folded) == stepping.one_step == 200) == (kind == "folded+drift")
+        assert (len(folded) == stepping.one_step > 0) == (kind == "folded")
         # only the structured kind evaluates the structured rhs as it steps, four times a step
         assert (len(calls) == 4 * stepping.one_step) == (kind == "structured")
         if kind == "interval":

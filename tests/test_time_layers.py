@@ -34,7 +34,7 @@ def tool(monkeypatch):
 def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     # the record and step layers read the run's Trajectory.stepping, so none of these may change
     patched = [(sim._Recorder, "extend"), (sim._Recorder, "split"), (affine.Propagator, "intervals"),
-               (sim, "_fold_stepper"), (sim, "_folds"), (sim, "rk4_step")]
+               (sim, "_fold_stepper"), (sim, "_folds"), (sim, "_rk4_stepper"), (sim, "rk4_step")]
     originals = [getattr(owner, name) for owner, name in patched]
 
     probe = tool.LAYERS["probe"]("2")
@@ -58,10 +58,16 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
                              "sparse_us", "repeats"]
     # two vehicles: size 20 and a 37 x 44 map, whose 37 inputs 2 400 steps of two lanes pay back,
     # split by coordinate into two blocks of 19 x 22
-    assert (step[2]["size"], step[2]["lanes"], step[2]["kind"]) == (20, 2, "folded+drift")
+    assert (step[2]["size"], step[2]["lanes"], step[2]["kind"]) == (20, 2, "folded")
     assert (step[2]["fold_bytes"], step[2]["blocks"]) == (8 * 2 * 19 * 22, 2) and step[2]["repeats"] == 3
     assert 0 < step[2]["build_s"] and 0 < step[2]["folded_us"] and 0 < step[2]["sparse_us"]
-    json.dumps([probe, cert, record, step])
+    # six drift-free generators: size 66, whose 2 400 steps pay back a group, and one 67 x 66 block
+    turbines = tool.LAYERS["step"]("6", "turbines")
+    assert list(turbines) == [6] and list(turbines[6]) == list(step[2])
+    assert (turbines[6]["size"], turbines[6]["kind"]) == (66, "interval")
+    assert (turbines[6]["fold_bytes"], turbines[6]["blocks"]) == (8 * 67 * 66, 1)
+    assert 0 < turbines[6]["folded_us"] and 0 < turbines[6]["sparse_us"]
+    json.dumps([probe, cert, record, step, turbines])
 
     assert [getattr(owner, name) for owner, name in patched] == originals
 

@@ -1,20 +1,21 @@
 """Time one layer of nashseek; one JSON object goes to stdout.
 
     PYTHONPATH=TREE/src python3 tools/time_layers.py probe N... | certificate N... | record [state|output]
-        | step N... [lanes=L]
+        | step N... [lanes=L] [turbines]
 
 probe: N -> size, median_s, repeats, nonzeros, lanes, calls of ``affine.probe_affine`` on the
   drift-free state-mode loop of N vehicles (the table repeated, anchors uniform in [-15, 15]^2
   with seed 0, default cycle digraph and gains), with one probe's rhs lanes and calls.
 step: N -> size, lanes, kind, fold_bytes, blocks, build_s, folded_us, sparse_us, repeats for L lanes
-  (default 1) of that state-mode loop of N vehicles with its drift, seeds 0..L-1, at dt = STEP_DT:
-  kind is the step kind a run of STEPS steps takes, read from its ``Trajectory.stepping``;
-  fold_bytes and blocks are the bytes of the "folded+drift" block stack, which a step reads, and
-  its block count (``affine.fold_blocks``); build_s is the time to find the blocks and build the
-  stepper on them (``affine.fold_drift_rk4``); folded_us and sparse_us are the microseconds per
-  RK4 step of the batch, "folded+drift" (``sim._fold_stepper``) and "sparse+drift"
-  (``sim.rk4_step`` on the stacked probed operator plus the drift), STEPS steps of each in turn
-  from the run's start.
+  (default 1) of that state-mode loop of N vehicles with its drift, or with ``turbines`` of the
+  drift-free state-mode market of N >= 5 generators (the table repeated, default digraph and
+  gains), seeds 0..L-1, at dt = STEP_DT: kind is the step kind a run of STEPS steps takes, read
+  from its ``Trajectory.stepping``; fold_bytes and blocks are the bytes of the "folded" block
+  stack, which a step reads, and its block count (``affine.fold_blocks`` on
+  ``sim._Layout.fold_rows``); build_s is the time to find the blocks and build the stepper on
+  them; folded_us and sparse_us are the microseconds per RK4 step of the batch, "folded"
+  (``sim._fold_stepper``) and "sparse" (``sim._rk4_stepper``), STEPS steps of each in turn from
+  the run's start.
 certificate: N -> median_s, repeats, passed, residual of ``graph.estimation_certificate`` of
   ``scenarios.default_cycle_digraph(N)``.
 record: algo, records, group, csv_bytes, repeats, run_s, record_s, csv_write_s of ``sim.run`` on
@@ -75,6 +76,13 @@ def vehicles(n: int) -> tuple:
     return game, plants, g, config.build_run_setup({"scenario": "vehicles"}).gains
 
 
+def turbines(n: int) -> tuple:
+    """(game, plants, digraph, gains) of the drift-free state-mode market of n generators."""
+    table = [scenarios.GENERATOR_TABLE[i % len(scenarios.GENERATOR_TABLE)] for i in range(n)]
+    game, plants, g = scenarios.build_turbine_market(table=table)
+    return game, plants, g, config.build_run_setup({"scenario": "turbines"}).gains
+
+
 def probe(*sizes) -> dict:
     out = {}
     for n in map(int, sizes):
@@ -120,9 +128,10 @@ def record(algo: str = "state") -> dict:
 
 def step(*args) -> dict:
     lanes = int(next((arg[6:] for arg in args if arg.startswith("lanes=")), 1))
+    loop = turbines if "turbines" in args else vehicles
     out = {}
-    for n in (int(arg) for arg in args if not arg.startswith("lanes=")):
-        game, plants, g, gains = vehicles(n)
+    for n in (int(arg) for arg in args if arg.isdigit()):
+        game, plants, g, gains = loop(n)
         cfg = sim.SimConfig(dt=STEP_DT, horizon=STEPS * STEP_DT)
         batch = [sim.Lane(game, plants, g, gains, None, dataclasses.replace(cfg, seed=seed)) for seed in range(lanes)]
         kind = sim.run_lanes(batch)[0].stepping.kind
@@ -131,15 +140,14 @@ def step(*args) -> dict:
         layout, op = starts[0].layout, starts[0].op
         state = starts[0].state if lanes == 1 else np.stack([start.state for start in starts])
         groups = sim._drift_groups([plants] * lanes, state.shape[:-1])
-        rhs = sim._with_drift(affine.stack_lanes([op] * lanes).apply, groups, layout)
-        blocks = affine.fold_blocks(op, layout.chain_sl, layout.drift_sl, n * 2)
+        rows = layout.fold_rows(bool(groups))
+        blocks, sparse = affine.fold_blocks(op, *rows), sim._rk4_stepper(starts, groups)
 
         def call():
             # a fold stepper carries its stage inputs, so each call builds a fresh one
             began = time.perf_counter()
-            fold = sim._fold_stepper(op, STEP_DT, groups, layout, state,
-                                     affine.fold_blocks(op, layout.chain_sl, layout.drift_sl, n * 2))
-            advances = {"folded_us": fold[0], "sparse_us": lambda s, t: sim.rk4_step(rhs, s, t, STEP_DT)}
+            fold, _ = sim._fold_stepper(op, STEP_DT, groups, layout, state, affine.fold_blocks(op, *rows))
+            advances = {"folded_us": fold, "sparse_us": sparse}
             fields = {"build_s": time.perf_counter() - began}
             for name, advance in advances.items():
                 s, began = state, time.perf_counter()
