@@ -364,7 +364,7 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
 
     * affine game, every plant drift-free, and a group that pays back
       ("interval"): the one-step propagator s <- Phi s + c of
-      ``fold_drift_rk4`` without drift, O(size^3) once.  G full record
+      ``fold_drift_rk4`` without drift, size + 1 sparse steps.  G full record
       intervals of r = record_stride steps are one dense O(G size^2) product
       with the r-, 2r-, ..., G r-step propagators side by side
       (``Propagator.intervals``).  They take r + G - 1 more O(size^3)
@@ -685,10 +685,10 @@ def _folds(batch: list, steps: int, drifting: bool) -> Optional[FoldBlocks]:
     at least that many.
     """
     layout, op = batch[0].layout, batch[0].op
-    rows = layout.fold_rows(drifting)
-    if not (all(start.op is op for start in batch) and layout.size + 1 + 4 * rows[2] <= steps * len(batch)):
+    reads, writes, q = layout.fold_rows(drifting)
+    if not (all(start.op is op for start in batch) and layout.size + 1 + 4 * q <= steps * len(batch)):
         return None
-    blocks = fold_blocks(op, *rows)
+    blocks = fold_blocks(op, reads, writes, q)
     return blocks if blocks.nbytes <= FOLD_DRIFT_BYTES else None
 
 
