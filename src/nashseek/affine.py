@@ -1,28 +1,26 @@
 """The affine part of the closed loop, probed once from its structured right-hand side.
 
 Under a game declared affine everything in the loop but the plant drift is an
-affine map ``s' = A s + b`` of the flat state.  ``probe_affine`` evaluates the
-structured right-hand side on groups of columns whose rows cannot overlap, a
-chunk of groups at a time as the lanes of one batched call, and keeps ``A`` as
-its nonzeros, so a drifting loop costs one sparse matvec per RK4 stage.  At
-N = 30 that is 215 lanes and about 25 ms; at N = 10, 75 lanes and 2.4 ms.
-``stack_lanes`` puts the operators of a batch of loops side by side over a
-``(lanes, size)`` state, each lane with its own nonzeros.  ``rk4_step`` is the
-one RK4 step, and ``fold_drift_rk4`` folds it around the drift: the drift
-reads only the chain rows and adds only to the top level (and at n = 1 in
-output mode to e_0'), so each stage input is affine in the state and the
-earlier stage drifts, and one map of z = [s, 1, d_1, ..., d_4] (``DriftFold``;
-z = [s, 1] without drift) gives the next state and its drift-free stage
-inputs.  The map is kept as one block per connected component of A
-(``fold_blocks``), stacked so that one batched product steps them all: the
-vehicle loops split by coordinate into two blocks, which hold half the
-numbers of the whole map.  It is probed by running ``rk4_step`` on lanes
-that carry one input of every block at once, about 5 ms at N = 10.  A
-drift-free fold's blocks, put together, are one dense ``Propagator``,
-``s <- Phi s + c``; ``Propagator.intervals`` puts the maps of record
-intervals of r such steps side by side, so one product gives the ends of all
-of them, with a bound on every state the steps pass through on the way to
-the first end.  The layout argument is ``sim._Layout``.
+affine map ``s' = A s + b`` of the flat state.  This module holds:
+
+* ``probe_affine``, which evaluates the structured right-hand side on groups
+  of columns whose rows cannot overlap, a chunk of groups at a time as the
+  lanes of one batched call, and keeps ``A`` as its nonzeros
+  (``AffineOperator``): 75 lanes and 2.4 ms at N = 10, 215 lanes and about
+  25 ms at N = 30;
+* ``stack_lanes``, the operators of a batch of loops side by side over a
+  ``(lanes, size)`` state, each lane with its own nonzeros;
+* ``rk4_step``, the one RK4 step, which every step kind runs or folds;
+* ``fold_drift_rk4``, that step folded around the drift into one map of
+  z = [s, 1, d_1, ..., d_4] (z = [s, 1] without drift), a ``DriftFold`` kept
+  as one block per connected component of A (``fold_blocks``) and probed by
+  running ``rk4_step`` on lanes that carry one input of every block at once;
+  ``DriftFold.intervals`` puts a drift-free fold's blocks together into the
+  maps of record intervals side by side, with a bound on every state their
+  steps pass through.
+
+``sim.run`` says which loops step which kind.  The layout argument is
+``sim._Layout``.
 """
 
 from __future__ import annotations
@@ -255,42 +253,6 @@ def _greedy_colours(rows, bounds):
     return members, np.cumsum([0] + [len(c) for c in colours])
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """s <- s Y + c: a folded RK4 step, or several, of a (size,) state or a (lanes, size) batch.
-
-    Every state the steps pass through lies within kappa |s|_inf + c_peak in
-    every entry: kappa bounds the induced inf-norm of each j-step map and
-    c_peak the inf-norm of its offset c_j.  An ``intervals`` propagator holds
-    several record-interval maps side by side and bounds the steps to its
-    first end.
-    """
-
-    y: np.ndarray
-    c: np.ndarray
-    kappa: float
-    c_peak: float
-
-    def __call__(self, s, t=0.0):
-        """The propagated state; t is ignored, so a one-step propagator is a step(s, t)."""
-        return s @ self.y + self.c
-
-    def intervals(self, r: int, count: int) -> "Propagator":
-        """count record intervals of r steps of this one-step propagator side by side, as one product.
-
-        y = [Y_r, Y_r^2, ..., Y_r^count] and c = [c_r, ..., c_{count r}], so
-        s @ y + c holds the count successive interval ends of s, one
-        size-block each.  kappa and c_peak are taken over every j-step map
-        and offset with j <= r, so they bound the steps to the first end.  It
-        costs r + count - 2 products of size^3 and keeps count size^2 arrays.
-        """
-        kappa = c_peak = 0.0
-        for y, c in itertools.islice(_powers(self.y, self.c), r):
-            kappa, c_peak = max(kappa, _inf_norm(y)), max(c_peak, float(np.max(np.abs(c))))
-        ys, cs = zip(*itertools.islice(_powers(y, c), count))
-        return Propagator(np.hstack(ys), np.concatenate(cs), kappa, c_peak)
-
-
 def _powers(y, c):
     """The j-step maps (Y_j, c_j), j = 1, 2, ..., of s <- s y + c: Y_{j+1} = Y_j y, c_{j+1} = c_j y + c."""
     y_j, c_j = y, c
@@ -410,14 +372,27 @@ class DriftFold:
     couplings: tuple       # ((j - 1) q, p) for j = 2, 3, 4
     start: np.ndarray      # (size + 1, 3 p)
 
-    def propagator(self) -> Propagator:
-        """The one-step ``Propagator`` of a fold without drift slots: its blocks put together."""
+    def intervals(self, r: int, count: int) -> tuple:
+        """(y, c, kappa, c_peak): count record intervals of r steps of a fold without drift slots, side by side.
+
+        The blocks put together are the one-step map s <- s Y + c.  y = [Y_r,
+        Y_r^2, ..., Y_r^count] and c = [c_r, ..., c_{count r}], so s @ y + c
+        holds the count successive interval ends of s, one size-block each.
+        kappa bounds the induced inf-norm of every j-step map with j <= r and
+        c_peak the inf-norm of its offset, so every state the steps pass
+        through to the first end lies within kappa |s|_inf + c_peak in every
+        entry.  It costs r + count - 2 products of size^3 and keeps count
+        size^2 arrays.
+        """
         size = len(self.start) - 1
         whole = np.zeros((size + 2, size + 1))  # z = [s, 1, 0] by the product [s+, spare]
         for y, rows, cols in zip(self.y, self.rows, self.cols):
             whole[rows[:, None], cols] = y
-        y, c = whole[:size, :size].copy(), whole[size, :size].copy()
-        return Propagator(y, c, _inf_norm(y), float(np.max(np.abs(c))))
+        kappa = c_peak = 0.0
+        for y, c in itertools.islice(_powers(whole[:size, :size].copy(), whole[size, :size].copy()), r):
+            kappa, c_peak = max(kappa, _inf_norm(y)), max(c_peak, float(np.max(np.abs(c))))
+        ys, cs = zip(*itertools.islice(_powers(y, c), count))
+        return np.hstack(ys), np.concatenate(cs), kappa, c_peak
 
 
 def fold_drift_rk4(op: AffineOperator, dt: float, reads: slice, writes: tuple, q: int,

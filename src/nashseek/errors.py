@@ -82,7 +82,13 @@ class NoConvergence(NashseekError):
 
 
 class Diverged(NashseekError):
-    """A simulated state became non-finite or exceeded the magnitude guard."""
+    """A simulated state became non-finite or exceeded the magnitude guard.
+
+    A Diverged from ``sim.run`` or ``sim.run_lanes`` carries the ``sim.Stepping``
+    of the batch its lane stepped in as ``stepping``.
+    """
+
+    stepping = None
 
 
 class SingularSystem(NashseekError):

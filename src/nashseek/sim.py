@@ -16,25 +16,10 @@ controller terms.
 
 Under a game declared affine, everything but the drift is an affine map
 ``A s + b`` of the state.  The loop probes that map once from the stacked laws
-(:mod:`nashseek.affine`) and keeps ``A`` as its nonzeros.  The probe puts
-columns whose rows cannot overlap into one lane: 75 lanes and about 2 ms at
-N = 10, 215 lanes and about 25 ms at N = 30.  Every step is classical RK4,
-``affine.rk4_step``, as it is or folded.  A drift-free loop whose build pays
-back folds its step into one propagator ``s <- Phi s + c``, and a group of
-record intervals of record_stride steps each into one product whose ends
-are the next records (``Propagator.intervals``, "interval"), kept up to the
-first interval at whose start a bound cannot show that none of the steps it
-skips can leave the magnitude guard.  Otherwise a batch of lanes on one
-operator whose map's blocks fit FOLD_DRIFT_BYTES folds its step around the
-drift ("folded"): the stage inputs are affine in the state and the earlier
-stage drifts, so one map of z = [s, 1, d_1, ..., d_4] (z = [s, 1] without
-drift) gives the next state and the next step's drift-free stage inputs,
-and each stage adds one small product and one call per distinct drift
-(``affine.fold_drift_rk4``).  The map is kept as one block per connected
-component of the operator; a step gathers z into the blocks' rows, takes
-one batched product and scatters it back in layout order.  Otherwise each
-RK4 stage is one sparse matvec plus the stacked drift ("sparse").  Other
-games step the structured right-hand side ("structured").
+(:mod:`nashseek.affine`) and keeps ``A`` as its nonzeros.  Every step is
+classical RK4, ``affine.rk4_step``, as it is or folded into products
+(``affine.fold_drift_rk4``); ``run`` lists the step kinds and which loops
+take each.
 
 ``run_lanes`` integrates many loops at once.  Loops that share the layout,
 the step grid and the drift callables (and, unless the game is affine with
@@ -61,8 +46,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import control
-from .affine import (AffineOperator, FoldBlocks, fold_blocks, fold_drift_rk4, probe_affine, rk4_step,
-                     stack_lanes)
+from .affine import (AffineOperator, DriftFold, FoldBlocks, fold_blocks, fold_drift_rk4, probe_affine,
+                     rk4_step, stack_lanes)
 from .control import GainSet, ObserverSet
 from .errors import (
     ConfigInvalid,
@@ -180,7 +165,7 @@ class InitialConditions:
 class Stepping(NamedTuple):
     """How ``_integrate`` stepped a batch of lanes; each lane's Trajectory carries it."""
 
-    kind: str             # the step kind, one of the four ``run`` lists
+    kind: str             # the step kind, one of the three ``run`` lists
     group: Optional[int]  # record-interval maps per product, None without groups
     products: int         # group products
     one_step: int         # steps taken one at a time
@@ -362,26 +347,24 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     This is ``run_lanes`` on one lane.  The step depends on the game and the
     drifts (``Trajectory.stepping`` names it), with size the flat state's length:
 
-    * affine game, every plant drift-free, and a group that pays back
-      ("interval"): the one-step propagator s <- Phi s + c of
-      ``fold_drift_rk4`` without drift, size + 1 sparse steps.  G full record
-      intervals of r = record_stride steps are one dense O(G size^2) product
-      with the r-, 2r-, ..., G r-step propagators side by side
-      (``Propagator.intervals``).  They take r + G - 1 more O(size^3)
-      products to build, so G >= 1 is the largest count with (r + G - 1)
-      size <= steps lanes, at most RECORD_BLOCK_BYTES // (8 size^2) (or 1)
-      and at most the full intervals.  An interval's end is kept when kappa
-      |s|_inf + max_j |c_j|_inf stays within STATE_MAGNITUDE_GUARD at its
-      start, and every interval of the group before it was kept; the first
-      interval not kept, and the remainder interval, take one O(size^2)
-      matvec a step with the per-step guard;
-    * any other affine game, every lane of the batch on one probed operator
+    * any affine game, every lane of the batch on one probed operator
       ("folded"): one batched product a step of z = [s, 1, d_1, ..., d_4]
       (z = [s, 1] without drift) with the blocks of ``affine.fold_blocks``,
       one per connected component of the operator, and with drift a small
       product and one call per distinct drift a stage
       (``affine.fold_drift_rk4``).  It is taken when the blocks take at most
-      FOLD_DRIFT_BYTES and the input vectors of z are at most steps lanes;
+      FOLD_DRIFT_BYTES and the input vectors of z are at most steps lanes,
+      and whenever every plant is drift-free and a group pays back.  Such a
+      loop also steps groups: G full record intervals of r = record_stride
+      steps are one dense O(G size^2) product with the r-, 2r-, ..., G
+      r-step maps side by side (``DriftFold.intervals``).  They take r + G -
+      1 O(size^3) products to build, so G >= 1 is the largest count with (r
+      + G - 1) size <= steps lanes, at most RECORD_BLOCK_BYTES // (8 size^2)
+      (or 1) and at most the full intervals.  An interval's end is kept when
+      kappa |s|_inf + max_j |c_j|_inf stays within STATE_MAGNITUDE_GUARD at
+      its start, and every interval of the group before it was kept; the
+      first interval not kept, and the remainder interval, take the folded
+      step with the per-step guard;
     * any other affine game ("sparse"): ``rk4_step`` on the probed sparse
       operator plus the stacked drift, one O(nonzeros) matvec and one call
       per distinct drift a stage;
@@ -583,12 +566,14 @@ class _Recorder:
         self.reduced = last
 
     def split(self, failures: list, kind: str, group: Optional[int], products: int, one_step: int) -> list:
-        """Each lane's Trajectory, with the batch's Stepping, or its failure in its place."""
+        """Each lane's Trajectory or its Diverged in its place, either carrying the batch's Stepping."""
         began, n = time.perf_counter(), self.recorded
         if n > self.reduced:
             self._reduce()
         disagreement, errors = np.sqrt(self.squares[:, :n]).reshape(2, n, -1)
         stepping = Stepping(kind, group, products, one_step, self.seconds + time.perf_counter() - began)
+        for failure in filter(None, failures):
+            failure.stepping = stepping
         return [failure or Trajectory(self.times[:n], self.decisions[:n, k], disagreement[:, k],
                                       None if x_star is None else errors[:, k],
                                       self.obs_errors[:n, k] if self.layout.output_mode else None, stepping)
@@ -598,12 +583,11 @@ class _Recorder:
 def _integrate(batch: list) -> list:
     """Step the starts of one batch key together; a Trajectory or Diverged per lane.
 
-    One lane steps its (size,) state; more step one (lanes, size) state.  The
-    loop runs over record intervals.  An "interval" batch takes up to
-    a group of full intervals as one product and keeps the ends up to the
-    first interval whose start fails the bound that no step inside can leave
-    the guard; any other interval goes step by step with the guard after
-    each, so a Diverged names the step the one-step path would.
+    One lane steps its (size,) state; more step one (lanes, size) state.  It
+    picks the step kind by ``run``'s rules, builds a "folded" batch's fold
+    once and loops over record intervals: a group product where groups run,
+    else one step at a time with the guard after each, so a Diverged names
+    the step the one-step path would.
     """
     lane, layout = batch[0].lane, batch[0].layout
     cfg = lane.cfg
@@ -618,13 +602,14 @@ def _integrate(batch: list) -> list:
     # costs lanes size^2 a step: build as many as keep that cheaper
     count = min(max(1, RECORD_BLOCK_BYTES // (8 * layout.size ** 2)), steps // stride,
                 steps * lanes // layout.size - stride + 1)
-    if lane.game.affine and not groups and count >= 1:
-        kind = "interval"
-        advance = fold_drift_rk4(batch[0].op, cfg.dt, *layout.fold_rows(False)).propagator()
-        group = advance.intervals(stride, count)
-    elif lane.game.affine and (blocks := _folds(batch, steps, bool(groups))) is not None:
+    grouped = lane.game.affine and not groups and count >= 1
+    blocks = _folds(batch, steps, bool(groups)) if lane.game.affine and not grouped else None
+    if grouped or blocks is not None:
         kind = "folded"
-        advance, restart = _fold_stepper(batch[0].op, cfg.dt, groups, layout, state, blocks)
+        fold = fold_drift_rk4(batch[0].op, cfg.dt, *layout.fold_rows(bool(groups)), blocks)
+        advance, restart = _fold_stepper(fold, groups, layout, state)
+        if grouped:
+            group, (maps, offsets, kappa, c_peak) = count, fold.intervals(stride, count)
     else:
         kind = "sparse" if lane.game.affine else "structured"
         advance = _rk4_stepper(batch, groups)
@@ -646,12 +631,11 @@ def _integrate(batch: list) -> list:
         if group is not None and full:
             # (lanes, intervals, size); interval j > 0 starts at end j - 1,
             # kept while the bound holds at every start (False for NaN)
-            ends = group(state).reshape(lanes, -1, layout.size)[:, :full]
+            ends = (state @ maps + offsets).reshape(lanes, -1, layout.size)[:, :full]
             products += 1
             peaks = [np.abs(state).max()] + np.abs(ends[:, :-1]).max(axis=(0, 2)).tolist()
             taken = 0
-            while taken < len(peaks) and (group.kappa * peaks[taken] + group.c_peak
-                                          <= STATE_MAGNITUDE_GUARD):
+            while taken < len(peaks) and kappa * peaks[taken] + c_peak <= STATE_MAGNITUDE_GUARD:
                 taken += 1
             if taken:
                 recorder.extend(ends[:, :taken].swapaxes(0, 1))
@@ -665,12 +649,12 @@ def _integrate(batch: list) -> list:
             if not np.abs(state).max() <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
                 _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
                 if all(failures):
-                    return failures
+                    return recorder.split(failures, kind, group, products, one_step - (last - k - 1))
                 if restart is not None:
                     restart(failures)
         recorder.extend(state.reshape(1, lanes, -1))
         first = last
-    return recorder.split(failures, kind, None if group is None else count, products, one_step)
+    return recorder.split(failures, kind, group, products, one_step)
 
 
 def _folds(batch: list, steps: int, drifting: bool) -> Optional[FoldBlocks]:
@@ -680,9 +664,9 @@ def _folds(batch: list, steps: int, drifting: bool) -> Optional[FoldBlocks]:
     serves them all, and the block stack (``affine.fold_blocks`` on
     ``_Layout.fold_rows``) must take at most FOLD_DRIFT_BYTES.  The build
     steps each of the width input vectors of z once through the sparse
-    stages, so it is counted as width lane-steps, as the interval rule
-    counts a size^3 product as size of them: the steps of all lanes must be
-    at least that many.
+    stages, so it is counted as width lane-steps, as the group rule counts
+    a size^3 product as size of them: the steps of all lanes must be at
+    least that many.
     """
     layout, op = batch[0].layout, batch[0].op
     reads, writes, q = layout.fold_rows(drifting)
@@ -692,9 +676,8 @@ def _folds(batch: list, steps: int, drifting: bool) -> Optional[FoldBlocks]:
     return blocks if blocks.nbytes <= FOLD_DRIFT_BYTES else None
 
 
-def _fold_stepper(op: AffineOperator, dt: float, groups: list, layout: _Layout, state: np.ndarray,
-                  blocks: FoldBlocks):
-    """advance(s, t) and restart(failures) of the "folded" step of a batch that shares op.
+def _fold_stepper(fold: DriftFold, groups: list, layout: _Layout, state: np.ndarray):
+    """advance(s, t) and restart(failures) of the "folded" step of fold, for a batch like state.
 
     z = [s, 1, d_1, ..., d_4, 0] is one buffer with the batch's lane shape
     in front, and so is the product [s+, w_2, w_3, w_4, spare]
@@ -708,7 +691,6 @@ def _fold_stepper(op: AffineOperator, dt: float, groups: list, layout: _Layout, 
     """
     reads, writes, q = layout.fold_rows(bool(groups))
     p, size = reads.stop - reads.start, layout.size
-    fold = fold_drift_rk4(op, dt, reads, writes, q, blocks)
     lanes = state.shape[:-1]
     z = np.zeros(lanes + (size + 2 + 4 * q,))
     z[..., :size], z[..., size] = state, 1.0

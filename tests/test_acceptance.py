@@ -195,4 +195,4 @@ def test_default_runs_step_as_documented(vehicles_state_run, vehicles_output_run
     # step, and the turbine defaults step groups of record intervals
     steppings = [traj.stepping[:4] for _, traj, _ in (vehicles_state_run, vehicles_output_run,
                                                       turbines_state_run, turbines_output_run)]
-    assert steppings == [("folded", None, 0, 40000)] * 2 + [("interval", 7, 477, 3), ("interval", 4, 834, 3)]
+    assert steppings == [("folded", None, 0, 40000)] * 2 + [("folded", 7, 477, 3), ("folded", 4, 834, 3)]

@@ -577,12 +577,12 @@ class TestSweepLanes:
         ("vehicles", "seed", "1,2,3"),
         ("vehicles", "box", "[0,5],[-3,10],[2,4]"),
         ("vehicles", "alpha3", "5,18,40"),
-        ("turbines", "seed", "1,2,3"),  # the interval path
+        ("turbines", "seed", "1,2,3"),  # a drift-free fold with groups
     ])
     def test_each_lane_matches_its_single_run(self, tmp_path, monkeypatch, scenario, param, values):
         # cells that share one probed operator fold the drift step; a gain
         # sweep gives each cell an operator of its own, and those step sparse
-        kind = "interval" if scenario == "turbines" else "sparse" if param == "alpha3" else "folded"
+        kind = "sparse" if param == "alpha3" else "folded"
         outcomes, batches = self._capture(monkeypatch)
         overrides = ["--set", "horizon=2.0", "--set", "settle_tol=1e6"]
         assert run_cli("sweep", "--scenario", scenario, "--algo", "state", "--param", param,

@@ -302,9 +302,15 @@ class TestClosedLoopRuns:
         assert np.array_equal(traj.decisions[0], expected)
 
 
-def drift_free_propagator(op, layout, dt):
-    """The run's one-step propagator of a drift-free loop: its fold without drift slots, put together."""
-    return fold_drift_rk4(op, dt, *layout.fold_rows(False)).propagator()
+def drift_free_fold(op, layout, dt):
+    """The run's fold of a drift-free loop: no drift slots, z = [s, 1]."""
+    return fold_drift_rk4(op, dt, *layout.fold_rows(False))
+
+
+def drift_free_stepper(op, layout, dt, state):
+    """s -> s+, a copy, by the run's fold stepper of a drift-free loop, for states shaped like state."""
+    advance, _ = sim._fold_stepper(drift_free_fold(op, layout, dt), [], layout, state)
+    return lambda s: advance(s, 0.0).copy()
 
 
 def one_step_records(lane, step):
@@ -327,9 +333,9 @@ def taylor_steps(start):
     return lambda s: phi @ s + c
 
 
-def propagator_steps(start):
-    """One RK4 step of start's drift-free loop as the run's one-step propagator."""
-    return drift_free_propagator(start.op, start.layout, start.lane.cfg.dt)
+def fold_steps(start):
+    """One RK4 step of start's drift-free loop as the run's fold stepper."""
+    return drift_free_stepper(start.op, start.layout, start.lane.cfg.dt, start.state)
 
 
 def assert_records_match(traj, reference, rtol):
@@ -340,8 +346,17 @@ def assert_records_match(traj, reference, rtol):
     assert np.all(gap <= rtol * np.max(np.abs(decisions), axis=(1, 2)))
 
 
+class LoggedProducts(np.ndarray):
+    """An array that appends "group" to its log each time a state is multiplied by it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.log.append("group")
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
 class TestFoldedPropagator:
-    """A drift-free loop under an affine game is stepped by Phi s + c."""
+    """A drift-free loop under an affine game steps its fold, and groups of record intervals as one product."""
 
     def _loop(self, mode):
         game, _, g = build_turbine_market()
@@ -361,15 +376,15 @@ class TestFoldedPropagator:
     def test_fold_matches_rk4_step(self, mode, rtol):
         dt = 9e-4
         rhs, layout, state = self._loop(mode)
-        step = drift_free_propagator(probe_affine(rhs, layout), layout, dt)
+        step = drift_free_stepper(probe_affine(rhs, layout), layout, dt, state)
 
         def rel(a, b):
             return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
-        assert rel(step(state, 0.0), rk4_step(rhs, state, 0.0, dt)) < 1e-12
+        assert rel(step(state), rk4_step(rhs, state, 0.0, dt)) < 1e-12
         folded = reference = state
         for k in range(2000):
-            folded = step(folded, k * dt)
+            folded = step(folded)
             reference = rk4_step(rhs, reference, k * dt, dt)
         assert rel(folded, reference) < rtol
         assert rel(layout.chain(folded)[0], layout.chain(reference)[0]) < 1e-9
@@ -419,29 +434,42 @@ class TestFoldedPropagator:
         # 1 000 steps leave a remainder interval of 6 steps at stride 7
         lane = self._lane(mode, horizon=0.9, record_stride=7)
         strided, = sim.run_lanes([lane])
-        assert strided.stepping.kind == "interval"
-        # the two paths round differently; on the default turbine runs the
-        # gap reads at most 5.2e-13 (state) and 1.1e-12 (output) of the
-        # largest decision
-        assert_records_match(strided, one_step_records(lane, propagator_steps), 1e-11)
+        assert strided.stepping.kind == "folded" and strided.stepping.group is not None
+        # the two paths round differently; test_default_runs_hold_the_readme_figures
+        # bounds the gap over the default turbine runs
+        assert_records_match(strided, one_step_records(lane, fold_steps), 1e-11)
 
     @pytest.mark.parametrize("mode, count", [("state", 7), ("output", 4)])
     def test_stride_one_run_groups_its_intervals(self, mode, count):
         # the group's maps are Phi, Phi^2, ..., Phi^count, so every product records count steps
         lane = self._lane(mode, horizon=0.9, record_stride=1)
         traj, = sim.run_lanes([lane])
-        assert traj.stepping[:4] == ("interval", count, math.ceil(1000 / count), 0)
-        assert_records_match(traj, one_step_records(lane, propagator_steps), 1e-12)
+        assert traj.stepping[:4] == ("folded", count, math.ceil(1000 / count), 0)
+        assert_records_match(traj, one_step_records(lane, fold_steps), 1e-12)
+
+    def test_stride_one_group_needs_no_fold_payback(self):
+        # 66 steps at stride 1: (1 + G - 1) 66 <= 66 gives G = 1, where the fold's 67 input vectors
+        # alone would not pay back
+        traj, = sim.run_lanes([self._lane("state", horizon=66 * 9e-4, record_stride=1)])
+        assert traj.stepping[:4] == ("folded", 1, 66, 0)
 
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_drift_free_run_too_short_for_groups_steps_folded(self, mode, monkeypatch):
         # 333 steps at stride 10: (10 + G - 1) size <= 333 has no G >= 1 at size 66 or 90, but the
-        # fold's size + 1 input vectors pay back; the fold stepper steps it, not a dense propagator
+        # fold's size + 1 input vectors pay back; the fold stepper takes every step
         lane = self._lane(mode, horizon=0.3, record_stride=10)
         log = self._spy_steps(monkeypatch)
         traj, = sim.run_lanes([lane])
         assert traj.stepping[:4] == ("folded", None, 0, 333)
-        assert "step" not in log and "group" not in log
+        assert log.count("step") == 333 and "group" not in log
+        assert_records_match(traj, one_step_records(lane, taylor_steps), 1e-12)
+
+    def test_long_strided_run_steps_its_fold(self):
+        # 3 333 steps at stride 1 000: (1 000 + G - 1) 66 <= 3 333 has no G >= 1, but the fold's 67
+        # input vectors pay back
+        lane = self._lane("state", horizon=3.0, record_stride=1000)
+        traj, = sim.run_lanes([lane])
+        assert traj.stepping[:4] == ("folded", None, 0, 3333)
         assert_records_match(traj, one_step_records(lane, taylor_steps), 1e-12)
 
     def test_large_drift_free_market_steps_sparse(self):
@@ -461,36 +489,36 @@ class TestFoldedPropagator:
         game, _, g, gains, obs, layout, _ = loop_inputs(mode, scenario)
         op = probe_affine(_make_rhs(game, g, gains, obs, layout), layout)
         assert len(fold_blocks(op, *layout.fold_rows(False)).rows) == blocks
-        step = drift_free_propagator(op, layout, 9e-4)
+        y, offset, _, _ = drift_free_fold(op, layout, 9e-4).intervals(1, 1)
         phi, c = taylor_rk4(op, 9e-4)
-        assert np.max(np.abs(step.y.T - phi)) <= 1e-13 * np.max(np.abs(phi))
-        assert np.max(np.abs(step.c - c)) <= 1e-13 * np.max(np.abs(c))
+        assert np.max(np.abs(y.T - phi)) <= 1e-13 * np.max(np.abs(phi))
+        assert np.max(np.abs(offset - c)) <= 1e-13 * np.max(np.abs(c))
 
     def test_interval_bounds_every_step_it_replaces(self):
         rhs, layout, state = self._loop("output")
-        step = drift_free_propagator(probe_affine(rhs, layout), layout, 9e-4)
-        interval = step.intervals(10, 1)
+        op = probe_affine(rhs, layout)
+        fold = drift_free_fold(op, layout, 9e-4)
+        (phi, c, _, _), (y, c_10, kappa, c_peak) = fold.intervals(1, 1), fold.intervals(10, 1)
         # the j-step maps one step at a time: the unit vectors step through
         # the rows of the maps and the zero state through the offsets c_j; in
         # output mode the map's norm peaks at j = 2, not at j = 10
         maps, offsets = np.eye(layout.size), np.zeros(layout.size)
-        linear = dataclasses.replace(step, c=np.zeros(layout.size))
         norms, peaks = [], []
         for _ in range(10):
-            maps, offsets = linear(maps), step(offsets)
+            maps, offsets = maps @ phi, offsets @ phi + c
             norms.append(np.max(np.abs(maps).sum(axis=0)))
             peaks.append(np.max(np.abs(offsets)))
         assert np.argmax(norms) < 9
-        assert interval.kappa == pytest.approx(max(norms), rel=1e-12)
-        assert interval.c_peak == pytest.approx(max(peaks), rel=1e-12)
-        bound = interval.kappa * np.max(np.abs(state)) + interval.c_peak
-        s = state
+        assert kappa == pytest.approx(max(norms), rel=1e-12)
+        assert c_peak == pytest.approx(max(peaks), rel=1e-12)
+        # the run's one-step path, the fold stepper, stays within the bound too
+        bound, step, s = kappa * np.max(np.abs(state)) + c_peak, drift_free_stepper(op, layout, 9e-4, state), state
         for _ in range(10):
             s = step(s)
             assert np.max(np.abs(s)) <= bound
         # the observer's top derivative carries (eps/mu)^3 = 8e6 times the
         # rounding of either path, as in test_fold_matches_rk4_step
-        assert np.max(np.abs(interval(state) - s)) <= 1e-9 * np.max(np.abs(s))
+        assert np.max(np.abs(state @ y + c_10 - s)) <= 1e-9 * np.max(np.abs(s))
 
     def test_interval_divergence_matches_one_step_divergence(self, monkeypatch):
         game, plants, g = build_turbine_market()
@@ -519,13 +547,13 @@ class TestFoldedPropagator:
     @staticmethod
     def _spy_groups(monkeypatch):
         """The count of every group of record intervals built from here on."""
-        counts, intervals = [], affine.Propagator.intervals
+        counts, intervals = [], affine.DriftFold.intervals
 
         def spy(self, r, count):
             counts.append(count)
             return intervals(self, r, count)
 
-        monkeypatch.setattr(affine.Propagator, "intervals", spy)
+        monkeypatch.setattr(affine.DriftFold, "intervals", spy)
         return counts
 
     @pytest.mark.parametrize("mode, count", [("state", 7), ("output", 4)])
@@ -557,19 +585,26 @@ class TestFoldedPropagator:
 
     @staticmethod
     def _spy_steps(monkeypatch):
-        """Log, in order, each propagator product ("group" for a group of more
-        than one interval, "step" otherwise) and the length of each recorded slab."""
-        log, call, extend = [], affine.Propagator.__call__, sim._Recorder.extend
+        """Log, in order, each group product ("group"), each step of the fold
+        stepper ("step") and the length of each recorded slab."""
+        log, intervals, fold_stepper, extend = [], affine.DriftFold.intervals, sim._fold_stepper, sim._Recorder.extend
 
-        def called(self, s, t=0.0):
-            log.append("group" if self.y.shape[1] > self.y.shape[0] else "step")
-            return call(self, s, t)
+        def grouped(self, r, count):
+            maps, *rest = intervals(self, r, count)
+            maps = maps.view(LoggedProducts)
+            maps.log = log
+            return maps, *rest
+
+        def stepper(*args):
+            advance, restart = fold_stepper(*args)
+            return (lambda s, t: log.append("step") or advance(s, t)), restart
 
         def recorded(recorder, slab):
             log.append(len(slab))
             extend(recorder, slab)
 
-        monkeypatch.setattr(affine.Propagator, "__call__", called)
+        monkeypatch.setattr(affine.DriftFold, "intervals", grouped)
+        monkeypatch.setattr(sim, "_fold_stepper", stepper)
         monkeypatch.setattr(sim._Recorder, "extend", recorded)
         return log
 
@@ -597,10 +632,10 @@ class TestFoldedPropagator:
         obs = TURBINE_OBSERVER if mode == "output" else None
         cfg = SimConfig(dt=9e-4, horizon=0.9)
         layout = _Layout(4, 6, 1, output_mode=obs is not None)
-        bound = drift_free_propagator(probe_affine(_make_rhs(game, g, TURBINE_GAINS, obs, layout), layout),
-                                      layout, cfg.dt).intervals(cfg.record_stride, 1)
+        _, _, kappa, c_peak = drift_free_fold(probe_affine(_make_rhs(game, g, TURBINE_GAINS, obs, layout), layout),
+                                              layout, cfg.dt).intervals(cfg.record_stride, 1)
         # the start's largest entry is scale: |s_0|_inf <= guard < kappa |s_0|_inf + c_peak
-        assert scale <= sim.STATE_MAGNITUDE_GUARD < bound.kappa * scale + bound.c_peak
+        assert scale <= sim.STATE_MAGNITUDE_GUARD < kappa * scale + c_peak
         init = InitialConditions(decisions=scale * np.linspace(0.5, 1.0, 6)[:, None])
         log = self._spy_steps(monkeypatch)
         outcomes = []
@@ -621,6 +656,18 @@ class TestFoldedPropagator:
             assert np.array_equal(strided.times, stepped.times[rows])
             gap = np.max(np.abs(strided.decisions - stepped.decisions[rows]), axis=(1, 2))
             assert np.all(gap <= 1e-11 * np.max(np.abs(stepped.decisions[rows]), axis=(1, 2)))
+
+    @pytest.mark.parametrize("mode, kappa, gap", [("state", 1.641, 5.2e-13), ("output", 1.332e6, 1.1e-12)])
+    def test_default_runs_hold_the_readme_figures(self, mode, kappa, gap, request):
+        # README: kappa of the default turbine runs, and the gap of their records to one-step
+        # stepping of the fold over the whole 30 s run (measured 5.19e-13 and 1.09e-12)
+        setup, traj, _ = request.getfixturevalue(f"turbines_{mode}_run")
+        cfg = setup.sim_config
+        lane = sim.Lane(setup.game, setup.plants, setup.graph, setup.gains, setup.observer, cfg, setup.init)
+        start = sim._start(lane, {})
+        _, _, bound, _ = drift_free_fold(start.op, start.layout, cfg.dt).intervals(cfg.record_stride, 1)
+        assert float(f"{bound:.4g}") == kappa and traj.stepping.group is not None
+        assert_records_match(traj, one_step_records(lane, fold_steps), gap)
 
     @pytest.mark.parametrize("mode", ["state", "output"])
     def test_default_run_steps_one_at_a_time_only_in_its_remainder(self, mode, monkeypatch):
@@ -1128,7 +1175,8 @@ class TestDriftFold:
         shape = (layout.size,) if lanes == 1 else (lanes, layout.size)
         state = np.random.default_rng(4).uniform(-5.0, 5.0, shape)
         groups = _drift_groups([plants] * lanes, state.shape[:-1])
-        advance, _ = sim._fold_stepper(op, 1e-3, groups, layout, state, blocks)
+        advance, _ = sim._fold_stepper(fold_drift_rk4(op, 1e-3, *layout.fold_rows(True), blocks), groups, layout,
+                                       state)
         rhs = _with_drift(stack_lanes([op] * lanes).apply, groups, layout)
         folded = sparse = state
         for k in range(50):
@@ -1237,7 +1285,7 @@ class TestDriftFold:
         masks, mask = [], sim._mask_diverged
         monkeypatch.setattr(sim, "_mask_diverged", lambda *args: masks.append(args[2]) or mask(*args))
         outcomes = sim.run_lanes(lanes)
-        assert outcomes[0].stepping.kind == "folded"
+        assert outcomes[0].stepping.kind == "folded" and outcomes[1].stepping is outcomes[0].stepping
         assert isinstance(outcomes[1], Diverged) and str(outcomes[1]) == str(singles[1])
         assert "magnitude" in str(outcomes[1])
         # the masked lane restarts its stage inputs from its zeroed state, so
@@ -1253,47 +1301,55 @@ class TestDriftFold:
 class TestStepping:
     """Trajectory.stepping reports what the spies on the step kinds see."""
 
-    @pytest.mark.parametrize("kind, lanes", [("interval", 3), ("folded", 1), ("folded", 3),
+    @pytest.mark.parametrize("case, lanes", [("grouped", 3), ("folded", 1), ("folded", 3),
                                              ("sparse", 3), ("structured", 1)])
-    def test_record_matches_the_spies(self, kind, lanes, monkeypatch):
+    def test_record_matches_the_spies(self, case, lanes, monkeypatch):
         spies = TestFoldedPropagator
-        if (kind, lanes) in (("interval", 3), ("folded", 1)):
+        if (case, lanes) in (("grouped", 3), ("folded", 1)):
             # the drift-free turbine loop at stride 7: 1 000 steps are 142 full intervals and a
             # remainder of 6 steps; 333 steps of one lane are too few for a group
             game, plants, g = build_turbine_market()
             gains = TURBINE_GAINS
-            cfg = SimConfig(dt=9e-4, horizon=0.9 if kind == "interval" else 0.3, record_stride=7)
+            cfg = SimConfig(dt=9e-4, horizon=0.9 if case == "grouped" else 0.3, record_stride=7)
             spies._forbid_rk4_step(monkeypatch)
         else:
             game, plants, g, _ = build_vehicle_formation()
-            game = dataclasses.replace(game, affine=kind != "structured")
-            gains, cfg = VEHICLE_GAINS, SimConfig(dt=1e-3, horizon=0.05 if kind == "structured" else 0.2)
-        rk4, folded = [], []
+            game = dataclasses.replace(game, affine=case != "structured")
+            gains, cfg = VEHICLE_GAINS, SimConfig(dt=1e-3, horizon=0.05 if case == "structured" else 0.2)
+        rk4 = []
         monkeypatch.setattr(sim, "rk4_step", lambda *args: rk4.append(args[2]) or rk4_step(*args))
-        fold_stepper = sim._fold_stepper
-
-        def counted_fold(*args):
-            advance, restart = fold_stepper(*args)
-            return (lambda s, t: folded.append(t) or advance(s, t)), restart
-
-        monkeypatch.setattr(sim, "_fold_stepper", counted_fold)
         groups, log = spies._spy_groups(monkeypatch), spies._spy_steps(monkeypatch)
         calls = count_structured_rhs_calls(monkeypatch)
         # lanes with gain objects of their own have operators of their own, which do not fold
-        outcomes = sim.run_lanes([sim.Lane(game, plants, g, dataclasses.replace(gains) if kind == "sparse"
+        outcomes = sim.run_lanes([sim.Lane(game, plants, g, dataclasses.replace(gains) if case == "sparse"
                                            else gains, None, dataclasses.replace(cfg, seed=seed))
                                   for seed in range(lanes)])
         stepping = outcomes[0].stepping
         assert all(traj.stepping is stepping for traj in outcomes)
-        assert stepping.kind == kind and stepping.record_s > 0
+        assert stepping.kind == ("folded" if case == "grouped" else case) and stepping.record_s > 0
         assert stepping.group == (groups[0] if groups else None) and len(groups) <= 1
         assert stepping.products == log.count("group")
-        assert stepping.one_step == log.count("step") + len(rk4) + len(folded)
-        assert (len(folded) == stepping.one_step > 0) == (kind == "folded")
+        assert stepping.one_step == log.count("step") + len(rk4)
+        # the fold stepper takes every step that is not in a group product, and only it
+        assert (log.count("step") == stepping.one_step > 0) == (stepping.kind == "folded")
         # only the structured kind evaluates the structured rhs as it steps, four times a step
-        assert (len(calls) == 4 * stepping.one_step) == (kind == "structured")
-        if kind == "interval":
-            assert stepping[:4] == ("interval", 7, math.ceil(142 / 7), 6)
+        assert (len(calls) == 4 * stepping.one_step) == (case == "structured")
+        if case == "grouped":
+            assert stepping[:4] == ("folded", 7, math.ceil(142 / 7), 6)
+
+
+    @pytest.mark.parametrize("scenario, stride, stepping, at", [
+        ("vehicles", 10, ("folded", None, 0, 17), 0.85), ("turbines", 10, ("folded", None, 0, 7), 0.35),
+        ("turbines", 1, ("folded", 7, 2, 1), 0.35)])
+    def test_diverged_carries_its_batch_stepping(self, scenario, stride, stepping, at):
+        # dt = 0.05 takes both loops out of the guard; at stride 1 the turbine run steps groups,
+        # and its second group is cut by the bound at its start
+        cfg = default_config(scenario, "state")
+        cfg["sim"].update(dt=0.05, record_stride=stride)
+        setup = build_run_setup(cfg)
+        with pytest.raises(Diverged, match=f"exceeded 1e\\+12 at t={at}$") as caught:
+            run(setup.game, setup.plants, setup.graph, setup.gains, setup.observer, setup.sim_config, setup.init)
+        assert caught.value.stepping[:4] == stepping and caught.value.stepping.record_s > 0
 
 
 class TestEquilibriumResidual:

@@ -33,7 +33,8 @@ def tool(monkeypatch):
 
 def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     # the record and step layers read the run's Trajectory.stepping, so none of these may change
-    patched = [(sim._Recorder, "extend"), (sim._Recorder, "split"), (affine.Propagator, "intervals"),
+    patched = [(sim._Recorder, "extend"), (sim._Recorder, "split"), (affine.DriftFold, "intervals"),
+               (affine, "fold_blocks"), (affine, "fold_drift_rk4"), (sim, "fold_drift_rk4"),
                (sim, "_fold_stepper"), (sim, "_folds"), (sim, "_rk4_stepper"), (sim, "rk4_step")]
     originals = [getattr(owner, name) for owner, name in patched]
 
@@ -54,19 +55,22 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
 
     step = tool.LAYERS["step"]("2", "lanes=2")
     assert list(step) == [2]
-    assert list(step[2]) == ["size", "lanes", "kind", "fold_bytes", "blocks", "build_s", "folded_us",
-                             "sparse_us", "repeats"]
+    assert list(step[2]) == ["size", "lanes", "kind", "group", "fold_bytes", "blocks", "fold_blocks_s",
+                             "fold_drift_rk4_s", "intervals_s", "folded_us", "sparse_us", "repeats"]
     # two vehicles: size 20 and a 37 x 44 map, whose 37 inputs 2 400 steps of two lanes pay back,
-    # split by coordinate into two blocks of 19 x 22
-    assert (step[2]["size"], step[2]["lanes"], step[2]["kind"]) == (20, 2, "folded")
+    # split by coordinate into two blocks of 19 x 22; a loop with drift has no groups to build
+    assert (step[2]["size"], step[2]["lanes"], step[2]["kind"], step[2]["group"]) == (20, 2, "folded", None)
     assert (step[2]["fold_bytes"], step[2]["blocks"]) == (8 * 2 * 19 * 22, 2) and step[2]["repeats"] == 3
-    assert 0 < step[2]["build_s"] and 0 < step[2]["folded_us"] and 0 < step[2]["sparse_us"]
-    # six drift-free generators: size 66, whose 2 400 steps pay back a group, and one 67 x 66 block
+    assert step[2]["intervals_s"] is None
+    assert all(0 < step[2][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "folded_us", "sparse_us"))
+    # six drift-free generators: size 66, whose 2 400 steps at stride 10 pay back a group of 7, and
+    # one 67 x 66 block
     turbines = tool.LAYERS["step"]("6", "turbines")
     assert list(turbines) == [6] and list(turbines[6]) == list(step[2])
-    assert (turbines[6]["size"], turbines[6]["kind"]) == (66, "interval")
+    assert (turbines[6]["size"], turbines[6]["kind"], turbines[6]["group"]) == (66, "folded", 7)
     assert (turbines[6]["fold_bytes"], turbines[6]["blocks"]) == (8 * 67 * 66, 1)
-    assert 0 < turbines[6]["folded_us"] and 0 < turbines[6]["sparse_us"]
+    assert all(0 < turbines[6][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "intervals_s",
+                                                "folded_us", "sparse_us"))
     json.dumps([probe, cert, record, step, turbines])
 
     assert [getattr(owner, name) for owner, name in patched] == originals

@@ -6,16 +6,18 @@
 probe: N -> size, median_s, repeats, nonzeros, lanes, calls of ``affine.probe_affine`` on the
   drift-free state-mode loop of N vehicles (the table repeated, anchors uniform in [-15, 15]^2
   with seed 0, default cycle digraph and gains), with one probe's rhs lanes and calls.
-step: N -> size, lanes, kind, fold_bytes, blocks, build_s, folded_us, sparse_us, repeats for L lanes
-  (default 1) of that state-mode loop of N vehicles with its drift, or with ``turbines`` of the
-  drift-free state-mode market of N >= 5 generators (the table repeated, default digraph and
-  gains), seeds 0..L-1, at dt = STEP_DT: kind is the step kind a run of STEPS steps takes, read
-  from its ``Trajectory.stepping``; fold_bytes and blocks are the bytes of the "folded" block
-  stack, which a step reads, and its block count (``affine.fold_blocks`` on
-  ``sim._Layout.fold_rows``); build_s is the time to find the blocks and build the stepper on
-  them; folded_us and sparse_us are the microseconds per RK4 step of the batch, "folded"
-  (``sim._fold_stepper``) and "sparse" (``sim._rk4_stepper``), STEPS steps of each in turn from
-  the run's start.
+step: N -> size, lanes, kind, group, fold_bytes, blocks, fold_blocks_s, fold_drift_rk4_s, intervals_s,
+  folded_us, sparse_us, repeats for L lanes (default 1) of that state-mode loop of N vehicles with its
+  drift, or with ``turbines`` of the drift-free state-mode market of N >= 5 generators (the table
+  repeated, default digraph and gains), seeds 0..L-1, at dt = STEP_DT: kind and group are the step
+  kind and the record-interval maps per product (null if none) of a run of STEPS steps, read from
+  its ``Trajectory.stepping``; fold_bytes and blocks are the bytes of the "folded" block stack, which
+  a step reads, and its block count; the three build phases are timed apart, on the arguments the
+  run builds them from: ``affine.fold_blocks`` on ``sim._Layout.fold_rows``, ``affine.fold_drift_rk4``
+  on those blocks and, for a drift-free loop (else null), ``DriftFold.intervals`` of the run's
+  record_stride and group (one map if the run takes no groups); folded_us and sparse_us are the
+  microseconds per RK4 step of the batch, "folded" (``sim._fold_stepper`` on that fold) and "sparse"
+  (``sim._rk4_stepper``), STEPS steps of each in turn from the run's start.
 certificate: N -> median_s, repeats, passed, residual of ``graph.estimation_certificate`` of
   ``scenarios.default_cycle_digraph(N)``.
 record: algo, records, group, csv_bytes, repeats, run_s, record_s, csv_write_s of ``sim.run`` on
@@ -134,31 +136,39 @@ def step(*args) -> dict:
         game, plants, g, gains = loop(n)
         cfg = sim.SimConfig(dt=STEP_DT, horizon=STEPS * STEP_DT)
         batch = [sim.Lane(game, plants, g, gains, None, dataclasses.replace(cfg, seed=seed)) for seed in range(lanes)]
-        kind = sim.run_lanes(batch)[0].stepping.kind
+        stepping = sim.run_lanes(batch)[0].stepping
         probes = {}
         starts = [sim._start(lane, probes) for lane in batch]
         layout, op = starts[0].layout, starts[0].op
         state = starts[0].state if lanes == 1 else np.stack([start.state for start in starts])
         groups = sim._drift_groups([plants] * lanes, state.shape[:-1])
         rows = layout.fold_rows(bool(groups))
-        blocks, sparse = affine.fold_blocks(op, *rows), sim._rk4_stepper(starts, groups)
+        sparse = sim._rk4_stepper(starts, groups)
 
         def call():
             # a fold stepper carries its stage inputs, so each call builds a fresh one
             began = time.perf_counter()
-            fold, _ = sim._fold_stepper(op, STEP_DT, groups, layout, state, affine.fold_blocks(op, *rows))
-            advances = {"folded_us": fold, "sparse_us": sparse}
-            fields = {"build_s": time.perf_counter() - began}
+            blocks = affine.fold_blocks(op, *rows)
+            found = time.perf_counter()
+            fold = affine.fold_drift_rk4(op, STEP_DT, *rows, blocks)
+            fields = {"fold_blocks_s": found - began, "fold_drift_rk4_s": time.perf_counter() - found}
+            if not groups:
+                began = time.perf_counter()
+                fold.intervals(cfg.record_stride, stepping.group or 1)
+                fields["intervals_s"] = time.perf_counter() - began
+            advances = {"folded_us": sim._fold_stepper(fold, groups, layout, state)[0], "sparse_us": sparse}
             for name, advance in advances.items():
                 s, began = state, time.perf_counter()
                 for k in range(STEPS):
                     s = advance(s, k * STEP_DT)
                 fields[name] = (time.perf_counter() - began) / STEPS * 1e6
-            return fields, None
+            return fields, blocks
 
-        fields, runs, _ = repeat(call)
-        out[n] = {"size": layout.size, "lanes": lanes, "kind": kind, "fold_bytes": blocks.nbytes,
-                  "blocks": len(blocks.rows), **fields, "repeats": runs}
+        fields, runs, blocks = repeat(call)
+        out[n] = {"size": layout.size, "lanes": lanes, "kind": stepping.kind, "group": stepping.group,
+                  "fold_bytes": blocks.nbytes, "blocks": len(blocks.rows), "fold_blocks_s": fields["fold_blocks_s"],
+                  "fold_drift_rk4_s": fields["fold_drift_rk4_s"], "intervals_s": fields.get("intervals_s"),
+                  "folded_us": fields["folded_us"], "sparse_us": fields["sparse_us"], "repeats": runs}
     return out
 
 
