@@ -12,12 +12,13 @@ affine map ``s' = A s + b`` of the flat state.  This module holds:
   ``(lanes, size)`` state, each lane with its own nonzeros;
 * ``rk4_step``, the one RK4 step, which every step kind runs or folds;
 * ``fold_drift_rk4``, that step folded around the drift into one map of
-  z = [s, 1, d_1, ..., d_4] (z = [s, 1] without drift), a ``DriftFold`` kept
-  as one block per connected component of A (``fold_blocks``) and probed by
-  running ``rk4_step`` on lanes that carry one input of every block at once;
-  ``DriftFold.intervals`` puts a drift-free fold's blocks together into the
-  maps of record intervals side by side, with a bound on every state their
-  steps pass through.
+  z = [s, 1, d_1, ..., d_4] (z = [s, 1] without drift) to the next state,
+  kept as one block per connected component of A (``fold_blocks``), and
+  three stage matrices that give each stage input from a prefix of z; a
+  ``DriftFold`` probed by running ``rk4_step`` on lanes that carry one
+  input of every block at once.  ``DriftFold.intervals`` puts a drift-free
+  fold's blocks together into the maps of record intervals side by side,
+  with a bound on every state their steps pass through.
 
 ``sim.run`` says which loops step which kind.  The layout argument is
 ``sim._Layout``.
@@ -267,7 +268,8 @@ def _inf_norm(y) -> float:
 
 
 class FoldBlocks(NamedTuple):
-    """The blocks a ``DriftFold`` map splits into, as the entries each one reads and writes.
+    """What a ``DriftFold`` step multiplies by: the blocks its map splits into, as the entries each
+    one reads and writes, and the shapes of its three stage matrices.
 
     Block g maps z[rows[g]] to the product's columns cols[g].  z and the
     product each end in a spare entry: a padding row reads z's, a zero, and a
@@ -276,12 +278,13 @@ class FoldBlocks(NamedTuple):
     """
 
     rows: np.ndarray  # (G, R) indices into z = [s, 1, d_1, ..., d_4, 0]
-    cols: np.ndarray  # (G, C) indices into the product [s+, w_2, w_3, w_4, spare]
+    cols: np.ndarray  # (G, C) indices into the product [s+, spare]
+    stages: tuple     # (size + 1 + j q, p) for j = 1, 2, 3
 
     @property
     def nbytes(self) -> int:
-        """The bytes of the (G, R, C) block stack, all of which a step reads."""
-        return 8 * self.rows.size * self.cols.shape[1]
+        """The bytes a step reads, all of the (G, R, C) block stack and of the stage matrices."""
+        return 8 * (self.rows.size * self.cols.shape[1] + sum(r * c for r, c in self.stages))
 
 
 def _components(op: AffineOperator) -> np.ndarray:
@@ -309,19 +312,19 @@ def fold_blocks(op: AffineOperator, reads: slice, writes: tuple, q: int) -> Fold
     """The blocks of op's ``fold_drift_rk4`` map: one per connected component of A (``_components``).
 
     A state belongs to its own component, drift slot (j, i) to the
-    components of its E rows (writes), stage-input column (j, i) to the
-    component of its P row (reads), and the constant to every block.  The
+    components of its E rows (writes), and the constant to every block.  The
     stages multiply exact zeros between components, so the map's entries
     there are exact zeros and the blocks leave out no term.  A block's rows
     are the inputs that reach it alone, padded to the most any block has,
     then the inputs that reach more than one block, each in every block it
-    reaches; its columns are padded to the most any block has.  The stack is
-    taken when it holds fewer numbers than the whole map, else one block
-    holds the whole map.
+    reaches; its columns are its states, padded to the most any block has.
+    The stack is taken when it holds fewer numbers than the whole map, else
+    one block holds the whole map.  The stage matrices read the p rows of
+    reads and are dense.
     """
     size = op.b.size
-    p = reads.stop - reads.start
-    width, columns = size + 1 + 4 * q, size + 3 * p
+    width = size + 1 + 4 * q
+    stages = tuple((size + 1 + j * q, reads.stop - reads.start) for j in (1, 2, 3))
     _, comp = np.unique(_components(op), return_inverse=True)
     count = comp.max() + 1
     slots = np.zeros((count, q), dtype=bool)
@@ -332,11 +335,10 @@ def fold_blocks(op: AffineOperator, reads: slice, writes: tuple, q: int) -> Fold
     shared = np.flatnonzero(~alone)
     rows = np.hstack([_stacked([np.flatnonzero(r & alone) for r in reach], width),
                       np.where(reach[:, shared], shared, width)])
-    col_comp = np.concatenate([comp, np.tile(comp[reads], 3)])
-    cols = _stacked([np.flatnonzero(col_comp == g) for g in range(count)], columns)
-    if rows.size * cols.shape[1] >= width * columns:
-        return FoldBlocks(np.arange(width)[None], np.arange(columns)[None])
-    return FoldBlocks(rows, cols)
+    cols = _stacked([np.flatnonzero(comp == g) for g in range(count)], size)
+    if rows.size * cols.shape[1] >= width * size:
+        return FoldBlocks(np.arange(width)[None], np.arange(size)[None], stages)
+    return FoldBlocks(rows, cols, stages)
 
 
 def _stacked(parts: list, fill: int) -> np.ndarray:
@@ -355,22 +357,20 @@ class DriftFold:
     Every stage input u_j is affine in the state s and the earlier stage
     drifts d_i = d(P u_i), so with z = [s, 1, d_1, d_2, d_3, d_4, 0]:
 
-    * the map z -> [s+, w_2, w_3, w_4] gives the next state and its
-      drift-free stage inputs w_j = P u_j(s+) at zero drift.  It is kept as
-      the blocks of ``fold_blocks``: block g takes z[rows[g]] @ y[g] into
-      the columns cols[g] of the product, which ends in a spare column;
-    * P u_j = w_j + [d_1 ... d_{j-1}] @ couplings[j - 2], so the stage
-      inputs of a step come from its own drifts and the previous product;
-    * ``[s, 1] @ start`` = [w_2, w_3, w_4] of s, to begin from any state.
+    * P u_{j+1} = z[:size + 1 + j q] @ stages[j - 1] for j = 1, 2, 3, one
+      product of the state, the constant and the j drifts before it;
+    * the map z -> s+ gives the next state.  It is kept as the blocks of
+      ``fold_blocks``: block g takes z[rows[g]] @ y[g] into the columns
+      cols[g] of the product [s+, spare].
 
-    z, the product and the stage inputs may carry a lane axis in front.
+    A step reads nothing but its state, so it may start from any state.  z,
+    the product and the stage inputs may carry a lane axis in front.
     """
 
     y: np.ndarray          # (G, R, C) block stack
     rows: np.ndarray       # (G, R) indices into z
-    cols: np.ndarray       # (G, C) indices into the product [s+, w_2, w_3, w_4, spare]
-    couplings: tuple       # ((j - 1) q, p) for j = 2, 3, 4
-    start: np.ndarray      # (size + 1, 3 p)
+    cols: np.ndarray       # (G, C) indices into the product [s+, spare]
+    stages: tuple          # (size + 1 + j q, p) for j = 1, 2, 3
 
     def intervals(self, r: int, count: int) -> tuple:
         """(y, c, kappa, c_peak): count record intervals of r steps of a fold without drift slots, side by side.
@@ -384,7 +384,7 @@ class DriftFold:
         entry.  It costs r + count - 2 products of size^3 and keeps count
         size^2 arrays.
         """
-        size = len(self.start) - 1
+        size = len(self.stages[0]) - 1  # without drift slots stages[0] reads z[:size + 1] = [s, 1]
         whole = np.zeros((size + 2, size + 1))  # z = [s, 1, 0] by the product [s+, spare]
         for y, rows, cols in zip(self.y, self.rows, self.cols):
             whole[rows[:, None], cols] = y
@@ -407,41 +407,38 @@ def fold_drift_rk4(op: AffineOperator, dt: float, reads: slice, writes: tuple, q
     d_1, ..., d_4].  It runs on probe lanes,
     PROBE_CHUNK_BYTES at a time: lane r is 1 in row r of every block and 0
     elsewhere, as an input moves no block it does not reach.  That gives the
-    blocks' next states, and each input's stage inputs, which are start and
-    the couplings; the blocks' stage inputs are then [s+, 1] @ start within
-    each block.  No map but the blocks is formed, and no (size, size) array.
+    blocks' next states, and each input's stage inputs [P u_2, P u_3, P u_4],
+    read in the block of their P rows; stage j + 1 keeps the rows of the
+    inputs before d_{j+1}.  No map but the blocks is formed, and no (size,
+    size) array.
     """
     size = op.b.size
     p = reads.stop - reads.start
-    width, columns = size + 1 + 4 * q, size + 3 * p
-    rows, cols = fold_blocks(op, reads, writes, q) if blocks is None else blocks
+    width = size + 1 + 4 * q
+    rows, cols, _ = fold_blocks(op, reads, writes, q) if blocks is None else blocks
     y = np.empty((len(rows), rows.shape[1], cols.shape[1]))
+    # lane r's input in the block of each stage-input column; padding goes to a spare last row
+    block_of = np.empty(size + 1, dtype=np.intp)
+    block_of[cols] = np.arange(len(cols))[:, None]
+    stage_rows = rows[np.tile(block_of[reads], 3)].T
+    inputs = np.zeros((width + 1, 3 * p))
 
     lane_ops = {}  # the operator of each chunk's lanes, by lane count
 
-    def stages(z, t):  # [s+, P u_2, P u_3, P u_4] of z without its spare entry, then a spare zero column
+    def step(z, t):  # [s+, a spare zero, P u_2, P u_3, P u_4] of z without its spare entry
         if len(z) not in lane_ops:
             lane_ops[len(z)] = stack_lanes([op] * len(z))
-        after, inputs = _rk4_stages(lane_ops[len(z)], dt, reads, writes, z[:, :width])
-        return np.hstack([after, inputs, np.zeros((len(z), 1))])
+        after, stage_inputs = _rk4_stages(lane_ops[len(z)], dt, reads, writes, z[:, :width])
+        return np.hstack([after, np.zeros((len(z), 1)), stage_inputs])
 
     done = 0
-    for _, _, out in _probe_calls(stages, rows.T.ravel(), np.arange(0, rows.size + 1, len(rows)),
+    for _, _, out in _probe_calls(step, rows.T.ravel(), np.arange(0, rows.size + 1, len(rows)),
                                   np.ones(width + 1), max(1, PROBE_CHUNK_BYTES // (8 * (width + 1)))):
         y[:, done:done + len(out)] = out[:, cols].swapaxes(0, 1)
+        inputs[stage_rows[done:done + len(out)], np.arange(3 * p)] = out[:, size + 1:]
         done += len(out)
-    # each input's stage inputs, read from every block it reaches (padding goes to a spare last row);
-    # start is their first size + 1 rows.  A block's columns are its n states, then its stage inputs
-    inputs = np.zeros((width + 1, 3 * p))
-    for block, r, c in zip(y, rows, cols):
-        n, stage = np.count_nonzero(c < size), c[(c >= size) & (c < columns)] - size
-        inputs[r[:, None], stage] = block[:, n:n + len(stage)]
-        block[:, n:n + len(stage)] = block[:, :n] @ inputs[np.ix_(c[:n], stage)]
-        block[r == size, n:n + len(stage)] += inputs[size, stage]  # the constant's next state keeps the 1
-    start, couplings = inputs[:size + 1].copy(), inputs[size + 1:width]
-    # stage j + 1 reads the drifts of the j stages before it
-    couplings = tuple(np.ascontiguousarray(couplings[:j * q, (j - 1) * p:j * p]) for j in (1, 2, 3))
-    return DriftFold(y, rows, cols, couplings, start)
+    stages = tuple(np.ascontiguousarray(inputs[:size + 1 + j * q, (j - 1) * p:j * p]) for j in (1, 2, 3))
+    return DriftFold(y, rows, cols, stages)
 
 
 def _rk4_stages(op: AffineOperator, dt: float, reads: slice, writes: tuple, z: np.ndarray):

@@ -24,9 +24,10 @@ take each.
 ``run_lanes`` integrates many loops at once.  Loops that share the layout,
 the step grid and the drift callables (and, unless the game is affine with
 drift, the model objects) step as the lanes of one ``(lanes, size)`` state:
-one product per group of record intervals, one batched block product a step,
-one sparse product with per-lane nonzeros a stage or one structured call per
-stage, one call per distinct drift a stage, and one record of every lane.
+one product per group of record intervals, one batched block product a step
+and one stage-input product a stage, one sparse product with per-lane
+nonzeros a stage or one structured call per stage, one call per distinct
+drift a stage, and one record of every lane.
 ``_Recorder.extend`` is the one way to record: it copies a slab of full
 states, one record or a group's ends, into a block of at most
 RECORD_BLOCK_BYTES, reduced to the recorded series one block at a time.
@@ -79,23 +80,25 @@ MAX_LANES = 64
 # this many bytes too: 7 maps of the turbine loop, 4 in output mode.
 RECORD_BLOCK_BYTES = 2 ** 18
 
-# Bytes of the block stack a "folded" step multiplies by (``affine.fold_blocks``):
-# two blocks of (size / 2 + 1 + 2 N m) x (size / 2 + 3 n N m / 2) floats on the
-# vehicle loops, one per coordinate, and one (size + 1) x size block without
-# drift.  The step reads all of it, so its bytes, not a flop count, set the
-# cost.  ``tools/time_layers.py step``, one lane, dt = 5e-3, BLAS on one
-# thread, three runs; a folded step over a sparse one on the state-mode
-# vehicle loop: 0.73-0.75 at N = 10 (0.52 MB), 0.77-0.81 at N = 12 (0.92 MB),
-# 0.99-1.20 at N = 14 (1.52 MB) and 1.23-1.26 at N = 15 (1.91 MB); four lanes,
-# 0.71 at N = 14 and 1.10 at N = 16 (2.36 MB).  Drift-free, on the state-mode
-# market of N generators (``step N turbines``), folded against sparse: 7.1-8.1
-# against 23-29 us at N = 10 (0.18 MB), 14.0-14.9 against 27-30 us at N = 14
-# (0.57 MB), 0.72-0.95 of a sparse step at N = 18 (1.37 MB), 0.99-1.13 at
-# N = 19 (1.67 MB), 52-65 against 43-54 us at N = 20 (2.0 MB) and 371-386
-# against 65-81 us at N = 30 (8.8 MB).  So the bound, 1.57 MB, folds vehicles
-# up to N = 14 (N = 13 in output mode; the output default takes 0.64 MB) and
-# drift-free sizes up to about 440 (N = 18), and leaves the rest sparse.
-FOLD_DRIFT_BYTES = 3 * 2 ** 19
+# Bytes a "folded" step reads, all of its block stack and of its three stage
+# matrices (``affine.FoldBlocks.nbytes``), so its bytes, not a flop count, set
+# the cost: on the vehicle loops two blocks of (size / 2 + 1 + 2 N m) x size / 2
+# floats, one per coordinate, and stage matrices of (size + 1 + j N m) x n N m
+# floats, j = 1, 2, 3; without drift one (size + 1) x size block.  A folded step
+# over a sparse one at one lane and at four (``tools/time_layers.py step 12 13
+# 14 15 [output] [lanes=4]`` and ``step 18 19 20 turbines`` for the drift-free
+# market of N generators, BLAS on one thread, three runs, drift-free two to four):
+#   1.13 MB  N = 12 state    0.83-1.09  0.52-0.97 | 1.37 MB  N = 18 drift-free  0.63-0.74  0.46-0.53
+#   1.35 MB  N = 12 output   0.81-0.91  0.65-0.74 | 1.67 MB  N = 19 drift-free  0.90-1.09  0.54-0.80
+#   1.45 MB  N = 13 state    0.86-0.93  0.65-0.77 | 2.00 MB  N = 20 drift-free  1.27-1.38  1.35-1.42
+#   1.72 MB  N = 13 output   0.98-1.04  0.78-0.81 | 2.17 MB  N = 14 output      1.23-1.38  0.88-0.95
+#   1.84 MB  N = 14 state    0.99-1.11  0.75-0.82 | 2.30 MB  N = 15 state       1.40-1.45  1.02-1.08
+# One lane crosses over near 1.8 MB, where four lanes still gain a fifth.  So
+# one bound for every lane count, 1.9 MB, admits a one-lane step level with a
+# sparse one (1.11 at worst) and none above 2 MB, where one lane loses a quarter
+# or more: it folds vehicles up to N = 14 (N = 13 in output mode; the output
+# default reads 0.79 MB) and drift-free sizes up to 486 (N = 19).
+FOLD_DRIFT_BYTES = 19 * 10 ** 5
 
 # Rows the CSV writer formats per write.  Formatting a whole vehicle run at
 # once took 9 MB more peak memory; 256 rows take under 1 MB and no more time.
@@ -350,17 +353,18 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
     * any affine game, every lane of the batch on one probed operator
       ("folded"): one batched product a step of z = [s, 1, d_1, ..., d_4]
       (z = [s, 1] without drift) with the blocks of ``affine.fold_blocks``,
-      one per connected component of the operator, and with drift a small
-      product and one call per distinct drift a stage
-      (``affine.fold_drift_rk4``).  It is taken when the blocks take at most
-      FOLD_DRIFT_BYTES and the input vectors of z are at most steps lanes,
-      and whenever every plant is drift-free and a group pays back.  Such a
-      loop also steps groups: G full record intervals of r = record_stride
-      steps are one dense O(G size^2) product with the r-, 2r-, ..., G
-      r-step maps side by side (``DriftFold.intervals``).  They take r + G -
-      1 O(size^3) products to build, so G >= 1 is the largest count with (r
-      + G - 1) size <= steps lanes, at most RECORD_BLOCK_BYTES // (8 size^2)
-      (or 1) and at most the full intervals.  An interval's end is kept when
+      one per connected component of the operator, and with drift one
+      product of a prefix of z and one call per distinct drift a stage
+      (``affine.fold_drift_rk4``).  It is taken when the blocks and the
+      stage matrices take at most FOLD_DRIFT_BYTES and the input vectors of
+      z are at most steps lanes, and whenever every plant is drift-free and
+      a group pays back.  Such a loop also steps groups: G full record
+      intervals of r = record_stride steps are one dense O(G size^2) product
+      with the r-, 2r-, ..., G r-step maps side by side
+      (``DriftFold.intervals``).  They take r + G - 1 O(size^3) products to
+      build, so G >= 1 is the largest count with (r + G - 1) size <= steps
+      lanes, at most RECORD_BLOCK_BYTES // (8 size^2) (or 1) and at most the
+      full intervals.  An interval's end is kept when
       kappa |s|_inf + max_j |c_j|_inf stays within STATE_MAGNITUDE_GUARD at
       its start, and every interval of the group before it was kept; the
       first interval not kept, and the remainder interval, take the folded
@@ -596,7 +600,7 @@ def _integrate(batch: list) -> list:
     stride = cfg.record_stride
     state = batch[0].state if lanes == 1 else np.stack([start.state for start in batch])
     groups = _drift_groups([start.lane.plants for start in batch], state.shape[:-1])
-    group = restart = None
+    group = None
     # the group's maps take at most RECORD_BLOCK_BYTES (one at least);
     # building them costs stride + count - 1 products of size^3, stepping
     # costs lanes size^2 a step: build as many as keep that cheaper
@@ -607,7 +611,7 @@ def _integrate(batch: list) -> list:
     if grouped or blocks is not None:
         kind = "folded"
         fold = fold_drift_rk4(batch[0].op, cfg.dt, *layout.fold_rows(bool(groups)), blocks)
-        advance, restart = _fold_stepper(fold, groups, layout, state)
+        advance = _fold_stepper(fold, groups, layout, state)
         if grouped:
             group, (maps, offsets, kappa, c_peak) = count, fold.intervals(stride, count)
     else:
@@ -650,8 +654,6 @@ def _integrate(batch: list) -> list:
                 _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
                 if all(failures):
                     return recorder.split(failures, kind, group, products, one_step - (last - k - 1))
-                if restart is not None:
-                    restart(failures)
         recorder.extend(state.reshape(1, lanes, -1))
         first = last
     return recorder.split(failures, kind, group, products, one_step)
@@ -661,8 +663,9 @@ def _folds(batch: list, steps: int, drifting: bool) -> Optional[FoldBlocks]:
     """The blocks of the fold's map when an affine batch steps the "folded" kind, else None.
 
     Every lane must step the same probed operator, so that one product
-    serves them all, and the block stack (``affine.fold_blocks`` on
-    ``_Layout.fold_rows``) must take at most FOLD_DRIFT_BYTES.  The build
+    serves them all, and what a step reads, the block stack and the stage
+    matrices (``affine.fold_blocks`` on ``_Layout.fold_rows``, its
+    ``nbytes``), must take at most FOLD_DRIFT_BYTES.  The build
     steps each of the width input vectors of z once through the sparse
     stages, so it is counted as width lane-steps, as the group rule counts
     a size^3 product as size of them: the steps of all lanes must be at
@@ -677,28 +680,25 @@ def _folds(batch: list, steps: int, drifting: bool) -> Optional[FoldBlocks]:
 
 
 def _fold_stepper(fold: DriftFold, groups: list, layout: _Layout, state: np.ndarray):
-    """advance(s, t) and restart(failures) of the "folded" step of fold, for a batch like state.
+    """advance(s, t) of the "folded" step of fold, for a batch shaped like state.
 
     z = [s, 1, d_1, ..., d_4, 0] is one buffer with the batch's lane shape
-    in front, and so is the product [s+, w_2, w_3, w_4, spare]
-    (``affine.DriftFold``); without drift groups they are [s, 1, 0] and
-    [s+, spare].  A step puts s into z, each stage's drift into its slot of
-    z (stage j + 1 reads w_{j+1} plus one small product of the drifts before
-    it), gathers z into the blocks' rows, takes one batched product with the
-    block stack, scatters it into the product in layout order and returns
-    the product's state part.  restart gives every masked lane, which
-    ``_mask_diverged`` zeroed, the stage inputs of the zero state.
+    in front, and so is the product [s+, spare] (``affine.DriftFold``);
+    without drift groups z is [s, 1, 0].  A step puts s into z, each stage's
+    drift into its slot of z (stage j + 1 reads one product of the prefix of
+    z up to the drifts before it with ``fold.stages[j - 1]``), gathers z
+    into the blocks' rows, takes one batched product with the block stack,
+    scatters it into the product in layout order and returns the product's
+    state part.  A step reads nothing but s, so a lane that
+    ``_mask_diverged`` zeroed steps on from zero.
     """
     reads, writes, q = layout.fold_rows(bool(groups))
-    p, size = reads.stop - reads.start, layout.size
-    lanes = state.shape[:-1]
+    size, lanes = layout.size, state.shape[:-1]
     z = np.zeros(lanes + (size + 2 + 4 * q,))
-    z[..., :size], z[..., size] = state, 1.0
-    out = np.empty(lanes + (size + 3 * p + 1,))
-    out[..., size:-1] = z[..., :size + 1] @ fold.start
-    inputs = [out[..., size + j * p:size + (j + 1) * p] for j in range(3)]
+    z[..., size] = 1.0
+    out = np.empty(lanes + (size + 1,))
     slots = [layout.players(z[..., size + 1 + j * q:size + 1 + (j + 1) * q]) for j in range(4 if q else 0)]
-    stage = np.empty(lanes + (p,))
+    stage = np.empty(lanes + (reads.stop - reads.start,))
     # each lane's block rows and columns as flat indices into z and out; the
     # stacks hold them lane by lane, and the product takes them block by block
     lane = np.arange(z.size // z.shape[-1])[:, None, None]
@@ -714,19 +714,15 @@ def _fold_stepper(fold: DriftFold, groups: list, layout: _Layout, state: np.ndar
         z[..., :size] = s
         if groups:
             put(layout.chain(s), slots[0])
-            for j in range(3):
-                np.matmul(z[..., size + 1:size + 1 + (j + 1) * q], fold.couplings[j], out=stage)
-                np.add(stage, inputs[j], out=stage)
-                put(layout.chain(stage), slots[j + 1])
+            for j, matrix in enumerate(fold.stages, 1):
+                np.matmul(z[..., :size + 1 + j * q], matrix, out=stage)
+                put(layout.chain(stage), slots[j])
         np.take(z, gather, out=gathered, mode="clip")  # in range; "clip" writes into out unbuffered
         np.matmul(gathered.swapaxes(0, 1), fold.y, out=products.swapaxes(0, 1))
         flat[scatter] = products
         return out[..., :size]
 
-    def restart(failures):
-        out[[b for b, failure in enumerate(failures) if failure], size:-1] = fold.start[size]
-
-    return advance, restart
+    return advance
 
 
 def _rk4_stepper(batch: list, groups: list):

@@ -225,14 +225,14 @@ def _check_sim() -> list[CheckResult]:
             gaps.append(float(np.max(gap / np.max(np.abs(b.decisions), axis=(1, 2)))))
         start = sim._start(lane, {})
         blocks = affine.fold_blocks(start.op, *start.layout.fold_rows(True))
-        stacks.append(f"{algo} {len(blocks.rows)} x {blocks.rows.shape[1]} x {blocks.cols.shape[1]} "
-                      f"({blocks.nbytes / 1e6:.2f} MB)")
+        stacks.append(f"{algo} {len(blocks.rows)} x {blocks.rows.shape[1]} x {blocks.cols.shape[1]} blocks "
+                      f"and 3 stage matrices ({blocks.nbytes / 1e6:.2f} MB)")
     results.append(CheckResult(
         "sim", "folded drift step matches the sparse RK4 step (vehicles, both modes)",
         all(k == ("folded", "sparse") for k in kinds) and max(gaps) <= FOLD_CHECK_RTOL,
         f"2 lanes x {FOLD_CHECK_STEPS} steps, largest decision gap relative to the largest decision: "
         f"state {max(gaps[:2]):.2e}, output {max(gaps[2:]):.2e} (bound {FOLD_CHECK_RTOL:g}); "
-        f"blocks the step reads: {', '.join(stacks)}",
+        f"what a step reads: {', '.join(stacks)}",
     ))
     return results
 

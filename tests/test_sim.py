@@ -309,7 +309,7 @@ def drift_free_fold(op, layout, dt):
 
 def drift_free_stepper(op, layout, dt, state):
     """s -> s+, a copy, by the run's fold stepper of a drift-free loop, for states shaped like state."""
-    advance, _ = sim._fold_stepper(drift_free_fold(op, layout, dt), [], layout, state)
+    advance = sim._fold_stepper(drift_free_fold(op, layout, dt), [], layout, state)
     return lambda s: advance(s, 0.0).copy()
 
 
@@ -596,8 +596,8 @@ class TestFoldedPropagator:
             return maps, *rest
 
         def stepper(*args):
-            advance, restart = fold_stepper(*args)
-            return (lambda s, t: log.append("step") or advance(s, t)), restart
+            advance = fold_stepper(*args)
+            return lambda s, t: log.append("step") or advance(s, t)
 
         def recorded(recorder, slab):
             log.append(len(slab))
@@ -1163,38 +1163,57 @@ class TestDriftFold:
         op = probe_affine(_make_rhs(game, g, gains, obs, layout), layout)
         return layout, op, fold_blocks(op, *layout.fold_rows(True))
 
+    def steppers(self, loop, lanes):
+        """(folded, sparse, shape): the loop's "folded" advance(s, t) and sparse RK4 step(s, t) at dt = 1e-3,
+        for states of shape (size,) at one lane, else (lanes, size)."""
+        game, plants, g, gains, obs = self.LOOPS[loop]()
+        layout, op, blocks = self.probed(game, plants, g, gains, obs)
+        assert len(blocks.rows) == len(blocks.cols) == self.BLOCKS[loop]
+        shape = (layout.size,) if lanes == 1 else (lanes, layout.size)
+        groups = _drift_groups([plants] * lanes, shape[:-1])
+        advance = sim._fold_stepper(fold_drift_rk4(op, 1e-3, *layout.fold_rows(True), blocks), groups, layout,
+                                    np.zeros(shape))
+        rhs = _with_drift(stack_lanes([op] * lanes).apply, groups, layout)
+        return advance, lambda s, t: rk4_step(rhs, s, t, 1e-3), shape
+
     @pytest.mark.parametrize("lanes", [1, 3])
     @pytest.mark.parametrize("loop", LOOPS)
     def test_steps_match_the_sparse_rk4_steps(self, loop, lanes):
         # two drift callables mixed with None, and at n = 1 in output mode the
         # drift on the e_0 rows too; the product sums in another order than
         # the sparse stages, so the two agree to rounding, not bit for bit
-        game, plants, g, gains, obs = self.LOOPS[loop]()
-        layout, op, blocks = self.probed(game, plants, g, gains, obs)
-        assert len(blocks.rows) == len(blocks.cols) == self.BLOCKS[loop]
-        shape = (layout.size,) if lanes == 1 else (lanes, layout.size)
-        state = np.random.default_rng(4).uniform(-5.0, 5.0, shape)
-        groups = _drift_groups([plants] * lanes, state.shape[:-1])
-        advance, _ = sim._fold_stepper(fold_drift_rk4(op, 1e-3, *layout.fold_rows(True), blocks), groups, layout,
-                                       state)
-        rhs = _with_drift(stack_lanes([op] * lanes).apply, groups, layout)
-        folded = sparse = state
+        advance, step, shape = self.steppers(loop, lanes)
+        folded = sparse = np.random.default_rng(4).uniform(-5.0, 5.0, shape)
         for k in range(50):
             folded = advance(folded, k * 1e-3).copy()
-            sparse = rk4_step(rhs, sparse, k * 1e-3, 1e-3)
+            sparse = step(sparse, k * 1e-3)
             assert np.max(np.abs(folded - sparse)) <= 1e-13 * np.max(np.abs(sparse))
 
-    @pytest.mark.parametrize("mode, rows, cols", [("state", 171, 190), ("output", 191, 210)])
+    @pytest.mark.parametrize("lanes", [1, 3])
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_a_step_reads_only_its_state(self, loop, lanes):
+        # every step starts from a state of its own, never from the stepper's
+        # last output, and still matches one sparse step from that state
+        advance, step, shape = self.steppers(loop, lanes)
+        rng = np.random.default_rng(5)
+        for k in range(20):
+            state = rng.uniform(-5.0, 5.0, shape)
+            sparse = step(state, k * 1e-3)
+            assert np.max(np.abs(advance(state, k * 1e-3) - sparse)) <= 1e-13 * np.max(np.abs(sparse))
+
+    @pytest.mark.parametrize("mode, rows, cols", [("state", 171, 130), ("output", 191, 150)])
     def test_vehicle_loops_split_into_one_block_per_coordinate(self, mode, rows, cols):
         # a block holds one coordinate's states, the constant and that
-        # coordinate's 4 x 10 drift slots, with no padding: 0.52 MB of block
-        # stack in state mode and 0.64 MB in output mode
+        # coordinate's 4 x 10 drift slots, with no padding: 0.36 MB of block
+        # stack in state mode and 0.46 MB in output mode; the three dense stage
+        # matrices over the p = 40 chain rows add 0.29 and 0.33 MB
         game, plants, g, gains, obs, _, _ = loop_inputs(mode, "vehicles")
         layout, op, blocks = self.probed(game, plants, g, gains, obs)
-        q, size = layout.N * layout.m, layout.size
+        q, size, p = layout.N * layout.m, layout.size, layout.chain_sl.stop
         assert blocks.rows.shape == (2, rows) and blocks.cols.shape == (2, cols)
-        assert blocks.nbytes == 8 * 2 * rows * cols
-        assert np.all(blocks.rows <= size + 4 * q) and np.all(blocks.cols < size + 3 * layout.chain_sl.stop)
+        assert blocks.stages == tuple((size + 1 + j * q, p) for j in (1, 2, 3))
+        assert blocks.nbytes == 8 * (2 * rows * cols + p * (3 * (size + 1) + 6 * q))
+        assert np.all(blocks.rows <= size + 4 * q) and np.all(blocks.cols < size)
         for coordinate, (r, c) in enumerate(zip(blocks.rows, blocks.cols)):
             assert np.all(r[r < size] % 2 == coordinate) and np.all(c[c < size] % 2 == coordinate)
             assert np.all((r[r > size] - size - 1) % q % 2 == coordinate)
@@ -1203,16 +1222,16 @@ class TestDriftFold:
 
     @pytest.mark.parametrize("edges, size, writes, shape", [
         # components {0, 1, 2, 3} and {4, 5}: the smaller block is padded to the larger
-        ([(0, 1), (1, 2), (2, 3), (4, 5)], 6, (slice(0, 6),), (2, 21, 16)),
+        ([(0, 1), (1, 2), (2, 3), (4, 5)], 6, (slice(0, 6),), (2, 21, 4)),
         # {0, ..., 4} and {5}: padded, the stack would hold more than the map, so one block holds it
-        ([(0, 1), (1, 2), (2, 3), (3, 4)], 6, (slice(0, 6),), (1, 31, 24)),
+        ([(0, 1), (1, 2), (2, 3), (3, 4)], 6, (slice(0, 6),), (1, 31, 6)),
         # {0, 1} and {2, 3}, each drift slot adding to one row of each: every
         # slot, like the constant, is gathered into both blocks
-        ([(0, 1), (2, 3)], 4, (slice(0, 2), slice(2, 4)), (2, 11, 8)),
+        ([(0, 1), (2, 3)], 4, (slice(0, 2), slice(2, 4)), (2, 11, 2)),
     ])
     def test_blocks_pad_to_the_largest_or_fall_back_to_one(self, edges, size, writes, shape):
-        # against the stages themselves: z's next state, and the drift-free
-        # stage inputs of that state, on P = every state
+        # against the stages themselves: z's next state from the blocks, and
+        # z's own stage inputs from the stage matrices, on P = every state
         pairs = np.array(edges + [(j, i) for i, j in edges] + [(i, i) for i in range(size)])
         rng = np.random.default_rng(2)
         op = AffineOperator(pairs[:, 0], pairs[:, 1], rng.uniform(-2.0, 2.0, len(pairs)),
@@ -1224,26 +1243,24 @@ class TestDriftFold:
         width = size + 1 + 4 * q
         z = rng.uniform(-1.0, 1.0, (3, width + 1))
         z[:, size], z[:, width] = 1.0, 0.0
-        product = np.zeros((3, size + 3 * size + 1))
+        product = np.zeros((3, size + 1))
         for y, rows, cols in zip(fold.y, fold.rows, fold.cols):
             product[:, cols] = z[:, rows] @ y
-        lanes_op = stack_lanes([op] * 3)
-        after, _ = affine._rk4_stages(lanes_op, dt, reads, writes, z[:, :width])
-        _, inputs = affine._rk4_stages(lanes_op, dt, reads, writes,
-                                       np.hstack([after, np.ones((3, 1)), np.zeros((3, 4 * q))]))
-        expected = np.hstack([after, inputs])
-        assert np.max(np.abs(product[:, :-1] - expected)) <= 1e-14 * np.max(np.abs(expected))
+        inputs = [z[:, :size + 1 + j * q] @ stage for j, stage in enumerate(fold.stages, 1)]
+        expected = np.hstack(affine._rk4_stages(stack_lanes([op] * 3), dt, reads, writes, z[:, :width]))
+        assert np.max(np.abs(np.hstack([product[:, :-1], *inputs]) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n_players, mode, folds", [
         (10, "state", True), (10, "output", True), (11, "state", True),
         (11, "output", True), (12, "state", True), (13, "output", True), (14, "state", True),
         (14, "output", False), (15, "state", False), (30, "state", False)])
     def test_the_map_must_fit_the_byte_bound(self, n_players, mode, folds):
-        # two blocks, one per coordinate, of (size / 2 + 1 + 2 N m) (size / 2 + 3 n N m / 2)
-        # floats each: 0.52 MB at N = 10 against 0.64 MB in output mode, 0.70 MB at
-        # N = 11 against 0.86 MB, 0.92 MB at N = 12, 1.43 MB at N = 13 in output
-        # mode, 1.52 MB at N = 14 against 1.81 MB, 1.91 MB at N = 15 and 20.8 MB at
-        # N = 30, all against FOLD_DRIFT_BYTES = 1.57 MB
+        # two blocks, one per coordinate, of (size / 2 + 1 + 2 N m) size / 2 floats
+        # each and three stage matrices of (size + 1 + j N m) n N m floats: 0.64 MB
+        # at N = 10 against 0.79 MB in output mode, 0.86 MB at N = 11 against
+        # 1.04 MB, 1.13 MB at N = 12, 1.72 MB at N = 13 in output mode, 1.84 MB
+        # at N = 14 against 2.17 MB, 2.30 MB at N = 15 and 23.6 MB at N = 30, all
+        # against FOLD_DRIFT_BYTES = 1.9 MB
         table = [VEHICLE_TABLE[i % 10] for i in range(n_players)]
         anchors = np.random.default_rng(0).uniform(-15.0, 15.0, size=(n_players, 2))
         game, plants, g, _ = build_vehicle_formation(table=table, offsets=anchors)
@@ -1251,10 +1268,12 @@ class TestDriftFold:
                         SimConfig(dt=1e-3, horizon=1.0))
         assert (sim._folds([sim._start(lane, {})], steps=10 ** 6, drifting=True) is not None) == folds
 
-    @pytest.mark.parametrize("generators, folds", [(10, True), (14, True), (18, True), (19, False), (30, False)])
+    @pytest.mark.parametrize("generators, folds", [(10, True), (14, True), (18, True), (19, True), (20, False),
+                                                   (30, False)])
     def test_the_drift_free_map_must_fit_the_byte_bound(self, generators, folds):
-        # one (size + 1) x size block of the state-mode market, size = N^2 + 5 N: 0.18 MB at N = 10,
-        # 0.57 MB at N = 14, 1.37 MB at N = 18, 1.67 MB at N = 19 and 8.8 MB at N = 30
+        # one (size + 1) x size block of the state-mode market, size = N^2 + 5 N, and stage matrices
+        # of no columns: 0.18 MB at N = 10, 0.57 MB at N = 14, 1.37 MB at N = 18, 1.67 MB at N = 19,
+        # 2.00 MB at N = 20 and 8.8 MB at N = 30
         table = [GENERATOR_TABLE[i % len(GENERATOR_TABLE)] for i in range(generators)]
         game, plants, g = build_turbine_market(table=table)
         lane = sim.Lane(game, plants, g, TURBINE_GAINS, None, SimConfig(dt=9e-4, horizon=1.0))
@@ -1288,8 +1307,8 @@ class TestDriftFold:
         assert outcomes[0].stepping.kind == "folded" and outcomes[1].stepping is outcomes[0].stepping
         assert isinstance(outcomes[1], Diverged) and str(outcomes[1]) == str(singles[1])
         assert "magnitude" in str(outcomes[1])
-        # the masked lane restarts its stage inputs from its zeroed state, so
-        # it steps on finite and the guard trips once, not at every later step
+        # a step reads only its state, so the masked lane steps on finite from
+        # its zeroed state and the guard trips once, not at every later step
         assert len(masks) == 1
         for k in (0, 2):
             assert outcomes[k].stepping.kind == singles[k].stepping.kind == "folded"

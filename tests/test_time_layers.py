@@ -57,12 +57,18 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     assert list(step) == [2]
     assert list(step[2]) == ["size", "lanes", "kind", "group", "fold_bytes", "blocks", "fold_blocks_s",
                              "fold_drift_rk4_s", "intervals_s", "folded_us", "sparse_us", "repeats"]
-    # two vehicles: size 20 and a 37 x 44 map, whose 37 inputs 2 400 steps of two lanes pay back,
-    # split by coordinate into two blocks of 19 x 22; a loop with drift has no groups to build
+    # two vehicles: size 20 and a 37 x 20 map, whose 37 inputs 2 400 steps of two lanes pay back,
+    # split by coordinate into two blocks of 19 x 10, and stage matrices of 25, 29 and 33 rows over
+    # the 8 chain rows; a loop with drift has no groups to build
     assert (step[2]["size"], step[2]["lanes"], step[2]["kind"], step[2]["group"]) == (20, 2, "folded", None)
-    assert (step[2]["fold_bytes"], step[2]["blocks"]) == (8 * 2 * 19 * 22, 2) and step[2]["repeats"] == 3
-    assert step[2]["intervals_s"] is None
+    assert (step[2]["fold_bytes"], step[2]["blocks"]) == (8 * (2 * 19 * 10 + 8 * (25 + 29 + 33)), 2)
+    assert step[2]["intervals_s"] is None and step[2]["repeats"] == 3
     assert all(0 < step[2][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "folded_us", "sparse_us"))
+    # in output mode the observer adds 8 states: blocks of 23 x 14 and stage matrices of 33, 37 and 41 rows
+    output = tool.LAYERS["step"]("2", "output")
+    assert list(output) == [2] and list(output[2]) == list(step[2])
+    assert (output[2]["size"], output[2]["lanes"], output[2]["kind"], output[2]["group"]) == (28, 1, "folded", None)
+    assert (output[2]["fold_bytes"], output[2]["blocks"]) == (8 * (2 * 23 * 14 + 8 * (33 + 37 + 41)), 2)
     # six drift-free generators: size 66, whose 2 400 steps at stride 10 pay back a group of 7, and
     # one 67 x 66 block
     turbines = tool.LAYERS["step"]("6", "turbines")
@@ -71,7 +77,7 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     assert (turbines[6]["fold_bytes"], turbines[6]["blocks"]) == (8 * 67 * 66, 1)
     assert all(0 < turbines[6][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "intervals_s",
                                                 "folded_us", "sparse_us"))
-    json.dumps([probe, cert, record, step, turbines])
+    json.dumps([probe, cert, record, step, output, turbines])
 
     assert [getattr(owner, name) for owner, name in patched] == originals
 

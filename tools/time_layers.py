@@ -1,18 +1,20 @@
 """Time one layer of nashseek; one JSON object goes to stdout.
 
     PYTHONPATH=TREE/src python3 tools/time_layers.py probe N... | certificate N... | record [state|output]
-        | step N... [lanes=L] [turbines]
+        | step N... [lanes=L] [turbines] [output]
 
 probe: N -> size, median_s, repeats, nonzeros, lanes, calls of ``affine.probe_affine`` on the
   drift-free state-mode loop of N vehicles (the table repeated, anchors uniform in [-15, 15]^2
   with seed 0, default cycle digraph and gains), with one probe's rhs lanes and calls.
 step: N -> size, lanes, kind, group, fold_bytes, blocks, fold_blocks_s, fold_drift_rk4_s, intervals_s,
-  folded_us, sparse_us, repeats for L lanes (default 1) of that state-mode loop of N vehicles with its
-  drift, or with ``turbines`` of the drift-free state-mode market of N >= 5 generators (the table
-  repeated, default digraph and gains), seeds 0..L-1, at dt = STEP_DT: kind and group are the step
-  kind and the record-interval maps per product (null if none) of a run of STEPS steps, read from
-  its ``Trajectory.stepping``; fold_bytes and blocks are the bytes of the "folded" block stack, which
-  a step reads, and its block count; the three build phases are timed apart, on the arguments the
+  folded_us, sparse_us, repeats for L lanes (default 1) of that loop of N vehicles with its drift, or
+  with ``turbines`` of the drift-free market of N >= 5 generators (the table repeated, default
+  digraph and gains), in state mode, or with ``output`` in output mode with the default observer,
+  seeds 0..L-1, at dt = STEP_DT, or mu / 10 in output mode: kind and group are the step kind and
+  the record-interval maps per product (null if none) of a run of STEPS steps, read from its
+  ``Trajectory.stepping``; fold_bytes is what a "folded" step reads, its block stack and stage
+  matrices (``affine.FoldBlocks.nbytes``), and blocks its block count; the three build phases are
+  timed apart, on the arguments the
   run builds them from: ``affine.fold_blocks`` on ``sim._Layout.fold_rows``, ``affine.fold_drift_rk4``
   on those blocks and, for a drift-free loop (else null), ``DriftFold.intervals`` of the run's
   record_stride and group (one map if the run takes no groups); folded_us and sparse_us are the
@@ -70,25 +72,27 @@ def timed(fn, *args) -> tuple:
     return {"median_s": time.perf_counter() - start}, result
 
 
-def vehicles(n: int) -> tuple:
-    """(game, plants, digraph, gains) of the state-mode loop of n vehicles."""
+def vehicles(n: int, algo: str = "state") -> tuple:
+    """(game, plants, digraph, gains, observer) of the loop of n vehicles; observer None in state mode."""
     table = [scenarios.VEHICLE_TABLE[i % len(scenarios.VEHICLE_TABLE)] for i in range(n)]
     anchors = np.random.default_rng(0).uniform(-15.0, 15.0, size=(n, 2))
     game, plants, g, _ = scenarios.build_vehicle_formation(table=table, offsets=anchors)
-    return game, plants, g, config.build_run_setup({"scenario": "vehicles"}).gains
+    setup = config.build_run_setup(config.default_config("vehicles", algo))
+    return game, plants, g, setup.gains, setup.observer
 
 
-def turbines(n: int) -> tuple:
-    """(game, plants, digraph, gains) of the drift-free state-mode market of n generators."""
+def turbines(n: int, algo: str = "state") -> tuple:
+    """(game, plants, digraph, gains, observer) of the drift-free market of n generators."""
     table = [scenarios.GENERATOR_TABLE[i % len(scenarios.GENERATOR_TABLE)] for i in range(n)]
     game, plants, g = scenarios.build_turbine_market(table=table)
-    return game, plants, g, config.build_run_setup({"scenario": "turbines"}).gains
+    setup = config.build_run_setup(config.default_config("turbines", algo))
+    return game, plants, g, setup.gains, setup.observer
 
 
 def probe(*sizes) -> dict:
     out = {}
     for n in map(int, sizes):
-        game, _, g, gains = vehicles(n)
+        game, _, g, gains, _ = vehicles(n)
         layout = sim._Layout(gains.order_n, n, 2, output_mode=False)
         rhs, lanes = sim._make_rhs(game, g, gains, None, layout), []
         op = affine.probe_affine(lambda s, t: lanes.append(len(s)) or rhs(s, t), layout)
@@ -133,9 +137,10 @@ def step(*args) -> dict:
     loop = turbines if "turbines" in args else vehicles
     out = {}
     for n in (int(arg) for arg in args if arg.isdigit()):
-        game, plants, g, gains = loop(n)
-        cfg = sim.SimConfig(dt=STEP_DT, horizon=STEPS * STEP_DT)
-        batch = [sim.Lane(game, plants, g, gains, None, dataclasses.replace(cfg, seed=seed)) for seed in range(lanes)]
+        game, plants, g, gains, obs = loop(n, "output" if "output" in args else "state")
+        dt = STEP_DT if obs is None else obs.mu / 10
+        cfg = sim.SimConfig(dt=dt, horizon=STEPS * dt)
+        batch = [sim.Lane(game, plants, g, gains, obs, dataclasses.replace(cfg, seed=seed)) for seed in range(lanes)]
         stepping = sim.run_lanes(batch)[0].stepping
         probes = {}
         starts = [sim._start(lane, probes) for lane in batch]
@@ -146,21 +151,20 @@ def step(*args) -> dict:
         sparse = sim._rk4_stepper(starts, groups)
 
         def call():
-            # a fold stepper carries its stage inputs, so each call builds a fresh one
             began = time.perf_counter()
             blocks = affine.fold_blocks(op, *rows)
             found = time.perf_counter()
-            fold = affine.fold_drift_rk4(op, STEP_DT, *rows, blocks)
+            fold = affine.fold_drift_rk4(op, dt, *rows, blocks)
             fields = {"fold_blocks_s": found - began, "fold_drift_rk4_s": time.perf_counter() - found}
             if not groups:
                 began = time.perf_counter()
                 fold.intervals(cfg.record_stride, stepping.group or 1)
                 fields["intervals_s"] = time.perf_counter() - began
-            advances = {"folded_us": sim._fold_stepper(fold, groups, layout, state)[0], "sparse_us": sparse}
+            advances = {"folded_us": sim._fold_stepper(fold, groups, layout, state), "sparse_us": sparse}
             for name, advance in advances.items():
                 s, began = state, time.perf_counter()
                 for k in range(STEPS):
-                    s = advance(s, k * STEP_DT)
+                    s = advance(s, k * dt)
                 fields[name] = (time.perf_counter() - began) / STEPS * 1e6
             return fields, blocks
 
