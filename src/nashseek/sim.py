@@ -87,7 +87,7 @@ RECORD_BLOCK_BYTES = 2 ** 18
 # floats, j = 1, 2, 3; without drift one (size + 1) x size block.  A folded step
 # over a sparse one at one lane and at four (``tools/time_layers.py step 12 13
 # 14 15 [output] [lanes=4]`` and ``step 18 19 20 turbines`` for the drift-free
-# market of N generators, BLAS on one thread, three runs, drift-free two to four):
+# market of N generators, BLAS on one thread, three runs, drift-free four):
 #   1.13 MB  N = 12 state    0.83-1.09  0.52-0.97 | 1.37 MB  N = 18 drift-free  0.63-0.74  0.46-0.53
 #   1.35 MB  N = 12 output   0.81-0.91  0.65-0.74 | 1.67 MB  N = 19 drift-free  0.90-1.09  0.54-0.80
 #   1.45 MB  N = 13 state    0.86-0.93  0.65-0.77 | 2.00 MB  N = 20 drift-free  1.27-1.38  1.35-1.42

@@ -14,12 +14,12 @@ step: N -> size, lanes, kind, group, fold_bytes, blocks, fold_blocks_s, fold_dri
   the record-interval maps per product (null if none) of a run of STEPS steps, read from its
   ``Trajectory.stepping``; fold_bytes is what a "folded" step reads, its block stack and stage
   matrices (``affine.FoldBlocks.nbytes``), and blocks its block count; the three build phases are
-  timed apart, on the arguments the
-  run builds them from: ``affine.fold_blocks`` on ``sim._Layout.fold_rows``, ``affine.fold_drift_rk4``
-  on those blocks and, for a drift-free loop (else null), ``DriftFold.intervals`` of the run's
-  record_stride and group (one map if the run takes no groups); folded_us and sparse_us are the
-  microseconds per RK4 step of the batch, "folded" (``sim._fold_stepper`` on that fold) and "sparse"
-  (``sim._rk4_stepper``), STEPS steps of each in turn from the run's start.
+  timed apart, on the arguments the run builds them from: ``affine.fold_blocks`` on
+  ``sim._Layout.fold_rows``, ``affine.fold_drift_rk4`` on those blocks and, for a drift-free loop
+  (else null), ``DriftFold.intervals`` of the run's record_stride and group (one map if the run
+  takes no groups); folded_us and sparse_us are the microseconds per RK4 step of the batch,
+  "folded" (``sim._fold_stepper`` on that fold) and "sparse" (``sim._rk4_stepper``), STEPS steps
+  of each in turn from the run's start.
 certificate: N -> median_s, repeats, passed, residual of ``graph.estimation_certificate`` of
   ``scenarios.default_cycle_digraph(N)``.
 record: algo, records, group, csv_bytes, repeats, run_s, record_s, csv_write_s of ``sim.run`` on
