@@ -201,10 +201,14 @@ def model_key(cfg: dict) -> str:
     """A string equal for two completed configs exactly when they build the same loop.
 
     It drops what sets only how a run steps, starts or is judged: sim, init,
-    settle_tol and output_dir.  Configs with equal keys build equal game,
-    plants, graph, gains and observer.
+    settle_tol and output_dir, and in state mode the observer, which builds
+    nothing there.  Configs with equal keys build equal game, plants, graph,
+    gains and, in output mode, observer.
     """
-    model = {k: v for k, v in cfg.items() if k not in ("sim", "init", "settle_tol", "output_dir")}
+    dropped = {"sim", "init", "settle_tol", "output_dir"}
+    if cfg["algo"] == MODE_STATE:
+        dropped.add("observer")
+    model = {k: v for k, v in cfg.items() if k not in dropped}
     return json.dumps(model, sort_keys=True)
 
 
@@ -309,6 +313,9 @@ def build_run_setup(cfg: dict) -> RunSetup:
     # built and checked in either mode; only output feedback runs it
     beta = _coefficients(cfg["observer"]["beta"], "observer.beta", default_observer_gains, order_n)
     observer = _named("observer", ObserverSet, **dict(cfg["observer"], beta=beta))
+    if len(observer.beta) != order_n:
+        raise ConfigInvalid(f"observer.beta needs {order_n} coefficients for order {order_n}, "
+                            f"got {len(observer.beta)}")
     sim_config = _named("sim", SimConfig, **cfg["sim"])
     # sim.run checks the box and converts the decisions and derivatives
     init = InitialConditions(**dict(cfg["init"], box=_named("init.box", tuple, cfg["init"]["box"])))

@@ -249,6 +249,9 @@ class TestRunCommand:
         # eps^2 overflows or comes to 0: the laws could not be formed
         (["run", "--set", "epsilon=1e200"], "gains.epsilon"),
         (["run", "--set", "epsilon=1e-200"], "gains.epsilon"),
+        # the observer is checked against the plant order in either mode
+        (["run", "--set", "observer.beta=[3,3,1]"], "observer.beta needs 2 coefficients for order 2, got 3"),
+        (["run", "--algo", "output", "--set", "observer.beta=[3,3,1]"], "observer.beta needs 2 coefficients"),
     ])
     def test_bad_key_or_value_exits_two_naming_it(self, tmp_path, capsys, argv, key):
         code = run_cli(*argv, "--scenario", "vehicles", "--out", str(tmp_path),
@@ -611,6 +614,16 @@ class TestSweepLanes:
         for value, lane in outcomes:
             _, single, _ = cli._execute_run(apply_set_overrides(base, [f"dt={value}"]))
             assert np.array_equal(lane.decisions, single.decisions)
+
+    def test_state_mode_observer_sweep_probes_once_and_folds(self, tmp_path, monkeypatch):
+        # the observer builds nothing in state mode, so its cells share one model and one batch
+        probes, probe = [], sim.probe_affine
+        monkeypatch.setattr(sim, "probe_affine", lambda rhs, layout: probes.append(layout) or probe(rhs, layout))
+        outcomes, batches = self._capture(monkeypatch)
+        assert run_cli("sweep", "--scenario", "vehicles", "--algo", "state", "--param", "mu",
+                       "--values", "0.01,0.02,0.04", "--set", "horizon=2", "--out", str(tmp_path)) == 0
+        assert len(probes) == 1 and batches == [3]
+        assert [lane.stepping.kind for _, lane in outcomes] == ["folded"] * 3
 
     def test_diverging_gain_cell_is_masked_and_rows_match_a_sequential_sweep(self, tmp_path, monkeypatch):
         argv = ["sweep", "--scenario", "vehicles", "--algo", "state", "--param", "alpha3",

@@ -1,17 +1,23 @@
-"""Tests of the tools: each layer of time_layers.py runs, gives its keys and patches nothing,
-and bench_pairs.py records the state of each checkout it compares and warns when their paths
-differ in length."""
+"""Tests of the tools: each layer of time_layers.py runs, gives its keys and patches nothing;
+bench_pairs.py clones both commits to fresh trees at paths of one length, and exits 2 before
+any clone when its parent is no commit or src is edited.  None of them runs perfbench."""
 
 import importlib.util
 import json
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
 
 from nashseek import affine, sim
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+REPO = Path(__file__).resolve().parent.parent
+TOOLS = REPO / "tools"
+needs_git = pytest.mark.skipif(
+    subprocess.run(["git", "-C", str(REPO), "rev-parse", "--is-inside-work-tree"],
+                   capture_output=True, check=False).returncode != 0,
+    reason="bench_pairs.py clones commits of a git work tree")
 
 
 def load(name):
@@ -82,27 +88,62 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     assert [getattr(owner, name) for owner, name in patched] == originals
 
 
-def test_tree_state_counts_old_results_and_the_git_directory(tmp_path):
-    tree_state = load("bench_pairs").tree_state
-    length = len(str(tmp_path.resolve()))
-    assert tree_state(tmp_path) == {"perfbench_out_bytes": 0, "perfbench_out_files": 0, "git_is_dir": False,
-                                    "path_length": length}
-    (tmp_path / "perfbench" / "out" / "run").mkdir(parents=True)
-    (tmp_path / "perfbench" / "out" / "a.json").write_text("abc")
-    (tmp_path / "perfbench" / "out" / "run" / "b.json").write_text("hello")
-    (tmp_path / ".git").mkdir()
-    assert tree_state(tmp_path) == {"perfbench_out_bytes": 8, "perfbench_out_files": 2, "git_is_dir": True,
-                                    "path_length": length}
-
-
-def test_trees_at_paths_of_different_lengths_get_a_warning(tmp_path):
+@needs_git
+def test_both_clones_sit_at_paths_of_one_length_compiled_and_without_old_results(tmp_path):
     bench_pairs = load("bench_pairs")
-    trees = {name: tmp_path / name for name in ("parent", "change", "change2")}
+    head = bench_pairs.git("rev-parse", "HEAD").stdout.strip()
+    trees = bench_pairs.clone_trees({"parent": head, "change": head}, tmp_path)
+    assert trees == {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    assert len(str(trees["parent"].resolve())) == len(str(trees["change"].resolve()))
     for tree in trees.values():
-        tree.mkdir()
-    state = {name: bench_pairs.tree_state(tree) for name, tree in trees.items()}
-    assert state["change2"]["path_length"] == state["parent"]["path_length"] + 1
-    assert bench_pairs.path_warning(state["parent"], state["change"]) is None
-    warning = bench_pairs.path_warning(state["parent"], state["change2"])
-    n = state["parent"]["path_length"]
-    assert warning.startswith(f"warning: the parent's path has {n} characters and the change's {n + 1};")
+        rev = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"], capture_output=True, text=True)
+        assert rev.stdout.strip() == head and (tree / ".git").is_dir()
+        assert not (tree / "perfbench" / "out").exists()
+        assert list((tree / "src" / "nashseek" / "__pycache__").glob("sim.*.pyc"))
+
+
+class CloneStarted(Exception):
+    pass
+
+
+@pytest.fixture
+def clone_main(tmp_path, monkeypatch):
+    """bench_pairs.main on a fresh clone of HEAD, which raises CloneStarted where it would clone."""
+    root = tmp_path / "repo"
+    subprocess.run(["git", "clone", "--quiet", str(REPO), str(root)], check=True)
+    bench_pairs = load("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+
+    def clone_trees(shas, tmp):
+        raise CloneStarted(shas)
+
+    monkeypatch.setattr(bench_pairs, "clone_trees", clone_trees)
+    return root, lambda rev: bench_pairs.main(["--parent", rev, "--label", "test", "--workload", "turbines-state:1"])
+
+
+@needs_git
+@pytest.mark.parametrize("edited", [False, True])
+def test_an_edited_src_file_exits_two_before_any_clone(clone_main, capsys, edited):
+    root, main = clone_main
+    if edited:
+        with open(root / "src" / "nashseek" / "sim.py", "a") as source:
+            source.write("# edited\n")
+        with pytest.raises(SystemExit) as stop:
+            main("HEAD")
+        assert stop.value.code == 2 and "src/nashseek/sim.py" in capsys.readouterr().err
+    else:
+        # the A/A run: both sides are HEAD
+        with pytest.raises(CloneStarted) as started:
+            main("HEAD")
+        shas = started.value.args[0]
+        assert list(shas) == ["parent", "change"] and shas["parent"] == shas["change"]
+    assert not (root / "BENCH_test.json").exists()
+
+
+@needs_git
+@pytest.mark.parametrize("rev", ["no-such-rev", "HEAD:README.md"], ids=["unknown", "a-blob"])
+def test_a_parent_that_is_no_commit_exits_two(clone_main, capsys, rev):
+    _, main = clone_main
+    with pytest.raises(SystemExit) as stop:
+        main(rev)
+    assert stop.value.code == 2 and f"{rev} is not a commit" in capsys.readouterr().err

@@ -1,10 +1,17 @@
-"""Paired benchmark of this tree against a parent checkout, written to BENCH_<label>.json.
+"""Paired benchmark of a parent commit against HEAD, written to BENCH_<label>.json.
 
-    python3 tools/bench_pairs.py --parent DIR --label NAME \\
+    python3 tools/bench_pairs.py --parent REV --label NAME \\
         --workload vehicles-n30:10 --workload turbines-state:2 [--seed 101]
 
-DIR is a git checkout of the parent commit (``git clone``), so that the JSON
-can name its commit.
+The change is this repository's HEAD and the parent is REV, any name git
+resolves to a commit.  Both run from fresh local clones, <tmp>/parent and
+<tmp>/change in one new temporary directory: the two paths have one length,
+each tree has its own .git and neither holds old perfbench/out results.  The
+directory goes when the run ends, on error too.  The script exits 2 before any
+run when REV is no commit or when ``git status`` shows src or perfbench
+edited, since an edit would not be measured.  ``--parent HEAD`` runs HEAD
+against itself, the A/A run, whose gaps are the session's noise floor.
+
 For each ``--workload NAME:PAIRS`` the script runs PAIRS pairs of
 
     python3 perfbench/run.py --workload NAME --seed S --seconds RUN_SECONDS --trace 0
@@ -14,12 +21,7 @@ first; RUN_SECONDS is ``run_seconds`` in BENCHMARK.json, so both trees run
 for the length the benchmark declares.  Before the first pair it writes the
 bytecode of ``src`` and ``perfbench`` in both trees (``python -m compileall``):
 perfbench children do not write bytecode, so a tree without it would compile
-every module in each child, which moves ``peak_rss_mb``.  It also prints
-and records the state of each checkout (``tree_state``): old results under
-perfbench/out and a .git directory have gone with gaps in ``peak_rss_mb``
-and ``run_s`` that the code did not explain, and so has the length of the
-checkout's absolute path, which it also records and warns about when the
-two trees' lengths differ.  It keeps both
+every module in each child, which moves ``peak_rss_mb``.  It keeps both
 result lines of every pair, the environment record perfbench prints, and per
 workload each side's pooled ``failed``/``attempted`` operations (from perfbench's
 result lines), and per metric each side's quartiles, the number of pairs the
@@ -37,7 +39,7 @@ A metric also gets "rerun": true when its medians differ by under RERUN_GAP
 of the parent's and one side won nine tenths of the pairs; such gaps have
 failed to repeat, so the printed line asks for a second run of pairs.
 
-The JSON goes to the root of this tree.
+The JSON, which names both commits, goes to the root of this repository.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,22 +68,18 @@ def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
     return {"result": json.loads(lines[-1]), "env": env, "exit_code": proc.returncode}
 
 
-def tree_state(tree: Path) -> dict:
-    """The bytes and files under tree's perfbench/out, whether its .git is a directory,
-    and the length of its absolute path."""
-    files = [path for path in (tree / "perfbench" / "out").rglob("*") if path.is_file()]
-    return {"perfbench_out_bytes": sum(path.stat().st_size for path in files),
-            "perfbench_out_files": len(files), "git_is_dir": (tree / ".git").is_dir(),
-            "path_length": len(str(tree.resolve()))}
+def git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=False)
 
 
-def path_warning(parent: dict, change: dict):
-    """A warning when the two trees' absolute paths differ in length (their tree_state), else None."""
-    if parent["path_length"] == change["path_length"]:
-        return None
-    return (f"warning: the parent's path has {parent['path_length']} characters and the change's "
-            f"{change['path_length']}; vehicles-n30 run_s has moved 6% between directory names of 12 "
-            "and 13 characters, so put both trees at paths of one length")
+def clone_trees(shas: dict, tmp: Path) -> dict:
+    """A fresh local clone of each side's commit at tmp/<side>, with src and perfbench compiled."""
+    trees = {side: tmp / side for side in shas}
+    for side, tree in trees.items():
+        subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(ROOT), str(tree)], check=True)
+        subprocess.run(["git", "-C", str(tree), "checkout", "--quiet", "--detach", shas[side]], check=True)
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=tree, check=True)
+    return trees
 
 
 def quartiles(values) -> list:
@@ -118,64 +117,62 @@ def summarize(pairs) -> dict:
     return out
 
 
+def pair_runs(trees: dict, workload: str, count: int, first_seed: int) -> dict:
+    """count pairs of workload in the two trees, alternating which runs first, with their
+    pooled failed/attempted operations and summary, which it also prints."""
+    pairs = []
+    for k in range(count):
+        seed = first_seed + k
+        order = list(trees.items())[::-1 if k % 2 else 1]
+        pair = {"seed": seed, "first": order[0][0]}
+        for side, tree in order:
+            pair[side] = run_perfbench(tree, workload, seed)
+            print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['result'])}", flush=True)
+        pairs.append(pair)
+    summary = summarize(pairs)
+    failed = {side: [sum(p[side]["result"][key] for p in pairs) for key in ("failed", "attempted")]
+              for side in ("parent", "change")}
+    print(f"{workload} failed/attempted: " + ", ".join(f"{side} {f}/{a}" for side, (f, a) in failed.items()))
+    for name, entry in summary.items():
+        print(f"{workload} {name}: {entry['verdict']} (median {entry['parent_quartiles'][1]:.6g} -> "
+              f"{entry['change_quartiles'][1]:.6g} {entry['unit']}, bound {entry['bound']:.0%} of the "
+              f"parent median, change won {entry['change_wins']}/{entry['pairs']})"
+              + (f"; rerun: a gap under {RERUN_GAP:.0%} this one-sided needs a second run of pairs"
+                 if entry["rerun"] else ""), flush=True)
+    return {"pairs": pairs, "failed_of_attempted": failed, "summary": summary}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--parent", required=True, metavar="REV", help="the parent commit; HEAD is the change")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
     args = parser.parse_args(argv)
-    parent = args.parent.resolve()
-    if not (parent / "perfbench" / "run.py").is_file():
-        parser.error(f"{parent} holds no perfbench/run.py")
+    shas = {}
+    for side, rev in (("parent", args.parent), ("change", "HEAD")):
+        resolved = git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
+        if resolved.returncode != 0:
+            parser.error(f"{rev} is not a commit of {ROOT}")
+        shas[side] = resolved.stdout.strip()
+    edited = git("status", "--porcelain", "--", "src", "perfbench").stdout
+    if edited:
+        parser.error(f"the change is HEAD, but src or perfbench differ from it; commit them first:\n{edited}")
 
-    rev = subprocess.run(["git", "-C", str(parent), "rev-parse", "HEAD"],
-                         capture_output=True, text=True, check=False)
-    if rev.returncode != 0:
-        parser.error(f"{parent} is not a git checkout: {rev.stderr.strip()}")
-    parent_sha = rev.stdout.strip()
-    compile_cmd = [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
-    for tree in (parent, ROOT):
-        subprocess.run(compile_cmd, cwd=tree, check=True)
-    record = {"command": " ".join(["python3 tools/bench_pairs.py", f"--parent <checkout of {parent_sha}>",
+    record = {"command": " ".join(["python3 tools/bench_pairs.py", f"--parent {args.parent}",
                                    f"--label {args.label}", *(f"--workload {w}" for w in args.workload),
                                    f"--seed {args.seed}"]),
               "perfbench_command": "python3 perfbench/run.py --workload W --seed S "
                                    f"--seconds {SPEC['run_seconds']} --trace 0",
-              "parent_git_sha": parent_sha,
-              "compiled_first": "python3 -m compileall -q src perfbench, in both trees",
-              "tree_state": {"parent": tree_state(parent), "change": tree_state(ROOT)},
+              "parent_git_sha": shas["parent"], "change_git_sha": shas["change"],
+              "compiled_first": "python3 -m compileall -q src perfbench, in both clones",
               "workloads": {}}
-    for side, state in record["tree_state"].items():
-        print(f"{side} tree: {json.dumps(state)}", flush=True)
-    warning = path_warning(**record["tree_state"])
-    if warning:
-        print(warning, flush=True)
-    for item in args.workload:
-        workload, _, count = item.partition(":")
-        pairs = []
-        for k in range(int(count or 1)):
-            seed = args.seed + k
-            order = [("parent", parent), ("change", ROOT)]
-            if k % 2:
-                order.reverse()
-            pair = {"seed": seed, "first": order[0][0]}
-            for side, tree in order:
-                pair[side] = run_perfbench(tree, workload, seed)
-                print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['result'])}", flush=True)
-            pairs.append(pair)
-        summary = summarize(pairs)
-        failed = {side: [sum(p[side]["result"][key] for p in pairs) for key in ("failed", "attempted")]
-                  for side in ("parent", "change")}
-        record["workloads"][workload] = {"pairs": pairs, "failed_of_attempted": failed, "summary": summary}
-        print(f"{workload} failed/attempted: " + ", ".join(f"{side} {f}/{a}" for side, (f, a) in failed.items()))
-        for name, entry in summary.items():
-            print(f"{workload} {name}: {entry['verdict']} (median {entry['parent_quartiles'][1]:.6g} -> "
-                  f"{entry['change_quartiles'][1]:.6g} {entry['unit']}, bound {entry['bound']:.0%} of the "
-                  f"parent median, change won {entry['change_wins']}/{entry['pairs']})"
-                  + (f"; rerun: a gap under {RERUN_GAP:.0%} this one-sided needs a second run of pairs"
-                     if entry["rerun"] else ""), flush=True)
-        record.setdefault("environment", pairs[0]["change"]["env"])
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = clone_trees(shas, Path(tmp))
+        for item in args.workload:
+            workload, _, count = item.partition(":")
+            runs = record["workloads"][workload] = pair_runs(trees, workload, int(count or 1), args.seed)
+            record.setdefault("environment", runs["pairs"][0]["change"]["env"])
 
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
