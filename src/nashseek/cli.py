@@ -82,6 +82,8 @@ def _summarize(setup, trajectory) -> dict:
         "final_residual": final_residual,
         "config_echo": setup.config_echo,
         "gain_ordering_warnings": warnings,
+        # how the run stepped, without record_s, a wall-clock time
+        "stepping": {name: value for name, value in trajectory.stepping._asdict().items() if name != "record_s"},
     }
     if trajectory.observer_errors is not None:
         summary["observer_sup_error"] = sim.post_transient_observer_error(trajectory)

@@ -33,6 +33,16 @@ states, one record or a group's ends, into a block of at most
 RECORD_BLOCK_BYTES, reduced to the recorded series one block at a time.
 Record i is the state at step min(i record_stride, steps), and its time
 comes from that grid.
+A "folded" batch with drift that is long enough steps as Parareal over
+record windows (``_windows``, ``_parareal``): K equal windows of whole
+record intervals, K times the lanes at most MAX_LANES, each a lane of one
+fine batch, their starts from a serial coarse pass at c dt, corrected until
+every window's end meets the next window's start within PARAREAL_RTOL.
+The plan is chosen by a cost rule in lane-steps (FOLD_STEP_LANES) and c by
+RK4's contraction limit on the spectrum of A (``affine.rk4_limit``); each
+window is recorded as a lane and joined in time order (``_Recorder.join``).
+The vehicle runs measured stop after two passes.  A pass that leaves the
+guard reruns the batch one step at a time.
 A lane that diverges is masked and the others go on.  ``run`` is the one-lane
 case, where the state keeps no lane axis; the same loop serves both shapes.
 """
@@ -47,8 +57,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import control
-from .affine import (AffineOperator, DriftFold, FoldBlocks, fold_blocks, fold_drift_rk4, probe_affine,
-                     rk4_step, stack_lanes)
+from .affine import (AffineOperator, DriftFold, FoldBlocks, eigenvalues, fold_blocks, fold_drift_rk4,
+                     parareal_contraction, probe_affine, rk4_limit, rk4_step, stack_lanes)
 from .control import GainSet, ObserverSet
 from .errors import (
     ConfigInvalid,
@@ -99,6 +109,39 @@ RECORD_BLOCK_BYTES = 2 ** 18
 # or more: it folds vehicles up to N = 14 (N = 13 in output mode; the output
 # default reads 0.79 MB) and drift-free sizes up to 486 (N = 19).
 FOLD_DRIFT_BYTES = 19 * 10 ** 5
+
+# Parareal over record windows (``_windows``, ``_parareal``).  A "folded" step
+# of L lanes costs about L + FOLD_STEP_LANES lane-steps: on the vehicles/output
+# loop 53 + 6.6 L us (``tools/time_layers.py step 10 output lanes=L``, L = 1, 4,
+# 16, 60: 60, 77, 176 and 451 us).  The eigenvalues, two dense blocks of 150
+# at 19.5 ms, cost about EIG_LANE_STEPS lane-steps a state.  A plan is taken
+# when its two passes cost at most PAYBACK of the serial run, so that a third
+# pass costs little more than the serial run would.  The stop test holds every
+# state entry's window-end mismatch within PARAREAL_RTOL of that entry's
+# largest magnitude.  Against the whole state's largest entry, a gap of 2e-12
+# left the observer series of a 4 s output run (stride 7) 5.2e-11 off, as the
+# innovation rows are 1e-4 of the decisions.  Measured on the vehicles-output
+# workload (seed 3, 12 000 steps at dt = 2e-3, 60 windows of 200 steps,
+# contraction limit 0.0246, BLAS on one thread) with the whole-state test, the
+# stop gap after each pass by coarse step c and by the windows G steps fine:
+#   c = 5  (0.41 of the limit), window 0 fine:      4.6e-08 1.4e-13
+#   c = 8  (0.65), none fine:                       4.6e-06 6.8e-11 2.4e-15
+#   c = 8,  windows 0 and 1 fine:                   1.6e-08 2.8e-13
+#   c = 10 (0.81), windows 0 and 1 fine:            4.2e-08 1.9e-12
+# A correction leaves about affine.parareal_contraction (1.8e-5 at c = 8) of
+# a start's change, and the changes are largest in the run's fast start; so a
+# window whose start moved by more than PARAREAL_RTOL over the contraction
+# steps fine in the passes after.  With that, c up to COARSE_FRACTION of the
+# limit stopped after two passes on the vehicles-output seeds 3 and 101-105
+# (every series within 5.4e-14 of its serial run, ``sim.run`` 0.73 of the
+# serial one on seed 3, min of 5 interleaved) and on the two vehicle defaults
+# (c = 16 and 26; every series within 2.3e-13; 0.52 of the serial run in
+# output mode).
+FOLD_STEP_LANES = 7
+EIG_LANE_STEPS = 10
+PAYBACK = 0.8
+PARAREAL_RTOL = 2e-12
+COARSE_FRACTION = 0.66
 
 # Rows the CSV writer formats per write.  Formatting a whole vehicle run at
 # once took 9 MB more peak memory; 256 rows take under 1 MB and no more time.
@@ -168,11 +211,13 @@ class InitialConditions:
 class Stepping(NamedTuple):
     """How ``_integrate`` stepped a batch of lanes; each lane's Trajectory carries it."""
 
-    kind: str             # the step kind, one of the three ``run`` lists
-    group: Optional[int]  # record-interval maps per product, None without groups
-    products: int         # group products
-    one_step: int         # steps taken one at a time
-    record_s: float       # seconds inside ``_Recorder.extend`` and ``split``
+    kind: str               # the step kind, one of the three ``run`` lists
+    group: Optional[int]    # record-interval maps per product, None without groups
+    products: int           # group products
+    one_step: int           # steps taken one at a time, those of every fine pass over the windows included
+    windows: Optional[int]  # record windows stepped side by side, None without them
+    passes: int             # fine passes over the windows
+    record_s: float         # seconds inside ``_Recorder.extend``, ``join`` and ``split``
 
 
 @dataclass
@@ -368,7 +413,14 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
       kappa |s|_inf + max_j |c_j|_inf stays within STATE_MAGNITUDE_GUARD at
       its start, and every interval of the group before it was kept; the
       first interval not kept, and the remainder interval, take the folded
-      step with the per-step guard;
+      step with the per-step guard.  A batch with drift whose lanes times K
+      is at most MAX_LANES steps K record windows by Parareal when its cost
+      rule (``_windows``) says two passes pay back: a serial coarse pass of
+      the fold at c dt, c dt at most COARSE_FRACTION of RK4's contraction
+      limit, gives each window a start, the fold steps all windows as the
+      lanes of one batch, and the starts are corrected until the windows'
+      ends meet them within PARAREAL_RTOL (``Stepping.windows`` and
+      ``passes``);
     * any other affine game ("sparse"): ``rk4_step`` on the probed sparse
       operator plus the stacked drift, one O(nonzeros) matvec and one call
       per distinct drift a stage;
@@ -569,13 +621,40 @@ class _Recorder:
             np.max(np.abs(self.layout.z(s)[0]), axis=(1, 2), out=self.obs_errors[first:last].reshape(-1))
         self.reduced = last
 
-    def split(self, failures: list, kind: str, group: Optional[int], products: int, one_step: int) -> list:
+    def join(self, part: "_Recorder", windows: int) -> None:
+        """Record the first windows windows of part in time order.
+
+        part recorded each window as lanes: lane w L + l of its (windows, L)
+        lanes is this recorder's lane l over window w, and its rows are that
+        window's records after its start.
+        """
+        began = time.perf_counter()
+        for owner in (self, part):
+            if owner.recorded > owner.reduced:
+                owner._reduce()
+        rows, lanes, first = part.recorded, len(self.x_stars), self.recorded
+        last = first + windows * rows
+
+        def in_time(a):  # (rows, windows L, ...) -> (windows rows, L, ...)
+            a = a[:rows, :windows * lanes].reshape((rows, windows, lanes) + a.shape[2:])
+            return a.swapaxes(0, 1).reshape((windows * rows, lanes) + a.shape[3:])
+
+        self.decisions[first:last] = in_time(part.decisions)
+        for series, joined in zip(part.squares, self.squares):
+            joined[first:last] = in_time(series)
+        self.obs_errors[first:last] = in_time(part.obs_errors)
+        self.recorded = self.reduced = last
+        self.seconds += part.seconds + time.perf_counter() - began
+
+    def split(self, failures: list, kind: str, group: Optional[int], products: int, one_step: int,
+              windows: Optional[int] = None, passes: int = 0) -> list:
         """Each lane's Trajectory or its Diverged in its place, either carrying the batch's Stepping."""
         began, n = time.perf_counter(), self.recorded
         if n > self.reduced:
             self._reduce()
         disagreement, errors = np.sqrt(self.squares[:, :n]).reshape(2, n, -1)
-        stepping = Stepping(kind, group, products, one_step, self.seconds + time.perf_counter() - began)
+        stepping = Stepping(kind, group, products, one_step, windows, passes,
+                            self.seconds + time.perf_counter() - began)
         for failure in filter(None, failures):
             failure.stepping = stepping
         return [failure or Trajectory(self.times[:n], self.decisions[:n, k], disagreement[:, k],
@@ -629,7 +708,14 @@ def _integrate(batch: list) -> list:
                               f"which cannot be allocated: {exc}") for _ in batch]
     failures = [None] * lanes
     recorder.extend(state.reshape(1, lanes, -1))
-    first = products = one_step = 0
+    first = products = one_step = passes = 0
+    windows = None
+    plan = _windows(batch, steps) if kind == "folded" and groups else None
+    if plan is not None:
+        solved = _parareal(plan, fold, blocks, batch, state, recorder)
+        if solved is not None:  # else a pass left the guard: step the run one step at a time
+            taken, one_step, passes, state = solved
+            windows, first = plan.count, taken * plan.steps
     while first < steps:
         full = (steps - first) // stride
         if group is not None and full:
@@ -653,10 +739,11 @@ def _integrate(batch: list) -> list:
             if not np.abs(state).max() <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
                 _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
                 if all(failures):
-                    return recorder.split(failures, kind, group, products, one_step - (last - k - 1))
+                    return recorder.split(failures, kind, group, products, one_step - (last - k - 1),
+                                          windows, passes)
         recorder.extend(state.reshape(1, lanes, -1))
         first = last
-    return recorder.split(failures, kind, group, products, one_step)
+    return recorder.split(failures, kind, group, products, one_step, windows, passes)
 
 
 def _folds(batch: list, steps: int, drifting: bool) -> Optional[FoldBlocks]:
@@ -677,6 +764,132 @@ def _folds(batch: list, steps: int, drifting: bool) -> Optional[FoldBlocks]:
         return None
     blocks = fold_blocks(op, reads, writes, q)
     return blocks if blocks.nbytes <= FOLD_DRIFT_BYTES else None
+
+
+class _Windows(NamedTuple):
+    """A Parareal plan: count windows of steps fine steps, the coarse step coarse fine steps long."""
+
+    count: int
+    steps: int
+    coarse: int
+    contraction: float  # affine.parareal_contraction of the loop's spectrum
+
+
+def _windows(batch: list, steps: int) -> Optional[_Windows]:
+    """The cheapest Parareal plan of a "folded" batch with drift, or None when none pays back.
+
+    Costs are in lane-steps: a step of L lanes costs L + FOLD_STEP_LANES,
+    so the serial run costs steps (L + FOLD_STEP_LANES).  The windows are
+    count equal runs of whole record intervals, count L at most MAX_LANES,
+    and the steps past the last one step one at a time as before.  A plan
+    costs the first window's fine steps on L lanes once, two passes (the
+    fewest that can stop) of ``_parareal``'s coarse pass and of the window's
+    fine steps on count L lanes, the steps past the windows, the second
+    fold's build (its width, as ``_folds`` counts it) and the eigenvalues
+    (EIG_LANE_STEPS a state).  It is taken when that is at most PAYBACK of
+    the serial cost.  That must hold first with c a whole window, the
+    cheapest coarse pass there is, so a batch that cannot pay back computes
+    no eigenvalue.  Then c is the largest divisor of the window, from 2 to
+    MAX_LANES, with c dt at most COARSE_FRACTION of RK4's contraction limit
+    on A's spectrum (``affine.rk4_limit``).
+    """
+    lanes, cfg, layout = len(batch), batch[0].lane.cfg, batch[0].layout
+    stride, full = cfg.record_stride, steps // cfg.record_stride
+    step = lanes + FOLD_STEP_LANES
+    budget = (PAYBACK * steps * step - (layout.size + 1 + 4 * layout.N * layout.m)
+              - EIG_LANE_STEPS * layout.size)
+
+    def plan(count, coarse, eigs=None):
+        window = full // count * stride
+        pass_cost = (count - 2) * (window // coarse) * step + window * (count * lanes + FOLD_STEP_LANES)
+        cost = window * step + 2 * pass_cost + (steps - count * window) * step
+        contraction = None if eigs is None else parareal_contraction(eigs, cfg.dt, window, coarse)
+        return cost, _Windows(count, window, coarse, contraction)
+
+    counts = range(2, min(MAX_LANES // lanes, full) + 1)
+    if not counts or min(plan(count, full // count * stride)[0] for count in counts) > budget:
+        return None
+    eigs = eigenvalues(batch[0].op)
+    reach = min(MAX_LANES, int(COARSE_FRACTION * rk4_limit(eigs) // cfg.dt))
+    costs = [(plan(count, c)[0], count, c) for count in counts
+             for c in [max((c for c in range(2, reach + 1) if full // count * stride % c == 0), default=0)] if c]
+    cost, count, coarse = min(costs, default=(np.inf, 0, 0))
+    return plan(count, coarse, eigs)[1] if cost <= budget else None
+
+
+def _parareal(plan: _Windows, fold: DriftFold, blocks: FoldBlocks, batch: list, state: np.ndarray,
+              recorder: _Recorder) -> Optional[tuple]:
+    """Step plan's windows by Parareal into recorder: (windows kept, fine steps, passes, the state after them).
+
+    The coarse pass G steps the batch's lanes from window to window on
+    fold's RK4 at c dt, built on the same blocks, or on fold itself in the
+    windows marked fine.  Window 0, whose start is exact, is fine, and G
+    steps it once.  The fine pass F steps fold on every window at once, as
+    the (windows, lanes) lanes of one batch, and records each in a recorder
+    of its own.  The starts begin as G's ends and are corrected, U_{n+1} <-
+    G(U_n new) + F(U_n old) - G(U_n old) (Lions, Maday & Turinici 2001),
+    until each entry of every F end is within PARAREAL_RTOL, relative to the
+    entry's largest magnitude over the windows, of the start of the window
+    after it; the last F pass is then joined into recorder.  A pass shrinks
+    a start's error by about plan.contraction on the coarse windows, so a
+    window whose start's mismatch times it exceeds PARAREAL_RTOL is marked
+    fine for the passes after: there G is F, whose value at the old start F
+    gave, and U_{n+1} <- F(U_n new).
+    Otherwise another pass runs if it costs less than stepping the windows
+    after the first mismatch one at a time and every pass so far matched
+    one more window, as Parareal does in exact arithmetic; else the windows
+    before the mismatch are kept and the serial loop steps on.  None when a
+    pass leaves the magnitude guard: the run is then stepped one step at a
+    time from its start, so it fails where it would.
+    """
+    layout, cfg = batch[0].layout, batch[0].lane.cfg
+    count, window, coarse, contraction = plan
+    step = len(batch) + FOLD_STEP_LANES
+    plants, shape = [start.lane.plants for start in batch], state.shape
+    wide = (count * len(batch), layout.size)
+    groups = _drift_groups(plants, shape[:-1])
+    g_coarse = _fold_stepper(fold_drift_rk4(batch[0].op, coarse * cfg.dt, *layout.fold_rows(True), blocks),
+                             groups, layout, state)
+    g_fine = _fold_stepper(fold, groups, layout, state)
+    f_step = _fold_stepper(fold, _drift_groups(plants * count, wide[:-1]), layout, np.empty(wide))
+    starts, g_new = np.empty((count,) + shape), np.empty((count - 1,) + shape)
+    starts[0] = state
+    fine = np.arange(count - 1) == 0
+    ends = g_old = None
+    fine_steps = passes = 0
+    while True:
+        for n in range(count - 1):
+            if n or ends is None:
+                s, advance = starts[n], g_fine if fine[n] else g_coarse
+                for _ in range(window if fine[n] else window // coarse):
+                    s = advance(s, 0.0)
+                g_new[n] = s
+                fine_steps += window if fine[n] else 0
+            starts[n + 1] = g_new[n] if ends is None or fine[n] else g_new[n] + (ends[n] - g_old[n])
+        if not np.abs(starts).max() <= STATE_MAGNITUDE_GUARD:  # also true for a NaN
+            return None
+        part = _Recorder(layout, [start.x_star for start in batch] * count, np.empty(window // cfg.record_stride))
+        s = starts.reshape(wide)
+        for k in range(1, window + 1):
+            s = f_step(s, 0.0)
+            if not np.abs(s).max() <= STATE_MAGNITUDE_GUARD:
+                return None
+            if k % cfg.record_stride == 0:
+                part.extend(s.reshape((1,) + wide))
+        fine_steps, passes = fine_steps + window, passes + 1
+        ends, g_old = s.reshape(starts.shape).copy(), g_new.copy()
+        # each entry's mismatch relative to its largest magnitude over the windows
+        scale = np.maximum(np.abs(starts).max(axis=0), np.abs(ends).max(axis=0))
+        gaps = np.divide(np.abs(ends[:-1] - starts[1:]), scale, out=np.zeros(ends[1:].shape), where=scale > 0)
+        gaps = gaps.reshape(count - 1, -1).max(axis=1)
+        bad = np.flatnonzero(~(gaps <= PARAREAL_RTOL))  # NaN fails too
+        kept = int(bad[0]) + 1 if bad.size else count
+        fine[1:] |= contraction * gaps[:-1] > PARAREAL_RTOL
+        another = (window * (count * len(batch) + FOLD_STEP_LANES)
+                   + step * np.where(fine[1:], window, window // coarse).sum())
+        if kept == count or kept <= passes or (count - kept) * window * step <= another:
+            recorder.join(part, kept)
+            return kept, fine_steps, passes, ends[kept - 1]
 
 
 def _fold_stepper(fold: DriftFold, groups: list, layout: _Layout, state: np.ndarray):

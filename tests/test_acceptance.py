@@ -177,22 +177,26 @@ def test_terminal_estimate_consensus(vehicles_state_run, vehicles_output_run,
 
 def test_12_byte_identical_reruns(tmp_path):
     blobs = []
-    for tag in ("first", "second"):
-        out = tmp_path / tag
-        code = cli_main(["run", "--scenario", "turbines", "--algo", "state",
-                         "--out", str(out), "--seed", "42",
-                         "--set", "horizon=1.0", "--set", "settle_tol=1e6"])
-        assert code == 0
-        blobs.append((out / "trajectory.csv").read_bytes())
-    ok = blobs[0] == blobs[1]
+    # the turbine loop steps groups of record intervals; 24 s of vehicles/output step record
+    # windows by Parareal
+    runs = [["--scenario", "turbines", "--algo", "state", "--set", "horizon=1.0"],
+            ["--scenario", "vehicles", "--algo", "output", "--set", "horizon=24.0"]]
+    for k, argv in enumerate(runs):
+        for tag in ("first", "second"):
+            out = tmp_path / f"{k}-{tag}"
+            code = cli_main(["run", *argv, "--out", str(out), "--seed", "42", "--set", "settle_tol=1e6"])
+            assert code == 0
+            blobs.append((out / "trajectory.csv").read_bytes())
+    ok = blobs[0] == blobs[1] and blobs[2] == blobs[3]
     report(12, "identical config and seed give byte-identical CSV", ok,
-           f"{len(blobs[0])} bytes compared")
+           f"{len(blobs[0])} and {len(blobs[2])} bytes compared")
 
 
 def test_default_runs_step_as_documented(vehicles_state_run, vehicles_output_run,
                                          turbines_state_run, turbines_output_run):
-    # README: both vehicle defaults fold the drift step into one product a
-    # step, and the turbine defaults step groups of record intervals
-    steppings = [traj.stepping[:4] for _, traj, _ in (vehicles_state_run, vehicles_output_run,
+    # README: both vehicle defaults step record windows by Parareal, two passes over 61 and 62
+    # windows of the fold, and the turbine defaults step groups of record intervals
+    steppings = [traj.stepping[:6] for _, traj, _ in (vehicles_state_run, vehicles_output_run,
                                                       turbines_state_run, turbines_output_run)]
-    assert steppings == [("folded", None, 0, 40000)] * 2 + [("folded", 7, 477, 3), ("folded", 4, 834, 3)]
+    assert steppings == [("folded", None, 0, 4250, 61, 2), ("folded", None, 0, 2880, 62, 2),
+                         ("folded", 7, 477, 3, None, 0), ("folded", 4, 834, 3, None, 0)]

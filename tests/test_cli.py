@@ -373,6 +373,20 @@ class TestRunCommand:
         assert "observer_sup_error" in summary
         assert summary["config_echo"]["observer"]["mu"] == 0.02
 
+    def test_summary_reports_how_the_run_stepped(self, tmp_path):
+        # 24 s of the output default step record windows in two passes; record_s, a wall-clock
+        # time, stays out
+        out = tmp_path / "stepped"
+        code = run_cli("run", "--scenario", "vehicles", "--algo", "output",
+                       "--out", str(out), "--set", "horizon=24.0", "--set", "settle_tol=1e6")
+        assert code == 0
+        stepping = json.loads((out / "summary.json").read_text())["stepping"]
+        assert list(stepping) == ["group", "kind", "one_step", "passes", "products", "windows"]
+        assert (stepping["kind"], stepping["group"], stepping["products"]) == ("folded", None, 0)
+        assert stepping["windows"] > 1 and stepping["passes"] == 2
+        # the first window once, then every pass over the windows, and the steps past them
+        assert stepping["one_step"] >= (stepping["passes"] + 1) * 24000 // stepping["windows"]
+
 
 class TestNashCommand:
     def test_turbines_dual_path_agreement(self, capsys):

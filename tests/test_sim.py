@@ -1371,6 +1371,95 @@ class TestStepping:
         assert caught.value.stepping[:4] == stepping and caught.value.stepping.record_s > 0
 
 
+class TestRecordWindows:
+    """A one-lane drifting run long enough pays for Parareal over record windows (``sim._windows``)."""
+
+    @staticmethod
+    def _setup(mode, **sim_keys):
+        cfg = default_config("vehicles", mode)
+        cfg["sim"].update(sim_keys)
+        return build_run_setup(cfg)
+
+    @staticmethod
+    def _run(setup, serial, monkeypatch):
+        with monkeypatch.context() as patch:
+            if serial:
+                patch.setattr(sim, "_windows", lambda batch, steps: None)
+            return run(setup.game, setup.plants, setup.graph, setup.gains, setup.observer, setup.sim_config,
+                       setup.init, x_star=setup.x_star)
+
+    def _assert_serial_series(self, setup, monkeypatch):
+        windows, serial = (self._run(setup, flag, monkeypatch) for flag in (False, True))
+        assert windows.stepping.windows > 1 and serial.stepping[3:6] == (serial.stepping.one_step, None, 0)
+        assert np.array_equal(windows.times, serial.times)
+        for field in ("decisions", "estimate_disagreement", "error_norms", "observer_errors"):
+            a, b = getattr(windows, field), getattr(serial, field)
+            assert (a is None) == (b is None) == (field == "observer_errors" and setup.observer is None)
+            assert a is None or np.max(np.abs(a - b)) <= BATCH_RTOL * np.max(np.abs(b))
+        return windows, serial
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_windows_record_the_serial_run(self, mode, monkeypatch):
+        # 12 s of the default loop settle: the windows settle at the serial run's record
+        setup = self._setup(mode, horizon=12.0)
+        windows, serial = self._assert_serial_series(setup, monkeypatch)
+        assert windows.stepping.passes == 2 and windows.stepping.kind == "folded"
+        settle = [sim.settle_time(traj, setup.x_star, 0.1) for traj in (windows, serial)]
+        assert settle[0] == settle[1] is not None
+
+    @pytest.mark.parametrize("stride, horizon", [(7, 4.0), (10, 4.01)], ids=["stride-7", "401-records"])
+    def test_a_stride_off_the_steps_or_a_prime_record_count_keep_the_serial_grid(self, stride, horizon,
+                                                                                 monkeypatch):
+        # 4 000 steps at stride 7 end in 3 steps past the last interval; 4 010 at stride 10 make
+        # 401 intervals, a prime, so the windows leave intervals for the serial loop
+        windows, _ = self._assert_serial_series(self._setup("output", record_stride=stride, horizon=horizon),
+                                                monkeypatch)
+        steps = round(horizon / 1e-3)
+        assert windows.stepping.windows * (steps // stride // windows.stepping.windows) * stride < steps
+
+    def test_a_drift_that_blows_up_late_fails_as_the_serial_run(self, monkeypatch):
+        # x'' = 50 x + u leaves the guard after 4 s, in a window: a pass trips the guard, and the run
+        # is stepped again one step at a time from its start
+        setup = self._setup("state", horizon=5.0)
+        setup = dataclasses.replace(setup, plants=[Plant(2, 2, drift=linear_drift, w=50.0)] * 10)
+        solved, parareal = [], sim._parareal
+        monkeypatch.setattr(sim, "_parareal", lambda *args: solved.append(parareal(*args)) or solved[-1])
+        failures = []
+        for serial in (False, True):
+            with pytest.raises(Diverged, match="exceeded 1e\\+12 at t=4.084$") as caught:
+                self._run(setup, serial, monkeypatch)
+            failures.append(caught.value)
+        assert solved == [None]
+        assert failures[0].stepping[:6] == failures[1].stepping[:6] == ("folded", None, 0, 4084, None, 0)
+
+    def test_a_batch_that_cannot_pay_back_computes_no_eigenvalue(self, monkeypatch):
+        # four lanes already share a step's overhead: two fine passes alone, on 16 windows of the
+        # seed-sweep's 2 400 steps, would cost over PAYBACK of the serial batch
+        monkeypatch.setattr(sim, "eigenvalues", lambda op: pytest.fail("eigenvalues computed"))
+        setup = self._setup("state", dt=1e-2, horizon=24.0)
+        lanes = [sim.Lane(setup.game, setup.plants, setup.graph, setup.gains, None,
+                          dataclasses.replace(setup.sim_config, seed=seed)) for seed in range(4)]
+        assert sim.run_lanes(lanes)[0].stepping[:6] == ("folded", None, 0, 2400, None, 0)
+
+    def test_rk4_limit_is_where_the_contraction_reaches_one(self):
+        setup = self._setup("output")
+        start = sim._start(sim.Lane(setup.game, setup.plants, setup.graph, setup.gains, setup.observer,
+                                    setup.sim_config), {})
+        eigs = affine.eigenvalues(start.op)
+        dense = np.zeros((start.layout.size,) * 2)
+        np.add.at(dense, (start.op.rows, start.op.cols), start.op.vals)
+        # the observer's repeated root at -1/mu is defective, so single eigenvalues there move by
+        # 1e-4 between the two; the abscissa and the limit agree
+        whole = np.linalg.eigvals(dense)
+        assert len(eigs) == len(whole) and abs(eigs.real.max() - whole.real.max()) < 1e-12
+        limit = affine.rk4_limit(eigs)
+        assert abs(limit - affine.rk4_limit(whole)) < 1e-6 * limit
+        contraction = [np.max(np.abs(np.polyval([1 / 24, 1 / 6, 1 / 2, 1, 1], h * eigs))) for h in (limit, 1.001 * limit)]
+        # README: the output default's limit is 0.0246, 1.23 mu
+        assert round(limit, 4) == 0.0246 and contraction[0] <= 1.0 < contraction[1]
+        assert affine.rk4_limit(np.array([-1.0, 0.5j])) == 0.0
+
+
 class TestEquilibriumResidual:
     def test_perturbed_point_is_not_an_equilibrium(self):
         game, plants, g = build_turbine_market()

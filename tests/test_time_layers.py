@@ -147,3 +147,50 @@ def test_a_parent_that_is_no_commit_exits_two(clone_main, capsys, rev):
     with pytest.raises(SystemExit) as stop:
         main(rev)
     assert stop.value.code == 2 and f"{rev} is not a commit" in capsys.readouterr().err
+
+
+def test_an_aa_floor_turns_a_gap_it_covers_into_unresolved():
+    bench_pairs = load("bench_pairs")
+    parent = [1.00, 1.01, 0.99, 1.00, 1.02]
+    faster, slower = [0.80, 0.81, 0.79, 0.80, 0.82], [1.30, 1.31, 1.29, 1.30, 1.32]
+    # medians 1.00 -> 0.80 and 1.30, beyond a bound of 0.1 of the parent median
+    assert bench_pairs.verdict(parent, faster, 0.1, lower=True) == "better"
+    assert bench_pairs.verdict(parent, slower, 0.1, lower=True) == "worse"
+    assert bench_pairs.verdict(parent, faster, 0.1, lower=True, floor=0.19) == "better"
+    assert bench_pairs.verdict(parent, slower, 0.1, lower=True, floor=0.29) == "worse"
+    # a floor above the median gap: the A/A runs moved more with no change
+    assert bench_pairs.verdict(parent, faster, 0.1, lower=True, floor=0.21) == "unresolved"
+    assert bench_pairs.verdict(parent, slower, 0.1, lower=True, floor=0.31) == "unresolved"
+    # within bound stays within bound whatever the floor
+    assert bench_pairs.verdict(parent, parent, 0.1, lower=True, floor=1.0) == "within bound"
+
+
+def aa_record(parent_sha, change_sha, workloads):
+    summary = {"run_s": {"parent_quartiles": [0.5, 0.6, 0.7], "change_quartiles": [0.5, 0.58, 0.7]}}
+    return {"parent_git_sha": parent_sha, "change_git_sha": change_sha,
+            "workloads": {name: {"summary": summary} for name in workloads}}
+
+
+@pytest.mark.parametrize("record, message", [
+    (aa_record("a" * 40, "b" * 40, ["turbines-state"]), "is not an A/A record"),
+    (aa_record("a" * 40, "a" * 40, ["vehicles-n30"]), "holds no turbines-state"),
+    (None, "cannot read BENCH_floor.json")], ids=["two-shas", "missing-workload", "no-file"])
+def test_aa_that_is_no_aa_record_of_every_workload_exits_two_before_any_run(tmp_path, monkeypatch, capsys,
+                                                                            record, message):
+    bench_pairs = load("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: pytest.fail("reached git"))
+    if record is not None:
+        (tmp_path / "BENCH_floor.json").write_text(json.dumps(record))
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--parent", "HEAD", "--label", "test", "--workload", "turbines-state:1",
+                          "--aa", "floor"])
+    assert stop.value.code == 2 and message in capsys.readouterr().err
+
+
+def test_aa_floors_are_each_metric_gap_of_medians(tmp_path, monkeypatch):
+    bench_pairs = load("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCH_floor.json").write_text(json.dumps(aa_record("a" * 40, "a" * 40, ["turbines-state"])))
+    floors = bench_pairs.aa_floors("floor", ["turbines-state"])
+    assert list(floors) == ["turbines-state"] and floors["turbines-state"]["run_s"] == pytest.approx(0.02)

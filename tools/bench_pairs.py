@@ -1,7 +1,7 @@
 """Paired benchmark of a parent commit against HEAD, written to BENCH_<label>.json.
 
     python3 tools/bench_pairs.py --parent REV --label NAME \\
-        --workload vehicles-n30:10 --workload turbines-state:2 [--seed 101]
+        --workload vehicles-n30:10 --workload turbines-state:2 [--seed 101] [--aa LABEL]
 
 The change is this repository's HEAD and the parent is REV, any name git
 resolves to a commit.  Both run from fresh local clones, <tmp>/parent and
@@ -33,7 +33,14 @@ change won and a verdict, which it also prints:
     within bound     neither
     unresolved       the parent's IQR exceeds that same fraction of its median,
                      so its runs are too spread to tell, unless every change
-                     run beats every parent run
+                     run beats every parent run; or, with --aa, the medians
+                     differ by no more than the A/A floor
+
+With ``--aa LABEL`` the script first reads BENCH_<LABEL>.json, which must be an
+A/A record (one sha on both sides) of every workload asked for, else it exits 2
+before any run.  A metric's floor is the gap between that record's two medians;
+better or worse then also needs the medians to differ by more than the floor.
+The JSON names the A/A file and, per metric, the floor.
 
 A metric also gets "rerun": true when its medians differ by under RERUN_GAP
 of the parent's and one side won nine tenths of the pairs; such gaps have
@@ -88,19 +95,39 @@ def quartiles(values) -> list:
     return statistics.quantiles(values, n=4)
 
 
-def verdict(parent: list, change: list, bound: float, lower: bool) -> str:
-    """better, within bound, worse or unresolved, as the module docstring defines them."""
+def verdict(parent: list, change: list, bound: float, lower: bool, floor: float = 0.0) -> str:
+    """better, within bound, worse or unresolved, as the module docstring defines them;
+    floor is the A/A gap of the medians, 0 without one."""
     q1, median, q3 = quartiles(parent)
     band = bound * abs(median)
     beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
     if q3 - q1 > band and not beats_all:
         return "unresolved"
     gain = (median - statistics.median(change)) * (1 if lower else -1)
+    if abs(gain) > band and abs(gain) <= floor:
+        return "unresolved"
     return "better" if gain > band else "worse" if -gain > band else "within bound"
 
 
-def summarize(pairs) -> dict:
-    """Per metric: each side's [q1, median, q3], the pairs the change won and the verdict."""
+def aa_floors(label: str, workloads: list) -> dict:
+    """{workload: {metric: floor}} of the A/A record BENCH_<label>.json; ValueError naming what is wrong."""
+    path = ROOT / f"BENCH_{label}.json"
+    try:
+        record = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"--aa {label}: cannot read {path.name}: {exc}") from None
+    if record.get("parent_git_sha") is None or record.get("parent_git_sha") != record.get("change_git_sha"):
+        raise ValueError(f"--aa {label}: {path.name} is not an A/A record (its parent and change shas differ)")
+    missing = [w for w in workloads if w not in record.get("workloads", {})]
+    if missing:
+        raise ValueError(f"--aa {label}: {path.name} holds no {', '.join(missing)}")
+    return {w: {name: abs(entry["change_quartiles"][1] - entry["parent_quartiles"][1])
+                for name, entry in record["workloads"][w]["summary"].items()} for w in workloads}
+
+
+def summarize(pairs, floors: dict) -> dict:
+    """Per metric: each side's [q1, median, q3], the pairs the change won, the A/A floor (None
+    without one) and the verdict."""
     out = {}
     for entry in SPEC["end_to_end"]:
         name, lower = entry["name"], entry["better"] == "lower"
@@ -110,14 +137,14 @@ def summarize(pairs) -> dict:
         gap = abs(statistics.median(change) - statistics.median(parent))
         out[name] = {"unit": entry["unit"], "bound": entry["bound"],
                      "parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change),
-                     "change_wins": wins, "pairs": len(pairs),
-                     "verdict": verdict(parent, change, entry["bound"], lower),
+                     "change_wins": wins, "pairs": len(pairs), "aa_floor": floors.get(name),
+                     "verdict": verdict(parent, change, entry["bound"], lower, floors.get(name, 0.0)),
                      "rerun": 0 < gap < RERUN_GAP * abs(statistics.median(parent))
                      and not 0.1 * len(pairs) < wins < 0.9 * len(pairs)}
     return out
 
 
-def pair_runs(trees: dict, workload: str, count: int, first_seed: int) -> dict:
+def pair_runs(trees: dict, workload: str, count: int, first_seed: int, floors: dict) -> dict:
     """count pairs of workload in the two trees, alternating which runs first, with their
     pooled failed/attempted operations and summary, which it also prints."""
     pairs = []
@@ -129,14 +156,15 @@ def pair_runs(trees: dict, workload: str, count: int, first_seed: int) -> dict:
             pair[side] = run_perfbench(tree, workload, seed)
             print(f"{workload} seed {seed} {side}: {json.dumps(pair[side]['result'])}", flush=True)
         pairs.append(pair)
-    summary = summarize(pairs)
+    summary = summarize(pairs, floors)
     failed = {side: [sum(p[side]["result"][key] for p in pairs) for key in ("failed", "attempted")]
               for side in ("parent", "change")}
     print(f"{workload} failed/attempted: " + ", ".join(f"{side} {f}/{a}" for side, (f, a) in failed.items()))
     for name, entry in summary.items():
         print(f"{workload} {name}: {entry['verdict']} (median {entry['parent_quartiles'][1]:.6g} -> "
               f"{entry['change_quartiles'][1]:.6g} {entry['unit']}, bound {entry['bound']:.0%} of the "
-              f"parent median, change won {entry['change_wins']}/{entry['pairs']})"
+              f"parent median, change won {entry['change_wins']}/{entry['pairs']}"
+              + ("" if entry["aa_floor"] is None else f", A/A floor {entry['aa_floor']:.6g}") + ")"
               + (f"; rerun: a gap under {RERUN_GAP:.0%} this one-sided needs a second run of pairs"
                  if entry["rerun"] else ""), flush=True)
     return {"pairs": pairs, "failed_of_attempted": failed, "summary": summary}
@@ -148,7 +176,13 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS")
     parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
+    parser.add_argument("--aa", metavar="LABEL", help="the A/A record BENCH_<LABEL>.json whose gaps are floors")
     args = parser.parse_args(argv)
+    workloads = [(name, int(count or 1)) for name, _, count in (w.partition(":") for w in args.workload)]
+    try:
+        floors = {} if args.aa is None else aa_floors(args.aa, [name for name, _ in workloads])
+    except ValueError as exc:
+        parser.error(str(exc))
     shas = {}
     for side, rev in (("parent", args.parent), ("change", "HEAD")):
         resolved = git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
@@ -161,17 +195,17 @@ def main(argv=None) -> int:
 
     record = {"command": " ".join(["python3 tools/bench_pairs.py", f"--parent {args.parent}",
                                    f"--label {args.label}", *(f"--workload {w}" for w in args.workload),
-                                   f"--seed {args.seed}"]),
+                                   f"--seed {args.seed}", *([f"--aa {args.aa}"] if args.aa else [])]),
               "perfbench_command": "python3 perfbench/run.py --workload W --seed S "
                                    f"--seconds {SPEC['run_seconds']} --trace 0",
               "parent_git_sha": shas["parent"], "change_git_sha": shas["change"],
               "compiled_first": "python3 -m compileall -q src perfbench, in both clones",
-              "workloads": {}}
+              "aa_record": None if args.aa is None else f"BENCH_{args.aa}.json", "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = clone_trees(shas, Path(tmp))
-        for item in args.workload:
-            workload, _, count = item.partition(":")
-            runs = record["workloads"][workload] = pair_runs(trees, workload, int(count or 1), args.seed)
+        for workload, count in workloads:
+            runs = record["workloads"][workload] = pair_runs(trees, workload, count, args.seed,
+                                                             floors.get(workload, {}))
             record.setdefault("environment", runs["pairs"][0]["change"]["env"])
 
     path = ROOT / f"BENCH_{args.label}.json"
