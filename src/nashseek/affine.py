@@ -18,7 +18,11 @@ affine map ``s' = A s + b`` of the flat state.  This module holds:
   ``DriftFold`` probed by running ``rk4_step`` on lanes that carry one
   input of every block at once.  ``DriftFold.intervals`` puts a drift-free
   fold's blocks together into the maps of record intervals side by side,
-  with a bound on every state their steps pass through.
+  with a bound on every state their steps pass through;
+* ``eigenvalues`` of A, one dense block per connected component, and what
+  RK4 makes of them: ``rk4_limit``, the largest step that contracts every
+  mode, and ``parareal_contraction``, what a Parareal correction leaves of a
+  window start's change (``sim._parareal``).
 
 ``sim.run`` says which loops step which kind.  The layout argument is
 ``sim._Layout``.
@@ -332,8 +336,7 @@ def eigenvalues(op: AffineOperator) -> np.ndarray:
 def rk4_limit(eigs: np.ndarray) -> float:
     """The largest step h with RK4's |R(h lambda)| <= 1 at every eigenvalue on all of (0, h].
 
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 is the factor one ``rk4_step`` of
-    s' = lambda s takes.  |R(z)| > 1 beyond |z| = 2.83, so each ray is scanned
+    R is ``_rk4_factor``.  |R(z)| > 1 beyond |z| = 2.83, so each ray is scanned
     on 256 points up to 3 / |lambda| for its first point past 1, and that
     crossing is bisected.  0.0 when an eigenvalue has no negative real part.
     """

@@ -1,6 +1,8 @@
 """Tests of the tools: each layer of time_layers.py runs, gives its keys and patches nothing;
-bench_pairs.py clones both commits to fresh trees at paths of one length, and exits 2 before
-any clone when its parent is no commit or src is edited.  None of them runs perfbench."""
+bench_pairs.py clones both commits to fresh trees at paths of one length, exits 2 before any
+clone when its parent is no commit, src is edited or --aa names no A/A record of every
+workload, and turns a verdict within the A/A floor into unresolved.  None of them runs
+perfbench."""
 
 import importlib.util
 import json
@@ -62,25 +64,34 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     step = tool.LAYERS["step"]("2", "lanes=2")
     assert list(step) == [2]
     assert list(step[2]) == ["size", "lanes", "kind", "group", "fold_bytes", "blocks", "fold_blocks_s",
-                             "fold_drift_rk4_s", "intervals_s", "folded_us", "sparse_us", "repeats"]
+                             "fold_drift_rk4_s", "intervals_s", "folded_us", "sparse_us", "repeats", "windows",
+                             "passes", "c", "spectrum_s", "coarse_fold_s", "coarse_pass_s", "fine_pass_s"]
     # two vehicles: size 20 and a 37 x 20 map, whose 37 inputs 2 400 steps of two lanes pay back,
     # split by coordinate into two blocks of 19 x 10, and stage matrices of 25, 29 and 33 rows over
     # the 8 chain rows; a loop with drift has no groups to build
     assert (step[2]["size"], step[2]["lanes"], step[2]["kind"], step[2]["group"]) == (20, 2, "folded", None)
     assert (step[2]["fold_bytes"], step[2]["blocks"]) == (8 * (2 * 19 * 10 + 8 * (25 + 29 + 33)), 2)
     assert step[2]["intervals_s"] is None and step[2]["repeats"] == 3
+    # two lanes of 2 400 steps already share a step's overhead: no record windows
+    window_keys = ("c", "spectrum_s", "coarse_fold_s", "coarse_pass_s", "fine_pass_s")
+    assert (step[2]["windows"], step[2]["passes"]) == (None, 0) and all(step[2][key] is None for key in window_keys)
     assert all(0 < step[2][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "folded_us", "sparse_us"))
     # in output mode the observer adds 8 states: blocks of 23 x 14 and stage matrices of 33, 37 and 41 rows
     output = tool.LAYERS["step"]("2", "output")
     assert list(output) == [2] and list(output[2]) == list(step[2])
     assert (output[2]["size"], output[2]["lanes"], output[2]["kind"], output[2]["group"]) == (28, 1, "folded", None)
     assert (output[2]["fold_bytes"], output[2]["blocks"]) == (8 * (2 * 23 * 14 + 8 * (33 + 37 + 41)), 2)
+    # one lane of 2 400 steps at dt = 2e-3 takes 60 windows of 40 steps, the coarse step 8 of them
+    # (0.016, under 0.66 of the contraction limit)
+    assert (output[2]["windows"], output[2]["c"]) == (60, 8) and output[2]["passes"] >= 1
+    assert all(0 < output[2][key] for key in window_keys)
     # six drift-free generators: size 66, whose 2 400 steps at stride 10 pay back a group of 7, and
     # one 67 x 66 block
     turbines = tool.LAYERS["step"]("6", "turbines")
     assert list(turbines) == [6] and list(turbines[6]) == list(step[2])
     assert (turbines[6]["size"], turbines[6]["kind"], turbines[6]["group"]) == (66, "folded", 7)
     assert (turbines[6]["fold_bytes"], turbines[6]["blocks"]) == (8 * 67 * 66, 1)
+    assert turbines[6]["windows"] is None and all(turbines[6][key] is None for key in window_keys)
     assert all(0 < turbines[6][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "intervals_s",
                                                 "folded_us", "sparse_us"))
     json.dumps([probe, cert, record, step, output, turbines])

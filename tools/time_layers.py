@@ -7,7 +7,8 @@ probe: N -> size, median_s, repeats, nonzeros, lanes, calls of ``affine.probe_af
   drift-free state-mode loop of N vehicles (the table repeated, anchors uniform in [-15, 15]^2
   with seed 0, default cycle digraph and gains), with one probe's rhs lanes and calls.
 step: N -> size, lanes, kind, group, fold_bytes, blocks, fold_blocks_s, fold_drift_rk4_s, intervals_s,
-  folded_us, sparse_us, repeats for L lanes (default 1) of that loop of N vehicles with its drift, or
+  folded_us, sparse_us, repeats, windows, passes, c, spectrum_s, coarse_fold_s, coarse_pass_s,
+  fine_pass_s for L lanes (default 1) of that loop of N vehicles with its drift, or
   with ``turbines`` of the drift-free market of N >= 5 generators (the table repeated, default
   digraph and gains), in state mode, or with ``output`` in output mode with the default observer,
   seeds 0..L-1, at dt = STEP_DT, or mu / 10 in output mode: kind and group are the step kind and
@@ -19,7 +20,10 @@ step: N -> size, lanes, kind, group, fold_bytes, blocks, fold_blocks_s, fold_dri
   (else null), ``DriftFold.intervals`` of the run's record_stride and group (one map if the run
   takes no groups); folded_us and sparse_us are the microseconds per RK4 step of the batch,
   "folded" (``sim._fold_stepper`` on that fold) and "sparse" (``sim._rk4_stepper``), STEPS steps
-  of each in turn from the run's start.
+  of each in turn from the run's start; windows and passes are the run's record windows and
+  passes (null and 0 without them), and c, spectrum_s, coarse_fold_s, coarse_pass_s and
+  fine_pass_s time the Parareal plan ``sim._windows`` makes for the run (``windows`` below; null
+  without a plan).
 certificate: N -> median_s, repeats, passed, residual of ``graph.estimation_certificate`` of
   ``scenarios.default_cycle_digraph(N)``.
 record: algo, records, group, csv_bytes, repeats, run_s, record_s, csv_write_s of ``sim.run`` on
@@ -172,8 +176,46 @@ def step(*args) -> dict:
         out[n] = {"size": layout.size, "lanes": lanes, "kind": stepping.kind, "group": stepping.group,
                   "fold_bytes": blocks.nbytes, "blocks": len(blocks.rows), "fold_blocks_s": fields["fold_blocks_s"],
                   "fold_drift_rk4_s": fields["fold_drift_rk4_s"], "intervals_s": fields.get("intervals_s"),
-                  "folded_us": fields["folded_us"], "sparse_us": fields["sparse_us"], "repeats": runs}
+                  "folded_us": fields["folded_us"], "sparse_us": fields["sparse_us"], "repeats": runs,
+                  **windows(starts, groups, rows, blocks, stepping)}
     return out
+
+
+def windows(starts, groups, rows, blocks, stepping) -> dict:
+    """The record-window fields of ``step``: the run's windows and passes, and for the plan
+    ``sim._windows`` makes (all null without one) its coarse step c in fine steps, spectrum_s (the
+    eigenvalues and ``affine.rk4_limit``), coarse_fold_s (the second fold's build, at c dt on the
+    same blocks), and coarse_pass_s and fine_pass_s, one G pass (the coarse steps of all windows but
+    the first and the last, on the run's lanes) and one F pass (a window's steps on all windows)."""
+    out = {"windows": stepping.windows, "passes": stepping.passes}
+    layout, op, dt = starts[0].layout, starts[0].op, starts[0].lane.cfg.dt
+    plan = sim._windows(starts, STEPS) if stepping.kind == "folded" and groups else None
+    if plan is None:
+        return {**out, **dict.fromkeys(("c", "spectrum_s", "coarse_fold_s", "coarse_pass_s", "fine_pass_s"))}
+    state = starts[0].state if len(starts) == 1 else np.stack([start.state for start in starts])
+    wide = np.tile(state.reshape(-1, layout.size), (plan.count, 1))
+    fine = affine.fold_drift_rk4(op, dt, *rows, blocks)
+
+    def call():
+        began = time.perf_counter()
+        affine.rk4_limit(affine.eigenvalues(op))
+        built = time.perf_counter()
+        coarse = affine.fold_drift_rk4(op, plan.coarse * dt, *rows, blocks)
+        fields = {"spectrum_s": built - began, "coarse_fold_s": time.perf_counter() - built}
+        passes = {"coarse_pass_s": (sim._fold_stepper(coarse, groups, layout, state), state,
+                                    (plan.count - 2) * (plan.steps // plan.coarse)),
+                  "fine_pass_s": (sim._fold_stepper(fine, sim._drift_groups(
+                      [start.lane.plants for start in starts] * plan.count, wide.shape[:-1]), layout, wide),
+                      wide, plan.steps)}
+        for name, (advance, s, count) in passes.items():
+            began = time.perf_counter()
+            for _ in range(count):
+                s = advance(s, 0.0)
+            fields[name] = time.perf_counter() - began
+        return fields, None
+
+    fields, _, _ = repeat(call)
+    return {**out, "c": plan.coarse, **fields}
 
 
 LAYERS = {"probe": probe, "certificate": certificate, "record": record, "step": step}
