@@ -857,6 +857,7 @@ def _parareal(plan: _Windows, fold: DriftFold, blocks: FoldBlocks, batch: list, 
     fine = np.arange(count - 1) == 0
     ends = g_old = None
     fine_steps = passes = 0
+    recorded_s = 0.0  # in the recorders of the F passes before the last
     while True:
         for n in range(count - 1):
             if n or ends is None:
@@ -889,7 +890,9 @@ def _parareal(plan: _Windows, fold: DriftFold, blocks: FoldBlocks, batch: list, 
                    + step * np.where(fine[1:], window, window // coarse).sum())
         if kept == count or kept <= passes or (count - kept) * window * step <= another:
             recorder.join(part, kept)
+            recorder.seconds += recorded_s
             return kept, fine_steps, passes, ends[kept - 1]
+        recorded_s += part.seconds
 
 
 def _fold_stepper(fold: DriftFold, groups: list, layout: _Layout, state: np.ndarray):
