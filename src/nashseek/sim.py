@@ -132,9 +132,10 @@ FOLD_DRIFT_BYTES = 19 * 10 ** 5
 # a start's change, and the changes are largest in the run's fast start; so a
 # window whose start moved by more than PARAREAL_RTOL over the contraction
 # steps fine in the passes after.  With that, c up to COARSE_FRACTION of the
-# limit stopped after two passes on the vehicles-output seeds 3 and 101-105
-# (every series within 5.4e-14 of its serial run, ``sim.run`` 0.73 of the
-# serial one on seed 3, min of 5 interleaved) and on the two vehicle defaults
+# limit stopped after two passes on the vehicles-output seeds 3, 101-103 and
+# 105 and after three on 104 (every series within 1.2e-13 of its serial run,
+# ``sim.run`` 0.73 of the serial one on seed 3, min of 5 interleaved) and
+# after two on the two vehicle defaults
 # (c = 16 and 26; every series within 2.3e-13; 0.52 of the serial run in
 # output mode).
 FOLD_STEP_LANES = 7
@@ -647,7 +648,7 @@ class _Recorder:
         self.seconds += part.seconds + time.perf_counter() - began
 
     def split(self, failures: list, kind: str, group: Optional[int], products: int, one_step: int,
-              windows: Optional[int] = None, passes: int = 0) -> list:
+              windows: Optional[int], passes: int) -> list:
         """Each lane's Trajectory or its Diverged in its place, either carrying the batch's Stepping."""
         began, n = time.perf_counter(), self.recorded
         if n > self.reduced:
@@ -667,10 +668,12 @@ def _integrate(batch: list) -> list:
     """Step the starts of one batch key together; a Trajectory or Diverged per lane.
 
     One lane steps its (size,) state; more step one (lanes, size) state.  It
-    picks the step kind by ``run``'s rules, builds a "folded" batch's fold
-    once and loops over record intervals: a group product where groups run,
-    else one step at a time with the guard after each, so a Diverged names
-    the step the one-step path would.
+    picks the step kind by ``run``'s rules and builds a "folded" batch's fold
+    once.  A batch with drift for which ``_windows`` finds a plan steps its
+    record windows by ``_parareal`` first; then it loops over the record
+    intervals left: a group product where groups run, else one step at a
+    time with the guard after each, so a Diverged names the step the
+    one-step path would.
     """
     lane, layout = batch[0].lane, batch[0].layout
     cfg = lane.cfg

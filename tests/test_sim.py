@@ -780,7 +780,7 @@ class TestLaneBatch:
             bulk.extend(states[first:last])
         for k in range(len(states)):
             single.extend(states[k:k + 1])
-        stepping = ("folded", None, 0, 15)  # the counts split puts on each Trajectory
+        stepping = ("folded", None, 0, 15, None, 0)  # the counts split puts on each Trajectory
         for a, b in zip(bulk.split([None, None], *stepping), single.split([None, None], *stepping)):
             for field in ("times", "decisions", "estimate_disagreement", "error_norms", "observer_errors"):
                 x, y = getattr(a, field), getattr(b, field)
