@@ -317,19 +317,27 @@ def eigenvalues(op: AffineOperator) -> np.ndarray:
 
     A permutation that groups each component's states makes A block diagonal,
     so its spectrum is the union of the blocks' spectra: two blocks of 150
-    states take 19.5 ms on the vehicles/output loop, where the dense 300 x 300
-    A took 46 ms.
+    states took 19.5 ms on the vehicles/output loop, where the dense 300 x 300
+    A took 46 ms.  Equal blocks are solved once: the vehicle loops' two
+    blocks, one per coordinate, are equal to 1.8e-15 of their largest entry.
     """
     _, comp = np.unique(_components(op), return_inverse=True)
     at = np.empty_like(comp)
-    out = []
+    # (block, its eigenvalues): blocks equal up to the probe's rounding (1e-12 of their largest
+    # entry), such as one per coordinate, share them
+    out, seen = [], []
     for g in range(comp.max() + 1):
         states = np.flatnonzero(comp == g)
         at[states] = np.arange(len(states))
         mine = comp[op.rows] == g
         block = np.zeros((len(states), len(states)))
         np.add.at(block, (at[op.rows[mine]], at[op.cols[mine]]), op.vals[mine])
-        out.append(np.linalg.eigvals(block))
+        eigs = next((e for b, e in seen if b.shape == block.shape
+                     and np.abs(b - block).max() <= 1e-12 * np.abs(block).max()), None)
+        if eigs is None:
+            eigs = np.linalg.eigvals(block)
+            seen.append((block, eigs))
+        out.append(eigs)
     return np.concatenate(out)
 
 
@@ -359,15 +367,20 @@ def rk4_limit(eigs: np.ndarray) -> float:
     return float(lo.min())
 
 
-def parareal_contraction(eigs: np.ndarray, dt: float, steps: int, coarse: int) -> float:
+def parareal_contraction(eigs: np.ndarray, dt: float, steps, coarse) -> np.ndarray:
     """How much a Parareal pass shrinks a window start's error on s' = A s: max |R(c h lambda)^(n / c) - R(h lambda)^n|.
 
     A window is n steps of RK4 at h (F) or n / c steps at c h (G), and on
     a mode lambda a correction leaves F - G of the start's change (Gander &
     Vandewalle 2007).  On the vehicles-output workload it read 1.8e-5 at
-    c = 8, where the second pass's gap was 1.5e-5 of the first's.
+    c = 8, where the second pass's gap was 1.5e-5 of the first's.  steps
+    and coarse may be arrays of plans, each c a divisor of its n; the result
+    has their broadcast shape.  The powers are taken as exp(k log R).
     """
-    return float(np.max(np.abs(_rk4_factor(coarse * dt * eigs) ** (steps // coarse) - _rk4_factor(dt * eigs) ** steps)))
+    steps, coarse = (a[..., None] for a in np.broadcast_arrays(steps, coarse))
+    fine = np.log(_rk4_factor(dt * eigs + 0j))
+    return np.max(np.abs(np.exp(steps // coarse * np.log(_rk4_factor(coarse * dt * eigs + 0j)))
+                         - np.exp(steps * fine)), axis=-1)
 
 
 def _rk4_factor(z):

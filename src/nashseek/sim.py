@@ -38,13 +38,15 @@ record windows (``_windows``, ``_parareal``): K equal windows of whole
 record intervals, K times the lanes at most MAX_LANES, each a lane of one
 fine batch, their starts from a serial coarse pass at c dt, corrected until
 every window's end meets the next window's start within PARAREAL_RTOL.
-The plan is chosen by a cost rule in lane-steps (FOLD_STEP_LANES) and c by
-RK4's contraction limit on the spectrum of A (``affine.rk4_limit``); each
-window is recorded as a lane and joined in time order (``_Recorder.join``).
-The stop test holds each state entry within PARAREAL_RTOL of its largest
-magnitude; the vehicle defaults stop after two passes, and so did five of
-six seeds of the vehicles-output workload (the sixth after three).  A pass
-that leaves the guard reruns the batch one step at a time.
+The plan is chosen by a cost rule in lane-steps (FOLD_STEP_LANES) that
+prices the passes each K and c need from the spectrum of A
+(``affine.parareal_contraction``), c dt under RK4's contraction limit
+(``affine.rk4_limit``); each window is recorded as a lane and joined in
+time order (``_Recorder.join``).  The stop test holds each state entry
+within PARAREAL_RTOL of its largest magnitude, weighed by how much the
+state grows after the window; the vehicle defaults and the vehicles-output
+workload were priced two passes and took two.  A pass that leaves the
+guard reruns the batch one step at a time.
 A lane that diverges is masked and the others go on.  ``run`` is the one-lane
 case, where the state keeps no lane axis; the same loop serves both shapes.
 """
@@ -115,31 +117,28 @@ FOLD_DRIFT_BYTES = 19 * 10 ** 5
 # Parareal over record windows (``_windows``, ``_parareal``).  A "folded" step
 # of L lanes costs about L + FOLD_STEP_LANES lane-steps: on the vehicles/output
 # loop 53 + 6.6 L us (``tools/time_layers.py step 10 output lanes=L``, L = 1, 4,
-# 16, 60: 60, 77, 176 and 451 us).  The eigenvalues, two dense blocks of 150
-# at 19.5 ms, cost about EIG_LANE_STEPS lane-steps a state.  A plan is taken
-# when its two passes cost at most PAYBACK of the serial run, so that a third
-# pass costs little more than the serial run would.  The stop test holds every
-# state entry's window-end mismatch within PARAREAL_RTOL of that entry's
-# largest magnitude.  Against the whole state's largest entry, a gap of 2e-12
-# left the observer series of a 4 s output run (stride 7) 5.2e-11 off, as the
-# innovation rows are 1e-4 of the decisions.  Measured on the vehicles-output
-# workload (seed 3, 12 000 steps at dt = 2e-3, 60 windows of 200 steps,
-# contraction limit 0.0246, BLAS on one thread) with the whole-state test, the
-# stop gap after each pass by coarse step c and by the windows G steps fine:
-#   c = 5  (0.41 of the limit), window 0 fine:      4.6e-08 1.4e-13
-#   c = 8  (0.65), none fine:                       4.6e-06 6.8e-11 2.4e-15
-#   c = 8,  windows 0 and 1 fine:                   1.6e-08 2.8e-13
-#   c = 10 (0.81), windows 0 and 1 fine:            4.2e-08 1.9e-12
-# A correction leaves about affine.parareal_contraction (1.8e-5 at c = 8) of
-# a start's change, and the changes are largest in the run's fast start; so a
-# window whose start moved by more than PARAREAL_RTOL over the contraction
-# steps fine in the passes after.  With that, c up to COARSE_FRACTION of the
-# limit stopped after two passes on the vehicles-output seeds 3, 101-103 and
-# 105 and after three on 104 (every series within 1.2e-13 of its serial run,
-# ``sim.run`` 0.73 of the serial one on seed 3, min of 5 interleaved) and
-# after two on the two vehicle defaults
-# (c = 16 and 26; every series within 2.3e-13; 0.52 of the serial run in
-# output mode).
+# 16, 60: 60, 77, 176 and 451 us).  The spectrum and the plan's pricing took
+# 11-17 ms on the vehicle loops (one dense block of 150 or 130 states, as the
+# two coordinates' blocks are equal), priced at EIG_LANE_STEPS lane-steps a
+# state, 20-22 ms.  A plan is taken when the passes it needs cost at most
+# PAYBACK of the serial run.  The stop test holds every state entry's
+# window-end mismatch within PARAREAL_RTOL of that entry's largest magnitude:
+# against the whole state's largest entry, a gap of 2e-12 left the observer
+# series of a 4 s output run (stride 7) 5.2e-11 off, as the innovation rows
+# are 1e-4 of the decisions.  Priced by ``affine.parareal_contraction``, the
+# plans below need two passes and took two (BLAS on one thread; time over the
+# serial ``sim.run``, min of 5 interleaved; largest gap of a recorded series
+# to the serial run's, relative to its largest entry; equal settle_time):
+#   vehicles-output workload, seed 3 (12 000 steps at 2e-3): 25 windows of 480
+#     steps, c = 8, contraction 9.5e-7; 0.67, gap 5.0e-14
+#   state default (40 000 steps at 1e-3): 32 x 1 250, c = 25, 1.1e-6; 0.42, 1.5e-13
+#   output default (40 000 at 1e-3): 43 x 930, c = 15, 8.7e-7; 0.49, 2.3e-13
+#   state 6 s: 21 x 280, c = 7, 9.8e-7; 0.74 | output 4.8 s: 17 x 280, c = 7; 0.81
+# 3 s of either mode finds no plan that pays (1.08-1.10: the spectrum is paid).
+# The passes must be priced: short windows need more (60 windows of 200 steps at
+# c = 8 on the workload, contraction 1.8e-5, took three: gaps 4.6e-6, 6.8e-11 and
+# 2.4e-15), and a rule that priced two for every plan made short runs lose (6 s
+# of state mode took 1.21 of the serial run, 4.8 s of output mode 1.28).
 FOLD_STEP_LANES = 7
 EIG_LANE_STEPS = 10
 PAYBACK = 0.8
@@ -418,13 +417,14 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
       first interval not kept, and the remainder interval, take the folded
       step with the per-step guard.  A batch with drift whose lanes times K
       is at most MAX_LANES steps K record windows by Parareal when its cost
-      rule (``_windows``) says two passes pay back: a serial coarse pass of
-      the fold at c dt, c dt at most COARSE_FRACTION of RK4's contraction
-      limit, gives each window a start, the fold steps all windows as the
-      lanes of one batch, and the starts are corrected until the windows'
-      ends meet them within PARAREAL_RTOL of each entry's largest
-      magnitude, two passes on the vehicle defaults (``Stepping.windows``
-      and ``passes``);
+      rule (``_windows``) says the passes they need pay back: a serial
+      coarse pass of the fold at c dt, c dt at most COARSE_FRACTION of
+      RK4's contraction limit, gives each window a start, the fold steps
+      all windows as the lanes of one batch, and the starts are corrected
+      until the windows' ends meet them within PARAREAL_RTOL of each
+      entry's largest magnitude, weighed by the state's growth after them;
+      two passes on the vehicle defaults (``Stepping.windows`` and
+      ``passes``);
     * any other affine game ("sparse"): ``rk4_step`` on the probed sparse
       operator plus the stacked drift, one O(nonzeros) matvec and one call
       per distinct drift a stage;
@@ -778,7 +778,6 @@ class _Windows(NamedTuple):
     count: int
     steps: int
     coarse: int
-    contraction: float  # affine.parareal_contraction of the loop's spectrum
 
 
 def _windows(batch: list, steps: int) -> Optional[_Windows]:
@@ -788,16 +787,21 @@ def _windows(batch: list, steps: int) -> Optional[_Windows]:
     so the serial run costs steps (L + FOLD_STEP_LANES).  The windows are
     count equal runs of whole record intervals, count L at most MAX_LANES,
     and the steps past the last one step one at a time as before.  A plan
-    costs the first window's fine steps on L lanes once, two passes (the
-    fewest that can stop) of ``_parareal``'s coarse pass and of the window's
-    fine steps on count L lanes, the steps past the windows, the second
-    fold's build (its width, as ``_folds`` counts it) and the eigenvalues
-    (EIG_LANE_STEPS a state).  It is taken when that is at most PAYBACK of
-    the serial cost.  That must hold first with c a whole window, the
-    cheapest coarse pass there is, so a batch that cannot pay back computes
-    no eigenvalue.  Then c is the largest divisor of the window, from 2 to
-    MAX_LANES, with c dt at most COARSE_FRACTION of RK4's contraction limit
-    on A's spectrum (``affine.rk4_limit``).
+    costs the first window's fine steps on L lanes once, the passes it
+    needs of ``_parareal``'s coarse pass and of the window's fine steps on
+    count L lanes, the steps past the windows, the second fold's build (its
+    width, as ``_folds`` counts it) and the spectrum (EIG_LANE_STEPS a
+    state).  The passes: a correction leaves ``affine.parareal_contraction``
+    of a start's error, and the first pass's gap is about that too (the mode
+    G misses most, as large as the state), so the gap after p passes is
+    about the contraction to the p, and a plan needs the least p, at least
+    two, that brings it within PARAREAL_RTOL.  A plan is taken when it costs
+    at most PAYBACK of the serial run.  That must hold first for two passes
+    with c a whole window, the cheapest plan there is, so a batch that
+    cannot pay back computes no eigenvalue.  Then every c that divides the
+    window, from 2 to MAX_LANES with c dt at most COARSE_FRACTION of RK4's
+    contraction limit on A's spectrum (``affine.rk4_limit``), is priced, and
+    the cheapest plan is taken.
     """
     lanes, cfg, layout = len(batch), batch[0].lane.cfg, batch[0].layout
     stride, full = cfg.record_stride, steps // cfg.record_stride
@@ -805,22 +809,47 @@ def _windows(batch: list, steps: int) -> Optional[_Windows]:
     budget = (PAYBACK * steps * step - (layout.size + 1 + 4 * layout.N * layout.m)
               - EIG_LANE_STEPS * layout.size)
 
-    def plan(count, coarse, eigs=None):
+    def cost(count, coarse, passes):
         window = full // count * stride
-        pass_cost = (count - 2) * (window // coarse) * step + window * (count * lanes + FOLD_STEP_LANES)
-        cost = window * step + 2 * pass_cost + (steps - count * window) * step
-        contraction = None if eigs is None else parareal_contraction(eigs, cfg.dt, window, coarse)
-        return cost, _Windows(count, window, coarse, contraction)
+        return (window + steps - count * window) * step + passes * _pass_cost(count, window, coarse, lanes)
 
     counts = range(2, min(MAX_LANES // lanes, full) + 1)
-    if not counts or min(plan(count, full // count * stride)[0] for count in counts) > budget:
+    if not counts or min(cost(count, full // count * stride, 2) for count in counts) > budget:
         return None
-    eigs = eigenvalues(batch[0].op)
+    # R(h conj(lambda)) = conj(R(h lambda)), so half the spectrum serves, and repeated modes once
+    eigs = np.unique(np.round(eigenvalues(batch[0].op), 9))
+    eigs = eigs[eigs.imag >= 0]
     reach = min(MAX_LANES, int(COARSE_FRACTION * rk4_limit(eigs) // cfg.dt))
-    costs = [(plan(count, c)[0], count, c) for count in counts
-             for c in [max((c for c in range(2, reach + 1) if full // count * stride % c == 0), default=0)] if c]
-    cost, count, coarse = min(costs, default=(np.inf, 0, 0))
-    return plan(count, coarse, eigs)[1] if cost <= budget else None
+    plans = np.array([(count, c) for count in counts for c in range(2, reach + 1)
+                      if full // count * stride % c == 0 and cost(count, c, 2) <= budget])
+    if not plans.size:
+        return None
+    count, coarse = plans.T
+    contraction = parareal_contraction(eigs, cfg.dt, full // count * stride, coarse)
+    with np.errstate(divide="ignore"):
+        passes = np.where(contraction < 1.0, np.ceil(np.log(PARAREAL_RTOL) / np.log(contraction)), np.inf)
+    costs = cost(count, coarse, np.maximum(passes, 2))
+    best = int(np.argmin(costs))
+    if costs[best] > budget:
+        return None
+    return _Windows(int(count[best]), full // int(count[best]) * stride, int(coarse[best]))
+
+
+def _pass_cost(count: int, window: int, coarse: int, lanes: int) -> int:
+    """Lane-steps of one ``_parareal`` pass: G's coarse steps over windows 1 to count - 2 on lanes
+    lanes, and F's window of fine steps on count lanes lanes."""
+    return (count - 2) * (window // coarse) * (lanes + FOLD_STEP_LANES) + window * (count * lanes + FOLD_STEP_LANES)
+
+
+def _pass_steppers(plan: _Windows, fold: DriftFold, blocks: FoldBlocks, batch: list, state: np.ndarray) -> tuple:
+    """``_parareal``'s steppers: G's on the batch's lanes at c dt (fold rebuilt on blocks) and at dt
+    (fold), and F's (fold) on the (windows, lanes) lanes of one batch."""
+    layout, dt = batch[0].layout, batch[0].lane.cfg.dt
+    plants, wide = [start.lane.plants for start in batch], np.empty((plan.count * len(batch), layout.size))
+    groups = _drift_groups(plants, state.shape[:-1])
+    coarse = fold_drift_rk4(batch[0].op, plan.coarse * dt, *layout.fold_rows(True), blocks)
+    return (_fold_stepper(coarse, groups, layout, state), _fold_stepper(fold, groups, layout, state),
+            _fold_stepper(fold, _drift_groups(plants * plan.count, wide.shape[:-1]), layout, wide))
 
 
 def _parareal(plan: _Windows, fold: DriftFold, blocks: FoldBlocks, batch: list, state: np.ndarray,
@@ -828,20 +857,20 @@ def _parareal(plan: _Windows, fold: DriftFold, blocks: FoldBlocks, batch: list, 
     """Step plan's windows by Parareal into recorder: (windows kept, fine steps, passes, the state after them).
 
     The coarse pass G steps the batch's lanes from window to window on
-    fold's RK4 at c dt, built on the same blocks, or on fold itself in the
-    windows marked fine.  Window 0, whose start is exact, is fine, and G
-    steps it once.  The fine pass F steps fold on every window at once, as
-    the (windows, lanes) lanes of one batch, and records each in a recorder
-    of its own.  The starts begin as G's ends and are corrected, U_{n+1} <-
-    G(U_n new) + F(U_n old) - G(U_n old) (Lions, Maday & Turinici 2001),
-    until each entry of every F end is within PARAREAL_RTOL, relative to the
-    entry's largest magnitude over the windows, of the start of the window
-    after it; the last F pass is then joined into recorder.  A pass shrinks
-    a start's error by about plan.contraction on the coarse windows, so a
-    window whose start's mismatch times it exceeds PARAREAL_RTOL is marked
-    fine for the passes after: there G is F, whose value at the old start F
-    gave, and U_{n+1} <- F(U_n new).
-    Otherwise another pass runs if it costs less than stepping the windows
+    fold's RK4 at c dt, built on the same blocks; window 0, whose start is
+    exact, it steps once on fold itself.  The fine pass F steps fold on
+    every window at once, as the (windows, lanes) lanes of one batch, and
+    records each in a recorder of its own, written over by each pass.  The
+    starts begin as G's ends and are corrected, U_{n+1} <- G(U_n new) +
+    F(U_n old) - G(U_n old) (Lions, Maday & Turinici 2001), until the gap of
+    every window is within PARAREAL_RTOL; the last F pass is then joined
+    into recorder.  A window's gap is the largest mismatch of an entry of
+    its F end with the start of the window after it, relative to the
+    entry's largest magnitude over the windows, times how much the state
+    grows after that start (the largest magnitude of a later window end
+    over the start's own, at least 1): an error there grows with the state,
+    so a loop whose drift makes it grow is held to its own magnitude, not
+    its last.  Another pass runs if it costs less than stepping the windows
     after the first mismatch one at a time and every pass so far matched
     one more window, as Parareal does in exact arithmetic; else the windows
     before the mismatch are kept and the serial loop steps on.  None when a
@@ -849,33 +878,25 @@ def _parareal(plan: _Windows, fold: DriftFold, blocks: FoldBlocks, batch: list, 
     time from its start, so it fails where it would.
     """
     layout, cfg = batch[0].layout, batch[0].lane.cfg
-    count, window, coarse, contraction = plan
-    step = len(batch) + FOLD_STEP_LANES
-    plants, shape = [start.lane.plants for start in batch], state.shape
+    count, window, coarse = plan
+    g_coarse, g_fine, f_step = _pass_steppers(plan, fold, blocks, batch, state)
     wide = (count * len(batch), layout.size)
-    groups = _drift_groups(plants, shape[:-1])
-    g_coarse = _fold_stepper(fold_drift_rk4(batch[0].op, coarse * cfg.dt, *layout.fold_rows(True), blocks),
-                             groups, layout, state)
-    g_fine = _fold_stepper(fold, groups, layout, state)
-    f_step = _fold_stepper(fold, _drift_groups(plants * count, wide[:-1]), layout, np.empty(wide))
-    starts, g_new = np.empty((count,) + shape), np.empty((count - 1,) + shape)
+    starts, g_new = np.empty((count,) + state.shape), np.empty((count - 1,) + state.shape)
     starts[0] = state
-    fine = np.arange(count - 1) == 0
+    part = _Recorder(layout, [start.x_star for start in batch] * count, np.empty(window // cfg.record_stride))
+    step, another = len(batch) + FOLD_STEP_LANES, _pass_cost(count, window, coarse, len(batch))
     ends = g_old = None
-    fine_steps = passes = 0
-    recorded_s = 0.0  # in the recorders of the F passes before the last
+    passes = 0
     while True:
-        for n in range(count - 1):
-            if n or ends is None:
-                s, advance = starts[n], g_fine if fine[n] else g_coarse
-                for _ in range(window if fine[n] else window // coarse):
-                    s = advance(s, 0.0)
-                g_new[n] = s
-                fine_steps += window if fine[n] else 0
-            starts[n + 1] = g_new[n] if ends is None or fine[n] else g_new[n] + (ends[n] - g_old[n])
+        for n in range(0 if ends is None else 1, count - 1):
+            s = starts[n]
+            for _ in range(window if n == 0 else window // coarse):
+                s = (g_coarse if n else g_fine)(s, 0.0)
+            g_new[n] = s
+            starts[n + 1] = s if ends is None else s + (ends[n] - g_old[n])
         if not np.abs(starts).max() <= STATE_MAGNITUDE_GUARD:  # also true for a NaN
             return None
-        part = _Recorder(layout, [start.x_star for start in batch] * count, np.empty(window // cfg.record_stride))
+        part.recorded = part.reduced = 0
         s = starts.reshape(wide)
         for k in range(1, window + 1):
             s = f_step(s, 0.0)
@@ -883,22 +904,20 @@ def _parareal(plan: _Windows, fold: DriftFold, blocks: FoldBlocks, batch: list, 
                 return None
             if k % cfg.record_stride == 0:
                 part.extend(s.reshape((1,) + wide))
-        fine_steps, passes = fine_steps + window, passes + 1
+        passes += 1
         ends, g_old = s.reshape(starts.shape).copy(), g_new.copy()
-        # each entry's mismatch relative to its largest magnitude over the windows
         scale = np.maximum(np.abs(starts).max(axis=0), np.abs(ends).max(axis=0))
         gaps = np.divide(np.abs(ends[:-1] - starts[1:]), scale, out=np.zeros(ends[1:].shape), where=scale > 0)
-        gaps = gaps.reshape(count - 1, -1).max(axis=1)
+        peaks = np.abs(ends).reshape(count, -1).max(axis=1)
+        own = np.maximum(np.abs(starts[1:]).reshape(count - 1, -1).max(axis=1), peaks[:-1])
+        later = np.maximum.accumulate(peaks[::-1])[-2::-1]  # the largest of ends[n + 1:]
+        growth = np.divide(later, own, out=np.full(count - 1, np.inf), where=own > 0)
+        gaps = gaps.reshape(count - 1, -1).max(axis=1) * np.maximum(growth, 1.0)
         bad = np.flatnonzero(~(gaps <= PARAREAL_RTOL))  # NaN fails too
         kept = int(bad[0]) + 1 if bad.size else count
-        fine[1:] |= contraction * gaps[:-1] > PARAREAL_RTOL
-        another = (window * (count * len(batch) + FOLD_STEP_LANES)
-                   + step * np.where(fine[1:], window, window // coarse).sum())
         if kept == count or kept <= passes or (count - kept) * window * step <= another:
             recorder.join(part, kept)
-            recorder.seconds += recorded_s
-            return kept, fine_steps, passes, ends[kept - 1]
-        recorded_s += part.seconds
+            return kept, window * (passes + 1), passes, ends[kept - 1]
 
 
 def _fold_stepper(fold: DriftFold, groups: list, layout: _Layout, state: np.ndarray):

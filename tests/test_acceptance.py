@@ -194,9 +194,9 @@ def test_12_byte_identical_reruns(tmp_path):
 
 def test_default_runs_step_as_documented(vehicles_state_run, vehicles_output_run,
                                          turbines_state_run, turbines_output_run):
-    # README: both vehicle defaults step record windows by Parareal, two passes over 61 and 62
+    # README: both vehicle defaults step record windows by Parareal, two passes over 32 and 43
     # windows of the fold, and the turbine defaults step groups of record intervals
     steppings = [traj.stepping[:6] for _, traj, _ in (vehicles_state_run, vehicles_output_run,
                                                       turbines_state_run, turbines_output_run)]
-    assert steppings == [("folded", None, 0, 4250, 61, 2), ("folded", None, 0, 2880, 62, 2),
+    assert steppings == [("folded", None, 0, 3750, 32, 2), ("folded", None, 0, 2800, 43, 2),
                          ("folded", 7, 477, 3, None, 0), ("folded", 4, 834, 3, None, 0)]

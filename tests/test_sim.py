@@ -1432,6 +1432,32 @@ class TestRecordWindows:
         assert solved == [None]
         assert failures[0].stepping[:6] == failures[1].stepping[:6] == ("folded", None, 0, 4084, None, 0)
 
+    def test_a_loop_that_grows_is_held_to_its_own_magnitude(self, monkeypatch):
+        # x'' = 50 x + u grows e^7 a second, and A's spectrum does not see the drift: 3.9 s stay
+        # under the guard and take windows, whose early starts are held to their own magnitude;
+        # against the last one's, the run came back 4e-11 off
+        setup = dataclasses.replace(self._setup("state", horizon=3.9),
+                                    plants=[Plant(2, 2, drift=linear_drift, w=50.0)] * 10)
+        self._assert_serial_series(setup, monkeypatch)
+
+    @pytest.mark.parametrize("mode, horizon, plan", [("state", 6.0, (21, 280, 7)), ("output", 4.8, (17, 280, 7)),
+                                                     ("state", 3.0, None), ("output", 3.0, None)])
+    def test_a_short_run_takes_the_passes_it_was_priced_or_no_windows(self, mode, horizon, plan, monkeypatch):
+        # the passes are priced from the spectrum: 6 s and 4.8 s are priced two and take two, so they
+        # cost what was priced, at most PAYBACK of the serial run (they had lost with a rule that
+        # priced two passes for every plan); 3 s finds no plan that pays
+        setup = self._setup(mode, horizon=horizon)
+        start = sim._start(sim.Lane(setup.game, setup.plants, setup.graph, setup.gains, setup.observer,
+                                    setup.sim_config), {})
+        steps = round(horizon / setup.sim_config.dt)
+        assert sim._windows([start], steps) == (plan and sim._Windows(*plan))
+        stepping = self._run(setup, False, monkeypatch).stepping
+        if plan is None:
+            assert stepping[3:6] == (steps, None, 0)
+        else:
+            count, window, _ = plan
+            assert stepping[3:6] == (3 * window + steps - count * window, count, 2)
+
     def test_a_batch_that_cannot_pay_back_computes_no_eigenvalue(self, monkeypatch):
         # four lanes already share a step's overhead: two fine passes alone, on 16 windows of the
         # seed-sweep's 2 400 steps, would cost over PAYBACK of the serial batch

@@ -81,10 +81,13 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     assert list(output) == [2] and list(output[2]) == list(step[2])
     assert (output[2]["size"], output[2]["lanes"], output[2]["kind"], output[2]["group"]) == (28, 1, "folded", None)
     assert (output[2]["fold_bytes"], output[2]["blocks"]) == (8 * (2 * 23 * 14 + 8 * (33 + 37 + 41)), 2)
-    # one lane of 2 400 steps at dt = 2e-3 takes 60 windows of 40 steps, the coarse step 8 of them
-    # (0.016, under 0.66 of the contraction limit)
-    assert (output[2]["windows"], output[2]["c"]) == (60, 8) and output[2]["passes"] >= 1
+    # one lane of 2 400 steps at dt = 2e-3 takes 20 windows of 120 steps, the coarse step 8 of them
+    # (0.016, under 0.66 of the contraction limit), in the two passes it was priced
+    assert (output[2]["windows"], output[2]["c"], output[2]["passes"]) == (20, 8, 2)
     assert all(0 < output[2][key] for key in window_keys)
+    # 1 000 steps of it find no plan that pays
+    short = tool.LAYERS["step"]("2", "output", "steps=1000")[2]
+    assert (short["windows"], short["passes"]) == (None, 0) and all(short[key] is None for key in window_keys)
     # six drift-free generators: size 66, whose 2 400 steps at stride 10 pay back a group of 7, and
     # one 67 x 66 block
     turbines = tool.LAYERS["step"]("6", "turbines")

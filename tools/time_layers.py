@@ -1,7 +1,7 @@
 """Time one layer of nashseek; one JSON object goes to stdout.
 
     PYTHONPATH=TREE/src python3 tools/time_layers.py probe N... | certificate N... | record [state|output]
-        | step N... [lanes=L] [turbines] [output]
+        | step N... [lanes=L] [steps=S] [turbines] [output]
 
 probe: N -> size, median_s, repeats, nonzeros, lanes, calls of ``affine.probe_affine`` on the
   drift-free state-mode loop of N vehicles (the table repeated, anchors uniform in [-15, 15]^2
@@ -12,8 +12,8 @@ step: N -> size, lanes, kind, group, fold_bytes, blocks, fold_blocks_s, fold_dri
   with ``turbines`` of the drift-free market of N >= 5 generators (the table repeated, default
   digraph and gains), in state mode, or with ``output`` in output mode with the default observer,
   seeds 0..L-1, at dt = STEP_DT, or mu / 10 in output mode: kind and group are the step kind and
-  the record-interval maps per product (null if none) of a run of STEPS steps, read from its
-  ``Trajectory.stepping``; fold_bytes is what a "folded" step reads, its block stack and stage
+  the record-interval maps per product (null if none) of a run of S steps (default STEPS), read
+  from its ``Trajectory.stepping``; fold_bytes is what a "folded" step reads, its block stack and stage
   matrices (``affine.FoldBlocks.nbytes``), and blocks its block count; the three build phases are
   timed apart, on the arguments the run builds them from: ``affine.fold_blocks`` on
   ``sim._Layout.fold_rows``, ``affine.fold_drift_rk4`` on those blocks and, for a drift-free loop
@@ -138,12 +138,13 @@ def record(algo: str = "state") -> dict:
 
 def step(*args) -> dict:
     lanes = int(next((arg[6:] for arg in args if arg.startswith("lanes=")), 1))
+    steps = int(next((arg[6:] for arg in args if arg.startswith("steps=")), STEPS))
     loop = turbines if "turbines" in args else vehicles
     out = {}
     for n in (int(arg) for arg in args if arg.isdigit()):
         game, plants, g, gains, obs = loop(n, "output" if "output" in args else "state")
         dt = STEP_DT if obs is None else obs.mu / 10
-        cfg = sim.SimConfig(dt=dt, horizon=STEPS * dt)
+        cfg = sim.SimConfig(dt=dt, horizon=steps * dt)
         batch = [sim.Lane(game, plants, g, gains, obs, dataclasses.replace(cfg, seed=seed)) for seed in range(lanes)]
         stepping = sim.run_lanes(batch)[0].stepping
         probes = {}
@@ -177,37 +178,35 @@ def step(*args) -> dict:
                   "fold_bytes": blocks.nbytes, "blocks": len(blocks.rows), "fold_blocks_s": fields["fold_blocks_s"],
                   "fold_drift_rk4_s": fields["fold_drift_rk4_s"], "intervals_s": fields.get("intervals_s"),
                   "folded_us": fields["folded_us"], "sparse_us": fields["sparse_us"], "repeats": runs,
-                  **windows(starts, groups, rows, blocks, stepping)}
+                  **windows(starts, steps, rows, blocks, stepping)}
     return out
 
 
-def windows(starts, groups, rows, blocks, stepping) -> dict:
+def windows(starts, steps, rows, blocks, stepping) -> dict:
     """The record-window fields of ``step``: the run's windows and passes, and for the plan
     ``sim._windows`` makes (all null without one) its coarse step c in fine steps, spectrum_s (the
-    eigenvalues and ``affine.rk4_limit``), coarse_fold_s (the second fold's build, at c dt on the
-    same blocks), and coarse_pass_s and fine_pass_s, one G pass (the coarse steps of all windows but
-    the first and the last, on the run's lanes) and one F pass (a window's steps on all windows)."""
+    plan: the eigenvalues, ``affine.rk4_limit`` and the pricing), coarse_fold_s (``sim._pass_steppers``,
+    the second fold's build at c dt on the same blocks), and coarse_pass_s and fine_pass_s, one G
+    pass (the coarse steps of all windows but the first and the last, on the run's lanes) and one F
+    pass (a window's steps on all windows)."""
     out = {"windows": stepping.windows, "passes": stepping.passes}
-    layout, op, dt = starts[0].layout, starts[0].op, starts[0].lane.cfg.dt
-    plan = sim._windows(starts, STEPS) if stepping.kind == "folded" and groups else None
+    plan = sim._windows(starts, steps) if stepping.kind == "folded" and rows[2] else None
     if plan is None:
         return {**out, **dict.fromkeys(("c", "spectrum_s", "coarse_fold_s", "coarse_pass_s", "fine_pass_s"))}
+    layout, dt = starts[0].layout, starts[0].lane.cfg.dt
     state = starts[0].state if len(starts) == 1 else np.stack([start.state for start in starts])
-    wide = np.tile(state.reshape(-1, layout.size), (plan.count, 1))
-    fine = affine.fold_drift_rk4(op, dt, *rows, blocks)
+    fold = affine.fold_drift_rk4(starts[0].op, dt, *rows, blocks)
 
     def call():
         began = time.perf_counter()
-        affine.rk4_limit(affine.eigenvalues(op))
-        built = time.perf_counter()
-        coarse = affine.fold_drift_rk4(op, plan.coarse * dt, *rows, blocks)
-        fields = {"spectrum_s": built - began, "coarse_fold_s": time.perf_counter() - built}
-        passes = {"coarse_pass_s": (sim._fold_stepper(coarse, groups, layout, state), state,
-                                    (plan.count - 2) * (plan.steps // plan.coarse)),
-                  "fine_pass_s": (sim._fold_stepper(fine, sim._drift_groups(
-                      [start.lane.plants for start in starts] * plan.count, wide.shape[:-1]), layout, wide),
-                      wide, plan.steps)}
-        for name, (advance, s, count) in passes.items():
+        sim._windows(starts, steps)
+        planned = time.perf_counter()
+        coarse, _, fine = sim._pass_steppers(plan, fold, blocks, starts, state)
+        fields = {"spectrum_s": planned - began, "coarse_fold_s": time.perf_counter() - planned}
+        wide = np.tile(state.reshape(-1, layout.size), (plan.count, 1))
+        passes = (("coarse_pass_s", coarse, state, (plan.count - 2) * (plan.steps // plan.coarse)),
+                  ("fine_pass_s", fine, wide, plan.steps))
+        for name, advance, s, count in passes:
             began = time.perf_counter()
             for _ in range(count):
                 s = advance(s, 0.0)
