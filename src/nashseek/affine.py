@@ -54,6 +54,10 @@ AFFINE_CHECK_RTOL = 1e-10
 # slower, and 128 and 256 KB chunks no faster with 0.6 and 1.6 MB more peak.
 PROBE_CHUNK_BYTES = 2 ** 16
 
+# Eigenvalues ``rk4_limit`` scans at once: its (rays, 256) complex arrays
+# stay near 64 KB.
+LIMIT_CHUNK = 16
+
 
 def rk4_step(rhs, state: np.ndarray, t: float, dt: float) -> np.ndarray:
     """One classical Runge-Kutta 4 update of a state or a (lanes, size) batch, its stages in order.
@@ -347,6 +351,8 @@ def rk4_limit(eigs: np.ndarray) -> float:
     R is ``_rk4_factor``.  |R(z)| > 1 beyond |z| = 2.83, so each ray is scanned
     on 256 points up to 3 / |lambda| for its first point past 1, and that
     crossing is bisected.  0.0 when an eigenvalue has no negative real part.
+    The rays are scanned LIMIT_CHUNK at a time: the scan of the vehicles/output
+    loop's 84 distinct modes at once took 1 MB more peak memory.
     """
     if not eigs.size or not np.all(eigs.real < 0):
         return 0.0
@@ -354,10 +360,13 @@ def rk4_limit(eigs: np.ndarray) -> float:
     def past_one(h, lam):
         return np.abs(_rk4_factor(h * lam)) > 1.0
 
-    grid = np.linspace(0.0, 3.0, 257)[1:] / np.abs(eigs)[:, None]
-    first = np.argmax(past_one(grid, eigs[:, None]), axis=1)  # a point past 3 / |lambda| always is
-    rays = np.arange(len(eigs))
-    lo, hi = np.where(first > 0, grid[rays, first - 1], 0.0), grid[rays, first]
+    def bracket(eigs):  # each ray's last scan point within 1 and first past it
+        grid = np.linspace(0.0, 3.0, 257)[1:] / np.abs(eigs)[:, None]
+        first = np.argmax(past_one(grid, eigs[:, None]), axis=1)  # a point past 3 / |lambda| always is
+        rays = np.arange(len(eigs))
+        return np.where(first > 0, grid[rays, first - 1], 0.0), grid[rays, first]
+
+    lo, hi = map(np.concatenate, zip(*(bracket(eigs[k:k + LIMIT_CHUNK]) for k in range(0, len(eigs), LIMIT_CHUNK))))
     near = lo < hi.min()  # only these rays can cross first
     eigs, lo, hi = eigs[near], lo[near], hi[near]
     for _ in range(50):

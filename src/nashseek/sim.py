@@ -118,9 +118,10 @@ FOLD_DRIFT_BYTES = 19 * 10 ** 5
 # of L lanes costs about L + FOLD_STEP_LANES lane-steps: on the vehicles/output
 # loop 53 + 6.6 L us (``tools/time_layers.py step 10 output lanes=L``, L = 1, 4,
 # 16, 60: 60, 77, 176 and 451 us).  The spectrum and the plan's pricing took
-# 11-17 ms on the vehicle loops (one dense block of 150 or 130 states, as the
+# 11-14 ms on the vehicle loops (one dense block of 150 or 130 states, as the
 # two coordinates' blocks are equal), priced at EIG_LANE_STEPS lane-steps a
-# state, 20-22 ms.  A plan is taken when the passes it needs cost at most
+# state, 20-22 ms.  The plans are priced PLAN_CHUNK at a time: all at once,
+# their (plans, modes) complex arrays took 1.3 MB more peak memory.  A plan is taken when the passes it needs cost at most
 # PAYBACK of the serial run.  The stop test holds every state entry's
 # window-end mismatch within PARAREAL_RTOL of that entry's largest magnitude:
 # against the whole state's largest entry, a gap of 2e-12 left the observer
@@ -144,6 +145,7 @@ EIG_LANE_STEPS = 10
 PAYBACK = 0.8
 PARAREAL_RTOL = 2e-12
 COARSE_FRACTION = 0.66
+PLAN_CHUNK = 16
 
 # Rows the CSV writer formats per write.  Formatting a whole vehicle run at
 # once took 9 MB more peak memory; 256 rows take under 1 MB and no more time.
@@ -817,15 +819,18 @@ def _windows(batch: list, steps: int) -> Optional[_Windows]:
     if not counts or min(cost(count, full // count * stride, 2) for count in counts) > budget:
         return None
     # R(h conj(lambda)) = conj(R(h lambda)), so half the spectrum serves, and repeated modes once
-    eigs = np.unique(np.round(eigenvalues(batch[0].op), 9))
-    eigs = eigs[eigs.imag >= 0]
+    # (np.unique cost 0.5 MB more peak memory than a sort)
+    eigs = np.sort(np.round(eigenvalues(batch[0].op), 9))
+    eigs = eigs[(eigs.imag >= 0) & np.r_[True, eigs[1:] != eigs[:-1]]]
     reach = min(MAX_LANES, int(COARSE_FRACTION * rk4_limit(eigs) // cfg.dt))
     plans = np.array([(count, c) for count in counts for c in range(2, reach + 1)
                       if full // count * stride % c == 0 and cost(count, c, 2) <= budget])
     if not plans.size:
         return None
     count, coarse = plans.T
-    contraction = parareal_contraction(eigs, cfg.dt, full // count * stride, coarse)
+    contraction = np.concatenate([parareal_contraction(eigs, cfg.dt, full // count[k:k + PLAN_CHUNK] * stride,
+                                                       coarse[k:k + PLAN_CHUNK])
+                                  for k in range(0, len(count), PLAN_CHUNK)])
     with np.errstate(divide="ignore"):
         passes = np.where(contraction < 1.0, np.ceil(np.log(PARAREAL_RTOL) / np.log(contraction)), np.inf)
     costs = cost(count, coarse, np.maximum(passes, 2))
