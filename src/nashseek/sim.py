@@ -135,7 +135,7 @@ FOLD_DRIFT_BYTES = 19 * 10 ** 5
 #   state default (40 000 steps at 1e-3): 32 x 1 250, c = 25, 1.1e-6; 0.42, 1.5e-13
 #   output default (40 000 at 1e-3): 43 x 930, c = 15, 8.7e-7; 0.49, 2.3e-13
 #   state 6 s: 21 x 280, c = 7, 9.8e-7; 0.74 | output 4.8 s: 17 x 280, c = 7; 0.81
-# 3 s of either mode finds no plan that pays (1.08-1.10: the spectrum is paid).
+# 3 s of either mode finds no plan that pays (1.06-1.10: the spectrum is paid).
 # The passes must be priced: short windows need more (60 windows of 200 steps at
 # c = 8 on the workload, contraction 1.8e-5, took three: gaps 4.6e-6, 6.8e-11 and
 # 2.4e-15), and a rule that priced two for every plan made short runs lose (6 s
