@@ -33,28 +33,20 @@ states, one record or a group's ends, into a block of at most
 RECORD_BLOCK_BYTES, reduced to the recorded series one block at a time.
 Record i is the state at step min(i record_stride, steps), and its time
 comes from that grid.
-A "folded" batch with drift that is long enough steps as Parareal over
-record windows (``_windows``, ``_parareal``): K equal windows of whole
-record intervals, K times the lanes at most MAX_LANES, each a lane of one
-fine batch, their starts from a serial coarse pass at c dt, corrected until
-every window's end meets the next window's start within PARAREAL_RTOL.
-The plan is chosen by a cost rule in lane-steps (FOLD_STEP_LANES) that
-prices the passes each K and c need from the spectrum of A
-(``affine.parareal_contraction``), c dt under RK4's contraction limit
-(``affine.rk4_limit``); each window is recorded as a lane and joined in
-time order (``_Recorder.join``).  The stop test holds each state entry
-within PARAREAL_RTOL of its largest magnitude, weighed by how much the
-state grows after the window; the vehicle defaults and the vehicles-output
-workload were priced two passes and took two.  A pass that leaves the
-guard reruns the batch one step at a time.
+How a batch steps is a ``Plan`` that ``_plan`` prices in seconds from one
+table of measured costs (STEP_S): "sparse" or "structured" one step at a
+time, the fold one step at a time, groups of record intervals, or record
+windows stepped by Parareal (``_parareal``), each window a lane of one fine
+batch; ``_integrate`` runs the plan it is given.
 A lane that diverges is masked and the others go on.  ``run`` is the one-lane
 case, where the state keeps no lane axis; the same loop serves both shapes.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -62,7 +54,7 @@ import numpy as np
 
 from . import control
 from .affine import (AffineOperator, DriftFold, FoldBlocks, eigenvalues, fold_blocks, fold_drift_rk4,
-                     parareal_contraction, probe_affine, rk4_limit, rk4_step, stack_lanes)
+                     parareal_contraction, probe_affine, rk4_limit, rk4_limit_bound, rk4_step, stack_lanes)
 from .control import GainSet, ObserverSet
 from .errors import (
     ConfigInvalid,
@@ -94,55 +86,55 @@ MAX_LANES = 64
 # this many bytes too: 7 maps of the turbine loop, 4 in output mode.
 RECORD_BLOCK_BYTES = 2 ** 18
 
-# Bytes a "folded" step reads, all of its block stack and of its three stage
-# matrices (``affine.FoldBlocks.nbytes``), so its bytes, not a flop count, set
-# the cost: on the vehicle loops two blocks of (size / 2 + 1 + 2 N m) x size / 2
-# floats, one per coordinate, and stage matrices of (size + 1 + j N m) x n N m
-# floats, j = 1, 2, 3; without drift one (size + 1) x size block.  A folded step
-# over a sparse one at one lane and at four (``tools/time_layers.py step 12 13
-# 14 15 [output] [lanes=4]`` and ``step 18 19 20 turbines`` for the drift-free
-# market of N generators, BLAS on one thread, three runs, drift-free four):
-#   1.13 MB  N = 12 state    0.83-1.09  0.52-0.97 | 1.37 MB  N = 18 drift-free  0.63-0.74  0.46-0.53
-#   1.35 MB  N = 12 output   0.81-0.91  0.65-0.74 | 1.67 MB  N = 19 drift-free  0.90-1.09  0.54-0.80
-#   1.45 MB  N = 13 state    0.86-0.93  0.65-0.77 | 2.00 MB  N = 20 drift-free  1.27-1.38  1.35-1.42
-#   1.72 MB  N = 13 output   0.98-1.04  0.78-0.81 | 2.17 MB  N = 14 output      1.23-1.38  0.88-0.95
-#   1.84 MB  N = 14 state    0.99-1.11  0.75-0.82 | 2.30 MB  N = 15 state       1.40-1.45  1.02-1.08
-# One lane crosses over near 1.8 MB, where four lanes still gain a fifth.  So
-# one bound for every lane count, 1.9 MB, admits a one-lane step level with a
-# sparse one (1.11 at worst) and none above 2 MB, where one lane loses a quarter
-# or more: it folds vehicles up to N = 14 (N = 13 in output mode; the output
-# default reads 0.79 MB) and drift-free sizes up to 486 (N = 19).
+# What ``_plan`` prices a plan by, in seconds.  A step over L lanes that
+# reads B bytes for one lane and calls D distinct drifts costs fixed +
+# D (drift + L drift_lane) + B (read + L lane), its magnitude guard included:
+# "sparse" reads SPARSE_BYTES a nonzero of A (row, column, value; 4 stages) in
+# every lane, "folded" its ``FoldBlocks.nbytes`` once for all lanes, a "group"
+# product 8 G size^2 (its peaks in fixed).  A record call costs RECORD_S.  The
+# fold's build steps each input of z once, PROBE_BYTE_S a byte of A's
+# nonzeros; a dense product of size n costs BUILD_MADD_S n^2 (n +
+# PRODUCT_ENTRY_MADDS): the groups' maps take stride + G - 2, A's spectrum
+# with the windows' pricing SPECTRUM_PRODUCTS.  Fitted by least squares on
+# relative error to ``tools/time_layers.py step 10 12 13 14 15 [output]
+# lanes=L`` and ``step 6 10 14 19 20 turbines lanes=L``, L = 1, 4, 16, 64
+# (folded_us, sparse_us; BLAS on one thread, 2-vCPU Xeon): sparse steps within
+# 0.89-1.07 of their price, folded 0.79-1.32; ``step 25 30 turbines
+# [lanes=4]`` (group_us 195 and 369 us at 4.5 and 8.8 MB read from memory, 441
+# and 770 us on 4 lanes; intervals_s 33-39 ps a multiply-add from size 266
+# on); the vehicle builds (fold_drift_rk4_s 3.9 and 4.5 ms; the market's take
+# up to 1.6 times their price).  ``step`` prints each price by its time.
+STEP_S = {  # fixed, per drift, per drift a lane, per byte read, per lane-byte
+    "sparse": (14.8e-6, 32.2e-6, 2.7e-6, 0.0, 146e-12),
+    "folded": (4.6e-6, 29.6e-6, 0.77e-6, 10.7e-12, 6.5e-12),
+    "group": (10e-6, 0.0, 0.0, 27e-12, 15e-12),
+}
+SPARSE_BYTES = 96
+RECORD_S = 3e-6
+PROBE_BYTE_S = 0.13e-9
+BUILD_MADD_S = 37e-12
+PRODUCT_ENTRY_MADDS = 60
+SPECTRUM_PRODUCTS = 60
+
+# Bytes a "folded" step may read: the table's per-byte price holds within the
+# 2 MB L2 cache a core has on the machine measured; past it one lane costs
+# more (``step 14 15 [output]``: 98 and 107 us at 2.17 and 2.30 MB, priced 86
+# and 88, where sparse took 74 and 76 us).  It folds vehicles up to N = 14 (13
+# in output mode) and drift-free sizes up to 486 (N = 19); groups' maps are
+# priced read from memory and have no such bound.
 FOLD_DRIFT_BYTES = 19 * 10 ** 5
 
-# Parareal over record windows (``_windows``, ``_parareal``).  A "folded" step
-# of L lanes costs about L + FOLD_STEP_LANES lane-steps: on the vehicles/output
-# loop 53 + 6.6 L us (``tools/time_layers.py step 10 output lanes=L``, L = 1, 4,
-# 16, 60: 60, 77, 176 and 451 us).  The spectrum and the plan's pricing took
-# 11-14 ms on the vehicle loops (one dense block of 150 or 130 states, as the
-# two coordinates' blocks are equal), priced at EIG_LANE_STEPS lane-steps a
-# state, 20-22 ms.  The plans are priced PLAN_CHUNK at a time: all at once,
-# their (plans, modes) complex arrays took 1.3 MB more peak memory.  A plan is taken when the passes it needs cost at most
-# PAYBACK of the serial run.  The stop test holds every state entry's
-# window-end mismatch within PARAREAL_RTOL of that entry's largest magnitude:
-# against the whole state's largest entry, a gap of 2e-12 left the observer
-# series of a 4 s output run (stride 7) 5.2e-11 off, as the innovation rows
-# are 1e-4 of the decisions.  Priced by ``affine.parareal_contraction``, the
-# plans below need two passes and took two (BLAS on one thread; time over the
-# serial ``sim.run``, min of 5 interleaved; largest gap of a recorded series
-# to the serial run's, relative to its largest entry; equal settle_time):
-#   vehicles-output workload, seed 3 (12 000 steps at 2e-3): 25 windows of 480
-#     steps, c = 8, contraction 9.5e-7; 0.67, gap 5.0e-14
-#   state default (40 000 steps at 1e-3): 32 x 1 250, c = 25, 1.1e-6; 0.42, 1.5e-13
-#   output default (40 000 at 1e-3): 43 x 930, c = 15, 8.7e-7; 0.49, 2.3e-13
-#   state 6 s: 21 x 280, c = 7, 9.8e-7; 0.74 | output 4.8 s: 17 x 280, c = 7; 0.81
-# 3 s of either mode finds no plan that pays (1.06-1.10: the spectrum is paid).
-# The passes must be priced: short windows need more (60 windows of 200 steps at
-# c = 8 on the workload, contraction 1.8e-5, took three: gaps 4.6e-6, 6.8e-11 and
-# 2.4e-15), and a rule that priced two for every plan made short runs lose (6 s
-# of state mode took 1.21 of the serial run, 4.8 s of output mode 1.28).
-FOLD_STEP_LANES = 7
-EIG_LANE_STEPS = 10
-PAYBACK = 0.8
+# Parareal over record windows (``_parareal``).  The stop test holds every
+# state entry's window-end mismatch within PARAREAL_RTOL of that entry's
+# largest magnitude: against the whole state's largest entry, a gap of 2e-12
+# left the observer series of a 4 s output run (stride 7) 5.2e-11 off, as the
+# innovation rows are 1e-4 of the decisions.  c dt stays within COARSE_FRACTION
+# of RK4's contraction limit: at 0.8 the vehicles-output workload's plan moved
+# from 25 windows of 480 steps at c = 8 to 22 of 540 at c = 9.  The plans are
+# priced PLAN_CHUNK at a time: all at once, their (plans, modes) complex arrays
+# took 1.3 MB more peak memory.  The passes must be priced: short windows need
+# more (60 windows of 200 steps at c = 8 on the workload, contraction 1.8e-5,
+# took three: gaps 4.6e-6, 6.8e-11 and 2.4e-15).
 PARAREAL_RTOL = 2e-12
 COARSE_FRACTION = 0.66
 PLAN_CHUNK = 16
@@ -221,6 +213,7 @@ class Stepping(NamedTuple):
     one_step: int           # steps taken one at a time, those of every fine pass over the windows included
     windows: Optional[int]  # record windows stepped side by side, None without them
     passes: int             # fine passes over the windows
+    coarse: Optional[int]   # the windows' coarse step c in fine steps, None without windows
     record_s: float         # seconds inside ``_Recorder.extend``, ``join`` and ``split``
 
 
@@ -404,34 +397,24 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
       (z = [s, 1] without drift) with the blocks of ``affine.fold_blocks``,
       one per connected component of the operator, and with drift one
       product of a prefix of z and one call per distinct drift a stage
-      (``affine.fold_drift_rk4``).  It is taken when the blocks and the
-      stage matrices take at most FOLD_DRIFT_BYTES and the input vectors of
-      z are at most steps lanes, and whenever every plant is drift-free and
-      a group pays back.  Such a loop also steps groups: G full record
-      intervals of r = record_stride steps are one dense O(G size^2) product
-      with the r-, 2r-, ..., G r-step maps side by side
-      (``DriftFold.intervals``).  They take r + G - 1 O(size^3) products to
-      build, so G >= 1 is the largest count with (r + G - 1) size <= steps
-      lanes, at most RECORD_BLOCK_BYTES // (8 size^2) (or 1) and at most the
-      full intervals.  An interval's end is kept when
+      (``affine.fold_drift_rk4``).  Without drift it may step groups: G full
+      record intervals of r = record_stride steps are one dense O(G size^2)
+      product with the r-, 2r-, ..., G r-step maps side by side
+      (``DriftFold.intervals``).  An interval's end is kept when
       kappa |s|_inf + max_j |c_j|_inf stays within STATE_MAGNITUDE_GUARD at
       its start, and every interval of the group before it was kept; the
       first interval not kept, and the remainder interval, take the folded
-      step with the per-step guard.  A batch with drift whose lanes times K
-      is at most MAX_LANES steps K record windows by Parareal when its cost
-      rule (``_windows``) says the passes they need pay back: a serial
-      coarse pass of the fold at c dt, c dt at most COARSE_FRACTION of
-      RK4's contraction limit, gives each window a start, the fold steps
-      all windows as the lanes of one batch, and the starts are corrected
-      until the windows' ends meet them within PARAREAL_RTOL of each
-      entry's largest magnitude, weighed by the state's growth after them;
-      two passes on the vehicle defaults (``Stepping.windows`` and
-      ``passes``);
+      step with the per-step guard.  With drift it may step record windows
+      by Parareal, corrected until the windows' ends meet the next starts
+      within PARAREAL_RTOL of each entry's largest magnitude, weighed by the
+      state's growth after them (``Stepping.windows``, ``passes`` and
+      ``coarse``);
     * any other affine game ("sparse"): ``rk4_step`` on the probed sparse
       operator plus the stacked drift, one O(nonzeros) matvec and one call
       per distinct drift a stage;
     * otherwise ("structured"): ``rk4_step`` on the structured right-hand side.
 
+    ``_plan`` takes the cheapest of these for the batch.
     Every affine kind probes the loop once (``probe_affine``) and raises
     ConfigInvalid when the game's affine declaration fails.  Raises Diverged
     when the state leaves the magnitude guard or stops being finite.
@@ -652,15 +635,13 @@ class _Recorder:
         self.recorded = self.reduced = last
         self.seconds += part.seconds + time.perf_counter() - began
 
-    def split(self, failures: list, kind: str, group: Optional[int], products: int, one_step: int,
-              windows: Optional[int], passes: int) -> list:
-        """Each lane's Trajectory or its Diverged in its place, either carrying the batch's Stepping."""
+    def split(self, failures: list, *stepped) -> list:
+        """Each lane's Trajectory or its Diverged in its place, either carrying Stepping(*stepped, record_s)."""
         began, n = time.perf_counter(), self.recorded
         if n > self.reduced:
             self._reduce()
         disagreement, errors = np.sqrt(self.squares[:, :n]).reshape(2, n, -1)
-        stepping = Stepping(kind, group, products, one_step, windows, passes,
-                            self.seconds + time.perf_counter() - began)
+        stepping = Stepping(*stepped, self.seconds + time.perf_counter() - began)
         for failure in filter(None, failures):
             failure.stepping = stepping
         return [failure or Trajectory(self.times[:n], self.decisions[:n, k], disagreement[:, k],
@@ -669,41 +650,19 @@ class _Recorder:
                 for k, (x_star, failure) in enumerate(zip(self.x_stars, failures))]
 
 
-def _integrate(batch: list) -> list:
-    """Step the starts of one batch key together; a Trajectory or Diverged per lane.
+def _integrate(batch: list, plan: Optional["Plan"] = None) -> list:
+    """Step the starts of one batch key together by plan, ``_plan``'s when None; a Trajectory or Diverged per lane.
 
-    One lane steps its (size,) state; more step one (lanes, size) state.  It
-    picks the step kind by ``run``'s rules and builds a "folded" batch's fold
-    once.  A batch with drift for which ``_windows`` finds a plan steps its
-    record windows by ``_parareal`` first; then it loops over the record
-    intervals left: a group product where groups run, else one step at a
-    time with the guard after each, so a Diverged names the step the
-    one-step path would.
+    One lane steps its (size,) state; more step one (lanes, size) state.  A
+    "folded" plan builds the fold once.  A plan with windows steps its
+    record windows by ``_parareal`` first; then the loop goes over the
+    record intervals left: a group product where the plan has groups, else
+    one step at a time with the guard after each, so a Diverged names the
+    step the one-step path would.
     """
-    lane, layout = batch[0].lane, batch[0].layout
-    cfg = lane.cfg
-    lanes = len(batch)
+    lane, layout, lanes = batch[0].lane, batch[0].layout, len(batch)
+    cfg, stride = lane.cfg, lane.cfg.record_stride
     steps = round(cfg.horizon / cfg.dt)
-    stride = cfg.record_stride
-    state = batch[0].state if lanes == 1 else np.stack([start.state for start in batch])
-    groups = _drift_groups([start.lane.plants for start in batch], state.shape[:-1])
-    group = None
-    # the group's maps take at most RECORD_BLOCK_BYTES (one at least);
-    # building them costs stride + count - 1 products of size^3, stepping
-    # costs lanes size^2 a step: build as many as keep that cheaper
-    count = min(max(1, RECORD_BLOCK_BYTES // (8 * layout.size ** 2)), steps // stride,
-                steps * lanes // layout.size - stride + 1)
-    grouped = lane.game.affine and not groups and count >= 1
-    blocks = _folds(batch, steps, bool(groups)) if lane.game.affine and not grouped else None
-    if grouped or blocks is not None:
-        kind = "folded"
-        fold = fold_drift_rk4(batch[0].op, cfg.dt, *layout.fold_rows(bool(groups)), blocks)
-        advance = _fold_stepper(fold, groups, layout, state)
-        if grouped:
-            group, (maps, offsets, kappa, c_peak) = count, fold.intervals(stride, count)
-    else:
-        kind = "sparse" if lane.game.affine else "structured"
-        advance = _rk4_stepper(batch, groups)
     # rows for step 0, every record_stride-th step and the last step
     rows = steps // stride + 2
     try:
@@ -714,19 +673,30 @@ def _integrate(batch: list) -> list:
         return [ConfigInvalid(f"sim.horizon={cfg.horizon:g} over sim.dt={cfg.dt:g} at "
                               f"sim.record_stride={stride} needs {rows:.3g} records, "
                               f"which cannot be allocated: {exc}") for _ in batch]
+    plan = plan or _plan(batch, steps)
+    state = batch[0].state if lanes == 1 else np.stack([start.state for start in batch])
+    groups = _drift_groups([start.lane.plants for start in batch], state.shape[:-1])
+    if plan.kind == "folded":
+        reads = layout.fold_rows(bool(groups))
+        blocks = plan.blocks or fold_blocks(batch[0].op, *reads)
+        fold = fold_drift_rk4(batch[0].op, cfg.dt, *reads, blocks)
+        advance = _fold_stepper(fold, groups, layout, state)
+        if plan.group is not None:
+            maps, offsets, kappa, c_peak = fold.intervals(stride, plan.group)
+    else:
+        advance = _rk4_stepper(batch, groups)
     failures = [None] * lanes
     recorder.extend(state.reshape(1, lanes, -1))
     first = products = one_step = passes = 0
-    windows = None
-    plan = _windows(batch, steps) if kind == "folded" and groups else None
-    if plan is not None:
+    windows = coarse = None
+    if plan.windows is not None:
         solved = _parareal(plan, fold, blocks, batch, state, recorder)
         if solved is not None:  # else a pass left the guard: step the run one step at a time
             taken, one_step, passes, state = solved
-            windows, first = plan.count, taken * plan.steps
+            windows, coarse, first = plan.windows, plan.coarse, taken * (steps // stride // plan.windows * stride)
     while first < steps:
         full = (steps - first) // stride
-        if group is not None and full:
+        if plan.group is not None and full:
             # (lanes, intervals, size); interval j > 0 starts at end j - 1,
             # kept while the bound holds at every start (False for NaN)
             ends = (state @ maps + offsets).reshape(lanes, -1, layout.size)[:, :full]
@@ -747,149 +717,166 @@ def _integrate(batch: list) -> list:
             if not np.abs(state).max() <= STATE_MAGNITUDE_GUARD:  # also true for a NaN peak
                 _mask_diverged(state.reshape(lanes, -1), failures, k, cfg.dt)
                 if all(failures):
-                    return recorder.split(failures, kind, group, products, one_step - (last - k - 1),
-                                          windows, passes)
+                    return recorder.split(failures, plan.kind, plan.group, products, one_step - (last - k - 1),
+                                          windows, passes, coarse)
         recorder.extend(state.reshape(1, lanes, -1))
         first = last
-    return recorder.split(failures, kind, group, products, one_step, windows, passes)
+    return recorder.split(failures, plan.kind, plan.group, products, one_step, windows, passes, coarse)
 
 
-def _folds(batch: list, steps: int, drifting: bool) -> Optional[FoldBlocks]:
-    """The blocks of the fold's map when an affine batch steps the "folded" kind, else None.
+@dataclass(frozen=True)
+class Plan:
+    """How ``_integrate`` steps a batch (``run``, ``_plan``); blocks, found while pricing, is no part of it."""
 
-    Every lane must step the same probed operator, so that one product
-    serves them all, and what a step reads, the block stack and the stage
-    matrices (``affine.fold_blocks`` on ``_Layout.fold_rows``, its
-    ``nbytes``), must take at most FOLD_DRIFT_BYTES.  The build
-    steps each of the width input vectors of z once through the sparse
-    stages, so it is counted as width lane-steps, as the group rule counts
-    a size^3 product as size of them: the steps of all lanes must be at
-    least that many.
+    kind: str                       # "folded", "sparse" or "structured"
+    group: Optional[int] = None     # record-interval maps per product, None without groups
+    windows: Optional[int] = None   # record windows K stepped side by side, None without them
+    coarse: Optional[int] = None    # the windows' coarse step c in fine steps, None without windows
+    blocks: Optional[FoldBlocks] = field(default=None, compare=False, repr=False)
+
+
+def _step_s(kind: str, lanes, nbytes: int, drifts: int = 0):
+    """Seconds of a step of kind (STEP_S) on lanes lanes, or an array of counts, reading nbytes a lane."""
+    fixed, drift, drift_lane, read, lane = STEP_S[kind]
+    return fixed + drifts * (drift + lanes * drift_lane) + nbytes * (read + lanes * lane)
+
+
+def _products_s(count: int, n: int) -> float:
+    """Seconds of count dense products of size n: n^3 multiply-adds each, and its offset and
+    inf-norm as PRODUCT_ENTRY_MADDS more an entry (``affine.DriftFold.intervals``)."""
+    return count * BUILD_MADD_S * n ** 2 * (n + PRODUCT_ENTRY_MADDS)
+
+
+def _pass_s(count, window: int, coarse, step):
+    """Seconds of one ``_parareal`` pass: G's coarse steps over windows 1 to count - 2 and F's window
+    of fine steps on all count windows; step(k) prices a folded step of k times the batch's lanes."""
+    return (count - 2) * (window // coarse) * step(1) + window * step(count)
+
+
+def _divisors(n: int, top: int) -> list:
+    """The divisors of n from 2 to top, in increasing order."""
+    low = (np.flatnonzero(n % np.arange(1, math.isqrt(n) + 1) == 0) + 1).tolist()
+    return sorted({d for d in low + [n // d for d in low] if 2 <= d <= top})
+
+
+def _plan(batch: list, steps: int) -> Plan:
+    """The cheapest plan to step batch for steps steps, each candidate priced in seconds by STEP_S.
+
+    A game that is not affine steps "structured".  Else the candidates are
+    "sparse" and, when every lane steps one probed operator: the fold one
+    step at a time, if its step reads at most FOLD_DRIFT_BYTES; without
+    drift, groups of G record intervals, G up to the full intervals and to
+    RECORD_BLOCK_BYTES // (8 size^2) (at least 1); with drift, record
+    windows (K, c) within the byte bound: K equal windows of whole record
+    intervals, K lanes at most MAX_LANES, c a divisor of the window with c
+    dt within COARSE_FRACTION of ``affine.rk4_limit``.  A window plan needs
+    the least p >= 2 passes with ``affine.parareal_contraction`` to the p
+    within PARAREAL_RTOL (the first pass's gap is about the contraction
+    too).  The spectrum is computed only when some window plan at two passes,
+    its c bounded by ``affine.rk4_limit_bound``, costs less than the rest.
     """
-    layout, op = batch[0].layout, batch[0].op
-    reads, writes, q = layout.fold_rows(drifting)
-    if not (all(start.op is op for start in batch) and layout.size + 1 + 4 * q <= steps * len(batch)):
-        return None
+    lane, layout, op = batch[0].lane, batch[0].layout, batch[0].op
+    if not lane.game.affine:
+        return Plan("structured")
+    lanes, stride, size = len(batch), lane.cfg.record_stride, layout.size
+    drifts = len({p.drift for p in lane.plants} - {None})
+    if any(start.op is not op for start in batch):
+        return Plan("sparse")
+    sparse = SPARSE_BYTES * op.vals.size
+    records = RECORD_S * -(-steps // stride)  # one record call an interval, the groups' aside
+    prices = {Plan("sparse"): records + steps * _step_s("sparse", lanes, sparse, drifts)}
+    reads, writes, q = layout.fold_rows(bool(drifts))
     blocks = fold_blocks(op, reads, writes, q)
-    return blocks if blocks.nbytes <= FOLD_DRIFT_BYTES else None
+    build = PROBE_BYTE_S * (size + 1 + 4 * q) * sparse
+
+    def folded(count):  # a folded step of count times the batch's lanes
+        return _step_s("folded", count * lanes, blocks.nbytes, drifts)
+
+    full, fits = steps // stride, blocks.nbytes <= FOLD_DRIFT_BYTES
+    if fits:
+        prices[Plan("folded", blocks=blocks)] = build + records + steps * folded(1)
+    if not drifts:
+        rest = steps % stride * folded(1) + RECORD_S * (steps % stride > 0)
+        for group in range(1, min(full, max(1, RECORD_BLOCK_BYTES // (8 * size ** 2))) + 1):
+            prices[Plan("folded", group, blocks=blocks)] = (
+                build + _products_s(max(0, stride + group - 2), size) + rest
+                + -(-full // group) * (RECORD_S + _step_s("group", lanes, 8 * group * size ** 2)))
+    counts = np.arange(2, min(MAX_LANES // lanes, full) + 1)
+    if drifts and fits and counts.size:
+        window = full // counts * stride
+        fixed = (2 * build + records + _products_s(SPECTRUM_PRODUCTS, blocks.cols.shape[1])
+                 + (window + steps - counts * window) * folded(1))
+        # each c with c dt within COARSE_FRACTION of the limit the trace bounds, with no eigenvalue
+        reach = COARSE_FRACTION * rk4_limit_bound(op) / lane.cfg.dt
+        plans = [(k, c) for k, w in enumerate(window.tolist()) for c in _divisors(w, reach)]
+        at, coarse = np.array(plans, dtype=np.int64).reshape(-1, 2).T
+        floor = fixed[at] + 2 * _pass_s(counts[at], window[at], coarse, folded)
+        best = min(prices.values())
+        if np.any(floor < best):  # else no plan can pay for its spectrum: none is computed
+            eigs = np.sort(np.round(eigenvalues(op), 9))
+            # R(h conj(lambda)) = conj(R(h lambda)), so half the spectrum serves, and repeated modes
+            # once (np.unique cost 0.5 MB more peak memory than a sort)
+            eigs = eigs[(eigs.imag >= 0) & np.r_[True, eigs[1:] != eigs[:-1]]]
+            keep = (floor < best) & (coarse <= COARSE_FRACTION * rk4_limit(eigs) / lane.cfg.dt)
+            at, coarse, lengths = at[keep], coarse[keep], window[at[keep]]
+            contraction = np.concatenate([
+                parareal_contraction(eigs, lane.cfg.dt, lengths[k:k + PLAN_CHUNK], coarse[k:k + PLAN_CHUNK])
+                for k in range(0, len(at), PLAN_CHUNK)] + [np.empty(0)])
+            with np.errstate(divide="ignore"):
+                passes = np.where(contraction < 1.0, np.ceil(np.log(PARAREAL_RTOL) / np.log(contraction)), np.inf)
+            costs = fixed[at] + np.maximum(passes, 2) * _pass_s(counts[at], lengths, coarse, folded)
+            if costs.size:
+                k = int(np.argmin(costs))
+                prices[Plan("folded", None, int(counts[at[k]]), int(coarse[k]), blocks)] = costs[k]
+    return min(prices, key=prices.get)
 
 
-class _Windows(NamedTuple):
-    """A Parareal plan: count windows of steps fine steps, the coarse step coarse fine steps long."""
-
-    count: int
-    steps: int
-    coarse: int
-
-
-def _windows(batch: list, steps: int) -> Optional[_Windows]:
-    """The cheapest Parareal plan of a "folded" batch with drift, or None when none pays back.
-
-    Costs are in lane-steps: a step of L lanes costs L + FOLD_STEP_LANES,
-    so the serial run costs steps (L + FOLD_STEP_LANES).  The windows are
-    count equal runs of whole record intervals, count L at most MAX_LANES,
-    and the steps past the last one step one at a time as before.  A plan
-    costs the first window's fine steps on L lanes once, the passes it
-    needs of ``_parareal``'s coarse pass and of the window's fine steps on
-    count L lanes, the steps past the windows, the second fold's build (its
-    width, as ``_folds`` counts it) and the spectrum (EIG_LANE_STEPS a
-    state).  The passes: a correction leaves ``affine.parareal_contraction``
-    of a start's error, and the first pass's gap is about that too (the mode
-    G misses most, as large as the state), so the gap after p passes is
-    about the contraction to the p, and a plan needs the least p, at least
-    two, that brings it within PARAREAL_RTOL.  A plan is taken when it costs
-    at most PAYBACK of the serial run.  That must hold first for two passes
-    with c a whole window, the cheapest plan there is, so a batch that
-    cannot pay back computes no eigenvalue.  Then every c that divides the
-    window, from 2 to MAX_LANES with c dt at most COARSE_FRACTION of RK4's
-    contraction limit on A's spectrum (``affine.rk4_limit``), is priced, and
-    the cheapest plan is taken.
-    """
-    lanes, cfg, layout = len(batch), batch[0].lane.cfg, batch[0].layout
-    stride, full = cfg.record_stride, steps // cfg.record_stride
-    step = lanes + FOLD_STEP_LANES
-    budget = (PAYBACK * steps * step - (layout.size + 1 + 4 * layout.N * layout.m)
-              - EIG_LANE_STEPS * layout.size)
-
-    def cost(count, coarse, passes):
-        window = full // count * stride
-        return (window + steps - count * window) * step + passes * _pass_cost(count, window, coarse, lanes)
-
-    counts = range(2, min(MAX_LANES // lanes, full) + 1)
-    if not counts or min(cost(count, full // count * stride, 2) for count in counts) > budget:
-        return None
-    # R(h conj(lambda)) = conj(R(h lambda)), so half the spectrum serves, and repeated modes once
-    # (np.unique cost 0.5 MB more peak memory than a sort)
-    eigs = np.sort(np.round(eigenvalues(batch[0].op), 9))
-    eigs = eigs[(eigs.imag >= 0) & np.r_[True, eigs[1:] != eigs[:-1]]]
-    reach = min(MAX_LANES, int(COARSE_FRACTION * rk4_limit(eigs) // cfg.dt))
-    plans = np.array([(count, c) for count in counts for c in range(2, reach + 1)
-                      if full // count * stride % c == 0 and cost(count, c, 2) <= budget])
-    if not plans.size:
-        return None
-    count, coarse = plans.T
-    contraction = np.concatenate([parareal_contraction(eigs, cfg.dt, full // count[k:k + PLAN_CHUNK] * stride,
-                                                       coarse[k:k + PLAN_CHUNK])
-                                  for k in range(0, len(count), PLAN_CHUNK)])
-    with np.errstate(divide="ignore"):
-        passes = np.where(contraction < 1.0, np.ceil(np.log(PARAREAL_RTOL) / np.log(contraction)), np.inf)
-    costs = cost(count, coarse, np.maximum(passes, 2))
-    best = int(np.argmin(costs))
-    if costs[best] > budget:
-        return None
-    return _Windows(int(count[best]), full // int(count[best]) * stride, int(coarse[best]))
-
-
-def _pass_cost(count: int, window: int, coarse: int, lanes: int) -> int:
-    """Lane-steps of one ``_parareal`` pass: G's coarse steps over windows 1 to count - 2 on lanes
-    lanes, and F's window of fine steps on count lanes lanes."""
-    return (count - 2) * (window // coarse) * (lanes + FOLD_STEP_LANES) + window * (count * lanes + FOLD_STEP_LANES)
-
-
-def _pass_steppers(plan: _Windows, fold: DriftFold, blocks: FoldBlocks, batch: list, state: np.ndarray) -> tuple:
+def _pass_steppers(plan: Plan, fold: DriftFold, blocks: FoldBlocks, batch: list, state: np.ndarray) -> tuple:
     """``_parareal``'s steppers: G's on the batch's lanes at c dt (fold rebuilt on blocks) and at dt
     (fold), and F's (fold) on the (windows, lanes) lanes of one batch."""
     layout, dt = batch[0].layout, batch[0].lane.cfg.dt
-    plants, wide = [start.lane.plants for start in batch], np.empty((plan.count * len(batch), layout.size))
+    plants, wide = [start.lane.plants for start in batch], np.empty((plan.windows * len(batch), layout.size))
     groups = _drift_groups(plants, state.shape[:-1])
     coarse = fold_drift_rk4(batch[0].op, plan.coarse * dt, *layout.fold_rows(True), blocks)
     return (_fold_stepper(coarse, groups, layout, state), _fold_stepper(fold, groups, layout, state),
-            _fold_stepper(fold, _drift_groups(plants * plan.count, wide.shape[:-1]), layout, wide))
+            _fold_stepper(fold, _drift_groups(plants * plan.windows, wide.shape[:-1]), layout, wide))
 
 
-def _parareal(plan: _Windows, fold: DriftFold, blocks: FoldBlocks, batch: list, state: np.ndarray,
+def _parareal(plan: Plan, fold: DriftFold, blocks: FoldBlocks, batch: list, state: np.ndarray,
               recorder: _Recorder) -> Optional[tuple]:
     """Step plan's windows by Parareal into recorder: (windows kept, fine steps, passes, the state after them).
 
-    The coarse pass G steps the batch's lanes from window to window on
-    fold's RK4 at c dt, built on the same blocks; window 0, whose start is
-    exact, it steps once on fold itself.  The fine pass F steps fold on
-    every window at once, as the (windows, lanes) lanes of one batch, and
-    records each in a recorder of its own, written over by each pass.  The
-    starts begin as G's ends and are corrected, U_{n+1} <- G(U_n new) +
-    F(U_n old) - G(U_n old) (Lions, Maday & Turinici 2001), until the gap of
-    every window is within PARAREAL_RTOL; the last F pass is then joined
-    into recorder.  A window's gap is the largest mismatch of an entry of
-    its F end with the start of the window after it, relative to the
-    entry's largest magnitude over the windows, times how much the state
-    grows after that start (the largest magnitude of a later window end
-    over the start's own, at least 1): an error there grows with the state,
-    so a loop whose drift makes it grow is held to its own magnitude, not
-    its last.  Another pass runs if it costs less than stepping the windows
-    after the first mismatch one at a time and every pass so far matched
-    one more window, as Parareal does in exact arithmetic; else the windows
-    before the mismatch are kept and the serial loop steps on.  None when a
-    pass leaves the magnitude guard: the run is then stepped one step at a
-    time from its start, so it fails where it would.
+    G steps the batch's lanes from window to window on fold's RK4 at c dt,
+    built on the same blocks, and window 0, whose start is exact, once on
+    fold itself; F steps fold on every window at once, as the (windows,
+    lanes) lanes of one batch, into a recorder of its own.  The starts begin
+    as G's ends and are corrected, U_{n+1} <- G(U_n new) + F(U_n old) -
+    G(U_n old) (Lions, Maday & Turinici 2001), until every window's gap is
+    within PARAREAL_RTOL; the last F pass is then joined into recorder.  A
+    gap is the largest mismatch of an entry of a window's F end with the next
+    start, relative to the entry's largest magnitude over the windows, times
+    how much the state grows after that start (a later window end's largest
+    magnitude over the start's own, at least 1), so a loop that grows is held
+    to its own magnitude.  Another pass runs if every pass so far matched one
+    more window and it costs less, at ``_plan``'s prices, than stepping the
+    windows after the first mismatch one at a time; else those before it are
+    kept and the serial loop steps on.  None when a pass leaves the magnitude
+    guard: the run is then stepped one step at a time from its start.
     """
     layout, cfg = batch[0].layout, batch[0].lane.cfg
-    count, window, coarse = plan
+    count, coarse = plan.windows, plan.coarse
+    window = round(cfg.horizon / cfg.dt) // cfg.record_stride // count * cfg.record_stride
     g_coarse, g_fine, f_step = _pass_steppers(plan, fold, blocks, batch, state)
     wide = (count * len(batch), layout.size)
     starts, g_new = np.empty((count,) + state.shape), np.empty((count - 1,) + state.shape)
     starts[0] = state
     part = _Recorder(layout, [start.x_star for start in batch] * count, np.empty(window // cfg.record_stride))
-    step, another = len(batch) + FOLD_STEP_LANES, _pass_cost(count, window, coarse, len(batch))
+    drifts = len({p.drift for p in batch[0].lane.plants} - {None})
+
+    def folded(k):  # a folded step of k times the batch's lanes
+        return _step_s("folded", k * len(batch), blocks.nbytes, drifts)
+
+    another = _pass_s(count, window, coarse, folded)
     ends = g_old = None
     passes = 0
     while True:
@@ -920,7 +907,7 @@ def _parareal(plan: _Windows, fold: DriftFold, blocks: FoldBlocks, batch: list, 
         gaps = gaps.reshape(count - 1, -1).max(axis=1) * np.maximum(growth, 1.0)
         bad = np.flatnonzero(~(gaps <= PARAREAL_RTOL))  # NaN fails too
         kept = int(bad[0]) + 1 if bad.size else count
-        if kept == count or kept <= passes or (count - kept) * window * step <= another:
+        if kept == count or kept <= passes or (count - kept) * window * folded(1) <= another:
             recorder.join(part, kept)
             return kept, window * (passes + 1), passes, ends[kept - 1]
 

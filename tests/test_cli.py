@@ -381,9 +381,9 @@ class TestRunCommand:
                        "--out", str(out), "--set", "horizon=24.0", "--set", "settle_tol=1e6")
         assert code == 0
         stepping = json.loads((out / "summary.json").read_text())["stepping"]
-        assert list(stepping) == ["group", "kind", "one_step", "passes", "products", "windows"]
+        assert list(stepping) == ["coarse", "group", "kind", "one_step", "passes", "products", "windows"]
         assert (stepping["kind"], stepping["group"], stepping["products"]) == ("folded", None, 0)
-        assert stepping["windows"] > 1 and stepping["passes"] == 2
+        assert stepping["windows"] > 1 and stepping["passes"] == 2 and stepping["coarse"] > 1
         # the first window once, then every pass over the windows, and the steps past them
         assert stepping["one_step"] >= (stepping["passes"] + 1) * 24000 // stepping["windows"]
 
@@ -641,7 +641,7 @@ class TestSweepLanes:
 
     def test_diverging_gain_cell_is_masked_and_rows_match_a_sequential_sweep(self, tmp_path, monkeypatch):
         argv = ["sweep", "--scenario", "vehicles", "--algo", "state", "--param", "alpha3",
-                "--values", "5,1000,18", "--set", "dt=0.01", "--set", "horizon=3.0",
+                "--values", "5,1000,18", "--set", "dt=0.01", "--set", "horizon=2.0",
                 "--set", "settle_tol=1e6"]
         outcomes, batches = self._capture(monkeypatch)
         assert run_cli(*argv, "--out", str(tmp_path / "lanes")) == 0

@@ -43,7 +43,7 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     # the record and step layers read the run's Trajectory.stepping, so none of these may change
     patched = [(sim._Recorder, "extend"), (sim._Recorder, "split"), (affine.DriftFold, "intervals"),
                (affine, "fold_blocks"), (affine, "fold_drift_rk4"), (sim, "fold_drift_rk4"),
-               (sim, "_fold_stepper"), (sim, "_folds"), (sim, "_rk4_stepper"), (sim, "rk4_step")]
+               (sim, "_fold_stepper"), (sim, "_plan"), (sim, "_rk4_stepper"), (sim, "rk4_step")]
     originals = [getattr(owner, name) for owner, name in patched]
 
     probe = tool.LAYERS["probe"]("2")
@@ -64,18 +64,22 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     step = tool.LAYERS["step"]("2", "lanes=2")
     assert list(step) == [2]
     assert list(step[2]) == ["size", "lanes", "kind", "group", "fold_bytes", "blocks", "fold_blocks_s",
-                             "fold_drift_rk4_s", "intervals_s", "folded_us", "sparse_us", "repeats", "windows",
-                             "passes", "c", "spectrum_s", "coarse_fold_s", "coarse_pass_s", "fine_pass_s"]
+                             "fold_drift_rk4_s", "intervals_s", "folded_us", "folded_price_us", "sparse_us",
+                             "sparse_price_us", "group_us", "group_price_us", "repeats", "windows", "passes", "c",
+                             "spectrum_s", "coarse_fold_s", "coarse_pass_s", "fine_pass_s"]
     # two vehicles: size 20 and a 37 x 20 map, whose 37 inputs 2 400 steps of two lanes pay back,
     # split by coordinate into two blocks of 19 x 10, and stage matrices of 25, 29 and 33 rows over
     # the 8 chain rows; a loop with drift has no groups to build
     assert (step[2]["size"], step[2]["lanes"], step[2]["kind"], step[2]["group"]) == (20, 2, "folded", None)
     assert (step[2]["fold_bytes"], step[2]["blocks"]) == (8 * (2 * 19 * 10 + 8 * (25 + 29 + 33)), 2)
-    assert step[2]["intervals_s"] is None and step[2]["repeats"] == 3
-    # two lanes of 2 400 steps already share a step's overhead: no record windows
+    assert all(step[2][key] is None for key in ("intervals_s", "group_us", "group_price_us"))
+    assert step[2]["repeats"] == 3
+    # two lanes of 2 400 steps of so small a loop still gain by record windows: 17 windows of 140
+    # steps at c = 7, priced and taken in three passes
     window_keys = ("c", "spectrum_s", "coarse_fold_s", "coarse_pass_s", "fine_pass_s")
-    assert (step[2]["windows"], step[2]["passes"]) == (None, 0) and all(step[2][key] is None for key in window_keys)
-    assert all(0 < step[2][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "folded_us", "sparse_us"))
+    assert (step[2]["windows"], step[2]["c"], step[2]["passes"]) == (17, 7, 3)
+    assert all(0 < step[2][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "folded_us", "sparse_us",
+                                            "folded_price_us", "sparse_price_us"))
     # in output mode the observer adds 8 states: blocks of 23 x 14 and stage matrices of 33, 37 and 41 rows
     output = tool.LAYERS["step"]("2", "output")
     assert list(output) == [2] and list(output[2]) == list(step[2])
@@ -85,8 +89,8 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     # (0.016, under 0.66 of the contraction limit), in the two passes it was priced
     assert (output[2]["windows"], output[2]["c"], output[2]["passes"]) == (20, 8, 2)
     assert all(0 < output[2][key] for key in window_keys)
-    # 1 000 steps of it find no plan that pays
-    short = tool.LAYERS["step"]("2", "output", "steps=1000")[2]
+    # 300 steps of it find no plan that pays
+    short = tool.LAYERS["step"]("2", "output", "steps=300")[2]
     assert (short["windows"], short["passes"]) == (None, 0) and all(short[key] is None for key in window_keys)
     # six drift-free generators: size 66, whose 2 400 steps at stride 10 pay back a group of 7, and
     # one 67 x 66 block
@@ -96,7 +100,7 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     assert (turbines[6]["fold_bytes"], turbines[6]["blocks"]) == (8 * 67 * 66, 1)
     assert turbines[6]["windows"] is None and all(turbines[6][key] is None for key in window_keys)
     assert all(0 < turbines[6][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "intervals_s",
-                                                "folded_us", "sparse_us"))
+                                                "folded_us", "sparse_us", "group_us", "group_price_us"))
     json.dumps([probe, cert, record, step, output, turbines])
 
     assert [getattr(owner, name) for owner, name in patched] == originals

@@ -2,13 +2,15 @@
 
     PYTHONPATH=TREE/src python3 tools/time_layers.py probe N... | certificate N... | record [state|output]
         | step N... [lanes=L] [steps=S] [turbines] [output]
+        | plan N... steps=S,... [lanes=L] [stride=R] [dt=D] [turbines] [output]
 
 probe: N -> size, median_s, repeats, nonzeros, lanes, calls of ``affine.probe_affine`` on the
   drift-free state-mode loop of N vehicles (the table repeated, anchors uniform in [-15, 15]^2
   with seed 0, default cycle digraph and gains), with one probe's rhs lanes and calls.
 step: N -> size, lanes, kind, group, fold_bytes, blocks, fold_blocks_s, fold_drift_rk4_s, intervals_s,
-  folded_us, sparse_us, repeats, windows, passes, c, spectrum_s, coarse_fold_s, coarse_pass_s,
-  fine_pass_s for L lanes (default 1) of that loop of N vehicles with its drift, or
+  folded_us, folded_price_us, sparse_us, sparse_price_us, group_us, group_price_us, repeats, windows,
+  passes, c, spectrum_s, coarse_fold_s, coarse_pass_s, fine_pass_s for L lanes (default 1) of that
+  loop of N vehicles with its drift, or
   with ``turbines`` of the drift-free market of N >= 5 generators (the table repeated, default
   digraph and gains), in state mode, or with ``output`` in output mode with the default observer,
   seeds 0..L-1, at dt = STEP_DT, or mu / 10 in output mode: kind and group are the step kind and
@@ -20,10 +22,17 @@ step: N -> size, lanes, kind, group, fold_bytes, blocks, fold_blocks_s, fold_dri
   (else null), ``DriftFold.intervals`` of the run's record_stride and group (one map if the run
   takes no groups); folded_us and sparse_us are the microseconds per RK4 step of the batch,
   "folded" (``sim._fold_stepper`` on that fold) and "sparse" (``sim._rk4_stepper``), STEPS steps
-  of each in turn from the run's start; windows and passes are the run's record windows and
-  passes (null and 0 without them), and c, spectrum_s, coarse_fold_s, coarse_pass_s and
-  fine_pass_s time the Parareal plan ``sim._windows`` makes for the run (``windows`` below; null
-  without a plan).
+  of each in turn from the run's start, and group_us (null with drift) of one product of those
+  maps; each *_price_us is what ``sim.STEP_S`` prices that step at, which holds what the run adds:
+  a step's magnitude guard, about 1 us, and a group's peaks and bookkeeping, about 10 us; windows and passes are the run's
+  record windows and passes (null and 0 without them), and c, spectrum_s, coarse_fold_s,
+  coarse_pass_s and fine_pass_s time the record windows of the plan ``sim._plan`` makes for the
+  run (``windows`` below; null without them).
+plan: N -> {S: plan, plan_s, sparse_s, folded_s} for runs of S steps (``steps=S,S,...``) of L lanes
+  of the loop ``step`` names, at record_stride R (``stride=R``, default 10) and dt (``dt=D``, default
+  STEP_DT, or mu / 10 in output mode): plan is [kind, group, windows, coarse] of ``sim._plan`` and
+  plan_s, sparse_s and folded_s the seconds of ``sim._integrate`` under it, under "sparse" and under
+  "folded" one step at a time, so the plans on both sides of a boundary the prices draw are timed.
 certificate: N -> median_s, repeats, passed, residual of ``graph.estimation_certificate`` of
   ``scenarios.default_cycle_digraph(N)``.
 record: algo, records, group, csv_bytes, repeats, run_s, record_s, csv_write_s of ``sim.run`` on
@@ -161,11 +170,17 @@ def step(*args) -> dict:
             found = time.perf_counter()
             fold = affine.fold_drift_rk4(op, dt, *rows, blocks)
             fields = {"fold_blocks_s": found - began, "fold_drift_rk4_s": time.perf_counter() - found}
+            advances = {"folded_us": sim._fold_stepper(fold, groups, layout, state), "sparse_us": sparse}
             if not groups:
                 began = time.perf_counter()
-                fold.intervals(cfg.record_stride, stepping.group or 1)
+                maps, offsets, _, _ = fold.intervals(cfg.record_stride, stepping.group or 1)
                 fields["intervals_s"] = time.perf_counter() - began
-            advances = {"folded_us": sim._fold_stepper(fold, groups, layout, state), "sparse_us": sparse}
+
+                def product(s, t):  # one group product; its ends go unread, so each starts from s
+                    s @ maps + offsets
+                    return s
+
+                advances["group_us"] = product
             for name, advance in advances.items():
                 s, began = state, time.perf_counter()
                 for k in range(STEPS):
@@ -174,38 +189,78 @@ def step(*args) -> dict:
             return fields, blocks
 
         fields, runs, blocks = repeat(call)
+        drifts = len(groups)
+        map_bytes = 8 * (stepping.group or 1) * layout.size ** 2
         out[n] = {"size": layout.size, "lanes": lanes, "kind": stepping.kind, "group": stepping.group,
                   "fold_bytes": blocks.nbytes, "blocks": len(blocks.rows), "fold_blocks_s": fields["fold_blocks_s"],
                   "fold_drift_rk4_s": fields["fold_drift_rk4_s"], "intervals_s": fields.get("intervals_s"),
-                  "folded_us": fields["folded_us"], "sparse_us": fields["sparse_us"], "repeats": runs,
+                  "folded_us": fields["folded_us"],
+                  "folded_price_us": sim._step_s("folded", lanes, blocks.nbytes, drifts) * 1e6,
+                  "sparse_us": fields["sparse_us"],
+                  "sparse_price_us": sim._step_s("sparse", lanes, sim.SPARSE_BYTES * op.vals.size, drifts) * 1e6,
+                  "group_us": fields.get("group_us"),
+                  "group_price_us": None if groups else sim._step_s("group", lanes, map_bytes) * 1e6, "repeats": runs,
                   **windows(starts, steps, rows, blocks, stepping)}
     return out
 
 
+def plan(*args) -> dict:
+    lanes = int(next((arg[6:] for arg in args if arg.startswith("lanes=")), 1))
+    stride = int(next((arg[7:] for arg in args if arg.startswith("stride=")), 10))
+    counts = [int(s) for s in next(arg[6:] for arg in args if arg.startswith("steps=")).split(",")]
+    loop = turbines if "turbines" in args else vehicles
+    out = {}
+    for n in (int(arg) for arg in args if arg.isdigit()):
+        game, plants, g, gains, obs = loop(n, "output" if "output" in args else "state")
+        dt = float(next((arg[3:] for arg in args if arg.startswith("dt=")), STEP_DT if obs is None else obs.mu / 10))
+        out[n] = {}
+        for steps in counts:
+            cfg = sim.SimConfig(dt=dt, horizon=steps * dt, record_stride=stride)
+            probes = {}
+            starts = [sim._start(sim.Lane(game, plants, g, gains, obs, dataclasses.replace(cfg, seed=seed)), probes)
+                      for seed in range(lanes)]
+            chosen = sim._plan(starts, steps)
+            plans = {"plan_s": chosen, "sparse_s": sim.Plan("sparse"), "folded_s": sim.Plan("folded")}
+
+            def call():
+                fields = {}
+                for name, taken in plans.items():
+                    began = time.perf_counter()
+                    sim._integrate(starts, taken)
+                    fields[name] = time.perf_counter() - began
+                return fields, None
+
+            fields, runs, _ = repeat(call)
+            out[n][steps] = {"plan": [chosen.kind, chosen.group, chosen.windows, chosen.coarse], "repeats": runs,
+                             **fields}
+    return out
+
+
 def windows(starts, steps, rows, blocks, stepping) -> dict:
-    """The record-window fields of ``step``: the run's windows and passes, and for the plan
-    ``sim._windows`` makes (all null without one) its coarse step c in fine steps, spectrum_s (the
-    plan: the eigenvalues, ``affine.rk4_limit`` and the pricing), coarse_fold_s (``sim._pass_steppers``,
-    the second fold's build at c dt on the same blocks), and coarse_pass_s and fine_pass_s, one G
-    pass (the coarse steps of all windows but the first and the last, on the run's lanes) and one F
-    pass (a window's steps on all windows)."""
+    """The record-window fields of ``step``: the run's windows and passes, and for the windows of
+    the plan ``sim._plan`` makes (all null without them) its coarse step c in fine steps, spectrum_s
+    (the whole plan: the eigenvalues, ``affine.rk4_limit`` and the pricing), coarse_fold_s
+    (``sim._pass_steppers``, the second fold's build at c dt on the same blocks), and coarse_pass_s
+    and fine_pass_s, one G pass (the coarse steps of all windows but the first and the last, on the
+    run's lanes) and one F pass (a window's steps on all windows)."""
     out = {"windows": stepping.windows, "passes": stepping.passes}
-    plan = sim._windows(starts, steps) if stepping.kind == "folded" and rows[2] else None
-    if plan is None:
+    plan = sim._plan(starts, steps)
+    if plan.windows is None:
         return {**out, **dict.fromkeys(("c", "spectrum_s", "coarse_fold_s", "coarse_pass_s", "fine_pass_s"))}
     layout, dt = starts[0].layout, starts[0].lane.cfg.dt
+    window = steps // starts[0].lane.cfg.record_stride // plan.windows * starts[0].lane.cfg.record_stride
     state = starts[0].state if len(starts) == 1 else np.stack([start.state for start in starts])
     fold = affine.fold_drift_rk4(starts[0].op, dt, *rows, blocks)
 
     def call():
         began = time.perf_counter()
-        sim._windows(starts, steps)
+        sim._plan(starts, steps)
         planned = time.perf_counter()
         coarse, _, fine = sim._pass_steppers(plan, fold, blocks, starts, state)
         fields = {"spectrum_s": planned - began, "coarse_fold_s": time.perf_counter() - planned}
-        wide = np.tile(state.reshape(-1, layout.size), (plan.count, 1))
-        passes = (("coarse_pass_s", coarse, state, (plan.count - 2) * (plan.steps // plan.coarse)),
-                  ("fine_pass_s", fine, wide, plan.steps))
+        wide = np.tile(state.reshape(-1, layout.size), (plan.windows, 1))
+        passes = (("coarse_pass_s", coarse, state, (plan.windows - 2) * (window // plan.coarse)),
+                  ("fine_pass_s", fine, wide, window))
         for name, advance, s, count in passes:
             began = time.perf_counter()
             for _ in range(count):
@@ -217,7 +272,7 @@ def windows(starts, steps, rows, blocks, stepping) -> dict:
     return {**out, "c": plan.coarse, **fields}
 
 
-LAYERS = {"probe": probe, "certificate": certificate, "record": record, "step": step}
+LAYERS = {"probe": probe, "certificate": certificate, "record": record, "step": step, "plan": plan}
 
 if __name__ == "__main__":
     if len(sys.argv) < 2 or sys.argv[1] not in LAYERS:
