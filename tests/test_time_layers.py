@@ -101,7 +101,14 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     assert turbines[6]["windows"] is None and all(turbines[6][key] is None for key in window_keys)
     assert all(0 < turbines[6][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "intervals_s",
                                                 "folded_us", "sparse_us", "group_us", "group_price_us"))
-    json.dumps([probe, cert, record, step, output, turbines])
+    # the plan layer times the plan taken and the others on either side of a boundary: 30 steps of
+    # the six generators take the fold one step at a time, 100 steps take groups of two maps
+    plans = tool.LAYERS["plan"]("6", "turbines", "steps=30,100")
+    assert list(plans) == [6] and list(plans[6]) == [30, 100]
+    assert list(plans[6][30]) == ["plan", "repeats", "plan_s", "sparse_s", "folded_s", "group_s"]
+    assert plans[6][30]["plan"] == ["folded", None, None, None] and plans[6][100]["plan"][:2] == ["folded", 2]
+    assert all(0 < plans[6][30][key] for key in ("plan_s", "sparse_s", "folded_s", "group_s"))
+    json.dumps([probe, cert, record, step, output, turbines, plans])
 
     assert [getattr(owner, name) for owner, name in patched] == originals
 

@@ -28,11 +28,13 @@ step: N -> size, lanes, kind, group, fold_bytes, blocks, fold_blocks_s, fold_dri
   record windows and passes (null and 0 without them), and c, spectrum_s, coarse_fold_s,
   coarse_pass_s and fine_pass_s time the record windows of the plan ``sim._plan`` makes for the
   run (``windows`` below; null without them).
-plan: N -> {S: plan, plan_s, sparse_s, folded_s} for runs of S steps (``steps=S,S,...``) of L lanes
-  of the loop ``step`` names, at record_stride R (``stride=R``, default 10) and dt (``dt=D``, default
-  STEP_DT, or mu / 10 in output mode): plan is [kind, group, windows, coarse] of ``sim._plan`` and
-  plan_s, sparse_s and folded_s the seconds of ``sim._integrate`` under it, under "sparse" and under
-  "folded" one step at a time, so the plans on both sides of a boundary the prices draw are timed.
+plan: N -> {S: plan, repeats, plan_s, sparse_s, folded_s, group_s} for runs of S steps
+  (``steps=S,S,...``) of L lanes of the loop ``step`` names, at record_stride R (``stride=R``, default
+  10) and dt (``dt=D``, default STEP_DT, or mu / 10 in output mode): plan is [kind, group, windows,
+  coarse] of ``sim._plan``, and the seconds of ``sim._integrate`` under it, under "sparse", under the
+  fold one step at a time (null past ``sim.FOLD_DRIFT_BYTES``) and, without drift, under groups of
+  the plan's count or of the most RECORD_BLOCK_BYTES holds (else null), so the plans on both sides
+  of a boundary the prices draw are timed.
 certificate: N -> median_s, repeats, passed, residual of ``graph.estimation_certificate`` of
   ``scenarios.default_cycle_digraph(N)``.
 record: algo, records, group, csv_bytes, repeats, run_s, record_s, csv_write_s of ``sim.run`` on
@@ -220,19 +222,24 @@ def plan(*args) -> dict:
             starts = [sim._start(sim.Lane(game, plants, g, gains, obs, dataclasses.replace(cfg, seed=seed)), probes)
                       for seed in range(lanes)]
             chosen = sim._plan(starts, steps)
-            plans = {"plan_s": chosen, "sparse_s": sim.Plan("sparse"), "folded_s": sim.Plan("folded")}
+            layout, drifting = starts[0].layout, any(p.drift is not None for p in plants)
+            fits = affine.fold_blocks(starts[0].op, *layout.fold_rows(drifting)).nbytes <= sim.FOLD_DRIFT_BYTES
+            group = chosen.group or max(1, sim.RECORD_BLOCK_BYTES // (8 * layout.size ** 2))
+            plans = {"plan_s": chosen, "sparse_s": sim.Plan("sparse"), "folded_s": fits and sim.Plan("folded"),
+                     "group_s": not drifting and sim.Plan("folded", group)}
 
             def call():
                 fields = {}
                 for name, taken in plans.items():
-                    began = time.perf_counter()
-                    sim._integrate(starts, taken)
-                    fields[name] = time.perf_counter() - began
+                    if taken:
+                        began = time.perf_counter()
+                        sim._integrate(starts, taken)
+                        fields[name] = time.perf_counter() - began
                 return fields, None
 
             fields, runs, _ = repeat(call)
             out[n][steps] = {"plan": [chosen.kind, chosen.group, chosen.windows, chosen.coarse], "repeats": runs,
-                             **fields}
+                             **{name: fields.get(name) for name in plans}}
     return out
 
 
