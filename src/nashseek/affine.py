@@ -15,15 +15,18 @@ affine map ``s' = A s + b`` of the flat state.  This module holds:
   z = [s, 1, d_1, ..., d_4] (z = [s, 1] without drift) to the next state,
   kept as one block per connected component of A (``fold_blocks``), and
   three stage matrices that give each stage input from a prefix of z; a
-  ``DriftFold`` probed by running ``rk4_step`` on lanes that carry one
-  input of every block at once.  ``DriftFold.intervals`` puts a drift-free
-  fold's blocks together into the maps of record intervals side by side,
-  with a bound on every state their steps pass through;
-* ``eigenvalues`` of A, one dense block per connected component, and what
-  RK4 makes of them: ``rk4_limit``, the largest step that contracts every
-  mode (``rk4_limit_bound`` bounds it from A's trace), and
-  ``parareal_contraction``, what a Parareal correction leaves of a window
-  start's change (``sim._parareal``).
+  ``DriftFold`` probed (``_probe_fold``) by running the step on lanes that
+  carry one input of every block at once.  ``DriftFold.intervals`` puts a
+  drift-free fold's blocks together into the maps of record intervals side
+  by side, with a bound on every state their steps pass through;
+* ``fold_drift_etdrk4``, one ETDRK4 step (Cox & Matthews 2002) folded the
+  same way, on the same blocks: it takes the affine part exactly, from the
+  phi functions of each distinct component block (``etd_maps``, by scaling
+  and squaring in numpy), so only the drift limits its step; the coarse
+  pass of ``sim._parareal``;
+* ``eigenvalues`` of A, one dense block per connected component, and
+  ``rk4_limit``, the largest step whose RK4 factor contracts every mode;
+  ``rk4_limit_bound`` bounds it from A's trace alone.
 
 ``sim.run`` says which loops step which kind.  The layout argument is
 ``sim._Layout``.
@@ -32,6 +35,7 @@ affine map ``s' = A s + b`` of the flat state.  This module holds:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -317,33 +321,53 @@ def _components(op: AffineOperator) -> np.ndarray:
         label = hooked
 
 
-def eigenvalues(op: AffineOperator) -> np.ndarray:
-    """The eigenvalues of A, one dense block per connected component (``_components``).
+def _component_blocks(op: AffineOperator) -> list:
+    """(states, rows, cols, vals, first) of each connected component of A (``_components``).
 
-    A permutation that groups each component's states makes A block diagonal,
-    so its spectrum is the union of the blocks' spectra: two blocks of 150
-    states took 19.5 ms on the vehicles/output loop, where the dense 300 x 300
-    A took 46 ms.  Equal blocks are solved once: the vehicle loops' two
-    blocks, one per coordinate, are equal to 1.8e-15 of their largest entry.
+    A permutation that groups each component's states makes A block
+    diagonal.  rows, cols and vals are the component's nonzeros with rows
+    and cols indexing its states, and first is the index of the first
+    component whose block equals this one up to the probe's rounding (1e-12
+    of its largest entry), its own index when none does: the vehicle loops'
+    two blocks, one per coordinate, are equal to 1.8e-15 of their largest
+    entry.  The nonzeros keep the probe's column-major order, so equal
+    blocks list their entries in one order and are compared entry by entry
+    without forming either.
     """
     _, comp = np.unique(_components(op), return_inverse=True)
     at = np.empty_like(comp)
-    # (block, its eigenvalues): blocks equal up to the probe's rounding (1e-12 of their largest
-    # entry), such as one per coordinate, share them
-    out, seen = [], []
+    out = []
     for g in range(comp.max() + 1):
         states = np.flatnonzero(comp == g)
         at[states] = np.arange(len(states))
         mine = comp[op.rows] == g
-        block = np.zeros((len(states), len(states)))
-        np.add.at(block, (at[op.rows[mine]], at[op.cols[mine]]), op.vals[mine])
-        eigs = next((e for b, e in seen if b.shape == block.shape
-                     and np.abs(b - block).max() <= 1e-12 * np.abs(block).max()), None)
-        if eigs is None:
-            eigs = np.linalg.eigvals(block)
-            seen.append((block, eigs))
-        out.append(eigs)
-    return np.concatenate(out)
+        rows, cols, vals = at[op.rows[mine]], at[op.cols[mine]], op.vals[mine]
+        first = next((k for k, (s, r, c, v, _) in enumerate(out)
+                      if len(s) == len(states) and np.array_equal(r, rows) and np.array_equal(c, cols)
+                      and np.abs(v - vals).max(initial=0.0) <= 1e-12 * np.abs(vals).max(initial=0.0)), g)
+        out.append((states, rows, cols, vals, first))
+    return out
+
+
+def _dense(rows, cols, vals, n: int) -> np.ndarray:
+    """The (n, n) block with the nonzeros vals at (rows, cols)."""
+    block = np.zeros((n, n))
+    np.add.at(block, (rows, cols), vals)
+    return block
+
+
+def eigenvalues(op: AffineOperator) -> np.ndarray:
+    """The eigenvalues of A, one dense block per connected component (``_component_blocks``).
+
+    The spectrum is the union of the blocks' spectra: two blocks of 150
+    states took 19.5 ms on the vehicles/output loop, where the dense 300 x 300
+    A took 46 ms.  Equal blocks are solved once.
+    """
+    blocks, eigs = _component_blocks(op), {}
+    for states, rows, cols, vals, first in blocks:
+        if first not in eigs:
+            eigs[first] = np.linalg.eigvals(_dense(rows, cols, vals, len(states)))
+    return np.concatenate([eigs[first] for *_, first in blocks])
 
 
 def rk4_limit(eigs: np.ndarray) -> float:
@@ -385,29 +409,14 @@ def rk4_limit_bound(op: AffineOperator) -> float:
     return 2.83 * op.b.size / trace if trace else np.inf
 
 
-def parareal_contraction(eigs: np.ndarray, dt: float, steps, coarse) -> np.ndarray:
-    """How much a Parareal pass shrinks a window start's error on s' = A s: max |R(c h lambda)^(n / c) - R(h lambda)^n|.
-
-    A window is n steps of RK4 at h (F) or n / c steps at c h (G), and on
-    a mode lambda a correction leaves F - G of the start's change (Gander &
-    Vandewalle 2007).  On the vehicles-output workload it read 1.8e-5 at
-    c = 8, where the second pass's gap was 1.5e-5 of the first's.  steps
-    and coarse may be arrays of plans, each c a divisor of its n; the result
-    has their broadcast shape.  The powers are taken as exp(k log R).
-    """
-    steps, coarse = (a[..., None] for a in np.broadcast_arrays(steps, coarse))
-    fine = np.log(_rk4_factor(dt * eigs + 0j))
-    return np.max(np.abs(np.exp(steps // coarse * np.log(_rk4_factor(coarse * dt * eigs + 0j)))
-                         - np.exp(steps * fine)), axis=-1)
-
-
 def _rk4_factor(z):
     """R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the factor one ``rk4_step`` of s' = lambda s takes at z = h lambda."""
     return np.polyval([1 / 24, 1 / 6, 1 / 2, 1, 1], z)
 
 
 def fold_blocks(op: AffineOperator, reads: slice, writes: tuple, q: int) -> FoldBlocks:
-    """The blocks of op's ``fold_drift_rk4`` map: one per connected component of A (``_components``).
+    """The blocks of op's folded step map (``fold_drift_rk4``, ``fold_drift_etdrk4``): one per connected
+    component of A (``_components``).
 
     A state belongs to its own component, drift slot (j, i) to the
     components of its E rows (writes), and the constant to every block.  The
@@ -449,7 +458,7 @@ def _stacked(parts: list, fill: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriftFold:
-    """One RK4 step of s' = A s + b + E d(P s) as products over the four stage drifts.
+    """One RK4 or ETDRK4 step of s' = A s + b + E d(P s) as products over the four stage drifts.
 
     P reads the chain rows a drift sees and E adds the drift where it acts.
     Every stage input u_j is affine in the state s and the earlier stage
@@ -501,14 +510,48 @@ def fold_drift_rk4(op: AffineOperator, dt: float, reads: slice, writes: tuple, q
     holds q rows and E adds d there; blocks is ``fold_blocks`` of the same
     arguments, found here when None; a drift-free loop has none of them, and
     z = [s, 1].  The step is ``rk4_step`` on the sparse operator plus the
-    drift, with the drifts as extra inputs, so it is linear in z = [s, 1,
-    d_1, ..., d_4].  It runs on probe lanes,
-    PROBE_CHUNK_BYTES at a time: lane r is 1 in row r of every block and 0
-    elsewhere, as an input moves no block it does not reach.  That gives the
-    blocks' next states, and each input's stage inputs [P u_2, P u_3, P u_4],
-    read in the block of their P rows; stage j + 1 keeps the rows of the
-    inputs before d_{j+1}.  No map but the blocks is formed, and no (size,
-    size) array.
+    drift, with the drifts as extra inputs (``_rk4_stages``), probed by
+    ``_probe_fold``.
+    """
+    lane_ops = {}  # the operator of each chunk's lanes, by lane count
+
+    def stages(z):
+        if len(z) not in lane_ops:
+            lane_ops[len(z)] = stack_lanes([op] * len(z))
+        return _rk4_stages(lane_ops[len(z)], dt, reads, writes, z)
+
+    return _probe_fold(stages, op, reads, writes, q, blocks)
+
+
+def fold_drift_etdrk4(op: AffineOperator, h: float, reads: slice, writes: tuple, q: int,
+                      blocks: Optional[FoldBlocks] = None) -> DriftFold:
+    """Probe one ETDRK4 step at h of s' = A s + b + E d(P s) into a ``DriftFold`` on blocks.
+
+    The arguments are ``fold_drift_rk4``'s.  ETDRK4 (Cox & Matthews 2002)
+    takes the affine part exactly, from the phi maps of ``etd_maps``, and
+    only the drift by its four stages (``_etdrk4_stages``).  Its stage inputs
+    are affine in s and in the earlier stage drifts as RK4's are, so it
+    probes into the same blocks and stage-matrix layout (``_probe_fold``).
+    """
+    maps = etd_maps(op, h)
+    unit = np.zeros((q, op.b.size))  # E as rows: drift slot i adds to row i of each slice in writes
+    for at in writes:
+        unit[np.arange(q), np.arange(op.b.size)[at]] = 1.0
+    forcing = np.stack([maps.apply(unit, k) for k in (2, 3, 4, 5)])
+    return _probe_fold(lambda z: _etdrk4_stages(maps, forcing, reads, z), op, reads, writes, q, blocks)
+
+
+def _probe_fold(stages, op: AffineOperator, reads: slice, writes: tuple, q: int,
+                blocks: Optional[FoldBlocks]) -> DriftFold:
+    """The ``DriftFold`` on blocks of the step that stages(z) takes: (next states, [P u_2, P u_3, P u_4]).
+
+    The step is linear in z = [s, 1, d_1, ..., d_4], taken as a (lanes,
+    size + 1 + 4 q) batch.  It runs on probe lanes, PROBE_CHUNK_BYTES at a
+    time: lane r is 1 in row r of every block and 0 elsewhere, as an input
+    moves no block it does not reach.  That gives the blocks' next states,
+    and each input's stage inputs, read in the block of their P rows; stage
+    j + 1 keeps the rows of the inputs before d_{j+1}.  No map but the
+    blocks is formed, and no (size, size) array.
     """
     size = op.b.size
     p = reads.stop - reads.start
@@ -521,12 +564,8 @@ def fold_drift_rk4(op: AffineOperator, dt: float, reads: slice, writes: tuple, q
     stage_rows = rows[np.tile(block_of[reads], 3)].T
     inputs = np.zeros((width + 1, 3 * p))
 
-    lane_ops = {}  # the operator of each chunk's lanes, by lane count
-
     def step(z, t):  # [s+, a spare zero, P u_2, P u_3, P u_4] of z without its spare entry
-        if len(z) not in lane_ops:
-            lane_ops[len(z)] = stack_lanes([op] * len(z))
-        after, stage_inputs = _rk4_stages(lane_ops[len(z)], dt, reads, writes, z[:, :width])
+        after, stage_inputs = stages(z[:, :width])
         return np.hstack([after, np.zeros((len(z), 1)), stage_inputs])
 
     done = 0
@@ -563,3 +602,154 @@ def _rk4_stages(op: AffineOperator, dt: float, reads: slice, writes: tuple, z: n
 
     after = rk4_step(rhs, z[:, :size], 0.0, dt)
     return after, np.hstack(inputs[1:])
+
+
+@dataclass(frozen=True)
+class EtdMaps:
+    """The maps of one ETDRK4 step at h of s' = A s + b + N, one set per connected component of A.
+
+    With phi_0(X) = e^X and phi_{k+1}(X) = (phi_k(X) - I / k!) X^-1, parts
+    holds each component's states and its six maps, shared by equal blocks:
+    e^{hA}, e^{hA/2}, (h/2) phi_1(hA/2), and the Cox-Matthews weights
+    h (phi_1 - 3 phi_2 + 4 phi_3), 2 h (phi_2 - 2 phi_3) and
+    h (4 phi_3 - phi_2), all of hA.  c and c_half carry the constant:
+    h phi_1(hA) b and (h/2) phi_1(hA/2) b, the top rows of e^{h Abar} and
+    e^{h Abar / 2} on [0; 1] for Abar = [[A, b], [0, 0]].
+    """
+
+    parts: tuple        # (states, (E, E_half, Q, F_1, F_2, F_3)) per component
+    c: np.ndarray       # h phi_1(hA) b
+    c_half: np.ndarray  # (h/2) phi_1(hA/2) b
+
+    def apply(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Map k of every component on the state or (lanes, size) batch x."""
+        out = np.empty(x.shape)
+        for states, maps in self.parts:
+            out[..., states] = x[..., states] @ maps[k].T
+        return out
+
+    def flow(self, s: np.ndarray) -> np.ndarray:
+        """s after h of s' = A s + b, exactly up to rounding: e^{hA} s + h phi_1(hA) b."""
+        return self.apply(s, 0) + self.c
+
+
+# The phi functions (``etd_maps``) by scaling and squaring (Skaflestad &
+# Wright 2009).  X = h A / 2^s, s >= 1 the least that brings alpha(h A) / 2^s
+# within PHI_THETA (``phi_doublings``), where alpha (``phi_alphas``) bounds
+# the Taylor remainder from degree 16 on as |X| would (Al-Mohy & Higham
+# 2009, Thm 4.2): it is 594 on the vehicles/output loop, where |A|_1 is
+# 10 200, so h = 0.08 takes s = 6 and not 10.  phi_3(X) is its Taylor series
+# to degree 15, whose remainder is below 1/19! = 8e-18 of phi_3's scale,
+# evaluated from X^2, X^3 and X^4 in three more products (Paterson &
+# Stockmeyer 1973); phi_2, phi_1 and phi_0 follow by
+# phi_k = I / k! + X phi_{k+1}; then s doublings
+# phi_k(2X) = 2^-k [phi_0 phi_k + sum_{j=1..k} phi_j / (k - j)!], the last
+# one from the h/2 set.  A distinct block of size n costs PHI_PRODUCTS + 4 s
+# products of n^3, and no power of X outlives the Taylor sum.
+PHI_THETA = 1.0
+PHI_PRODUCTS = 9
+
+
+def phi_doublings(alpha):
+    """The doublings s >= 1 of ``etd_maps`` with alpha / 2^s <= PHI_THETA, for alpha of h A or an array of them."""
+    return np.ceil(np.log2(np.maximum(np.asarray(alpha) / PHI_THETA, 2.0))).astype(int)
+
+
+def phi_alphas(op: AffineOperator) -> list:
+    """(size, alpha) of each distinct block of A (``_component_blocks``), alpha of ``etd_maps``' scaling.
+
+    alpha = min_p max(d_p, d_{p+1}) over p = 1..4 with d_k = |A^k|_1^(1/k),
+    each |A^k|_1 bounded by |(|A|^k)|_1, the largest entry of 1^T |A|^k, so
+    it takes five sparse products of a row and no dense power.  alpha(h A)
+    is h alpha(A).
+    """
+    return [(len(states), _phi_alpha(rows, cols, vals, len(states)))
+            for g, (states, rows, cols, vals, first) in enumerate(_component_blocks(op)) if first == g]
+
+
+def _phi_alpha(rows, cols, vals, n: int) -> float:
+    """``phi_alphas``' alpha of the (n, n) block with the nonzeros vals at (rows, cols)."""
+    weights, roots = np.ones(n), []
+    for k in range(1, 6):
+        weights = np.bincount(cols, weights=np.abs(vals) * weights[rows], minlength=n)
+        roots.append(float(weights.max(initial=0.0)) ** (1.0 / k))
+    return min(max(roots[p], roots[p + 1]) for p in range(4))
+
+
+def etd_maps(op: AffineOperator, h: float) -> EtdMaps:
+    """The ``EtdMaps`` of op at step h, each distinct block of ``_component_blocks`` built once (``_phis``)."""
+    size = op.b.size
+    c, c_half = np.empty(size), np.empty(size)
+    blocks, built = _component_blocks(op), {}
+    for states, rows, cols, vals, first in blocks:
+        if first not in built:
+            n = len(states)
+            built[first] = _phis(_dense(rows, cols, vals, n), h, h * _phi_alpha(rows, cols, vals, n))
+        half, phis = built[first]
+        c_half[states] = (0.5 * h) * (half[1] @ op.b[states])
+        c[states] = h * (phis[1] @ op.b[states])
+    for first, (half, phis) in built.items():  # the weights in place of phi_1..phi_3, each read before it is written
+        weight_2 = 2.0 * (phis[2] - 2.0 * phis[3])
+        phis[1] += 4.0 * phis[3] - 3.0 * phis[2]
+        phis[3] *= 4.0
+        phis[3] -= phis[2]
+        phis[2] = weight_2
+        phis[1:] *= h
+        half[1] *= 0.5 * h
+        built[first] = (phis[0], half[0], half[1], phis[1], phis[2], phis[3])
+    return EtdMaps(tuple((states, built[first]) for states, *_, first in blocks), c, c_half)
+
+
+def _phis(block: np.ndarray, h: float, alpha: float) -> tuple:
+    """((phi_0, phi_1) of h A / 2, (phi_0, ..., phi_3) of h A) of the dense block A, alpha of h A."""
+    n = len(block)
+    levels = int(phi_doublings(alpha))
+    x = block * (h * 0.5 ** levels)
+    powers = [x, x @ x]
+    powers += [powers[1] @ x, powers[1] @ powers[1]]  # X^3, X^4
+
+    def cubic(j):  # sum_{r < 4} X^r / (4 j + r + 3)!
+        out = sum(p / math.factorial(4 * j + r + 3) for r, p in enumerate(powers[:3], 1))
+        out.flat[::n + 1] += 1.0 / math.factorial(4 * j + 3)
+        return out
+
+    phis = np.empty((4, n, n))
+    phis[3] = cubic(3)
+    for j in (2, 1, 0):
+        phis[3] = powers[3] @ phis[3] + cubic(j)
+    for k in (2, 1, 0):
+        np.matmul(x, phis[k + 1], out=phis[k])
+        phis[k].flat[::n + 1] += 1.0 / math.factorial(k)
+    del powers, x
+    for level in range(levels):
+        if level == levels - 1:
+            half = phis[:2].copy()
+        doubled = np.matmul(phis[0], phis)
+        doubled[1] += phis[1]
+        doubled[2] += phis[1] + phis[2]
+        doubled[3] += 0.5 * phis[1] + phis[2] + phis[3]
+        doubled *= np.array([1.0, 0.5, 0.25, 0.125])[:, None, None]
+        phis = doubled
+    return half, phis
+
+
+def _etdrk4_stages(maps: EtdMaps, forcing: np.ndarray, reads: slice, z: np.ndarray):
+    """The ETDRK4 step of the (lanes, size + 1 + 4 q) inputs z, and their stage inputs [P a, P b, P c].
+
+    With N_j = E d_j the drift of stage j (Cox & Matthews 2002, with A and b
+    taken exactly by ``EtdMaps``): a = e^{hA/2} s + c_half + Q N_1,
+    b = e^{hA/2} s + c_half + Q N_2, c = e^{hA/2} a + c_half + Q (2 N_3 - N_1),
+    and the next state e^{hA} s + c + F_1 N_1 + F_2 (N_2 + N_3) + F_3 N_4,
+    each constant taken z's constant times.  forcing is (Q E, F_1 E, F_2 E,
+    F_3 E), each a (q, size) row map, so Q N_j is d_j @ forcing[0].
+    """
+    size = maps.c.size
+    s, one = z[:, :size], z[:, size, None]
+    d = z[:, size + 1:].reshape(len(z), 4, -1).swapaxes(0, 1)
+    q_e, f_1e, f_2e, f_3e = forcing
+    half = maps.apply(s, 1) + one * maps.c_half
+    a = half + d[0] @ q_e
+    b = half + d[1] @ q_e
+    c = maps.apply(a, 1) + one * maps.c_half + (2.0 * d[2] - d[0]) @ q_e
+    after = maps.apply(s, 0) + one * maps.c + d[0] @ f_1e + (d[1] + d[2]) @ f_2e + d[3] @ f_3e
+    return after, np.hstack([a[:, reads], b[:, reads], c[:, reads]])

@@ -19,7 +19,8 @@ Under a game declared affine, everything but the drift is an affine map
 (:mod:`nashseek.affine`) and keeps ``A`` as its nonzeros.  Every step is
 classical RK4, ``affine.rk4_step``, as it is or folded into products
 (``affine.fold_drift_rk4``); ``run`` lists the step kinds and which loops
-take each.
+take each.  Only record windows' coarse pass steps otherwise: ETDRK4 folded
+the same way (``affine.fold_drift_etdrk4``), exact on the affine part.
 
 ``run_lanes`` integrates many loops at once.  Loops that share the layout,
 the step grid and the drift callables (and, unless the game is affine with
@@ -53,8 +54,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import control
-from .affine import (AffineOperator, DriftFold, FoldBlocks, eigenvalues, fold_blocks, fold_drift_rk4,
-                     parareal_contraction, probe_affine, rk4_limit, rk4_limit_bound, rk4_step, stack_lanes)
+from .affine import (PHI_PRODUCTS, AffineOperator, DriftFold, FoldBlocks, fold_blocks, fold_drift_etdrk4,
+                     fold_drift_rk4, phi_alphas, phi_doublings, probe_affine, rk4_limit_bound, rk4_step,
+                     stack_lanes)
 from .control import GainSet, ObserverSet
 from .errors import (
     ConfigInvalid,
@@ -93,17 +95,24 @@ RECORD_BLOCK_BYTES = 2 ** 18
 # every lane, "folded" its ``FoldBlocks.nbytes`` once for all lanes, a "group"
 # product 8 G size^2 (its peaks in fixed).  A record call costs RECORD_S.  The
 # fold's build steps each input of z once, PROBE_BYTE_S a byte of A's
-# nonzeros; a dense product of size n costs BUILD_MADD_S n^2 (n +
-# PRODUCT_ENTRY_MADDS): the groups' maps take stride + G - 2, A's spectrum
-# with the windows' pricing SPECTRUM_PRODUCTS.  Fitted by least squares on
+# nonzeros with drift, and FREE_PROBE_S plus FREE_PROBE_BYTE_S a byte
+# without; a dense product of size n costs BUILD_MADD_S n^2 (n +
+# PRODUCT_ENTRY_MADDS): the groups' maps take stride + G - 2.  The record
+# windows' ETDRK4 fold costs ETD_FIXED_S, its phi products
+# (``affine.etd_maps``) at PHI_MADD_S in place of BUILD_MADD_S, and
+# ETD_PROBE_MADD_S a multiply-add of its probe's dense maps
+# (``_coarse_build_s``).  Fitted by least squares on
 # relative error to ``tools/time_layers.py step 10 12 13 14 15 [output]
 # lanes=L`` and ``step 6 10 14 19 20 turbines lanes=L``, L = 1, 4, 16, 64
 # (folded_us, sparse_us; BLAS on one thread, 2-vCPU Xeon): sparse steps within
 # 0.89-1.07 of their price, folded 0.79-1.32; ``step 25 30 turbines
 # [lanes=4]`` (group_us 195 and 369 us at 4.5 and 8.8 MB read from memory, 441
 # and 770 us on 4 lanes; intervals_s 33-39 ps a multiply-add from size 266
-# on); the vehicle builds (fold_drift_rk4_s 3.9 and 4.5 ms; the market's take
-# up to 1.6 times their price).  ``step`` prints each price by its time.
+# on); the vehicle builds (fold_drift_rk4_s 3.9 and 4.5 ms); the drift-free
+# builds of ``step 6 10 14 19 25 30 turbines [output]`` (fold_drift_rk4_s
+# 0.7-100 ms, within 0.85-1.27 of their price but for one 1.9); the ETDRK4
+# builds of the vehicle loops at N = 3-13 in both modes and c dt = 0.01-0.12
+# (1-50 ms, within 0.68-1.17).  ``step`` prints each price by its time.
 STEP_S = {  # fixed, per drift, per drift a lane, per byte read, per lane-byte
     "sparse": (14.8e-6, 32.2e-6, 2.7e-6, 0.0, 146e-12),
     "folded": (4.6e-6, 29.6e-6, 0.77e-6, 10.7e-12, 6.5e-12),
@@ -112,9 +121,13 @@ STEP_S = {  # fixed, per drift, per drift a lane, per byte read, per lane-byte
 SPARSE_BYTES = 96
 RECORD_S = 3e-6
 PROBE_BYTE_S = 0.13e-9
+FREE_PROBE_S = 0.31e-3
+FREE_PROBE_BYTE_S = 0.22e-9
 BUILD_MADD_S = 37e-12
 PRODUCT_ENTRY_MADDS = 60
-SPECTRUM_PRODUCTS = 60
+ETD_FIXED_S = 0.96e-3
+PHI_MADD_S = 58e-12
+ETD_PROBE_MADD_S = 228e-12
 
 # Bytes a "folded" step may read: the table's per-byte price holds within the
 # 2 MB L2 cache a core has on the machine measured; past it one lane costs
@@ -128,16 +141,8 @@ FOLD_DRIFT_BYTES = 19 * 10 ** 5
 # state entry's window-end mismatch within PARAREAL_RTOL of that entry's
 # largest magnitude: against the whole state's largest entry, a gap of 2e-12
 # left the observer series of a 4 s output run (stride 7) 5.2e-11 off, as the
-# innovation rows are 1e-4 of the decisions.  c dt stays within COARSE_FRACTION
-# of RK4's contraction limit: at 0.8 the vehicles-output workload's plan moved
-# from 25 windows of 480 steps at c = 8 to 22 of 540 at c = 9.  The plans are
-# priced PLAN_CHUNK at a time: all at once, their (plans, modes) complex arrays
-# took 1.3 MB more peak memory.  The passes must be priced: short windows need
-# more (60 windows of 200 steps at c = 8 on the workload, contraction 1.8e-5,
-# took three: gaps 4.6e-6, 6.8e-11 and 2.4e-15).
+# innovation rows are 1e-4 of the decisions.
 PARAREAL_RTOL = 2e-12
-COARSE_FRACTION = 0.66
-PLAN_CHUNK = 16
 
 # Rows the CSV writer formats per write.  Formatting a whole vehicle run at
 # once took 9 MB more peak memory; 256 rows take under 1 MB and no more time.
@@ -405,10 +410,10 @@ def run(game: Game, plants: Sequence[Plant], g: Digraph, gains: GainSet,
       its start, and every interval of the group before it was kept; the
       first interval not kept, and the remainder interval, take the folded
       step with the per-step guard.  With drift it may step record windows
-      by Parareal, corrected until the windows' ends meet the next starts
-      within PARAREAL_RTOL of each entry's largest magnitude, weighed by the
-      state's growth after them (``Stepping.windows``, ``passes`` and
-      ``coarse``);
+      by Parareal, from the starts an ETDRK4 coarse pass gives, corrected
+      until the windows' ends meet the next starts within PARAREAL_RTOL of
+      each entry's largest magnitude, weighed by the state's growth after
+      them (``Stepping.windows``, ``passes`` and ``coarse``);
     * any other affine game ("sparse"): ``rk4_step`` on the probed sparse
       operator plus the stacked drift, one O(nonzeros) matvec and one call
       per distinct drift a stage;
@@ -741,10 +746,10 @@ def _step_s(kind: str, lanes, nbytes: int, drifts: int = 0):
     return fixed + drifts * (drift + lanes * drift_lane) + nbytes * (read + lanes * lane)
 
 
-def _products_s(count: int, n: int) -> float:
+def _products_s(count, n: int, madd_s: float = BUILD_MADD_S):
     """Seconds of count dense products of size n: n^3 multiply-adds each, and its offset and
     inf-norm as PRODUCT_ENTRY_MADDS more an entry (``affine.DriftFold.intervals``)."""
-    return count * BUILD_MADD_S * n ** 2 * (n + PRODUCT_ENTRY_MADDS)
+    return count * madd_s * n ** 2 * (n + PRODUCT_ENTRY_MADDS)
 
 
 def _pass_s(count, window: int, coarse, step):
@@ -759,6 +764,17 @@ def _divisors(n: int, top: int) -> list:
     return sorted({d for d in low + [n // d for d in low] if 2 <= d <= top})
 
 
+def _coarse_build_s(op: AffineOperator, blocks: FoldBlocks, h) -> np.ndarray:
+    """Seconds of ``affine.fold_drift_etdrk4`` at each step in h: ETD_FIXED_S, PHI_PRODUCTS + 4 s
+    dense products of each distinct block (``affine.phi_alphas``, s its doublings at h), and the
+    probe's three dense maps of every component on each of its lanes."""
+    h = np.asarray(h, dtype=float)
+    phis = sum(_products_s(PHI_PRODUCTS + 4 * phi_doublings(h * alpha), n, PHI_MADD_S)
+               for n, alpha in phi_alphas(op))
+    sizes = np.count_nonzero(blocks.cols < op.b.size, axis=1).astype(float)
+    return ETD_FIXED_S + phis + ETD_PROBE_MADD_S * blocks.rows.shape[1] * 3 * float(np.sum(sizes ** 2))
+
+
 def _plan(batch: list, steps: int) -> Plan:
     """The cheapest plan to step batch for steps steps, each candidate priced in seconds by STEP_S.
 
@@ -769,11 +785,10 @@ def _plan(batch: list, steps: int) -> Plan:
     RECORD_BLOCK_BYTES // (8 size^2) (at least 1); with drift, record
     windows (K, c) within the byte bound: K equal windows of whole record
     intervals, K lanes at most MAX_LANES, c a divisor of the window with c
-    dt within COARSE_FRACTION of ``affine.rk4_limit``.  A window plan needs
-    the least p >= 2 passes with ``affine.parareal_contraction`` to the p
-    within PARAREAL_RTOL (the first pass's gap is about the contraction
-    too).  The spectrum is computed only when some window plan at two passes,
-    its c bounded by ``affine.rk4_limit_bound``, costs less than the rest.
+    dt within ``affine.rk4_limit_bound``, A's trace bound.  G is ETDRK4,
+    exact on the loop's linear modes, so the spectrum cannot bound c and is
+    not computed; a window plan is priced at two passes, with its coarse
+    fold's build (``_coarse_build_s``).
     """
     lane, layout, op = batch[0].lane, batch[0].layout, batch[0].op
     if not lane.game.affine:
@@ -787,7 +802,8 @@ def _plan(batch: list, steps: int) -> Plan:
     prices = {Plan("sparse"): records + steps * _step_s("sparse", lanes, sparse, drifts)}
     reads, writes, q = layout.fold_rows(bool(drifts))
     blocks = fold_blocks(op, reads, writes, q)
-    build = PROBE_BYTE_S * (size + 1 + 4 * q) * sparse
+    build = (PROBE_BYTE_S * (size + 1 + 4 * q) * sparse if drifts
+             else FREE_PROBE_S + FREE_PROBE_BYTE_S * (size + 1) * sparse)
 
     def folded(count):  # a folded step of count times the batch's lanes
         return _step_s("folded", count * lanes, blocks.nbytes, drifts)
@@ -804,40 +820,25 @@ def _plan(batch: list, steps: int) -> Plan:
     counts = np.arange(2, min(MAX_LANES // lanes, full) + 1)
     if drifts and fits and counts.size:
         window = full // counts * stride
-        fixed = (2 * build + records + _products_s(SPECTRUM_PRODUCTS, blocks.cols.shape[1])
-                 + (window + steps - counts * window) * folded(1))
-        # each c with c dt within COARSE_FRACTION of the limit the trace bounds, with no eigenvalue
-        reach = COARSE_FRACTION * rk4_limit_bound(op) / lane.cfg.dt
+        fixed = build + records + (window + steps - counts * window) * folded(1)
+        reach = rk4_limit_bound(op) / lane.cfg.dt
         plans = [(k, c) for k, w in enumerate(window.tolist()) for c in _divisors(w, reach)]
         at, coarse = np.array(plans, dtype=np.int64).reshape(-1, 2).T
-        floor = fixed[at] + 2 * _pass_s(counts[at], window[at], coarse, folded)
-        best = min(prices.values())
-        if np.any(floor < best):  # else no plan can pay for its spectrum: none is computed
-            eigs = np.sort(np.round(eigenvalues(op), 9))
-            # R(h conj(lambda)) = conj(R(h lambda)), so half the spectrum serves, and repeated modes
-            # once (np.unique cost 0.5 MB more peak memory than a sort)
-            eigs = eigs[(eigs.imag >= 0) & np.r_[True, eigs[1:] != eigs[:-1]]]
-            keep = (floor < best) & (coarse <= COARSE_FRACTION * rk4_limit(eigs) / lane.cfg.dt)
-            at, coarse, lengths = at[keep], coarse[keep], window[at[keep]]
-            contraction = np.concatenate([
-                parareal_contraction(eigs, lane.cfg.dt, lengths[k:k + PLAN_CHUNK], coarse[k:k + PLAN_CHUNK])
-                for k in range(0, len(at), PLAN_CHUNK)] + [np.empty(0)])
-            with np.errstate(divide="ignore"):
-                passes = np.where(contraction < 1.0, np.ceil(np.log(PARAREAL_RTOL) / np.log(contraction)), np.inf)
-            costs = fixed[at] + np.maximum(passes, 2) * _pass_s(counts[at], lengths, coarse, folded)
-            if costs.size:
-                k = int(np.argmin(costs))
-                prices[Plan("folded", None, int(counts[at[k]]), int(coarse[k]), blocks)] = costs[k]
+        costs = (fixed[at] + _coarse_build_s(op, blocks, coarse * lane.cfg.dt)
+                 + 2 * _pass_s(counts[at], window[at], coarse, folded))
+        if costs.size:
+            k = int(np.argmin(costs))
+            prices[Plan("folded", None, int(counts[at[k]]), int(coarse[k]), blocks)] = costs[k]
     return min(prices, key=prices.get)
 
 
 def _pass_steppers(plan: Plan, fold: DriftFold, blocks: FoldBlocks, batch: list, state: np.ndarray) -> tuple:
-    """``_parareal``'s steppers: G's on the batch's lanes at c dt (fold rebuilt on blocks) and at dt
-    (fold), and F's (fold) on the (windows, lanes) lanes of one batch."""
+    """``_parareal``'s steppers: G's on the batch's lanes by ETDRK4 at c dt (``affine.fold_drift_etdrk4``
+    on blocks) and by fold's RK4 at dt, and F's (fold) on the (windows, lanes) lanes of one batch."""
     layout, dt = batch[0].layout, batch[0].lane.cfg.dt
     plants, wide = [start.lane.plants for start in batch], np.empty((plan.windows * len(batch), layout.size))
     groups = _drift_groups(plants, state.shape[:-1])
-    coarse = fold_drift_rk4(batch[0].op, plan.coarse * dt, *layout.fold_rows(True), blocks)
+    coarse = fold_drift_etdrk4(batch[0].op, plan.coarse * dt, *layout.fold_rows(True), blocks)
     return (_fold_stepper(coarse, groups, layout, state), _fold_stepper(fold, groups, layout, state),
             _fold_stepper(fold, _drift_groups(plants * plan.windows, wide.shape[:-1]), layout, wide))
 
@@ -846,9 +847,9 @@ def _parareal(plan: Plan, fold: DriftFold, blocks: FoldBlocks, batch: list, stat
               recorder: _Recorder) -> Optional[tuple]:
     """Step plan's windows by Parareal into recorder: (windows kept, fine steps, passes, the state after them).
 
-    G steps the batch's lanes from window to window on fold's RK4 at c dt,
-    built on the same blocks, and window 0, whose start is exact, once on
-    fold itself; F steps fold on every window at once, as the (windows,
+    G steps the batch's lanes from window to window by ETDRK4 at c dt, built
+    on the same blocks, and window 0, whose start is exact, once on fold
+    itself; F steps fold on every window at once, as the (windows,
     lanes) lanes of one batch, into a recorder of its own.  The starts begin
     as G's ends and are corrected, U_{n+1} <- G(U_n new) + F(U_n old) -
     G(U_n old) (Lions, Maday & Turinici 2001), until every window's gap is

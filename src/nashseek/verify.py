@@ -191,12 +191,35 @@ def rk4_halving_factors(dts=(0.1, 0.05, 0.025)) -> list[float]:
     return [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
 
 
+def turbine_flow_halving_factors(dts=(0.01, 0.005, 0.0025), horizon: float = 1.0) -> tuple:
+    """(error reduction factors per dt halving, errors) of RK4 on the turbine desk loop's probed
+    operator over [0, horizon], against its exact affine flow e^{tA} s_0 + t phi_1(tA) b from
+    ``affine.etd_maps``; each error is the largest state gap relative to the largest exact entry."""
+    s = config.build_run_setup(config.default_config("turbines"))
+    start = sim._start(sim.Lane(s.game, s.plants, s.graph, s.gains, s.observer, s.sim_config, s.init), {})
+    exact = affine.etd_maps(start.op, horizon).flow(start.state)
+    errors = []
+    for dt in dts:
+        x = start.state
+        for k in range(round(horizon / dt)):
+            x = affine.rk4_step(start.op.apply, x, k * dt, dt)
+        errors.append(float(np.max(np.abs(x - exact)) / np.max(np.abs(exact))))
+    return [errors[i] / errors[i + 1] for i in range(len(errors) - 1)], errors
+
+
 def _check_sim() -> list[CheckResult]:
     results = []
     factors = rk4_halving_factors()
     results.append(CheckResult(
         "sim", "RK4 order study (error factor per halving in [12, 20])",
         all(12.0 <= f <= 20.0 for f in factors),
+        f"factors {[round(f, 2) for f in factors]}",
+    ))
+    factors, errors = turbine_flow_halving_factors()
+    results.append(CheckResult(
+        "sim", "RK4 on the turbine loop against its exact affine flow (error factor per halving in [12, 20])",
+        all(12.0 <= f <= 20.0 for f in factors),
+        f"dt 0.01, 0.005, 0.0025 over 1 s: relative errors {', '.join(f'{e:.2e}' for e in errors)}, "
         f"factors {[round(f, 2) for f in factors]}",
     ))
 

@@ -37,6 +37,7 @@ VERIFY_CRITERIA = {
     "identity game probe (omega = theta = 1)": None,
     "nash_solve matches closed forms (both scenarios)": None,
     "RK4 order study (error factor per halving in [12, 20])": 11,
+    "RK4 on the turbine loop against its exact affine flow (error factor per halving in [12, 20])": 11,
     "equilibrium tuple annihilates the closed loop (both scenarios)": 4,
     "folded drift step matches the sparse RK4 step (vehicles, both modes)": None,
 }
@@ -194,9 +195,9 @@ def test_12_byte_identical_reruns(tmp_path):
 
 def test_default_runs_step_as_documented(vehicles_state_run, vehicles_output_run,
                                          turbines_state_run, turbines_output_run):
-    # README: both vehicle defaults step record windows by Parareal, two passes over 32 and 43
+    # README: both vehicle defaults step record windows by Parareal, two passes over 64 and 62
     # windows of the fold, and the turbine defaults step groups of record intervals
     steppings = [traj.stepping[:6] for _, traj, _ in (vehicles_state_run, vehicles_output_run,
                                                       turbines_state_run, turbines_output_run)]
-    assert steppings == [("folded", None, 0, 3750, 32, 2), ("folded", None, 0, 2800, 43, 2),
+    assert steppings == [("folded", None, 0, 2180, 64, 2), ("folded", None, 0, 2240, 62, 2),
                          ("folded", 7, 477, 3, None, 0), ("folded", 4, 834, 3, None, 0)]

@@ -1384,6 +1384,76 @@ class TestStepping:
         assert caught.value.stepping[:4] == stepping and caught.value.stepping.record_s > 0
 
 
+class TestEtdrk4Fold:
+    """ETDRK4 folded as RK4 is (``affine.fold_drift_etdrk4``): exact on the affine part, fourth order in the drift."""
+
+    @staticmethod
+    def probed(mode, scenario):
+        game, plants, g, gains, obs, layout, state = loop_inputs(mode, scenario)
+        return plants, layout, probe_affine(_make_rhs(game, g, gains, obs, layout), layout), state
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_a_drift_free_step_is_phi_0_on_the_state_and_its_constant(self, mode):
+        # without drift one step is the top rows of e^{h Abar} [s; 1], Abar = [[A, b], [0, 0]], at
+        # any h: the observer's weights reach 1.6e9 in output mode and h = 0.3 is 30 times its RK4 limit
+        _, layout, op, state = self.probed(mode, "turbines")
+        for h in (1e-3, 0.3):
+            advance = sim._fold_stepper(affine.fold_drift_etdrk4(op, h, *layout.fold_rows(False)), [], layout, state)
+            exact = affine.etd_maps(op, h).flow(state)
+            assert np.max(np.abs(advance(state, 0.0) - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_the_phi_maps_match_one_exponential_of_a_bordered_matrix(self):
+        # independently of scaling and squaring: the top block row of exp([[X, I, 0, 0], [0, 0, I, 0],
+        # [0, 0, 0, I], 0]) is phi_0..phi_3 of X (Sidje 1998), here on one vehicles/output block
+        linalg = pytest.importorskip("scipy.linalg")
+        _, _, op, _ = self.probed("output", "vehicles")
+        h = 0.08
+        maps = affine.etd_maps(op, h)
+        states, (e, e_half, q, f_1, f_2, f_3) = maps.parts[0]
+        a = np.zeros((len(states), len(states)))
+        inside = np.isin(op.rows, states)
+        at = np.searchsorted(states, op.rows[inside]), np.searchsorted(states, op.cols[inside])
+        np.add.at(a, at, op.vals[inside])
+
+        def phis(x):
+            n = len(x)
+            bordered = np.zeros((4 * n, 4 * n))
+            bordered[:n, :n] = x
+            for k in range(3):
+                bordered[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = np.eye(n)
+            return linalg.expm(bordered)[:n].reshape(n, 4, n).swapaxes(0, 1)
+
+        p, half = phis(h * a), phis(0.5 * h * a)
+        expected = [p[0], half[0], 0.5 * h * half[1], h * (p[1] - 3 * p[2] + 4 * p[3]), 2 * h * (p[2] - 2 * p[3]),
+                    h * (4 * p[3] - p[2])]
+        for got, want in zip((e, e_half, q, f_1, f_2, f_3), expected):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.allclose(maps.c[states], h * p[1] @ op.b[states], rtol=0, atol=1e-12 * np.abs(maps.c).max())
+
+    @pytest.mark.parametrize("mode", ["state", "output"])
+    def test_the_vehicle_gap_to_a_fine_rk4_run_falls_eightfold_per_halving(self, mode):
+        # 1 s of the default run against the serial RK4 fold at dt = 1e-3, itself about 1e-12 off:
+        # h = 0.2, 0.1 and 0.05 read gaps near 1.5e-7, 1e-8 and 7e-10, 14-17 times less a halving (the
+        # drag is only once differentiable where a velocity is 0, which a random start puts in reach)
+        setup = build_run_setup(default_config("vehicles", mode))
+        start = sim._start(sim.Lane(setup.game, setup.plants, setup.graph, setup.gains, setup.observer,
+                                    setup.sim_config, setup.init), {})
+        layout, op, state = start.layout, start.op, start.state
+        rows, groups = layout.fold_rows(True), _drift_groups([setup.plants])
+        blocks = fold_blocks(op, *rows)
+
+        def end(fold, steps):
+            advance, s = sim._fold_stepper(fold, groups, layout, state), state
+            for _ in range(steps):
+                s = advance(s, 0.0)
+            return s.copy()
+
+        fine = end(fold_drift_rk4(op, 1e-3, *rows, blocks), 1000)
+        gaps = [np.max(np.abs(end(affine.fold_drift_etdrk4(op, h, *rows, blocks), round(1.0 / h)) - fine))
+                / np.max(np.abs(fine)) for h in (0.2, 0.1, 0.05)]
+        assert gaps[0] < 1e-6 and gaps[0] >= 8 * gaps[1] and gaps[1] >= 8 * gaps[2]
+
+
 class TestRecordWindows:
     """A one-lane drifting run long enough pays for Parareal over record windows (``sim._plan``)."""
 
@@ -1453,12 +1523,12 @@ class TestRecordWindows:
                                     plants=[Plant(2, 2, drift=linear_drift, w=50.0)] * 10)
         self._assert_serial_series(setup)
 
-    @pytest.mark.parametrize("mode, horizon, plan", [("state", 6.0, (40, 15, 3)), ("output", 4.8, (17, 7, 2)),
-                                                     ("state", 3.0, (20, 15, 3)), ("output", 1.0, None)])
+    @pytest.mark.parametrize("mode, horizon, plan", [("state", 6.0, (60, 100, 2)), ("output", 4.8, (60, 80, 2)),
+                                                     ("state", 3.0, (60, 50, 2)), ("output", 1.0, (50, 20, 2))])
     def test_a_short_run_takes_the_passes_it_was_priced_or_no_windows(self, mode, horizon, plan):
-        # the passes are priced from the spectrum: the contraction of 150-step windows at c = 15 is
-        # 1.2e-4, priced three passes, and of 280-step windows at c = 7 9.8e-7, priced two (a rule
-        # that priced two for every plan made short runs lose); 1 s finds no plan that pays
+        # every plan is priced at two passes, its c dt within A's trace bound (0.127 in state mode,
+        # 0.087 in output mode), and takes two: ETDRK4's G is exact on the linear modes, so even
+        # 1 s of output mode, 50 windows of 20 steps, pays for its phi maps
         setup = self._setup(mode, horizon=horizon)
         start = sim._start(sim.Lane(setup.game, setup.plants, setup.graph, setup.gains, setup.observer,
                                     setup.sim_config), {})
@@ -1469,11 +1539,30 @@ class TestRecordWindows:
         window = steps // 10 // count * 10 if count else steps
         assert stepping[3:7] == (window * (passes + 1) + steps - (count or 1) * window, count, passes, coarse)
 
+    @staticmethod
+    def _forbid_spectrum(monkeypatch):
+        for owner, name in ((affine, "eigenvalues"), (np.linalg, "eigvals"), (np.linalg, "eig")):
+            monkeypatch.setattr(owner, name, lambda *args: pytest.fail("a spectrum computed"))
+
+    @pytest.mark.parametrize("mode, sim_keys, plan", [
+        ("state", {}, (64, 124)), ("output", {}, (62, 80)), ("output", {"dt": 2e-3, "horizon": 24.0}, (60, 40))],
+        ids=["state-default", "output-default", "vehicles-output"])
+    def test_the_vehicle_plans_compute_no_spectrum(self, monkeypatch, mode, sim_keys, plan):
+        # G is exact on the linear modes, so the spectrum bounds nothing: c dt stays within A's trace
+        # bound and every plan is priced at two passes
+        self._forbid_spectrum(monkeypatch)
+        setup = self._setup(mode, **sim_keys)
+        start = sim._start(sim.Lane(setup.game, setup.plants, setup.graph, setup.gains, setup.observer,
+                                    setup.sim_config), {})
+        chosen = sim._plan([start], round(setup.sim_config.horizon / setup.sim_config.dt))
+        assert (chosen.windows, chosen.coarse) == plan
+        assert plan[1] * setup.sim_config.dt <= affine.rk4_limit_bound(start.op)
+
     def test_a_batch_that_cannot_pay_back_computes_no_eigenvalue(self, monkeypatch):
-        # four lanes already share a step's overhead, and c dt = 0.01 c must stay under 0.66 of a
-        # limit the trace bounds by 0.127: two passes at c <= 8 on up to 16 windows of the
-        # seed-sweep's 2 400 steps cost more than the serial batch
-        monkeypatch.setattr(sim, "eigenvalues", lambda op: pytest.fail("eigenvalues computed"))
+        # four lanes already share a step's overhead, and c dt = 0.01 c must stay within the trace
+        # bound 0.127: two passes at c <= 12 on up to 16 windows of the seed-sweep's 2 400 steps cost
+        # more than the serial batch
+        self._forbid_spectrum(monkeypatch)
         setup = self._setup("state", dt=1e-2, horizon=24.0)
         lanes = [sim.Lane(setup.game, setup.plants, setup.graph, setup.gains, None,
                           dataclasses.replace(setup.sim_config, seed=seed)) for seed in range(4)]

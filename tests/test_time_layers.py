@@ -43,6 +43,7 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     # the record and step layers read the run's Trajectory.stepping, so none of these may change
     patched = [(sim._Recorder, "extend"), (sim._Recorder, "split"), (affine.DriftFold, "intervals"),
                (affine, "fold_blocks"), (affine, "fold_drift_rk4"), (sim, "fold_drift_rk4"),
+               (affine, "etd_maps"), (affine, "fold_drift_etdrk4"), (sim, "fold_drift_etdrk4"),
                (sim, "_fold_stepper"), (sim, "_plan"), (sim, "_rk4_stepper"), (sim, "rk4_step")]
     originals = [getattr(owner, name) for owner, name in patched]
 
@@ -66,7 +67,8 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     assert list(step[2]) == ["size", "lanes", "kind", "group", "fold_bytes", "blocks", "fold_blocks_s",
                              "fold_drift_rk4_s", "intervals_s", "folded_us", "folded_price_us", "sparse_us",
                              "sparse_price_us", "group_us", "group_price_us", "repeats", "windows", "passes", "c",
-                             "spectrum_s", "coarse_fold_s", "coarse_pass_s", "fine_pass_s"]
+                             "plan_s", "phi_s", "coarse_fold_s", "coarse_fold_price_s", "coarse_pass_s",
+                             "fine_pass_s"]
     # two vehicles: size 20 and a 37 x 20 map, whose 37 inputs 2 400 steps of two lanes pay back,
     # split by coordinate into two blocks of 19 x 10, and stage matrices of 25, 29 and 33 rows over
     # the 8 chain rows; a loop with drift has no groups to build
@@ -74,10 +76,11 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     assert (step[2]["fold_bytes"], step[2]["blocks"]) == (8 * (2 * 19 * 10 + 8 * (25 + 29 + 33)), 2)
     assert all(step[2][key] is None for key in ("intervals_s", "group_us", "group_price_us"))
     assert step[2]["repeats"] == 3
-    # two lanes of 2 400 steps of so small a loop still gain by record windows: 17 windows of 140
-    # steps at c = 7, priced and taken in three passes
-    window_keys = ("c", "spectrum_s", "coarse_fold_s", "coarse_pass_s", "fine_pass_s")
-    assert (step[2]["windows"], step[2]["c"], step[2]["passes"]) == (17, 7, 3)
+    # two lanes of 2 400 steps of so small a loop still gain by record windows: 30 windows of 80
+    # steps at c = 40 (c dt = 0.2, within the trace bound), priced at two passes; the drift, which
+    # the bound does not see, asks for a third
+    window_keys = ("c", "plan_s", "phi_s", "coarse_fold_s", "coarse_fold_price_s", "coarse_pass_s", "fine_pass_s")
+    assert (step[2]["windows"], step[2]["c"], step[2]["passes"]) == (30, 40, 3)
     assert all(0 < step[2][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "folded_us", "sparse_us",
                                             "folded_price_us", "sparse_price_us"))
     # in output mode the observer adds 8 states: blocks of 23 x 14 and stage matrices of 33, 37 and 41 rows
@@ -85,12 +88,12 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     assert list(output) == [2] and list(output[2]) == list(step[2])
     assert (output[2]["size"], output[2]["lanes"], output[2]["kind"], output[2]["group"]) == (28, 1, "folded", None)
     assert (output[2]["fold_bytes"], output[2]["blocks"]) == (8 * (2 * 23 * 14 + 8 * (33 + 37 + 41)), 2)
-    # one lane of 2 400 steps at dt = 2e-3 takes 20 windows of 120 steps, the coarse step 8 of them
-    # (0.016, under 0.66 of the contraction limit), in the two passes it was priced
-    assert (output[2]["windows"], output[2]["c"], output[2]["passes"]) == (20, 8, 2)
+    # one lane of 2 400 steps at dt = 2e-3 takes 40 windows of 60 steps, the coarse step 30 of them,
+    # in the two passes it was priced
+    assert (output[2]["windows"], output[2]["c"], output[2]["passes"]) == (40, 30, 2)
     assert all(0 < output[2][key] for key in window_keys)
-    # 300 steps of it find no plan that pays
-    short = tool.LAYERS["step"]("2", "output", "steps=300")[2]
+    # 60 steps of it find no plan that pays
+    short = tool.LAYERS["step"]("2", "output", "steps=60")[2]
     assert (short["windows"], short["passes"]) == (None, 0) and all(short[key] is None for key in window_keys)
     # six drift-free generators: size 66, whose 2 400 steps at stride 10 pay back a group of 7, and
     # one 67 x 66 block
@@ -102,11 +105,12 @@ def test_each_layer_gives_its_keys_and_patches_nothing(tool):
     assert all(0 < turbines[6][key] for key in ("fold_blocks_s", "fold_drift_rk4_s", "intervals_s",
                                                 "folded_us", "sparse_us", "group_us", "group_price_us"))
     # the plan layer times the plan taken and the others on either side of a boundary: 30 steps of
-    # the six generators take the fold one step at a time, 100 steps take groups of two maps
+    # the six generators step "sparse", as the fold's build does not pay back, 100 steps take groups
+    # of two maps
     plans = tool.LAYERS["plan"]("6", "turbines", "steps=30,100")
     assert list(plans) == [6] and list(plans[6]) == [30, 100]
     assert list(plans[6][30]) == ["plan", "repeats", "plan_s", "sparse_s", "folded_s", "group_s"]
-    assert plans[6][30]["plan"] == ["folded", None, None, None] and plans[6][100]["plan"][:2] == ["folded", 2]
+    assert plans[6][30]["plan"] == ["sparse", None, None, None] and plans[6][100]["plan"][:2] == ["folded", 2]
     assert all(0 < plans[6][30][key] for key in ("plan_s", "sparse_s", "folded_s", "group_s"))
     json.dumps([probe, cert, record, step, output, turbines, plans])
 

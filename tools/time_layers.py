@@ -9,8 +9,8 @@ probe: N -> size, median_s, repeats, nonzeros, lanes, calls of ``affine.probe_af
   with seed 0, default cycle digraph and gains), with one probe's rhs lanes and calls.
 step: N -> size, lanes, kind, group, fold_bytes, blocks, fold_blocks_s, fold_drift_rk4_s, intervals_s,
   folded_us, folded_price_us, sparse_us, sparse_price_us, group_us, group_price_us, repeats, windows,
-  passes, c, spectrum_s, coarse_fold_s, coarse_pass_s, fine_pass_s for L lanes (default 1) of that
-  loop of N vehicles with its drift, or
+  passes, c, plan_s, phi_s, coarse_fold_s, coarse_fold_price_s, coarse_pass_s, fine_pass_s for L
+  lanes (default 1) of that loop of N vehicles with its drift, or
   with ``turbines`` of the drift-free market of N >= 5 generators (the table repeated, default
   digraph and gains), in state mode, or with ``output`` in output mode with the default observer,
   seeds 0..L-1, at dt = STEP_DT, or mu / 10 in output mode: kind and group are the step kind and
@@ -25,9 +25,9 @@ step: N -> size, lanes, kind, group, fold_bytes, blocks, fold_blocks_s, fold_dri
   of each in turn from the run's start, and group_us (null with drift) of one product of those
   maps; each *_price_us is what ``sim.STEP_S`` prices that step at, which holds what the run adds:
   a step's magnitude guard, about 1 us, and a group's peaks and bookkeeping, about 10 us; windows and passes are the run's
-  record windows and passes (null and 0 without them), and c, spectrum_s, coarse_fold_s,
-  coarse_pass_s and fine_pass_s time the record windows of the plan ``sim._plan`` makes for the
-  run (``windows`` below; null without them).
+  record windows and passes (null and 0 without them), and c, plan_s, phi_s, coarse_fold_s,
+  coarse_fold_price_s, coarse_pass_s and fine_pass_s time the record windows of the plan
+  ``sim._plan`` makes for the run (``windows`` below; null without them).
 plan: N -> {S: plan, repeats, plan_s, sparse_s, folded_s, group_s} for runs of S steps
   (``steps=S,S,...``) of L lanes of the loop ``step`` names, at record_stride R (``stride=R``, default
   10) and dt (``dt=D``, default STEP_DT, or mu / 10 in output mode): plan is [kind, group, windows,
@@ -245,26 +245,29 @@ def plan(*args) -> dict:
 
 def windows(starts, steps, rows, blocks, stepping) -> dict:
     """The record-window fields of ``step``: the run's windows and passes, and for the windows of
-    the plan ``sim._plan`` makes (all null without them) its coarse step c in fine steps, spectrum_s
-    (the whole plan: the eigenvalues, ``affine.rk4_limit`` and the pricing), coarse_fold_s
-    (``sim._pass_steppers``, the second fold's build at c dt on the same blocks), and coarse_pass_s
-    and fine_pass_s, one G pass (the coarse steps of all windows but the first and the last, on the
-    run's lanes) and one F pass (a window's steps on all windows)."""
+    the plan ``sim._plan`` makes (all null without them) its coarse step c in fine steps, plan_s
+    (the whole ``sim._plan``), phi_s (``affine.etd_maps`` at c dt), coarse_fold_s
+    (``sim._pass_steppers``, the ETDRK4 fold's build at c dt on the same blocks, its phi maps
+    included) and coarse_fold_price_s (what ``sim._coarse_build_s`` prices it at), and
+    coarse_pass_s and fine_pass_s, one G pass (the coarse steps of all windows but the first and
+    the last, on the run's lanes) and one F pass (a window's steps on all windows)."""
     out = {"windows": stepping.windows, "passes": stepping.passes}
     plan = sim._plan(starts, steps)
     if plan.windows is None:
-        return {**out, **dict.fromkeys(("c", "spectrum_s", "coarse_fold_s", "coarse_pass_s", "fine_pass_s"))}
-    layout, dt = starts[0].layout, starts[0].lane.cfg.dt
+        return {**out, **dict.fromkeys(WINDOW_KEYS)}
+    layout, dt, op = starts[0].layout, starts[0].lane.cfg.dt, starts[0].op
     window = steps // starts[0].lane.cfg.record_stride // plan.windows * starts[0].lane.cfg.record_stride
     state = starts[0].state if len(starts) == 1 else np.stack([start.state for start in starts])
-    fold = affine.fold_drift_rk4(starts[0].op, dt, *rows, blocks)
+    fold = affine.fold_drift_rk4(op, dt, *rows, blocks)
 
     def call():
         began = time.perf_counter()
         sim._plan(starts, steps)
         planned = time.perf_counter()
+        affine.etd_maps(op, plan.coarse * dt)
+        mapped = time.perf_counter()
         coarse, _, fine = sim._pass_steppers(plan, fold, blocks, starts, state)
-        fields = {"spectrum_s": planned - began, "coarse_fold_s": time.perf_counter() - planned}
+        fields = {"plan_s": planned - began, "phi_s": mapped - planned, "coarse_fold_s": time.perf_counter() - mapped}
         wide = np.tile(state.reshape(-1, layout.size), (plan.windows, 1))
         passes = (("coarse_pass_s", coarse, state, (plan.windows - 2) * (window // plan.coarse)),
                   ("fine_pass_s", fine, wide, window))
@@ -276,9 +279,13 @@ def windows(starts, steps, rows, blocks, stepping) -> dict:
         return fields, None
 
     fields, _, _ = repeat(call)
-    return {**out, "c": plan.coarse, **fields}
+    price = float(sim._coarse_build_s(op, blocks, plan.coarse * dt))
+    return {**out, "c": plan.coarse, "plan_s": fields["plan_s"], "phi_s": fields["phi_s"],
+            "coarse_fold_s": fields["coarse_fold_s"], "coarse_fold_price_s": price,
+            "coarse_pass_s": fields["coarse_pass_s"], "fine_pass_s": fields["fine_pass_s"]}
 
 
+WINDOW_KEYS = ("c", "plan_s", "phi_s", "coarse_fold_s", "coarse_fold_price_s", "coarse_pass_s", "fine_pass_s")
 LAYERS = {"probe": probe, "certificate": certificate, "record": record, "step": step, "plan": plan}
 
 if __name__ == "__main__":
